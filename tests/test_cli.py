@@ -90,6 +90,15 @@ class TestTrainTeacher:
             "train-teacher", "--data", tmp_path / "absent", "--out", tmp_path
         ) == 1
 
+    def test_nonfinite_feature_exits_2_naming_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        lines = (data / "features.csv").read_text().splitlines(keepends=True)
+        lines[4] = ",".join(["nan"] * 8) + "\n"
+        (data / "features.csv").write_text("".join(lines))
+        assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
+        assert "features.csv: non-finite value at line 5" in capsys.readouterr().err
+
 
 class TestDistill:
     def test_report_structure(self, separable_run):
@@ -236,6 +245,20 @@ class TestInfer:
         assert code == 1
         err = capsys.readouterr().err
         assert "d=8" in err and "d=2" in err
+
+    def test_nonfinite_features_exit_2_naming_line(self, separable_run, tmp_path, capsys):
+        data, run = separable_run
+        lines = (data / "features.csv").read_text().splitlines(keepends=True)
+        lines[2] = "inf," + lines[2].split(",", 1)[1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "out"
+        code = run_cli(
+            "infer", "--cascade", run / "cascade.json", "--features", bad, "--out", out,
+        )
+        assert code == 2
+        assert "bad.csv: non-finite value at line 3" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
 
     def test_missing_cascade_exits_1(self, tmp_path):
         feat = tmp_path / "f.csv"

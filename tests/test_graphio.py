@@ -62,9 +62,37 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="line 2"):
             gio.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [("nan", np.float32), ("-inf", np.float64), ("1e39", np.float32)],
+    )
+    def test_nonfinite_feature_rejected_naming_line(self, tmp_path, value, dtype):
+        # 1e39 is finite as float64 but overflows float32
+        write_toy_dataset(tmp_path, [[1.0, 2.0], [3.0, 4.0]], [(0, 1)], [0, 1], TOY_SPLITS)
+        (tmp_path / "features.csv").write_text(f"1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(ValueError, match=r"features\.csv: non-finite value at line 2"):
+            gio.load_dataset(tmp_path, dtype=dtype)
+
+    def test_hash_line_is_data_not_comment(self, tmp_path):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1], TOY_SPLITS)
+        (tmp_path / "edges.csv").write_text("0,1\n# 1,0\n")
+        with pytest.raises(ValueError, match=r"edges\.csv: non-integer edge at line 2"):
+            gio.load_dataset(tmp_path)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1], TOY_SPLITS)
+        (tmp_path / "features.csv").write_text("1.0\n \t\n\n2.0\n")
+        g = gio.load_dataset(tmp_path)
+        assert np.array_equal(g.features, np.array([[1.0], [2.0]], dtype=np.float32))
+
     def test_negative_label_rejected(self, tmp_path):
         write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, -1], TOY_SPLITS)
         with pytest.raises(ValueError, match="label"):
+            gio.load_dataset(tmp_path)
+
+    def test_label_beyond_int64_rejected_naming_line(self, tmp_path):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 10**20], TOY_SPLITS)
+        with pytest.raises(ValueError, match=r"labels\.csv: label at line 2 does not fit"):
             gio.load_dataset(tmp_path)
 
     def test_edge_out_of_range(self, tmp_path):
@@ -97,6 +125,50 @@ class TestLoadDataset:
         assert (g1.adjacency != g2.adjacency).nnz == 0
         for name in ("labeled", "validation", "test", "unlabeled"):
             assert np.array_equal(getattr(g1.splits, name), getattr(g2.splits, name))
+
+
+class TestUndirectedPairs:
+    @staticmethod
+    def oracle(edges):
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        return np.unique(np.column_stack([lo, hi]), axis=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unique_rows_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 300)), 2))
+        edges = np.concatenate([edges, edges[::-1, ::-1]])  # reversed duplicates
+        got = gio._undirected_pairs(edges, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self.oracle(edges))
+
+    @pytest.mark.parametrize(
+        "edges", [np.empty((0, 2), dtype=np.int64), np.array([[3, 3], [0, 0], [3, 3]])]
+    )
+    def test_empty_and_all_self_loops(self, edges):
+        got = gio._undirected_pairs(edges, 4)
+        assert got.shape == (0, 2)
+        assert np.array_equal(got, self.oracle(edges))
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "table, fmt",
+        [
+            (np.random.default_rng(0).standard_normal((50, 3)).astype(np.float32), "%.9g"),
+            (np.random.default_rng(1).standard_normal((4, 5000)), "%.17g"),
+            (np.random.default_rng(2).integers(0, 10**6, size=(20000, 2)), "%d"),
+            (np.arange(7)[:, None], "%d"),
+            (np.empty((0, 2), dtype=np.int64), "%d"),
+        ],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, table, fmt):
+        gio._write_csv(tmp_path / "new.csv", table, fmt)
+        np.savetxt(tmp_path / "ref.csv", table, fmt=fmt, delimiter=",")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestNormalizeAdjacency:
