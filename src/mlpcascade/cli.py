@@ -314,26 +314,26 @@ def cmd_distill(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cascade_mod.save_cascade(casc, out / CASCADE_CKPT)
 
+    result = inference.run_anytime(
+        casc,
+        g.features,
+        inference.InferencePolicy(max_students=casc.n_students),
+        g.splits.unlabeled,
+    )
     students = []
     lambda_trajectory: list[float] = []
-    for k in range(1, casc.n_students + 1):
-        result = inference.run_anytime(
-            casc,
-            g.features,
-            inference.InferencePolicy(max_students=k),
-            g.splits.unlabeled,
-        )
-        meta = casc.metas[k - 1]
+    prefixes = inference.prefix_ensembles(result.probs, result.confidences)
+    for k, (meta, prediction) in enumerate(zip(casc.metas, prefixes), start=1):
         students.append(
             {
                 "k": k,
                 "epochs": meta.epochs,
                 "final_lambda": meta.final_lambda,
                 "val_accuracy": inference.accuracy(
-                    result.prediction, g.labels, g.splits.validation
+                    prediction, g.labels, g.splits.validation
                 ),
                 "test_accuracy": inference.accuracy(
-                    result.prediction, g.labels, g.splits.test
+                    prediction, g.labels, g.splits.test
                 ),
             }
         )
@@ -354,9 +354,9 @@ def cmd_distill(args, config) -> int:
 
 
 def _sweep_one(casc, g, reps: int):
-    """Rows (k, accuracy, cum_ms) for one cascade: accuracies from
-    deterministic per-k runs, cumulative cost from per-student time medians
-    over repeated full runs."""
+    """Rows (k, accuracy, cum_ms) for one cascade from ``reps`` full runs:
+    cumulative cost from per-student time medians, accuracies from the
+    prefix ensembles of the last run (each equals a run capped at k)."""
     k_total = casc.n_students
     eval_idx = g.splits.unlabeled
     per_student_ms = []
@@ -365,22 +365,18 @@ def _sweep_one(casc, g, reps: int):
             casc, g.features, inference.InferencePolicy(max_students=k_total), eval_idx
         )
         per_student_ms.append([1000.0 * t for t in result.elapsed])
-    medians = [
-        statistics.median(rep[j] for rep in per_student_ms) for j in range(k_total)
-    ]
     rows = []
     cum = 0.0
-    for k in range(1, k_total + 1):
-        result = inference.run_anytime(
-            casc, g.features, inference.InferencePolicy(max_students=k), eval_idx
-        )
-        acc = inference.accuracy(result.prediction, g.labels, g.splits.test)
-        cum += medians[k - 1]
-        rows.append((k, acc, cum))
+    prefixes = inference.prefix_ensembles(result.probs, result.confidences)
+    for k, prediction in enumerate(prefixes, start=1):
+        cum += statistics.median(rep[k - 1] for rep in per_student_ms)
+        rows.append((k, inference.accuracy(prediction, g.labels, g.splits.test), cum))
     return rows
 
 
 def cmd_sweep(args, config) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     seed, out, dtype = _run_values(args, config)
     g = graphio.load_dataset(
         _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)

@@ -311,7 +311,14 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
     features = _read_features(path / "features.csv", dtype)
     n_nodes = features.shape[0]
     class_ids = _read_labels(path / "labels.csv", n_nodes)
-    n_classes = int(class_ids.max()) + 1
+    present = np.unique(class_ids)
+    n_classes = present.size
+    if present[-1] != n_classes - 1:
+        missing = int(np.argmin(present == np.arange(n_classes)))
+        raise ValueError(
+            f"{path / 'labels.csv'}: class ids must be 0..C-1 with every class "
+            f"present; class {missing} has no node"
+        )
     pairs = _undirected_pairs(_read_edges(path / "edges.csv", n_nodes), n_nodes)
     adjacency = _adjacency_from_pairs(pairs, n_nodes, dtype)
     if normalize_features:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class InferenceResult:
     confidences: list[float]
     weights: list[float]
     elapsed: list[float]  # per-student seconds
+    probs: list[np.ndarray]  # per-student N x C probabilities, execution order
 
 
 def confidence(logits: np.ndarray, eval_idx) -> float:
@@ -84,6 +85,16 @@ def ensemble(preds: list[np.ndarray], confs: list[float]) -> tuple[np.ndarray, n
     for w, p in zip(weights, preds):
         combined += w * p.astype(np.float64)
     return combined, weights
+
+
+def prefix_ensembles(
+    preds: list[np.ndarray], confs: list[float]
+) -> Iterator[np.ndarray]:
+    """Yield ``ensemble(preds[:k], confs[:k])[0]`` for k = 1..len(preds),
+    one prefix at a time. Each prefix is recombined from scratch, so it is
+    bit-identical to a run capped at k students."""
+    for k in range(1, len(preds) + 1):
+        yield ensemble(preds[:k], confs[:k])[0]
 
 
 def run_anytime(
@@ -139,6 +150,7 @@ def run_anytime(
         confidences=confs,
         weights=[float(w) for w in weights],
         elapsed=elapsed,
+        probs=preds,
     )
 
 

@@ -302,15 +302,10 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
 
 
 def export_soft_labels(t: TeacherArtifact, path) -> None:
-    """Write the soft-label matrix as CSV with 9 significant digits."""
-    _write_prob_csv(t.soft_labels, path)
-
-
-def _write_prob_csv(probs: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        for row in probs:
-            f.write(",".join(format(float(v), ".9g") for v in row))
-            f.write("\n")
+    """Write the soft-label matrix as CSV with 9 significant digits at
+    float32 and 17 at float64, so the round trip is bit-exact."""
+    digits = 9 if t.soft_labels.dtype == np.float32 else 17
+    graphio._write_csv(path, t.soft_labels, f"%.{digits}g")
 
 
 def import_soft_labels(path, dtype=np.float32) -> np.ndarray:
@@ -332,7 +327,8 @@ def _array_from_json(obj: dict, dtype) -> np.ndarray:
 
 def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
     """Checkpoint: JSON header (shapes, hyperparameters, seed) plus flat
-    decimal weight arrays, and the soft-label fingerprint for audits."""
+    decimal weight arrays, and the soft-label fingerprint that
+    ``load_teacher`` checks the soft-label file against."""
     doc = {
         "kind": "teacher-checkpoint",
         "dtype": str(t.params.layers[0][0].dtype),
@@ -375,4 +371,9 @@ def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig
     cfg = TeacherConfig(**doc["config"])
     meta = TrainMeta(**doc["train_meta"])
     soft = import_soft_labels(soft_labels_path, dtype)
+    if fingerprint(soft) != doc.get("soft_label_fingerprint"):
+        raise ValueError(
+            f"{soft_labels_path}: soft labels do not match the "
+            f"soft_label_fingerprint in {path}"
+        )
     return TeacherArtifact(TeacherParams(layers), soft, meta), cfg

@@ -100,6 +100,17 @@ class TestTrainTeacher:
         assert "features.csv: non-finite value at line 5" in capsys.readouterr().err
 
 
+    def test_class_id_gap_exits_2_naming_labels_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        lines = (data / "labels.csv").read_text().splitlines(keepends=True)
+        lines[0] = "100000\n"
+        (data / "labels.csv").write_text("".join(lines))
+        assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert "labels.csv" in err and "class 3 has no node" in err
+
+
 class TestDistill:
     def test_report_structure(self, separable_run):
         _, run = separable_run
@@ -151,6 +162,50 @@ class TestDistill:
         ) == 1
 
 
+    def test_f64_cli_cascade_matches_library_path(self, tmp_path):
+        import mlpcascade.graphio as gio
+        import mlpcascade.teacher as tch
+
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert run_cli(*dataset_args(data, nodes=30, p_out=0.1, noise=1.0)) == 0
+        assert run_cli(
+            "train-teacher", "--data", data, "--out", run, "--precision", "f64",
+            "--hidden", 8, "--epochs", 10, "--patience", 5, "--seed", 0,
+        ) == 0
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", run,
+            "--precision", "f64", "--students", 2, "--hidden", 8,
+            "--epochs", 5, "--patience", 3, "--seed", 0,
+        ) == 0
+
+        g = gio.load_dataset(data, dtype=np.float64)
+        art = tch.train_teacher(
+            g, tch.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=0)
+        )
+        casc = cas.train_cascade(
+            g, art,
+            cas.CascadeConfig(n_students=2, hidden_dim=8, max_epochs=5, patience=3, seed=0),
+        )
+        assert cas.load_cascade(run / "cascade.json").fingerprint() == casc.fingerprint()
+
+    def test_edited_soft_labels_exit_2(self, separable_run, tmp_path, capsys):
+        data, run = separable_run
+        soft = run / "soft_labels.csv"
+        lines = soft.read_text().splitlines(keepends=True)
+        first = [float(v) for v in lines[0].split(",")]
+        first[0] += 1e-6  # still a distribution within the row-sum tolerance
+        lines[0] = ",".join(repr(v) for v in first) + "\n"
+        soft.write_text("".join(lines))
+        code = run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "r",
+            "--students", 1, "--hidden", 8, "--epochs", 5, "--patience", 3,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "soft_labels.csv" in err and "teacher.json" in err
+
+
 class TestSweep:
     def test_rows_and_monotone_cost(self, separable_run, tmp_path):
         data, run = separable_run
@@ -183,6 +238,12 @@ class TestSweep:
         assert run_cli(*dataset_args(data, nodes=30)) == 0
         assert run_cli("sweep", "--data", data, "--out", tmp_path / "empty") == 1
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_reps_below_one_exits_2_naming_flag(self, separable_run, reps, capsys):
+        data, run = separable_run
+        assert run_cli("sweep", "--data", data, "--out", run, "--reps", reps) == 2
+        assert "--reps" in capsys.readouterr().err
+
     def test_multiple_cascades_emit_row_blocks_per_seed(self, separable_run, tmp_path):
         data, run = separable_run
         second = tmp_path / "run2"
@@ -198,6 +259,43 @@ class TestSweep:
         with open(tmp_path / "sweep2" / "tradeoff.csv") as f:
             rows = list(csv.DictReader(f))
         assert [int(r["k"]) for r in rows] == [1, 2, 1, 2]
+
+
+class TestForwardCounts:
+    """One full run yields every prefix ensemble, so the distill report needs
+    K student forwards and a sweep R * K, with no per-k reruns."""
+
+    @pytest.fixture()
+    def counter(self, monkeypatch):
+        calls = []
+        forward = inf.student_forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(inf, "student_forward", counted)
+        return calls
+
+    def test_distill_report_runs_each_student_once(self, tmp_path, counter):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        assert run_cli(
+            "train-teacher", "--data", data, "--out", run,
+            "--hidden", 8, "--epochs", 8, "--patience", 4,
+        ) == 0
+        assert len(counter) == 0
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", run,
+            "--students", 3, "--hidden", 8, "--epochs", 5, "--patience", 3,
+        ) == 0
+        assert len(counter) == 3
+
+    def test_sweep_runs_reps_times_k(self, separable_run, counter):
+        data, run = separable_run
+        assert run_cli("sweep", "--data", data, "--out", run, "--reps", 3) == 0
+        assert len(counter) == 3 * 2
 
 
 class TestInfer:

@@ -95,6 +95,16 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=r"labels\.csv: label at line 2 does not fit"):
             gio.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("labels, missing", [([0, 100000, 0], 1), ([1, 2, 1], 0)])
+    def test_class_id_gap_rejected_naming_missing_class(self, tmp_path, labels, missing):
+        # a huge id must not size the one-hot (3 x 100001) before it is rejected
+        write_toy_dataset(
+            tmp_path, [[1.0], [2.0], [3.0]], [(0, 1)], labels,
+            {"labeled": [0], "validation": [1], "test": [2]},
+        )
+        with pytest.raises(ValueError, match=rf"labels\.csv: .*class {missing} has no node"):
+            gio.load_dataset(tmp_path)
+
     def test_edge_out_of_range(self, tmp_path):
         write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 5)], [0, 1], TOY_SPLITS)
         with pytest.raises(ValueError, match="out of range"):

@@ -205,6 +205,35 @@ class TestRunAnytime:
         assert r.executed == 2  # threshold never fires; runs out of students
 
 
+class TestPrefixEnsembles:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_students", [1, 3, 5])
+    def test_each_prefix_equals_a_capped_run(self, dtype, n_students):
+        rng = np.random.default_rng(n_students)
+        casc = build_cascade(rng, n_students, dtype=dtype)
+        x = rng.standard_normal((15, 4)).astype(dtype)
+        idx = rng.choice(15, size=9, replace=False)
+        full = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=n_students), idx)
+        assert len(full.probs) == full.executed == n_students
+        prefixes = list(inf.prefix_ensembles(full.probs, full.confidences))
+        assert len(prefixes) == n_students
+        for k in range(1, n_students + 1):
+            capped = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=k), idx)
+            assert np.array_equal(prefixes[k - 1], capped.prediction)
+        assert np.array_equal(prefixes[-1], full.prediction)
+
+    def test_probs_follow_execution_order(self):
+        rng = np.random.default_rng(2)
+        casc = build_cascade(rng, 3)
+        x = rng.standard_normal((6, 4))
+        r = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=2), np.arange(6))
+        h = np.zeros((6, casc.students[0].hidden_dim))
+        for params, probs in zip(casc.students, r.probs):
+            h, logits = cas.student_forward(params, x, h)
+            assert np.array_equal(probs, softmax_rows(logits))
+        assert len(r.probs) == 2
+
+
 class TestAccuracy:
     def test_perfect(self):
         y = np.eye(4)
