@@ -14,8 +14,7 @@ synthetic examples get harder as training settles.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +32,15 @@ from .numkit import (
     softmax_rows,
 )
 from .optim import AdamW, TrainingDivergedError
-from .teacher import TeacherArtifact, _array_from_json, _array_to_json
+from .teacher import (
+    TeacherArtifact,
+    _dataclass_from_json,
+    _layers_from_json,
+    _layers_to_json,
+    _json_object,
+    _read_manifest,
+    _write_manifest,
+)
 
 
 @dataclass
@@ -472,6 +479,9 @@ def train_student(
     params = init.copy()
     init_fp = init.fingerprint()
     inputs = np.concatenate([g.features, h_prev], axis=1)
+    val_idx = g.splits.validation
+    x_val, h_val = g.features[val_idx], h_prev[val_idx]
+    y_val = np.argmax(g.labels[val_idx], axis=1)
     opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     best_acc = -1.0
@@ -506,14 +516,8 @@ def train_student(
         losses.append(distill.value + mix.value)
         lambda_history.append(state.lam)
 
-        _, val_logits = student_forward(params, g.features, h_prev)
-        val_idx = g.splits.validation
-        val_acc = float(
-            np.mean(
-                np.argmax(val_logits[val_idx], axis=1)
-                == np.argmax(g.labels[val_idx], axis=1)
-            )
-        )
+        _, val_logits = student_forward(params, x_val, h_val)
+        val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_val))
         if val_acc > best_acc:
             best_acc = val_acc
             best_params = params.copy()
@@ -540,8 +544,11 @@ def train_student(
 def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cascade:
     """Train the full cascade: student 1 from seeded random init, every later
     student warm-started from its predecessor, hidden states and the mixup
-    state threaded along the chain."""
-    teacher_probs = teacher.soft_labels
+    state threaded along the chain. The soft labels are cast to the graph's
+    dtype after their fingerprint is recorded, so the cascade names the
+    teacher it was distilled from at any precision."""
+    teacher_fp = teacher.soft_label_fingerprint()
+    teacher_probs = teacher.soft_labels.astype(g.features.dtype, copy=False)
     if teacher_probs.shape != (g.n_nodes, g.n_classes):
         raise ValueError(
             f"teacher soft labels {teacher_probs.shape} do not match graph "
@@ -571,98 +578,96 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     return Cascade(
         students=students,
         metas=metas,
-        teacher_fingerprint=teacher.soft_label_fingerprint(),
+        teacher_fingerprint=teacher_fp,
         config=cfg,
     )
 
 
-def _config_to_json(cfg: CascadeConfig) -> dict:
-    return {
-        "n_students": cfg.n_students,
-        "hidden_dim": cfg.hidden_dim,
-        "n_layers": cfg.n_layers,
-        "lr": cfg.lr,
-        "weight_decay": cfg.weight_decay,
-        "dropout": cfg.dropout,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "seed": cfg.seed,
-        "distill": {"alpha": cfg.distill.alpha, "beta": cfg.distill.beta},
-        "mixup": {
-            "gamma": cfg.mixup.gamma,
-            "tau": cfg.mixup.tau,
-            "sigma": cfg.mixup.sigma,
-            "lambda_init": cfg.mixup.lambda_init,
-            "sign_inverted": cfg.mixup.sign_inverted,
-        },
-    }
+_META_KEYS = (
+    "epochs",
+    "best_epoch",
+    "best_val_acc",
+    "final_lambda",
+    "init_fingerprint",
+    "lambda_history",
+)
 
 
-def _config_from_json(doc: dict) -> CascadeConfig:
-    doc = dict(doc)
-    distill = DistillConfig(**doc.pop("distill"))
-    mixup = MixupConfig(**doc.pop("mixup"))
-    return CascadeConfig(distill=distill, mixup=mixup, **doc)
+def _config_from_json(doc, where: str) -> CascadeConfig:
+    doc = _json_object(doc, [f.name for f in fields(CascadeConfig)], where)
+    distill = _dataclass_from_json(DistillConfig, doc["distill"], f"{where} distill")
+    mixup = _dataclass_from_json(MixupConfig, doc["mixup"], f"{where} mixup")
+    return _dataclass_from_json(
+        CascadeConfig, {**doc, "distill": distill, "mixup": mixup}, where
+    )
 
 
 def save_cascade(c: Cascade, path) -> None:
-    """Checkpoint: JSON manifest (K, shapes, config, per-student meta) plus
-    per-student flat decimal weight blocks."""
-    doc = {
+    """Checkpoint: JSON manifest (K, dtype, config, per-student meta) with
+    each student's base64 little-endian weight arrays and fingerprint."""
+    _write_manifest(path, {
         "kind": "cascade-checkpoint",
         "n_students": c.n_students,
         "dtype": str(c.students[0].layers[0][0].dtype),
         "teacher_fingerprint": c.teacher_fingerprint,
-        "config": _config_to_json(c.config) if c.config is not None else None,
+        "config": asdict(c.config) if c.config is not None else None,
         "students": [
             {
-                "meta": {
-                    "epochs": m.epochs,
-                    "best_epoch": m.best_epoch,
-                    "best_val_acc": m.best_val_acc,
-                    "final_lambda": m.final_lambda,
-                    "init_fingerprint": m.init_fingerprint,
-                    "lambda_history": m.lambda_history,
-                },
-                "layers": [
-                    {"w": _array_to_json(w), "b": _array_to_json(b)}
-                    for w, b in s.layers
-                ],
+                "meta": {k: getattr(m, k) for k in _META_KEYS},
+                "fingerprint": s.fingerprint(),
+                "layers": _layers_to_json(s.layers),
             }
             for s, m in zip(c.students, c.metas)
         ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    })
+
+
+def _check_student_shapes(s: StudentParams, first: StudentParams | None, where: str) -> None:
+    """Every student is [feat_dim + hidden_dim, hidden_dim, ..., classes]
+    wide, feat_dim >= 1, with the layer shapes of the first student."""
+    widths = [w.shape[1] for w, _ in s.layers[:-1]]
+    if s.n_layers < 2 or widths != [s.hidden_dim] * len(widths) or s.feat_dim < 1:
+        raise ValueError(
+            f"{where}: layer shapes {[w.shape for w, _ in s.layers]} are not "
+            "(feat_dim + hidden_dim, hidden_dim), ..., (hidden_dim, classes)"
+        )
+    if first is not None and s.shape_vector() != first.shape_vector():
+        raise ValueError(
+            f"{where}: layer shapes {[w.shape for w, _ in s.layers]} differ from "
+            f"student 1's {[w.shape for w, _ in first.layers]}"
+        )
 
 
 def load_cascade(path) -> Cascade:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("kind") != "cascade-checkpoint":
-        raise ValueError(f"{path}: not a cascade checkpoint")
-    dtype = np.dtype(doc["dtype"])
-    students = []
-    metas = []
-    for entry in doc["students"]:
-        layers = [
-            (_array_from_json(l["w"], dtype), _array_from_json(l["b"], dtype))
-            for l in entry["layers"]
-        ]
-        students.append(StudentParams(layers))
-        m = entry["meta"]
-        metas.append(
-            StudentTrainMeta(
-                epochs=m["epochs"],
-                best_epoch=m["best_epoch"],
-                best_val_acc=m["best_val_acc"],
-                final_lambda=m["final_lambda"],
-                init_fingerprint=m["init_fingerprint"],
-                lambda_history=m["lambda_history"],
-            )
+    """Load and check a cascade checkpoint: K must match the stored
+    students, every student the fingerprint stored with it and the layer
+    shapes of the others."""
+    doc, dtype = _read_manifest(
+        path,
+        "cascade-checkpoint",
+        ("n_students", "teacher_fingerprint", "config", "students"),
+        "distill",
+    )
+    entries = doc["students"]
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: students must be a non-empty list")
+    if doc["n_students"] != len(entries):
+        raise ValueError(
+            f"{path}: n_students is {doc['n_students']!r} but {len(entries)} "
+            "students are stored"
         )
-    cfg = _config_from_json(doc["config"]) if doc.get("config") else None
+    cfg = None if doc["config"] is None else _config_from_json(doc["config"], f"{path} config")
+    students: list[StudentParams] = []
+    metas: list[StudentTrainMeta] = []
+    for k, entry in enumerate(entries, start=1):
+        where = f"{path} student {k}"
+        entry = _json_object(entry, ("fingerprint", "layers", "meta"), where)
+        student = StudentParams(_layers_from_json(entry["layers"], dtype, where))
+        if student.fingerprint() != entry["fingerprint"]:
+            raise ValueError(f"{where}: weights do not match their stored fingerprint")
+        _check_student_shapes(student, students[0] if students else None, where)
+        students.append(student)
+        metas.append(StudentTrainMeta(**_json_object(entry["meta"], _META_KEYS, f"{where} meta")))
     return Cascade(
         students=students,
         metas=metas,

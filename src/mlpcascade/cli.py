@@ -307,8 +307,6 @@ def cmd_distill(args, config) -> int:
             f"teacher/dataset mismatch: soft labels {artifact.soft_labels.shape} vs "
             f"graph ({g.n_nodes}, {g.n_classes})"
         )
-    if artifact.soft_labels.dtype != g.features.dtype:
-        artifact.soft_labels = artifact.soft_labels.astype(g.features.dtype)
     cfg = _cascade_config(args, config, seed)
     casc = cascade_mod.train_cascade(g, artifact, cfg)
     out.mkdir(parents=True, exist_ok=True)

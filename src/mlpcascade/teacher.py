@@ -9,8 +9,10 @@ best checkpoint before soft labels are exported.
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -317,63 +319,162 @@ def import_soft_labels(path, dtype=np.float32) -> np.ndarray:
     return probs
 
 
+# Checkpoint weights are stored as base64 of their little-endian raw bytes.
+# The manifest names the encoding, so the decimal arrays of earlier versions
+# are refused instead of being read by a second parser.
+ARRAY_ENCODING = "base64-le"
+CHECKPOINT_DTYPES = ("float32", "float64")
+_TRAIN_META_KEYS = ("epochs", "best_epoch", "best_val_acc", "seed")
+
+
+def _json_object(obj, keys, where: str) -> dict:
+    """``obj`` when it is a JSON object with exactly the keys ``keys``; a
+    ValueError naming ``where`` (file and place in it) otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    missing = sorted(set(keys) - set(obj))
+    unknown = sorted(set(obj) - set(keys))
+    if missing or unknown:
+        raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return obj
+
+
+def _dataclass_from_json(cls, obj, where: str):
+    """``cls(**obj)`` for a JSON object holding exactly the fields of ``cls``."""
+    obj = _json_object(obj, [f.name for f in fields(cls)], where)
+    try:
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _array_to_json(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
+    raw = a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
+    return {"shape": list(a.shape), "data": base64.b64encode(raw).decode("ascii")}
 
 
-def _array_from_json(obj: dict, dtype) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=dtype).reshape(obj["shape"])
+def _array_from_json(obj, dtype: np.dtype, where: str) -> np.ndarray:
+    """Decode one stored array. The byte count must fit the shape and the
+    text must be the canonical encoding of the bytes, so an edited character
+    is refused even where it would decode to the same bytes."""
+    obj = _json_object(obj, ("data", "shape"), where)
+    shape, text = obj["shape"], obj["data"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{where}: shape {shape!r} is not a list of sizes")
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: data is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{where}: data is not base64 ({exc})") from None
+    need = math.prod(shape) * dtype.itemsize
+    if len(raw) != need:
+        raise ValueError(
+            f"{where}: data holds {len(raw)} bytes, shape {shape} of {dtype} needs {need}"
+        )
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise ValueError(f"{where}: data is not canonical base64")
+    return np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+
+
+def _layers_to_json(layers) -> list:
+    return [{"w": _array_to_json(w), "b": _array_to_json(b)} for w, b in layers]
+
+
+def _layers_from_json(obj, dtype: np.dtype, where: str) -> list:
+    """Decode a stored layer stack; each layer's weight must chain onto the
+    previous layer's output and carry a bias of its own output width."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"{where}: layers must be a non-empty list")
+    layers: list[tuple[np.ndarray, np.ndarray]] = []
+    for i, layer in enumerate(obj, start=1):
+        at = f"{where} layer {i}"
+        layer = _json_object(layer, ("b", "w"), at)
+        w = _array_from_json(layer["w"], dtype, f"{at} w")
+        b = _array_from_json(layer["b"], dtype, f"{at} b")
+        if (
+            w.ndim != 2
+            or b.shape != (w.shape[1],)
+            or (layers and w.shape[0] != layers[-1][0].shape[1])
+        ):
+            raise ValueError(
+                f"{at}: weight {w.shape} and bias {b.shape} do not chain onto "
+                f"{'the layer before' if layers else 'an input'}"
+            )
+        layers.append((w, b))
+    return layers
+
+
+def _write_manifest(path, doc: dict) -> None:
+    """Write a checkpoint manifest: sorted keys and no timestamps, so equal
+    checkpoints are equal bytes."""
+    doc = {**doc, "array_encoding": ARRAY_ENCODING}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _read_manifest(path, kind: str, keys, command: str) -> tuple[dict, np.dtype]:
+    """Read a manifest written by ``_write_manifest`` and check its kind,
+    array encoding, keys and dtype before any field is used. ``command`` is
+    the CLI command that writes this kind of checkpoint."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON checkpoint ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind.replace('-', ' ')}")
+    if doc.get("array_encoding") != ARRAY_ENCODING:
+        raise ValueError(
+            f"{path}: weights are not stored as {ARRAY_ENCODING}; checkpoints "
+            f"in the decimal format of earlier versions are not read, run "
+            f"`mlpcascade {command}` again to rewrite it"
+        )
+    _json_object(doc, ("kind", "array_encoding", "dtype", *keys), str(path))
+    if doc["dtype"] not in CHECKPOINT_DTYPES:
+        raise ValueError(f"{path}: dtype {doc['dtype']!r} is not one of {CHECKPOINT_DTYPES}")
+    return doc, np.dtype(doc["dtype"])
 
 
 def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
-    """Checkpoint: JSON header (shapes, hyperparameters, seed) plus flat
-    decimal weight arrays, and the soft-label fingerprint that
-    ``load_teacher`` checks the soft-label file against."""
-    doc = {
+    """Checkpoint: JSON manifest (hyperparameters, training record, dtype)
+    with base64 little-endian weight arrays, the fingerprint of the weights
+    and the soft-label fingerprint that ``load_teacher`` checks the
+    soft-label file against."""
+    _write_manifest(path, {
         "kind": "teacher-checkpoint",
         "dtype": str(t.params.layers[0][0].dtype),
-        "config": {
-            "hidden_dim": cfg.hidden_dim,
-            "lr": cfg.lr,
-            "weight_decay": cfg.weight_decay,
-            "dropout": cfg.dropout,
-            "max_epochs": cfg.max_epochs,
-            "patience": cfg.patience,
-            "depth": cfg.depth,
-            "seed": cfg.seed,
-        },
-        "train_meta": {
-            "epochs": t.train_meta.epochs,
-            "best_epoch": t.train_meta.best_epoch,
-            "best_val_acc": t.train_meta.best_val_acc,
-            "seed": t.train_meta.seed,
-        },
+        "config": asdict(cfg),
+        "train_meta": {k: getattr(t.train_meta, k) for k in _TRAIN_META_KEYS},
         "soft_label_fingerprint": t.soft_label_fingerprint(),
-        "layers": [
-            {"w": _array_to_json(w), "b": _array_to_json(b)} for w, b in t.params.layers
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+        "fingerprint": t.params.fingerprint(),
+        "layers": _layers_to_json(t.params.layers),
+    })
 
 
 def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("kind") != "teacher-checkpoint":
-        raise ValueError(f"{path}: not a teacher checkpoint")
-    dtype = np.dtype(doc["dtype"])
-    layers = [
-        (_array_from_json(layer["w"], dtype), _array_from_json(layer["b"], dtype))
-        for layer in doc["layers"]
-    ]
-    cfg = TeacherConfig(**doc["config"])
-    meta = TrainMeta(**doc["train_meta"])
+    """Load and check a teacher checkpoint and its soft labels: the weights
+    must match their fingerprint and the configured depth and width, the
+    soft labels theirs."""
+    doc, dtype = _read_manifest(
+        path,
+        "teacher-checkpoint",
+        ("config", "train_meta", "soft_label_fingerprint", "fingerprint", "layers"),
+        "train-teacher",
+    )
+    cfg = _dataclass_from_json(TeacherConfig, doc["config"], f"{path} config")
+    meta = TrainMeta(**_json_object(doc["train_meta"], _TRAIN_META_KEYS, f"{path} train_meta"))
+    params = TeacherParams(_layers_from_json(doc["layers"], dtype, str(path)))
+    if params.fingerprint() != doc["fingerprint"]:
+        raise ValueError(f"{path}: teacher weights do not match their stored fingerprint")
+    widths = [w.shape[1] for w, _ in params.layers[:-1]]
+    if params.depth != cfg.depth or widths != [cfg.hidden_dim] * (cfg.depth - 1):
+        raise ValueError(
+            f"{path}: layer widths {widths} do not match depth {cfg.depth} and "
+            f"hidden_dim {cfg.hidden_dim} of its config"
+        )
     soft = import_soft_labels(soft_labels_path, dtype)
-    if fingerprint(soft) != doc.get("soft_label_fingerprint"):
+    if fingerprint(soft) != doc["soft_label_fingerprint"]:
         raise ValueError(
             f"{soft_labels_path}: soft labels do not match the "
             f"soft_label_fingerprint in {path}"
         )
-    return TeacherArtifact(TeacherParams(layers), soft, meta), cfg
+    return TeacherArtifact(params, soft, meta), cfg

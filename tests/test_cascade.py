@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -554,3 +555,13 @@ class TestTrainCascade:
         assert loaded.teacher_fingerprint == c2.teacher_fingerprint
         assert loaded.config == cfg
         assert [m.final_lambda for m in loaded.metas] == [m.final_lambda for m in c2.metas]
+        # weights are stored as base64 raw bytes, each student with its fingerprint
+        doc = json.loads(path.read_text())
+        assert doc["array_encoding"] == "base64-le"
+        assert [e["fingerprint"] for e in doc["students"]] == [
+            s.fingerprint() for s in c2.students
+        ]
+        assert all(
+            isinstance(a["data"], str)
+            for e in doc["students"] for layer in e["layers"] for a in layer.values()
+        )

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 
@@ -206,6 +207,25 @@ class TestDistill:
         assert "soft_labels.csv" in err and "teacher.json" in err
 
 
+    def test_cascade_names_its_teacher_across_precisions(self, tmp_path):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert run_cli(*dataset_args(data, nodes=30, p_out=0.1, noise=1.0)) == 0
+        assert run_cli(
+            "train-teacher", "--data", data, "--out", run, "--precision", "f64",
+            "--hidden", 8, "--epochs", 10, "--patience", 5, "--seed", 0,
+        ) == 0
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", run,
+            "--precision", "f32", "--students", 1, "--hidden", 8,
+            "--epochs", 5, "--patience", 3, "--seed", 0,
+        ) == 0
+        teacher_doc = json.loads((run / "teacher.json").read_text())
+        cascade_doc = json.loads((run / "cascade.json").read_text())
+        assert cascade_doc["dtype"] == "float32" and teacher_doc["dtype"] == "float64"
+        assert cascade_doc["teacher_fingerprint"] == teacher_doc["soft_label_fingerprint"]
+
+
 class TestSweep:
     def test_rows_and_monotone_cost(self, separable_run, tmp_path):
         data, run = separable_run
@@ -365,6 +385,146 @@ class TestInfer:
             "infer", "--cascade", tmp_path / "none.json", "--features", feat,
             "--out", tmp_path,
         ) == 1
+
+
+def _edit_doc(edit):
+    """Case helper: edit the checkpoint manifest as JSON."""
+    def apply(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+def _edit_cascade(edit):
+    """Case helper: edit the loaded cascade and save it again, so the stored
+    fingerprints match the edited weights."""
+    def apply(path):
+        casc = cas.load_cascade(path)
+        edit(casc)
+        cas.save_cascade(casc, path)
+    return apply
+
+
+def _flip_char(array):
+    data = array["data"]
+    i = len(data) // 2
+    array["data"] = data[:i] + ("B" if data[i] == "A" else "A") + data[i + 1:]
+
+
+def _to_decimal(doc):
+    """The weight format of earlier versions: decimal lists, no encoding key."""
+    doc.pop("array_encoding")
+    stacks = [s["layers"] for s in doc["students"]] if "students" in doc else [doc["layers"]]
+    for layers in stacks:
+        for layer in layers:
+            for array in layer.values():
+                raw = base64.b64decode(array["data"])
+                array["data"] = np.frombuffer(raw, "<f4").astype(float).tolist()
+
+
+def _widen_last_layer(casc):
+    w, b = casc.students[1].layers[-1]
+    casc.students[1].layers[-1] = (np.hstack([w, w[:, :1]]), np.append(b, b[:1]))
+
+
+def _uneven_hidden_width(casc):
+    (w1, b1), (w2, b2) = casc.students[0].layers
+    wide = w1.shape[1] + 1
+    casc.students[0].layers = [
+        (w1, b1),
+        (np.ones((w1.shape[1], wide), w1.dtype), np.ones(wide, w1.dtype)),
+        (np.ones((wide, w2.shape[1]), w1.dtype), b2),
+    ]
+
+
+CASCADE_CASES = {
+    "missing meta key": (
+        _edit_doc(lambda d: d["students"][0]["meta"].pop("final_lambda")),
+        "student 1 meta: missing keys ['final_lambda']",
+    ),
+    "missing manifest key": (
+        _edit_doc(lambda d: d.pop("teacher_fingerprint")),
+        "missing keys ['teacher_fingerprint']",
+    ),
+    "n_students disagrees": (
+        _edit_doc(lambda d: d.update(n_students=7)),
+        "n_students is 7",
+    ),
+    "unsupported dtype": (
+        _edit_doc(lambda d: d.update(dtype="float16")),
+        "dtype 'float16'",
+    ),
+    "byte count disagrees with shape": (
+        _edit_doc(lambda d: d["students"][0]["layers"][0]["b"].update(shape=[9])),
+        "student 1 layer 1 b: data holds 32 bytes",
+    ),
+    "edited weights": (
+        _edit_doc(lambda d: _flip_char(d["students"][1]["layers"][0]["w"])),
+        "student 2: weights do not match their stored fingerprint",
+    ),
+    "decimal format": (_edit_doc(_to_decimal), "decimal format"),
+    "mis-shaped last layer": (
+        _edit_cascade(_widen_last_layer),
+        "student 2: layer shapes [(16, 8), (8, 4)] differ",
+    ),
+    "first-layer width": (
+        _edit_cascade(_uneven_hidden_width),
+        "student 1: layer shapes [(16, 8), (8, 9), (9, 3)] are not",
+    ),
+}
+
+TEACHER_CASES = {
+    "missing config key": (
+        _edit_doc(lambda d: d["config"].pop("lr")),
+        "config: missing keys ['lr']",
+    ),
+    "unknown config key": (
+        _edit_doc(lambda d: d["config"].update(width=3)),
+        "unknown keys ['width']",
+    ),
+    "depth disagrees with config": (
+        _edit_doc(lambda d: d["config"].update(depth=3)),
+        "layer widths [8] do not match depth 3",
+    ),
+    "missing train_meta key": (
+        _edit_doc(lambda d: d["train_meta"].pop("best_epoch")),
+        "train_meta: missing keys ['best_epoch']",
+    ),
+    "edited weights": (
+        _edit_doc(lambda d: _flip_char(d["layers"][0]["w"])),
+        "teacher weights do not match their stored fingerprint",
+    ),
+    "decimal format": (_edit_doc(_to_decimal), "decimal format"),
+}
+
+
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("case", CASCADE_CASES)
+    def test_cascade_exits_2_naming_file(self, separable_run, tmp_path, capsys, case):
+        data, run = separable_run
+        edit, message = CASCADE_CASES[case]
+        edit(run / "cascade.json")
+        code = run_cli(
+            "infer", "--cascade", run / "cascade.json",
+            "--features", data / "features.csv", "--out", tmp_path / "out",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(run / "cascade.json") in err and message in err
+
+    @pytest.mark.parametrize("case", TEACHER_CASES)
+    def test_teacher_exits_2_naming_file(self, separable_run, tmp_path, capsys, case):
+        data, run = separable_run
+        edit, message = TEACHER_CASES[case]
+        edit(run / "teacher.json")
+        code = run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
+            "--students", 1, "--hidden", 8, "--epochs", 5, "--patience", 3,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(run / "teacher.json") in err and message in err
 
 
 class TestConfigPrecedence:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -236,6 +238,10 @@ class TestCheckpointIO:
             assert np.array_equal(w1, w2)
             assert np.array_equal(b1, b2)
         assert loaded.train_meta.best_epoch == art.train_meta.best_epoch
+        doc = json.loads(ckpt.read_text())
+        assert doc["array_encoding"] == "base64-le"
+        assert doc["fingerprint"] == art.params.fingerprint()
+        assert all(isinstance(a["data"], str) for layer in doc["layers"] for a in layer.values())
 
     def test_wrong_kind_rejected(self, tmp_path):
         bad = tmp_path / "x.json"
