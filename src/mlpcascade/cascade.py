@@ -292,27 +292,27 @@ def _backward(p: StudentParams, caches, dlogits: np.ndarray) -> dict[str, np.nda
     return grads
 
 
-def student_forward(
-    p: StudentParams,
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    training: bool = False,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One student's forward pass on [x | h_prev].
+def student_forward(p: StudentParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One student's eval-mode forward pass on assembled rows [x | h_prev].
 
     Returns (h, logits): h is the post-activation output of the last hidden
     layer and feeds the next student; logits come from the final affine
-    layer. h_prev may be all zeros (first student).
+    layer. h_prev may be all zeros (first student). Nothing is cached for
+    backprop, so each layer adds its bias and applies ReLU in place.
     """
-    if x.shape[0] != h_prev.shape[0]:
-        raise ValueError(f"x rows {x.shape[0]} != h_prev rows {h_prev.shape[0]}")
-    if training and dropout > 0.0 and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    inputs = np.concatenate([x, h_prev], axis=1)
-    h, logits, _ = _forward_cache(p, inputs, training, dropout, rng)
-    return h, logits
+    if inputs.shape[1] != p.input_dim:
+        raise ValueError(
+            f"input width {inputs.shape[1]} != student input dim {p.input_dim}"
+        )
+    a = inputs
+    for w, b in p.layers[:-1]:
+        a = a @ w
+        a += b
+        np.maximum(a, 0, out=a)
+    w, b = p.layers[-1]
+    logits = a @ w
+    logits += b
+    return a, logits
 
 
 def distill_loss(
@@ -480,7 +480,7 @@ def train_student(
     init_fp = init.fingerprint()
     inputs = np.concatenate([g.features, h_prev], axis=1)
     val_idx = g.splits.validation
-    x_val, h_val = g.features[val_idx], h_prev[val_idx]
+    inputs_val = inputs[val_idx]
     y_val = np.argmax(g.labels[val_idx], axis=1)
     opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
@@ -516,7 +516,7 @@ def train_student(
         losses.append(distill.value + mix.value)
         lambda_history.append(state.lam)
 
-        _, val_logits = student_forward(params, x_val, h_val)
+        _, val_logits = student_forward(params, inputs_val)
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_val))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -528,7 +528,7 @@ def train_student(
             if since_best >= cfg.patience:
                 break
 
-    h_k, _ = student_forward(best_params, g.features, h_prev)
+    h_k, _ = student_forward(best_params, inputs)
     meta = StudentTrainMeta(
         epochs=epochs_run,
         best_epoch=best_epoch,

@@ -6,9 +6,10 @@ Dataset directory format (plain text, no headers):
 * ``features.csv``  one row per node, comma-separated decimal features
 * ``edges.csv``     one ``src,dst`` pair per line, 0-based node ids
 * ``labels.csv``    one integer class id per line
-* ``splits.json``   object with integer arrays ``labeled``, ``validation``
-  and ``test``; optional -- when absent, Planetoid-style splits (20 labeled
-  nodes per class, 500 validation, 1000 test, seed 0) are generated.
+* ``splits.json``   object with exactly the integer arrays ``labeled``,
+  ``validation`` and ``test``, pairwise disjoint; optional -- when absent,
+  Planetoid-style splits (20 labeled nodes per class, 500 validation, 1000
+  test, seed 0) are generated.
 
 Edges are undirected: input pairs are symmetrized and deduplicated, and
 self-loops are stripped on load (normalization re-adds them).
@@ -242,19 +243,46 @@ def _adjacency_from_pairs(pairs: np.ndarray, n_nodes: int, dtype) -> SparseMatri
     return adj
 
 
-def _validate_splits(splits: Splits, n_nodes: int) -> None:
-    for name, idx in (
-        ("labeled", splits.labeled),
-        ("validation", splits.validation),
-        ("test", splits.test),
-    ):
-        if idx.size and (idx.min() < 0 or idx.max() >= n_nodes):
-            raise ValueError(f"split {name!r} has indices outside [0, {n_nodes})")
-    lab = set(splits.labeled.tolist())
-    val = set(splits.validation.tolist())
-    tst = set(splits.test.tolist())
+_SPLIT_KEYS = ("labeled", "validation", "test")
+
+
+def _read_splits(path: Path, n_nodes: int) -> Splits:
+    """Read ``splits.json``: an object with exactly the keys labeled,
+    validation and test, each a list of integer node ids in [0, n_nodes)
+    (no floats, no booleans), the three sets pairwise disjoint. Any other
+    content raises ``ValueError`` naming the file."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(raw, dict) or sorted(raw) != sorted(_SPLIT_KEYS):
+        got = sorted(raw) if isinstance(raw, dict) else f"a JSON {type(raw).__name__}"
+        raise ValueError(
+            f"{path}: must be an object with exactly the keys labeled, "
+            f"validation and test; got {got}"
+        )
+    sets = {}
+    for name in _SPLIT_KEYS:
+        ids = raw[name]
+        if not isinstance(ids, list):
+            raise ValueError(f"{path}: {name!r} must be a list of node ids")
+        for v in ids:
+            # type() rather than isinstance: bool is a subclass of int
+            if type(v) is not int or not 0 <= v < n_nodes:
+                raise ValueError(
+                    f"{path}: {name!r} holds {v!r}, not an integer node id in [0, {n_nodes})"
+                )
+        sets[name] = np.sort(np.asarray(ids, dtype=np.int64))
+    lab, val, tst = (set(raw[name]) for name in _SPLIT_KEYS)
     if lab & val or lab & tst or val & tst:
-        raise ValueError("split index sets are not pairwise disjoint")
+        raise ValueError(f"{path}: split index sets are not pairwise disjoint")
+    return Splits(
+        labeled=sets["labeled"],
+        validation=sets["validation"],
+        test=sets["test"],
+        unlabeled=np.setdiff1d(np.arange(n_nodes), sets["labeled"]),
+    )
 
 
 def _splits_from_labels(
@@ -328,16 +356,7 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
 
     splits_file = path / "splits.json"
     if splits_file.is_file():
-        with open(splits_file) as f:
-            raw = json.load(f)
-        labeled = np.sort(np.asarray(raw["labeled"], dtype=np.int64))
-        splits = Splits(
-            labeled=labeled,
-            validation=np.sort(np.asarray(raw["validation"], dtype=np.int64)),
-            test=np.sort(np.asarray(raw["test"], dtype=np.int64)),
-            unlabeled=np.setdiff1d(np.arange(n_nodes), labeled),
-        )
-        _validate_splits(splits, n_nodes)
+        splits = _read_splits(splits_file, n_nodes)
     else:
         splits = _splits_from_labels(
             class_ids,
@@ -349,16 +368,20 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
     return Graph(features=features, adjacency=adjacency, labels=labels, splits=splits)
 
 
-def _write_csv(path: Path, table: np.ndarray, fmt: str) -> None:
-    """Write a 2-D array as CSV with one ``fmt`` field per value: the bytes of
-    ``np.savetxt(path, table, fmt=fmt, delimiter=",")``, written faster.
+def _write_csv(path: Path, table: np.ndarray, fmt, header: str = "") -> None:
+    """Write a 2-D array as CSV: the bytes of ``np.savetxt(path, table,
+    fmt=fmt, delimiter=",", header=header, comments="")``, written faster.
 
-    Each block of rows is formatted by one ``%`` over a flat tuple, which
-    keeps the per-row Python work off the path.
+    ``fmt`` is one %-format for every column or a sequence of one per
+    column. Each block of rows is formatted by one ``%`` over a flat tuple,
+    which keeps the per-row Python work off the path.
     """
-    row = ",".join([fmt] * table.shape[1]) + "\n"
+    fmts = [fmt] * table.shape[1] if isinstance(fmt, str) else list(fmt)
+    row = ",".join(fmts) + "\n"
     block_rows = max(1, _WRITE_BLOCK_VALUES // table.shape[1])
     with open(path, "w") as f:
+        if header:
+            f.write(header + "\n")
         for start in range(0, table.shape[0], block_rows):
             block = table[start : start + block_rows]
             f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -18,7 +18,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cascade import Cascade, student_forward
-from .numkit import softmax_rows
+from .graphio import _write_csv
+from .numkit import row_max, softmax_rows
 
 
 @dataclass
@@ -49,6 +50,18 @@ class InferencePolicy:
         if self.wall_clock_budget is not None and self.wall_clock_budget < 0:
             raise ValueError(f"wall_clock_budget {self.wall_clock_budget} must be >= 0")
 
+    def fired(self, conf: float, executed: int, spent: float) -> Optional[str]:
+        """The first rule, in the order threshold, cap, budget, that stops a
+        run after ``executed`` students, the last with batch confidence
+        ``conf``, have taken ``spent`` seconds; None if none does."""
+        if self.conf_threshold is not None and conf >= self.conf_threshold:
+            return "threshold"
+        if self.max_students is not None and executed >= self.max_students:
+            return "cap"
+        if self.wall_clock_budget is not None and spent >= self.wall_clock_budget:
+            return "budget"
+        return None
+
 
 @dataclass
 class InferenceResult:
@@ -58,17 +71,24 @@ class InferenceResult:
     weights: list[float]
     elapsed: list[float]  # per-student seconds
     probs: list[np.ndarray]  # per-student N x C probabilities, execution order
+    stopped_by: str  # "threshold", "cap", "budget", or "exhausted" if none fired
 
 
 def confidence(logits: np.ndarray, eval_idx) -> float:
     """Batch confidence: mean over the evaluation rows of the row's maximum
     softmax probability. Lies in [1/C, 1], with 1/C only for exactly uniform
-    rows."""
+    rows.
+
+    Computed in float64 as mean(1 / sum_j exp(z_j - max z)): the largest
+    entry of a max-shifted softmax row is exp(0) / s = 1 / s exactly, so no
+    second softmax is needed."""
     idx = np.asarray(eval_idx, dtype=np.intp).ravel()
     if idx.size == 0:
         raise ValueError("confidence: empty evaluation index set")
-    probs = softmax_rows(logits[idx].astype(np.float64))
-    return float(probs.max(axis=1).mean())
+    z = logits[idx].astype(np.float64)
+    z -= row_max(z)
+    np.exp(z, out=z)
+    return float(np.mean(1.0 / z.sum(axis=1)))
 
 
 def ensemble(preds: list[np.ndarray], confs: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +102,14 @@ def ensemble(preds: list[np.ndarray], confs: list[float]) -> tuple[np.ndarray, n
         )
     weights = softmax_rows(np.asarray(confs, dtype=np.float64)[None, :]).ravel()
     combined = np.zeros(preds[0].shape, dtype=np.float64)
+    term = np.empty_like(combined)
     for w, p in zip(weights, preds):
-        combined += w * p.astype(np.float64)
+        # cast into the one float64 work array, then scale in place: no
+        # temporaries, and for float32 predictions faster than a multiply
+        # that casts through numpy's ufunc buffers
+        term[...] = p
+        term *= w
+        combined += term
     return combined, weights
 
 
@@ -97,6 +123,17 @@ def prefix_ensembles(
         yield ensemble(preds[:k], confs[:k])[0]
 
 
+def _check_index(idx: np.ndarray, n_rows: int, what: str) -> None:
+    """Reject an empty index set and any index outside [0, n_rows): numpy
+    would wrap a negative index onto another row."""
+    if idx.size == 0:
+        raise ValueError(f"{what} index set is empty")
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= n_rows:
+        bad = lo if lo < 0 else hi
+        raise ValueError(f"{what} index {bad} out of range for {n_rows} rows")
+
+
 def run_anytime(
     c: Cascade,
     x: np.ndarray,
@@ -106,51 +143,47 @@ def run_anytime(
     """Execute students 1..k until a stopping rule fires, then ensemble.
 
     ``x`` holds raw features only (width d); hidden states start at zero and
-    thread through the executed students. The cascade itself is never
-    mutated.
+    thread through the executed students. Each student reads one [x | h]
+    buffer allocated per call: x is written once, and each student's hidden
+    output goes into the right-hand columns for the next. Its dtype is that
+    of x combined with the weights. The cascade itself is never mutated.
     """
     if not c.students:
         raise ValueError("run_anytime: empty cascade")
-    d = c.students[0].feat_dim
+    first = c.students[0]
+    d = first.feat_dim
     if x.shape[1] != d:
         raise ValueError(f"feature width mismatch: expected {d}, got {x.shape[1]}")
     idx = np.asarray(eval_idx, dtype=np.intp).ravel()
-    if idx.size == 0:
-        raise ValueError("run_anytime: empty evaluation index set")
-    if idx.max() >= x.shape[0]:
-        raise ValueError(
-            f"evaluation index {idx.max()} out of range for {x.shape[0]} rows"
-        )
+    _check_index(idx, x.shape[0], "run_anytime: evaluation")
 
-    h = np.zeros((x.shape[0], c.students[0].hidden_dim), dtype=x.dtype)
+    dtype = np.result_type(x.dtype, first.layers[0][0].dtype)
+    inputs = np.zeros((x.shape[0], first.input_dim), dtype=dtype)
+    inputs[:, :d] = x
+    h = None
     preds: list[np.ndarray] = []
     confs: list[float] = []
     elapsed: list[float] = []
-    executed = 0
-    for k, params in enumerate(c.students, start=1):
+    for params in c.students:
         t0 = time.perf_counter()
-        h, logits = student_forward(params, x, h)
+        if h is not None:
+            inputs[:, d:] = h
+        h, logits = student_forward(params, inputs)
         preds.append(softmax_rows(logits))
         confs.append(confidence(logits, idx))
         elapsed.append(time.perf_counter() - t0)
-        executed = k
-        if policy.conf_threshold is not None and confs[-1] >= policy.conf_threshold:
-            break
-        if policy.max_students is not None and k >= policy.max_students:
-            break
-        if (
-            policy.wall_clock_budget is not None
-            and sum(elapsed) >= policy.wall_clock_budget
-        ):
+        stopped_by = policy.fired(confs[-1], len(preds), sum(elapsed))
+        if stopped_by is not None:
             break
     prediction, weights = ensemble(preds, confs)
     return InferenceResult(
         prediction=prediction,
-        executed=executed,
+        executed=len(preds),
         confidences=confs,
         weights=[float(w) for w in weights],
         elapsed=elapsed,
         probs=preds,
+        stopped_by=stopped_by or "exhausted",
     )
 
 
@@ -158,27 +191,30 @@ def accuracy(pred: np.ndarray, y: np.ndarray, idx) -> float:
     """Fraction of `idx` rows where argmax(pred) == argmax(y); argmax ties
     break to the lowest class index."""
     idx = np.asarray(idx, dtype=np.intp).ravel()
-    if idx.size == 0:
-        raise ValueError("accuracy: empty index set")
+    _check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy: evaluation")
     return float(
         np.mean(np.argmax(pred[idx], axis=1) == np.argmax(y[idx], axis=1))
     )
 
 
 def write_prediction_csv(path, result: InferenceResult) -> None:
-    """Per-node predictions: `node,pred_class,confidence_weighted_max`."""
-    pred_class = np.argmax(result.prediction, axis=1)
-    max_prob = result.prediction.max(axis=1)
-    with open(path, "w") as f:
-        f.write("node,pred_class,confidence_weighted_max\n")
-        for i in range(result.prediction.shape[0]):
-            f.write(f"{i},{pred_class[i]},{format(float(max_prob[i]), '.9g')}\n")
+    """Per-node predictions: `node,pred_class,confidence_weighted_max`, the
+    last with 9 significant digits."""
+    pred = result.prediction
+    table = np.column_stack(
+        [np.arange(pred.shape[0]), np.argmax(pred, axis=1), row_max(pred)]
+    )
+    _write_csv(
+        path, table, ("%d", "%d", "%.9g"), header="node,pred_class,confidence_weighted_max"
+    )
 
 
 def write_result_json(path, result: InferenceResult) -> None:
-    """Run metadata: executed count, confidences, weights, per-student ms."""
+    """Run metadata: executed count, the stopping rule that fired,
+    confidences, weights, per-student ms."""
     doc = {
         "executed": result.executed,
+        "stopped_by": result.stopped_by,
         "confidences": result.confidences,
         "weights": result.weights,
         "per_student_ms": [1000.0 * t for t in result.elapsed],

@@ -158,8 +158,8 @@ def test_criterion_2_small_instance_oracles():
         p = cas.init_student(4, 3, 2, 2, r, np.float64)
         x = r.standard_normal((6, 4))
         hp = r.standard_normal((6, 3))
-        h, logits = cas.student_forward(p, x, hp)
         a = np.concatenate([x, hp], axis=1)
+        h, logits = cas.student_forward(p, a)
         a = np.maximum(a @ p.layers[0][0] + p.layers[0][1], 0.0)
         oracle = a @ p.layers[1][0] + p.layers[1][1]
         worst = max(worst, np.max(np.abs(logits - oracle)), np.max(np.abs(h - a)))
@@ -190,7 +190,7 @@ def test_criterion_2_small_instance_oracles():
         h = np.zeros((9, 3))
         all_preds, all_confs = [], []
         for p in students:
-            h, logits = cas.student_forward(p, x, h)
+            h, logits = cas.student_forward(p, np.concatenate([x, h], axis=1))
             all_preds.append(softmax_rows(logits))
             all_confs.append(inf.confidence(logits, idx))
         for max_k in (1, 2, 3, 5):

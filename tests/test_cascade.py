@@ -29,14 +29,14 @@ class TestStudentForward:
         p = cas.StudentParams(
             [(np.zeros((6, 3)), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2))]
         )
-        h, logits = cas.student_forward(p, np.ones((4, 3)), np.zeros((4, 3)))
+        h, logits = cas.student_forward(p, np.hstack([np.ones((4, 3)), np.zeros((4, 3))]))
         assert np.all(h == 0) and np.all(logits == 0)
 
     def test_zero_weights_bias_propagates(self):
         p = cas.StudentParams(
             [(np.zeros((6, 3)), np.array([1.0, -2.0, 0.5])), (np.zeros((3, 2)), np.array([0.1, 0.2]))]
         )
-        h, logits = cas.student_forward(p, np.ones((4, 3)), np.zeros((4, 3)))
+        h, logits = cas.student_forward(p, np.hstack([np.ones((4, 3)), np.zeros((4, 3))]))
         assert np.allclose(h, relu(np.array([1.0, -2.0, 0.5])))
         assert np.allclose(logits, [0.1, 0.2])
 
@@ -46,11 +46,11 @@ class TestStudentForward:
         rng = np.random.default_rng(0)
         p = random_student(rng, 4, 3, 2)
         x = rng.standard_normal((5, 4))
-        h0 = np.zeros((5, 3))
-        _, logits_a = cas.student_forward(p, x, h0)
+        inputs = np.hstack([x, np.zeros((5, 3))])
+        _, logits_a = cas.student_forward(p, inputs)
         q = p.copy()
         q.layers[0][0][4:, :] = rng.standard_normal((3, 3))
-        _, logits_b = cas.student_forward(q, x, h0)
+        _, logits_b = cas.student_forward(q, inputs)
         assert np.array_equal(logits_a, logits_b)
 
     @pytest.mark.parametrize("n_layers", [2, 3])
@@ -60,9 +60,9 @@ class TestStudentForward:
         p = random_student(rng, d, hidden, c, n_layers)
         x = rng.standard_normal((n, d))
         h_prev = rng.standard_normal((n, hidden))
-        h, logits = cas.student_forward(p, x, h_prev)
-
         a = np.concatenate([x, h_prev], axis=1)
+        h, logits = cas.student_forward(p, a)
+
         for w, b in p.layers[:-1]:
             a = relu(a @ w + b)
         w, b = p.layers[-1]
@@ -70,10 +70,18 @@ class TestStudentForward:
         assert np.max(np.abs(logits - oracle_logits)) < 1e-10
         assert np.max(np.abs(h - a)) < 1e-10
 
-    def test_row_mismatch_rejected(self):
+    def test_width_mismatch_rejected(self):
         p = random_student(np.random.default_rng(0), 4, 3, 2)
-        with pytest.raises(ValueError, match="rows"):
-            cas.student_forward(p, np.zeros((5, 4)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="input width 6 != student input dim 7"):
+            cas.student_forward(p, np.zeros((5, 6)))
+
+    def test_does_not_modify_inputs(self):
+        rng = np.random.default_rng(2)
+        p = random_student(rng, 4, 3, 2)
+        inputs = rng.standard_normal((5, 7))
+        before = inputs.copy()
+        cas.student_forward(p, inputs)
+        assert np.array_equal(inputs, before)
 
 
 class TestWarmStart:

@@ -111,6 +111,25 @@ class TestTrainTeacher:
         err = capsys.readouterr().err
         assert "labels.csv" in err and "class 3 has no node" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"labeled": [0], "test": [1]}', "exactly the keys"),
+            ("[[0], [1], [2]]", "exactly the keys"),
+            ('{"labeled": [0, 1], "valid', "not valid JSON"),
+            ('{"labeled": [1.5], "validation": [], "test": [2]}', "not an integer node id"),
+            ('{"labeled": [true], "validation": [], "test": [2]}', "not an integer node id"),
+            ('{"labeled": [-1], "validation": [], "test": [2]}', "not an integer node id"),
+        ],
+    )
+    def test_malformed_splits_exit_2_naming_file(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        (data / "splits.json").write_text(text)
+        assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert "splits.json" in err and message in err
+
 
 class TestDistill:
     def test_report_structure(self, separable_run):
@@ -328,6 +347,7 @@ class TestInfer:
         ) == 0
         meta = json.loads((run / "infer_meta.json").read_text())
         assert meta["executed"] == 1
+        assert meta["stopped_by"] == "threshold"
 
     def test_disabled_threshold_max_students_runs_all(self, separable_run):
         data, run = separable_run
@@ -338,6 +358,7 @@ class TestInfer:
         ) == 0
         meta = json.loads((run / "infer_meta.json").read_text())
         assert meta["executed"] == 2
+        assert meta["stopped_by"] == "cap"
 
     def test_rerun_identical_prediction_csv(self, separable_run, tmp_path):
         data, run = separable_run

@@ -121,6 +121,36 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="disjoint"):
             gio.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "splits, message",
+        [
+            ({"labeled": [0], "test": [1]}, "exactly the keys labeled, validation and test"),
+            ({**TOY_SPLITS, "extra": []}, "exactly the keys"),
+            ([[0], [], [1]], "got a JSON list"),
+            ({**TOY_SPLITS, "labeled": [1.5]}, "'labeled' holds 1.5"),
+            ({**TOY_SPLITS, "labeled": [0.0]}, "'labeled' holds 0.0"),
+            ({**TOY_SPLITS, "test": [True]}, "'test' holds True"),
+            ({**TOY_SPLITS, "test": ["1"]}, "'test' holds '1'"),
+            ({**TOY_SPLITS, "test": 1}, "'test' must be a list"),
+            ({**TOY_SPLITS, "validation": [-1]}, "'validation' holds -1"),
+            ({**TOY_SPLITS, "validation": [2]}, r"holds 2, not an integer node id in \[0, 2\)"),
+            ({**TOY_SPLITS, "test": [2**70]}, "'test' holds 1180591620717411303424"),
+            ({**TOY_SPLITS, "test": [0]}, "not pairwise disjoint"),
+        ],
+    )
+    def test_malformed_splits_named(self, tmp_path, splits, message):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1], splits)
+        with pytest.raises(ValueError, match=message) as info:
+            gio.load_dataset(tmp_path)
+        assert str(tmp_path / "splits.json") in str(info.value)
+
+    @pytest.mark.parametrize("text", ['{"labeled": [0], "validation": [], "te', "", "\xff\xfe"])
+    def test_unparsable_splits_named(self, tmp_path, text):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1])
+        (tmp_path / "splits.json").write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match="splits.json: not valid JSON"):
+            gio.load_dataset(tmp_path)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_load_save_load_round_trips_bit_exact(self, tmp_path, dtype):
         g = gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11, dtype=dtype)
@@ -178,6 +208,15 @@ class TestWriteCsv:
     def test_bytes_match_savetxt(self, tmp_path, table, fmt):
         gio._write_csv(tmp_path / "new.csv", table, fmt)
         np.savetxt(tmp_path / "ref.csv", table, fmt=fmt, delimiter=",")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 3, 40000])
+    def test_per_column_formats_and_header_match_savetxt(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        table = np.column_stack([np.arange(n), rng.integers(0, 7, n), rng.random(n)])
+        fmt = ("%d", "%d", "%.9g")
+        gio._write_csv(tmp_path / "new.csv", table, fmt, header="a,b,c")
+        np.savetxt(tmp_path / "ref.csv", table, fmt=fmt, delimiter=",", header="a,b,c", comments="")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

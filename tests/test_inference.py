@@ -146,7 +146,7 @@ class TestRunAnytime:
         h = np.zeros((10, casc.students[0].hidden_dim))
         all_preds, all_confs = [], []
         for p in casc.students:
-            h, logits = cas.student_forward(p, x, h)
+            h, logits = cas.student_forward(p, np.concatenate([x, h], axis=1))
             all_preds.append(softmax_rows(logits))
             all_confs.append(inf.confidence(logits, idx))
         k = max_students
@@ -229,7 +229,7 @@ class TestPrefixEnsembles:
         r = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=2), np.arange(6))
         h = np.zeros((6, casc.students[0].hidden_dim))
         for params, probs in zip(casc.students, r.probs):
-            h, logits = cas.student_forward(params, x, h)
+            h, logits = cas.student_forward(params, np.concatenate([x, h], axis=1))
             assert np.array_equal(probs, softmax_rows(logits))
         assert len(r.probs) == 2
 
@@ -287,3 +287,193 @@ class TestOutputFiles:
         assert len(doc["weights"]) == 2
         assert len(doc["per_student_ms"]) == 2
         assert abs(sum(doc["weights"]) - 1.0) < 1e-9
+
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_run_anytime(c, x, policy, idx):
+    """The anytime loop before the shared [x | h] buffer: a fresh
+    concatenate per student, out-of-place layers, a second softmax for the
+    confidence and an out-of-place float64 ensemble. No budget rule: its
+    stopping point depends on the clock."""
+    assert policy.wall_clock_budget is None
+    h = np.zeros((x.shape[0], c.students[0].hidden_dim), dtype=x.dtype)
+    preds, confs = [], []
+    for k, params in enumerate(c.students, start=1):
+        a = np.concatenate([x, h], axis=1)
+        for w, b in params.layers[:-1]:
+            a = np.maximum(a @ w + b, 0)
+        h = a
+        w, b = params.layers[-1]
+        logits = a @ w + b
+        preds.append(reference_softmax(logits))
+        probs = reference_softmax(logits[idx].astype(np.float64))
+        confs.append(float(probs.max(axis=1).mean()))
+        if policy.conf_threshold is not None and confs[-1] >= policy.conf_threshold:
+            break
+        if policy.max_students is not None and k >= policy.max_students:
+            break
+    weights = reference_softmax(np.asarray(confs, dtype=np.float64)[None, :]).ravel()
+    combined = np.zeros(preds[0].shape, dtype=np.float64)
+    for w, p in zip(weights, preds):
+        combined += w * p.astype(np.float64)
+    return combined, preds, confs, weights
+
+
+class TestBitIdenticalToReference:
+    """run_anytime gives exactly the outputs of the reference loop."""
+
+    @pytest.mark.parametrize(
+        "x_dtype, casc_dtype",
+        [
+            (np.float32, np.float32),
+            (np.float64, np.float64),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+    )
+    @pytest.mark.parametrize("c", [2, 4, 7, 40])
+    def test_policies_and_eval_sets(self, x_dtype, casc_dtype, c):
+        rng = np.random.default_rng(c)
+        k_total = 5
+        casc = build_cascade(rng, k_total, d=6, hidden=8, c=c, dtype=casc_dtype)
+        for s in casc.students:  # sharper logits, so confidences spread out
+            s.layers[-1][0][...] *= 6
+        n = 700
+        x = rng.standard_normal((n, 6)).astype(x_dtype)
+        eval_sets = {
+            "full": (x, np.arange(n)),
+            "random": (x, rng.choice(n, size=150, replace=False)),
+            "query-128": (x[:128], np.arange(128)),
+        }
+        for name, (xs, idx) in eval_sets.items():
+            confs = reference_run_anytime(
+                casc, xs, inf.InferencePolicy(max_students=k_total), idx
+            )[2]
+            policies = {
+                "cap-K": inf.InferencePolicy(max_students=k_total),
+                "cap-1": inf.InferencePolicy(max_students=1),
+                "threshold": inf.InferencePolicy(conf_threshold=float(np.median(confs))),
+            }
+            for label, policy in policies.items():
+                want_pred, want_probs, want_confs, want_w = reference_run_anytime(
+                    casc, xs, policy, idx
+                )
+                got = inf.run_anytime(casc, xs, policy, idx)
+                where = f"{name} {label}"
+                assert got.executed == len(want_probs), where
+                assert got.confidences == want_confs, where
+                assert np.array_equal(got.weights, want_w), where
+                assert got.prediction.dtype == np.float64, where
+                assert np.array_equal(got.prediction, want_pred), where
+                for mine, theirs in zip(got.probs, want_probs):
+                    assert mine.dtype == theirs.dtype, where
+                    assert np.array_equal(mine, theirs), where
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_confidence_and_ensemble(self, dtype):
+        rng = np.random.default_rng(3)
+        logits = (rng.standard_normal((500, 4)) * 5).astype(dtype)
+        idx = rng.choice(500, size=200, replace=False)
+        want = float(reference_softmax(logits[idx].astype(np.float64)).max(axis=1).mean())
+        assert inf.confidence(logits, idx) == want
+        preds = [reference_softmax(logits), reference_softmax(logits[::-1].copy())]
+        combined, weights = inf.ensemble(preds, [0.4, 0.8])
+        ref = np.zeros(logits.shape)
+        for w, p in zip(weights, preds):
+            ref += w * p.astype(np.float64)
+        assert np.array_equal(combined, ref)
+
+
+class TestEvaluationIndexRange:
+    @pytest.mark.parametrize("idx", [[-1, -5], [0, -1], [8], [0, 9]])
+    def test_run_anytime_rejects_out_of_range(self, idx):
+        casc = build_cascade(np.random.default_rng(0), 2)
+        x = np.zeros((8, 4))
+        with pytest.raises(ValueError, match="out of range for 8 rows"):
+            inf.run_anytime(casc, x, inf.InferencePolicy(max_students=1), idx)
+
+    def test_run_anytime_rejects_empty(self):
+        casc = build_cascade(np.random.default_rng(0), 2)
+        with pytest.raises(ValueError, match="empty"):
+            inf.run_anytime(casc, np.zeros((3, 4)), inf.InferencePolicy(max_students=1), [])
+
+    @pytest.mark.parametrize("idx", [[-1], [1, -2], [4]])
+    def test_accuracy_rejects_out_of_range(self, idx):
+        with pytest.raises(ValueError, match="out of range for 4 rows"):
+            inf.accuracy(np.eye(4), np.eye(4), idx)
+
+
+class TestStoppedBy:
+    def run(self, policy, n_students=3):
+        rng = np.random.default_rng(11)
+        casc = build_cascade(rng, n_students)
+        x = rng.standard_normal((6, 4))
+        return inf.run_anytime(casc, x, policy, np.arange(6))
+
+    def test_threshold(self):
+        r = self.run(inf.InferencePolicy(conf_threshold=0.0, max_students=1))
+        assert (r.stopped_by, r.executed) == ("threshold", 1)
+
+    def test_cap(self):
+        r = self.run(inf.InferencePolicy(conf_threshold=1.0, max_students=2))
+        assert (r.stopped_by, r.executed) == ("cap", 2)
+
+    def test_budget(self):
+        r = self.run(inf.InferencePolicy(conf_threshold=1.0, wall_clock_budget=0.0))
+        assert (r.stopped_by, r.executed) == ("budget", 1)
+
+    def test_exhausted(self):
+        r = self.run(inf.InferencePolicy(conf_threshold=1.0, max_students=5))
+        assert (r.stopped_by, r.executed) == ("exhausted", 3)
+
+    def test_cap_at_cascade_size_is_cap(self):
+        r = self.run(inf.InferencePolicy(max_students=3))
+        assert (r.stopped_by, r.executed) == ("cap", 3)
+
+    def test_written_to_result_json(self, tmp_path):
+        r = self.run(inf.InferencePolicy(max_students=2))
+        inf.write_result_json(tmp_path / "meta.json", r)
+        assert json.loads((tmp_path / "meta.json").read_text())["stopped_by"] == "cap"
+
+
+def reference_prediction_csv(path, result):
+    """The per-row writer write_prediction_csv replaced."""
+    pred_class = np.argmax(result.prediction, axis=1)
+    max_prob = result.prediction.max(axis=1)
+    with open(path, "w") as f:
+        f.write("node,pred_class,confidence_weighted_max\n")
+        for i in range(result.prediction.shape[0]):
+            f.write(f"{i},{pred_class[i]},{format(float(max_prob[i]), '.9g')}\n")
+
+
+class TestPredictionCsvBytes:
+    @pytest.mark.parametrize("n", [1, 5, 20001])
+    def test_matches_per_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        casc = build_cascade(rng, 2, c=4)
+        x = rng.standard_normal((n, 4))
+        result = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=2), np.arange(n))
+        inf.write_prediction_csv(tmp_path / "new.csv", result)
+        reference_prediction_csv(tmp_path / "ref.csv", result)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_matches_per_row_writer_with_special_values(self, tmp_path):
+        rng = np.random.default_rng(0)
+        casc = build_cascade(rng, 1, c=3)
+        x = rng.standard_normal((6, 4))
+        result = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=1), [0])
+        result.prediction[0] = np.nan
+        result.prediction[1] = [np.nan, 0.5, 0.2]
+        result.prediction[2] = [0.0, -0.0, 0.0]
+        result.prediction[3] = [1e-300, 5e-324, 0.0]
+        result.prediction[4] = [np.inf, 0.1, 0.2]
+        result.prediction[5] = [0.123456789123, 1 / 3, 2 / 3]
+        inf.write_prediction_csv(tmp_path / "new.csv", result)
+        reference_prediction_csv(tmp_path / "ref.csv", result)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+

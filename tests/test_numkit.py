@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+import mlpcascade.numkit as nk
 from mlpcascade.numkit import (
     GradPair,
     finite_diff_check,
@@ -12,6 +13,7 @@ from mlpcascade.numkit import (
     log_softmax_rows,
     masked_cross_entropy,
     matmul,
+    row_max,
     softmax_rows,
     spmm,
 )
@@ -244,3 +246,111 @@ class TestFiniteDiffCheck:
 def test_log_softmax_never_minus_inf():
     logits = np.array([[0.0, -1e4, 1e4]])
     assert np.all(np.isfinite(log_softmax_rows(logits)))
+
+
+def assert_same_row_max(a):
+    """row_max(a) equals a.max(axis=1, keepdims=True): same shape and dtype,
+    NaN in the same rows, every other entry the same bits (signed zeros and
+    infinities included)."""
+    got, want = row_max(a), a.max(axis=1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].tobytes(), want[~nan].tobytes())
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0]
+
+
+class TestRowMax:
+    """row_max against numpy's row reduction, on the column fold and on the
+    fallback. A short array only reaches the fold with the row threshold
+    lifted, so each property runs once with the shipped dispatch and once
+    with every array of at most ROW_MAX_COLUMNS columns forced onto the
+    fold."""
+
+    @staticmethod
+    def check_both_paths(a):
+        assert_same_row_max(a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nk, "ROW_MAX_ROWS_PER_COLUMN", 0)
+            assert_same_row_max(a)
+
+    @given(
+        st.sampled_from([np.float32, np.float64]).flatmap(
+            lambda dt: arrays(
+                dt,
+                st.tuples(st.integers(1, 40), st.integers(1, 50)),
+                elements=st.floats(width=np.dtype(dt).itemsize * 8)
+                | st.sampled_from(SPECIAL),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_values(self, a):
+        self.check_both_paths(a)
+
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 50),
+        st.integers(0, 300),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tall_arrays_with_ties_and_specials(self, dtype, c, extra_rows, special, seed):
+        # tall enough for the shipped dispatch to take the fold at c <= 8;
+        # few distinct values so that ties, signed zeros and NaN rows are common
+        rng = np.random.default_rng(seed)
+        shape = (16 * c + extra_rows, c)
+        a = rng.integers(-2, 3, size=shape).astype(dtype)
+        mask = rng.random(shape) < special
+        a[mask] = rng.choice(np.array(SPECIAL, dtype=dtype), size=int(mask.sum()))
+        self.check_both_paths(a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, c",
+        [(3, 2), (3, 7), (20000, 1)]
+        + [(n, c) for n in (128, 20000) for c in (2, 4, 7, 8, 9, 47)]
+        + [(128, 1000), (2000, 1000)],
+    )
+    def test_dispatch_shapes(self, dtype, n, c):
+        a = np.random.default_rng(c).standard_normal((n, c)).astype(dtype)
+        assert_same_row_max(a)
+
+    def test_strided_input(self):
+        a = np.random.default_rng(0).standard_normal((400, 12))[:, ::3]
+        assert_same_row_max(a)
+
+
+def reference_softmax(logits):
+    """softmax_rows with numpy's row max and out-of-place exp and divide."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_log_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [1, 2, 4, 7, 8, 9, 47])
+@pytest.mark.parametrize("n", [5, 300])
+def test_softmax_kernels_bit_identical_to_reference(dtype, c, n):
+    logits = (np.random.default_rng(n + c).standard_normal((n, c)) * 8).astype(dtype)
+    for got, want in (
+        (softmax_rows(logits), reference_softmax(logits)),
+        (log_softmax_rows(logits), reference_log_softmax(logits)),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_softmax_of_integer_logits_is_float64():
+    out = softmax_rows(np.array([[1, 2, 3]]))
+    assert out.dtype == np.float64
+    assert np.allclose(out, [SOFTMAX_123], atol=1e-14)
+
