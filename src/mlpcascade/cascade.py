@@ -31,7 +31,7 @@ from .numkit import (
     relu,
     softmax_rows,
 )
-from .optim import AdamW, TrainingDivergedError
+from .optim import AdamW, TrainingDivergedError, check_training_config
 from .teacher import (
     TeacherArtifact,
     _dataclass_from_json,
@@ -172,10 +172,7 @@ class CascadeConfig:
             raise ValueError(f"n_students {self.n_students} must be >= 1")
         if self.n_layers < 2:
             raise ValueError(f"n_layers {self.n_layers} must be >= 2")
-        if self.patience >= self.max_epochs:
-            raise ValueError(
-                f"patience {self.patience} must be < max_epochs {self.max_epochs}"
-            )
+        check_training_config(self)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
 

@@ -275,8 +275,7 @@ def cmd_train_teacher(args, config) -> int:
     teacher.save_teacher(artifact, cfg, out / TEACHER_CKPT)
     teacher.export_soft_labels(artifact, out / SOFT_LABELS)
 
-    norm_adj = graphio.normalize_adjacency(g.adjacency)
-    logits = teacher.gcn_forward(norm_adj, g.features, artifact.params)
+    logits = artifact.logits
     report = {
         "seed": seed,
         "epochs": artifact.train_meta.epochs,

@@ -420,24 +420,45 @@ def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
 
         A_hat = D^{-1/2} (A + I) D^{-1/2},  D = degree matrix of A + I.
 
-    Requires a symmetric input with zero diagonal. An isolated node ends up
-    with the single entry 1.0 (its self-loop divided by degree 1).
+    Requires a symmetric input with zero diagonal and finite, non-negative
+    weights. An isolated node ends up with the single entry 1.0 (its
+    self-loop divided by degree 1). The result has sorted indices, and each
+    entry is rounded twice, ``(a~_ij * d_i^-1/2) * d_j^-1/2``.
+
+    A canonical (sorted, duplicate-free) input is symmetric exactly when its
+    transpose converted to CSR has the same three arrays; only an input that
+    fails that comparison pays for the subtraction ``a - a.T``, so a
+    non-canonical but symmetric input, explicit zeros included, is still
+    accepted.
     """
+    a = sparse.csr_array(a)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
+    valid = (a.data >= 0) & (a.data < np.inf)
+    if not valid.all():
+        raise ValueError(
+            f"adjacency weights must be non-negative and finite, found {a.data[~valid][0]}"
+        )
     if np.any(a.diagonal() != 0):
         raise ValueError("adjacency must have a zero diagonal before normalization")
-    diff = (a - a.T).tocoo()
-    if diff.nnz and np.any(diff.data != 0):
-        raise ValueError("adjacency must be symmetric")
+    at = sparse.csr_array(a.T)
+    if not (
+        np.array_equal(at.indptr, a.indptr)
+        and np.array_equal(at.indices, a.indices)
+        and np.array_equal(at.data, a.data)
+    ):
+        diff = (a - a.T).tocoo()
+        if diff.nnz and np.any(diff.data != 0):
+            raise ValueError("adjacency must be symmetric")
     a_tilde = sparse.csr_array(a + sparse.eye_array(n, dtype=a.dtype, format="csr"))
+    # degrees in a~'s own entry order, before sorting, as row sums always were
     degrees = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = (1.0 / np.sqrt(degrees)).astype(a.dtype)
-    normalized = a_tilde.multiply(inv_sqrt[:, None]).tocsr().multiply(inv_sqrt[None, :])
-    out = sparse.csr_array(normalized)
-    out.sort_indices()
-    return out
+    a_tilde.sort_indices()
+    a_tilde.data *= np.repeat(inv_sqrt, np.diff(a_tilde.indptr))
+    a_tilde.data *= inv_sqrt[a_tilde.indices]
+    return a_tilde
 
 
 def _bernoulli_indices(rng: np.random.Generator, m: int, p: float) -> np.ndarray:

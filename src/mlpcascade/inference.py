@@ -81,10 +81,17 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
 
     Computed in float64 as mean(1 / sum_j exp(z_j - max z)): the largest
     entry of a max-shifted softmax row is exp(0) / s = 1 / s exactly, so no
-    second softmax is needed."""
+    second softmax is needed.
+
+    An empty index set or an index outside [0, rows) raises ValueError."""
     idx = np.asarray(eval_idx, dtype=np.intp).ravel()
-    if idx.size == 0:
-        raise ValueError("confidence: empty evaluation index set")
+    _check_index(idx, logits.shape[0], "confidence: evaluation")
+    return _confidence(logits, idx)
+
+
+def _confidence(logits: np.ndarray, idx: np.ndarray) -> float:
+    """``confidence`` over an index array already checked against the rows
+    of ``logits``; ``run_anytime`` checks its index set once per call."""
     z = logits[idx].astype(np.float64)
     z -= row_max(z)
     np.exp(z, out=z)
@@ -170,7 +177,7 @@ def run_anytime(
             inputs[:, d:] = h
         h, logits = student_forward(params, inputs)
         preds.append(softmax_rows(logits))
-        confs.append(confidence(logits, idx))
+        confs.append(_confidence(logits, idx))
         elapsed.append(time.perf_counter() - t0)
         stopped_by = policy.fired(confs[-1], len(preds), sum(elapsed))
         if stopped_by is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -12,6 +14,26 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"non-finite {component} loss ({value}) at epoch {epoch}")
         self.epoch = epoch
         self.component = component
+
+
+def check_training_config(cfg) -> None:
+    """Reject the settings of a teacher or cascade config under which no
+    model trains: an epoch cap below 1, negative patience, patience that
+    reaches the cap, an empty hidden layer, a learning rate that is not
+    finite and positive, and a weight decay that is not finite and
+    non-negative. The ValueError names the field."""
+    if cfg.max_epochs < 1:
+        raise ValueError(f"max_epochs {cfg.max_epochs} must be >= 1")
+    if cfg.patience < 0:
+        raise ValueError(f"patience {cfg.patience} must be >= 0")
+    if cfg.patience >= cfg.max_epochs:
+        raise ValueError(f"patience {cfg.patience} must be < max_epochs {cfg.max_epochs}")
+    if cfg.hidden_dim < 1:
+        raise ValueError(f"hidden_dim {cfg.hidden_dim} must be >= 1")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ValueError(f"lr {cfg.lr} must be finite and > 0")
+    if not (math.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
+        raise ValueError(f"weight_decay {cfg.weight_decay} must be finite and >= 0")
 
 
 class AdamW:

@@ -29,7 +29,7 @@ from .numkit import (
     softmax_rows,
     spmm,
 )
-from .optim import AdamW, TrainingDivergedError
+from .optim import AdamW, TrainingDivergedError, check_training_config
 
 
 @dataclass
@@ -45,23 +45,6 @@ class TeacherParams:
     @property
     def hidden_dim(self) -> int:
         return self.layers[0][0].shape[1]
-
-    # Named accessors for the canonical 2-layer teacher.
-    @property
-    def w1(self) -> np.ndarray:
-        return self.layers[0][0]
-
-    @property
-    def b1(self) -> np.ndarray:
-        return self.layers[0][1]
-
-    @property
-    def w2(self) -> np.ndarray:
-        return self.layers[-1][0]
-
-    @property
-    def b2(self) -> np.ndarray:
-        return self.layers[-1][1]
 
     def param_dict(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -94,11 +77,15 @@ class TeacherArtifact:
 
     Soft labels are stored as probabilities (each row sums to 1); both the
     distillation KL term and the confidence machinery consume distributions.
+    ``logits`` are the eval-mode logits the soft labels were computed from;
+    a trained artifact carries them, a loaded one does not (they are not
+    checkpointed).
     """
 
     params: TeacherParams
     soft_labels: np.ndarray  # N x C probabilities
     train_meta: TrainMeta
+    logits: np.ndarray | None = field(default=None, repr=False)  # N x C
 
     def soft_label_fingerprint(self) -> str:
         return fingerprint(self.soft_labels)
@@ -116,10 +103,7 @@ class TeacherConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.patience >= self.max_epochs:
-            raise ValueError(
-                f"patience {self.patience} must be < max_epochs {self.max_epochs}"
-            )
+        check_training_config(self)
         if self.depth not in (2, 3):
             raise ValueError(f"teacher depth must be 2 or 3, got {self.depth}")
         if not 0.0 <= self.dropout < 1.0:
@@ -172,6 +156,18 @@ def _forward_cache(
     return a, caches
 
 
+def _eval_projection(norm_adj: SparseMatrix, x: np.ndarray, p: TeacherParams) -> np.ndarray:
+    """Eval-mode hidden layers over every row, then the last layer's
+    projection ``H @ W_last``, left unaggregated: the logits of any set of
+    rows R are ``spmm(norm_adj[R], hw) + b_last``, the same bits as the
+    full-graph logits' rows R, since a row slice keeps each row's entry
+    order."""
+    a = x
+    for w, b in p.layers[:-1]:
+        a = relu(spmm(norm_adj, a @ w) + b)
+    return a @ p.layers[-1][0]
+
+
 def gcn_forward(
     norm_adj: SparseMatrix,
     x: np.ndarray,
@@ -183,7 +179,8 @@ def gcn_forward(
     """Teacher logits: A_hat . relu(A_hat . x . w1 + b1) . w2 + b2.
 
     In training mode, dropout masks the input features and every hidden
-    activation; eval mode is deterministic.
+    activation; eval mode is deterministic and runs the same operations as
+    the validation forward of ``train_teacher``.
     """
     if x.shape[0] != norm_adj.shape[0]:
         raise ValueError(
@@ -193,7 +190,9 @@ def gcn_forward(
         raise ValueError(
             f"feature width {x.shape[1]} != first-layer fan-in {p.layers[0][0].shape[0]}"
         )
-    if training and dropout > 0.0 and rng is None:
+    if not training:
+        return spmm(norm_adj, _eval_projection(norm_adj, x, p)) + p.layers[-1][1]
+    if dropout > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
     logits, _ = _forward_cache(norm_adj, x, p, training, dropout, rng)
     return logits
@@ -240,19 +239,21 @@ def teacher_ce_gradpair(
     return ce
 
 
-def _split_accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
-    pred = np.argmax(logits[idx], axis=1)
-    truth = np.argmax(labels[idx], axis=1)
-    return float(np.mean(pred == truth))
-
-
 def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     """Train the teacher with cross entropy on the labeled split.
 
     Early stopping: training halts after `patience` epochs without a new best
     validation accuracy (ties keep the earlier epoch), and the best checkpoint
     is restored before soft labels are computed in eval mode.
+
+    The adjacency is normalized once. Each epoch's eval forward runs the
+    hidden layers on every row but aggregates the last layer over the
+    validation rows only. The best epoch's unaggregated last layer is kept,
+    so the soft labels cost one aggregation, not a fresh forward; they and
+    the returned ``logits`` are the same bits as ``gcn_forward`` of the best
+    parameters.
     """
+    check_training_config(cfg)
     if g.splits.labeled.size == 0 or g.splits.validation.size == 0:
         raise ValueError("training needs non-empty labeled and validation splits")
     rng = np.random.default_rng(cfg.seed)
@@ -260,11 +261,13 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
         g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.depth, rng, g.features.dtype
     )
     norm_adj = graphio.normalize_adjacency(g.adjacency)
+    adj_val = norm_adj[g.splits.validation]
+    val_truth = np.argmax(g.labels[g.splits.validation], axis=1)
     opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
+    # max_epochs >= 1 (checked above) and accuracies >= 0, so epoch 1 always
+    # sets the best
     best_acc = -1.0
-    best_params = params.copy()
-    best_epoch = 0
     since_best = 0
     losses: list[float] = []
     epochs_run = 0
@@ -280,11 +283,13 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
         opt.step(grads)
         losses.append(ce.value)
 
-        val_logits = gcn_forward(norm_adj, g.features, params)
-        val_acc = _split_accuracy(val_logits, g.labels, g.splits.validation)
+        hw = _eval_projection(norm_adj, g.features, params)
+        val_logits = spmm(adj_val, hw) + params.layers[-1][1]
+        val_acc = float(np.mean(np.argmax(val_logits, axis=1) == val_truth))
         if val_acc > best_acc:
             best_acc = val_acc
             best_params = params.copy()
+            best_hw = hw
             best_epoch = epoch
             since_best = 0
         else:
@@ -292,7 +297,7 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
             if since_best >= cfg.patience:
                 break
 
-    soft = softmax_rows(gcn_forward(norm_adj, g.features, best_params))
+    logits = spmm(norm_adj, best_hw) + best_params.layers[-1][1]
     meta = TrainMeta(
         epochs=epochs_run,
         best_epoch=best_epoch,
@@ -300,7 +305,9 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
         seed=cfg.seed,
         losses=losses,
     )
-    return TeacherArtifact(params=best_params, soft_labels=soft, train_meta=meta)
+    return TeacherArtifact(
+        params=best_params, soft_labels=softmax_rows(logits), train_meta=meta, logits=logits
+    )
 
 
 def export_soft_labels(t: TeacherArtifact, path) -> None:

@@ -353,6 +353,25 @@ class TestTrainStudent:
         with pytest.raises(ValueError, match="patience"):
             cas.CascadeConfig(max_epochs=1, patience=1)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("max_epochs", {"max_epochs": 0, "patience": -1}),
+            ("patience", {"patience": -1}),
+            ("hidden_dim", {"hidden_dim": 0}),
+            ("lr", {"lr": 0.0}),
+            ("lr", {"lr": -1.0}),
+            ("lr", {"lr": float("nan")}),
+            ("lr", {"lr": float("inf")}),
+            ("weight_decay", {"weight_decay": -1e-4}),
+            ("weight_decay", {"weight_decay": float("nan")}),
+            ("weight_decay", {"weight_decay": float("inf")}),
+        ],
+    )
+    def test_degenerate_config_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            cas.CascadeConfig(**kwargs)
+
     def test_lambda_history_within_bounds(self):
         g, teacher_probs = small_training_setup(seed=3)
         cfg = cas.CascadeConfig(
@@ -549,6 +568,22 @@ class TestTrainCascade:
         cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=4)
         with pytest.raises(ValueError, match="soft labels"):
             cas.train_cascade(tiny_graph, bad, cfg)
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_epochs", 0), ("patience", -1), ("hidden_dim", 0), ("lr", -1.0)]
+    )
+    def test_stored_degenerate_config_refused(self, tiny_graph, tmp_path, field, value):
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=3, patience=2, seed=8)
+        path = tmp_path / "cascade.json"
+        cas.save_cascade(cas.train_cascade(tiny_graph, art, cfg), path)
+        doc = json.loads(path.read_text())
+        doc["config"][field] = value
+        if field == "max_epochs":
+            doc["config"]["patience"] = -1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"cascade.json config: {field} "):
+            cas.load_cascade(path)
 
     def test_checkpoint_round_trip(self, tiny_graph, tmp_path):
         art = self.make_teacher_artifact(tiny_graph)

@@ -300,6 +300,80 @@ class TestSweep:
         assert [int(r["k"]) for r in rows] == [1, 2, 1, 2]
 
 
+class TestDegenerateTrainingConfig:
+    """Settings under which nothing trains exit 2 naming the field, and
+    write no artifact."""
+
+    CASES = [
+        (("--epochs", 0, "--patience", -1), "max_epochs 0 must be >= 1"),
+        (("--patience", -1), "patience -1 must be >= 0"),
+        (("--hidden", 0), "hidden_dim 0 must be >= 1"),
+        (("--lr", -1), "lr -1.0 must be finite and > 0"),
+        (("--lr", "nan"), "lr nan must be finite and > 0"),
+        (("--weight-decay", -0.1), "weight_decay -0.1 must be finite and >= 0"),
+        (("--weight-decay", "inf"), "weight_decay inf must be finite and >= 0"),
+    ]
+
+    @pytest.mark.parametrize("flags, message", CASES)
+    def test_train_teacher_exits_2(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        out = tmp_path / "run"
+        assert run_cli("train-teacher", "--data", data, "--out", out, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", CASES)
+    def test_distill_exits_2(self, separable_run, tmp_path, capsys, flags, message):
+        data, run = separable_run
+        out = tmp_path / "distilled"
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", out, *flags
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTeacherGraphPasses:
+    """train-teacher normalizes the adjacency once and takes its report from
+    the logits training computed: no second normalization, no gcn_forward."""
+
+    def test_one_normalization_and_no_forward(self, tmp_path, monkeypatch):
+        import mlpcascade.graphio as gio
+        import mlpcascade.teacher as teacher
+
+        calls = {"normalize_adjacency": 0, "gcn_forward": 0}
+        for module, name in ((gio, "normalize_adjacency"), (teacher, "gcn_forward")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        assert run_cli(
+            "train-teacher", "--data", data, "--out", run,
+            "--hidden", 8, "--epochs", 8, "--patience", 4,
+        ) == 0
+        assert calls == {"normalize_adjacency": 1, "gcn_forward": 0}
+
+    def test_report_matches_fresh_forward(self, separable_run):
+        import mlpcascade.graphio as gio
+        import mlpcascade.teacher as teacher
+
+        data, run = separable_run
+        g = gio.load_dataset(data)
+        art, _ = teacher.load_teacher(run / "teacher.json", run / "soft_labels.csv")
+        logits = teacher.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
+        report = json.loads((run / "teacher_report.json").read_text())
+        for split in ("labeled", "validation", "test"):
+            want = inf.accuracy(logits, g.labels, getattr(g.splits, split))
+            assert report["accuracy"][split] == want
+
+
 class TestForwardCounts:
     """One full run yields every prefix ensemble, so the distill report needs
     K student forwards and a sweep R * K, with no per-k reruns."""

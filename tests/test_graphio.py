@@ -220,6 +220,135 @@ class TestWriteCsv:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def reference_normalize_adjacency(a):
+    """The COO-round-trip normalization that ``normalize_adjacency`` must
+    reproduce bit for bit: symmetry by subtraction, then two broadcast
+    multiplies."""
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got {a.shape}")
+    if np.any(a.diagonal() != 0):
+        raise ValueError("adjacency must have a zero diagonal before normalization")
+    diff = (a - a.T).tocoo()
+    if diff.nnz and np.any(diff.data != 0):
+        raise ValueError("adjacency must be symmetric")
+    a_tilde = sparse.csr_array(a + sparse.eye_array(n, dtype=a.dtype, format="csr"))
+    degrees = np.asarray(a_tilde.sum(axis=1)).ravel()
+    inv_sqrt = (1.0 / np.sqrt(degrees)).astype(a.dtype)
+    normalized = a_tilde.multiply(inv_sqrt[:, None]).tocsr().multiply(inv_sqrt[None, :])
+    out = sparse.csr_array(normalized)
+    out.sort_indices()
+    return out
+
+
+def random_weighted_symmetric(rng, n, density, dtype):
+    w = rng.random((n, n)) < density
+    w = np.triu(w * rng.uniform(1e-3, 5.0, (n, n)), k=1)
+    return sparse.csr_array((w + w.T).astype(dtype))
+
+
+def unsorted_with_duplicates(dense, rng):
+    """CSR holding ``dense`` with each row's entries shuffled and every
+    nonzero split into two stored duplicates, v = h + (v - h) exactly."""
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    half = vals / 2  # exact in binary floating point for these magnitudes
+    rows = np.concatenate([rows, rows])
+    cols = np.concatenate([cols, cols])
+    data = np.concatenate([half, vals - half])
+    order = np.lexsort((rng.random(rows.size), rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))])
+    return sparse.csr_array((data[order], cols[order], indptr), shape=dense.shape)
+
+
+class TestNormalizeAdjacencyBits:
+    """Same indptr, indices and data bytes and dtypes as the reference."""
+
+    @staticmethod
+    def assert_same(a):
+        got = gio.normalize_adjacency(a)
+        want = reference_normalize_adjacency(a)
+        assert isinstance(got, sparse.csr_array)
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        assert got.has_sorted_indices
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape",
+        [(400, 4, 16, 0.05, 0.002), (350, 7, 48, 0.05, 0.002), (600, 10, 16, 0.2, 0.01)],
+    )
+    def test_synth_sbm_graphs(self, shape, dtype):
+        g = gio.synth_sbm(*shape, 1.5, seed=3, dtype=dtype)
+        self.assert_same(g.adjacency)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_weighted_graphs(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        self.assert_same(random_weighted_symmetric(rng, n, rng.uniform(0.01, 0.5), dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_isolated_nodes(self, dtype):
+        a = random_weighted_symmetric(np.random.default_rng(7), 50, 0.2, dtype).toarray()
+        a[[0, 17, 49], :] = 0
+        a[:, [0, 17, 49]] = 0
+        out = self.assert_same(sparse.csr_array(a)).toarray()
+        assert out[17, 17] == 1.0 and np.count_nonzero(out[17]) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_edges(self, n, dtype):
+        out = self.assert_same(sparse.csr_array((n, n), dtype=dtype))
+        assert np.array_equal(out.toarray(), np.eye(n, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unsorted_indices_and_duplicates(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        dense = random_weighted_symmetric(rng, 40, 0.3, dtype).toarray()
+        a = unsorted_with_duplicates(dense, rng)
+        assert not a.has_canonical_format
+        self.assert_same(a)
+
+    def test_one_sided_explicit_zero_accepted(self):
+        # (0, 2) is stored as an explicit zero, (2, 0) is not stored at all
+        a = sparse.csr_array(
+            (np.array([2.0, 0.0, 2.0]), np.array([1, 2, 0]), np.array([0, 2, 3, 3])),
+            shape=(3, 3),
+        )
+        self.assert_same(a)
+
+    @pytest.mark.parametrize(
+        "dense, message",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], "adjacency must be symmetric"),
+            ([[0.0, 1.0], [2.0, 0.0]], "adjacency must be symmetric"),
+            ([[1.0, 0.0], [0.0, 0.0]], "adjacency must have a zero diagonal before normalization"),
+        ],
+    )
+    def test_messages_unchanged(self, dense, message):
+        a = sparse.csr_array(np.array(dense))
+        for fn in (gio.normalize_adjacency, reference_normalize_adjacency):
+            with pytest.raises(ValueError) as err:
+                fn(a)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "weight, shown",
+        [(-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")],
+    )
+    def test_negative_or_non_finite_weight_rejected(self, weight, shown):
+        a = sparse.csr_array(np.array([[0.0, weight], [weight, 0.0]]))
+        with pytest.raises(ValueError, match="non-negative and finite") as err:
+            gio.normalize_adjacency(a)
+        assert str(err.value).endswith(f"found {shown}")
+
+
 class TestNormalizeAdjacency:
     def test_single_isolated_node(self):
         a = sparse.csr_array((1, 1))

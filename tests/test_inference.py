@@ -39,6 +39,15 @@ class TestConfidence:
         with pytest.raises(ValueError, match="empty"):
             inf.confidence(np.zeros((2, 2)), [])
 
+    def test_negative_index_rejected(self):
+        # numpy would wrap -1 onto row 1 and return its confidence
+        with pytest.raises(ValueError, match="index -1 out of range for 2 rows"):
+            inf.confidence(np.array([[0.0, 0.0], [9.0, 0.0]]), [-1])
+
+    def test_index_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="index 2 out of range for 2 rows"):
+            inf.confidence(np.zeros((2, 2)), [0, 2])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_range_property(self, seed):
         rng = np.random.default_rng(seed)
@@ -401,6 +410,18 @@ class TestEvaluationIndexRange:
         casc = build_cascade(np.random.default_rng(0), 2)
         with pytest.raises(ValueError, match="empty"):
             inf.run_anytime(casc, np.zeros((3, 4)), inf.InferencePolicy(max_students=1), [])
+
+    def test_run_anytime_checks_its_index_set_once(self, monkeypatch):
+        # the per-student confidence must not repeat the check
+        calls = []
+        check = inf._check_index
+        monkeypatch.setattr(inf, "_check_index", lambda *a: calls.append(a) or check(*a))
+        casc = build_cascade(np.random.default_rng(0), 4)
+        result = inf.run_anytime(
+            casc, np.ones((6, 4)), inf.InferencePolicy(max_students=4), np.arange(6)
+        )
+        assert result.executed == 4
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("idx", [[-1], [1, -2], [4]])
     def test_accuracy_rejects_out_of_range(self, idx):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -167,6 +168,39 @@ class TestTrainTeacher:
         with pytest.raises(ValueError, match="patience"):
             t.TeacherConfig(max_epochs=10, patience=10)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("max_epochs", {"max_epochs": 0, "patience": -1}),
+            ("max_epochs", {"max_epochs": -3, "patience": -5}),
+            ("patience", {"patience": -1}),
+            ("hidden_dim", {"hidden_dim": 0}),
+            ("hidden_dim", {"hidden_dim": -4}),
+            ("lr", {"lr": 0.0}),
+            ("lr", {"lr": -1.0}),
+            ("lr", {"lr": float("nan")}),
+            ("lr", {"lr": float("inf")}),
+            ("weight_decay", {"weight_decay": -1e-4}),
+            ("weight_decay", {"weight_decay": float("nan")}),
+            ("weight_decay", {"weight_decay": float("inf")}),
+        ],
+    )
+    def test_degenerate_config_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            t.TeacherConfig(**kwargs)
+
+    def test_config_mutated_after_construction_rejected(self, tiny_graph):
+        # the dataclass is mutable, so train_teacher checks again
+        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
+        cfg.max_epochs = 0
+        with pytest.raises(ValueError, match="^max_epochs "):
+            t.train_teacher(tiny_graph, cfg)
+
+    def test_smallest_valid_config(self, tiny_graph):
+        cfg = t.TeacherConfig(hidden_dim=1, lr=1e-6, weight_decay=0.0, max_epochs=1, patience=0)
+        art = t.train_teacher(tiny_graph, cfg)
+        assert art.train_meta.epochs == 1 and art.train_meta.best_epoch == 1
+
     def test_empty_split_rejected(self, tiny_graph):
         import dataclasses
 
@@ -183,6 +217,52 @@ class TestTrainTeacher:
         with pytest.raises(TrainingDivergedError) as err:
             t.train_teacher(tiny_graph, cfg)
         assert err.value.epoch >= 1
+
+
+class TestSingleGraphPass:
+    """Soft labels and logits come from the best epoch's kept last-layer
+    projection and the validation-row aggregation; both must be the same
+    bits as a fresh eval forward of the best parameters."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_soft_labels_equal_fresh_forward(self, depth, dropout, dtype):
+        g = gio.synth_sbm(150, 3, 12, 0.15, 0.03, 2.0, seed=4, dtype=dtype)
+        cfg = t.TeacherConfig(
+            hidden_dim=8, dropout=dropout, depth=depth, max_epochs=12, patience=11, seed=5
+        )
+        art = t.train_teacher(g, cfg)
+        logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
+        assert art.logits.dtype == dtype and art.soft_labels.dtype == dtype
+        assert np.array_equal(art.logits, logits)
+        assert np.array_equal(art.soft_labels, softmax_rows(logits))
+        val = g.splits.validation
+        assert art.train_meta.best_val_acc == inf.accuracy(logits, g.labels, val)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_best_epoch_before_the_last(self, dtype):
+        g = gio.synth_sbm(150, 3, 12, 0.15, 0.05, 3.0, seed=2, dtype=dtype)
+        cfg = t.TeacherConfig(hidden_dim=8, dropout=0.5, max_epochs=200, patience=5, seed=1)
+        art = t.train_teacher(g, cfg)
+        meta = art.train_meta
+        assert meta.best_epoch == meta.epochs - cfg.patience
+        # the kept parameters are the best epoch's, not the last epoch's
+        again = t.train_teacher(g, dataclasses.replace(
+            cfg, max_epochs=meta.best_epoch, patience=meta.best_epoch - 1))
+        assert again.params.fingerprint() == art.params.fingerprint()
+        logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
+        assert np.array_equal(art.logits, logits)
+        assert np.array_equal(art.soft_labels, softmax_rows(logits))
+
+    def test_loaded_teacher_has_no_logits(self, tmp_path, tiny_graph):
+        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2, seed=0)
+        art = t.train_teacher(tiny_graph, cfg)
+        t.save_teacher(art, cfg, tmp_path / "teacher.json")
+        t.export_soft_labels(art, tmp_path / "soft.csv")
+        loaded, _ = t.load_teacher(tmp_path / "teacher.json", tmp_path / "soft.csv")
+        assert loaded.logits is None
+        assert "logits" not in json.loads((tmp_path / "teacher.json").read_text())
 
 
 class TestSoftLabelIO:
@@ -242,6 +322,25 @@ class TestCheckpointIO:
         assert doc["array_encoding"] == "base64-le"
         assert doc["fingerprint"] == art.params.fingerprint()
         assert all(isinstance(a["data"], str) for layer in doc["layers"] for a in layer.values())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_epochs", 0), ("patience", -1), ("hidden_dim", 0), ("lr", -1.0),
+         ("weight_decay", -0.5)],
+    )
+    def test_stored_degenerate_config_refused(self, tmp_path, tiny_graph, field, value):
+        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2, seed=4)
+        art = t.train_teacher(tiny_graph, cfg)
+        ckpt = tmp_path / "teacher.json"
+        t.save_teacher(art, cfg, ckpt)
+        t.export_soft_labels(art, tmp_path / "soft.csv")
+        doc = json.loads(ckpt.read_text())
+        doc["config"][field] = value
+        if field == "max_epochs":
+            doc["config"]["patience"] = -1
+        ckpt.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"teacher.json config: {field} "):
+            t.load_teacher(ckpt, tmp_path / "soft.csv")
 
     def test_wrong_kind_rejected(self, tmp_path):
         bad = tmp_path / "x.json"
