@@ -14,7 +14,6 @@ from .cascade import (
     MixupConfig,
     MixupState,
     DistillConfig,
-    StudentParams,
     load_cascade,
     mixup_examples,
     distill_loss,
@@ -26,7 +25,6 @@ from .cascade import (
     train_student,
     update_ema,
     update_lambda,
-    warm_start,
 )
 from .graphio import (
     Graph,
@@ -50,15 +48,14 @@ from .numkit import (
     finite_diff_check,
     kl_divergence,
     masked_cross_entropy,
-    matmul,
     softmax_rows,
     spmm,
 )
 from .optim import AdamW, TrainingDivergedError
+from .params import LayerStack
 from .teacher import (
     TeacherArtifact,
     TeacherConfig,
-    TeacherParams,
     export_soft_labels,
     gcn_forward,
     import_soft_labels,

@@ -22,75 +22,27 @@ import numpy as np
 from .graphio import Graph
 from .numkit import (
     GradPair,
+    accuracy,
     dropout_mask,
     fingerprint,
-    glorot_uniform,
     kl_divergence,
     log_softmax_rows,
     masked_cross_entropy,
     relu,
     softmax_rows,
 )
-from .optim import AdamW, TrainingDivergedError, check_training_config
-from .teacher import (
-    TeacherArtifact,
-    _dataclass_from_json,
-    _layers_from_json,
-    _layers_to_json,
-    _json_object,
-    _read_manifest,
-    _write_manifest,
+from .optim import TrainingDivergedError, check_training_config, fit
+from .params import (
+    LayerStack,
+    dataclass_from_json,
+    init_layers,
+    json_object,
+    layers_from_json,
+    layers_to_json,
+    read_manifest,
+    write_manifest,
 )
-
-
-@dataclass
-class StudentParams:
-    """Per-layer (weight, bias) pairs of one MLP student.
-
-    Every student in a cascade is shape-identical: the first layer takes
-    d + d' inputs (raw features plus the previous hidden state, zero-padded
-    for the first student), interior layers are d' wide, and the final layer
-    maps d' to the class count.
-    """
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0][0].shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
-
-    @property
-    def feat_dim(self) -> int:
-        """Width of the raw-feature part of the input."""
-        return self.input_dim - self.hidden_dim
-
-    def shape_vector(self) -> tuple:
-        return tuple((w.shape, b.shape) for w, b in self.layers)
-
-    def param_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, (w, b) in enumerate(self.layers, start=1):
-            out[f"w{i}"] = w
-            out[f"b{i}"] = b
-        return out
-
-    def copy(self) -> "StudentParams":
-        return StudentParams([(w.copy(), b.copy()) for w, b in self.layers])
-
-    def fingerprint(self) -> str:
-        return fingerprint(*(a for pair in self.layers for a in pair))
+from .teacher import TeacherArtifact
 
 
 @dataclass
@@ -190,9 +142,15 @@ class StudentTrainMeta:
 
 @dataclass
 class Cascade:
-    """An ordered list of trained, shape-identical students."""
+    """An ordered list of trained, shape-identical students.
 
-    students: list[StudentParams]
+    Every student's first layer takes d + d' inputs (raw features plus the
+    previous student's hidden state, zero-padded for the first student),
+    interior layers are d' wide, and the final layer maps d' to the class
+    count.
+    """
+
+    students: list[LayerStack]
     metas: list[StudentTrainMeta]
     teacher_fingerprint: str
     config: Optional[CascadeConfig] = None
@@ -200,6 +158,11 @@ class Cascade:
     @property
     def n_students(self) -> int:
         return len(self.students)
+
+    @property
+    def feat_dim(self) -> int:
+        """Width d of the raw-feature part of each student's input."""
+        return self.students[0].input_dim - self.students[0].hidden_dim
 
     def fingerprint(self) -> str:
         return fingerprint(
@@ -214,33 +177,20 @@ def init_student(
     n_layers: int,
     rng: np.random.Generator,
     dtype,
-) -> StudentParams:
+) -> LayerStack:
     dims = [feat_dim + hidden_dim] + [hidden_dim] * (n_layers - 1) + [n_classes]
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        layers.append(
-            (glorot_uniform(rng, fan_in, fan_out, dtype), np.zeros(fan_out, dtype=dtype))
-        )
-    return StudentParams(layers)
-
-
-def warm_start(prev: StudentParams) -> StudentParams:
-    """Deep copy of a trained student, used to initialize the next one.
-
-    The copy shares nothing with `prev`; training it never mutates `prev`.
-    """
-    return prev.copy()
+    return init_layers(dims, rng, dtype)
 
 
 def _forward_cache(
-    p: StudentParams,
+    p: LayerStack,
     inputs: np.ndarray,
-    training: bool,
     dropout: float,
     rng: np.random.Generator | None,
 ):
     """MLP forward on pre-concatenated inputs, caching activations for
-    backprop. Returns (h, logits, caches) where h is the post-activation
+    backprop; with ``dropout > 0`` (training) every hidden activation is
+    masked. Returns (h, logits, caches) where h is the post-activation
     output of the last hidden layer (pre-dropout)."""
     if inputs.shape[1] != p.input_dim:
         raise ValueError(
@@ -256,7 +206,7 @@ def _forward_cache(
         r = relu(z)
         if li == n_hidden - 1:
             h = r
-        if training and dropout > 0.0:
+        if dropout > 0.0:
             mask = dropout_mask(rng, r.shape, dropout, r.dtype)
             nxt = r * mask
         else:
@@ -270,7 +220,7 @@ def _forward_cache(
     return h, logits, caches
 
 
-def _backward(p: StudentParams, caches, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+def _backward(p: LayerStack, caches, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     n = p.n_layers
     a_last = caches[-1][0]
@@ -289,7 +239,7 @@ def _backward(p: StudentParams, caches, dlogits: np.ndarray) -> dict[str, np.nda
     return grads
 
 
-def student_forward(p: StudentParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One student's eval-mode forward pass on assembled rows [x | h_prev].
 
     Returns (h, logits): h is the post-activation output of the last hidden
@@ -356,15 +306,15 @@ def sample_mixup_pairs(labeled, seed) -> np.ndarray:
 
 
 def mixup_examples(
-    x: np.ndarray,
-    h_prev: np.ndarray,
+    inputs: np.ndarray,
     y: np.ndarray,
     pairs: np.ndarray,
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolate concatenated inputs and labels along each (i, j) pair:
+    """Interpolate assembled input rows [x | h_prev] and labels along each
+    (i, j) pair:
 
-        row    = lam * [x_i | h_i] + (1 - lam) * [x_j | h_j]
+        row    = lam * inputs_i + (1 - lam) * inputs_j
         label  = lam * y_i + (1 - lam) * y_j
 
     lam=0 reproduces sample j exactly; lam=0.5 is the hardest blend.
@@ -373,15 +323,13 @@ def mixup_examples(
         raise ValueError(f"lambda {lam} outside [0, 0.5]")
     i = pairs[:, 0]
     j = pairs[:, 1]
-    cat_i = np.concatenate([x[i], h_prev[i]], axis=1)
-    cat_j = np.concatenate([x[j], h_prev[j]], axis=1)
-    mixed_inputs = lam * cat_i + (1.0 - lam) * cat_j
+    mixed_inputs = lam * inputs[i] + (1.0 - lam) * inputs[j]
     mixed_labels = lam * y[i] + (1.0 - lam) * y[j]
     return mixed_inputs, mixed_labels
 
 
 def mixup_loss(
-    p: StudentParams,
+    p: LayerStack,
     mixed_inputs: np.ndarray,
     mixed_labels: np.ndarray,
     labeled_count: int,
@@ -390,10 +338,10 @@ def mixup_loss(
 ) -> GradPair:
     """Soft-label cross entropy of the student on mixed examples, averaged
     with the labeled-set size as denominator; gradients w.r.t. all student
-    parameters (forward runs in training mode)."""
+    parameters (dropout masks drawn from ``rng`` when ``dropout > 0``)."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    _, logits, caches = _forward_cache(p, mixed_inputs, True, dropout, rng)
+    _, logits, caches = _forward_cache(p, mixed_inputs, dropout, rng)
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
@@ -424,9 +372,8 @@ def update_lambda(state: MixupState) -> MixupState:
 
 
 def total_loss_gradpair(
-    p: StudentParams,
-    x: np.ndarray,
-    h_prev: np.ndarray,
+    p: LayerStack,
+    inputs: np.ndarray,
     teacher_probs: np.ndarray,
     y: np.ndarray,
     labeled,
@@ -434,23 +381,28 @@ def total_loss_gradpair(
     distill_cfg: DistillConfig,
     pairs: np.ndarray,
     lam: float,
-) -> GradPair:
-    """Full per-epoch objective (distillation + mixup, dropout off) with
-    gradients w.r.t. all student parameters.
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Full per-epoch objective of student k on assembled rows [x | h_prev]:
+    the distillation loss over all rows, the mixup loss over the mixed
+    ``pairs``, and the gradients of their sum w.r.t. all student parameters.
 
-    A pure function of the parameters once pairs and lam are fixed, which is
-    exactly what the finite-difference checker needs.
+    With ``dropout > 0`` the training forward draws its masks from ``rng``
+    first, then the mixup forward. A pure function of the parameters once
+    pairs, lam and the rng's seed are fixed, which is exactly what the
+    finite-difference checker needs.
     """
-    inputs = np.concatenate([x, h_prev], axis=1)
-    _, logits, caches = _forward_cache(p, inputs, False, 0.0, None)
+    labeled = np.asarray(labeled)
+    _, logits, caches = _forward_cache(p, inputs, dropout, rng)
     distill = distill_loss(
-        logits, teacher_probs, y, labeled, np.arange(x.shape[0]), k, distill_cfg
+        logits, teacher_probs, y, labeled, np.arange(inputs.shape[0]), k, distill_cfg
     )
     grads = _backward(p, caches, distill.grads["logits"])
-    mixed_inputs, mixed_labels = mixup_examples(x, h_prev, y, pairs, lam)
-    mix = mixup_loss(p, mixed_inputs, mixed_labels, len(np.asarray(labeled).ravel()))
+    mixed_inputs, mixed_labels = mixup_examples(inputs, y, pairs, lam)
+    mix = mixup_loss(p, mixed_inputs, mixed_labels, labeled.size, dropout, rng)
     total = {name: grads[name] + mix.grads[name] for name in grads}
-    return GradPair(distill.value + mix.value, total)
+    return distill.value, mix.value, total
 
 
 def train_student(
@@ -458,84 +410,61 @@ def train_student(
     g: Graph,
     teacher_probs: np.ndarray,
     h_prev: np.ndarray,
-    init: StudentParams,
+    init: LayerStack,
     cfg: CascadeConfig,
     state: MixupState,
-) -> tuple[StudentParams, np.ndarray, MixupState, StudentTrainMeta]:
+) -> tuple[LayerStack, np.ndarray, MixupState, StudentTrainMeta]:
     """Train one student per the inner loop of the cascade algorithm.
 
-    Each epoch: training-mode forward -> distillation loss -> mixup loss on
-    freshly resampled pairs -> one AdamW step -> EMA and lambda updates.
-    Early stopping tracks validation accuracy with patience; the best
-    checkpoint is restored and the hidden state handed to the next student is
-    recomputed from it in eval mode.
+    Each epoch: freshly resampled mixup pairs -> ``total_loss_gradpair``
+    (training-mode forward, distillation loss, mixup loss) -> one AdamW
+    step -> EMA and lambda updates. ``optim.fit`` tracks validation
+    accuracy with patience and hands back the best epoch's parameters; the
+    hidden state handed to the next student is recomputed from them in eval
+    mode.
     """
+    if g.splits.validation.size == 0:
+        raise ValueError("training needs a non-empty validation split")
     labeled = g.splits.labeled
-    all_nodes = np.arange(g.n_nodes)
     rng = np.random.default_rng([cfg.seed, k])
     params = init.copy()
     init_fp = init.fingerprint()
     inputs = np.concatenate([g.features, h_prev], axis=1)
-    val_idx = g.splits.validation
-    inputs_val = inputs[val_idx]
-    y_val = np.argmax(g.labels[val_idx], axis=1)
-    opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-
-    best_acc = -1.0
-    best_params = params.copy()
-    best_epoch = 0
-    since_best = 0
-    losses: list[float] = []
+    inputs_val = inputs[g.splits.validation]
+    y_val = np.argmax(g.labels[g.splits.validation], axis=1)
     lambda_history = [state.lam]
-    epochs_run = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
-        _, logits, caches = _forward_cache(params, inputs, True, cfg.dropout, rng)
-        distill = distill_loss(
-            logits, teacher_probs, g.labels, labeled, all_nodes, k, cfg.distill
-        )
-        if not np.isfinite(distill.value):
-            raise TrainingDivergedError(epoch, "distillation", distill.value)
-        grads = _backward(params, caches, distill.grads["logits"])
 
+    def step(epoch: int):
+        nonlocal state
         pairs = sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
-        mixed_inputs, mixed_labels = mixup_examples(
-            g.features, h_prev, g.labels, pairs, state.lam
+        distill, mix, grads = total_loss_gradpair(
+            params, inputs, teacher_probs, g.labels, labeled, k, cfg.distill,
+            pairs, state.lam, cfg.dropout, rng,
         )
-        mix = mixup_loss(
-            params, mixed_inputs, mixed_labels, labeled.size, cfg.dropout, rng
-        )
-        if not np.isfinite(mix.value):
-            raise TrainingDivergedError(epoch, "mixup", mix.value)
-
-        opt.step({name: grads[name] + mix.grads[name] for name in grads})
-        state = update_lambda(update_ema(state, mix.value))
-        losses.append(distill.value + mix.value)
+        if not np.isfinite(distill):
+            raise TrainingDivergedError(epoch, "distillation", distill)
+        if not np.isfinite(mix):
+            raise TrainingDivergedError(epoch, "mixup", mix)
+        state = update_lambda(update_ema(state, mix))
         lambda_history.append(state.lam)
+        return distill + mix, grads
 
+    def validate():
         _, val_logits = student_forward(params, inputs_val)
-        val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_val))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = params.copy()
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        return accuracy(val_logits, y_val), None
 
-    h_k, _ = student_forward(best_params, inputs)
+    run = fit(params, cfg, step, validate)
+    h_k, _ = student_forward(run.params, inputs)
     meta = StudentTrainMeta(
-        epochs=epochs_run,
-        best_epoch=best_epoch,
-        best_val_acc=best_acc,
+        epochs=run.epochs,
+        best_epoch=run.best_epoch,
+        best_val_acc=run.best_val_acc,
         final_lambda=state.lam,
         init_fingerprint=init_fp,
         lambda_history=lambda_history,
-        losses=losses,
+        losses=run.losses,
     )
-    return best_params, h_k, state, meta
+    return run.params, h_k, state, meta
 
 
 def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cascade:
@@ -544,6 +473,7 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     state threaded along the chain. The soft labels are cast to the graph's
     dtype after their fingerprint is recorded, so the cascade names the
     teacher it was distilled from at any precision."""
+    check_training_config(cfg)  # before cfg sizes any array
     teacher_fp = teacher.soft_label_fingerprint()
     teacher_probs = teacher.soft_labels.astype(g.features.dtype, copy=False)
     if teacher_probs.shape != (g.n_nodes, g.n_classes):
@@ -558,7 +488,7 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     h_prev = np.zeros((g.n_nodes, cfg.hidden_dim), dtype=g.features.dtype)
     state = cfg.mixup.initial_state()
 
-    students: list[StudentParams] = []
+    students: list[LayerStack] = []
     metas: list[StudentTrainMeta] = []
     for k in range(1, cfg.n_students + 1):
         try:
@@ -567,11 +497,11 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
             )
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
-                exc.epoch, f"student {k}: {exc.component}", float("nan")
+                exc.epoch, f"student {k}: {exc.component}", exc.value
             ) from exc
         students.append(params)
         metas.append(meta)
-        init = warm_start(params)
+        init = params.copy()
     return Cascade(
         students=students,
         metas=metas,
@@ -591,10 +521,10 @@ _META_KEYS = (
 
 
 def _config_from_json(doc, where: str) -> CascadeConfig:
-    doc = _json_object(doc, [f.name for f in fields(CascadeConfig)], where)
-    distill = _dataclass_from_json(DistillConfig, doc["distill"], f"{where} distill")
-    mixup = _dataclass_from_json(MixupConfig, doc["mixup"], f"{where} mixup")
-    return _dataclass_from_json(
+    doc = json_object(doc, [f.name for f in fields(CascadeConfig)], where)
+    distill = dataclass_from_json(DistillConfig, doc["distill"], f"{where} distill")
+    mixup = dataclass_from_json(MixupConfig, doc["mixup"], f"{where} mixup")
+    return dataclass_from_json(
         CascadeConfig, {**doc, "distill": distill, "mixup": mixup}, where
     )
 
@@ -602,7 +532,7 @@ def _config_from_json(doc, where: str) -> CascadeConfig:
 def save_cascade(c: Cascade, path) -> None:
     """Checkpoint: JSON manifest (K, dtype, config, per-student meta) with
     each student's base64 little-endian weight arrays and fingerprint."""
-    _write_manifest(path, {
+    write_manifest(path, {
         "kind": "cascade-checkpoint",
         "n_students": c.n_students,
         "dtype": str(c.students[0].layers[0][0].dtype),
@@ -612,18 +542,18 @@ def save_cascade(c: Cascade, path) -> None:
             {
                 "meta": {k: getattr(m, k) for k in _META_KEYS},
                 "fingerprint": s.fingerprint(),
-                "layers": _layers_to_json(s.layers),
+                "layers": layers_to_json(s),
             }
             for s, m in zip(c.students, c.metas)
         ],
     })
 
 
-def _check_student_shapes(s: StudentParams, first: StudentParams | None, where: str) -> None:
+def _check_student_shapes(s: LayerStack, first: LayerStack | None, where: str) -> None:
     """Every student is [feat_dim + hidden_dim, hidden_dim, ..., classes]
     wide, feat_dim >= 1, with the layer shapes of the first student."""
     widths = [w.shape[1] for w, _ in s.layers[:-1]]
-    if s.n_layers < 2 or widths != [s.hidden_dim] * len(widths) or s.feat_dim < 1:
+    if s.n_layers < 2 or widths != [s.hidden_dim] * len(widths) or s.input_dim <= s.hidden_dim:
         raise ValueError(
             f"{where}: layer shapes {[w.shape for w, _ in s.layers]} are not "
             "(feat_dim + hidden_dim, hidden_dim), ..., (hidden_dim, classes)"
@@ -639,7 +569,7 @@ def load_cascade(path) -> Cascade:
     """Load and check a cascade checkpoint: K must match the stored
     students, every student the fingerprint stored with it and the layer
     shapes of the others."""
-    doc, dtype = _read_manifest(
+    doc, dtype = read_manifest(
         path,
         "cascade-checkpoint",
         ("n_students", "teacher_fingerprint", "config", "students"),
@@ -654,17 +584,17 @@ def load_cascade(path) -> Cascade:
             "students are stored"
         )
     cfg = None if doc["config"] is None else _config_from_json(doc["config"], f"{path} config")
-    students: list[StudentParams] = []
+    students: list[LayerStack] = []
     metas: list[StudentTrainMeta] = []
     for k, entry in enumerate(entries, start=1):
         where = f"{path} student {k}"
-        entry = _json_object(entry, ("fingerprint", "layers", "meta"), where)
-        student = StudentParams(_layers_from_json(entry["layers"], dtype, where))
+        entry = json_object(entry, ("fingerprint", "layers", "meta"), where)
+        student = layers_from_json(entry["layers"], dtype, where)
         if student.fingerprint() != entry["fingerprint"]:
             raise ValueError(f"{where}: weights do not match their stored fingerprint")
         _check_student_shapes(student, students[0] if students else None, where)
         students.append(student)
-        metas.append(StudentTrainMeta(**_json_object(entry["meta"], _META_KEYS, f"{where} meta")))
+        metas.append(StudentTrainMeta(**json_object(entry["meta"], _META_KEYS, f"{where} meta")))
     return Cascade(
         students=students,
         metas=metas,

@@ -44,37 +44,39 @@ from . import cascade as cascade_mod
 from . import graphio, inference, teacher
 from .optim import TrainingDivergedError
 
-# Reference defaults; a bare run mirrors the published configuration.
+# Defaults of the CLI-only settings. Model and training defaults (the
+# reference hyperparameters) are those of TeacherConfig and CascadeConfig.
 DEFAULTS = {
-    "teacher": {
-        "hidden_dim": 64,
-        "lr": 0.01,
-        "weight_decay": 5e-4,
-        "dropout": 0.5,
-        "max_epochs": 200,
-        "patience": 50,
-        "depth": 2,
-    },
-    "cascade": {
-        "n_students": 10,
-        "hidden_dim": 128,
-        "n_layers": 2,
-        "lr": 0.001,
-        "weight_decay": 5e-4,
-        "dropout": 0.5,
-        "max_epochs": 200,
-        "patience": 50,
-        "alpha": 0.5,
-        "beta": 0.8,
-        "gamma": 0.9,
-        "tau": 0.1,
-        "sigma": 0.1,
-        "lambda_init": 0.1,
-        "lambda_sign_inverted": False,
-    },
     "policy": {"conf_threshold": 0.9, "max_students": None, "budget_ms": None},
     "run": {"seed": 0, "out": ".", "precision": "f32"},
 }
+
+# (dataclass field, config-file key, flag dest, cast) of every model and
+# training value a config file or a flag may set
+_TRAINING_VALUES = (
+    ("hidden_dim", "hidden_dim", "hidden", int),
+    ("lr", "lr", "lr", float),
+    ("weight_decay", "weight_decay", "weight_decay", float),
+    ("dropout", "dropout", "dropout", float),
+    ("max_epochs", "max_epochs", "epochs", int),
+    ("patience", "patience", "patience", int),
+)
+_TEACHER_VALUES = _TRAINING_VALUES + (("depth", "depth", "depth", int),)
+_CASCADE_VALUES = _TRAINING_VALUES + (
+    ("n_students", "n_students", "students", int),
+    ("n_layers", "n_layers", "layers", int),
+)
+_DISTILL_VALUES = (
+    ("alpha", "alpha", "alpha", float),
+    ("beta", "beta", "beta", float),
+)
+_MIXUP_VALUES = (
+    ("gamma", "gamma", "gamma", float),
+    ("tau", "tau", "tau", float),
+    ("sigma", "sigma", "sigma", float),
+    ("lambda_init", "lambda_init", "lambda_init", float),
+    ("sign_inverted", "lambda_sign_inverted", "lambda_sign_inverted", bool),
+)
 
 TEACHER_CKPT = "teacher.json"
 SOFT_LABELS = "soft_labels.csv"
@@ -159,59 +161,29 @@ def _norm_features(args, config) -> bool:
     )
 
 
+def _set_values(args, sec: dict, table) -> dict:
+    """The values of ``table`` that a flag or the config section ``sec``
+    sets, cast; flags win. Unset values are left out, so the dataclass
+    defaults fill them."""
+    out = {}
+    for name, key, dest, cast in table:
+        value = _resolve(getattr(args, dest), sec, key, None)
+        if value is not None:
+            out[name] = cast(value)
+    return out
+
+
 def _teacher_config(args, config, seed) -> teacher.TeacherConfig:
     sec = _section(config, "teacher")
-    d = DEFAULTS["teacher"]
-    return teacher.TeacherConfig(
-        hidden_dim=int(_resolve(args.hidden, sec, "hidden_dim", d["hidden_dim"])),
-        lr=float(_resolve(args.lr, sec, "lr", d["lr"])),
-        weight_decay=float(
-            _resolve(args.weight_decay, sec, "weight_decay", d["weight_decay"])
-        ),
-        dropout=float(_resolve(args.dropout, sec, "dropout", d["dropout"])),
-        max_epochs=int(_resolve(args.epochs, sec, "max_epochs", d["max_epochs"])),
-        patience=int(_resolve(args.patience, sec, "patience", d["patience"])),
-        depth=int(_resolve(args.depth, sec, "depth", d["depth"])),
-        seed=seed,
-    )
+    return teacher.TeacherConfig(**_set_values(args, sec, _TEACHER_VALUES), seed=seed)
 
 
 def _cascade_config(args, config, seed) -> cascade_mod.CascadeConfig:
     sec = _section(config, "cascade")
-    d = DEFAULTS["cascade"]
-    distill = cascade_mod.DistillConfig(
-        alpha=float(_resolve(args.alpha, sec, "alpha", d["alpha"])),
-        beta=float(_resolve(args.beta, sec, "beta", d["beta"])),
-    )
-    mixup = cascade_mod.MixupConfig(
-        gamma=float(_resolve(args.gamma, sec, "gamma", d["gamma"])),
-        tau=float(_resolve(args.tau, sec, "tau", d["tau"])),
-        sigma=float(_resolve(args.sigma, sec, "sigma", d["sigma"])),
-        lambda_init=float(
-            _resolve(args.lambda_init, sec, "lambda_init", d["lambda_init"])
-        ),
-        sign_inverted=bool(
-            _resolve(
-                args.lambda_sign_inverted,
-                sec,
-                "lambda_sign_inverted",
-                d["lambda_sign_inverted"],
-            )
-        ),
-    )
     return cascade_mod.CascadeConfig(
-        n_students=int(_resolve(args.students, sec, "n_students", d["n_students"])),
-        hidden_dim=int(_resolve(args.hidden, sec, "hidden_dim", d["hidden_dim"])),
-        n_layers=int(_resolve(args.layers, sec, "n_layers", d["n_layers"])),
-        lr=float(_resolve(args.lr, sec, "lr", d["lr"])),
-        weight_decay=float(
-            _resolve(args.weight_decay, sec, "weight_decay", d["weight_decay"])
-        ),
-        dropout=float(_resolve(args.dropout, sec, "dropout", d["dropout"])),
-        max_epochs=int(_resolve(args.epochs, sec, "max_epochs", d["max_epochs"])),
-        patience=int(_resolve(args.patience, sec, "patience", d["patience"])),
-        distill=distill,
-        mixup=mixup,
+        **_set_values(args, sec, _CASCADE_VALUES),
+        distill=cascade_mod.DistillConfig(**_set_values(args, sec, _DISTILL_VALUES)),
+        mixup=cascade_mod.MixupConfig(**_set_values(args, sec, _MIXUP_VALUES)),
         seed=seed,
     )
 
@@ -404,7 +376,7 @@ def cmd_infer(args, config) -> int:
     if not features_path.is_file():
         raise _RuntimeFail(f"feature file missing: {features_path}")
     x = graphio._read_features(features_path, dtype)
-    expected = casc.students[0].feat_dim
+    expected = casc.feat_dim
     if x.shape[1] != expected:
         raise _RuntimeFail(
             f"feature width mismatch: cascade expects d={expected}, file has d={x.shape[1]}"

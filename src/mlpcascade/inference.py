@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
 from .numkit import row_max, softmax_rows
@@ -158,7 +159,7 @@ def run_anytime(
     if not c.students:
         raise ValueError("run_anytime: empty cascade")
     first = c.students[0]
-    d = first.feat_dim
+    d = c.feat_dim
     if x.shape[1] != d:
         raise ValueError(f"feature width mismatch: expected {d}, got {x.shape[1]}")
     idx = np.asarray(eval_idx, dtype=np.intp).ravel()
@@ -199,9 +200,7 @@ def accuracy(pred: np.ndarray, y: np.ndarray, idx) -> float:
     break to the lowest class index."""
     idx = np.asarray(idx, dtype=np.intp).ravel()
     _check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy: evaluation")
-    return float(
-        np.mean(np.argmax(pred[idx], axis=1) == np.argmax(y[idx], axis=1))
-    )
+    return numkit.accuracy(pred[idx], np.argmax(y[idx], axis=1))
 
 
 def write_prediction_csv(path, result: InferenceResult) -> None:

@@ -48,15 +48,6 @@ class GradPair:
     grads: dict[str, np.ndarray]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product with explicit shape validation."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def spmm(s: SparseMatrix, d: np.ndarray) -> np.ndarray:
     """Sparse (CSR) times dense product; agrees with the densified matmul."""
     if d.ndim != 2:
@@ -138,6 +129,12 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
+
+
+def accuracy(logits: np.ndarray, truth_ids: np.ndarray) -> float:
+    """Fraction of rows whose argmax equals the row's class id in
+    ``truth_ids``; argmax ties break to the lowest class index."""
+    return float(np.mean(np.argmax(logits, axis=1) == truth_ids))
 
 
 def _as_index(mask) -> np.ndarray:

@@ -1,10 +1,15 @@
-"""First-order optimizer shared by the teacher and student trainers."""
+"""The fit loop and first-order optimizer shared by the teacher and student
+trainers."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
+
+from .params import LayerStack
 
 
 class TrainingDivergedError(RuntimeError):
@@ -14,6 +19,7 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"non-finite {component} loss ({value}) at epoch {epoch}")
         self.epoch = epoch
         self.component = component
+        self.value = value
 
 
 def check_training_config(cfg) -> None:
@@ -81,3 +87,55 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p
             p -= self.lr * update
+
+
+@dataclass
+class FitResult:
+    """The best epoch's parameters and kept value, and the run's record."""
+
+    params: LayerStack
+    kept: Any
+    best_epoch: int
+    best_val_acc: float
+    epochs: int
+    losses: list[float]
+
+
+def fit(
+    params: LayerStack,
+    cfg,
+    step: Callable[[int], tuple[float, dict[str, np.ndarray]]],
+    validate: Callable[[], tuple[float, Any]],
+) -> FitResult:
+    """Train ``params`` in place with AdamW and early stopping.
+
+    Each epoch ``step(epoch)`` returns the loss and the gradients of every
+    parameter, AdamW takes one step, and ``validate()`` returns the
+    validation accuracy of the updated parameters plus one value the caller
+    wants kept with them. Training halts after ``cfg.patience`` epochs
+    without a new best accuracy (ties keep the earlier epoch); the copy of
+    the parameters and the value from the best epoch are returned.
+    """
+    check_training_config(cfg)
+    opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    # max_epochs >= 1 (checked above) and accuracies >= 0, so epoch 1 always
+    # sets the best
+    best_acc = -1.0
+    since_best = 0
+    losses: list[float] = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        loss, grads = step(epoch)
+        opt.step(grads)
+        losses.append(loss)
+        val_acc, kept = validate()
+        if val_acc > best_acc:
+            best_acc = val_acc
+            best_params = params.copy()
+            best_kept = kept
+            best_epoch = epoch
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    return FitResult(best_params, best_kept, best_epoch, best_acc, epoch, losses)

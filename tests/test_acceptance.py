@@ -22,11 +22,13 @@ import mlpcascade.inference as inf
 import mlpcascade.teacher as t
 from mlpcascade.cli import main as cli_main
 from mlpcascade.numkit import (
+    GradPair,
     finite_diff_check,
     kl_divergence,
     masked_cross_entropy,
     softmax_rows,
 )
+from mlpcascade.params import LayerStack
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -89,7 +91,7 @@ def test_criterion_1_gradient_suite():
         x = rng.standard_normal((n, d))
 
         def gcn_loss(p):
-            tp = t.TeacherParams([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
+            tp = LayerStack([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
             return t.teacher_ce_gradpair(adj, x, tp, onehot, mask)
 
         tp = t.init_teacher(d, hidden, c, 2, rng, np.float64)
@@ -100,11 +102,12 @@ def test_criterion_1_gradient_suite():
         pairs = cas.sample_mixup_pairs(mask, seed=seed)
 
         def student_loss(p):
-            sp = cas.StudentParams([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
-            return cas.total_loss_gradpair(
-                sp, x[:, :d], h_prev, teacher_probs, onehot, mask, k=3,
+            sp = LayerStack([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
+            distill, mix, grads = cas.total_loss_gradpair(
+                sp, np.hstack([x[:, :d], h_prev]), teacher_probs, onehot, mask, k=3,
                 distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8), pairs=pairs, lam=0.35,
             )
+            return GradPair(distill + mix, grads)
 
         sp = cas.init_student(d, hidden, c, 2, rng, np.float64)
         worst["student"] = max(worst["student"], finite_diff_check(student_loss, sp.param_dict()))
@@ -421,7 +424,7 @@ def test_criterion_8b_mixed_label_normalization():
         y = np.eye(c)[rng.integers(0, c, n)].astype(float)
         pairs = cas.sample_mixup_pairs(np.arange(n), seed=int(rng.integers(1 << 30)))
         lam = float(rng.uniform(0, 0.5))
-        _, mixed_y = cas.mixup_examples(x, h, y, pairs, lam)
+        _, mixed_y = cas.mixup_examples(np.hstack([x, h]), y, pairs, lam)
         worst = max(worst, float(np.max(np.abs(mixed_y.sum(axis=1) - 1.0))))
     report("criterion 8b (mixed-label normalization)", worst < 1e-12, f"worst {worst:.1e}")
 

@@ -7,11 +7,14 @@ import pytest
 import mlpcascade.cascade as cas
 import mlpcascade.teacher as t
 from mlpcascade.numkit import (
+    GradPair,
     finite_diff_check,
     masked_cross_entropy,
     relu,
     softmax_rows,
 )
+from mlpcascade.optim import TrainingDivergedError
+from mlpcascade.params import LayerStack
 
 POW_4_08 = 3.0314331330207962  # 4**0.8, frozen from 40-digit evaluation
 
@@ -26,14 +29,14 @@ def make_soft_labels(rng, n, c):
 
 class TestStudentForward:
     def test_zero_weights_zero_biases(self):
-        p = cas.StudentParams(
+        p = LayerStack(
             [(np.zeros((6, 3)), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2))]
         )
         h, logits = cas.student_forward(p, np.hstack([np.ones((4, 3)), np.zeros((4, 3))]))
         assert np.all(h == 0) and np.all(logits == 0)
 
     def test_zero_weights_bias_propagates(self):
-        p = cas.StudentParams(
+        p = LayerStack(
             [(np.zeros((6, 3)), np.array([1.0, -2.0, 0.5])), (np.zeros((3, 2)), np.array([0.1, 0.2]))]
         )
         h, logits = cas.student_forward(p, np.hstack([np.ones((4, 3)), np.zeros((4, 3))]))
@@ -87,7 +90,7 @@ class TestStudentForward:
 class TestWarmStart:
     def test_copy_is_bit_identical(self):
         p = random_student(np.random.default_rng(2), 4, 3, 2)
-        q = cas.warm_start(p)
+        q = p.copy()
         assert q.fingerprint() == p.fingerprint()
         for (w1, b1), (w2, b2) in zip(p.layers, q.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
@@ -95,7 +98,7 @@ class TestWarmStart:
     def test_mutating_copy_leaves_original_alone(self):
         p = random_student(np.random.default_rng(3), 4, 3, 2)
         before = p.fingerprint()
-        q = cas.warm_start(p)
+        q = p.copy()
         q.layers[0][0][:] = 0.0
         q.layers[1][1][:] = 9.9
         assert p.fingerprint() == before
@@ -201,48 +204,48 @@ class TestMixupExamples:
         rng = np.random.default_rng(5)
         self.x = rng.standard_normal((6, 4))
         self.h = rng.standard_normal((6, 3))
+        self.inputs = np.hstack([self.x, self.h])
         self.y = np.eye(3)[rng.integers(0, 3, 6)].astype(float)
 
     def test_lambda_zero_reproduces_sample_j(self):
         pairs = np.array([[0, 4]])
-        mixed_x, mixed_y = cas.mixup_examples(self.x, self.h, self.y, pairs, 0.0)
+        mixed_x, mixed_y = cas.mixup_examples(self.inputs, self.y, pairs, 0.0)
         expected = np.concatenate([self.x[4], self.h[4]])
         assert np.array_equal(mixed_x[0], expected)
         assert np.array_equal(mixed_y[0], self.y[4])
 
     def test_self_pair_is_identity_at_half(self):
         pairs = np.array([[2, 2]])
-        mixed_x, mixed_y = cas.mixup_examples(self.x, self.h, self.y, pairs, 0.5)
+        mixed_x, mixed_y = cas.mixup_examples(self.inputs, self.y, pairs, 0.5)
         expected = np.concatenate([self.x[2], self.h[2]])
         assert np.allclose(mixed_x[0], expected, atol=1e-12)
         assert np.allclose(mixed_y[0], self.y[2], atol=1e-12)
 
     def test_quarter_interpolation_hand_value(self):
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        h = np.zeros((2, 0))  # no hidden part in this harness
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])  # no hidden part in this harness
         y = np.eye(2)
         pairs = np.array([[0, 1]])
-        mixed_x, mixed_y = cas.mixup_examples(x, h, y, pairs, 0.25)
+        mixed_x, mixed_y = cas.mixup_examples(x, y, pairs, 0.25)
         assert np.allclose(mixed_x[0], [0.25, 0.75], atol=1e-15)
         assert np.allclose(mixed_y[0], [0.25, 0.75], atol=1e-15)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.25, 0.5])
     def test_mixed_label_rows_sum_to_one(self, lam):
         pairs = cas.sample_mixup_pairs(np.arange(6), seed=1)
-        _, mixed_y = cas.mixup_examples(self.x, self.h, self.y, pairs, lam)
+        _, mixed_y = cas.mixup_examples(self.inputs, self.y, pairs, lam)
         assert np.max(np.abs(mixed_y.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("lam", [-0.01, 0.51, 1.0])
     def test_lambda_bounds_enforced(self, lam):
         pairs = np.array([[0, 1]])
         with pytest.raises(ValueError, match="lambda"):
-            cas.mixup_examples(self.x, self.h, self.y, pairs, lam)
+            cas.mixup_examples(self.inputs, self.y, pairs, lam)
 
 
 class TestPmaLoss:
     def test_confident_correct_student(self):
         # single layer pair driving huge correct logits
-        p = cas.StudentParams(
+        p = LayerStack(
             [(np.eye(2) * 50.0, np.zeros(2)), (np.eye(2) * 50.0, np.zeros(2))]
         )
         mixed_inputs = np.array([[1.0, 0.0]])
@@ -250,7 +253,7 @@ class TestPmaLoss:
         assert cas.mixup_loss(p, mixed_inputs, mixed_labels, 1).value < 1e-9
 
     def test_uniform_student_onehot_labels(self):
-        p = cas.StudentParams(
+        p = LayerStack(
             [(np.zeros((4, 3)), np.zeros(3)), (np.zeros((3, 3)), np.zeros(3))]
         )
         mixed_inputs = np.ones((2, 4))
@@ -259,7 +262,7 @@ class TestPmaLoss:
         assert abs(got - np.log(3.0)) < 1e-12
 
     def test_soft_labels_against_uniform_student(self):
-        p = cas.StudentParams(
+        p = LayerStack(
             [(np.zeros((2, 2)), np.zeros(2)), (np.zeros((2, 2)), np.zeros(2))]
         )
         got = cas.mixup_loss(p, np.ones((1, 2)), np.array([[0.5, 0.5]]), 1).value
@@ -384,7 +387,7 @@ class TestTrainStudent:
         for k in (1, 2):
             params, h0, state, meta = cas.train_student(k, g, teacher_probs, h0, init, cfg, state)
             assert all(0.0 <= lam <= 0.5 for lam in meta.lambda_history)
-            init = cas.warm_start(params)
+            init = params.copy()
 
     def test_duplicated_ce_trajectory_matches_reference(self):
         """alpha=1 with lambda frozen at 0 and no dropout reduces every epoch
@@ -483,33 +486,68 @@ class TestTrainStudent:
         assert meta.best_epoch < cfg.max_epochs
 
 
+def student_fd_error(seed, n_layers=2, dropout=0.0):
+    """Worst relative error of the finite-difference check of the training
+    objective (distillation + mixup). Biases get small random values: with
+    zero biases, dead hidden rows sit exactly on a ReLU kink, where central
+    differences are not the gradient. With dropout, each call draws the same
+    masks from a fresh rng."""
+    rng = np.random.default_rng(seed)
+    n, d, hidden, c = 20, 7, 4, 3
+    x = rng.standard_normal((n, d))
+    h_prev = rng.standard_normal((n, hidden))
+    teacher_probs = make_soft_labels(rng, n, c)
+    y = np.eye(c)[rng.integers(0, c, n)].astype(float)
+    labeled = np.sort(rng.choice(n, size=6, replace=False))
+    pairs = cas.sample_mixup_pairs(labeled, seed=seed)
+    base = random_student(rng, d, hidden, c, n_layers)
+    for _, b in base.layers:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
+    inputs = np.hstack([x, h_prev])
+
+    def loss(p):
+        params = LayerStack([(p[f"w{i}"], p[f"b{i}"]) for i in range(1, n_layers + 1)])
+        distill, mix, grads = cas.total_loss_gradpair(
+            params, inputs, teacher_probs, y, labeled, k=2,
+            distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8),
+            pairs=pairs, lam=0.3, dropout=dropout, rng=np.random.default_rng(seed),
+        )
+        return GradPair(distill + mix, grads)
+
+    params = base.param_dict()
+    assert set(params) == {f"{kind}{i}" for i in range(1, n_layers + 1) for kind in "wb"}
+    return finite_diff_check(loss, params)
+
+
 class TestFullLossGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_total_loss_passes_fd_check(self, seed):
-        rng = np.random.default_rng(seed)
-        n, d, hidden, c = 20, 7, 4, 3
-        x = rng.standard_normal((n, d))
-        h_prev = rng.standard_normal((n, hidden))
+        assert student_fd_error(seed) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_layers, dropout", [(2, 0.5), (3, 0.0), (3, 0.5)])
+    def test_training_objective_passes_fd_check(self, n_layers, dropout, seed):
+        assert student_fd_error(seed, n_layers, dropout) < 1e-4
+
+    def test_total_loss_is_distillation_plus_mixup(self):
+        rng = np.random.default_rng(3)
+        n, d, hidden, c = 12, 5, 4, 3
+        inputs = rng.standard_normal((n, d + hidden))
         teacher_probs = make_soft_labels(rng, n, c)
         y = np.eye(c)[rng.integers(0, c, n)].astype(float)
-        labeled = np.sort(rng.choice(n, size=6, replace=False))
-        pairs = cas.sample_mixup_pairs(labeled, seed=seed)
-        base = random_student(rng, d, hidden, c)
-        names = [f"{kind}{i}" for i in (1, 2) for kind in ("w", "b")]
-
-        def loss(p):
-            params = cas.StudentParams(
-                [(p["w1"], p["b1"]), (p["w2"], p["b2"])]
-            )
-            return cas.total_loss_gradpair(
-                params, x, h_prev, teacher_probs, y, labeled, k=2,
-                distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8),
-                pairs=pairs, lam=0.3,
-            )
-
-        params = base.param_dict()
-        assert set(params) == set(names)
-        assert finite_diff_check(loss, params) < 1e-4
+        labeled = np.arange(0, n, 2)
+        pairs = cas.sample_mixup_pairs(labeled, seed=1)
+        p = random_student(rng, d, hidden, c)
+        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        distill, mix, _ = cas.total_loss_gradpair(
+            p, inputs, teacher_probs, y, labeled, 2, cfg, pairs, 0.3
+        )
+        _, logits = cas.student_forward(p, inputs)
+        assert distill == cas.distill_loss(
+            logits, teacher_probs, y, labeled, np.arange(n), 2, cfg
+        ).value
+        mixed_inputs, mixed_labels = cas.mixup_examples(inputs, y, pairs, 0.3)
+        assert mix == cas.mixup_loss(p, mixed_inputs, mixed_labels, labeled.size).value
 
 
 class TestTrainCascade:
@@ -561,6 +599,68 @@ class TestTrainCascade:
         c3 = cas.train_cascade(tiny_graph, art, cfg)
         shapes = {s.shape_vector() for s in c3.students}
         assert len(shapes) == 1
+
+    def test_config_mutated_after_construction_rejected(self, tiny_graph):
+        # the dataclass is mutable, so training checks again
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
+        cfg.max_epochs = 0
+        cfg.patience = -3
+        with pytest.raises(ValueError, match="^max_epochs "):
+            cas.train_cascade(tiny_graph, art, cfg)
+        # a student trained on its own goes through the same check in fit
+        init = cas.init_student(
+            tiny_graph.feat_dim, 8, tiny_graph.n_classes, 2, np.random.default_rng(0), np.float32
+        )
+        h0 = np.zeros((tiny_graph.n_nodes, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="^max_epochs "):
+            cas.train_student(
+                1, tiny_graph, art.soft_labels, h0, init, cfg, cfg.mixup.initial_state()
+            )
+
+    def test_mutated_hidden_dim_named_before_any_array_is_built(self, tiny_graph):
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
+        cfg.hidden_dim = -4
+        with pytest.raises(ValueError, match="^hidden_dim "):
+            cas.train_cascade(tiny_graph, art, cfg)
+
+    def test_empty_validation_split_rejected(self, tiny_graph):
+        art = self.make_teacher_artifact(tiny_graph)
+        bad = dataclasses.replace(
+            tiny_graph,
+            splits=dataclasses.replace(tiny_graph.splits, validation=np.array([], dtype=np.int64)),
+        )
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
+        with pytest.raises(ValueError, match="validation"):
+            cas.train_cascade(bad, art, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_student_and_component(self, tiny_graph):
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(
+            n_students=2, hidden_dim=8, lr=1e30, max_epochs=10, patience=9, seed=0
+        )
+        with pytest.raises(TrainingDivergedError) as err:
+            cas.train_cascade(tiny_graph, art, cfg)
+        exc, cause = err.value, err.value.__cause__
+        assert exc.component == "student 1: distillation"
+        assert cause.component == "distillation" and cause.epoch == exc.epoch
+        assert not np.isfinite(exc.value)
+        assert repr(exc.value) == repr(cause.value)
+
+    def test_divergence_keeps_the_loss_value(self, tiny_graph, monkeypatch):
+        art = self.make_teacher_artifact(tiny_graph)
+
+        def diverge(*args):
+            raise TrainingDivergedError(3, "mixup", float("-inf"))
+
+        monkeypatch.setattr(cas, "train_student", diverge)
+        cfg = cas.CascadeConfig(n_students=2, hidden_dim=8, max_epochs=5, patience=2)
+        with pytest.raises(TrainingDivergedError) as err:
+            cas.train_cascade(tiny_graph, art, cfg)
+        assert err.value.value == float("-inf")
+        assert str(err.value) == "non-finite student 1: mixup loss (-inf) at epoch 3"
 
     def test_mismatched_soft_labels_rejected(self, tiny_graph):
         art = self.make_teacher_artifact(tiny_graph)

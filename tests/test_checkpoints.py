@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import mlpcascade.cascade as cas
 import mlpcascade.teacher as t
+from mlpcascade.params import LayerStack
 
 PROPERTY = settings(max_examples=60, deadline=None)
 DTYPES = [np.float32, np.float64]
@@ -44,7 +45,7 @@ def cascades(draw, dtype):
     k_total = draw(st.integers(1, 3))
     dims = [feat + hidden] + [hidden] * (n_layers - 1) + [classes]
     lam = st.floats(0.0, 0.5)
-    students = [cas.StudentParams(_layer_stack(draw, dims, dtype)) for _ in range(k_total)]
+    students = [LayerStack(_layer_stack(draw, dims, dtype)) for _ in range(k_total)]
     metas = [
         cas.StudentTrainMeta(
             epochs=draw(st.integers(1, 9)),
@@ -67,7 +68,7 @@ def teachers(draw, dtype):
     feat, hidden, classes = (draw(st.integers(1, 4)) for _ in range(3))
     depth = draw(st.sampled_from([2, 3]))
     dims = [feat] + [hidden] * (depth - 1) + [classes]
-    params = t.TeacherParams(_layer_stack(draw, dims, dtype))
+    params = LayerStack(_layer_stack(draw, dims, dtype))
     soft = np.full((3, classes), 1.0 / classes, dtype=dtype)
     meta = t.TrainMeta(epochs=2, best_epoch=1, best_val_acc=0.5, seed=0)
     cfg = t.TeacherConfig(hidden_dim=hidden, depth=depth, max_epochs=3, patience=1)
@@ -168,7 +169,7 @@ def test_non_canonical_base64_is_refused(ckpt_dir):
     # Four bytes leave four unused bits in the last base64 character, so
     # another character there decodes to the same bytes.
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    student = cas.StudentParams([(w, b), (w[:1], b)])
+    student = LayerStack([(w, b), (w[:1], b)])
     meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])
     path = ckpt_dir / "cascade.json"
     cas.save_cascade(cas.Cascade([student], [meta], "teacher"), path)

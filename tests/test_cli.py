@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import mlpcascade.cascade as cas
 import mlpcascade.inference as inf
 from mlpcascade.cli import main
+from mlpcascade.teacher import TeacherConfig
 
 
 def run_cli(*args):
@@ -334,6 +336,18 @@ class TestDegenerateTrainingConfig:
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_distill_exits_1_naming_student_and_loss(separable_run, tmp_path, capsys):
+    data, run = separable_run
+    out = tmp_path / "distilled"
+    assert run_cli(
+        "distill", "--data", data, "--teacher-dir", run, "--out", out,
+        "--students", 2, "--hidden", 8, "--epochs", 10, "--patience", 5, "--lr", 1e30,
+    ) == 1
+    assert "non-finite student 1: distillation loss" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTeacherGraphPasses:
     """train-teacher normalizes the adjacency once and takes its report from
     the logits training computed: no second normalization, no gcn_forward."""
@@ -649,6 +663,62 @@ class TestConfigPrecedence:
         doc2 = json.loads((out2 / "teacher.json").read_text())
         assert doc2["config"]["hidden_dim"] == 7
         assert doc2["config"]["seed"] == 6
+
+    def test_bare_run_stores_the_dataclass_defaults(self, tmp_path):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        assert run_cli("train-teacher", "--data", data, "--out", run, "--seed", 4) == 0
+        assert run_cli("distill", "--data", data, "--out", run, "--seed", 4) == 0
+        teacher_doc = json.loads((run / "teacher.json").read_text())
+        cascade_doc = json.loads((run / "cascade.json").read_text())
+        assert teacher_doc["config"] == asdict(TeacherConfig(seed=4))
+        assert cascade_doc["config"] == asdict(cas.CascadeConfig(seed=4))
+
+    def test_config_values_and_flags_keep_their_types(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": {"path": str(data)},
+            "teacher": {"hidden_dim": 6.0, "weight_decay": 0, "dropout": 0,
+                        "max_epochs": 9, "patience": 4.0, "depth": 3},
+            "cascade": {"n_students": 2.0, "hidden_dim": 5, "weight_decay": 0,
+                        "max_epochs": 6, "patience": 2, "alpha": 1, "beta": 1,
+                        "gamma": 0, "lambda_sign_inverted": 1},
+            "run": {"seed": 5},
+        }))
+
+        def stored(out, command, *flags):
+            assert run_cli(command, "--config", cfg_path, "--out", out, *flags) == 0
+            name = "teacher.json" if command == "train-teacher" else "cascade.json"
+            return json.loads((out / name).read_text())["config"]
+
+        def typed(doc):
+            return {k: (typed(v) if isinstance(v, dict) else (v, type(v)))
+                    for k, v in doc.items()}
+
+        run = tmp_path / "from_config"
+        teacher = stored(run, "train-teacher")
+        expect = asdict(TeacherConfig(hidden_dim=6, weight_decay=0.0, dropout=0.0,
+                                      max_epochs=9, patience=4, depth=3, seed=5))
+        assert typed(teacher) == typed(expect)
+        cascade = stored(run, "distill")
+        expect = asdict(cas.CascadeConfig(
+            n_students=2, hidden_dim=5, weight_decay=0.0, max_epochs=6, patience=2,
+            distill=cas.DistillConfig(alpha=1.0, beta=1.0),
+            mixup=cas.MixupConfig(gamma=0.0, sign_inverted=True), seed=5,
+        ))
+        assert typed(cascade) == typed(expect)
+
+        run = tmp_path / "from_flags"
+        teacher = stored(run, "train-teacher", "--hidden", 7, "--depth", 2, "--dropout", 0.25)
+        assert (teacher["hidden_dim"], teacher["depth"], teacher["dropout"]) == (7, 2, 0.25)
+        assert teacher["max_epochs"] == 9
+        cascade = stored(run, "distill", "--students", 1, "--beta", 0.5, "--layers", 3)
+        assert (cascade["n_students"], cascade["n_layers"]) == (1, 3)
+        assert cascade["distill"] == {"alpha": 1.0, "beta": 0.5}
+        assert cascade["mixup"]["sign_inverted"] is True
 
     def test_reports_parse_as_json(self, separable_run):
         _, run = separable_run

@@ -6,6 +6,7 @@ import pytest
 import mlpcascade.cascade as cas
 import mlpcascade.inference as inf
 from mlpcascade.numkit import softmax_rows
+from mlpcascade.params import LayerStack
 
 # Frozen from 40-digit evaluation.
 CONF_ROWS_12_30 = 0.8418163527262190  # mean(max softmax) of [[1,2],[3,0]]
@@ -114,11 +115,11 @@ class TestRunAnytime:
         # student 1: all-zero weights -> uniform logits, confidence exactly 1/C
         # student 2: huge class-0 bias -> confidence ~1
         d, hidden, c = 2, 2, 3
-        s1 = cas.StudentParams(
+        s1 = LayerStack(
             [(np.zeros((d + hidden, hidden)), np.zeros(hidden)),
              (np.zeros((hidden, c)), np.zeros(c))]
         )
-        s2 = cas.StudentParams(
+        s2 = LayerStack(
             [(np.zeros((d + hidden, hidden)), np.zeros(hidden)),
              (np.zeros((hidden, c)), np.array([30.0, 0.0, 0.0]))]
         )

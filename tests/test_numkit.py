@@ -12,7 +12,6 @@ from mlpcascade.numkit import (
     kl_divergence,
     log_softmax_rows,
     masked_cross_entropy,
-    matmul,
     row_max,
     softmax_rows,
     spmm,
@@ -30,25 +29,6 @@ def finite_floats(shape, lo=-50.0, hi=50.0):
         shape,
         elements=st.floats(lo, hi, allow_nan=False, allow_infinity=False),
     )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_zero(self):
-        m = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.zeros((2, 3)), m), np.zeros((2, 4)))
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), [[17.0], [39.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestSpmm:

@@ -8,8 +8,9 @@ from scipy import sparse
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 import mlpcascade.teacher as t
-from mlpcascade.numkit import finite_diff_check, relu, softmax_rows
+from mlpcascade.numkit import finite_diff_check, masked_cross_entropy, relu, softmax_rows
 from mlpcascade.optim import TrainingDivergedError
+from mlpcascade.params import LayerStack
 
 
 def random_teacher(rng, d, h, c, depth=2, dtype=np.float64):
@@ -26,7 +27,7 @@ def random_norm_adj(rng, n, density=0.3):
 class TestGcnForward:
     def test_isolated_node_zero_weights_gives_bias(self):
         adj = gio.normalize_adjacency(sparse.csr_array((1, 1), dtype=np.float64))
-        params = t.TeacherParams(
+        params = LayerStack(
             [
                 (np.zeros((3, 4)), np.zeros(4)),
                 (np.zeros((4, 2)), np.array([0.3, -0.7])),
@@ -82,33 +83,53 @@ class TestGcnForward:
         adj = random_norm_adj(rng, 6)
         params = random_teacher(rng, 4, 3, 2)
         x = rng.standard_normal((6, 4))
+        labels = np.eye(2)[rng.integers(0, 2, 6)]
+        rows = np.arange(6)
         eval_logits = t.gcn_forward(adj, x, params)
-        train_logits = t.gcn_forward(
-            adj, x, params, training=True, dropout=0.5, rng=np.random.default_rng(0)
+        plain = t.teacher_ce_gradpair(adj, x, params, labels, rows)
+        dropped = t.teacher_ce_gradpair(
+            adj, x, params, labels, rows, dropout=0.5, rng=np.random.default_rng(0)
         )
-        assert not np.allclose(eval_logits, train_logits)
-        assert np.allclose(eval_logits, t.gcn_forward(adj, x, params), atol=0)
+        # without dropout the objective is the eval forward's cross entropy
+        assert plain.value == masked_cross_entropy(eval_logits, labels, rows).value
+        assert dropped.value != plain.value
+        assert np.array_equal(eval_logits, t.gcn_forward(adj, x, params))
+
+
+def teacher_fd_error(seed, depth=2, dropout=0.0):
+    """Worst relative error of the finite-difference check of the training
+    objective. Biases get small random values: with zero biases, dead
+    hidden rows sit exactly on a ReLU kink, where central differences are
+    not the gradient. With dropout, each call draws the same masks from a
+    fresh rng."""
+    rng = np.random.default_rng(seed)
+    n, d, h, c = 8, 5, 4, 3
+    adj = random_norm_adj(rng, n)
+    x = rng.standard_normal((n, d))
+    labels = np.eye(c)[rng.integers(0, c, n)]
+    mask = np.sort(rng.choice(n, size=4, replace=False))
+    base = random_teacher(rng, d, h, c, depth=depth)
+    for _, b in base.layers:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
+
+    def loss(p):
+        params = LayerStack([(p[f"w{i}"], p[f"b{i}"]) for i in range(1, depth + 1)])
+        return t.teacher_ce_gradpair(
+            adj, x, params, labels, mask, dropout, np.random.default_rng(seed)
+        )
+
+    return finite_diff_check(loss, base.param_dict())
 
 
 class TestGcnGradients:
     @pytest.mark.parametrize("seed", range(10))
     def test_composed_cross_entropy_passes_fd_check(self, seed):
-        rng = np.random.default_rng(seed)
-        n, d, h, c = 8, 5, 4, 3
-        adj = random_norm_adj(rng, n)
-        x = rng.standard_normal((n, d))
-        labels = np.eye(c)[rng.integers(0, c, n)]
-        mask = np.sort(rng.choice(n, size=4, replace=False))
-        base = random_teacher(rng, d, h, c)
+        assert teacher_fd_error(seed) < 1e-4
 
-        def loss(p):
-            params = t.TeacherParams(
-                [(p[f"w{i}"], p[f"b{i}"]) for i in (1, 2)]
-            )
-            return t.teacher_ce_gradpair(adj, x, params, labels, mask)
-
-        params = base.param_dict()
-        assert finite_diff_check(loss, params) < 1e-4
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("depth, dropout", [(2, 0.5), (3, 0.0), (3, 0.5)])
+    def test_training_objective_passes_fd_check(self, depth, dropout, seed):
+        assert teacher_fd_error(seed, depth, dropout) < 1e-4
 
 
 class TestTrainTeacher:
@@ -196,6 +217,12 @@ class TestTrainTeacher:
         with pytest.raises(ValueError, match="^max_epochs "):
             t.train_teacher(tiny_graph, cfg)
 
+    def test_mutated_hidden_dim_named_before_any_array_is_built(self, tiny_graph):
+        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
+        cfg.hidden_dim = -4
+        with pytest.raises(ValueError, match="^hidden_dim "):
+            t.train_teacher(tiny_graph, cfg)
+
     def test_smallest_valid_config(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=1, lr=1e-6, weight_decay=0.0, max_epochs=1, patience=0)
         art = t.train_teacher(tiny_graph, cfg)
@@ -277,7 +304,7 @@ class TestSoftLabelIO:
 
     def test_two_by_two_file_shape(self, tmp_path):
         art = t.TeacherArtifact(
-            params=t.TeacherParams([(np.zeros((1, 2)), np.zeros(2))]),
+            params=LayerStack([(np.zeros((1, 2)), np.zeros(2))]),
             soft_labels=np.array([[0.25, 0.75], [0.5, 0.5]]),
             train_meta=t.TrainMeta(1, 1, 0.0, 0),
         )
