@@ -54,6 +54,9 @@ class DistillConfig:
     beta: float = 0.8
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         if self.beta < 0.0:
@@ -120,6 +123,12 @@ class CascadeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field under which no cascade
+        trains, the distillation weights included; run again by
+        ``train_cascade``, since the dataclass is mutable."""
         if self.n_students < 1:
             raise ValueError(f"n_students {self.n_students} must be >= 1")
         if self.n_layers < 2:
@@ -127,6 +136,7 @@ class CascadeConfig:
         check_training_config(self)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
+        self.distill.check()
 
 
 @dataclass
@@ -473,7 +483,7 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     state threaded along the chain. The soft labels are cast to the graph's
     dtype after their fingerprint is recorded, so the cascade names the
     teacher it was distilled from at any precision."""
-    check_training_config(cfg)  # before cfg sizes any array
+    cfg.check()  # before cfg sizes any array
     teacher_fp = teacher.soft_label_fingerprint()
     teacher_probs = teacher.soft_labels.astype(g.features.dtype, copy=False)
     if teacher_probs.shape != (g.n_nodes, g.n_classes):

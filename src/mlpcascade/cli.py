@@ -375,7 +375,7 @@ def cmd_infer(args, config) -> int:
     features_path = Path(args.features)
     if not features_path.is_file():
         raise _RuntimeFail(f"feature file missing: {features_path}")
-    x = graphio._read_features(features_path, dtype)
+    x = graphio.read_features(features_path, dtype)
     expected = casc.feat_dim
     if x.shape[1] != expected:
         raise _RuntimeFail(

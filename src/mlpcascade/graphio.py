@@ -17,11 +17,25 @@ self-loops are stripped on load (normalization re-adds them).
 Blank and whitespace-only lines are skipped; ``#`` is data, not a comment.
 Features must be finite at the working dtype. A malformed file raises
 ``ValueError`` naming the file and line.
+
+Binary mirrors. ``save_dataset`` also writes ``features.csv.mirror``,
+``edges.csv.mirror`` and ``labels.csv.mirror``: a one-line JSON header (the
+CSV's sha256, the payload's ``numkit.fingerprint``, dtype and shape) and the
+little-endian bytes of exactly the table parsing that CSV returns. The CSV
+is the source of truth. A reader takes the mirror only when it asks for the
+mirror's dtype, the CSV still has the recorded sha256, the payload has the
+recorded size and fingerprint, and the table passes the reader's own checks;
+on any miss it parses the CSV as if there were no mirror, so every accepted
+table and every error message is the same either way. Hand-written
+directories carry no mirror and always take the CSV path. Loading never
+writes into the dataset directory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +43,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .numkit import DEFAULT_DTYPE, SparseMatrix
+from .numkit import DEFAULT_DTYPE, SparseMatrix, fingerprint
 
 # Defaults used when a dataset directory carries no splits.json.
 DEFAULT_N_PER_CLASS = 20
@@ -102,7 +116,71 @@ def _parse_csv(path: Path, dtype) -> np.ndarray | None:
             return None
 
 
-def _read_features(path: Path, dtype) -> np.ndarray:
+def _mirror_path(csv_path: Path) -> Path:
+    return csv_path.with_name(csv_path.name + ".mirror")
+
+
+def _write_mirror(csv_path: Path, csv_sha256: str, table: np.ndarray) -> None:
+    """Write the binary mirror of the CSV just written from ``table``: one
+    JSON header line, then the table's little-endian bytes. No timestamp,
+    so saving one graph twice gives the same bytes."""
+    table = np.ascontiguousarray(table)
+    header = {
+        "csv_sha256": csv_sha256,
+        "dtype": table.dtype.name,
+        "fingerprint": fingerprint(table),
+        "shape": list(table.shape),
+    }
+    with open(_mirror_path(csv_path), "wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        f.write(table.astype(table.dtype.newbyteorder("<"), copy=False).data)
+
+
+def _read_mirror(csv_path: Path, dtype) -> np.ndarray | None:
+    """The 2-D table mirrored for ``csv_path`` at ``dtype``, or None unless
+    a mirror exists at that dtype, its header parses, the CSV still hashes
+    to the recorded sha256, and the payload has the recorded byte count and
+    fingerprint. The CSV is hashed in a stream, never held in memory."""
+    dtype = np.dtype(dtype)
+    try:
+        with open(_mirror_path(csv_path), "rb") as f:
+            header = json.loads(f.readline())
+            if not (
+                isinstance(header, dict)
+                and sorted(header) == ["csv_sha256", "dtype", "fingerprint", "shape"]
+                and header["dtype"] == dtype.name
+                and isinstance(shape := header["shape"], list)
+                and len(shape) == 2
+                and all(type(n) is int and n >= 0 for n in shape)
+            ):
+                return None
+            payload = os.fstat(f.fileno()).st_size - f.tell()
+            if payload != shape[0] * shape[1] * dtype.itemsize:
+                return None
+            table = np.empty(shape, dtype=dtype.newbyteorder("<"))
+            if f.readinto(table.reshape(-1).view(np.uint8)) != payload:
+                return None
+        with open(csv_path, "rb") as f:
+            if hashlib.file_digest(f, "sha256").hexdigest() != header["csv_sha256"]:
+                return None
+    except (OSError, ValueError):  # no mirror, or a header that is not JSON
+        return None
+    table = table.astype(dtype, copy=False)
+    if fingerprint(table) != header["fingerprint"]:
+        return None
+    return table
+
+
+def read_features(path, dtype) -> np.ndarray:
+    """Read a features-format CSV (one row of decimal values per node) at
+    ``dtype``, every value finite there. Uses the file's binary mirror when
+    it provably matches (see the module docstring); otherwise parses the
+    CSV. A malformed file raises ``ValueError`` naming the file and line."""
+    path = Path(path)
+    mirrored = _read_mirror(path, dtype)
+    # a 0-row table is no feature file: the CSV path names it
+    if mirrored is not None and mirrored.size and np.isfinite(mirrored).all():
+        return mirrored
     table = _parse_csv(path, np.float64)
     if table is not None:
         with np.errstate(over="ignore"):
@@ -112,20 +190,34 @@ def _read_features(path: Path, dtype) -> np.ndarray:
     return _scan_features(path, dtype)
 
 
-def _read_edges(path: Path, n_nodes: int) -> np.ndarray:
-    table = _parse_csv(path, np.int64)
-    if (
+def _edges_ok(table: np.ndarray | None, n_nodes: int) -> bool:
+    return (
         table is not None
         and table.shape[1] == 2
-        and np.all((table >= 0) & (table < n_nodes))
-    ):
+        and bool(np.all((table >= 0) & (table < n_nodes)))
+    )
+
+
+def _read_edges(path: Path, n_nodes: int) -> np.ndarray:
+    table = _read_mirror(path, np.int64)
+    if _edges_ok(table, n_nodes):
+        return table
+    table = _parse_csv(path, np.int64)
+    if _edges_ok(table, n_nodes):
         return table
     return _scan_edges(path, n_nodes)
 
 
+def _labels_ok(table: np.ndarray | None, n_nodes: int) -> bool:
+    return table is not None and table.shape == (n_nodes, 1) and bool(np.all(table >= 0))
+
+
 def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
+    table = _read_mirror(path, np.int64)
+    if _labels_ok(table, n_nodes):
+        return table.ravel()
     table = _parse_csv(path, np.int64)
-    if table is not None and table.shape == (n_nodes, 1) and np.all(table >= 0):
+    if _labels_ok(table, n_nodes):
         return table.ravel()
     return _scan_labels(path, n_nodes)
 
@@ -336,7 +428,7 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
     for name in ("features.csv", "edges.csv", "labels.csv"):
         if not (path / name).is_file():
             raise FileNotFoundError(f"dataset file missing: {path / name}")
-    features = _read_features(path / "features.csv", dtype)
+    features = read_features(path / "features.csv", dtype)
     n_nodes = features.shape[0]
     class_ids = _read_labels(path / "labels.csv", n_nodes)
     present = np.unique(class_ids)
@@ -368,9 +460,10 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
     return Graph(features=features, adjacency=adjacency, labels=labels, splits=splits)
 
 
-def _write_csv(path: Path, table: np.ndarray, fmt, header: str = "") -> None:
+def _write_csv(path: Path, table: np.ndarray, fmt, header: str = "") -> str:
     """Write a 2-D array as CSV: the bytes of ``np.savetxt(path, table,
     fmt=fmt, delimiter=",", header=header, comments="")``, written faster.
+    Returns the sha256 hex digest of the bytes written.
 
     ``fmt`` is one %-format for every column or a sequence of one per
     column. Each block of rows is formatted by one ``%`` over a flat tuple,
@@ -379,29 +472,50 @@ def _write_csv(path: Path, table: np.ndarray, fmt, header: str = "") -> None:
     fmts = [fmt] * table.shape[1] if isinstance(fmt, str) else list(fmt)
     row = ",".join(fmts) + "\n"
     block_rows = max(1, _WRITE_BLOCK_VALUES // table.shape[1])
-    with open(path, "w") as f:
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+
+        def write(text: str) -> None:
+            data = text.encode()
+            digest.update(data)
+            f.write(data)
+
         if header:
-            f.write(header + "\n")
+            write(header + "\n")
         for start in range(0, table.shape[0], block_rows):
             block = table[start : start + block_rows]
-            f.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    return digest.hexdigest()
+
+
+def _save_table(path: Path, table: np.ndarray, fmt: str) -> None:
+    """Write ``table`` as CSV and its binary mirror, ``table`` being exactly
+    what reading that CSV gives back."""
+    _write_mirror(path, _write_csv(path, table, fmt), table)
 
 
 def save_dataset(g: Graph, path) -> None:
-    """Write a Graph back out in the dataset directory format.
+    """Write a Graph back out in the dataset directory format, with the
+    binary mirror of each CSV.
 
     Feature formatting uses enough significant digits for the round trip
-    load -> save -> load to be bit-exact at the graph's dtype.
+    load -> save -> load to be bit-exact at the graph's dtype: 17 for
+    float64; 9 for float32, whose parse to float64 and cast back gives the
+    same bits, since a 9-digit decimal never rounds onto a float32 midpoint.
+    Features of any other dtype get no mirror.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     digits = 9 if g.features.dtype == np.float32 else 17
-    _write_csv(path / "features.csv", g.features, f"%.{digits}g")
+    if g.features.dtype in (np.float32, np.float64):
+        _save_table(path / "features.csv", g.features, f"%.{digits}g")
+    else:
+        _write_csv(path / "features.csv", g.features, f"%.{digits}g")
     coo = sparse.coo_array(sparse.triu(g.adjacency, k=1))
     pairs = np.column_stack([coo.row, coo.col])
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    _write_csv(path / "edges.csv", pairs, "%d")
-    _write_csv(path / "labels.csv", np.argmax(g.labels, axis=1)[:, None], "%d")
+    _save_table(path / "edges.csv", pairs.astype(np.int64), "%d")
+    _save_table(path / "labels.csv", np.argmax(g.labels, axis=1).astype(np.int64)[:, None], "%d")
     with open(path / "splits.json", "w") as f:
         json.dump(
             {

@@ -124,10 +124,13 @@ def fit(
     since_best = 0
     losses: list[float] = []
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, grads = step(epoch)
-        opt.step(grads)
-        losses.append(loss)
-        val_acc, kept = validate()
+        # a diverging run is reported by the caller's finite checks
+        # (TrainingDivergedError), not by numpy's overflow warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, grads = step(epoch)
+            opt.step(grads)
+            losses.append(loss)
+            val_acc, kept = validate()
         if val_acc > best_acc:
             best_acc = val_acc
             best_params = params.copy()

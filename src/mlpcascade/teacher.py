@@ -10,7 +10,6 @@ validation accuracy) and exports soft labels from the best epoch.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +81,12 @@ class TeacherConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field under which no teacher
+        trains; run again by ``train_teacher``, since the dataclass is
+        mutable."""
         check_training_config(self)
         if self.depth not in (2, 3):
             raise ValueError(f"teacher depth must be 2 or 3, got {self.depth}")
@@ -211,7 +216,7 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     the returned ``logits`` are the same bits as ``gcn_forward`` of the best
     parameters.
     """
-    check_training_config(cfg)  # before cfg sizes any array
+    cfg.check()  # before cfg sizes any array
     if g.splits.labeled.size == 0 or g.splits.validation.size == 0:
         raise ValueError("training needs non-empty labeled and validation splits")
     rng = np.random.default_rng(cfg.seed)
@@ -256,7 +261,7 @@ def export_soft_labels(t: TeacherArtifact, path) -> None:
 
 
 def import_soft_labels(path, dtype=np.float32) -> np.ndarray:
-    probs = graphio._read_features(Path(path), dtype)
+    probs = graphio.read_features(path, dtype)
     sums = probs.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-5):
         bad = int(np.argmax(np.abs(sums - 1.0)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mlpcascade as mc
+import mlpcascade.graphio as gio
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,17 @@ def tiny_graph():
 def small_graph64():
     """Small noisy float64 graph for gradient-level work."""
     return mc.synth_sbm(60, 3, 8, 0.3, 0.05, 1.0, seed=5, dtype=np.float64)
+
+
+@pytest.fixture()
+def parsed_csvs(monkeypatch):
+    """The names of the CSV files graphio parses during the test, in order."""
+    names = []
+    parse = gio._parse_csv
+
+    def counted(path, dtype):
+        names.append(path.name)
+        return parse(path, dtype)
+
+    monkeypatch.setattr(gio, "_parse_csv", counted)
+    return names

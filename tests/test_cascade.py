@@ -618,6 +618,21 @@ class TestTrainCascade:
                 1, tiny_graph, art.soft_labels, h0, init, cfg, cfg.mixup.initial_state()
             )
 
+    def test_config_mutated_to_no_students_rejected(self, tiny_graph):
+        # an empty cascade cannot be saved, so training one is refused
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
+        cfg.n_students = 0
+        with pytest.raises(ValueError, match="^n_students 0 must be >= 1$"):
+            cas.train_cascade(tiny_graph, art, cfg)
+
+    def test_config_mutated_distill_weight_rejected(self, tiny_graph):
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
+        cfg.distill.alpha = 1.5
+        with pytest.raises(ValueError, match="^alpha 1.5 outside"):
+            cas.train_cascade(tiny_graph, art, cfg)
+
     def test_mutated_hidden_dim_named_before_any_array_is_built(self, tiny_graph):
         art = self.make_teacher_artifact(tiny_graph)
         cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
@@ -635,7 +650,6 @@ class TestTrainCascade:
         with pytest.raises(ValueError, match="validation"):
             cas.train_cascade(bad, art, cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_student_and_component(self, tiny_graph):
         art = self.make_teacher_artifact(tiny_graph)
         cfg = cas.CascadeConfig(

@@ -43,12 +43,23 @@ def separable_run(tmp_path):
     return data, run
 
 
+# What synth writes: the four dataset files and the binary mirror of each CSV.
+DATASET_FILES = [
+    "edges.csv", "edges.csv.mirror", "features.csv", "features.csv.mirror",
+    "labels.csv", "labels.csv.mirror", "splits.json",
+]
+
+
+def directory_state(path):
+    """Name, size and mtime of every file in a directory."""
+    return sorted((p.name, p.stat().st_size, p.stat().st_mtime_ns) for p in path.iterdir())
+
+
 class TestSynth:
     def test_writes_four_files_and_summary(self, tmp_path, capsys):
         out = tmp_path / "ds"
         assert run_cli(*dataset_args(out, nodes=30)) == 0
-        for name in ("features.csv", "edges.csv", "labels.csv", "splits.json"):
-            assert (out / name).is_file()
+        assert sorted(p.name for p in out.iterdir()) == DATASET_FILES
         assert "N=30 C=3 d=8" in capsys.readouterr().out
 
     def test_rerun_bit_identical(self, tmp_path):
@@ -56,7 +67,7 @@ class TestSynth:
         b = tmp_path / "b"
         assert run_cli(*dataset_args(a, nodes=30, seed=9)) == 0
         assert run_cli(*dataset_args(b, nodes=30, seed=9)) == 0
-        for name in ("features.csv", "edges.csv", "labels.csv", "splits.json"):
+        for name in DATASET_FILES:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_heterophily_rejected_with_exit_2(self, tmp_path, capsys):
@@ -336,7 +347,6 @@ class TestDegenerateTrainingConfig:
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_distill_exits_1_naming_student_and_loss(separable_run, tmp_path, capsys):
     data, run = separable_run
     out = tmp_path / "distilled"
@@ -344,8 +354,58 @@ def test_diverging_distill_exits_1_naming_student_and_loss(separable_run, tmp_pa
         "distill", "--data", data, "--teacher-dir", run, "--out", out,
         "--students", 2, "--hidden", 8, "--epochs", 10, "--patience", 5, "--lr", 1e30,
     ) == 1
-    assert "non-finite student 1: distillation loss" in capsys.readouterr().err
+    # no numpy RuntimeWarning ahead of the one-line error
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("error: non-finite student 1: distillation loss")
     assert not out.exists()
+
+
+class TestDatasetMirrors:
+    """Every command reads a synthesized dataset's features from the binary
+    mirror, and none writes into the dataset directory."""
+
+    @staticmethod
+    def pipeline(data, out):
+        return [
+            ("train-teacher", "--data", data, "--out", out, "--hidden", 8,
+             "--epochs", 6, "--patience", 5),
+            ("distill", "--data", data, "--teacher-dir", out, "--out", out,
+             "--students", 2, "--hidden", 8, "--epochs", 4, "--patience", 3),
+            ("sweep", "--data", data, "--out", out, "--reps", 1),
+            ("infer", "--cascade", out / "cascade.json", "--features",
+             data / "features.csv", "--out", out),
+        ]
+
+    def features_parses(self, data, out, parsed_csvs):
+        counts = {}
+        for argv in self.pipeline(data, out):
+            parsed_csvs.clear()
+            assert run_cli(*argv) == 0
+            counts[argv[0]] = parsed_csvs.count("features.csv")
+        return counts
+
+    def test_features_parsed_only_without_the_mirror(self, tmp_path, parsed_csvs):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        mirrored = self.features_parses(data, tmp_path / "a", parsed_csvs)
+        assert mirrored == {"train-teacher": 0, "distill": 0, "sweep": 0, "infer": 0}
+        (data / "features.csv.mirror").unlink()
+        parsed = self.features_parses(data, tmp_path / "b", parsed_csvs)
+        assert parsed == {"train-teacher": 1, "distill": 1, "sweep": 1, "infer": 1}
+        for name in ("teacher.json", "cascade.json", "predictions.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_commands_leave_the_dataset_directory_untouched(self, tmp_path):
+        import mlpcascade.graphio as gio
+
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        before = directory_state(data)
+        gio.load_dataset(data)
+        for argv in self.pipeline(data, tmp_path / "run"):
+            assert run_cli(*argv) == 0
+        assert directory_state(data) == before
 
 
 class TestTeacherGraphPasses:

@@ -1,8 +1,10 @@
 """The C-parsed dataset readers agree with the line scanners they fall back to.
 
-For every generated file, valid or malformed, ``graphio._read_*`` and the
-matching ``graphio._scan_*`` reference must return the same array bytes or
-raise the same message.
+For every generated file, valid or malformed, ``graphio.read_features``,
+``graphio._read_edges`` and ``graphio._read_labels`` and the matching
+``graphio._scan_*`` reference must return the same array bytes or raise the
+same message. A binary mirror, when one matches, returns the same bytes as
+the CSV it mirrors.
 """
 
 import numpy as np
@@ -72,7 +74,7 @@ def csv_path(tmp_path_factory):
 )
 def test_features_reader_matches_scanner(csv_path, text, dtype):
     csv_path.write_text(text)
-    assert _outcome(gio._read_features, csv_path, dtype) == _outcome(
+    assert _outcome(gio.read_features, csv_path, dtype) == _outcome(
         gio._scan_features, csv_path, dtype
     )
 
@@ -109,3 +111,40 @@ def test_well_formed_dataset_never_reaches_the_scanners(tmp_path, monkeypatch):
     loaded = gio.load_dataset(tmp_path)
     assert np.array_equal(loaded.features, g.features)
     assert (loaded.adjacency != g.adjacency).nnz == 0
+
+
+def _finite_values(dtype):
+    """Finite values of ``dtype``: random bit patterns, signed zeros,
+    subnormals, the extremes and powers of ten."""
+    info = np.finfo(dtype)
+    uint = np.dtype(f"u{info.bits // 8}")
+    random_bits = st.integers(0, 2**info.bits - 1).map(
+        lambda b: np.array(b, dtype=uint).view(dtype)[()]
+    )
+    exps = range(-46, 39) if dtype == np.float32 else range(-324, 309)
+    special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+               info.smallest_subnormal * 3, info.tiny, -info.tiny, info.max, -info.max]
+    special += [dtype(float(f"1e{e}")) for e in exps]
+    special = [dtype(v) for v in special if np.isfinite(dtype(v))]
+    return st.one_of(random_bits.filter(np.isfinite), st.sampled_from(special))
+
+
+@st.composite
+def _finite_tables(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = draw(st.lists(_finite_values(dtype), min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=dtype).reshape(rows, cols)
+
+
+@PROPERTY
+@given(table=_finite_tables())
+def test_mirror_read_equals_csv_read(csv_path, table):
+    digits = 9 if table.dtype == np.float32 else 17
+    gio._save_table(csv_path, table, f"%.{digits}g")
+    assert gio._read_mirror(csv_path, table.dtype) is not None
+    mirrored = gio.read_features(csv_path, table.dtype)
+    gio._mirror_path(csv_path).unlink()
+    parsed = gio.read_features(csv_path, table.dtype)
+    assert mirrored.dtype == parsed.dtype and mirrored.shape == parsed.shape
+    assert mirrored.tobytes() == parsed.tobytes() == table.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -165,6 +166,178 @@ class TestLoadDataset:
         assert (g1.adjacency != g2.adjacency).nnz == 0
         for name in ("labeled", "validation", "test", "unlabeled"):
             assert np.array_equal(getattr(g1.splits, name), getattr(g2.splits, name))
+
+
+MIRRORED = ("features.csv", "edges.csv", "labels.csv")
+
+
+def load_outcome(path, **kwargs):
+    """Every array of the loaded graph as bytes, or the error message."""
+    try:
+        g = gio.load_dataset(path, **kwargs)
+    except ValueError as exc:
+        return ("error", str(exc))
+    adj = g.adjacency
+    splits = [getattr(g.splits, n) for n in ("labeled", "validation", "test", "unlabeled")]
+    arrays = [g.features, g.labels, adj.indptr, adj.indices, adj.data, *splits]
+    return ("ok", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+def drop_mirrors(path):
+    for name in MIRRORED:
+        (path / (name + ".mirror")).unlink(missing_ok=True)
+
+
+class TestMirror:
+    """save_dataset's binary mirrors: used only when they provably hold what
+    parsing the CSV gives, so a load returns the same bytes, or raises the
+    same message, with or without them."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        g = gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11)
+        gio.save_dataset(g, tmp_path)
+        return g, tmp_path
+
+    def test_one_mirror_per_csv_with_a_sorted_header(self, saved):
+        _, path = saved
+        assert sorted(p.name for p in path.iterdir()) == sorted(
+            [*MIRRORED, *(name + ".mirror" for name in MIRRORED), "splits.json"]
+        )
+        line, payload = (path / "features.csv.mirror").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        assert line == json.dumps(header, sort_keys=True).encode()
+        assert header["csv_sha256"] == hashlib.sha256((path / "features.csv").read_bytes()).hexdigest()
+        assert (header["dtype"], header["shape"], len(payload)) == ("float32", [60, 8], 60 * 8 * 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matching_mirrors_replace_every_parse(self, tmp_path, parsed_csvs, dtype):
+        g = gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11, dtype=dtype)
+        gio.save_dataset(g, tmp_path)
+        got = load_outcome(tmp_path, dtype=dtype)
+        assert parsed_csvs == []
+        assert got[1][0][2] == g.features.tobytes()
+        drop_mirrors(tmp_path)
+        assert load_outcome(tmp_path, dtype=dtype) == got
+        assert parsed_csvs == ["features.csv", "labels.csv", "edges.csv"]
+
+    @staticmethod
+    def damage(path, how):
+        csv, mirror = path / "features.csv", path / "features.csv.mirror"
+        data = bytearray(mirror.read_bytes())
+        if how == "stale csv":
+            text = bytearray(csv.read_bytes())
+            at = next(i for i, c in enumerate(text) if chr(c) in "123456789")
+            text[at] = ord("1") if text[at] != ord("1") else ord("2")
+            csv.write_bytes(bytes(text))
+            return
+        if how == "payload byte":
+            data[-1] ^= 1
+        elif how == "truncated":
+            del data[-4:]
+        elif how == "extra byte":
+            data.append(0)
+        elif how == "bad header":
+            data[: data.index(b"\n")] = b"{not json"
+        elif how == "header not an object":
+            data[: data.index(b"\n")] = b"[60, 8]"
+        elif how == "no header line":
+            data = data[: data.index(b"\n")]
+        elif how == "float in shape":
+            data = data.replace(b'"shape": [60, 8]', b'"shape": [60.0, 8]')
+        elif how == "transposed shape":  # same byte count
+            data = data.replace(b'"shape": [60, 8]', b'"shape": [8, 60]')
+        mirror.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "how",
+        ["stale csv", "payload byte", "truncated", "extra byte", "bad header",
+         "header not an object", "no header line", "float in shape", "transposed shape"],
+    )
+    def test_damaged_mirror_falls_back_to_the_csv(self, saved, parsed_csvs, how):
+        g, path = saved
+        self.damage(path, how)
+        assert gio._read_mirror(path / "features.csv", np.float32) is None
+        got = load_outcome(path)
+        assert parsed_csvs == ["features.csv"]
+        if how != "stale csv":
+            assert got[1][0][2] == g.features.tobytes()
+        drop_mirrors(path)
+        assert load_outcome(path) == got
+
+    def test_other_dtype_parses_the_csv(self, saved, parsed_csvs):
+        _, path = saved
+        assert gio._read_mirror(path / "features.csv", np.float64) is None
+        got = load_outcome(path, dtype=np.float64)
+        assert parsed_csvs == ["features.csv"]  # the int64 edge and label mirrors still match
+        drop_mirrors(path)
+        assert load_outcome(path, dtype=np.float64) == got
+
+    def test_mirrored_inf_still_named_by_line(self, tmp_path):
+        g = gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11)
+        g.features[6, 2] = np.inf
+        gio.save_dataset(g, tmp_path)
+        assert np.isinf(gio._read_mirror(tmp_path / "features.csv", np.float32)[6, 2])
+        with pytest.raises(ValueError, match=r"features\.csv: non-finite value at line 7$"):
+            gio.load_dataset(tmp_path)
+
+    def test_mirrored_edge_out_of_range_still_named_by_line(self, saved, parsed_csvs):
+        # hand-drop the last node: the edge mirror still matches edges.csv,
+        # but its ids no longer fit, so the CSV path names the line
+        _, path = saved
+        for name in ("features.csv", "labels.csv"):
+            lines = (path / name).read_text().splitlines(keepends=True)
+            (path / name).write_text("".join(lines[:-1]))
+        assert gio._read_mirror(path / "edges.csv", np.int64).max() == 59
+        got = load_outcome(path)
+        assert got[0] == "error" and "edges.csv: line" in got[1]
+        assert got[1].endswith("node id out of range [0, 59)")
+        assert parsed_csvs == ["features.csv", "labels.csv", "edges.csv"]
+        drop_mirrors(path)
+        assert load_outcome(path) == got
+
+    def test_mirrored_labels_of_another_node_count_refused(self, saved):
+        _, path = saved
+        lines = (path / "features.csv").read_text().splitlines(keepends=True)
+        (path / "features.csv").write_text("".join(lines[:-1]))
+        got = load_outcome(path)
+        assert got == ("error", f"{path / 'labels.csv'}: 60 labels for 59 nodes")
+        drop_mirrors(path)
+        assert load_outcome(path) == got
+
+    def test_empty_edge_list_mirrored(self, saved, parsed_csvs):
+        g, path = saved
+        empty = gio.Graph(
+            g.features, sparse.csr_array((60, 60), dtype=np.float32), g.labels, g.splits
+        )
+        gio.save_dataset(empty, path)
+        assert (path / "edges.csv").read_bytes() == b""
+        assert gio._read_mirror(path / "edges.csv", np.int64).shape == (0, 2)
+        got = load_outcome(path)
+        assert parsed_csvs == [] and got[0] == "ok"
+        drop_mirrors(path)
+        assert load_outcome(path) == got
+
+    def test_empty_feature_table_still_refused(self, tmp_path):
+        none = np.empty(0, dtype=np.int64)
+        g = gio.Graph(
+            np.empty((0, 4), dtype=np.float32),
+            sparse.csr_array((0, 0), dtype=np.float32),
+            np.empty((0, 2), dtype=np.float32),
+            gio.Splits(none, none, none, none),
+        )
+        gio.save_dataset(g, tmp_path)
+        assert gio._read_mirror(tmp_path / "features.csv", np.float32).shape == (0, 4)
+        with pytest.raises(ValueError, match=r"features\.csv: no feature rows$"):
+            gio.load_dataset(tmp_path)
+
+    def test_same_graph_saves_identical_bytes(self, saved, tmp_path):
+        g, path = saved
+        again = tmp_path / "again"
+        gio.save_dataset(g, again)
+        for name in MIRRORED:
+            for file in (name, name + ".mirror"):
+                assert (path / file).read_bytes() == (again / file).read_bytes()
 
 
 class TestUndirectedPairs:

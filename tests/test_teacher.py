@@ -217,6 +217,13 @@ class TestTrainTeacher:
         with pytest.raises(ValueError, match="^max_epochs "):
             t.train_teacher(tiny_graph, cfg)
 
+    def test_config_mutated_to_bad_depth_rejected(self, tiny_graph):
+        # load_teacher refuses such a checkpoint, so training one is refused
+        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
+        cfg.depth = 4
+        with pytest.raises(ValueError, match="^teacher depth must be 2 or 3, got 4$"):
+            t.train_teacher(tiny_graph, cfg)
+
     def test_mutated_hidden_dim_named_before_any_array_is_built(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
         cfg.hidden_dim = -4
@@ -238,7 +245,6 @@ class TestTrainTeacher:
         with pytest.raises(ValueError, match="validation"):
             t.train_teacher(bad, t.TeacherConfig(max_epochs=5, patience=2))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, lr=1e12, dropout=0.0, max_epochs=30, patience=29, seed=0)
         with pytest.raises(TrainingDivergedError) as err:
