@@ -14,6 +14,7 @@ synthetic examples get harder as training settles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -28,13 +29,15 @@ from .numkit import (
     kl_divergence,
     log_softmax_rows,
     masked_cross_entropy,
-    relu,
     softmax_rows,
 )
 from .optim import TrainingDivergedError, check_training_config, fit
 from .params import (
     LayerStack,
+    backward,
     dataclass_from_json,
+    eval_hidden,
+    forward_cache,
     init_layers,
     json_object,
     layers_from_json,
@@ -59,8 +62,8 @@ class DistillConfig:
     def check(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        if self.beta < 0.0:
-            raise ValueError(f"beta {self.beta} must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta {self.beta} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,22 @@ class MixupConfig:
     lambda_init: float = 0.1
     sign_inverted: bool = False
 
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field outside its range: a
+        non-finite rate or reference point would drive lambda to a bound or
+        to NaN only once training runs."""
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma {self.gamma} must be finite and >= 0")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau {self.tau} must be finite")
+        if not 0.0 <= self.sigma <= 1.0:
+            raise ValueError(f"sigma {self.sigma} outside [0, 1]")
+        if not 0.0 <= self.lambda_init <= 0.5:
+            raise ValueError(f"lambda_init {self.lambda_init} outside [0, 0.5]")
+
     def initial_state(self) -> MixupState:
         return MixupState(
             lam=self.lambda_init,
@@ -127,7 +146,7 @@ class CascadeConfig:
 
     def check(self) -> None:
         """Raise ValueError naming the first field under which no cascade
-        trains, the distillation weights included; run again by
+        trains, the distillation and mixup settings included; run again by
         ``train_cascade``, since the dataclass is mutable."""
         if self.n_students < 1:
             raise ValueError(f"n_students {self.n_students} must be >= 1")
@@ -137,6 +156,7 @@ class CascadeConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         self.distill.check()
+        self.mixup.check()
 
 
 @dataclass
@@ -192,61 +212,12 @@ def init_student(
     return init_layers(dims, rng, dtype)
 
 
-def _forward_cache(
-    p: LayerStack,
-    inputs: np.ndarray,
-    dropout: float,
-    rng: np.random.Generator | None,
-):
-    """MLP forward on pre-concatenated inputs, caching activations for
-    backprop; with ``dropout > 0`` (training) every hidden activation is
-    masked. Returns (h, logits, caches) where h is the post-activation
-    output of the last hidden layer (pre-dropout)."""
-    if inputs.shape[1] != p.input_dim:
-        raise ValueError(
-            f"input width {inputs.shape[1]} != student input dim {p.input_dim}"
-        )
-    a = inputs
-    caches = []
-    h = None
-    n_hidden = p.n_layers - 1
-    for li in range(n_hidden):
-        w, b = p.layers[li]
-        z = a @ w + b
-        r = relu(z)
-        if li == n_hidden - 1:
-            h = r
-        if dropout > 0.0:
-            mask = dropout_mask(rng, r.shape, dropout, r.dtype)
-            nxt = r * mask
-        else:
-            mask = None
-            nxt = r
-        caches.append((a, z, mask))
-        a = nxt
-    w, b = p.layers[-1]
-    logits = a @ w + b
-    caches.append((a, None, None))
-    return h, logits, caches
-
-
-def _backward(p: LayerStack, caches, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    n = p.n_layers
-    a_last = caches[-1][0]
-    grads[f"w{n}"] = a_last.T @ dlogits
-    grads[f"b{n}"] = dlogits.sum(axis=0)
-    da = dlogits @ p.layers[-1][0].T
-    for li in reversed(range(n - 1)):
-        a_prev, z, mask = caches[li]
-        if mask is not None:
-            da = da * mask
-        dz = da * (z > 0)
-        grads[f"w{li + 1}"] = a_prev.T @ dz
-        grads[f"b{li + 1}"] = dz.sum(axis=0)
-        if li > 0:
-            da = dz @ p.layers[li][0].T
-    return grads
+def _mask_drawer(dropout: float, rng: np.random.Generator | None):
+    """Draws the dropout mask of each hidden activation from ``rng``; None
+    without dropout."""
+    if dropout > 0.0:
+        return lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)
+    return None
 
 
 def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,22 +225,17 @@ def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.n
 
     Returns (h, logits): h is the post-activation output of the last hidden
     layer and feeds the next student; logits come from the final affine
-    layer. h_prev may be all zeros (first student). Nothing is cached for
-    backprop, so each layer adds its bias and applies ReLU in place.
+    layer. h_prev may be all zeros (first student).
     """
     if inputs.shape[1] != p.input_dim:
         raise ValueError(
             f"input width {inputs.shape[1]} != student input dim {p.input_dim}"
         )
-    a = inputs
-    for w, b in p.layers[:-1]:
-        a = a @ w
-        a += b
-        np.maximum(a, 0, out=a)
+    h = eval_hidden(p, inputs)
     w, b = p.layers[-1]
-    logits = a @ w
+    logits = h @ w
     logits += b
-    return a, logits
+    return h, logits
 
 
 def distill_loss(
@@ -351,11 +317,11 @@ def mixup_loss(
     parameters (dropout masks drawn from ``rng`` when ``dropout > 0``)."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    _, logits, caches = _forward_cache(p, mixed_inputs, dropout, rng)
+    logits, caches = forward_cache(p, mixed_inputs, _mask_drawer(dropout, rng))
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
-    return GradPair(value, _backward(p, caches, dlogits))
+    return GradPair(value, backward(p, caches, dlogits))
 
 
 def update_ema(state: MixupState, current_loss: float) -> MixupState:
@@ -404,11 +370,11 @@ def total_loss_gradpair(
     finite-difference checker needs.
     """
     labeled = np.asarray(labeled)
-    _, logits, caches = _forward_cache(p, inputs, dropout, rng)
+    logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng))
     distill = distill_loss(
         logits, teacher_probs, y, labeled, np.arange(inputs.shape[0]), k, distill_cfg
     )
-    grads = _backward(p, caches, distill.grads["logits"])
+    grads = backward(p, caches, distill.grads["logits"])
     mixed_inputs, mixed_labels = mixup_examples(inputs, y, pairs, lam)
     mix = mixup_loss(p, mixed_inputs, mixed_labels, labeled.size, dropout, rng)
     total = {name: grads[name] + mix.grads[name] for name in grads}

@@ -20,7 +20,7 @@ import numpy as np
 from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
-from .numkit import row_max, softmax_rows
+from .numkit import check_index, row_max, softmax_rows
 
 
 @dataclass
@@ -86,7 +86,7 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
 
     An empty index set or an index outside [0, rows) raises ValueError."""
     idx = np.asarray(eval_idx, dtype=np.intp).ravel()
-    _check_index(idx, logits.shape[0], "confidence: evaluation")
+    check_index(idx, logits.shape[0], "confidence", "evaluation")
     return _confidence(logits, idx)
 
 
@@ -131,17 +131,6 @@ def prefix_ensembles(
         yield ensemble(preds[:k], confs[:k])[0]
 
 
-def _check_index(idx: np.ndarray, n_rows: int, what: str) -> None:
-    """Reject an empty index set and any index outside [0, n_rows): numpy
-    would wrap a negative index onto another row."""
-    if idx.size == 0:
-        raise ValueError(f"{what} index set is empty")
-    lo, hi = idx.min(), idx.max()
-    if lo < 0 or hi >= n_rows:
-        bad = lo if lo < 0 else hi
-        raise ValueError(f"{what} index {bad} out of range for {n_rows} rows")
-
-
 def run_anytime(
     c: Cascade,
     x: np.ndarray,
@@ -163,7 +152,7 @@ def run_anytime(
     if x.shape[1] != d:
         raise ValueError(f"feature width mismatch: expected {d}, got {x.shape[1]}")
     idx = np.asarray(eval_idx, dtype=np.intp).ravel()
-    _check_index(idx, x.shape[0], "run_anytime: evaluation")
+    check_index(idx, x.shape[0], "run_anytime", "evaluation")
 
     dtype = np.result_type(x.dtype, first.layers[0][0].dtype)
     inputs = np.zeros((x.shape[0], first.input_dim), dtype=dtype)
@@ -199,7 +188,7 @@ def accuracy(pred: np.ndarray, y: np.ndarray, idx) -> float:
     """Fraction of `idx` rows where argmax(pred) == argmax(y); argmax ties
     break to the lowest class index."""
     idx = np.asarray(idx, dtype=np.intp).ravel()
-    _check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy: evaluation")
+    check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy", "evaluation")
     return numkit.accuracy(pred[idx], np.argmax(y[idx], axis=1))
 
 

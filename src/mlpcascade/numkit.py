@@ -137,8 +137,22 @@ def accuracy(logits: np.ndarray, truth_ids: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == truth_ids))
 
 
-def _as_index(mask) -> np.ndarray:
-    return np.asarray(mask, dtype=np.intp).ravel()
+def check_index(idx: np.ndarray, n_rows: int, func: str, name: str) -> None:
+    """Reject an empty index set and any index outside [0, n_rows): numpy
+    would wrap a negative index onto another row. The ValueError names the
+    function ``func`` and its index set ``name``."""
+    if idx.size == 0:
+        raise ValueError(f"{func}: empty {name} index set")
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= n_rows:
+        bad = lo if lo < 0 else hi
+        raise ValueError(f"{func}: {name} index {bad} out of range for {n_rows} rows")
+
+
+def _as_index(mask, n_rows: int, func: str) -> np.ndarray:
+    idx = np.asarray(mask, dtype=np.intp).ravel()
+    check_index(idx, n_rows, func, "mask")
+    return idx
 
 
 def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPair:
@@ -154,9 +168,7 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
         raise ValueError(
             f"logits shape {logits.shape} != labels shape {onehot.shape}"
         )
-    idx = _as_index(mask)
-    if idx.size == 0:
-        raise ValueError("masked_cross_entropy: empty mask")
+    idx = _as_index(mask, logits.shape[0], "masked_cross_entropy")
     sub_logits = logits[idx]
     logp = log_softmax_rows(sub_logits)
     sub_onehot = onehot[idx]
@@ -177,9 +189,7 @@ def kl_divergence(teacher_probs: np.ndarray, student_logits: np.ndarray, mask) -
         raise ValueError(
             f"teacher shape {teacher_probs.shape} != student shape {student_logits.shape}"
         )
-    idx = _as_index(mask)
-    if idx.size == 0:
-        raise ValueError("kl_divergence: empty mask")
+    idx = _as_index(mask, student_logits.shape[0], "kl_divergence")
     t = teacher_probs[idx]
     row_sums = t.sum(axis=1)
     bad = np.abs(row_sums - 1.0) > 1e-5

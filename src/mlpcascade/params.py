@@ -1,7 +1,10 @@
-"""Layer stacks and their checkpoint codec.
+"""Layer stacks, their forward and backward passes, and their checkpoint codec.
 
 The teacher and every student are stacks of (weight, bias) layers, so they
-share one parameter type, one initializer and one way to be stored. A
+share one parameter type, one initializer, one forward/backward pair and one
+way to be stored. A graph-convolution layer is a dense layer whose
+projection is aggregated over the graph, so the teacher passes its
+aggregation to the shared passes and a student passes none. A
 checkpoint is a JSON manifest; its weight arrays are base64 of their
 little-endian raw bytes, and the manifest names that encoding, so the
 decimal arrays of earlier versions are refused instead of being read by a
@@ -15,10 +18,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .numkit import fingerprint, glorot_uniform
+from .numkit import fingerprint, glorot_uniform, relu
 
 
 @dataclass
@@ -60,6 +64,79 @@ class LayerStack:
 
     def fingerprint(self) -> str:
         return fingerprint(*(a for pair in self.layers for a in pair))
+
+
+ArrayMap = Callable[[np.ndarray], np.ndarray]
+
+
+def _project(a: np.ndarray, w: np.ndarray, aggregate: ArrayMap | None) -> np.ndarray:
+    z = a @ w
+    return z if aggregate is None else aggregate(z)
+
+
+def forward_cache(
+    p: LayerStack,
+    a: np.ndarray,
+    draw_mask: ArrayMap | None = None,
+    aggregate: ArrayMap | None = None,
+):
+    """Training forward of the layer chain ``z = aggregate(a @ w) + b``,
+    ReLU between layers, keeping what ``backward`` needs.
+
+    ``aggregate`` is the teacher's graph aggregation (None for a student: the
+    identity). ``draw_mask(r)`` draws the dropout mask of each hidden
+    activation ``r`` in layer order; None trains without dropout. Returns the
+    logits and one ``(input, z, mask)`` cache per layer, the mask being the
+    one applied to that layer's activation.
+    """
+    if a.shape[1] != p.input_dim:
+        raise ValueError(f"input width {a.shape[1]} != first-layer fan-in {p.input_dim}")
+    caches = []
+    *hidden, (w_out, b_out) = p.layers
+    for w, b in hidden:
+        z = _project(a, w, aggregate) + b
+        r = relu(z)
+        mask = None if draw_mask is None else draw_mask(r)
+        caches.append((a, z, mask))
+        a = r if mask is None else r * mask
+    logits = _project(a, w_out, aggregate) + b_out
+    caches.append((a, logits, None))
+    return logits, caches
+
+
+def backward(
+    p: LayerStack,
+    caches,
+    dlogits: np.ndarray,
+    aggregate: ArrayMap | None = None,
+) -> dict[str, np.ndarray]:
+    """Gradients of every parameter from the logits' gradient, through the
+    caches of ``forward_cache`` with the same ``aggregate``: a symmetric
+    aggregation is its own transpose."""
+    grads: dict[str, np.ndarray] = {}
+    d_z = dlogits
+    for li in reversed(range(p.n_layers)):
+        d_agg = d_z if aggregate is None else aggregate(d_z)
+        grads[f"w{li + 1}"] = caches[li][0].T @ d_agg
+        grads[f"b{li + 1}"] = d_z.sum(axis=0)
+        if li > 0:
+            _, z_prev, mask = caches[li - 1]
+            da = d_agg @ p.layers[li][0].T
+            if mask is not None:
+                da = da * mask
+            d_z = da * (z_prev > 0)
+    return grads
+
+
+def eval_hidden(p: LayerStack, a: np.ndarray, aggregate: ArrayMap | None = None) -> np.ndarray:
+    """Eval-mode hidden layers: the last hidden activation, the same bits as
+    ``forward_cache`` without dropout. Nothing is cached for backprop, so
+    each layer adds its bias and applies ReLU in place."""
+    for w, b in p.layers[:-1]:
+        a = _project(a, w, aggregate)
+        a += b
+        np.maximum(a, 0, out=a)
+    return a
 
 
 def init_layers(dims, rng: np.random.Generator, dtype) -> LayerStack:

@@ -21,14 +21,16 @@ from .numkit import (
     dropout_mask,
     fingerprint,
     masked_cross_entropy,
-    relu,
     softmax_rows,
     spmm,
 )
 from .optim import TrainingDivergedError, check_training_config, fit
 from .params import (
     LayerStack,
+    backward,
     dataclass_from_json,
+    eval_hidden,
+    forward_cache,
     init_layers,
     json_object,
     layers_from_json,
@@ -105,32 +107,9 @@ def init_teacher(
     return init_layers([feat_dim] + [hidden_dim] * (depth - 1) + [n_classes], rng, dtype)
 
 
-def _forward_cache(
-    norm_adj: SparseMatrix,
-    x: np.ndarray,
-    p: LayerStack,
-    dropout: float,
-    rng: np.random.Generator | None,
-):
-    """Forward pass keeping per-layer caches for manual backprop.
-
-    With ``dropout > 0`` (training), dropout is applied to each layer's
-    input, i.e. to the raw features and to every hidden activation.
-    """
-    a = x
-    caches = []
-    last = p.n_layers - 1
-    for li, (w, b) in enumerate(p.layers):
-        if dropout > 0.0:
-            mask = dropout_mask(rng, a.shape, dropout, a.dtype)
-            a_in = a * mask
-        else:
-            mask = None
-            a_in = a
-        z = spmm(norm_adj, a_in @ w) + b
-        caches.append((a_in, mask, z))
-        a = relu(z) if li < last else z
-    return a, caches
+def _aggregate(norm_adj: SparseMatrix):
+    """The layer aggregation: the symmetric Â, so it is also its transpose."""
+    return lambda m: spmm(norm_adj, m)
 
 
 def _eval_projection(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
@@ -139,10 +118,7 @@ def _eval_projection(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np
     rows R are ``spmm(norm_adj[R], hw) + b_last``, the same bits as the
     full-graph logits' rows R, since a row slice keeps each row's entry
     order."""
-    a = x
-    for w, b in p.layers[:-1]:
-        a = relu(spmm(norm_adj, a @ w) + b)
-    return a @ p.layers[-1][0]
+    return eval_hidden(p, x, _aggregate(norm_adj)) @ p.layers[-1][0]
 
 
 def gcn_forward(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
@@ -159,31 +135,6 @@ def gcn_forward(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndar
     return spmm(norm_adj, _eval_projection(norm_adj, x, p)) + p.layers[-1][1]
 
 
-def _backward(
-    norm_adj: SparseMatrix,
-    p: LayerStack,
-    caches,
-    dlogits: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Backprop dlogits through the graph-conv layers (adjacency is symmetric,
-    so aggregation transposes to itself)."""
-    grads: dict[str, np.ndarray] = {}
-    d_z = dlogits
-    for li in reversed(range(p.n_layers)):
-        a_in, mask, _ = caches[li]
-        w, _b = p.layers[li]
-        dz_agg = spmm(norm_adj, d_z)
-        grads[f"w{li + 1}"] = a_in.T @ dz_agg
-        grads[f"b{li + 1}"] = d_z.sum(axis=0)
-        if li > 0:
-            da = dz_agg @ w.T
-            if mask is not None:
-                da = da * mask
-            z_prev = caches[li - 1][2]
-            d_z = da * (z_prev > 0)
-    return grads
-
-
 def teacher_ce_gradpair(
     norm_adj: SparseMatrix,
     x: np.ndarray,
@@ -193,12 +144,19 @@ def teacher_ce_gradpair(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Cross entropy of the forward (dropout masks drawn from ``rng`` when
-    ``dropout > 0``) plus gradients w.r.t. all teacher parameters: the
-    training objective, and the gradient-check entry point."""
-    logits, caches = _forward_cache(norm_adj, x, p, dropout, rng)
+    """Cross entropy of the forward plus gradients w.r.t. all teacher
+    parameters: the training objective, and the gradient-check entry point.
+    With ``dropout > 0`` masks are drawn from ``rng`` for the raw features
+    first, then for every hidden activation in layer order."""
+    draw_mask = (
+        (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
+    )
+    if draw_mask is not None:
+        x = x * draw_mask(x)
+    aggregate = _aggregate(norm_adj)
+    logits, caches = forward_cache(p, x, draw_mask, aggregate)
     ce = masked_cross_entropy(logits, labels, mask)
-    ce.grads = _backward(norm_adj, p, caches, ce.grads["logits"])
+    ce.grads = backward(p, caches, ce.grads["logits"], aggregate)
     return ce
 
 

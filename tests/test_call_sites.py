@@ -1,0 +1,61 @@
+"""Call counts of the module-level names that perfbench wraps.
+
+perfbench times ``teacher.spmm``, ``teacher.dropout_mask``,
+``cascade.dropout_mask`` and ``cascade.student_forward`` by replacing those
+module attributes, so its per-layer metrics mean something only while the
+trainers look the names up there, once per use. These tests count the calls
+through ``monkeypatch`` during one small training run of each model.
+"""
+
+import pytest
+
+import mlpcascade.cascade as cas
+import mlpcascade.teacher as t
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name; returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_teacher_call_sites(tiny_graph, monkeypatch, depth):
+    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask"))
+    cfg = t.TeacherConfig(
+        hidden_dim=8, dropout=0.5, max_epochs=5, patience=4, depth=depth, seed=3
+    )
+    epochs = t.train_teacher(tiny_graph, cfg).train_meta.epochs
+    assert epochs == 5
+    # per epoch: one aggregation per layer forward and backward, the eval
+    # hidden layers over every row, the last layer over the validation
+    # rows; then one for the soft labels. One mask per layer input.
+    assert counts == {"spmm": epochs * 3 * depth + 1, "dropout_mask": epochs * depth}
+
+
+@pytest.mark.parametrize("n_layers", [2, 3])
+def test_cascade_call_sites(tiny_graph, monkeypatch, n_layers):
+    art = t.train_teacher(tiny_graph, t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=4))
+    counts = count_calls(monkeypatch, cas, ("dropout_mask", "student_forward"))
+    cfg = cas.CascadeConfig(
+        n_students=2, hidden_dim=8, n_layers=n_layers, dropout=0.5,
+        max_epochs=4, patience=3, seed=2,
+    )
+    casc = cas.train_cascade(tiny_graph, art, cfg)
+    epochs = [m.epochs for m in casc.metas]
+    assert epochs == [4, 4]
+    # per epoch: one mask per hidden activation in the distillation forward
+    # and again in the mixup forward, and one validation forward; per
+    # student one more forward for the hidden state handed on
+    assert counts == {
+        "dropout_mask": sum(epochs) * 2 * (n_layers - 1),
+        "student_forward": sum(epochs) + len(epochs),
+    }

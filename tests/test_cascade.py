@@ -327,6 +327,43 @@ class TestMixupState:
             cas.MixupState(lam=0.6)
 
 
+class TestDistillAndMixupConfig:
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])
+    def test_beta_must_be_finite_and_non_negative(self, beta):
+        with pytest.raises(ValueError, match=f"^beta {beta} must be finite and >= 0$"):
+            cas.DistillConfig(beta=beta)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", float("inf"), "must be finite and >= 0"),
+            ("gamma", float("nan"), "must be finite and >= 0"),
+            ("gamma", -0.1, "must be finite and >= 0"),
+            ("tau", float("nan"), "must be finite"),
+            ("tau", float("-inf"), "must be finite"),
+            ("sigma", float("nan"), "outside [0, 1]"),
+            ("sigma", 1.5, "outside [0, 1]"),
+            ("lambda_init", float("nan"), "outside [0, 0.5]"),
+            ("lambda_init", 0.6, "outside [0, 0.5]"),
+            ("lambda_init", -0.1, "outside [0, 0.5]"),
+        ],
+    )
+    def test_mixup_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            cas.MixupConfig(**{field: value})
+        assert str(err.value) == f"{field} {value} {message}"
+        # a cascade config holding it is refused as well
+        mixup = cas.MixupConfig()
+        setattr(mixup, field, value)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            cas.CascadeConfig(mixup=mixup)
+
+    def test_boundary_values_accepted(self):
+        cas.MixupConfig(gamma=0.0, tau=-3.0, sigma=0.0, lambda_init=0.0)
+        cas.MixupConfig(sigma=1.0, lambda_init=0.5)
+        cas.DistillConfig(alpha=0.0, beta=0.0)
+
+
 def small_training_setup(seed=0, dtype=np.float64, n=24, d=5, hidden=4, c=3):
     import mlpcascade.graphio as gio
 
@@ -698,6 +735,29 @@ class TestTrainCascade:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"cascade.json config: {field} "):
             cas.load_cascade(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", -1.0), ("gamma", float("inf")), ("tau", float("nan")),
+         ("sigma", 1.5), ("lambda_init", 0.75)],
+    )
+    def test_stored_out_of_range_mixup_config_refused(self, tiny_graph, tmp_path, field, value):
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=3, patience=2, seed=8)
+        path = tmp_path / "cascade.json"
+        cas.save_cascade(cas.train_cascade(tiny_graph, art, cfg), path)
+        doc = json.loads(path.read_text())
+        doc["config"]["mixup"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"cascade.json config mixup: {field} "):
+            cas.load_cascade(path)
+
+    def test_config_mutated_mixup_setting_rejected(self, tiny_graph):
+        art = self.make_teacher_artifact(tiny_graph)
+        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
+        cfg.mixup.tau = float("nan")
+        with pytest.raises(ValueError, match="^tau nan must be finite$"):
+            cas.train_cascade(tiny_graph, art, cfg)
 
     def test_checkpoint_round_trip(self, tiny_graph, tmp_path):
         art = self.make_teacher_artifact(tiny_graph)

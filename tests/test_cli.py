@@ -347,6 +347,29 @@ class TestDegenerateTrainingConfig:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--beta", "nan"), "beta nan must be finite and >= 0"),
+            (("--beta", "inf"), "beta inf must be finite and >= 0"),
+            (("--gamma", "inf"), "gamma inf must be finite and >= 0"),
+            (("--tau", "nan"), "tau nan must be finite"),
+            (("--sigma", 2), "sigma 2.0 outside [0, 1]"),
+            (("--lambda-init", 0.7), "lambda_init 0.7 outside [0, 0.5]"),
+        ],
+    )
+    def test_distill_and_mixup_settings_exit_2(
+        self, separable_run, tmp_path, capsys, flags, message
+    ):
+        data, run = separable_run
+        out = tmp_path / "distilled"
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", out, *flags
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_diverging_distill_exits_1_naming_student_and_loss(separable_run, tmp_path, capsys):
     data, run = separable_run
     out = tmp_path / "distilled"

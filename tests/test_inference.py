@@ -415,8 +415,8 @@ class TestEvaluationIndexRange:
     def test_run_anytime_checks_its_index_set_once(self, monkeypatch):
         # the per-student confidence must not repeat the check
         calls = []
-        check = inf._check_index
-        monkeypatch.setattr(inf, "_check_index", lambda *a: calls.append(a) or check(*a))
+        check = inf.check_index
+        monkeypatch.setattr(inf, "check_index", lambda *a: calls.append(a) or check(*a))
         casc = build_cascade(np.random.default_rng(0), 4)
         result = inf.run_anytime(
             casc, np.ones((6, 4)), inf.InferencePolicy(max_students=4), np.arange(6)

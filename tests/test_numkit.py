@@ -180,6 +180,33 @@ class TestKLDivergence:
         assert finite_diff_check(loss, params) < 1e-5
 
 
+class TestLossIndexChecks:
+    """Both losses take the rows they score as an index set; numpy would wrap
+    a negative index onto another row and turn a past-the-end one into a
+    bare IndexError."""
+
+    def losses(self):
+        logits = np.array([[2.0, 0.0], [0.0, 1.0]])
+        labels = np.eye(2)
+        return {
+            "masked_cross_entropy": lambda idx: masked_cross_entropy(logits, labels, idx),
+            "kl_divergence": lambda idx: kl_divergence(labels, logits, idx),
+        }
+
+    @pytest.mark.parametrize("name", ["masked_cross_entropy", "kl_divergence"])
+    @pytest.mark.parametrize("idx, bad", [([-1], -1), ([0, -2], -2), ([2], 2), ([1, 5], 5)])
+    def test_out_of_range_rejected(self, name, idx, bad):
+        with pytest.raises(
+            ValueError, match=f"^{name}: mask index {bad} out of range for 2 rows$"
+        ):
+            self.losses()[name](idx)
+
+    @pytest.mark.parametrize("name", ["masked_cross_entropy", "kl_divergence"])
+    def test_empty_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name}: empty mask index set$"):
+            self.losses()[name]([])
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
         rng = np.random.default_rng(2)
