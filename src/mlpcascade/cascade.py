@@ -66,6 +66,19 @@ class DistillConfig:
             raise ValueError(f"beta {self.beta} must be finite and >= 0")
 
 
+def _check_mixup_rates(gamma: float, tau: float, sigma: float) -> None:
+    """The range rules a mixup state and its config share: a non-finite rate
+    or reference point would drive lambda to a bound or to NaN only once
+    training runs; gamma = 0 freezes the mixing rate, a useful ablation
+    switch. The ValueError names the first field outside its range."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma {gamma} must be finite and >= 0")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau {tau} must be finite")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma {sigma} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class MixupState:
     """Adaptive mixing-rate state threaded through the whole cascade.
@@ -86,11 +99,9 @@ class MixupState:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 0.5:
             raise ValueError(f"lambda {self.lam} outside [0, 0.5]")
-        if self.gamma < 0.0:
-            # gamma = 0 freezes the mixing rate, a useful ablation switch
-            raise ValueError(f"gamma {self.gamma} must be >= 0")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma {self.sigma} outside [0, 1]")
+        _check_mixup_rates(self.gamma, self.tau, self.sigma)
+        if not (math.isfinite(self.ema_loss) and self.ema_loss >= 0.0):
+            raise ValueError(f"ema_loss {self.ema_loss} must be finite and >= 0")
 
 
 @dataclass
@@ -105,15 +116,9 @@ class MixupConfig:
         self.check()
 
     def check(self) -> None:
-        """Raise ValueError naming the first field outside its range: a
-        non-finite rate or reference point would drive lambda to a bound or
-        to NaN only once training runs."""
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma {self.gamma} must be finite and >= 0")
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau {self.tau} must be finite")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma {self.sigma} outside [0, 1]")
+        """Raise ValueError naming the first field outside its range; the
+        rate rules are those of ``MixupState``."""
+        _check_mixup_rates(self.gamma, self.tau, self.sigma)
         if not 0.0 <= self.lambda_init <= 0.5:
             raise ValueError(f"lambda_init {self.lambda_init} outside [0, 0.5]")
 

@@ -84,9 +84,9 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
     entry of a max-shifted softmax row is exp(0) / s = 1 / s exactly, so no
     second softmax is needed.
 
-    An empty index set or an index outside [0, rows) raises ValueError."""
-    idx = np.asarray(eval_idx, dtype=np.intp).ravel()
-    check_index(idx, logits.shape[0], "confidence", "evaluation")
+    An empty index set, one not of integers (a boolean mask, say) or an
+    index outside [0, rows) raises ValueError."""
+    idx = check_index(eval_idx, logits.shape[0], "confidence", "evaluation")
     return _confidence(logits, idx)
 
 
@@ -151,8 +151,7 @@ def run_anytime(
     d = c.feat_dim
     if x.shape[1] != d:
         raise ValueError(f"feature width mismatch: expected {d}, got {x.shape[1]}")
-    idx = np.asarray(eval_idx, dtype=np.intp).ravel()
-    check_index(idx, x.shape[0], "run_anytime", "evaluation")
+    idx = check_index(eval_idx, x.shape[0], "run_anytime", "evaluation")
 
     dtype = np.result_type(x.dtype, first.layers[0][0].dtype)
     inputs = np.zeros((x.shape[0], first.input_dim), dtype=dtype)
@@ -187,8 +186,7 @@ def run_anytime(
 def accuracy(pred: np.ndarray, y: np.ndarray, idx) -> float:
     """Fraction of `idx` rows where argmax(pred) == argmax(y); argmax ties
     break to the lowest class index."""
-    idx = np.asarray(idx, dtype=np.intp).ravel()
-    check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy", "evaluation")
+    idx = check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy", "evaluation")
     return numkit.accuracy(pred[idx], np.argmax(y[idx], axis=1))
 
 
@@ -196,11 +194,9 @@ def write_prediction_csv(path, result: InferenceResult) -> None:
     """Per-node predictions: `node,pred_class,confidence_weighted_max`, the
     last with 9 significant digits."""
     pred = result.prediction
-    table = np.column_stack(
-        [np.arange(pred.shape[0]), np.argmax(pred, axis=1), row_max(pred)]
-    )
+    columns = [np.arange(pred.shape[0]), np.argmax(pred, axis=1), row_max(pred)[:, 0]]
     _write_csv(
-        path, table, ("%d", "%d", "%.9g"), header="node,pred_class,confidence_weighted_max"
+        path, columns, ("%d", "%d", "%.9g"), header="node,pred_class,confidence_weighted_max"
     )
 
 

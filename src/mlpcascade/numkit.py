@@ -137,22 +137,24 @@ def accuracy(logits: np.ndarray, truth_ids: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == truth_ids))
 
 
-def check_index(idx: np.ndarray, n_rows: int, func: str, name: str) -> None:
-    """Reject an empty index set and any index outside [0, n_rows): numpy
-    would wrap a negative index onto another row. The ValueError names the
-    function ``func`` and its index set ``name``."""
+def check_index(idx, n_rows: int, func: str, name: str) -> np.ndarray:
+    """The index set ``idx`` as a flat ``intp`` array, after rejecting an
+    empty set, a set that does not hold integers (numpy would read a boolean
+    mask as rows 0 and 1 and truncate floats) and any index outside
+    [0, n_rows) (numpy would wrap a negative one onto another row). The
+    ValueError names the function ``func`` and its index set ``name``."""
+    idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError(f"{func}: empty {name} index set")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(
+            f"{func}: {name} index set must hold integers, got dtype {idx.dtype}"
+        )
     lo, hi = idx.min(), idx.max()
     if lo < 0 or hi >= n_rows:
         bad = lo if lo < 0 else hi
         raise ValueError(f"{func}: {name} index {bad} out of range for {n_rows} rows")
-
-
-def _as_index(mask, n_rows: int, func: str) -> np.ndarray:
-    idx = np.asarray(mask, dtype=np.intp).ravel()
-    check_index(idx, n_rows, func, "mask")
-    return idx
+    return idx.astype(np.intp, copy=False).ravel()
 
 
 def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPair:
@@ -168,7 +170,7 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
         raise ValueError(
             f"logits shape {logits.shape} != labels shape {onehot.shape}"
         )
-    idx = _as_index(mask, logits.shape[0], "masked_cross_entropy")
+    idx = check_index(mask, logits.shape[0], "masked_cross_entropy", "mask")
     sub_logits = logits[idx]
     logp = log_softmax_rows(sub_logits)
     sub_onehot = onehot[idx]
@@ -189,7 +191,7 @@ def kl_divergence(teacher_probs: np.ndarray, student_logits: np.ndarray, mask) -
         raise ValueError(
             f"teacher shape {teacher_probs.shape} != student shape {student_logits.shape}"
         )
-    idx = _as_index(mask, student_logits.shape[0], "kl_divergence")
+    idx = check_index(mask, student_logits.shape[0], "kl_divergence", "mask")
     t = teacher_probs[idx]
     row_sums = t.sum(axis=1)
     bad = np.abs(row_sums - 1.0) > 1e-5

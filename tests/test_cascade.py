@@ -326,6 +326,25 @@ class TestMixupState:
         with pytest.raises(ValueError, match="lambda"):
             cas.MixupState(lam=0.6)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gamma", float("inf"), "must be finite and >= 0"),
+            ("gamma", -0.1, "must be finite and >= 0"),
+            ("tau", float("nan"), "must be finite"),
+            ("sigma", float("nan"), "outside [0, 1]"),
+            ("ema_loss", float("nan"), "must be finite and >= 0"),
+            ("ema_loss", float("inf"), "must be finite and >= 0"),
+            ("ema_loss", -0.5, "must be finite and >= 0"),
+        ],
+    )
+    def test_state_fields_checked_like_the_config(self, field, value, message):
+        # a hand-built state used to pass gamma=inf and tau=nan on to
+        # update_lambda, which then named neither field
+        with pytest.raises(ValueError) as err:
+            cas.MixupState(lam=0.1, **{field: value})
+        assert str(err.value) == f"{field} {value} {message}"
+
 
 class TestDistillAndMixupConfig:
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])

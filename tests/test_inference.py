@@ -429,6 +429,20 @@ class TestEvaluationIndexRange:
         with pytest.raises(ValueError, match="out of range for 4 rows"):
             inf.accuracy(np.eye(4), np.eye(4), idx)
 
+    @pytest.mark.parametrize("idx", [np.array([True, False, True, False]), [0.0, 2.0]])
+    def test_non_integer_index_sets_rejected(self, idx):
+        casc = build_cascade(np.random.default_rng(0), 2)
+        calls = {
+            "run_anytime": lambda: inf.run_anytime(
+                casc, np.zeros((4, 4)), inf.InferencePolicy(max_students=1), idx
+            ),
+            "confidence": lambda: inf.confidence(np.eye(4), idx),
+            "accuracy": lambda: inf.accuracy(np.eye(4), np.eye(4), idx),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^{name}: evaluation index set must hold"):
+                call()
+
 
 class TestStoppedBy:
     def run(self, policy, n_students=3):

@@ -206,6 +206,19 @@ class TestLossIndexChecks:
         with pytest.raises(ValueError, match=f"^{name}: empty mask index set$"):
             self.losses()[name]([])
 
+    @pytest.mark.parametrize("name", ["masked_cross_entropy", "kl_divergence"])
+    @pytest.mark.parametrize(
+        "idx, dtype",
+        [(np.array([True, False]), "bool"), ([True, True], "bool"),
+         (np.array([0.0, 1.0]), "float64"), ([1.7], "float64")],
+    )
+    def test_non_integer_index_set_rejected(self, name, idx, dtype):
+        # a boolean mask would otherwise score rows 1 and 0, a float row 1.7 row 1
+        with pytest.raises(
+            ValueError, match=f"^{name}: mask index set must hold integers, got dtype {dtype}$"
+        ):
+            self.losses()[name](idx)
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
