@@ -1,0 +1,129 @@
+"""Paired benchmark runs of two checkouts of this repository.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sbm-20k \
+        --pairs 10 --seed0 101
+
+Runs ``perfbench/run.py`` of each checkout once per pair, on seeds
+``seed0 .. seed0 + pairs - 1``, alternating which side runs first so that a
+drift of the host favours neither. Then prints, for every metric of the
+result lines, each side's median and quartiles, the change's median
+relative to the parent's, the number of pairs the change wins (by the
+``better`` direction in the change's BENCHMARK.json) and whether the gain
+would count as a claim: at least 9 in 10 pairs won, and the medians further
+apart than the parent's interquartile range. Last, it compares the two
+checkouts' ``.perfbench/digests.json`` on the keys (workload, size, seed)
+both have seen: equal entries mean both wrote the same artifacts.
+
+Exit code 1 when a run fails or prints an incorrect result, or when the
+digests disagree; 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line of one benchmark run, or a failure record."""
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "error": proc.stderr.strip()[-500:], "metrics": {}}
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    with open(checkout / "BENCHMARK.json") as f:
+        bench = json.load(f)
+    return {m["name"]: m["better"]
+            for group in ("end_to_end", "per_layer") for m in bench.get(group, [])}
+
+
+def compare_digests(parent: Path, change: Path) -> tuple[int, list[str]]:
+    """(shared key count, keys whose entries differ) of the two checkouts'
+    artifact digest records."""
+    records = []
+    for checkout in (parent, change):
+        path = checkout / ".perfbench" / "digests.json"
+        records.append(json.loads(path.read_text()) if path.is_file() else {})
+    shared = sorted(set(records[0]) & set(records[1]))
+    return len(shared), [k for k in shared if records[0][k] != records[1][k]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=5.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, help="write every run's result line here as JSON")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results: dict[str, list[dict]] = {name: [] for name in sides}
+    ok = True
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in order:
+            res = run_once(sides[name], args.workload, seed, args.seconds, args.trace)
+            res["seed"] = seed
+            results[name].append(res)
+            if not res.get("correct"):
+                ok = False
+                print(f"pair {i + 1} seed {seed}: {name} run failed: "
+                      f"{res.get('error') or res.get('failed')}", file=sys.stderr)
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) done", file=sys.stderr)
+
+    better = directions(sides["change"])
+    names = [m for m in results["change"][0]["metrics"]
+             if all(m in r["metrics"] for side in results.values() for r in side)]
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0}..{args.seed0 + args.pairs - 1}")
+    print(f"{'metric':32} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
+          f"{'delta':>8} {'wins':>6}  claim")
+    for m in names:
+        a = [r["metrics"][m]["value"] for r in results["parent"]]
+        b = [r["metrics"][m]["value"] for r in results["change"]]
+        lower = better.get(m, "lower") == "lower"
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
+        delta = (b2 - a2) / a2 if a2 else float("nan")
+        gained = (b2 < a2) if lower else (b2 > a2)
+        claim = wins >= 0.9 * args.pairs and gained and abs(b2 - a2) > a3 - a1
+        print(f"{m:32} {a2:12.5g} [{a1:.5g}, {a3:.5g}] {b2:12.5g} [{b1:.5g}, {b3:.5g}] "
+              f"{100 * delta:+7.1f}% {wins:3d}/{args.pairs}  {'yes' if claim else 'no'}")
+
+    shared, differing = compare_digests(sides["parent"], sides["change"])
+    if differing:
+        ok = False
+        print(f"digests: {len(differing)} of {shared} shared keys differ: {differing}")
+    else:
+        print(f"digests: all {shared} shared keys equal")
+    if args.out is not None:
+        args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

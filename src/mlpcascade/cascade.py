@@ -23,12 +23,14 @@ import numpy as np
 from .graphio import Graph
 from .numkit import (
     GradPair,
+    SoftTargets,
     accuracy,
     dropout_mask,
     fingerprint,
     kl_divergence,
     log_softmax_rows,
     masked_cross_entropy,
+    soft_targets,
     softmax_rows,
 )
 from .optim import TrainingDivergedError, check_training_config, fit
@@ -173,6 +175,10 @@ class StudentTrainMeta:
     init_fingerprint: str
     lambda_history: list[float] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
+    # eval-mode logits of the kept parameters on every row, from the same
+    # forward that gives the next student's hidden input; like ``losses``,
+    # not checkpointed
+    logits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -245,7 +251,7 @@ def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.n
 
 def distill_loss(
     logits: np.ndarray,
-    teacher_probs: np.ndarray,
+    teacher_probs: np.ndarray | SoftTargets,
     y: np.ndarray,
     labeled,
     all_nodes,
@@ -256,9 +262,11 @@ def distill_loss(
 
         k^beta * (alpha * CE(logits, y | labeled) + (1-alpha) * KL(teacher_probs || logits | all))
 
-    Each weighted term is computed only when its weight is nonzero, so
-    alpha=1 needs no teacher-side validation and alpha=0 allows an empty
-    labeled set.
+    ``all_nodes`` is the KL's index set, None for every row;
+    ``teacher_probs`` may be the ``SoftTargets`` of the soft labels. Each
+    weighted term is computed only when its weight is nonzero, so alpha=1
+    needs no teacher-side validation and alpha=0 allows an empty labeled
+    set.
     """
     if k < 1:
         raise ValueError(f"student index k must be >= 1, got {k}")
@@ -268,12 +276,17 @@ def distill_loss(
     if cfg.alpha > 0.0:
         ce = masked_cross_entropy(logits, y, labeled)
         value += cfg.alpha * ce.value
-        grad += cfg.alpha * ce.grads["logits"]
+        ce_grad = ce.grads["logits"]
+        ce_grad *= cfg.alpha
+        grad += ce_grad
     if cfg.alpha < 1.0:
         kd = kl_divergence(teacher_probs, logits, all_nodes)
         value += (1.0 - cfg.alpha) * kd.value
-        grad += (1.0 - cfg.alpha) * kd.grads["logits"]
-    return GradPair(mult * value, {"logits": mult * grad})
+        kd_grad = kd.grads["logits"]
+        kd_grad *= 1.0 - cfg.alpha
+        grad += kd_grad
+    grad *= mult
+    return GradPair(mult * value, {"logits": grad})
 
 
 def sample_mixup_pairs(labeled, seed) -> np.ndarray:
@@ -304,9 +317,17 @@ def mixup_examples(
         raise ValueError(f"lambda {lam} outside [0, 0.5]")
     i = pairs[:, 0]
     j = pairs[:, 1]
-    mixed_inputs = lam * inputs[i] + (1.0 - lam) * inputs[j]
-    mixed_labels = lam * y[i] + (1.0 - lam) * y[j]
-    return mixed_inputs, mixed_labels
+    return _blend(inputs, i, j, lam), _blend(y, i, j, lam)
+
+
+def _blend(a: np.ndarray, i: np.ndarray, j: np.ndarray, lam: float) -> np.ndarray:
+    """``lam * a[i] + (1 - lam) * a[j]``, in place on the two gathers."""
+    out = a[i]
+    out *= lam
+    other = a[j]
+    other *= 1.0 - lam
+    out += other
+    return out
 
 
 def mixup_loss(
@@ -355,7 +376,7 @@ def update_lambda(state: MixupState) -> MixupState:
 def total_loss_gradpair(
     p: LayerStack,
     inputs: np.ndarray,
-    teacher_probs: np.ndarray,
+    teacher_probs: np.ndarray | SoftTargets,
     y: np.ndarray,
     labeled,
     k: int,
@@ -368,6 +389,8 @@ def total_loss_gradpair(
     """Full per-epoch objective of student k on assembled rows [x | h_prev]:
     the distillation loss over all rows, the mixup loss over the mixed
     ``pairs``, and the gradients of their sum w.r.t. all student parameters.
+    ``train_cascade`` passes the ``SoftTargets`` of the soft labels, so the
+    teacher side of the KL is checked and derived once per cascade.
 
     With ``dropout > 0`` the training forward draws its masks from ``rng``
     first, then the mixup forward. A pure function of the parameters once
@@ -376,9 +399,7 @@ def total_loss_gradpair(
     """
     labeled = np.asarray(labeled)
     logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng))
-    distill = distill_loss(
-        logits, teacher_probs, y, labeled, np.arange(inputs.shape[0]), k, distill_cfg
-    )
+    distill = distill_loss(logits, teacher_probs, y, labeled, None, k, distill_cfg)
     grads = backward(p, caches, distill.grads["logits"])
     mixed_inputs, mixed_labels = mixup_examples(inputs, y, pairs, lam)
     mix = mixup_loss(p, mixed_inputs, mixed_labels, labeled.size, dropout, rng)
@@ -389,7 +410,7 @@ def total_loss_gradpair(
 def train_student(
     k: int,
     g: Graph,
-    teacher_probs: np.ndarray,
+    teacher_probs: np.ndarray | SoftTargets,
     h_prev: np.ndarray,
     init: LayerStack,
     cfg: CascadeConfig,
@@ -402,7 +423,7 @@ def train_student(
     step -> EMA and lambda updates. ``optim.fit`` tracks validation
     accuracy with patience and hands back the best epoch's parameters; the
     hidden state handed to the next student is recomputed from them in eval
-    mode.
+    mode, and the logits of that forward are kept in the meta.
     """
     if g.splits.validation.size == 0:
         raise ValueError("training needs a non-empty validation split")
@@ -435,7 +456,7 @@ def train_student(
         return accuracy(val_logits, y_val), None
 
     run = fit(params, cfg, step, validate)
-    h_k, _ = student_forward(run.params, inputs)
+    h_k, logits = student_forward(run.params, inputs)
     meta = StudentTrainMeta(
         epochs=run.epochs,
         best_epoch=run.best_epoch,
@@ -444,6 +465,7 @@ def train_student(
         init_fingerprint=init_fp,
         lambda_history=lambda_history,
         losses=run.losses,
+        logits=logits,
     )
     return run.params, h_k, state, meta
 
@@ -453,7 +475,9 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     student warm-started from its predecessor, hidden states and the mixup
     state threaded along the chain. The soft labels are cast to the graph's
     dtype after their fingerprint is recorded, so the cascade names the
-    teacher it was distilled from at any precision."""
+    teacher it was distilled from at any precision. Unless alpha = 1 (no
+    KL), they are checked and their ``t ln t`` terms derived here, once for
+    every epoch of every student."""
     cfg.check()  # before cfg sizes any array
     teacher_fp = teacher.soft_label_fingerprint()
     teacher_probs = teacher.soft_labels.astype(g.features.dtype, copy=False)
@@ -462,6 +486,7 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
             f"teacher soft labels {teacher_probs.shape} do not match graph "
             f"({g.n_nodes}, {g.n_classes})"
         )
+    targets = soft_targets(teacher_probs) if cfg.distill.alpha < 1.0 else teacher_probs
     rng = np.random.default_rng([cfg.seed, 0])
     init = init_student(
         g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.n_layers, rng, g.features.dtype
@@ -474,7 +499,7 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     for k in range(1, cfg.n_students + 1):
         try:
             params, h_prev, state, meta = train_student(
-                k, g, teacher_probs, h_prev, init, cfg, state
+                k, g, targets, h_prev, init, cfg, state
             )
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(

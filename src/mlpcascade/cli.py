@@ -12,28 +12,48 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
 
 def _cap_thread_env() -> None:
     """BLAS thread caps must be in the environment before numpy first loads,
-    so the --threads flag is scanned from argv at import time. Default is
-    single-threaded for bit-reproducible runs."""
-    n = "1"
+    so the --threads flag is scanned from the process command line at import
+    time. An explicit ``--threads N`` overrides the inherited variables;
+    without it, a variable already set is kept and an unset one gets 1
+    (single-threaded, for bit-reproducible runs). A value that is not an
+    integer >= 1 sets nothing: argument parsing refuses it with exit 2."""
+    n = None
     argv = sys.argv
     for i, tok in enumerate(argv):
         if tok == "--threads" and i + 1 < len(argv):
             n = argv[i + 1]
         elif tok.startswith("--threads="):
             n = tok.split("=", 1)[1]
+    try:
+        n = str(_thread_count(n)) if n is not None else None
+    except argparse.ArgumentTypeError:
+        n = None
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
+        if n is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = n
+
+
+def _thread_count(tok: str) -> int:
+    try:
+        n = int(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{tok!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} must be >= 1")
+    return n
 
 
 _cap_thread_env()
 
-import argparse
 import json
 import statistics
 from pathlib import Path
@@ -283,15 +303,14 @@ def cmd_distill(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cascade_mod.save_cascade(casc, out / CASCADE_CKPT)
 
-    result = inference.run_anytime(
-        casc,
-        g.features,
-        inference.InferencePolicy(max_students=casc.n_students),
-        g.splits.unlabeled,
+    # training already ran every student on every row: score those logits
+    # as a cap-K run_anytime over the unlabeled rows would
+    probs, confidences = inference.score_logits(
+        [meta.logits for meta in casc.metas], g.splits.unlabeled
     )
     students = []
     lambda_trajectory: list[float] = []
-    prefixes = inference.prefix_ensembles(result.probs, result.confidences)
+    prefixes = inference.prefix_ensembles(probs, confidences)
     for k, (meta, prediction) in enumerate(zip(casc.metas, prefixes), start=1):
         students.append(
             {
@@ -398,8 +417,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (sections: dataset, teacher, cascade, policy, run)")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread cap (default 1; >1 trades bit-reproducibility for speed)")
+    p.add_argument("--threads", type=_thread_count, default=None,
+                   help="BLAS thread cap, set when the process starts; overrides "
+                        "OMP/OPENBLAS/MKL_NUM_THREADS (default: those, else 1; "
+                        ">1 trades bit-reproducibility for speed)")
     p.add_argument("--precision", choices=("f32", "f64"),
                    help="working precision (default f32)")
 

@@ -65,6 +65,9 @@ MEAN_SEPARATION = 3.0
 # whole save_dataset took the same at 16k and 32k within the host's noise.
 _WRITE_BLOCK_VALUES = 1 << 14
 
+# Feature values per row block drawn by synth_sbm.
+_SYNTH_BLOCK_VALUES = 1 << 16
+
 
 @dataclass
 class Splits:
@@ -318,13 +321,20 @@ def _onehot(class_ids: np.ndarray, n_classes: int, dtype) -> np.ndarray:
 
 def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Canonical (i < j) deduplicated pairs with self-loops stripped, sorted
-    by (i, j).
+    by (i, j), as int64.
 
-    Sorts the scalar key ``i * n_nodes + j`` and drops adjacent repeats,
-    which is far faster than ``np.unique`` on the pair rows.
+    Input that is already canonical, as ``save_dataset`` writes it, is
+    returned after one pass over the scalar keys ``i * n_nodes + j``. Other
+    input sorts those keys and drops adjacent repeats, which is far faster
+    than ``np.unique`` on the pair rows.
     """
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
+    edges = edges.astype(np.int64, copy=False)
+    i, j = edges[:, 0], edges[:, 1]
+    key = i * n_nodes + j
+    if np.all(i < j) and np.all(key[1:] > key[:-1]):
+        return edges
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
     keep = lo != hi
     key = np.sort(lo[keep] * n_nodes + hi[keep])
     key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
@@ -332,14 +342,19 @@ def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 def _adjacency_from_pairs(pairs: np.ndarray, n_nodes: int, dtype) -> SparseMatrix:
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    data = np.ones(src.size, dtype=dtype)
-    adj = sparse.csr_array(
-        sparse.coo_array((data, (src, dst)), shape=(n_nodes, n_nodes))
+    """The symmetric 0/1 adjacency of canonical pairs (``_undirected_pairs``):
+    the upper triangle is already in CSR order, so its row pointer is a
+    cumulative count of the rows, and the lower triangle is its transpose.
+    Indices come out sorted, and int64 as a COO construction from the
+    int64 pairs gives them; without an edge, scipy's default int32."""
+    if pairs.shape[0] == 0:
+        return sparse.csr_array((n_nodes, n_nodes), dtype=dtype)
+    rows = np.bincount(pairs[:, 0], minlength=n_nodes)
+    indptr = np.concatenate([[0], np.cumsum(rows)])
+    upper = sparse.csr_array(
+        (np.ones(pairs.shape[0], dtype=dtype), pairs[:, 1], indptr), shape=(n_nodes, n_nodes)
     )
-    adj.sort_indices()
-    return adj
+    return upper + sparse.csr_array(upper.T)
 
 
 _SPLIT_KEYS = ("labeled", "validation", "test")
@@ -713,10 +728,17 @@ def synth_sbm(
 
     basis, _ = np.linalg.qr(rng.standard_normal((feat_dim, n_classes)))
     means = MEAN_SEPARATION * basis.T  # one orthogonal mean per class
-    features = means[class_ids]
-    if feat_noise:
-        features = features + feat_noise * rng.standard_normal((n_nodes, feat_dim))
-    features = features.astype(dtype)
+    # drawn in row blocks, which take the same normals from rng as one
+    # full-size draw, without the full-size float64 temporaries
+    features = np.empty((n_nodes, feat_dim), dtype=dtype)
+    rows = max(1, _SYNTH_BLOCK_VALUES // feat_dim)
+    for start in range(0, n_nodes, rows):
+        chunk = means[class_ids[start : start + rows]]
+        if feat_noise:
+            noise = rng.standard_normal(chunk.shape)
+            noise *= feat_noise
+            chunk += noise
+        features[start : start + rows] = chunk
     labels = _onehot(class_ids, n_classes, dtype)
 
     n_per_class = max(1, block // 10)

@@ -99,6 +99,26 @@ def _confidence(logits: np.ndarray, idx: np.ndarray) -> float:
     return float(np.mean(1.0 / z.sum(axis=1)))
 
 
+def _score(logits: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """One student's per-row probabilities and its batch confidence over the
+    checked index array ``idx``: the scoring of ``run_anytime``."""
+    return softmax_rows(logits), _confidence(logits, idx)
+
+
+def score_logits(
+    logits: list[np.ndarray], eval_idx
+) -> tuple[list[np.ndarray], list[float]]:
+    """Per-student probabilities and batch confidences of students whose
+    logits over every row are already known, by the scoring of
+    ``run_anytime``: from the logits a run computes they are the same bits
+    as its ``probs`` and ``confidences``. The index set is checked once."""
+    if not logits:
+        raise ValueError("score_logits: no students")
+    idx = check_index(eval_idx, logits[0].shape[0], "score_logits", "evaluation")
+    scored = [_score(z, idx) for z in logits]
+    return [p for p, _ in scored], [c for _, c in scored]
+
+
 def ensemble(preds: list[np.ndarray], confs: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Confidence-weighted combination P = sum_j w_j * preds_j with
     w = softmax(confidences). Every preds entry must be row-normalized."""
@@ -165,8 +185,9 @@ def run_anytime(
         if h is not None:
             inputs[:, d:] = h
         h, logits = student_forward(params, inputs)
-        preds.append(softmax_rows(logits))
-        confs.append(_confidence(logits, idx))
+        probs, conf = _score(logits, idx)
+        preds.append(probs)
+        confs.append(conf)
         elapsed.append(time.perf_counter() - t0)
         stopped_by = policy.fired(confs[-1], len(preds), sum(elapsed))
         if stopped_by is not None:

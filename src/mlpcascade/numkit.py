@@ -35,6 +35,10 @@ REL_ERR_FLOOR = 1e-8
 ROW_MAX_COLUMNS = 8
 ROW_MAX_ROWS_PER_COLUMN = 16
 
+# Uniforms per block drawn by dropout_mask: 128 KiB of float64, small
+# enough to stay in cache between the draw and the comparison.
+DROPOUT_BLOCK = 1 << 14
+
 
 @dataclass
 class GradPair:
@@ -64,12 +68,25 @@ def relu(x: np.ndarray) -> np.ndarray:
 def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
     """Inverted-dropout mask: zeros w.p. `rate`, survivors scaled by 1/(1-rate).
 
-    Scaling at train time keeps eval forward passes mask-free.
+    Scaling at train time keeps eval forward passes mask-free. The uniforms
+    are drawn ``DROPOUT_BLOCK`` at a time into one reusable buffer, which
+    takes the same values from ``rng`` in the same order as one
+    ``rng.random(shape)`` call, so the mask is the same bits without the
+    full-size float64 array.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / (1.0 - rate)
+    mask = np.empty(shape, dtype=dtype)
+    flat = mask.reshape(-1)
+    uniforms = np.empty(min(DROPOUT_BLOCK, flat.size))
+    keep = np.empty(uniforms.size, dtype=bool)
+    for start in range(0, flat.size, DROPOUT_BLOCK):
+        out = flat[start : start + DROPOUT_BLOCK]
+        u, k = uniforms[: out.size], keep[: out.size]
+        rng.random(out=u)
+        np.greater_equal(u, rate, out=k)
+        np.divide(k, 1.0 - rate, dtype=dtype, out=out)
+    return mask
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -180,35 +197,76 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
     return GradPair(value, {"logits": grad})
 
 
-def kl_divergence(teacher_probs: np.ndarray, student_logits: np.ndarray, mask) -> GradPair:
-    """Mean KL(teacher || softmax(student)) over the rows named by `mask`.
+@dataclass(frozen=True)
+class SoftTargets:
+    """Teacher rows checked to be distributions, with their ``t * ln t``
+    terms: the constant side of ``kl_divergence``. Training derives them
+    once per cascade and every epoch's KL reuses them."""
 
-    The teacher distribution is a constant: no gradient flows to it. The
+    probs: np.ndarray
+    t_log_t: np.ndarray
+
+
+def soft_targets(teacher_probs: np.ndarray, rows: np.ndarray | None = None) -> SoftTargets:
+    """Check that every row of ``teacher_probs`` sums to 1 within 1e-5 and
+    has no negative entry, and derive ``t * ln t`` with the 0 * ln 0 = 0
+    limit. ``rows`` names the rows in error messages when they were gathered
+    from a larger matrix."""
+    row_sums = teacher_probs.sum(axis=1)
+    bad = np.abs(row_sums - 1.0) > 1e-5
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        row = i if rows is None else int(rows[i])
+        raise ValueError(
+            f"kl_divergence: teacher row {row} sums to {float(row_sums[i]):.8g}, not 1"
+        )
+    if np.any(teacher_probs < 0):
+        i = int(np.argmax((teacher_probs < 0).any(axis=1)))
+        row = i if rows is None else int(rows[i])
+        raise ValueError(f"kl_divergence: teacher row {row} has negative entries")
+    positive = teacher_probs > 0
+    t_log_t = np.where(
+        positive, teacher_probs * np.log(np.where(positive, teacher_probs, 1.0)), 0.0
+    )
+    return SoftTargets(teacher_probs, t_log_t)
+
+
+def kl_divergence(teacher, student_logits: np.ndarray, mask=None) -> GradPair:
+    """Mean KL(teacher || softmax(student)) over the rows named by `mask`,
+    every row when `mask` is None.
+
+    ``teacher`` is the teacher's probabilities, checked on the masked rows
+    at each call, or their ``SoftTargets``, checked once when built. The
+    teacher distribution is a constant: no gradient flows to it. The
     gradient w.r.t. the student logits is (softmax(student) - teacher)/|mask|
     on masked rows. Value is >= 0 up to rounding (Gibbs inequality).
     """
-    if teacher_probs.shape != student_logits.shape:
+    probs = teacher.probs if isinstance(teacher, SoftTargets) else teacher
+    if probs.shape != student_logits.shape:
         raise ValueError(
-            f"teacher shape {teacher_probs.shape} != student shape {student_logits.shape}"
+            f"teacher shape {probs.shape} != student shape {student_logits.shape}"
         )
-    idx = check_index(mask, student_logits.shape[0], "kl_divergence", "mask")
-    t = teacher_probs[idx]
-    row_sums = t.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > 1e-5
-    if np.any(bad):
-        row = int(idx[np.argmax(bad)])
-        raise ValueError(
-            f"kl_divergence: teacher row {row} sums to {float(row_sums[np.argmax(bad)]):.8g}, not 1"
-        )
-    if np.any(t < 0):
-        row = int(idx[np.argmax((t < 0).any(axis=1))])
-        raise ValueError(f"kl_divergence: teacher row {row} has negative entries")
-    logp = log_softmax_rows(student_logits[idx])
-    # t*ln(t) with the 0*ln(0) = 0 limit
-    t_log_t = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-    value = float((t_log_t - t * logp).sum() / idx.size)
-    grad = np.zeros_like(student_logits)
-    grad[idx] = (softmax_rows(student_logits[idx]) - t) / idx.size
+    idx = None
+    logits = student_logits
+    if mask is not None:
+        idx = check_index(mask, student_logits.shape[0], "kl_divergence", "mask")
+        logits = student_logits[idx]
+    if not isinstance(teacher, SoftTargets):
+        teacher = soft_targets(probs if idx is None else probs[idx], idx)
+    elif idx is not None:
+        teacher = SoftTargets(teacher.probs[idx], teacher.t_log_t[idx])
+    t = teacher.probs
+    count = logits.shape[0]
+    terms = t * log_softmax_rows(logits)
+    np.subtract(teacher.t_log_t, terms, out=terms)
+    value = float(terms.sum() / count)
+    diff = softmax_rows(logits) - t
+    diff /= count
+    if idx is None:
+        grad = diff.astype(student_logits.dtype, copy=False)
+    else:
+        grad = np.zeros_like(student_logits)
+        grad[idx] = diff
     return GradPair(value, {"logits": grad})
 
 

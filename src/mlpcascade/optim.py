@@ -70,8 +70,16 @@ class AdamW:
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        # two work arrays per parameter, so a step allocates nothing
+        self._work = {k: np.empty((2, *v.shape), dtype=v.dtype) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update of every parameter from ``grads``. Each line runs in
+        place on the parameter's work arrays, in the order and dtypes of
+
+            m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+            p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -79,14 +87,24 @@ class AdamW:
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
+            update, work = self._work[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=work)
+            m += work
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=work)
+            work *= 1.0 - self.beta2
+            v += work
+            np.divide(m, bc1, out=update)
+            np.divide(v, bc2, out=work)
+            np.sqrt(work, out=work)
+            work += self.eps
+            update /= work
             if self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= self.lr * update
+                np.multiply(p, self.weight_decay, out=work)
+                update += work
+            update *= self.lr
+            p -= update
 
 
 @dataclass

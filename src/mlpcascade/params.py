@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numkit import fingerprint, glorot_uniform, relu
+from .numkit import fingerprint, glorot_uniform
 
 
 @dataclass
@@ -86,20 +86,25 @@ def forward_cache(
     ``aggregate`` is the teacher's graph aggregation (None for a student: the
     identity). ``draw_mask(r)`` draws the dropout mask of each hidden
     activation ``r`` in layer order; None trains without dropout. Returns the
-    logits and one ``(input, z, mask)`` cache per layer, the mask being the
-    one applied to that layer's activation.
+    logits and one ``(input, r, mask)`` cache per layer, ``r`` being the
+    layer's ReLU output (the logits for the last layer) and the mask the one
+    applied to it. Each layer adds its bias and applies ReLU in place on the
+    fresh projection; ``r > 0`` is ``z > 0``, NaN included, so the
+    pre-activation need not be kept.
     """
     if a.shape[1] != p.input_dim:
         raise ValueError(f"input width {a.shape[1]} != first-layer fan-in {p.input_dim}")
     caches = []
     *hidden, (w_out, b_out) = p.layers
     for w, b in hidden:
-        z = _project(a, w, aggregate) + b
-        r = relu(z)
+        r = _project(a, w, aggregate)
+        r += b
+        np.maximum(r, 0, out=r)
         mask = None if draw_mask is None else draw_mask(r)
-        caches.append((a, z, mask))
+        caches.append((a, r, mask))
         a = r if mask is None else r * mask
-    logits = _project(a, w_out, aggregate) + b_out
+    logits = _project(a, w_out, aggregate)
+    logits += b_out
     caches.append((a, logits, None))
     return logits, caches
 
@@ -112,7 +117,8 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of every parameter from the logits' gradient, through the
     caches of ``forward_cache`` with the same ``aggregate``: a symmetric
-    aggregation is its own transpose."""
+    aggregation is its own transpose. Each hidden layer's gradient is
+    masked in place on the fresh product ``d_agg @ w.T``."""
     grads: dict[str, np.ndarray] = {}
     d_z = dlogits
     for li in reversed(range(p.n_layers)):
@@ -120,11 +126,11 @@ def backward(
         grads[f"w{li + 1}"] = caches[li][0].T @ d_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
         if li > 0:
-            _, z_prev, mask = caches[li - 1]
-            da = d_agg @ p.layers[li][0].T
+            _, r_prev, mask = caches[li - 1]
+            d_z = d_agg @ p.layers[li][0].T
             if mask is not None:
-                da = da * mask
-            d_z = da * (z_prev > 0)
+                d_z *= mask
+            np.multiply(d_z, r_prev > 0, out=d_z)
     return grads
 
 

@@ -152,7 +152,9 @@ def teacher_ce_gradpair(
         (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
     )
     if draw_mask is not None:
-        x = x * draw_mask(x)
+        masked = draw_mask(x)  # no gradient flows to x: mask it in place
+        masked *= x
+        x = masked
     aggregate = _aggregate(norm_adj)
     logits, caches = forward_cache(p, x, draw_mask, aggregate)
     ce = masked_cross_entropy(logits, labels, mask)

@@ -26,6 +26,7 @@ from mlpcascade.numkit import (
     finite_diff_check,
     kl_divergence,
     masked_cross_entropy,
+    soft_targets,
     softmax_rows,
 )
 from mlpcascade.params import LayerStack
@@ -101,10 +102,12 @@ def test_criterion_1_gradient_suite():
         teacher_probs = softmax_rows(rng.standard_normal((n, c)))
         pairs = cas.sample_mixup_pairs(mask, seed=seed)
 
+        targets = soft_targets(teacher_probs)  # what train_cascade passes
+
         def student_loss(p):
             sp = LayerStack([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
             distill, mix, grads = cas.total_loss_gradpair(
-                sp, np.hstack([x[:, :d], h_prev]), teacher_probs, onehot, mask, k=3,
+                sp, np.hstack([x[:, :d], h_prev]), targets, onehot, mask, k=3,
                 distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8), pairs=pairs, lam=0.35,
             )
             return GradPair(distill + mix, grads)

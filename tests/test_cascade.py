@@ -11,6 +11,7 @@ from mlpcascade.numkit import (
     finite_diff_check,
     masked_cross_entropy,
     relu,
+    soft_targets,
     softmax_rows,
 )
 from mlpcascade.optim import TrainingDivergedError
@@ -560,11 +561,12 @@ def student_fd_error(seed, n_layers=2, dropout=0.0):
     for _, b in base.layers:
         b[:] = 0.1 * rng.standard_normal(b.shape)
     inputs = np.hstack([x, h_prev])
+    targets = soft_targets(teacher_probs)  # what train_cascade passes
 
     def loss(p):
         params = LayerStack([(p[f"w{i}"], p[f"b{i}"]) for i in range(1, n_layers + 1)])
         distill, mix, grads = cas.total_loss_gradpair(
-            params, inputs, teacher_probs, y, labeled, k=2,
+            params, inputs, targets, y, labeled, k=2,
             distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8),
             pairs=pairs, lam=0.3, dropout=dropout, rng=np.random.default_rng(seed),
         )

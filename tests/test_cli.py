@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mlpcascade.cascade as cas
+import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 from mlpcascade.cli import main
 from mlpcascade.teacher import TeacherConfig
@@ -472,8 +473,9 @@ class TestTeacherGraphPasses:
 
 
 class TestForwardCounts:
-    """One full run yields every prefix ensemble, so the distill report needs
-    K student forwards and a sweep R * K, with no per-k reruns."""
+    """One full run yields every prefix ensemble, so a sweep needs R * K
+    student forwards, with no per-k reruns; the distill report reads the
+    logits training computed and needs none."""
 
     @pytest.fixture()
     def counter(self, monkeypatch):
@@ -487,7 +489,7 @@ class TestForwardCounts:
         monkeypatch.setattr(inf, "student_forward", counted)
         return calls
 
-    def test_distill_report_runs_each_student_once(self, tmp_path, counter):
+    def test_distill_report_runs_no_student_forward(self, tmp_path, counter):
         data = tmp_path / "data"
         run = tmp_path / "run"
         assert run_cli(*dataset_args(data, nodes=30)) == 0
@@ -500,12 +502,100 @@ class TestForwardCounts:
             "distill", "--data", data, "--teacher-dir", run, "--out", run,
             "--students", 3, "--hidden", 8, "--epochs", 5, "--patience", 3,
         ) == 0
-        assert len(counter) == 3
+        assert len(counter) == 0
 
     def test_sweep_runs_reps_times_k(self, separable_run, counter):
         data, run = separable_run
         assert run_cli("sweep", "--data", data, "--out", run, "--reps", 3) == 0
         assert len(counter) == 3 * 2
+
+
+class TestDistillReportFromTraining:
+    """The distill report scores the logits training kept; they must be the
+    probabilities and confidences a cap-K run of the saved cascade gives on
+    the unlabeled rows, bit for bit."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_report_scores_equal_a_cap_k_run(self, tmp_path, monkeypatch, precision, layers):
+        scored = []
+        prefixes = inf.prefix_ensembles
+
+        def keep(preds, confs):
+            scored.append((preds, confs))
+            return prefixes(preds, confs)
+
+        monkeypatch.setattr(inf, "prefix_ensembles", keep)
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert run_cli(*dataset_args(data, nodes=60, p_in=0.3, p_out=0.05, noise=1.0)) == 0
+        assert run_cli(
+            "train-teacher", "--data", data, "--out", run, "--precision", precision,
+            "--hidden", 8, "--epochs", 10, "--patience", 5,
+        ) == 0
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", run,
+            "--precision", precision, "--students", 3, "--layers", layers,
+            "--hidden", 8, "--epochs", 6, "--patience", 3, "--lr", 0.01,
+        ) == 0
+        (preds, confs), = scored
+        dtype = np.float32 if precision == "f32" else np.float64
+        g = gio.load_dataset(data, dtype=dtype)
+        casc = cas.load_cascade(run / "cascade.json")
+        res = inf.run_anytime(
+            casc, g.features, inf.InferencePolicy(max_students=3), g.splits.unlabeled
+        )
+        assert confs == res.confidences
+        for got, ref in zip(preds, res.probs, strict=True):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+class TestThreads:
+    """--threads is read from the process command line before numpy loads."""
+
+    @staticmethod
+    def thread_env(*flags):
+        """The BLAS thread variables a process started as ``mlpcascade
+        synth *flags`` sees, having inherited 2 for each."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; sys.argv = ['mlpcascade', 'synth', *sys.argv[1:]]\n"
+            "import os, mlpcascade.cli\n"
+            "print(*(os.environ[v] for v in "
+            "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))"
+        )
+        env = {**os.environ, "OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
+               "MKL_NUM_THREADS": "2"}
+        proc = subprocess.run([sys.executable, "-c", code, *flags], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    @pytest.mark.parametrize("flags", [("--threads", "1"), ("--threads=1",)])
+    def test_explicit_flag_overrides_the_environment(self, flags):
+        assert self.thread_env(*flags) == ["1", "1", "1"]
+
+    def test_inherited_variables_kept_without_the_flag(self):
+        assert self.thread_env() == ["2", "2", "2"]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_bad_count_exits_2(self, tmp_path, value):
+        import subprocess
+        import sys
+
+        out = tmp_path / "ds"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlpcascade", "synth", "--nodes", "12", "--classes", "3",
+             "--feat-dim", "4", "--out", str(out), f"--threads={value}"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "argument --threads" in proc.stderr
+        assert not out.exists()
+        assert self.thread_env(f"--threads={value}") == ["2", "2", "2"]
 
 
 class TestInfer:

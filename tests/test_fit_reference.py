@@ -2,8 +2,11 @@
 both ran ``optim.fit`` over the gradient-checked objectives.
 
 Each reference below writes its own epoch loop, forward and backward pass,
-as the two trainers did separately. The package's trainers must reproduce
-them bit for bit: parameters, soft labels, hidden states, losses, lambda
+as the two trainers did separately, with out-of-place numpy operations
+throughout. The kernels they call (dropout masks, softmaxes, the losses and
+AdamW) are frozen copies too, so a rewrite of the package's kernels is never
+checked against itself. The package's trainers must reproduce them bit for
+bit: parameters, soft labels, hidden states, eval logits, losses, lambda
 histories, best epochs and fingerprints.
 """
 
@@ -12,20 +15,107 @@ import pytest
 
 import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
+import mlpcascade.optim as optim
 import mlpcascade.teacher as t
-from mlpcascade.numkit import (
-    dropout_mask,
-    glorot_uniform,
-    log_softmax_rows,
-    masked_cross_entropy,
-    relu,
-    softmax_rows,
-    spmm,
-)
-from mlpcascade.optim import AdamW
+from mlpcascade.numkit import glorot_uniform, relu, row_max, spmm
 from mlpcascade.params import LayerStack
 
 DTYPES = [np.float32, np.float64]
+
+
+# ---------------------------------------------------------------------------
+# frozen kernels
+# ---------------------------------------------------------------------------
+
+
+def dropout_mask(rng, shape, rate, dtype):
+    keep = rng.random(shape) >= rate
+    return keep.astype(dtype) / (1.0 - rate)
+
+
+def _shifted(logits):
+    if logits.dtype.kind != "f":
+        logits = logits.astype(np.float64)
+    return logits - row_max(logits)
+
+
+def log_softmax_rows(logits):
+    z = _shifted(logits)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
+
+
+def softmax_rows(logits):
+    e = _shifted(logits)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def masked_cross_entropy(logits, onehot, mask):
+    idx = np.asarray(mask, dtype=np.intp).ravel()
+    sub_logits = logits[idx]
+    logp = log_softmax_rows(sub_logits)
+    sub_onehot = onehot[idx]
+    value = float(-(sub_onehot * logp).sum() / idx.size)
+    grad = np.zeros_like(logits)
+    grad[idx] = (softmax_rows(sub_logits) - sub_onehot) / idx.size
+    return value, grad
+
+
+def kl_divergence(teacher_probs, student_logits, idx):
+    t = teacher_probs[idx]
+    logp = log_softmax_rows(student_logits[idx])
+    t_log_t = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+    value = float((t_log_t - t * logp).sum() / idx.size)
+    grad = np.zeros_like(student_logits)
+    grad[idx] = (softmax_rows(student_logits[idx]) - t) / idx.size
+    return value, grad
+
+
+def distill_loss(logits, teacher_probs, y, labeled, all_nodes, k, cfg):
+    mult = float(k) ** cfg.beta
+    value = 0.0
+    grad = np.zeros_like(logits)
+    if cfg.alpha > 0.0:
+        ce_value, ce_grad = masked_cross_entropy(logits, y, labeled)
+        value += cfg.alpha * ce_value
+        grad += cfg.alpha * ce_grad
+    if cfg.alpha < 1.0:
+        kd_value, kd_grad = kl_divergence(teacher_probs, logits, all_nodes)
+        value += (1.0 - cfg.alpha) * kd_value
+        grad += (1.0 - cfg.alpha) * kd_grad
+    return mult * value, mult * grad
+
+
+class AdamW:
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = {k: np.zeros_like(v) for k, v in params.items()}
+        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, p in self.params.items():
+            g = grads[name]
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * p
+            p -= self.lr * update
 
 
 def ref_init(dims, rng, dtype):
@@ -35,6 +125,26 @@ def ref_init(dims, rng, dtype):
         b = np.zeros(fan_out, dtype=dtype)
         layers.append((w, b))
     return LayerStack(layers)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_adamw_matches_reference(weight_decay, dtype):
+    rng = np.random.default_rng(3)
+    shapes = {"w1": (30, 7), "b1": (7,), "w2": (7, 3)}
+    start = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    got = {k: v.copy() for k, v in start.items()}
+    ref = {k: v.copy() for k, v in start.items()}
+    opt = optim.AdamW(got, lr=0.01, weight_decay=weight_decay)
+    ref_opt = AdamW(ref, lr=0.01, weight_decay=weight_decay)
+    for _ in range(25):
+        grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        grads["b1"][0] = 0.0  # a zero gradient keeps its sign through the moments
+        opt.step({k: g.copy() for k, g in grads.items()})
+        ref_opt.step(grads)
+        for k in shapes:
+            assert got[k].dtype == dtype
+            assert np.array_equal(got[k].view(np.uint8), ref[k].view(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +212,10 @@ def ref_train_teacher(g, cfg):
         logits, caches = ref_teacher_forward(
             norm_adj, g.features, params, True, cfg.dropout, rng
         )
-        ce = masked_cross_entropy(logits, g.labels, g.splits.labeled)
-        grads = ref_teacher_backward(norm_adj, params, caches, ce.grads["logits"])
+        ce_value, ce_grad = masked_cross_entropy(logits, g.labels, g.splits.labeled)
+        grads = ref_teacher_backward(norm_adj, params, caches, ce_grad)
         opt.step(grads)
-        losses.append(ce.value)
+        losses.append(ce_value)
 
         hw = ref_eval_projection(norm_adj, g.features, params)
         val_logits = spmm(adj_val, hw) + params.layers[-1][1]
@@ -252,10 +362,10 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
         _, logits, caches = ref_student_forward(params, inputs, True, cfg.dropout, rng)
-        distill = cas.distill_loss(
+        distill_value, distill_grad = distill_loss(
             logits, teacher_probs, g.labels, labeled, all_nodes, k, cfg.distill
         )
-        grads = ref_student_backward(params, caches, distill.grads["logits"])
+        grads = ref_student_backward(params, caches, distill_grad)
 
         pairs = cas.sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         mixed_inputs, mixed_labels = ref_mixup_examples(
@@ -267,10 +377,10 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
 
         opt.step({name: grads[name] + mix_grads[name] for name in grads})
         state = cas.update_lambda(cas.update_ema(state, mix_value))
-        losses.append(distill.value + mix_value)
+        losses.append(distill_value + mix_value)
         lambda_history.append(state.lam)
 
-        _, val_logits = cas.student_forward(params, inputs_val)
+        _, val_logits, _ = ref_student_forward(params, inputs_val, False, 0.0, None)
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_val))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -282,7 +392,7 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
             if since_best >= cfg.patience:
                 break
 
-    h_k, _ = cas.student_forward(best_params, inputs)
+    h_k, logits, _ = ref_student_forward(best_params, inputs, False, 0.0, None)
     meta = cas.StudentTrainMeta(
         epochs=epochs_run,
         best_epoch=best_epoch,
@@ -291,6 +401,7 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
         init_fingerprint=init_fp,
         lambda_history=lambda_history,
         losses=losses,
+        logits=logits,
     )
     return best_params, h_k, state, meta
 
@@ -319,18 +430,27 @@ def cascade_setup(dtype):
     return g, art
 
 
+def assert_same_meta(got, ref):
+    assert got == ref  # every field but the logits
+    assert got.logits.dtype == ref.logits.dtype and np.array_equal(got.logits, ref.logits)
+
+
 def assert_same_cascade(g, art, cfg):
+    """The package's student trainer given the raw soft labels, and the
+    whole ``train_cascade`` (which passes their ``SoftTargets``), against
+    the reference chain."""
     got = run_chain(cas.train_student, g, art.soft_labels, cfg)
     ref = run_chain(ref_train_student, g, art.soft_labels, cfg)
     for (p1, h1, s1, m1), (p2, h2, s2, m2) in zip(got, ref, strict=True):
         assert_same_stack(p1, p2)
         assert h1.dtype == h2.dtype and np.array_equal(h1, h2)
         assert s1 == s2
-        assert m1 == m2
+        assert_same_meta(m1, m2)
     casc = cas.train_cascade(g, art, cfg)
     ref_stacks = [p for p, _, _, _ in ref]
     assert casc.fingerprint() == cas.Cascade(ref_stacks, [], "").fingerprint()
-    assert casc.metas == [m for _, _, _, m in ref]
+    for m1, (_, _, _, m2) in zip(casc.metas, ref, strict=True):
+        assert_same_meta(m1, m2)
     return casc
 
 

@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 import mlpcascade.graphio as gio
@@ -367,6 +370,79 @@ class TestUndirectedPairs:
         assert np.array_equal(got, self.oracle(edges))
 
 
+def coo_adjacency(pairs, n_nodes, dtype):
+    """The COO construction of the adjacency from canonical pairs that
+    ``_adjacency_from_pairs`` replaced: the reference it must match."""
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    data = np.ones(src.size, dtype=dtype)
+    adj = sparse.csr_array(sparse.coo_array((data, (src, dst)), shape=(n_nodes, n_nodes)))
+    adj.sort_indices()
+    return adj
+
+
+@st.composite
+def edge_lists(draw):
+    """(edges, n_nodes): any pairs of node ids, repeats, reversed repeats
+    and self-loops included, on graphs that may have isolated nodes or no
+    edge at all."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(0, 150))
+    edges = draw(hnp.arrays(np.int64, (m, 2), elements=st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        edges = np.concatenate([edges, edges[::-1, ::-1]])
+    return edges, n
+
+
+class TestCanonicalPairs:
+    """Canonical edge lists, as save_dataset writes them, skip the sort, and
+    the adjacency is built from the pairs' CSR order: both must give what
+    the sort and the COO construction give."""
+
+    @given(edge_lists(), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=150, deadline=None)
+    def test_adjacency_matches_coo_reference(self, case, dtype):
+        edges, n = case
+        pairs = gio._undirected_pairs(edges, n)
+        assert np.array_equal(pairs, TestUndirectedPairs.oracle(edges))
+        again = gio._undirected_pairs(pairs, n)
+        assert again.dtype == np.int64 and np.array_equal(again, pairs)
+        got = gio._adjacency_from_pairs(pairs, n, dtype)
+        ref = coo_adjacency(pairs, n, dtype)
+        assert got.shape == ref.shape and got.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_canonical_input_skips_the_sort(self):
+        pairs = np.array([[0, 2], [0, 3], [1, 2], [2, 5]], dtype=np.int64)
+        assert gio._undirected_pairs(pairs, 6) is pairs
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 2], [0, 2]],  # repeat
+            [[0, 2], [2, 0]],  # reversed repeat
+            [[1, 2], [0, 3]],  # out of order
+            [[0, 2], [3, 3]],  # self-loop
+            [[2, 0], [2, 3]],  # i > j
+        ],
+    )
+    def test_non_canonical_input_takes_the_sort(self, edges):
+        edges = np.array(edges, dtype=np.int64)
+        got = gio._undirected_pairs(edges, 4)
+        assert got is not edges
+        assert np.array_equal(got, TestUndirectedPairs.oracle(edges))
+
+    @pytest.mark.parametrize("n_nodes", [1, 7])
+    def test_empty_graph(self, n_nodes):
+        pairs = gio._undirected_pairs(np.empty((0, 2), dtype=np.int64), n_nodes)
+        got = gio._adjacency_from_pairs(pairs, n_nodes, np.float32)
+        ref = coo_adjacency(pairs, n_nodes, np.float32)
+        assert got.nnz == 0 and np.array_equal(got.indptr, ref.indptr)
+        assert got.indptr.dtype == ref.indptr.dtype
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize(
         "table, fmt",
@@ -624,6 +700,22 @@ class TestSynthSBM:
         for c in range(3):
             rows = g.features[ids == c]
             assert np.all(rows == rows[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_values", [1, 7, 100, 1 << 16])
+    def test_row_blocks_match_one_full_draw(self, monkeypatch, dtype, block_values):
+        """Features drawn in row blocks of any size are the bits of one
+        block holding every row (one full-size draw), and leave the
+        generator where it was for the splits."""
+        args = (90, 3, 40, 0.3, 0.05, 1.5)
+        monkeypatch.setattr(gio, "_SYNTH_BLOCK_VALUES", 90 * 40)
+        ref = gio.synth_sbm(*args, seed=8, dtype=dtype)
+        monkeypatch.setattr(gio, "_SYNTH_BLOCK_VALUES", block_values)
+        got = gio.synth_sbm(*args, seed=8, dtype=dtype)
+        assert got.features.dtype == ref.features.dtype == dtype
+        assert np.array_equal(got.features, ref.features)
+        for name in ("labeled", "validation", "test"):
+            assert np.array_equal(getattr(got.splits, name), getattr(ref.splits, name))
 
     def test_homophily_required(self):
         with pytest.raises(ValueError, match="p_in > p_out"):

@@ -244,6 +244,31 @@ class TestPrefixEnsembles:
         assert len(r.probs) == 2
 
 
+class TestScoreLogits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scores_of_known_logits_equal_a_run(self, dtype):
+        rng = np.random.default_rng(5)
+        casc = build_cascade(rng, 3, dtype=dtype)
+        x = rng.standard_normal((15, 4)).astype(dtype)
+        idx = rng.choice(15, size=9, replace=False)
+        run = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=3), idx)
+        h = np.zeros((15, casc.students[0].hidden_dim), dtype=dtype)
+        logits = []
+        for params in casc.students:
+            h, z = cas.student_forward(params, np.concatenate([x, h], axis=1))
+            logits.append(z)
+        probs, confs = inf.score_logits(logits, idx)
+        assert confs == run.confidences
+        for got, ref in zip(probs, run.probs, strict=True):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_index_set_checked(self):
+        with pytest.raises(ValueError, match="^score_logits: evaluation index 3 out of range"):
+            inf.score_logits([np.zeros((3, 2))], [0, 3])
+        with pytest.raises(ValueError, match="no students"):
+            inf.score_logits([], [0])
+
+
 class TestAccuracy:
     def test_perfect(self):
         y = np.eye(4)

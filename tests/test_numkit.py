@@ -180,6 +180,96 @@ class TestKLDivergence:
         assert finite_diff_check(loss, params) < 1e-5
 
 
+def kl_reference(t, logits, idx):
+    """The KL with every teacher term derived at the call, as
+    ``kl_divergence`` once computed it: the bits its shortcuts must keep."""
+    sub_t = t[idx]
+    logp = log_softmax_rows(logits[idx])
+    t_log_t = np.where(sub_t > 0, sub_t * np.log(np.where(sub_t > 0, sub_t, 1.0)), 0.0)
+    value = float((t_log_t - sub_t * logp).sum() / idx.size)
+    grad = np.zeros_like(logits)
+    grad[idx] = (softmax_rows(logits[idx]) - sub_t) / idx.size
+    return value, grad
+
+
+class TestSoftTargets:
+    """The teacher side of the KL derived once (``SoftTargets``) and the
+    all-rows shortcut (mask None) give the bits of the per-call form."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_form_matches_the_reference(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        n, c = 37, 4
+        t = softmax_rows(3.0 * rng.standard_normal((n, c))).astype(dtype)
+        t[0] = np.eye(c, dtype=dtype)[1]  # zero entries take the 0 ln 0 limit
+        logits = rng.standard_normal((n, c)).astype(dtype)
+        targets = nk.soft_targets(t)
+        every = np.arange(n)
+        some = np.sort(rng.choice(n, size=9, replace=False))
+        for teacher, mask, idx in [
+            (t, None, every), (targets, None, every), (t, every, every),
+            (targets, every, every), (t, some, some), (targets, some, some),
+        ]:
+            got = kl_divergence(teacher, logits, mask)
+            value, grad = kl_reference(t, logits, idx)
+            assert got.value == value
+            g = got.grads["logits"]
+            assert g.dtype == grad.dtype and np.array_equal(g.view(np.uint8), grad.view(np.uint8))
+
+    def test_checks_run_when_built(self):
+        with pytest.raises(ValueError, match="^kl_divergence: teacher row 1 sums to 1.4, not 1$"):
+            nk.soft_targets(np.array([[0.5, 0.5], [0.7, 0.7]]))
+        with pytest.raises(ValueError, match="^kl_divergence: teacher row 2 has negative entries$"):
+            nk.soft_targets(np.array([[0.5, 0.5], [1.0, 0.0], [1.2, -0.2]]))
+
+    def test_masked_raw_call_names_the_original_row(self):
+        t = np.array([[0.5, 0.5], [1.0, 0.0], [0.9, 0.9]])
+        with pytest.raises(ValueError, match="teacher row 2 sums to"):
+            kl_divergence(t, np.zeros((3, 2)), [0, 2])
+        # a row outside the mask is not checked
+        assert kl_divergence(t, np.zeros((3, 2)), [0, 1]).value >= 0.0
+
+    def test_shape_mismatch_rejected(self):
+        targets = nk.soft_targets(np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match=r"teacher shape \(3, 2\) != student shape \(4, 2\)"):
+            kl_divergence(targets, np.zeros((4, 2)))
+
+
+def dropout_reference(rng, shape, rate, dtype):
+    """The mask from one full-size draw of uniforms."""
+    keep = rng.random(shape) >= rate
+    return keep.astype(dtype) / (1.0 - rate)
+
+
+class TestDropoutMask:
+    """Masks drawn in blocks take the same uniforms in the same order as one
+    full-size draw, so every block size gives the reference bits and leaves
+    the generator in the same state."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("shape", [(7, 3), (1, 1), (0, 5), (64, 33), (300, 128)])
+    @pytest.mark.parametrize("block", [1, 5, 64, 1 << 14])
+    def test_matches_one_full_draw(self, monkeypatch, dtype, rate, shape, block):
+        monkeypatch.setattr(nk, "DROPOUT_BLOCK", block)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = nk.dropout_mask(rng, shape, rate, dtype)
+        ref = dropout_reference(ref_rng, shape, rate, dtype)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert rng.random() == ref_rng.random()
+
+    def test_cora_shape_feature_mask(self):
+        got = nk.dropout_mask(np.random.default_rng(2), (2702, 1433), 0.5, np.float32)
+        ref = dropout_reference(np.random.default_rng(2), (2702, 1433), 0.5, np.float32)
+        assert np.array_equal(got, ref)
+
+    def test_rate_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            nk.dropout_mask(np.random.default_rng(0), (2, 2), 1.0, np.float32)
+
+
 class TestLossIndexChecks:
     """Both losses take the rows they score as an index set; numpy would wrap
     a negative index onto another row and turn a past-the-end one into a
