@@ -10,12 +10,19 @@ result lines, each side's median and quartiles, the change's median
 relative to the parent's, the number of pairs the change wins (by the
 ``better`` direction in the change's BENCHMARK.json) and whether the gain
 would count as a claim: at least 9 in 10 pairs won, and the medians further
-apart than the parent's interquartile range. Last, it compares the two
-checkouts' ``.perfbench/digests.json`` on the keys (workload, size, seed)
-both have seen: equal entries mean both wrote the same artifacts.
+apart than the parent's interquartile range. For each end-to-end metric it
+also prints whether the change regresses: its median worse than the
+parent's by more than the metric's ``bound``, a share of the parent's
+median. Then it prints each seed's ``correct`` and failed checks on both
+sides, and each side's summed failed and attempted checks with the failed
+share. Last, it compares the two checkouts' ``.perfbench/digests.json`` on
+the keys (workload, size, seed) both have seen: equal entries mean both
+wrote the same artifacts, as they must unless the change declares a number
+change.
 
-Exit code 1 when a run fails or prints an incorrect result, or when the
-digests disagree; 0 otherwise.
+Exit code 1 when a run fails or prints an incorrect result, when an
+end-to-end metric regresses, when the change's failed share is above the
+parent's, or when the digests disagree; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -48,11 +55,32 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def metric_specs(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """(``better`` direction of every metric, ``bound`` of every end-to-end
+    metric) from the checkout's BENCHMARK.json."""
     with open(checkout / "BENCHMARK.json") as f:
         bench = json.load(f)
-    return {m["name"]: m["better"]
-            for group in ("end_to_end", "per_layer") for m in bench.get(group, [])}
+    better = {m["name"]: m["better"]
+              for group in ("end_to_end", "per_layer") for m in bench.get(group, [])}
+    bounds = {m["name"]: m["bound"] for m in bench.get("end_to_end", [])}
+    return better, bounds
+
+
+def regresses(parent_median: float, change_median: float, bound: float, lower: bool) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median."""
+    slack = bound * abs(parent_median)
+    if lower:
+        return change_median > parent_median + slack
+    return change_median < parent_median - slack
+
+
+def failed_share(runs: list[dict]) -> tuple[int, int, float]:
+    """(failed, attempted, failed / attempted) summed over a side's runs; a
+    run that printed no result counts as one failed check of one."""
+    failed = sum(r.get("failed", 1) for r in runs)
+    attempted = sum(r.get("attempted", 1) for r in runs)
+    return failed, attempted, (failed / attempted if attempted else 0.0)
 
 
 def compare_digests(parent: Path, change: Path) -> tuple[int, list[str]]:
@@ -96,12 +124,12 @@ def main(argv=None) -> int:
                       f"{res.get('error') or res.get('failed')}", file=sys.stderr)
         print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) done", file=sys.stderr)
 
-    better = directions(sides["change"])
+    better, bounds = metric_specs(sides["change"])
     names = [m for m in results["change"][0]["metrics"]
              if all(m in r["metrics"] for side in results.values() for r in side)]
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0}..{args.seed0 + args.pairs - 1}")
     print(f"{'metric':32} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'delta':>8} {'wins':>6}  claim")
+          f"{'delta':>8} {'wins':>6}  claim  regress")
     for m in names:
         a = [r["metrics"][m]["value"] for r in results["parent"]]
         b = [r["metrics"][m]["value"] for r in results["change"]]
@@ -111,8 +139,25 @@ def main(argv=None) -> int:
         delta = (b2 - a2) / a2 if a2 else float("nan")
         gained = (b2 < a2) if lower else (b2 > a2)
         claim = wins >= 0.9 * args.pairs and gained and abs(b2 - a2) > a3 - a1
+        regress = ""
+        if m in bounds:
+            worse = regresses(a2, b2, bounds[m], lower)
+            ok = ok and not worse
+            regress = f"{'YES' if worse else 'no'} (bound {bounds[m]:g})"
         print(f"{m:32} {a2:12.5g} [{a1:.5g}, {a3:.5g}] {b2:12.5g} [{b1:.5g}, {b3:.5g}] "
-              f"{100 * delta:+7.1f}% {wins:3d}/{args.pairs}  {'yes' if claim else 'no'}")
+              f"{100 * delta:+7.1f}% {wins:3d}/{args.pairs}  {'yes' if claim else 'no':5}  "
+              f"{regress}")
+
+    for p, c in zip(results["parent"], results["change"]):
+        print(f"seed {p['seed']}: " + ", ".join(
+            f"{name} correct={r.get('correct', False)} failed={r.get('failed', '-')}"
+            for name, r in (("parent", p), ("change", c))))
+    shares = {name: failed_share(runs) for name, runs in results.items()}
+    for name, (failed, attempted, share) in shares.items():
+        print(f"{name}: {failed} of {attempted} checks failed ({100 * share:.3f}%)")
+    if shares["change"][2] > shares["parent"][2]:
+        ok = False
+        print("failed share: the change's is above the parent's")
 
     shared, differing = compare_digests(sides["parent"], sides["change"])
     if differing:

@@ -160,8 +160,6 @@ class CascadeConfig:
         if self.n_layers < 2:
             raise ValueError(f"n_layers {self.n_layers} must be >= 2")
         check_training_config(self)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout {self.dropout} outside [0, 1)")
         self.distill.check()
         self.mixup.check()
 

@@ -425,11 +425,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="working precision (default f32)")
 
 
+_DROPOUT_HELP = ("dropout rate in [0, 1 - 2^-17), taken as the nearest multiple "
+                 "of 1/65536 (default 0.5)")
+
+
 def _add_teacher_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, help="teacher hidden width")
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", type=float)
-    p.add_argument("--dropout", type=float)
+    p.add_argument("--dropout", type=float, help=_DROPOUT_HELP)
     p.add_argument("--epochs", type=int, help="max epochs")
     p.add_argument("--patience", type=int, help="early-stopping patience")
     p.add_argument("--depth", type=int, help="graph-conv layers (2 or 3)")
@@ -441,7 +445,7 @@ def _add_cascade_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int, help="student layer count L")
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", type=float)
-    p.add_argument("--dropout", type=float)
+    p.add_argument("--dropout", type=float, help=_DROPOUT_HELP)
     p.add_argument("--epochs", type=int, help="max epochs per student")
     p.add_argument("--patience", type=int, help="early-stopping patience")
     p.add_argument("--alpha", type=float, help="CE weight in the distillation blend")

@@ -35,7 +35,11 @@ REL_ERR_FLOOR = 1e-8
 ROW_MAX_COLUMNS = 8
 ROW_MAX_ROWS_PER_COLUMN = 16
 
-# Uniforms per block drawn by dropout_mask: 128 KiB of float64, small
+# dropout_mask compares 16-bit draws with round(rate * DROPOUT_LEVELS), so
+# a dropout rate takes effect as a multiple of 1/65536.
+DROPOUT_LEVELS = 1 << 16
+
+# 64-bit generator words per block drawn by dropout_mask: 128 KiB, small
 # enough to stay in cache between the draw and the comparison.
 DROPOUT_BLOCK = 1 << 14
 
@@ -65,27 +69,50 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
-    """Inverted-dropout mask: zeros w.p. `rate`, survivors scaled by 1/(1-rate).
+def dropout_threshold(rate: float) -> int:
+    """The 16-bit threshold ``t = round(rate * 65536)`` of a dropout rate:
+    ``dropout_mask`` keeps a value iff its 16-bit draw is ``>= t``.
 
-    Scaling at train time keeps eval forward passes mask-free. The uniforms
-    are drawn ``DROPOUT_BLOCK`` at a time into one reusable buffer, which
-    takes the same values from ``rng`` in the same order as one
-    ``rng.random(shape)`` call, so the mask is the same bits without the
-    full-size float64 array.
+    ValueError naming the rate when it is outside [0, 1), or so close to 1
+    (``rate >= 1 - 2**-17``) that ``t`` is 65536 and nothing would be kept.
     """
     if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
+        raise ValueError(f"dropout {rate} outside [0, 1)")
+    threshold = round(rate * DROPOUT_LEVELS)
+    if threshold == DROPOUT_LEVELS:
+        raise ValueError(
+            f"dropout {rate} keeps nothing: masks resolve rates in steps of "
+            f"1/65536 and it rounds to 1 (it must be < 1 - 2^-17)"
+        )
+    return threshold
+
+
+def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask of ``dtype``: a value is kept iff a 16-bit draw
+    ``u >= t`` with ``t = dropout_threshold(rate)``, and survivors are scaled
+    by ``65536 / (65536 - t)``, so the mask's expectation is exactly 1 and the
+    effective rate is ``t / 65536``.
+
+    Scaling at train time keeps eval forward passes mask-free. The draws are
+    the raw 64-bit words of ``rng.bit_generator``, read little-endian as four
+    16-bit values each, low half first; a mask of n values takes
+    ``ceil(n / 4)`` words. They are drawn ``DROPOUT_BLOCK`` words at a time,
+    in order, so the mask and the generator state after it do not depend on
+    the block size, and no full-size array of draws is built.
+    """
+    threshold = dropout_threshold(rate)
+    scale = DROPOUT_LEVELS / (DROPOUT_LEVELS - threshold)
     mask = np.empty(shape, dtype=dtype)
     flat = mask.reshape(-1)
-    uniforms = np.empty(min(DROPOUT_BLOCK, flat.size))
-    keep = np.empty(uniforms.size, dtype=bool)
-    for start in range(0, flat.size, DROPOUT_BLOCK):
-        out = flat[start : start + DROPOUT_BLOCK]
-        u, k = uniforms[: out.size], keep[: out.size]
-        rng.random(out=u)
-        np.greater_equal(u, rate, out=k)
-        np.divide(k, 1.0 - rate, dtype=dtype, out=out)
+    words = -(-flat.size // 4)
+    keep = np.empty(min(4 * DROPOUT_BLOCK, flat.size), dtype=bool)
+    for start in range(0, words, DROPOUT_BLOCK):
+        count = min(DROPOUT_BLOCK, words - start)
+        out = flat[4 * start : 4 * (start + count)]
+        draws = rng.bit_generator.random_raw(count).astype("<u8", copy=False).view("<u2")
+        k = keep[: out.size]
+        np.greater_equal(draws[: out.size], threshold, out=k)
+        np.multiply(k, scale, dtype=dtype, out=out)
     return mask
 
 

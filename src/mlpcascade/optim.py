@@ -9,6 +9,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .numkit import dropout_threshold
 from .params import LayerStack
 
 
@@ -26,8 +27,9 @@ def check_training_config(cfg) -> None:
     """Reject the settings of a teacher or cascade config under which no
     model trains: an epoch cap below 1, negative patience, patience that
     reaches the cap, an empty hidden layer, a learning rate that is not
-    finite and positive, and a weight decay that is not finite and
-    non-negative. The ValueError names the field."""
+    finite and positive, a weight decay that is not finite and
+    non-negative, and a dropout rate that ``dropout_mask`` cannot draw. The
+    ValueError names the field."""
     if cfg.max_epochs < 1:
         raise ValueError(f"max_epochs {cfg.max_epochs} must be >= 1")
     if cfg.patience < 0:
@@ -40,6 +42,7 @@ def check_training_config(cfg) -> None:
         raise ValueError(f"lr {cfg.lr} must be finite and > 0")
     if not (math.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
         raise ValueError(f"weight_decay {cfg.weight_decay} must be finite and >= 0")
+    dropout_threshold(cfg.dropout)
 
 
 class AdamW:

@@ -92,8 +92,6 @@ class TeacherConfig:
         check_training_config(self)
         if self.depth not in (2, 3):
             raise ValueError(f"teacher depth must be 2 or 3, got {self.depth}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout {self.dropout} outside [0, 1)")
 
 
 def init_teacher(

@@ -1,0 +1,96 @@
+"""The verdicts of scripts/bench_pairs.py: claims, regressions past a
+metric's bound, and the failed-check share of each side."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bp = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bp)
+
+
+def test_regression_is_a_median_worse_by_more_than_the_bound():
+    assert not bp.regresses(1.0, 1.25, 0.25, lower=True)
+    assert bp.regresses(1.0, 1.2501, 0.25, lower=True)
+    assert not bp.regresses(1.0, 0.5, 0.25, lower=True)
+    assert not bp.regresses(0.8, 0.69, 0.15, lower=False)
+    assert bp.regresses(0.8, 0.67, 0.15, lower=False)
+    assert not bp.regresses(0.8, 0.95, 0.15, lower=False)
+
+
+def test_failed_share_sums_checks_and_counts_a_crash_as_a_failure():
+    runs = [
+        {"correct": True, "failed": 0, "attempted": 10},
+        {"correct": False, "failed": 2, "attempted": 10},
+        {"correct": False, "error": "boom", "metrics": {}},
+    ]
+    assert bp.failed_share(runs) == (3, 21, 3 / 21)
+
+
+def test_specs_read_directions_and_end_to_end_bounds():
+    better, bounds = bp.metric_specs(ROOT)
+    assert better["train_teacher_s"] == "lower" and better["query_acc"] == "higher"
+    assert bounds["train_teacher_s"] == 0.25 and bounds["peak_rss_mb"] == 0.2
+    assert "teacher.dropout_mask_ms" in better and "teacher.dropout_mask_ms" not in bounds
+
+
+def fake_checkouts(tmp_path):
+    bench = {
+        "end_to_end": [
+            {"name": "train_s", "better": "lower", "bound": 0.25},
+            {"name": "acc", "better": "higher", "bound": 0.15},
+        ],
+        "per_layer": [{"name": "mask_ms", "better": "lower"}],
+    }
+    dirs = []
+    for name in ("parent", "change"):
+        d = tmp_path / name
+        d.mkdir(parents=True)
+        (d / "BENCHMARK.json").write_text(json.dumps(bench))
+        dirs.append(d)
+    return dirs
+
+
+def run_main(monkeypatch, capsys, tmp_path, values, failed):
+    """main() over two pairs whose runs report ``values[side]`` and
+    ``failed[side]`` checks failed of 10."""
+    parent, change = fake_checkouts(tmp_path)
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        side = checkout.name
+        return {"correct": failed[side] == 0, "attempted": 10, "failed": failed[side],
+                "metrics": {m: {"value": v} for m, v in values[side].items()}}
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    code = bp.main([str(parent), str(change), "--workload", "w", "--pairs", "2", "--seed0", "1"])
+    return code, capsys.readouterr().out
+
+
+def line_of(out, metric):
+    return next(line for line in out.splitlines() if line.startswith(metric + " "))
+
+
+def test_main_prints_regressions_and_failed_shares(monkeypatch, capsys, tmp_path):
+    values = {"parent": {"train_s": 1.0, "acc": 0.8, "mask_ms": 5.0},
+              "change": {"train_s": 0.7, "acc": 0.6, "mask_ms": 1.0}}
+    code, out = run_main(monkeypatch, capsys, tmp_path, values, {"parent": 0, "change": 0})
+    assert code == 1
+    assert line_of(out, "train_s").endswith("yes    no (bound 0.25)")
+    assert line_of(out, "acc").endswith("no     YES (bound 0.15)")
+    assert line_of(out, "mask_ms").endswith("yes    ")
+    assert "seed 1: parent correct=True failed=0, change correct=True failed=0" in out
+    assert "parent: 0 of 20 checks failed (0.000%)" in out
+    assert "change: 0 of 20 checks failed (0.000%)" in out
+
+
+def test_main_fails_when_the_change_fails_more_checks(monkeypatch, capsys, tmp_path):
+    values = {side: {"train_s": 1.0, "acc": 0.8, "mask_ms": 5.0} for side in ("parent", "change")}
+    code, out = run_main(monkeypatch, capsys, tmp_path, values, {"parent": 0, "change": 1})
+    assert code == 1
+    assert "change: 2 of 20 checks failed (10.000%)" in out
+    assert "failed share: the change's is above the parent's" in out
+    code, out = run_main(monkeypatch, capsys, tmp_path / "same", values, {"parent": 0, "change": 0})
+    assert code == 0
+    assert "failed share" not in out

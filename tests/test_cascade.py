@@ -426,6 +426,9 @@ class TestTrainStudent:
             ("weight_decay", {"weight_decay": -1e-4}),
             ("weight_decay", {"weight_decay": float("nan")}),
             ("weight_decay", {"weight_decay": float("inf")}),
+            ("dropout", {"dropout": 1.0}),
+            ("dropout", {"dropout": float("nan")}),
+            ("dropout", {"dropout": 0.999999}),
         ],
     )
     def test_degenerate_config_rejected(self, field, kwargs):
@@ -742,7 +745,9 @@ class TestTrainCascade:
             cas.train_cascade(tiny_graph, bad, cfg)
 
     @pytest.mark.parametrize(
-        "field, value", [("max_epochs", 0), ("patience", -1), ("hidden_dim", 0), ("lr", -1.0)]
+        "field, value",
+        [("max_epochs", 0), ("patience", -1), ("hidden_dim", 0), ("lr", -1.0),
+         ("dropout", 0.999999)],
     )
     def test_stored_degenerate_config_refused(self, tiny_graph, tmp_path, field, value):
         art = self.make_teacher_artifact(tiny_graph)

@@ -348,6 +348,28 @@ class TestDegenerateTrainingConfig:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["train-teacher", "distill"])
+    def test_dropout_help_states_range_and_step(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "dropout rate in [0, 1 - 2^-17), taken as the nearest multiple of 1/65536" in text
+
+    @pytest.mark.parametrize("command", ["train-teacher", "distill"])
+    def test_dropout_that_keeps_nothing_exits_2(self, separable_run, tmp_path, capsys, command):
+        data, run = separable_run
+        capsys.readouterr()
+        out = tmp_path / "refused"
+        teacher_dir = ("--teacher-dir", run) if command == "distill" else ()
+        assert run_cli(
+            command, "--data", data, *teacher_dir, "--out", out, "--dropout", 0.999999
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: dropout 0.999999 keeps nothing: masks resolve rates in steps of "
+            "1/65536 and it rounds to 1 (it must be < 1 - 2^-17)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -29,8 +29,12 @@ DTYPES = [np.float32, np.float64]
 
 
 def dropout_mask(rng, shape, rate, dtype):
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / (1.0 - rate)
+    n = int(np.prod(shape))
+    t = round(rate * 65536)
+    words = rng.bit_generator.random_raw((n + 3) // 4)
+    values = np.stack([(words >> np.uint64(s)) & np.uint64(0xFFFF) for s in (0, 16, 32, 48)], 1)
+    keep = values.ravel()[:n].reshape(shape) >= t
+    return keep.astype(dtype) * np.asarray(65536 / (65536 - t), dtype=dtype)
 
 
 def _shifted(logits):

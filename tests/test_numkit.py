@@ -237,15 +237,23 @@ class TestSoftTargets:
 
 
 def dropout_reference(rng, shape, rate, dtype):
-    """The mask from one full-size draw of uniforms."""
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / (1.0 - rate)
+    """The mask from one full-size draw of raw generator words, each split
+    into four 16-bit values by shifts, low half first: keep iff the value is
+    at least round(rate * 65536), and scale survivors by 65536 / (65536 - t)."""
+    n = int(np.prod(shape))
+    t = round(rate * 65536)
+    words = rng.bit_generator.random_raw((n + 3) // 4)
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    values = ((words[:, None] >> shifts) & np.uint64(0xFFFF)).ravel()[:n]
+    keep = (values >= t).reshape(shape)
+    return np.where(keep, dtype(65536 / (65536 - t)), dtype(0))
 
 
 class TestDropoutMask:
-    """Masks drawn in blocks take the same uniforms in the same order as one
-    full-size draw, so every block size gives the reference bits and leaves
-    the generator in the same state."""
+    """A mask keeps a value iff a 16-bit draw reaches the threshold
+    round(rate * 65536). Masks drawn in blocks of words take the same words
+    in the same order as one full-size draw, so every block size gives the
+    reference bits and leaves the generator in the same state."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
@@ -265,9 +273,43 @@ class TestDropoutMask:
         ref = dropout_reference(np.random.default_rng(2), (2702, 1433), 0.5, np.float32)
         assert np.array_equal(got, ref)
 
+    def test_takes_one_word_per_four_values(self):
+        for n in (1, 4, 5, 8, 4 * (1 << 14) + 1):
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            nk.dropout_mask(rng, (n,), 0.3, np.float32)
+            ref_rng.bit_generator.random_raw((n + 3) // 4)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_golden_first_values(self):
+        got = nk.dropout_mask(np.random.default_rng(0), (16,), 0.5, np.float32)
+        assert got.tolist() == [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0,
+                                2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+    def test_kept_fraction_and_scale(self, rate):
+        shape = (2702, 1433)
+        n = shape[0] * shape[1]
+        t = round(rate * 65536)
+        p = (65536 - t) / 65536
+        mask = nk.dropout_mask(np.random.default_rng(5), shape, rate, np.float32)
+        kept = mask != 0
+        assert abs(kept.mean() - p) < 5 * np.sqrt(p * (1 - p) / n)
+        assert np.all(mask[kept] == np.float32(65536 / (65536 - t)))
+
     def test_rate_outside_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             nk.dropout_mask(np.random.default_rng(0), (2, 2), 1.0, np.float32)
+
+    @pytest.mark.parametrize("rate", [0.999999, 1 - 2.0**-17])
+    def test_rate_that_keeps_nothing_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"^dropout {rate} keeps nothing"):
+            nk.dropout_mask(np.random.default_rng(0), (2, 2), rate, np.float32)
+
+    def test_highest_rate_keeps_one_level(self):
+        rate = np.nextafter(1 - 2.0**-17, 0.0)
+        assert nk.dropout_threshold(rate) == 65535
+        mask = nk.dropout_mask(np.random.default_rng(0), (4,), rate, np.float64)
+        assert set(mask.tolist()) <= {0.0, 65536.0}
 
 
 class TestLossIndexChecks:

@@ -204,6 +204,9 @@ class TestTrainTeacher:
             ("weight_decay", {"weight_decay": -1e-4}),
             ("weight_decay", {"weight_decay": float("nan")}),
             ("weight_decay", {"weight_decay": float("inf")}),
+            ("dropout", {"dropout": 1.0}),
+            ("dropout", {"dropout": float("nan")}),
+            ("dropout", {"dropout": 0.999999}),
         ],
     )
     def test_degenerate_config_rejected(self, field, kwargs):
@@ -359,7 +362,7 @@ class TestCheckpointIO:
     @pytest.mark.parametrize(
         "field, value",
         [("max_epochs", 0), ("patience", -1), ("hidden_dim", 0), ("lr", -1.0),
-         ("weight_decay", -0.5)],
+         ("weight_decay", -0.5), ("dropout", 0.999999)],
     )
     def test_stored_degenerate_config_refused(self, tmp_path, tiny_graph, field, value):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2, seed=4)
