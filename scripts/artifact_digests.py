@@ -1,0 +1,115 @@
+"""Digests of the deterministic artifacts of a fixed grid of CLI runs.
+
+    python3 scripts/artifact_digests.py OUT [--tiny]
+
+Runs ``synth -> train-teacher --depth 3 -> distill -> infer`` through the
+in-process ``mlpcascade.cli.main`` of this checkout's own ``src/``, with one
+BLAS thread, at f32 and at f64. Each precision has one dataset and one
+teacher, and one ``distill`` and ``infer`` per cascade setting in ``GRID``.
+Everything is written under OUT, which must be empty or absent. Then it
+prints one ``<sha256>  <path>`` line per artifact, the path relative to
+OUT, sorted by path. Timing files (``infer_meta.json``, ``tradeoff.csv``)
+are skipped; the commands' own output goes to standard error.
+
+Run it in two checkouts and ``diff`` the two outputs: no difference means
+every artifact of the grid is byte-identical. ``--tiny`` runs the same grid
+on a 60-node graph with a few epochs, in seconds.
+
+Exit code 2 when OUT is not empty, 1 when a command of the grid fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMING_FILES = {"infer_meta.json", "tradeoff.csv"}
+PRECISIONS = ("f32", "f64")
+
+# cascade settings: the defaults, deeper students, a lambda that moves
+# across [0, 0.5], and the two ends of the CE/KL blend
+GRID = {
+    "defaults": [],
+    "layers3": ["--layers", "3"],
+    "inverted": ["--lambda-sign-inverted", "--gamma", "0.3", "--tau", "0.9"],
+    "alpha1": ["--alpha", "1"],
+    "alpha0": ["--alpha", "0", "--sigma", "0.7"],
+}
+
+# (synth flags, train-teacher flags, distill flags) of each size; the full
+# grid keeps every training default of the CLI
+SIZES = {
+    "full": (["--nodes", "600", "--noise", "1.5"], [], []),
+    "tiny": (
+        ["--nodes", "60", "--classes", "3", "--feat-dim", "8", "--p-in", "0.3",
+         "--p-out", "0.02", "--noise", "1.5"],
+        ["--hidden", "8", "--epochs", "6", "--patience", "5"],
+        ["--students", "2", "--hidden", "8", "--epochs", "6", "--patience", "5"],
+    ),
+}
+
+
+def run_grid(out: Path, size: str) -> None:
+    """Write every artifact of the grid under ``out``; SystemExit(1) naming
+    the command when one fails."""
+    from mlpcascade.cli import main
+
+    def cli(*args) -> None:
+        argv = [str(a) for a in args]
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"artifact_digests: exit {code} from: {' '.join(argv)}")
+
+    synth_flags, teacher_flags, cascade_flags = SIZES[size]
+    for precision in PRECISIONS:
+        base = out / precision
+        data = base / "data"
+        teacher = base / "teacher"
+        run = ["--precision", precision, "--seed", "0"]
+        cli("synth", *synth_flags, *run, "--out", data)
+        cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags, *run,
+            "--out", teacher)
+        for name, flags in GRID.items():
+            dest = base / name
+            cli("distill", "--data", data, "--teacher-dir", teacher, *cascade_flags,
+                *flags, *run, "--out", dest)
+            cli("infer", "--cascade", dest / "cascade.json", "--features",
+                data / "features.csv", *run, "--out", dest)
+
+
+def digests(out: Path) -> list[str]:
+    """``<sha256>  <path>`` of every file under ``out`` but the timing files,
+    sorted by path."""
+    lines = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.name not in TIMING_FILES:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(out).as_posix()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="output directory, empty or absent")
+    parser.add_argument("--tiny", action="store_true", help="a 60-node grid, in seconds")
+    args = parser.parse_args(argv)
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        print(f"error: {args.out} is not an empty directory", file=sys.stderr)
+        return 2
+    # one BLAS thread whatever the environment holds, set before numpy loads
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
+    run_grid(args.out, "tiny" if args.tiny else "full")
+    print("\n".join(digests(args.out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,6 @@ from .cascade import (
     Cascade,
     CascadeConfig,
     MixupConfig,
-    MixupState,
     DistillConfig,
     load_cascade,
     mixup_examples,
@@ -23,8 +22,6 @@ from .cascade import (
     student_forward,
     train_cascade,
     train_student,
-    update_ema,
-    update_lambda,
 )
 from .graphio import (
     Graph,

@@ -7,15 +7,20 @@ features concatenated with the previous student's hidden representations
     total_k = k^beta * (alpha * CE_labeled + (1-alpha) * KL_all_nodes)
               + mixup cross entropy over interpolated labeled pairs
 
-The mixup interpolation coefficient adapts over time: an exponential moving
-average of the mixup loss drives it up or down (clamped to [0, 0.5]), so the
-synthetic examples get harder as training settles.
+The mixup interpolation coefficient lambda adapts over time by one rule,
+``MixupConfig.update``: an exponential moving average of the mixup loss
+drives it up or down (clamped to [0, 0.5]), so the synthetic examples get
+harder as training settles. lambda and the average are two floats threaded
+from epoch to epoch and from student to student.
+
+The configs are frozen dataclasses, checked once when built;
+``dataclasses.replace`` derives a variant and checks it again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -50,7 +55,7 @@ from .params import (
 from .teacher import TeacherArtifact
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillConfig:
     """Distillation loss weights: alpha blends CE against KL, beta grows the
     whole term as k^beta for later students."""
@@ -59,55 +64,18 @@ class DistillConfig:
     beta: float = 0.8
 
     def __post_init__(self):
-        self.check()
-
-    def check(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta {self.beta} must be finite and >= 0")
 
 
-def _check_mixup_rates(gamma: float, tau: float, sigma: float) -> None:
-    """The range rules a mixup state and its config share: a non-finite rate
-    or reference point would drive lambda to a bound or to NaN only once
-    training runs; gamma = 0 freezes the mixing rate, a useful ablation
-    switch. The ValueError names the first field outside its range."""
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma {gamma} must be finite and >= 0")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau {tau} must be finite")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"sigma {sigma} outside [0, 1]")
-
-
 @dataclass(frozen=True)
-class MixupState:
-    """Adaptive mixing-rate state threaded through the whole cascade.
-
-    ``lam`` is the interpolation coefficient in [0, 0.5]; ``ema_loss`` tracks
-    the mixup loss. With ``sign_inverted`` the drift direction flips (lam
-    grows when the loss is *below* tau instead of above it).
-    """
-
-    lam: float
-    ema_loss: float = 0.0
-    gamma: float = 0.9
-    tau: float = 0.1
-    sigma: float = 0.1
-    initialized: bool = False
-    sign_inverted: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 0.5:
-            raise ValueError(f"lambda {self.lam} outside [0, 0.5]")
-        _check_mixup_rates(self.gamma, self.tau, self.sigma)
-        if not (math.isfinite(self.ema_loss) and self.ema_loss >= 0.0):
-            raise ValueError(f"ema_loss {self.ema_loss} must be finite and >= 0")
-
-
-@dataclass
 class MixupConfig:
+    """The progressive mixup rule: the mixing rate lambda starts at
+    ``lambda_init`` and follows a moving average of the mixup loss (see
+    ``update``). gamma = 0 freezes the rate, a useful ablation switch."""
+
     gamma: float = 0.9
     tau: float = 0.1
     sigma: float = 0.1
@@ -115,26 +83,36 @@ class MixupConfig:
     sign_inverted: bool = False
 
     def __post_init__(self):
-        self.check()
-
-    def check(self) -> None:
-        """Raise ValueError naming the first field outside its range; the
-        rate rules are those of ``MixupState``."""
-        _check_mixup_rates(self.gamma, self.tau, self.sigma)
+        # a non-finite rate or reference point would drive lambda to a bound
+        # or to NaN only once training runs
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma {self.gamma} must be finite and >= 0")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau {self.tau} must be finite")
+        if not 0.0 <= self.sigma <= 1.0:
+            raise ValueError(f"sigma {self.sigma} outside [0, 1]")
         if not 0.0 <= self.lambda_init <= 0.5:
             raise ValueError(f"lambda_init {self.lambda_init} outside [0, 0.5]")
 
-    def initial_state(self) -> MixupState:
-        return MixupState(
-            lam=self.lambda_init,
-            gamma=self.gamma,
-            tau=self.tau,
-            sigma=self.sigma,
-            sign_inverted=self.sign_inverted,
-        )
+    def update(self, lam: float, ema: float | None, loss: float) -> tuple[float, float]:
+        """One epoch of the rule: the new (lam, ema) after a mixup loss.
+
+        The loss folds into the moving average, ``ema = sigma * ema +
+        (1 - sigma) * loss``; the first loss (``ema`` None) sets it outright.
+        Then ``lam = clamp(lam + drift, 0, 0.5)`` with ``drift = gamma *
+        (ema - tau)``, negated when ``sign_inverted`` is set.
+        """
+        if not math.isfinite(loss) or loss < 0.0:
+            raise ValueError(f"mixup loss must be finite and >= 0, got {loss}")
+        loss = float(loss)
+        ema = loss if ema is None else self.sigma * ema + (1.0 - self.sigma) * loss
+        drift = self.gamma * (ema - self.tau)
+        if self.sign_inverted:
+            drift = -drift
+        return min(max(lam + drift, 0.0), 0.5), ema
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeConfig:
     n_students: int = 10
     hidden_dim: int = 128
@@ -149,19 +127,13 @@ class CascadeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.check()
-
-    def check(self) -> None:
         """Raise ValueError naming the first field under which no cascade
-        trains, the distillation and mixup settings included; run again by
-        ``train_cascade``, since the dataclass is mutable."""
+        trains; the nested configs checked themselves when built."""
         if self.n_students < 1:
             raise ValueError(f"n_students {self.n_students} must be >= 1")
         if self.n_layers < 2:
             raise ValueError(f"n_layers {self.n_layers} must be >= 2")
         check_training_config(self)
-        self.distill.check()
-        self.mixup.check()
 
 
 @dataclass
@@ -249,22 +221,20 @@ def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.n
 
 def distill_loss(
     logits: np.ndarray,
-    teacher_probs: np.ndarray | SoftTargets,
+    targets: SoftTargets | None,
     y: np.ndarray,
     labeled,
-    all_nodes,
     k: int,
     cfg: DistillConfig,
 ) -> GradPair:
     """Distillation loss for student k, with gradients w.r.t. the logits:
 
-        k^beta * (alpha * CE(logits, y | labeled) + (1-alpha) * KL(teacher_probs || logits | all))
+        k^beta * (alpha * CE(logits, y | labeled) + (1-alpha) * KL(teacher || logits))
 
-    ``all_nodes`` is the KL's index set, None for every row;
-    ``teacher_probs`` may be the ``SoftTargets`` of the soft labels. Each
-    weighted term is computed only when its weight is nonzero, so alpha=1
-    needs no teacher-side validation and alpha=0 allows an empty labeled
-    set.
+    The KL scores every row against ``targets``, the ``SoftTargets`` of the
+    teacher's soft labels. Each weighted term is computed only when its
+    weight is nonzero, so alpha=1 needs no targets (None) and alpha=0
+    allows an empty labeled set.
     """
     if k < 1:
         raise ValueError(f"student index k must be >= 1, got {k}")
@@ -278,7 +248,7 @@ def distill_loss(
         ce_grad *= cfg.alpha
         grad += ce_grad
     if cfg.alpha < 1.0:
-        kd = kl_divergence(teacher_probs, logits, all_nodes)
+        kd = kl_divergence(targets, logits)
         value += (1.0 - cfg.alpha) * kd.value
         kd_grad = kd.grads["logits"]
         kd_grad *= 1.0 - cfg.alpha
@@ -348,33 +318,10 @@ def mixup_loss(
     return GradPair(value, backward(p, caches, dlogits))
 
 
-def update_ema(state: MixupState, current_loss: float) -> MixupState:
-    """Fold the epoch's mixup loss into the moving average; the first
-    observation initializes the average outright."""
-    if not np.isfinite(current_loss) or current_loss < 0.0:
-        raise ValueError(f"mixup loss must be finite and >= 0, got {current_loss}")
-    if not state.initialized:
-        return replace(state, ema_loss=float(current_loss), initialized=True)
-    new = state.sigma * state.ema_loss + (1.0 - state.sigma) * float(current_loss)
-    return replace(state, ema_loss=new)
-
-
-def update_lambda(state: MixupState) -> MixupState:
-    """lam <- clamp(lam + gamma * (ema - tau), 0, 0.5), drift flipped when
-    sign_inverted is set."""
-    if not state.initialized:
-        raise ValueError("update_lambda before the EMA saw any loss")
-    drift = state.gamma * (state.ema_loss - state.tau)
-    if state.sign_inverted:
-        drift = -drift
-    lam = min(max(state.lam + drift, 0.0), 0.5)
-    return replace(state, lam=lam)
-
-
 def total_loss_gradpair(
     p: LayerStack,
     inputs: np.ndarray,
-    teacher_probs: np.ndarray | SoftTargets,
+    targets: SoftTargets | None,
     y: np.ndarray,
     labeled,
     k: int,
@@ -387,8 +334,8 @@ def total_loss_gradpair(
     """Full per-epoch objective of student k on assembled rows [x | h_prev]:
     the distillation loss over all rows, the mixup loss over the mixed
     ``pairs``, and the gradients of their sum w.r.t. all student parameters.
-    ``train_cascade`` passes the ``SoftTargets`` of the soft labels, so the
-    teacher side of the KL is checked and derived once per cascade.
+    ``targets`` are as for ``distill_loss``; ``train_cascade`` derives them
+    once per cascade.
 
     With ``dropout > 0`` the training forward draws its masks from ``rng``
     first, then the mixup forward. A pure function of the parameters once
@@ -397,7 +344,7 @@ def total_loss_gradpair(
     """
     labeled = np.asarray(labeled)
     logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng))
-    distill = distill_loss(logits, teacher_probs, y, labeled, None, k, distill_cfg)
+    distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
     grads = backward(p, caches, distill.grads["logits"])
     mixed_inputs, mixed_labels = mixup_examples(inputs, y, pairs, lam)
     mix = mixup_loss(p, mixed_inputs, mixed_labels, labeled.size, dropout, rng)
@@ -408,20 +355,25 @@ def total_loss_gradpair(
 def train_student(
     k: int,
     g: Graph,
-    teacher_probs: np.ndarray | SoftTargets,
+    targets: SoftTargets | None,
     h_prev: np.ndarray,
     init: LayerStack,
     cfg: CascadeConfig,
-    state: MixupState,
-) -> tuple[LayerStack, np.ndarray, MixupState, StudentTrainMeta]:
+    lam: float,
+    ema: float | None,
+) -> tuple[LayerStack, np.ndarray, float, float, StudentTrainMeta]:
     """Train one student per the inner loop of the cascade algorithm.
 
-    Each epoch: freshly resampled mixup pairs -> ``total_loss_gradpair``
-    (training-mode forward, distillation loss, mixup loss) -> one AdamW
-    step -> EMA and lambda updates. ``optim.fit`` tracks validation
-    accuracy with patience and hands back the best epoch's parameters; the
-    hidden state handed to the next student is recomputed from them in eval
-    mode, and the logits of that forward are kept in the meta.
+    ``lam`` and ``ema`` are the mixing rate and the moving average of the
+    mixup loss as the previous student left them (``cfg.mixup.lambda_init``
+    and None for the first); their final values are returned after the
+    hidden state. Each epoch: freshly resampled mixup pairs ->
+    ``total_loss_gradpair`` (training-mode forward, distillation loss,
+    mixup loss) -> one AdamW step -> ``MixupConfig.update``. ``optim.fit``
+    tracks validation accuracy with patience and hands back the best
+    epoch's parameters; the hidden state handed to the next student is
+    recomputed from them in eval mode, and the logits of that forward are
+    kept in the meta.
     """
     if g.splits.validation.size == 0:
         raise ValueError("training needs a non-empty validation split")
@@ -432,21 +384,21 @@ def train_student(
     inputs = np.concatenate([g.features, h_prev], axis=1)
     inputs_val = inputs[g.splits.validation]
     y_val = np.argmax(g.labels[g.splits.validation], axis=1)
-    lambda_history = [state.lam]
+    lambda_history = [lam]
 
     def step(epoch: int):
-        nonlocal state
+        nonlocal lam, ema
         pairs = sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         distill, mix, grads = total_loss_gradpair(
-            params, inputs, teacher_probs, g.labels, labeled, k, cfg.distill,
-            pairs, state.lam, cfg.dropout, rng,
+            params, inputs, targets, g.labels, labeled, k, cfg.distill,
+            pairs, lam, cfg.dropout, rng,
         )
         if not np.isfinite(distill):
             raise TrainingDivergedError(epoch, "distillation", distill)
         if not np.isfinite(mix):
             raise TrainingDivergedError(epoch, "mixup", mix)
-        state = update_lambda(update_ema(state, mix))
-        lambda_history.append(state.lam)
+        lam, ema = cfg.mixup.update(lam, ema, mix)
+        lambda_history.append(lam)
         return distill + mix, grads
 
     def validate():
@@ -459,24 +411,23 @@ def train_student(
         epochs=run.epochs,
         best_epoch=run.best_epoch,
         best_val_acc=run.best_val_acc,
-        final_lambda=state.lam,
+        final_lambda=lam,
         init_fingerprint=init_fp,
         lambda_history=lambda_history,
         losses=run.losses,
         logits=logits,
     )
-    return run.params, h_k, state, meta
+    return run.params, h_k, lam, ema, meta
 
 
 def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cascade:
     """Train the full cascade: student 1 from seeded random init, every later
-    student warm-started from its predecessor, hidden states and the mixup
-    state threaded along the chain. The soft labels are cast to the graph's
-    dtype after their fingerprint is recorded, so the cascade names the
-    teacher it was distilled from at any precision. Unless alpha = 1 (no
+    student warm-started from its predecessor, hidden states, the mixing
+    rate and its moving average threaded along the chain. The soft labels
+    are cast to the graph's dtype after their fingerprint is recorded, so
+    the cascade names the teacher it was distilled from at any precision. Unless alpha = 1 (no
     KL), they are checked and their ``t ln t`` terms derived here, once for
     every epoch of every student."""
-    cfg.check()  # before cfg sizes any array
     teacher_fp = teacher.soft_label_fingerprint()
     teacher_probs = teacher.soft_labels.astype(g.features.dtype, copy=False)
     if teacher_probs.shape != (g.n_nodes, g.n_classes):
@@ -484,20 +435,20 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
             f"teacher soft labels {teacher_probs.shape} do not match graph "
             f"({g.n_nodes}, {g.n_classes})"
         )
-    targets = soft_targets(teacher_probs) if cfg.distill.alpha < 1.0 else teacher_probs
+    targets = soft_targets(teacher_probs) if cfg.distill.alpha < 1.0 else None
     rng = np.random.default_rng([cfg.seed, 0])
     init = init_student(
         g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.n_layers, rng, g.features.dtype
     )
     h_prev = np.zeros((g.n_nodes, cfg.hidden_dim), dtype=g.features.dtype)
-    state = cfg.mixup.initial_state()
+    lam, ema = cfg.mixup.lambda_init, None
 
     students: list[LayerStack] = []
     metas: list[StudentTrainMeta] = []
     for k in range(1, cfg.n_students + 1):
         try:
-            params, h_prev, state, meta = train_student(
-                k, g, targets, h_prev, init, cfg, state
+            params, h_prev, lam, ema, meta = train_student(
+                k, g, targets, h_prev, init, cfg, lam, ema
             )
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -695,6 +696,12 @@ def synth_sbm(
 
     Fully reproducible given ``seed``.
     """
+    if n_classes < 1:
+        raise ValueError(f"n_classes {n_classes} must be >= 1")
+    if n_nodes < n_classes:
+        raise ValueError(f"n_nodes {n_nodes} must be >= n_classes {n_classes}")
+    if not math.isfinite(feat_noise):
+        raise ValueError(f"feat_noise {feat_noise} must be finite")
     if n_nodes % n_classes != 0:
         raise ValueError(f"n_nodes {n_nodes} not divisible by n_classes {n_classes}")
     if not p_in > p_out:

@@ -11,6 +11,7 @@ tight tolerance regardless of the cascade's working precision.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -23,7 +24,7 @@ from .graphio import _write_csv
 from .numkit import check_index, row_max, softmax_rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferencePolicy:
     """Stopping rules for anytime inference; at least one must be active.
 
@@ -48,8 +49,13 @@ class InferencePolicy:
             raise ValueError(f"conf_threshold {self.conf_threshold} outside [0, 1]")
         if self.max_students is not None and self.max_students < 1:
             raise ValueError(f"max_students {self.max_students} must be >= 1")
-        if self.wall_clock_budget is not None and self.wall_clock_budget < 0:
-            raise ValueError(f"wall_clock_budget {self.wall_clock_budget} must be >= 0")
+        if self.wall_clock_budget is not None and not (
+            math.isfinite(self.wall_clock_budget) and self.wall_clock_budget >= 0
+        ):
+            # a NaN budget never fires: every student would run
+            raise ValueError(
+                f"wall_clock_budget {self.wall_clock_budget} must be finite and >= 0"
+            )
 
     def fired(self, conf: float, executed: int, spent: float) -> Optional[str]:
         """The first rule, in the order threshold, cap, budget, that stops a

@@ -234,22 +234,19 @@ class SoftTargets:
     t_log_t: np.ndarray
 
 
-def soft_targets(teacher_probs: np.ndarray, rows: np.ndarray | None = None) -> SoftTargets:
+def soft_targets(teacher_probs: np.ndarray) -> SoftTargets:
     """Check that every row of ``teacher_probs`` sums to 1 within 1e-5 and
     has no negative entry, and derive ``t * ln t`` with the 0 * ln 0 = 0
-    limit. ``rows`` names the rows in error messages when they were gathered
-    from a larger matrix."""
+    limit."""
     row_sums = teacher_probs.sum(axis=1)
     bad = np.abs(row_sums - 1.0) > 1e-5
     if np.any(bad):
-        i = int(np.argmax(bad))
-        row = i if rows is None else int(rows[i])
+        row = int(np.argmax(bad))
         raise ValueError(
-            f"kl_divergence: teacher row {row} sums to {float(row_sums[i]):.8g}, not 1"
+            f"kl_divergence: teacher row {row} sums to {float(row_sums[row]):.8g}, not 1"
         )
     if np.any(teacher_probs < 0):
-        i = int(np.argmax((teacher_probs < 0).any(axis=1)))
-        row = i if rows is None else int(rows[i])
+        row = int(np.argmax((teacher_probs < 0).any(axis=1)))
         raise ValueError(f"kl_divergence: teacher row {row} has negative entries")
     positive = teacher_probs > 0
     t_log_t = np.where(
@@ -258,43 +255,25 @@ def soft_targets(teacher_probs: np.ndarray, rows: np.ndarray | None = None) -> S
     return SoftTargets(teacher_probs, t_log_t)
 
 
-def kl_divergence(teacher, student_logits: np.ndarray, mask=None) -> GradPair:
-    """Mean KL(teacher || softmax(student)) over the rows named by `mask`,
-    every row when `mask` is None.
+def kl_divergence(targets: SoftTargets, logits: np.ndarray) -> GradPair:
+    """Mean KL(teacher || softmax(logits)) over every row.
 
-    ``teacher`` is the teacher's probabilities, checked on the masked rows
-    at each call, or their ``SoftTargets``, checked once when built. The
-    teacher distribution is a constant: no gradient flows to it. The
-    gradient w.r.t. the student logits is (softmax(student) - teacher)/|mask|
-    on masked rows. Value is >= 0 up to rounding (Gibbs inequality).
+    ``targets`` are the ``SoftTargets`` of the teacher's probabilities,
+    checked once when built. The teacher distribution is a constant: no
+    gradient flows to it. The gradient w.r.t. the student logits is
+    (softmax(logits) - teacher)/rows. Value is >= 0 up to rounding (Gibbs
+    inequality).
     """
-    probs = teacher.probs if isinstance(teacher, SoftTargets) else teacher
-    if probs.shape != student_logits.shape:
-        raise ValueError(
-            f"teacher shape {probs.shape} != student shape {student_logits.shape}"
-        )
-    idx = None
-    logits = student_logits
-    if mask is not None:
-        idx = check_index(mask, student_logits.shape[0], "kl_divergence", "mask")
-        logits = student_logits[idx]
-    if not isinstance(teacher, SoftTargets):
-        teacher = soft_targets(probs if idx is None else probs[idx], idx)
-    elif idx is not None:
-        teacher = SoftTargets(teacher.probs[idx], teacher.t_log_t[idx])
-    t = teacher.probs
+    t = targets.probs
+    if t.shape != logits.shape:
+        raise ValueError(f"teacher shape {t.shape} != student shape {logits.shape}")
     count = logits.shape[0]
     terms = t * log_softmax_rows(logits)
-    np.subtract(teacher.t_log_t, terms, out=terms)
+    np.subtract(targets.t_log_t, terms, out=terms)
     value = float(terms.sum() / count)
     diff = softmax_rows(logits) - t
     diff /= count
-    if idx is None:
-        grad = diff.astype(student_logits.dtype, copy=False)
-    else:
-        grad = np.zeros_like(student_logits)
-        grad[idx] = diff
-    return GradPair(value, {"logits": grad})
+    return GradPair(value, {"logits": diff.astype(logits.dtype, copy=False)})
 
 
 def finite_diff_check(

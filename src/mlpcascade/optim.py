@@ -24,10 +24,10 @@ class TrainingDivergedError(RuntimeError):
 
 
 def check_training_config(cfg) -> None:
-    """Reject the settings of a teacher or cascade config under which no
-    model trains: an epoch cap below 1, negative patience, patience that
-    reaches the cap, an empty hidden layer, a learning rate that is not
-    finite and positive, a weight decay that is not finite and
+    """Reject, when a teacher or cascade config is built, the settings under
+    which no model trains: an epoch cap below 1, negative patience,
+    patience that reaches the cap, an empty hidden layer, a learning rate
+    that is not finite and positive, a weight decay that is not finite and
     non-negative, and a dropout rate that ``dropout_mask`` cannot draw. The
     ValueError names the field."""
     if cfg.max_epochs < 1:
@@ -137,10 +137,9 @@ def fit(
     without a new best accuracy (ties keep the earlier epoch); the copy of
     the parameters and the value from the best epoch are returned.
     """
-    check_training_config(cfg)
     opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    # max_epochs >= 1 (checked above) and accuracies >= 0, so epoch 1 always
-    # sets the best
+    # max_epochs >= 1 (checked when the config was built) and accuracies
+    # >= 0, so epoch 1 always sets the best
     best_acc = -1.0
     since_best = 0
     losses: list[float] = []

@@ -71,7 +71,7 @@ class TeacherArtifact:
         return fingerprint(self.soft_labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TeacherConfig:
     hidden_dim: int = 64
     lr: float = 0.01
@@ -83,12 +83,8 @@ class TeacherConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.check()
-
-    def check(self) -> None:
         """Raise ValueError naming the first field under which no teacher
-        trains; run again by ``train_teacher``, since the dataclass is
-        mutable."""
+        trains."""
         check_training_config(self)
         if self.depth not in (2, 3):
             raise ValueError(f"teacher depth must be 2 or 3, got {self.depth}")
@@ -174,7 +170,6 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     the returned ``logits`` are the same bits as ``gcn_forward`` of the best
     parameters.
     """
-    cfg.check()  # before cfg sizes any array
     if g.splits.labeled.size == 0 or g.splits.validation.size == 0:
         raise ValueError("training needs non-empty labeled and validation splits")
     rng = np.random.default_rng(cfg.seed)

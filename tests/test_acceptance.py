@@ -77,13 +77,11 @@ def test_criterion_1_gradient_suite():
             finite_diff_check(lambda p: masked_cross_entropy(p["logits"], onehot, mask), params),
         )
 
-        teacher_probs = softmax_rows(rng.standard_normal((n, c)))
+        kl_targets = soft_targets(softmax_rows(rng.standard_normal((n, c))))
         params = {"logits": rng.standard_normal((n, c))}
         worst["kl"] = max(
             worst["kl"],
-            finite_diff_check(
-                lambda p: kl_divergence(teacher_probs, p["logits"], np.arange(n)), params
-            ),
+            finite_diff_check(lambda p: kl_divergence(kl_targets, p["logits"]), params),
         )
 
         dense = (rng.random((n, n)) < 0.2).astype(np.float64)
@@ -409,11 +407,12 @@ def test_criterion_8a_lambda_clamping(tradeoff_runs):
             violations += sum(
                 1 for lam in meta.lambda_history if not 0.0 <= lam <= 0.5
             )
-    rng = np.random.default_rng(0)
-    state = cas.MixupState(lam=0.1, ema_loss=0.2, initialized=True)
-    for _ in range(1000):
-        state = cas.update_lambda(cas.update_ema(state, float(rng.uniform(0, 5))))
-        violations += not 0.0 <= state.lam <= 0.5
+    for mixup in (cas.MixupConfig(), cas.MixupConfig(sign_inverted=True)):
+        rng = np.random.default_rng(0)
+        lam, ema = 0.1, 0.2
+        for _ in range(1000):
+            lam, ema = mixup.update(lam, ema, float(rng.uniform(0, 5)))
+            violations += not 0.0 <= lam <= 0.5
     report("criterion 8a (lambda clamping)", violations == 0, f"{violations} violations")
 
 

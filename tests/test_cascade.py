@@ -6,6 +6,7 @@ import pytest
 
 import mlpcascade.cascade as cas
 import mlpcascade.teacher as t
+from mlpcascade.inference import InferencePolicy
 from mlpcascade.numkit import (
     GradPair,
     finite_diff_check,
@@ -110,22 +111,21 @@ class TestPkdLoss:
         rng = np.random.default_rng(4)
         self.n, self.c = 8, 3
         self.logits = rng.standard_normal((self.n, self.c))
-        self.teacher_probs = make_soft_labels(rng, self.n, self.c)
+        self.targets = soft_targets(make_soft_labels(rng, self.n, self.c))
         self.y = np.eye(self.c)[rng.integers(0, self.c, self.n)].astype(float)
         self.labeled = np.array([0, 2, 5])
-        self.all_nodes = np.arange(self.n)
 
     def test_k1_multiplier_is_one(self):
         for beta in (0.0, 0.8, 2.0):
             cfg = cas.DistillConfig(alpha=0.5, beta=beta)
-            got = cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 1, cfg)
-            base = cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 1,
+            got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 1, cfg)
+            base = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 1,
                                 cas.DistillConfig(alpha=0.5, beta=0.0))
             assert got.value == pytest.approx(base.value, rel=1e-15)
 
     def test_alpha_one_is_pure_cross_entropy(self):
         cfg = cas.DistillConfig(alpha=1.0, beta=0.8)
-        got = cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 2, cfg)
+        got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 2, cfg)
         ce = masked_cross_entropy(self.logits, self.y, self.labeled)
         mult = 2.0**0.8
         assert got.value == mult * ce.value
@@ -135,28 +135,28 @@ class TestPkdLoss:
         from mlpcascade.numkit import kl_divergence
 
         cfg = cas.DistillConfig(alpha=0.0, beta=0.8)
-        got = cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 3, cfg)
-        kd = kl_divergence(self.teacher_probs, self.logits, self.all_nodes)
+        got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 3, cfg)
+        kd = kl_divergence(self.targets, self.logits)
         mult = 3.0**0.8
         assert got.value == pytest.approx(mult * kd.value, rel=1e-15)
 
     def test_k4_beta08_multiplier(self):
         cfg_base = cas.DistillConfig(alpha=0.5, beta=0.0)
         cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
-        base = cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 4, cfg_base)
-        got = cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 4, cfg)
+        base = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 4, cfg_base)
+        got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 4, cfg)
         assert got.value == pytest.approx(POW_4_08 * base.value, rel=1e-12)
 
     def test_multiplier_strictly_increasing_in_k(self):
         cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
         values = [
-            cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, k, cfg).value
+            cas.distill_loss(self.logits, self.targets, self.y, self.labeled, k, cfg).value
             for k in range(1, 6)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
         flat_cfg = cas.DistillConfig(alpha=0.5, beta=0.0)
         flat = [
-            cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, k, flat_cfg).value
+            cas.distill_loss(self.logits, self.targets, self.y, self.labeled, k, flat_cfg).value
             for k in range(1, 6)
         ]
         assert all(v == flat[0] for v in flat)
@@ -164,14 +164,14 @@ class TestPkdLoss:
     def test_empty_labeled_with_positive_alpha_rejected(self):
         cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
         with pytest.raises(ValueError, match="empty mask"):
-            cas.distill_loss(self.logits, self.teacher_probs, self.y, [], self.all_nodes, 1, cfg)
+            cas.distill_loss(self.logits, self.targets, self.y, [], 1, cfg)
         # alpha = 0 never touches the labeled set
-        cas.distill_loss(self.logits, self.teacher_probs, self.y, [], self.all_nodes, 1,
+        cas.distill_loss(self.logits, self.targets, self.y, [], 1,
                      cas.DistillConfig(alpha=0.0, beta=0.8))
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            cas.distill_loss(self.logits, self.teacher_probs, self.y, self.labeled, self.all_nodes, 0,
+            cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 0,
                          cas.DistillConfig())
 
 
@@ -276,75 +276,54 @@ class TestPmaLoss:
 
 
 class TestMixupState:
+    """``MixupConfig.update``: the moving average, then the clamped drift."""
+
     def test_first_observation_initializes(self):
-        state = cas.MixupState(lam=0.1)
-        state = cas.update_ema(state, 0.4)
-        assert state.initialized and state.ema_loss == 0.4
+        lam, ema = cas.MixupConfig(gamma=0.9, tau=0.1).update(0.1, None, 0.4)
+        assert ema == 0.4
+        # the drift runs in the first epoch too: 0.1 + 0.9*(0.4 - 0.1)
+        assert lam == pytest.approx(0.37, abs=1e-15)
 
     def test_constant_loss_is_fixed_point(self):
-        state = cas.update_ema(cas.MixupState(lam=0.1), 0.7)
+        cfg = cas.MixupConfig()
+        lam, ema = cfg.update(0.1, None, 0.7)
         for _ in range(10):
-            state = cas.update_ema(state, 0.7)
-        assert state.ema_loss == pytest.approx(0.7, abs=1e-15)
+            lam, ema = cfg.update(lam, ema, 0.7)
+        assert ema == pytest.approx(0.7, abs=1e-15)
 
     def test_ema_arithmetic(self):
-        state = cas.MixupState(lam=0.1, ema_loss=0.4, sigma=0.1, initialized=True)
-        state = cas.update_ema(state, 0.2)
-        assert state.ema_loss == pytest.approx(0.22, abs=1e-15)
+        _, ema = cas.MixupConfig(sigma=0.1).update(0.1, 0.4, 0.2)
+        assert ema == pytest.approx(0.22, abs=1e-15)
 
     def test_lambda_stable_at_reference_loss(self):
-        state = cas.MixupState(lam=0.3, ema_loss=0.1, tau=0.1, gamma=0.9, initialized=True)
-        assert cas.update_lambda(state).lam == pytest.approx(0.3, abs=1e-15)
+        lam, _ = cas.MixupConfig(tau=0.1, gamma=0.9).update(0.3, 0.1, 0.1)
+        assert lam == pytest.approx(0.3, abs=1e-15)
 
     def test_lambda_upper_clamp(self):
-        state = cas.MixupState(lam=0.45, ema_loss=0.3, tau=0.1, gamma=0.9, initialized=True)
         # 0.45 + 0.9*(0.3 - 0.1) = 0.63 -> clamped
-        assert cas.update_lambda(state).lam == 0.5
+        lam, _ = cas.MixupConfig(tau=0.1, gamma=0.9).update(0.45, 0.3, 0.3)
+        assert lam == 0.5
 
     def test_lambda_lower_clamp(self):
-        state = cas.MixupState(lam=0.05, ema_loss=0.0, tau=0.1, gamma=1.0, initialized=True)
-        assert cas.update_lambda(state).lam == 0.0
+        lam, _ = cas.MixupConfig(tau=0.1, gamma=1.0).update(0.05, 0.0, 0.0)
+        assert lam == 0.0
 
     def test_inverted_sign_flag(self):
-        state = cas.MixupState(
-            lam=0.2, ema_loss=0.3, tau=0.1, gamma=0.5, initialized=True, sign_inverted=True
-        )
+        cfg = cas.MixupConfig(tau=0.1, gamma=0.5, sign_inverted=True)
         # drift = -0.5*(0.3-0.1) = -0.1
-        assert cas.update_lambda(state).lam == pytest.approx(0.1, abs=1e-15)
-
-    def test_uninitialized_lambda_update_rejected(self):
-        with pytest.raises(ValueError, match="EMA"):
-            cas.update_lambda(cas.MixupState(lam=0.1))
+        lam, _ = cfg.update(0.2, 0.3, 0.3)
+        assert lam == pytest.approx(0.1, abs=1e-15)
 
     def test_invalid_loss_rejected(self):
-        state = cas.MixupState(lam=0.1)
+        cfg = cas.MixupConfig()
         with pytest.raises(ValueError, match="finite"):
-            cas.update_ema(state, float("nan"))
+            cfg.update(0.1, None, float("nan"))
         with pytest.raises(ValueError, match=">= 0"):
-            cas.update_ema(state, -0.5)
+            cfg.update(0.1, 0.2, -0.5)
 
     def test_bounds_validated_on_construction(self):
         with pytest.raises(ValueError, match="lambda"):
-            cas.MixupState(lam=0.6)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("gamma", float("inf"), "must be finite and >= 0"),
-            ("gamma", -0.1, "must be finite and >= 0"),
-            ("tau", float("nan"), "must be finite"),
-            ("sigma", float("nan"), "outside [0, 1]"),
-            ("ema_loss", float("nan"), "must be finite and >= 0"),
-            ("ema_loss", float("inf"), "must be finite and >= 0"),
-            ("ema_loss", -0.5, "must be finite and >= 0"),
-        ],
-    )
-    def test_state_fields_checked_like_the_config(self, field, value, message):
-        # a hand-built state used to pass gamma=inf and tau=nan on to
-        # update_lambda, which then named neither field
-        with pytest.raises(ValueError) as err:
-            cas.MixupState(lam=0.1, **{field: value})
-        assert str(err.value) == f"{field} {value} {message}"
+            cas.MixupConfig(lambda_init=0.6)
 
 
 class TestDistillAndMixupConfig:
@@ -372,11 +351,6 @@ class TestDistillAndMixupConfig:
         with pytest.raises(ValueError) as err:
             cas.MixupConfig(**{field: value})
         assert str(err.value) == f"{field} {value} {message}"
-        # a cascade config holding it is refused as well
-        mixup = cas.MixupConfig()
-        setattr(mixup, field, value)
-        with pytest.raises(ValueError, match=f"^{field} "):
-            cas.CascadeConfig(mixup=mixup)
 
     def test_boundary_values_accepted(self):
         cas.MixupConfig(gamma=0.0, tau=-3.0, sigma=0.0, lambda_init=0.0)
@@ -384,26 +358,62 @@ class TestDistillAndMixupConfig:
         cas.DistillConfig(alpha=0.0, beta=0.0)
 
 
+FROZEN_CONFIGS = [
+    t.TeacherConfig(), cas.CascadeConfig(), cas.DistillConfig(), cas.MixupConfig(),
+    InferencePolicy(max_students=1),
+]
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        pytest.param(c, f.name, id=f"{type(c).__name__}-{f.name}")
+        for c in FROZEN_CONFIGS
+        for f in dataclasses.fields(c)
+    ],
+)
+def test_assigning_a_config_field_raises(config, name):
+    # a config is checked once, when built, so no field may change after
+    before = dataclasses.asdict(config)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, None)
+    assert dataclasses.asdict(config) == before
+
+
+@pytest.mark.parametrize(
+    "config, changes, message",
+    [
+        (t.TeacherConfig(), {"depth": 4}, "teacher depth must be 2 or 3, got 4"),
+        (cas.CascadeConfig(), {"n_students": 0}, "n_students 0 must be >= 1"),
+        (cas.CascadeConfig(), {"max_epochs": 0, "patience": -1}, "max_epochs 0 must be >= 1"),
+        (cas.MixupConfig(), {"tau": float("nan")}, "tau nan must be finite"),
+        (InferencePolicy(max_students=1), {"max_students": 0}, "max_students 0 must be >= 1"),
+    ],
+)
+def test_replace_checks_the_variant(config, changes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(config, **changes)
+
+
 def small_training_setup(seed=0, dtype=np.float64, n=24, d=5, hidden=4, c=3):
     import mlpcascade.graphio as gio
 
     g = gio.synth_sbm(n, c, d, 0.6, 0.05, 0.8, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 100)
-    teacher_probs = make_soft_labels(rng, n, c).astype(dtype)
-    return g, teacher_probs
+    return g, soft_targets(make_soft_labels(rng, n, c).astype(dtype))
 
 
 class TestTrainStudent:
     def test_single_epoch_takes_single_step(self):
-        g, teacher_probs = small_training_setup()
+        g, targets = small_training_setup()
         cfg = cas.CascadeConfig(
             n_students=1, hidden_dim=4, n_layers=2, max_epochs=1, patience=0,
             dropout=0.0, seed=0,
         )
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(0), np.float64)
         h0 = np.zeros((g.n_nodes, 4))
-        params, h_k, state, meta = cas.train_student(
-            1, g, teacher_probs, h0, init, cfg, cfg.mixup.initial_state()
+        params, h_k, lam, ema, meta = cas.train_student(
+            1, g, targets, h0, init, cfg, cfg.mixup.lambda_init, None
         )
         assert meta.epochs == 1
         assert len(meta.losses) == 1
@@ -436,16 +446,18 @@ class TestTrainStudent:
             cas.CascadeConfig(**kwargs)
 
     def test_lambda_history_within_bounds(self):
-        g, teacher_probs = small_training_setup(seed=3)
+        g, targets = small_training_setup(seed=3)
         cfg = cas.CascadeConfig(
             n_students=2, hidden_dim=4, n_layers=2, max_epochs=12, patience=11,
             dropout=0.2, seed=1,
         )
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(1), np.float64)
         h0 = np.zeros((g.n_nodes, 4))
-        state = cfg.mixup.initial_state()
+        lam, ema = cfg.mixup.lambda_init, None
         for k in (1, 2):
-            params, h0, state, meta = cas.train_student(k, g, teacher_probs, h0, init, cfg, state)
+            params, h0, lam, ema, meta = cas.train_student(
+                k, g, targets, h0, init, cfg, lam, ema
+            )
             assert all(0.0 <= lam <= 0.5 for lam in meta.lambda_history)
             init = params.copy()
 
@@ -454,7 +466,7 @@ class TestTrainStudent:
         to (k^beta + 1) times the supervised CE gradient; a from-scratch
         reference loop (own forward, backward, and optimizer) must produce
         the same parameter trajectory."""
-        g, teacher_probs = small_training_setup(seed=6)
+        g, targets = small_training_setup(seed=6)
         k = 2
         beta = 0.8
         epochs = 5
@@ -468,8 +480,8 @@ class TestTrainStudent:
         rng = np.random.default_rng(9)
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, rng, np.float64)
         h0 = np.zeros((g.n_nodes, 4), dtype=np.float64)
-        params, _, _, meta = cas.train_student(
-            1, g, teacher_probs, h0, init, cfg, cfg.mixup.initial_state()
+        params, _, _, _, meta = cas.train_student(
+            1, g, targets, h0, init, cfg, cfg.mixup.lambda_init, None
         )
         # disable early stopping interference: patience epochs-1 never fires
         assert meta.epochs == epochs
@@ -530,7 +542,9 @@ class TestTrainStudent:
 
     def test_separable_dataset_reaches_perfect_validation(self, tiny_graph):
         rng = np.random.default_rng(0)
-        teacher_probs = make_soft_labels(rng, tiny_graph.n_nodes, tiny_graph.n_classes).astype(np.float32)
+        targets = soft_targets(
+            make_soft_labels(rng, tiny_graph.n_nodes, tiny_graph.n_classes).astype(np.float32)
+        )
         cfg = cas.CascadeConfig(
             n_students=1, hidden_dim=16, n_layers=2, lr=0.01, dropout=0.0,
             max_epochs=60, patience=59, distill=cas.DistillConfig(alpha=1.0, beta=0.8), seed=2,
@@ -539,8 +553,8 @@ class TestTrainStudent:
             tiny_graph.feat_dim, 16, tiny_graph.n_classes, 2, np.random.default_rng(2), np.float32
         )
         h0 = np.zeros((tiny_graph.n_nodes, 16), dtype=np.float32)
-        _, _, _, meta = cas.train_student(
-            1, tiny_graph, teacher_probs, h0, init, cfg, cfg.mixup.initial_state()
+        _, _, _, _, meta = cas.train_student(
+            1, tiny_graph, targets, h0, init, cfg, cfg.mixup.lambda_init, None
         )
         assert meta.best_val_acc == 1.0
         assert meta.best_epoch < cfg.max_epochs
@@ -594,19 +608,17 @@ class TestFullLossGradients:
         rng = np.random.default_rng(3)
         n, d, hidden, c = 12, 5, 4, 3
         inputs = rng.standard_normal((n, d + hidden))
-        teacher_probs = make_soft_labels(rng, n, c)
+        targets = soft_targets(make_soft_labels(rng, n, c))
         y = np.eye(c)[rng.integers(0, c, n)].astype(float)
         labeled = np.arange(0, n, 2)
         pairs = cas.sample_mixup_pairs(labeled, seed=1)
         p = random_student(rng, d, hidden, c)
         cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
         distill, mix, _ = cas.total_loss_gradpair(
-            p, inputs, teacher_probs, y, labeled, 2, cfg, pairs, 0.3
+            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3
         )
         _, logits = cas.student_forward(p, inputs)
-        assert distill == cas.distill_loss(
-            logits, teacher_probs, y, labeled, np.arange(n), 2, cfg
-        ).value
+        assert distill == cas.distill_loss(logits, targets, y, labeled, 2, cfg).value
         mixed_inputs, mixed_labels = cas.mixup_examples(inputs, y, pairs, 0.3)
         assert mix == cas.mixup_loss(p, mixed_inputs, mixed_labels, labeled.size).value
 
@@ -629,8 +641,9 @@ class TestTrainCascade:
             np.random.default_rng([4, 0]), np.float32,
         )
         h0 = np.zeros((tiny_graph.n_nodes, 8), dtype=np.float32)
-        params, _, _, _ = cas.train_student(
-            1, tiny_graph, art.soft_labels, h0, init, cfg, cfg.mixup.initial_state()
+        params, _, _, _, _ = cas.train_student(
+            1, tiny_graph, soft_targets(art.soft_labels), h0, init, cfg,
+            cfg.mixup.lambda_init, None,
         )
         assert c1.students[0].fingerprint() == params.fingerprint()
 
@@ -660,46 +673,6 @@ class TestTrainCascade:
         c3 = cas.train_cascade(tiny_graph, art, cfg)
         shapes = {s.shape_vector() for s in c3.students}
         assert len(shapes) == 1
-
-    def test_config_mutated_after_construction_rejected(self, tiny_graph):
-        # the dataclass is mutable, so training checks again
-        art = self.make_teacher_artifact(tiny_graph)
-        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
-        cfg.max_epochs = 0
-        cfg.patience = -3
-        with pytest.raises(ValueError, match="^max_epochs "):
-            cas.train_cascade(tiny_graph, art, cfg)
-        # a student trained on its own goes through the same check in fit
-        init = cas.init_student(
-            tiny_graph.feat_dim, 8, tiny_graph.n_classes, 2, np.random.default_rng(0), np.float32
-        )
-        h0 = np.zeros((tiny_graph.n_nodes, 8), dtype=np.float32)
-        with pytest.raises(ValueError, match="^max_epochs "):
-            cas.train_student(
-                1, tiny_graph, art.soft_labels, h0, init, cfg, cfg.mixup.initial_state()
-            )
-
-    def test_config_mutated_to_no_students_rejected(self, tiny_graph):
-        # an empty cascade cannot be saved, so training one is refused
-        art = self.make_teacher_artifact(tiny_graph)
-        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
-        cfg.n_students = 0
-        with pytest.raises(ValueError, match="^n_students 0 must be >= 1$"):
-            cas.train_cascade(tiny_graph, art, cfg)
-
-    def test_config_mutated_distill_weight_rejected(self, tiny_graph):
-        art = self.make_teacher_artifact(tiny_graph)
-        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
-        cfg.distill.alpha = 1.5
-        with pytest.raises(ValueError, match="^alpha 1.5 outside"):
-            cas.train_cascade(tiny_graph, art, cfg)
-
-    def test_mutated_hidden_dim_named_before_any_array_is_built(self, tiny_graph):
-        art = self.make_teacher_artifact(tiny_graph)
-        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
-        cfg.hidden_dim = -4
-        with pytest.raises(ValueError, match="^hidden_dim "):
-            cas.train_cascade(tiny_graph, art, cfg)
 
     def test_empty_validation_split_rejected(self, tiny_graph):
         art = self.make_teacher_artifact(tiny_graph)
@@ -777,13 +750,6 @@ class TestTrainCascade:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"cascade.json config mixup: {field} "):
             cas.load_cascade(path)
-
-    def test_config_mutated_mixup_setting_rejected(self, tiny_graph):
-        art = self.make_teacher_artifact(tiny_graph)
-        cfg = cas.CascadeConfig(n_students=1, hidden_dim=8, max_epochs=5, patience=2)
-        cfg.mixup.tau = float("nan")
-        with pytest.raises(ValueError, match="^tau nan must be finite$"):
-            cas.train_cascade(tiny_graph, art, cfg)
 
     def test_checkpoint_round_trip(self, tiny_graph, tmp_path):
         art = self.make_teacher_artifact(tiny_graph)

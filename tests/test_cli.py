@@ -79,6 +79,22 @@ class TestSynth:
         assert code == 2
         assert "p_in > p_out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--classes", 0), "n_classes 0 must be >= 1"),
+            (("--nodes", 0), "n_nodes 0 must be >= n_classes 3"),
+            (("--nodes", -6), "n_nodes -6 must be >= n_classes 3"),
+            (("--noise", "nan"), "feat_noise nan must be finite"),
+            (("--noise", "inf"), "feat_noise inf must be finite"),
+        ],
+    )
+    def test_degenerate_graph_exits_2_naming_the_field(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        assert run_cli("synth", *flags, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTrainTeacher:
     def test_separable_reports_perfect_accuracy(self, separable_run):
@@ -642,6 +658,23 @@ class TestInfer:
         meta = json.loads((run / "infer_meta.json").read_text())
         assert meta["executed"] == 2
         assert meta["stopped_by"] == "cap"
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_budget_not_finite_and_non_negative_exits_2(
+        self, separable_run, tmp_path, capsys, budget
+    ):
+        data, run = separable_run
+        out = tmp_path / "i"
+        assert run_cli(
+            "infer", "--cascade", run / "cascade.json",
+            "--features", data / "features.csv",
+            "--conf-threshold", "none", "--budget-ms", budget, "--out", out,
+        ) == 2
+        seconds = float(budget) / 1000.0
+        assert capsys.readouterr().err == (
+            f"error: wall_clock_budget {seconds} must be finite and >= 0\n"
+        )
+        assert not out.exists()
 
     def test_rerun_identical_prediction_csv(self, separable_run, tmp_path):
         data, run = separable_run

@@ -3,8 +3,8 @@ both ran ``optim.fit`` over the gradient-checked objectives.
 
 Each reference below writes its own epoch loop, forward and backward pass,
 as the two trainers did separately, with out-of-place numpy operations
-throughout. The kernels they call (dropout masks, softmaxes, the losses and
-AdamW) are frozen copies too, so a rewrite of the package's kernels is never
+throughout. The kernels they call (dropout masks, softmaxes, the losses, the
+mixup-rate rule and AdamW) are frozen copies too, so a rewrite of the package's kernels is never
 checked against itself. The package's trainers must reproduce them bit for
 bit: parameters, soft labels, hidden states, eval logits, losses, lambda
 histories, best epochs and fingerprints.
@@ -17,7 +17,7 @@ import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
 import mlpcascade.optim as optim
 import mlpcascade.teacher as t
-from mlpcascade.numkit import glorot_uniform, relu, row_max, spmm
+from mlpcascade.numkit import glorot_uniform, relu, row_max, soft_targets, spmm
 from mlpcascade.params import LayerStack
 
 DTYPES = [np.float32, np.float64]
@@ -90,6 +90,15 @@ def distill_loss(logits, teacher_probs, y, labeled, all_nodes, k, cfg):
         value += (1.0 - cfg.alpha) * kd_value
         grad += (1.0 - cfg.alpha) * kd_grad
     return mult * value, mult * grad
+
+
+def update_mixup(cfg, lam, ema, loss):
+    """The progressive mixup rule: moving average, then clamped drift."""
+    ema = loss if ema is None else cfg.sigma * ema + (1.0 - cfg.sigma) * loss
+    drift = cfg.gamma * (ema - cfg.tau)
+    if cfg.sign_inverted:
+        drift = -drift
+    return min(max(lam + drift, 0.0), 0.5), ema
 
 
 class AdamW:
@@ -344,7 +353,7 @@ def ref_mixup_loss(p, mixed_inputs, mixed_labels, labeled_count, dropout, rng):
     return value, ref_student_backward(p, caches, dlogits)
 
 
-def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
+def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
     labeled = g.splits.labeled
     all_nodes = np.arange(g.n_nodes)
     rng = np.random.default_rng([cfg.seed, k])
@@ -361,7 +370,7 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
     best_epoch = 0
     since_best = 0
     losses = []
-    lambda_history = [state.lam]
+    lambda_history = [lam]
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
@@ -373,16 +382,16 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
 
         pairs = cas.sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         mixed_inputs, mixed_labels = ref_mixup_examples(
-            g.features, h_prev, g.labels, pairs, state.lam
+            g.features, h_prev, g.labels, pairs, lam
         )
         mix_value, mix_grads = ref_mixup_loss(
             params, mixed_inputs, mixed_labels, labeled.size, cfg.dropout, rng
         )
 
         opt.step({name: grads[name] + mix_grads[name] for name in grads})
-        state = cas.update_lambda(cas.update_ema(state, mix_value))
+        lam, ema = update_mixup(cfg.mixup, lam, ema, mix_value)
         losses.append(distill_value + mix_value)
-        lambda_history.append(state.lam)
+        lambda_history.append(lam)
 
         _, val_logits, _ = ref_student_forward(params, inputs_val, False, 0.0, None)
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_val))
@@ -401,27 +410,28 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, state):
         epochs=epochs_run,
         best_epoch=best_epoch,
         best_val_acc=best_acc,
-        final_lambda=state.lam,
+        final_lambda=lam,
         init_fingerprint=init_fp,
         lambda_history=lambda_history,
         losses=losses,
         logits=logits,
     )
-    return best_params, h_k, state, meta
+    return best_params, h_k, lam, ema, meta
 
 
 def run_chain(train, g, teacher_probs, cfg):
     """Students 1..K as ``train_cascade`` chains them, with ``train`` as the
-    per-student trainer."""
+    per-student trainer: (params, hidden state, lambda, its moving average,
+    meta) of each."""
     dims = [g.feat_dim + cfg.hidden_dim] + [cfg.hidden_dim] * (cfg.n_layers - 1)
     init = ref_init(dims + [g.n_classes], np.random.default_rng([cfg.seed, 0]),
                     g.features.dtype)
     h = np.zeros((g.n_nodes, cfg.hidden_dim), dtype=g.features.dtype)
-    state = cfg.mixup.initial_state()
+    lam, ema = cfg.mixup.lambda_init, None
     out = []
     for k in range(1, cfg.n_students + 1):
-        params, h, state, meta = train(k, g, teacher_probs, h, init, cfg, state)
-        out.append((params, h, state, meta))
+        params, h, lam, ema, meta = train(k, g, teacher_probs, h, init, cfg, lam, ema)
+        out.append((params, h, lam, ema, meta))
         init = params.copy()
     return out
 
@@ -440,20 +450,21 @@ def assert_same_meta(got, ref):
 
 
 def assert_same_cascade(g, art, cfg):
-    """The package's student trainer given the raw soft labels, and the
-    whole ``train_cascade`` (which passes their ``SoftTargets``), against
-    the reference chain."""
-    got = run_chain(cas.train_student, g, art.soft_labels, cfg)
+    """The package's student trainer given the ``SoftTargets`` of the soft
+    labels, as ``train_cascade`` passes them, and the whole
+    ``train_cascade``, against the reference chain given the raw soft
+    labels."""
+    got = run_chain(cas.train_student, g, soft_targets(art.soft_labels), cfg)
     ref = run_chain(ref_train_student, g, art.soft_labels, cfg)
-    for (p1, h1, s1, m1), (p2, h2, s2, m2) in zip(got, ref, strict=True):
+    for (p1, h1, lam1, ema1, m1), (p2, h2, lam2, ema2, m2) in zip(got, ref, strict=True):
         assert_same_stack(p1, p2)
         assert h1.dtype == h2.dtype and np.array_equal(h1, h2)
-        assert s1 == s2
+        assert lam1 == lam2 and ema1 == ema2
         assert_same_meta(m1, m2)
     casc = cas.train_cascade(g, art, cfg)
-    ref_stacks = [p for p, _, _, _ in ref]
+    ref_stacks = [p for p, *_ in ref]
     assert casc.fingerprint() == cas.Cascade(ref_stacks, [], "").fingerprint()
-    for m1, (_, _, _, m2) in zip(casc.metas, ref, strict=True):
+    for m1, (*_, m2) in zip(casc.metas, ref, strict=True):
         assert_same_meta(m1, m2)
     return casc
 
@@ -479,3 +490,25 @@ def test_cascade_early_stop_matches_reference(dtype):
     )
     casc = assert_same_cascade(g, art, cfg)
     assert all(m.epochs < cfg.max_epochs for m in casc.metas)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize(
+    "mixup",
+    [
+        cas.MixupConfig(gamma=0.05, tau=0.95),  # climbs from 0.1, short of 0.5
+        cas.MixupConfig(gamma=0.3, tau=0.9, sign_inverted=True),  # 0, then climbs
+    ],
+    ids=["rising", "inverted"],
+)
+def test_cascade_with_moving_lambda_matches_reference(mixup, dtype):
+    # lambda leaves its bounds here, so the rule's values are compared, not
+    # only its clamps
+    g, art = cascade_setup(dtype)
+    cfg = cas.CascadeConfig(
+        n_students=2, hidden_dim=8, dropout=0.5, lr=0.01, max_epochs=12, patience=11,
+        mixup=mixup, seed=4,
+    )
+    casc = assert_same_cascade(g, art, cfg)
+    inside = [lam for m in casc.metas for lam in m.lambda_history[1:] if 0.0 < lam < 0.5]
+    assert len(inside) >= 8

@@ -721,6 +721,23 @@ class TestSynthSBM:
         with pytest.raises(ValueError, match="p_in > p_out"):
             gio.synth_sbm(12, 3, 4, 0.01, 0.02, 0.5, seed=2)
 
+    @pytest.mark.parametrize(
+        "n_nodes, n_classes, feat_noise, message",
+        [
+            (12, 0, 0.5, "n_classes 0 must be >= 1"),
+            (12, -2, 0.5, "n_classes -2 must be >= 1"),
+            (0, 3, 0.5, "n_nodes 0 must be >= n_classes 3"),
+            (-6, 3, 0.5, "n_nodes -6 must be >= n_classes 3"),
+            (2, 3, 0.5, "n_nodes 2 must be >= n_classes 3"),
+            (12, 3, float("nan"), "feat_noise nan must be finite"),
+            (12, 3, float("inf"), "feat_noise inf must be finite"),
+            (12, 3, float("-inf"), "feat_noise -inf must be finite"),
+        ],
+    )
+    def test_degenerate_sizes_and_noise_rejected(self, n_nodes, n_classes, feat_noise, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gio.synth_sbm(n_nodes, n_classes, 4, 0.5, 0.1, feat_noise, seed=2)
+
     def test_divisibility_required(self):
         with pytest.raises(ValueError, match="divisible"):
             gio.synth_sbm(10, 3, 4, 0.5, 0.1, 0.5, seed=2)

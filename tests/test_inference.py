@@ -207,6 +207,14 @@ class TestRunAnytime:
         with pytest.raises(ValueError, match="stopping rule"):
             inf.InferencePolicy()
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -0.5])
+    def test_budget_must_be_finite_and_non_negative(self, budget):
+        # spent >= nan never holds, so a NaN budget would run every student
+        with pytest.raises(
+            ValueError, match=f"^wall_clock_budget {budget} must be finite and >= 0$"
+        ):
+            inf.InferencePolicy(conf_threshold=None, wall_clock_budget=budget)
+
     def test_executed_capped_by_cascade_size(self):
         rng = np.random.default_rng(5)
         casc = build_cascade(rng, 2)

@@ -139,50 +139,51 @@ class TestKLDivergence:
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((4, 3))
         t = softmax_rows(logits)
-        assert abs(kl_divergence(t, logits, np.arange(4)).value) < 1e-12
+        assert abs(kl_divergence(nk.soft_targets(t), logits).value) < 1e-12
 
     def test_onehot_teacher_uniform_student(self):
         t = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         logits = np.zeros((2, 3))
-        got = kl_divergence(t, logits, [0, 1]).value
+        got = kl_divergence(nk.soft_targets(t), logits).value
         assert abs(got - np.log(3.0)) < 1e-12
 
     def test_frozen_value(self):
         t = np.array([[0.7, 0.3]])
         logits = np.zeros((1, 2))
-        assert abs(kl_divergence(t, logits, [0]).value - KL_73_UNIFORM) < 1e-12
+        assert abs(kl_divergence(nk.soft_targets(t), logits).value - KL_73_UNIFORM) < 1e-12
 
     def test_unnormalized_teacher_rejected(self):
         t = np.array([[0.7, 0.7]])
         with pytest.raises(ValueError, match="sums to"):
-            kl_divergence(t, np.zeros((1, 2)), [0])
+            nk.soft_targets(t)
 
     def test_negative_teacher_rejected(self):
         t = np.array([[1.2, -0.2]])
         with pytest.raises(ValueError, match="negative"):
-            kl_divergence(t, np.zeros((1, 2)), [0])
+            nk.soft_targets(t)
 
     @given(finite_floats((3, 4), -20.0, 20.0), finite_floats((3, 4), -5.0, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_gibbs_inequality(self, t_logits, s_logits):
         t = softmax_rows(t_logits)
-        assert kl_divergence(t, s_logits, np.arange(3)).value >= -1e-9
+        assert kl_divergence(nk.soft_targets(t), s_logits).value >= -1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        t = softmax_rows(rng.standard_normal((5, 3)))
+        targets = nk.soft_targets(softmax_rows(rng.standard_normal((5, 3))))
         params = {"logits": rng.standard_normal((5, 3))}
 
         def loss(p):
-            return kl_divergence(t, p["logits"], np.arange(5))
+            return kl_divergence(targets, p["logits"])
 
         assert finite_diff_check(loss, params) < 1e-5
 
 
 def kl_reference(t, logits, idx):
-    """The KL with every teacher term derived at the call, as
-    ``kl_divergence`` once computed it: the bits its shortcuts must keep."""
+    """The KL with every teacher term derived at the call, over the rows
+    ``idx``, as ``kl_divergence`` once computed it: the bits its one form,
+    over every row, must keep."""
     sub_t = t[idx]
     logp = log_softmax_rows(logits[idx])
     t_log_t = np.where(sub_t > 0, sub_t * np.log(np.where(sub_t > 0, sub_t, 1.0)), 0.0)
@@ -193,8 +194,8 @@ def kl_reference(t, logits, idx):
 
 
 class TestSoftTargets:
-    """The teacher side of the KL derived once (``SoftTargets``) and the
-    all-rows shortcut (mask None) give the bits of the per-call form."""
+    """The teacher side of the KL derived once (``SoftTargets``) gives the
+    bits of the per-call form."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(4))
@@ -204,31 +205,17 @@ class TestSoftTargets:
         t = softmax_rows(3.0 * rng.standard_normal((n, c))).astype(dtype)
         t[0] = np.eye(c, dtype=dtype)[1]  # zero entries take the 0 ln 0 limit
         logits = rng.standard_normal((n, c)).astype(dtype)
-        targets = nk.soft_targets(t)
-        every = np.arange(n)
-        some = np.sort(rng.choice(n, size=9, replace=False))
-        for teacher, mask, idx in [
-            (t, None, every), (targets, None, every), (t, every, every),
-            (targets, every, every), (t, some, some), (targets, some, some),
-        ]:
-            got = kl_divergence(teacher, logits, mask)
-            value, grad = kl_reference(t, logits, idx)
-            assert got.value == value
-            g = got.grads["logits"]
-            assert g.dtype == grad.dtype and np.array_equal(g.view(np.uint8), grad.view(np.uint8))
+        got = kl_divergence(nk.soft_targets(t), logits)
+        value, grad = kl_reference(t, logits, np.arange(n))
+        assert got.value == value
+        g = got.grads["logits"]
+        assert g.dtype == grad.dtype and np.array_equal(g.view(np.uint8), grad.view(np.uint8))
 
     def test_checks_run_when_built(self):
         with pytest.raises(ValueError, match="^kl_divergence: teacher row 1 sums to 1.4, not 1$"):
             nk.soft_targets(np.array([[0.5, 0.5], [0.7, 0.7]]))
         with pytest.raises(ValueError, match="^kl_divergence: teacher row 2 has negative entries$"):
             nk.soft_targets(np.array([[0.5, 0.5], [1.0, 0.0], [1.2, -0.2]]))
-
-    def test_masked_raw_call_names_the_original_row(self):
-        t = np.array([[0.5, 0.5], [1.0, 0.0], [0.9, 0.9]])
-        with pytest.raises(ValueError, match="teacher row 2 sums to"):
-            kl_divergence(t, np.zeros((3, 2)), [0, 2])
-        # a row outside the mask is not checked
-        assert kl_divergence(t, np.zeros((3, 2)), [0, 1]).value >= 0.0
 
     def test_shape_mismatch_rejected(self):
         targets = nk.soft_targets(np.full((3, 2), 0.5))
@@ -313,19 +300,18 @@ class TestDropoutMask:
 
 
 class TestLossIndexChecks:
-    """Both losses take the rows they score as an index set; numpy would wrap
-    a negative index onto another row and turn a past-the-end one into a
-    bare IndexError."""
+    """The cross entropy takes the rows it scores as an index set; numpy
+    would wrap a negative index onto another row and turn a past-the-end one
+    into a bare IndexError. (The KL scores every row and takes none.)"""
 
     def losses(self):
         logits = np.array([[2.0, 0.0], [0.0, 1.0]])
         labels = np.eye(2)
         return {
             "masked_cross_entropy": lambda idx: masked_cross_entropy(logits, labels, idx),
-            "kl_divergence": lambda idx: kl_divergence(labels, logits, idx),
         }
 
-    @pytest.mark.parametrize("name", ["masked_cross_entropy", "kl_divergence"])
+    @pytest.mark.parametrize("name", ["masked_cross_entropy"])
     @pytest.mark.parametrize("idx, bad", [([-1], -1), ([0, -2], -2), ([2], 2), ([1, 5], 5)])
     def test_out_of_range_rejected(self, name, idx, bad):
         with pytest.raises(
@@ -333,12 +319,12 @@ class TestLossIndexChecks:
         ):
             self.losses()[name](idx)
 
-    @pytest.mark.parametrize("name", ["masked_cross_entropy", "kl_divergence"])
+    @pytest.mark.parametrize("name", ["masked_cross_entropy"])
     def test_empty_rejected(self, name):
         with pytest.raises(ValueError, match=f"^{name}: empty mask index set$"):
             self.losses()[name]([])
 
-    @pytest.mark.parametrize("name", ["masked_cross_entropy", "kl_divergence"])
+    @pytest.mark.parametrize("name", ["masked_cross_entropy"])
     @pytest.mark.parametrize(
         "idx, dtype",
         [(np.array([True, False]), "bool"), ([True, True], "bool"),

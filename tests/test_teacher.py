@@ -213,26 +213,6 @@ class TestTrainTeacher:
         with pytest.raises(ValueError, match=f"^{field} "):
             t.TeacherConfig(**kwargs)
 
-    def test_config_mutated_after_construction_rejected(self, tiny_graph):
-        # the dataclass is mutable, so train_teacher checks again
-        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
-        cfg.max_epochs = 0
-        with pytest.raises(ValueError, match="^max_epochs "):
-            t.train_teacher(tiny_graph, cfg)
-
-    def test_config_mutated_to_bad_depth_rejected(self, tiny_graph):
-        # load_teacher refuses such a checkpoint, so training one is refused
-        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
-        cfg.depth = 4
-        with pytest.raises(ValueError, match="^teacher depth must be 2 or 3, got 4$"):
-            t.train_teacher(tiny_graph, cfg)
-
-    def test_mutated_hidden_dim_named_before_any_array_is_built(self, tiny_graph):
-        cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2)
-        cfg.hidden_dim = -4
-        with pytest.raises(ValueError, match="^hidden_dim "):
-            t.train_teacher(tiny_graph, cfg)
-
     def test_smallest_valid_config(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=1, lr=1e-6, weight_decay=0.0, max_epochs=1, patience=0)
         art = t.train_teacher(tiny_graph, cfg)
