@@ -6,6 +6,10 @@ Runs ``synth -> train-teacher --depth 3 -> distill -> infer`` through the
 in-process ``mlpcascade.cli.main`` of this checkout's own ``src/``, with one
 BLAS thread, at f32 and at f64. Each precision has one dataset and one
 teacher, and one ``distill`` and ``infer`` per cascade setting in ``GRID``.
+That teacher's hidden layer is at least as wide as the features, so its
+first layer aggregates before it projects; a second teacher per precision,
+``teacher-narrow``, has a hidden layer narrower than the features and keeps
+the project-first order. No cascade is distilled from it.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path. Timing files (``infer_meta.json``, ``tradeoff.csv``)
@@ -41,15 +45,17 @@ GRID = {
     "alpha0": ["--alpha", "0", "--sigma", "0.7"],
 }
 
-# (synth flags, train-teacher flags, distill flags) of each size; the full
-# grid keeps every training default of the CLI
+# (synth flags, train-teacher flags, distill flags, teacher-narrow hidden
+# width) of each size; the full grid keeps every training default of the
+# CLI (32 features, hidden width 64)
 SIZES = {
-    "full": (["--nodes", "600", "--noise", "1.5"], [], []),
+    "full": (["--nodes", "600", "--noise", "1.5"], [], [], "16"),
     "tiny": (
         ["--nodes", "60", "--classes", "3", "--feat-dim", "8", "--p-in", "0.3",
          "--p-out", "0.02", "--noise", "1.5"],
         ["--hidden", "8", "--epochs", "6", "--patience", "5"],
         ["--students", "2", "--hidden", "8", "--epochs", "6", "--patience", "5"],
+        "4",
     ),
 }
 
@@ -66,7 +72,7 @@ def run_grid(out: Path, size: str) -> None:
         if code != 0:
             raise SystemExit(f"artifact_digests: exit {code} from: {' '.join(argv)}")
 
-    synth_flags, teacher_flags, cascade_flags = SIZES[size]
+    synth_flags, teacher_flags, cascade_flags, narrow_hidden = SIZES[size]
     for precision in PRECISIONS:
         base = out / precision
         data = base / "data"
@@ -75,6 +81,8 @@ def run_grid(out: Path, size: str) -> None:
         cli("synth", *synth_flags, *run, "--out", data)
         cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags, *run,
             "--out", teacher)
+        cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags,
+            "--hidden", narrow_hidden, *run, "--out", base / "teacher-narrow")
         for name, flags in GRID.items():
             dest = base / name
             cli("distill", "--data", data, "--teacher-dir", teacher, *cascade_flags,
@@ -85,12 +93,13 @@ def run_grid(out: Path, size: str) -> None:
 
 def digests(out: Path) -> list[str]:
     """``<sha256>  <path>`` of every file under ``out`` but the timing files,
-    sorted by path."""
+    sorted by the printed path."""
     lines = []
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+    for name in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
+        path = out / name
         if path.name not in TIMING_FILES:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {path.relative_to(out).as_posix()}")
+            lines.append(f"{digest}  {name}")
     return lines
 
 

@@ -27,7 +27,6 @@ from .graphio import (
     Graph,
     Splits,
     load_dataset,
-    make_splits,
     normalize_adjacency,
     save_dataset,
     synth_sbm,

@@ -63,6 +63,7 @@ import numpy as np
 from . import cascade as cascade_mod
 from . import graphio, inference, teacher
 from .optim import TrainingDivergedError
+from .params import json_value
 
 # Defaults of the CLI-only settings. Model and training defaults (the
 # reference hyperparameters) are those of TeacherConfig and CascadeConfig.
@@ -71,7 +72,7 @@ DEFAULTS = {
     "run": {"seed": 0, "out": ".", "precision": "f32"},
 }
 
-# (dataclass field, config-file key, flag dest, cast) of every model and
+# (dataclass field, config-file key, flag dest, type) of every model and
 # training value a config file or a flag may set
 _TRAINING_VALUES = (
     ("hidden_dim", "hidden_dim", "hidden", int),
@@ -137,12 +138,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(flag_value, section: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in section:
-        return section[key]
-    return default
+def _resolve(args, dest: str, config: dict, name: str, key: str, kind: type,
+             default=None, nullable: bool = False):
+    """The value of one setting: its flag ``dest`` when given (argparse typed
+    it), else the config file's ``name.key``, else ``default``. A config
+    value must be a JSON value of type ``kind`` (``params.json_value``), or
+    null where ``nullable``; anything else is a ValueError naming the key
+    and the file."""
+    flag = getattr(args, dest, None)
+    if flag is not None:
+        return flag
+    sec = _section(config, name)
+    if key not in sec:
+        return default
+    if nullable and sec[key] is None:
+        return None
+    return json_value(sec[key], kind, f"config file {args.config}: {name}.{key}")
 
 
 def _section(config: dict, name: str) -> dict:
@@ -153,10 +164,10 @@ def _section(config: dict, name: str) -> dict:
 
 
 def _run_values(args, config):
-    run = _section(config, "run")
-    seed = int(_resolve(args.seed, run, "seed", DEFAULTS["run"]["seed"]))
-    out = Path(_resolve(args.out, run, "out", DEFAULTS["run"]["out"]))
-    precision = _resolve(args.precision, run, "precision", DEFAULTS["run"]["precision"])
+    d = DEFAULTS["run"]
+    seed = _resolve(args, "seed", config, "run", "seed", int, d["seed"])
+    out = Path(_resolve(args, "out", config, "run", "out", str, d["out"]))
+    precision = _resolve(args, "precision", config, "run", "precision", str, d["precision"])
     if precision not in ("f32", "f64"):
         raise ValueError(f"precision must be f32 or f64, got {precision!r}")
     dtype = np.float32 if precision == "f32" else np.float64
@@ -164,62 +175,60 @@ def _run_values(args, config):
 
 
 def _data_dir(args, config) -> Path:
-    path = _resolve(getattr(args, "data", None), _section(config, "dataset"), "path", None)
+    path = _resolve(args, "data", config, "dataset", "path", str)
     if path is None:
         raise ValueError("no dataset: pass --data or set dataset.path in the config")
     return Path(path)
 
 
 def _norm_features(args, config) -> bool:
-    return bool(
-        _resolve(
-            getattr(args, "normalize_features", None),
-            _section(config, "dataset"),
-            "normalize_features",
-            False,
-        )
+    return _resolve(
+        args, "normalize_features", config, "dataset", "normalize_features", bool, False
     )
 
 
-def _set_values(args, sec: dict, table) -> dict:
-    """The values of ``table`` that a flag or the config section ``sec``
-    sets, cast; flags win. Unset values are left out, so the dataclass
-    defaults fill them."""
+def _set_values(args, config, name: str, table) -> dict:
+    """The values of ``table`` that a flag or the config section ``name``
+    sets; flags win. Unset values are left out, so the dataclass defaults
+    fill them."""
     out = {}
-    for name, key, dest, cast in table:
-        value = _resolve(getattr(args, dest), sec, key, None)
+    for field, key, dest, kind in table:
+        value = _resolve(args, dest, config, name, key, kind)
         if value is not None:
-            out[name] = cast(value)
+            out[field] = value
     return out
 
 
 def _teacher_config(args, config, seed) -> teacher.TeacherConfig:
-    sec = _section(config, "teacher")
-    return teacher.TeacherConfig(**_set_values(args, sec, _TEACHER_VALUES), seed=seed)
+    return teacher.TeacherConfig(
+        **_set_values(args, config, "teacher", _TEACHER_VALUES), seed=seed
+    )
 
 
 def _cascade_config(args, config, seed) -> cascade_mod.CascadeConfig:
-    sec = _section(config, "cascade")
+    def values(table):
+        return _set_values(args, config, "cascade", table)
+
     return cascade_mod.CascadeConfig(
-        **_set_values(args, sec, _CASCADE_VALUES),
-        distill=cascade_mod.DistillConfig(**_set_values(args, sec, _DISTILL_VALUES)),
-        mixup=cascade_mod.MixupConfig(**_set_values(args, sec, _MIXUP_VALUES)),
+        **values(_CASCADE_VALUES),
+        distill=cascade_mod.DistillConfig(**values(_DISTILL_VALUES)),
+        mixup=cascade_mod.MixupConfig(**values(_MIXUP_VALUES)),
         seed=seed,
     )
 
 
 def _policy(args, config) -> inference.InferencePolicy:
-    sec = _section(config, "policy")
     d = DEFAULTS["policy"]
-    thr = _resolve(args.conf_threshold, sec, "conf_threshold", d["conf_threshold"])
-    if thr is _DISABLED:
-        thr = None
-    max_students = _resolve(args.max_students, sec, "max_students", d["max_students"])
-    budget_ms = _resolve(args.budget_ms, sec, "budget_ms", d["budget_ms"])
+
+    def value(dest, key, kind):
+        return _resolve(args, dest, config, "policy", key, kind, d[key], nullable=True)
+
+    thr = value("conf_threshold", "conf_threshold", float)
+    budget_ms = value("budget_ms", "budget_ms", float)
     return inference.InferencePolicy(
-        conf_threshold=None if thr is None else float(thr),
-        max_students=None if max_students is None else int(max_students),
-        wall_clock_budget=None if budget_ms is None else float(budget_ms) / 1000.0,
+        conf_threshold=None if thr is _DISABLED else thr,
+        max_students=value("max_students", "max_students", int),
+        wall_clock_budget=None if budget_ms is None else budget_ms / 1000.0,
     )
 
 
@@ -258,10 +267,10 @@ def cmd_synth(args, config) -> int:
 
 def cmd_train_teacher(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
+    cfg = _teacher_config(args, config, seed)
     g = graphio.load_dataset(
         _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
     )
-    cfg = _teacher_config(args, config, seed)
     artifact = teacher.train_teacher(g, cfg)
     out.mkdir(parents=True, exist_ok=True)
     teacher.save_teacher(artifact, cfg, out / TEACHER_CKPT)
@@ -288,6 +297,7 @@ def cmd_train_teacher(args, config) -> int:
 
 def cmd_distill(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
+    cfg = _cascade_config(args, config, seed)
     g = graphio.load_dataset(
         _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
     )
@@ -298,7 +308,6 @@ def cmd_distill(args, config) -> int:
             f"teacher/dataset mismatch: soft labels {artifact.soft_labels.shape} vs "
             f"graph ({g.n_nodes}, {g.n_classes})"
         )
-    cfg = _cascade_config(args, config, seed)
     casc = cascade_mod.train_cascade(g, artifact, cfg)
     out.mkdir(parents=True, exist_ok=True)
     cascade_mod.save_cascade(casc, out / CASCADE_CKPT)
@@ -387,6 +396,7 @@ def cmd_sweep(args, config) -> int:
 
 def cmd_infer(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
+    policy = _policy(args, config)
     cascade_path = Path(args.cascade)
     if not cascade_path.is_file():
         raise _RuntimeFail(f"cascade checkpoint missing: {cascade_path}")
@@ -400,7 +410,6 @@ def cmd_infer(args, config) -> int:
         raise _RuntimeFail(
             f"feature width mismatch: cascade expects d={expected}, file has d={x.shape[1]}"
         )
-    policy = _policy(args, config)
     result = inference.run_anytime(casc, x, policy, np.arange(x.shape[0]))
     out.mkdir(parents=True, exist_ok=True)
     inference.write_prediction_csv(out / PREDICTIONS_CSV, result)

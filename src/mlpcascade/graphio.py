@@ -407,6 +407,12 @@ def _splits_from_labels(
     n_test: int,
     seed,
 ) -> Splits:
+    """Stratified labeled set (n_per_class nodes of each class id in
+    ``class_ids``) plus validation and test sets drawn without replacement
+    from the remainder.
+
+    Deterministic given `seed`; all returned index arrays are sorted.
+    """
     rng = np.random.default_rng(seed)
     n_nodes = class_ids.size
     picks = []
@@ -427,16 +433,6 @@ def _splits_from_labels(
     validation = np.sort(perm[:n_val])
     test = np.sort(perm[n_val : n_val + n_test])
     return Splits(labeled=labeled, validation=validation, test=test, unlabeled=rest)
-
-
-def make_splits(g: Graph, n_per_class: int, n_val: int, n_test: int, seed) -> Splits:
-    """Stratified labeled set (n_per_class nodes per class) plus validation
-    and test sets drawn without replacement from the remainder.
-
-    Deterministic given `seed`; all returned index arrays are sorted.
-    """
-    class_ids = np.argmax(g.labels, axis=1)
-    return _splits_from_labels(class_ids, n_per_class, n_val, n_test, seed)
 
 
 def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> Graph:

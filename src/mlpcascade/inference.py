@@ -21,7 +21,7 @@ import numpy as np
 from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
-from .numkit import check_index, row_max, softmax_rows
+from .numkit import check_index, row_max, row_sum, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _confidence(logits: np.ndarray, idx: np.ndarray) -> float:
     z = logits[idx].astype(np.float64)
     z -= row_max(z)
     np.exp(z, out=z)
-    return float(np.mean(1.0 / z.sum(axis=1)))
+    return float(np.mean(1.0 / row_sum(z)[:, 0]))
 
 
 def _score(logits: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:

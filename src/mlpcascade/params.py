@@ -3,8 +3,8 @@
 The teacher and every student are stacks of (weight, bias) layers, so they
 share one parameter type, one initializer, one forward/backward pair and one
 way to be stored. A graph-convolution layer is a dense layer whose
-projection is aggregated over the graph, so the teacher passes its
-aggregation to the shared passes and a student passes none. A
+projection is aggregated over the graph, so the teacher passes the shared
+passes one aggregation per layer and a student passes none. A
 checkpoint is a JSON manifest; its weight arrays are base64 of their
 little-endian raw bytes, and the manifest names that encoding, so the
 decimal arrays of earlier versions are refused instead of being read by a
@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -67,6 +67,17 @@ class LayerStack:
 
 
 ArrayMap = Callable[[np.ndarray], np.ndarray]
+# One map per layer, applied to that layer's projection; None in place of a
+# map is the identity, and None in place of the list the identity for all.
+Aggregates = Sequence[ArrayMap | None] | None
+
+
+def _per_layer(p: LayerStack, aggregates: Aggregates) -> Sequence[ArrayMap | None]:
+    if aggregates is None:
+        return [None] * p.n_layers
+    if len(aggregates) != p.n_layers:
+        raise ValueError(f"{len(aggregates)} aggregations for {p.n_layers} layers")
+    return aggregates
 
 
 def _project(a: np.ndarray, w: np.ndarray, aggregate: ArrayMap | None) -> np.ndarray:
@@ -78,32 +89,34 @@ def forward_cache(
     p: LayerStack,
     a: np.ndarray,
     draw_mask: ArrayMap | None = None,
-    aggregate: ArrayMap | None = None,
+    aggregates: Aggregates = None,
 ):
     """Training forward of the layer chain ``z = aggregate(a @ w) + b``,
     ReLU between layers, keeping what ``backward`` needs.
 
-    ``aggregate`` is the teacher's graph aggregation (None for a student: the
-    identity). ``draw_mask(r)`` draws the dropout mask of each hidden
-    activation ``r`` in layer order; None trains without dropout. Returns the
-    logits and one ``(input, r, mask)`` cache per layer, ``r`` being the
-    layer's ReLU output (the logits for the last layer) and the mask the one
-    applied to it. Each layer adds its bias and applies ReLU in place on the
-    fresh projection; ``r > 0`` is ``z > 0``, NaN included, so the
-    pre-activation need not be kept.
+    ``aggregates`` holds each layer's graph aggregation (None for a student:
+    the identity everywhere; a teacher whose first layer takes an input it
+    aggregated already passes None for that layer). ``draw_mask(r)`` draws
+    the dropout mask of each hidden activation ``r`` in layer order; None
+    trains without dropout. Returns the logits and one ``(input, r, mask)``
+    cache per layer, ``r`` being the layer's ReLU output (the logits for the
+    last layer) and the mask the one applied to it. Each layer adds its bias
+    and applies ReLU in place on the fresh projection; ``r > 0`` is
+    ``z > 0``, NaN included, so the pre-activation need not be kept.
     """
     if a.shape[1] != p.input_dim:
         raise ValueError(f"input width {a.shape[1]} != first-layer fan-in {p.input_dim}")
+    *hidden_aggs, agg_out = _per_layer(p, aggregates)
     caches = []
     *hidden, (w_out, b_out) = p.layers
-    for w, b in hidden:
+    for (w, b), aggregate in zip(hidden, hidden_aggs):
         r = _project(a, w, aggregate)
         r += b
         np.maximum(r, 0, out=r)
         mask = None if draw_mask is None else draw_mask(r)
         caches.append((a, r, mask))
         a = r if mask is None else r * mask
-    logits = _project(a, w_out, aggregate)
+    logits = _project(a, w_out, agg_out)
     logits += b_out
     caches.append((a, logits, None))
     return logits, caches
@@ -113,16 +126,17 @@ def backward(
     p: LayerStack,
     caches,
     dlogits: np.ndarray,
-    aggregate: ArrayMap | None = None,
+    aggregates: Aggregates = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of every parameter from the logits' gradient, through the
-    caches of ``forward_cache`` with the same ``aggregate``: a symmetric
+    caches of ``forward_cache`` with the same ``aggregates``: a symmetric
     aggregation is its own transpose. Each hidden layer's gradient is
     masked in place on the fresh product ``d_agg @ w.T``."""
+    aggs = _per_layer(p, aggregates)
     grads: dict[str, np.ndarray] = {}
     d_z = dlogits
     for li in reversed(range(p.n_layers)):
-        d_agg = d_z if aggregate is None else aggregate(d_z)
+        d_agg = d_z if aggs[li] is None else aggs[li](d_z)
         grads[f"w{li + 1}"] = caches[li][0].T @ d_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
         if li > 0:
@@ -134,11 +148,11 @@ def backward(
     return grads
 
 
-def eval_hidden(p: LayerStack, a: np.ndarray, aggregate: ArrayMap | None = None) -> np.ndarray:
+def eval_hidden(p: LayerStack, a: np.ndarray, aggregates: Aggregates = None) -> np.ndarray:
     """Eval-mode hidden layers: the last hidden activation, the same bits as
     ``forward_cache`` without dropout. Nothing is cached for backprop, so
     each layer adds its bias and applies ReLU in place."""
-    for w, b in p.layers[:-1]:
+    for (w, b), aggregate in zip(p.layers[:-1], _per_layer(p, aggregates)):
         a = _project(a, w, aggregate)
         a += b
         np.maximum(a, 0, out=a)
@@ -170,9 +184,34 @@ def json_object(obj, keys, where: str) -> dict:
     return obj
 
 
+_JSON_KINDS = {bool: "a JSON bool", int: "an integer", float: "a number", str: "a string"}
+
+
+def json_value(value, kind: type, where: str):
+    """``value`` as a ``kind`` (bool, int, float or str) when JSON holds it as
+    one: a bool for a bool, a non-bool integer for an int, a non-bool number
+    for a float and a string for a str; a ValueError naming ``where``
+    otherwise. Nothing is truncated or parsed: ``2.7`` is not an int and
+    ``"false"`` is not a bool."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, allowed) and (kind is bool) == isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+
+
 def dataclass_from_json(cls, obj, where: str):
-    """``cls(**obj)`` for a JSON object holding exactly the fields of ``cls``."""
+    """``cls(**obj)`` for a JSON object holding exactly the fields of
+    ``cls``, each bool, int, float or str field holding a JSON value of its
+    type (``json_value``)."""
     obj = json_object(obj, [f.name for f in fields(cls)], where)
+    kinds = get_type_hints(cls)
+    obj = {
+        name: json_value(v, kinds[name], f"{where} {name}") if kinds[name] in _JSON_KINDS else v
+        for name, v in obj.items()
+    }
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:

@@ -2,7 +2,9 @@
 
 The teacher is a standard 2-layer graph convolution (an optional third layer
 is configurable): each layer projects node activations and aggregates them
-with the symmetrically normalized adjacency. Gradients are hand-derived;
+with the symmetrically normalized adjacency. When the features are no wider
+than the hidden layer, the first layer aggregates them before projecting,
+which is the same product in another order. Gradients are hand-derived;
 training runs the shared ``optim.fit`` loop (AdamW with early stopping on
 validation accuracy) and exports soft labels from the best epoch.
 """
@@ -101,23 +103,46 @@ def init_teacher(
     return init_layers([feat_dim] + [hidden_dim] * (depth - 1) + [n_classes], rng, dtype)
 
 
-def _aggregate(norm_adj: SparseMatrix):
-    """The layer aggregation: the symmetric Â, so it is also its transpose."""
-    return lambda m: spmm(norm_adj, m)
+def _aggregates_first(p: LayerStack) -> bool:
+    """Whether the first layer aggregates its input before projecting it.
+    ``Â(XW) = (ÂX)W``, so the order is free; aggregating first moves ``d``
+    columns instead of ``h``, and lets training aggregate the fixed eval
+    features once. It is taken when the features are no wider than the
+    first layer's output (``d <= hidden_dim``): with wider features, an eval
+    forward, which cannot keep ``ÂX``, would aggregate ``d`` columns where
+    ``h`` do."""
+    return p.input_dim <= p.hidden_dim
 
 
-def _eval_projection(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
-    """Eval-mode hidden layers over every row, then the last layer's
-    projection ``H @ W_last``, left unaggregated: the logits of any set of
-    rows R are ``spmm(norm_adj[R], hw) + b_last``, the same bits as the
-    full-graph logits' rows R, since a row slice keeps each row's entry
-    order."""
-    return eval_hidden(p, x, _aggregate(norm_adj)) @ p.layers[-1][0]
+def _aggregates(norm_adj: SparseMatrix, p: LayerStack) -> list:
+    """Each layer's aggregation after its projection: the symmetric Â, so
+    each is also its own transpose, and none for a first layer whose input
+    is aggregated already (``_aggregates_first``)."""
+
+    def aggregate(m):
+        return spmm(norm_adj, m)
+
+    return [None if _aggregates_first(p) else aggregate] + [aggregate] * (p.n_layers - 1)
+
+
+def _first_input(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
+    """The first layer's input: ``Â x`` when it aggregates first, else ``x``."""
+    return spmm(norm_adj, x) if _aggregates_first(p) else x
+
+
+def _eval_projection(norm_adj: SparseMatrix, x_in: np.ndarray, p: LayerStack) -> np.ndarray:
+    """Eval-mode hidden layers over every row from the first layer's input
+    ``x_in`` (``_first_input``), then the last layer's projection
+    ``H @ W_last``, left unaggregated: the logits of any set of rows R are
+    ``spmm(norm_adj[R], hw) + b_last``, the same bits as the full-graph
+    logits' rows R, since a row slice keeps each row's entry order."""
+    return eval_hidden(p, x_in, _aggregates(norm_adj, p)) @ p.layers[-1][0]
 
 
 def gcn_forward(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
     """Eval-mode teacher logits: A_hat . relu(A_hat . x . w1 + b1) . w2 + b2,
-    the same operations as the validation forward of ``train_teacher``."""
+    the same operations as the validation forward of ``train_teacher``; the
+    first product is taken as (A_hat . x) . w1 when ``_aggregates_first``."""
     if x.shape[0] != norm_adj.shape[0]:
         raise ValueError(
             f"features rows {x.shape[0]} != adjacency size {norm_adj.shape[0]}"
@@ -126,7 +151,8 @@ def gcn_forward(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndar
         raise ValueError(
             f"feature width {x.shape[1]} != first-layer fan-in {p.layers[0][0].shape[0]}"
         )
-    return spmm(norm_adj, _eval_projection(norm_adj, x, p)) + p.layers[-1][1]
+    hw = _eval_projection(norm_adj, _first_input(norm_adj, x, p), p)
+    return spmm(norm_adj, hw) + p.layers[-1][1]
 
 
 def teacher_ce_gradpair(
@@ -141,7 +167,8 @@ def teacher_ce_gradpair(
     """Cross entropy of the forward plus gradients w.r.t. all teacher
     parameters: the training objective, and the gradient-check entry point.
     With ``dropout > 0`` masks are drawn from ``rng`` for the raw features
-    first, then for every hidden activation in layer order."""
+    first, then for every hidden activation in layer order. A first layer
+    that aggregates first takes ``Â (mask * x)``."""
     draw_mask = (
         (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
     )
@@ -149,10 +176,10 @@ def teacher_ce_gradpair(
         masked = draw_mask(x)  # no gradient flows to x: mask it in place
         masked *= x
         x = masked
-    aggregate = _aggregate(norm_adj)
-    logits, caches = forward_cache(p, x, draw_mask, aggregate)
+    aggregates = _aggregates(norm_adj, p)
+    logits, caches = forward_cache(p, _first_input(norm_adj, x, p), draw_mask, aggregates)
     ce = masked_cross_entropy(logits, labels, mask)
-    ce.grads = backward(p, caches, ce.grads["logits"], aggregate)
+    ce.grads = backward(p, caches, ce.grads["logits"], aggregates)
     return ce
 
 
@@ -163,9 +190,11 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     accuracy and hands back the best epoch's parameters; soft labels are
     computed from them in eval mode.
 
-    The adjacency is normalized once. Each epoch's eval forward runs the
-    hidden layers on every row but aggregates the last layer over the
-    validation rows only. The best epoch's unaggregated last layer is kept,
+    The adjacency is normalized once, and so is the eval features'
+    aggregation ``Â X`` when the first layer aggregates first
+    (``_aggregates_first``). Each epoch's eval forward runs the hidden layers
+    on every row but aggregates the last layer over the validation rows
+    only. The best epoch's unaggregated last layer is kept,
     so the soft labels cost one aggregation, not a fresh forward; they and
     the returned ``logits`` are the same bits as ``gcn_forward`` of the best
     parameters.
@@ -177,6 +206,7 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
         g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.depth, rng, g.features.dtype
     )
     norm_adj = graphio.normalize_adjacency(g.adjacency)
+    x_in = _first_input(norm_adj, g.features, params)
     adj_val = norm_adj[g.splits.validation]
     val_truth = np.argmax(g.labels[g.splits.validation], axis=1)
 
@@ -189,7 +219,7 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
         return ce.value, ce.grads
 
     def validate():
-        hw = _eval_projection(norm_adj, g.features, params)
+        hw = _eval_projection(norm_adj, x_in, params)
         return accuracy(spmm(adj_val, hw) + params.layers[-1][1], val_truth), hw
 
     run = fit(params, cfg, step, validate)

@@ -234,7 +234,9 @@ def cora_runs():
     assert base.n_classes == 7
     runs = []
     for seed in range(5):
-        splits = gio.make_splits(base, 20, 500, 1000, seed=seed)
+        splits = gio._splits_from_labels(
+            np.argmax(base.labels, axis=1), 20, 500, 1000, seed=seed
+        )
         g = dataclasses.replace(base, splits=splits)
         cfg = t.TeacherConfig(
             hidden_dim=64, lr=0.01, weight_decay=5e-4, dropout=0.5,

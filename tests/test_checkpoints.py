@@ -182,3 +182,61 @@ def test_non_canonical_base64_is_refused(ckpt_dir):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="student 1 layer 1 b: data is not canonical"):
         cas.load_cascade(path)
+
+
+CONFIG_EDITS = [
+    # (section of the stored config, key, value, expected type)
+    ("mixup", "sign_inverted", "no", "a JSON bool"),
+    ("mixup", "sign_inverted", 1, "a JSON bool"),
+    ("mixup", "gamma", "0.9", "a number"),
+    ("distill", "alpha", False, "a number"),
+    (None, "n_students", True, "an integer"),
+    (None, "hidden_dim", 8.0, "an integer"),
+    (None, "lr", None, "a number"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, kind", CONFIG_EDITS)
+def test_cascade_config_of_another_type_is_refused(ckpt_dir, section, key, value, kind):
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])
+    cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
+    path = ckpt_dir / "typed.json"
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)
+    doc = json.loads(path.read_text())
+    (doc["config"] if section is None else doc["config"][section])[key] = value
+    path.write_text(json.dumps(doc))
+    where = "config" if section is None else f"config {section}"
+    message = f"{path} {where} {key} must be {kind}, got {json.dumps(value)}"
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("depth", 2.0, "an integer"), ("seed", "0", "an integer"), ("dropout", True, "a number")],
+)
+def test_teacher_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
+    params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), t.TrainMeta(2, 1, 0.5, 0))
+    path = _save_teacher(art, t.TeacherConfig(hidden_dim=2), ckpt_dir, "typed.json")
+    doc = json.loads(path.read_text())
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        _load_teacher(ckpt_dir, "typed.json")
+    assert str(err.value) == f"{path} config {key} must be {kind}, got {json.dumps(value)}"
+
+
+def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])
+    cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
+    path = ckpt_dir / "typed.json"
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)
+    doc = json.loads(path.read_text())
+    doc["config"]["distill"]["alpha"] = 1
+    path.write_text(json.dumps(doc))
+    alpha = cas.load_cascade(path).config.distill.alpha
+    assert type(alpha) is float and alpha == 1.0

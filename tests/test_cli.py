@@ -809,6 +809,14 @@ CASCADE_CASES = {
         _edit_cascade(_uneven_hidden_width),
         "student 1: layer shapes [(16, 8), (8, 9), (9, 3)] are not",
     ),
+    "sign_inverted a string": (
+        _edit_doc(lambda d: d["config"]["mixup"].update(sign_inverted="no")),
+        'config mixup sign_inverted must be a JSON bool, got "no"',
+    ),
+    "n_students a bool": (
+        _edit_doc(lambda d: d["config"].update(n_students=True)),
+        "config n_students must be an integer, got true",
+    ),
 }
 
 TEACHER_CASES = {
@@ -819,6 +827,10 @@ TEACHER_CASES = {
     "unknown config key": (
         _edit_doc(lambda d: d["config"].update(width=3)),
         "unknown keys ['width']",
+    ),
+    "hidden_dim a fraction": (
+        _edit_doc(lambda d: d["config"].update(hidden_dim=8.5)),
+        "config hidden_dim must be an integer, got 8.5",
     ),
     "depth disagrees with config": (
         _edit_doc(lambda d: d["config"].update(depth=3)),
@@ -909,11 +921,11 @@ class TestConfigPrecedence:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "dataset": {"path": str(data)},
-            "teacher": {"hidden_dim": 6.0, "weight_decay": 0, "dropout": 0,
-                        "max_epochs": 9, "patience": 4.0, "depth": 3},
-            "cascade": {"n_students": 2.0, "hidden_dim": 5, "weight_decay": 0,
+            "teacher": {"hidden_dim": 6, "weight_decay": 0, "dropout": 0,
+                        "max_epochs": 9, "patience": 4, "depth": 3},
+            "cascade": {"n_students": 2, "hidden_dim": 5, "weight_decay": 0,
                         "max_epochs": 6, "patience": 2, "alpha": 1, "beta": 1,
-                        "gamma": 0, "lambda_sign_inverted": 1},
+                        "gamma": 0, "lambda_sign_inverted": True},
             "run": {"seed": 5},
         }))
 
@@ -977,6 +989,78 @@ class TestConfigPrecedence:
         ) == 0
         doc = json.loads((run / "cascade.json").read_text())
         assert doc["config"]["mixup"]["sign_inverted"] is True
+
+
+class TestConfigTypes:
+    """A config-file value must be a JSON value of its setting's type: a
+    bool for a bool, a non-bool integer for an int, a non-bool number for a
+    float and a string for a path. Nothing is truncated or parsed from a
+    string, and the command stops before it reads any file."""
+
+    CASES = {
+        "sign-string": ("distill", "cascade", "lambda_sign_inverted", "false", "a JSON bool"),
+        "sign-int": ("distill", "cascade", "lambda_sign_inverted", 0, "a JSON bool"),
+        "students-fraction": ("distill", "cascade", "n_students", 2.7, "an integer"),
+        "students-bool": ("distill", "cascade", "n_students", True, "an integer"),
+        "students-float": ("distill", "cascade", "n_students", 2.0, "an integer"),
+        "alpha-bool": ("distill", "cascade", "alpha", True, "a number"),
+        "alpha-null": ("distill", "cascade", "alpha", None, "a number"),
+        "hidden-fraction": ("train-teacher", "teacher", "hidden_dim", 6.5, "an integer"),
+        "lr-string": ("train-teacher", "teacher", "lr", "0.01", "a number"),
+        "lr-beyond-float": ("train-teacher", "teacher", "lr", 10**400, "a number"),
+        "dropout-bool": ("train-teacher", "teacher", "dropout", False, "a number"),
+        "depth-string": ("train-teacher", "teacher", "depth", "3", "an integer"),
+        "normalize-int": ("train-teacher", "dataset", "normalize_features", 1, "a JSON bool"),
+        "normalize-string": ("distill", "dataset", "normalize_features", "no", "a JSON bool"),
+        "seed-fraction": ("train-teacher", "run", "seed", 2.5, "an integer"),
+        "seed-string": ("distill", "run", "seed", "3", "an integer"),
+        "seed-bool": ("infer", "run", "seed", True, "an integer"),
+        "out-number": ("train-teacher", "run", "out", 5, "a string"),
+        "path-list": ("train-teacher", "dataset", "path", ["data"], "a string"),
+        "max-students-fraction": ("infer", "policy", "max_students", 1.5, "an integer"),
+        "budget-string": ("infer", "policy", "budget_ms", "5", "a number"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_naming_key_and_file(self, tmp_path, capsys, case):
+        command, section, key, value, kind = self.CASES[case]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        missing = tmp_path / "missing"
+        inputs = {
+            "train-teacher": ["--data", missing],
+            "distill": ["--data", missing, "--teacher-dir", missing],
+            "infer": ["--cascade", missing / "cascade.json", "--features", missing],
+        }[command] + ["--out", tmp_path / "out"]
+        flag = {"path": "--data", "out": "--out"}.get(key)
+        if flag is not None:  # a flag would win over the value under test
+            del inputs[inputs.index(flag):inputs.index(flag) + 2]
+        code = run_cli(command, *inputs, "--config", cfg_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"error: config file {cfg_path}: {section}.{key} must be {kind}, "
+            f"got {json.dumps(value)}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_false_string_no_longer_inverts_the_sign(self, separable_run, tmp_path, capsys):
+        data, run = separable_run
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"cascade": {"lambda_sign_inverted": "false"}}))
+        code = run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
+            "--config", cfg_path, "--students", 1, "--epochs", 2, "--patience", 1,
+        )
+        assert code == 2
+        assert "cascade.lambda_sign_inverted must be a JSON bool" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps({"cascade": {"lambda_sign_inverted": False}}))
+        assert run_cli(
+            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
+            "--config", cfg_path, "--students", 1, "--epochs", 2, "--patience", 1,
+        ) == 0
+        doc = json.loads((tmp_path / "out" / "cascade.json").read_text())
+        assert doc["config"]["mixup"]["sign_inverted"] is False
 
 
 def test_module_entry_point(tmp_path):

@@ -17,7 +17,7 @@ import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
 import mlpcascade.optim as optim
 import mlpcascade.teacher as t
-from mlpcascade.numkit import glorot_uniform, relu, row_max, soft_targets, spmm
+from mlpcascade.numkit import glorot_uniform, row_max, soft_targets, spmm
 from mlpcascade.params import LayerStack
 
 DTYPES = [np.float32, np.float64]
@@ -26,6 +26,10 @@ DTYPES = [np.float32, np.float64]
 # ---------------------------------------------------------------------------
 # frozen kernels
 # ---------------------------------------------------------------------------
+
+
+def relu(x):
+    return np.maximum(x, 0)
 
 
 def dropout_mask(rng, shape, rate, dtype):
@@ -165,6 +169,13 @@ def test_adamw_matches_reference(weight_decay, dtype):
 # ---------------------------------------------------------------------------
 
 
+def ref_aggregates_first(p):
+    """The first layer aggregates its input, then projects it, when the
+    input is no wider than the layer's output."""
+    fan_in, fan_out = p.layers[0][0].shape
+    return fan_in <= fan_out
+
+
 def ref_teacher_forward(norm_adj, x, p, training, dropout, rng):
     a = x
     caches = []
@@ -176,7 +187,11 @@ def ref_teacher_forward(norm_adj, x, p, training, dropout, rng):
         else:
             mask = None
             a_in = a
-        z = spmm(norm_adj, a_in @ w) + b
+        if li == 0 and ref_aggregates_first(p):
+            a_in = spmm(norm_adj, a_in)
+            z = a_in @ w + b
+        else:
+            z = spmm(norm_adj, a_in @ w) + b
         caches.append((a_in, mask, z))
         a = relu(z) if li < last else z
     return a, caches
@@ -188,7 +203,10 @@ def ref_teacher_backward(norm_adj, p, caches, dlogits):
     for li in reversed(range(p.n_layers)):
         a_in, mask, _ = caches[li]
         w, _b = p.layers[li]
-        dz_agg = spmm(norm_adj, d_z)
+        if li == 0 and ref_aggregates_first(p):
+            dz_agg = d_z  # the cached input is aggregated already
+        else:
+            dz_agg = spmm(norm_adj, d_z)
         grads[f"w{li + 1}"] = a_in.T @ dz_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
         if li > 0:
@@ -202,8 +220,11 @@ def ref_teacher_backward(norm_adj, p, caches, dlogits):
 
 def ref_eval_projection(norm_adj, x, p):
     a = x
-    for w, b in p.layers[:-1]:
-        a = relu(spmm(norm_adj, a @ w) + b)
+    for li, (w, b) in enumerate(p.layers[:-1]):
+        if li == 0 and ref_aggregates_first(p):
+            a = relu(spmm(norm_adj, a) @ w + b)
+        else:
+            a = relu(spmm(norm_adj, a @ w) + b)
     return a @ p.layers[-1][0]
 
 
@@ -265,7 +286,14 @@ def assert_same_teacher(got, ref):
 
 
 def teacher_graph(dtype):
+    """12 features against hidden width 8: the first layer projects first."""
     return gio.synth_sbm(150, 3, 12, 0.15, 0.05, 3.0, seed=2, dtype=dtype)
+
+
+def narrow_teacher_graph(dtype):
+    """8 features against hidden width 8 or 16: the first layer aggregates
+    first."""
+    return gio.synth_sbm(150, 3, 8, 0.15, 0.05, 3.0, seed=2, dtype=dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -276,13 +304,39 @@ def test_teacher_matches_reference(depth, dropout, dtype):
     cfg = t.TeacherConfig(
         hidden_dim=8, dropout=dropout, depth=depth, max_epochs=15, patience=14, seed=5
     )
-    assert_same_teacher(t.train_teacher(g, cfg), ref_train_teacher(g, cfg))
+    got = t.train_teacher(g, cfg)
+    assert not ref_aggregates_first(got.params)
+    assert_same_teacher(got, ref_train_teacher(g, cfg))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_teacher_early_stop_matches_reference(dtype):
     g = teacher_graph(dtype)
     cfg = t.TeacherConfig(hidden_dim=8, dropout=0.5, max_epochs=200, patience=5, seed=1)
+    got = t.train_teacher(g, cfg)
+    assert got.train_meta.epochs < cfg.max_epochs
+    assert_same_teacher(got, ref_train_teacher(g, cfg))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("hidden", [8, 16])
+def test_aggregate_first_teacher_matches_reference(hidden, depth, dropout, dtype):
+    g = narrow_teacher_graph(dtype)
+    cfg = t.TeacherConfig(
+        hidden_dim=hidden, dropout=dropout, depth=depth, max_epochs=15, patience=14, seed=5
+    )
+    got = t.train_teacher(g, cfg)
+    assert ref_aggregates_first(got.params)
+    assert_same_teacher(got, ref_train_teacher(g, cfg))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("hidden", [8, 16])
+def test_aggregate_first_teacher_early_stop_matches_reference(hidden, dtype):
+    g = narrow_teacher_graph(dtype)
+    cfg = t.TeacherConfig(hidden_dim=hidden, dropout=0.5, max_epochs=200, patience=5, seed=1)
     got = t.train_teacher(g, cfg)
     assert got.train_meta.epochs < cfg.max_epochs
     assert_same_teacher(got, ref_train_teacher(g, cfg))

@@ -647,16 +647,21 @@ class TestNormalizeAdjacency:
         assert np.all(sums <= np.sqrt(a_tilde.sum(axis=1).max()) + 1e-12)
 
 
+def make_splits(g, n_per_class, n_val, n_test, seed):
+    """The stratified splits of a graph's own labels."""
+    return gio._splits_from_labels(np.argmax(g.labels, axis=1), n_per_class, n_val, n_test, seed)
+
+
 class TestMakeSplits:
     def test_one_per_class(self):
         g = gio.synth_sbm(20, 2, 4, 0.5, 0.1, 0.5, seed=0)
-        splits = gio.make_splits(g, n_per_class=1, n_val=4, n_test=4, seed=3)
+        splits = make_splits(g, n_per_class=1, n_val=4, n_test=4, seed=3)
         assert splits.labeled.size == 2
 
     def test_same_seed_identical(self):
         g = gio.synth_sbm(30, 3, 4, 0.5, 0.1, 0.5, seed=0)
-        a = gio.make_splits(g, 2, 5, 5, seed=9)
-        b = gio.make_splits(g, 2, 5, 5, seed=9)
+        a = make_splits(g, 2, 5, 5, seed=9)
+        b = make_splits(g, 2, 5, 5, seed=9)
         assert np.array_equal(a.labeled, b.labeled)
         assert np.array_equal(a.validation, b.validation)
         assert np.array_equal(a.test, b.test)
@@ -664,7 +669,7 @@ class TestMakeSplits:
     def test_disjointness_over_seed_sweep(self):
         g = gio.synth_sbm(40, 2, 4, 0.5, 0.1, 0.5, seed=0)
         for seed in range(100):
-            s = gio.make_splits(g, 3, 8, 8, seed=seed)
+            s = make_splits(g, 3, 8, 8, seed=seed)
             assert not set(s.labeled) & set(s.validation)
             assert not set(s.labeled) & set(s.test)
             assert not set(s.validation) & set(s.test)
@@ -674,7 +679,7 @@ class TestMakeSplits:
     def test_insufficient_class_named(self):
         g = gio.synth_sbm(20, 2, 4, 0.5, 0.1, 0.5, seed=0)
         with pytest.raises(ValueError, match="class 0"):
-            gio.make_splits(g, n_per_class=11, n_val=2, n_test=2, seed=0)
+            make_splits(g, n_per_class=11, n_val=2, n_test=2, seed=0)
 
     def test_planetoid_defaults_give_20_per_class(self, tmp_path):
         g = gio.synth_sbm(3000, 2, 4, 0.01, 0.001, 0.5, seed=0)

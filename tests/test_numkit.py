@@ -13,6 +13,7 @@ from mlpcascade.numkit import (
     log_softmax_rows,
     masked_cross_entropy,
     row_max,
+    row_sum,
     softmax_rows,
     spmm,
 )
@@ -460,6 +461,80 @@ class TestRowMax:
     def test_strided_input(self):
         a = np.random.default_rng(0).standard_normal((400, 12))[:, ::3]
         assert_same_row_max(a)
+
+
+def assert_same_row_sum(a):
+    """row_sum(a) is a.sum(axis=1, keepdims=True) bit for bit: same shape and
+    dtype and the same bytes, signed zeros, infinities and NaNs included."""
+    got, want = row_sum(a), a.sum(axis=1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def sum_specials(dtype):
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    return np.array(
+        SPECIAL + [tiny, -tiny, 3 * tiny, info.tiny, info.max, -info.max, info.eps], dtype=dtype
+    )
+
+
+class TestRowSum:
+    """row_sum against numpy's row reduction. Each check runs with the
+    shipped dispatch and with the row threshold lifted, so every array of
+    2 to ROW_SUM_COLUMNS columns takes the column fold."""
+
+    @staticmethod
+    def check_both_paths(a):
+        assert_same_row_sum(a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nk, "ROW_SUM_ROWS_PER_COLUMN", 0)
+            assert_same_row_sum(a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", range(1, 10))
+    def test_every_width_with_specials(self, dtype, c):
+        # tall enough for the shipped dispatch to fold; rows of specials,
+        # of wide-range values (overflow to inf, inf - inf, subnormal sums)
+        # and of -0 only (numpy sums those to +0)
+        rng = np.random.default_rng(c)
+        n = 64 * c + 37
+        specials = rng.choice(sum_specials(dtype), size=(n, c))
+        scale = 10.0 ** rng.integers(-320, 308, size=(n, c))
+        with np.errstate(all="ignore"):
+            spread = (rng.standard_normal((n, c)) * scale).astype(dtype)
+            a = np.concatenate([specials, spread, np.full((3, c), -0.0, dtype)])
+            self.check_both_paths(a)
+            assert not np.signbit(row_sum(a)[-3:, 0]).any()
+
+    @given(
+        st.sampled_from([np.float32, np.float64]).flatmap(
+            lambda dt: arrays(
+                dt,
+                st.tuples(st.integers(1, 40), st.integers(1, 9)),
+                elements=st.floats(width=np.dtype(dt).itemsize * 8)
+                | st.sampled_from(SPECIAL),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_values(self, a):
+        with np.errstate(all="ignore"):
+            self.check_both_paths(a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, c", [(3, 2), (20000, 1)] + [(n, c) for n in (128, 20000) for c in (2, 4, 7, 8, 47)]
+    )
+    def test_dispatch_shapes(self, dtype, n, c):
+        a = np.random.default_rng(c).standard_normal((n, c)).astype(dtype)
+        assert_same_row_sum(a)
+
+    def test_strided_and_integer_inputs_use_numpy(self):
+        rng = np.random.default_rng(0)
+        assert_same_row_sum(rng.standard_normal((2000, 12))[:, ::3])
+        assert_same_row_sum(np.asfortranarray(rng.standard_normal((2000, 4))))
+        assert_same_row_sum(rng.integers(-5, 5, size=(2000, 4)))
 
 
 def reference_softmax(logits):

@@ -8,9 +8,13 @@ from scipy import sparse
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 import mlpcascade.teacher as t
-from mlpcascade.numkit import finite_diff_check, masked_cross_entropy, relu, softmax_rows
+from mlpcascade.numkit import finite_diff_check, masked_cross_entropy, softmax_rows
 from mlpcascade.optim import TrainingDivergedError
 from mlpcascade.params import LayerStack
+
+
+def relu(x):
+    return np.maximum(x, 0)
 
 
 def random_teacher(rng, d, h, c, depth=2, dtype=np.float64):
@@ -72,6 +76,25 @@ class TestGcnForward:
         oracle = a @ relu(a @ relu(a @ x @ w1 + b1) @ wm + bm) @ w2 + b2
         assert np.max(np.abs(logits - oracle)) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("d, h", [(4, 3), (3, 4), (4, 4)])
+    def test_both_orders_match_dense_oracle(self, d, h, depth, seed):
+        # d > h projects first, d <= h aggregates first: the same function
+        rng = np.random.default_rng(seed)
+        n, c = 6, 2
+        adj = random_norm_adj(rng, n)
+        params = random_teacher(rng, d, h, c, depth=depth)
+        x = rng.standard_normal((n, d))
+        assert t._aggregates_first(params) == (d <= h)
+        a = adj.toarray()
+        oracle = x
+        for w, b in params.layers[:-1]:
+            oracle = relu(a @ oracle @ w + b)
+        w, b = params.layers[-1]
+        oracle = a @ oracle @ w + b
+        assert np.max(np.abs(t.gcn_forward(adj, x, params) - oracle)) < 1e-10
+
     def test_shape_mismatch(self):
         adj = gio.normalize_adjacency(sparse.csr_array((2, 2), dtype=np.float64))
         params = random_teacher(np.random.default_rng(0), 3, 4, 2)
@@ -96,14 +119,14 @@ class TestGcnForward:
         assert np.array_equal(eval_logits, t.gcn_forward(adj, x, params))
 
 
-def teacher_fd_error(seed, depth=2, dropout=0.0):
+def teacher_fd_error(seed, depth=2, dropout=0.0, d=5, h=4):
     """Worst relative error of the finite-difference check of the training
     objective. Biases get small random values: with zero biases, dead
     hidden rows sit exactly on a ReLU kink, where central differences are
     not the gradient. With dropout, each call draws the same masks from a
-    fresh rng."""
+    fresh rng. With ``d <= h`` the first layer aggregates first."""
     rng = np.random.default_rng(seed)
-    n, d, h, c = 8, 5, 4, 3
+    n, c = 8, 3
     adj = random_norm_adj(rng, n)
     x = rng.standard_normal((n, d))
     labels = np.eye(c)[rng.integers(0, c, n)]
@@ -130,6 +153,12 @@ class TestGcnGradients:
     @pytest.mark.parametrize("depth, dropout", [(2, 0.5), (3, 0.0), (3, 0.5)])
     def test_training_objective_passes_fd_check(self, depth, dropout, seed):
         assert teacher_fd_error(seed, depth, dropout) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("depth, dropout", [(2, 0.0), (2, 0.5), (3, 0.0), (3, 0.5)])
+    @pytest.mark.parametrize("d, h", [(3, 4), (4, 4)])
+    def test_aggregate_first_objective_passes_fd_check(self, d, h, depth, dropout, seed):
+        assert teacher_fd_error(seed, depth, dropout, d, h) < 1e-4
 
 
 class TestTrainTeacher:
@@ -270,6 +299,42 @@ class TestSingleGraphPass:
         logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
         assert np.array_equal(art.logits, logits)
         assert np.array_equal(art.soft_labels, softmax_rows(logits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("feat, hidden", [(12, 8), (8, 8), (8, 16)])
+    def test_logits_equal_fresh_forward_in_both_orders(self, feat, hidden, dropout, dtype):
+        g = gio.synth_sbm(150, 3, feat, 0.15, 0.03, 2.0, seed=4, dtype=dtype)
+        cfg = t.TeacherConfig(
+            hidden_dim=hidden, dropout=dropout, max_epochs=12, patience=11, seed=5
+        )
+        art = t.train_teacher(g, cfg)
+        assert t._aggregates_first(art.params) == (feat <= hidden)
+        logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
+        assert np.array_equal(art.logits, logits)
+        assert np.array_equal(art.soft_labels, softmax_rows(logits))
+
+    @pytest.mark.parametrize("feat, hidden, wide_per_epoch, wide_once", [
+        (12, 8, 3, 0),  # project first: forward, backward and eval aggregate h columns
+        (8, 8, 1, 1),  # aggregate first: the forward's A(mask * X), and A X once per run
+        (8, 16, 1, 1),
+    ])
+    def test_wide_aggregations_per_epoch(self, monkeypatch, feat, hidden, wide_per_epoch,
+                                         wide_once):
+        g = gio.synth_sbm(150, 3, feat, 0.15, 0.03, 2.0, seed=4)
+        widths = []
+        spmm = t.spmm
+
+        def counted(s, d):
+            widths.append(d.shape[1])
+            return spmm(s, d)
+
+        monkeypatch.setattr(t, "spmm", counted)
+        epochs = 6
+        cfg = t.TeacherConfig(hidden_dim=hidden, max_epochs=epochs, patience=epochs - 1)
+        t.train_teacher(g, cfg)
+        wide = sum(w > g.n_classes for w in widths)
+        assert wide == wide_per_epoch * epochs + wide_once
 
     def test_loaded_teacher_has_no_logits(self, tmp_path, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2, seed=0)
