@@ -212,7 +212,16 @@ def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError(
             f"input width {inputs.shape[1]} != student input dim {p.input_dim}"
         )
-    h = eval_hidden(p, inputs)
+    return _forward_from_projection(p, inputs @ p.layers[0][0])
+
+
+def _forward_from_projection(p: LayerStack, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode (h, logits) of rows whose first-layer projection ``x @ w1``
+    is ``z``, worked in place on ``z``: the bits of ``student_forward`` on
+    the rows themselves."""
+    z += p.layers[0][1]
+    np.maximum(z, 0, out=z)
+    h = eval_hidden(LayerStack(p.layers[1:]), z)
     w, b = p.layers[-1]
     logits = h @ w
     logits += b
@@ -330,6 +339,7 @@ def total_loss_gradpair(
     lam: float,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    projection: np.ndarray | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Full per-epoch objective of student k on assembled rows [x | h_prev]:
     the distillation loss over all rows, the mixup loss over the mixed
@@ -337,13 +347,17 @@ def total_loss_gradpair(
     ``targets`` are as for ``distill_loss``; ``train_cascade`` derives them
     once per cascade.
 
+    ``projection`` is the first layer's ``inputs @ w1`` when the caller
+    holds it (``train_student`` passes the one its last validation made);
+    without it, it is computed here, to the same bits.
+
     With ``dropout > 0`` the training forward draws its masks from ``rng``
     first, then the mixup forward. A pure function of the parameters once
     pairs, lam and the rng's seed are fixed, which is exactly what the
     finite-difference checker needs.
     """
     labeled = np.asarray(labeled)
-    logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng))
+    logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng), projection=projection)
     distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
     grads = backward(p, caches, distill.grads["logits"])
     mixed_inputs, mixed_labels = mixup_examples(inputs, y, pairs, lam)
@@ -371,9 +385,15 @@ def train_student(
     ``total_loss_gradpair`` (training-mode forward, distillation loss,
     mixup loss) -> one AdamW step -> ``MixupConfig.update``. ``optim.fit``
     tracks validation accuracy with patience and hands back the best
-    epoch's parameters; the hidden state handed to the next student is
-    recomputed from them in eval mode, and the logits of that forward are
-    kept in the meta.
+    epoch's parameters.
+
+    Validation projects every row through the first layer, ``inputs @ w1``,
+    and finishes only the validation rows in eval mode. The parameters do
+    not change before the next epoch and a student's input is never masked,
+    so that epoch's training forward starts from the same projection.
+    ``fit`` keeps the best epoch's projection; the hidden state handed to
+    the next student and the logits kept in the meta are finished from it,
+    the same bits as a fresh eval forward of the kept parameters.
     """
     if g.splits.validation.size == 0:
         raise ValueError("training needs a non-empty validation split")
@@ -382,16 +402,16 @@ def train_student(
     params = init.copy()
     init_fp = init.fingerprint()
     inputs = np.concatenate([g.features, h_prev], axis=1)
-    inputs_val = inputs[g.splits.validation]
     y_val = np.argmax(g.labels[g.splits.validation], axis=1)
     lambda_history = [lam]
+    projection = None  # inputs @ w1 of the current parameters, from validate
 
     def step(epoch: int):
         nonlocal lam, ema
         pairs = sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         distill, mix, grads = total_loss_gradpair(
             params, inputs, targets, g.labels, labeled, k, cfg.distill,
-            pairs, lam, cfg.dropout, rng,
+            pairs, lam, cfg.dropout, rng, projection,
         )
         if not np.isfinite(distill):
             raise TrainingDivergedError(epoch, "distillation", distill)
@@ -402,11 +422,13 @@ def train_student(
         return distill + mix, grads
 
     def validate():
-        _, val_logits = student_forward(params, inputs_val)
-        return accuracy(val_logits, y_val), None
+        nonlocal projection
+        projection = inputs @ params.layers[0][0]
+        _, val_logits = _forward_from_projection(params, projection[g.splits.validation])
+        return accuracy(val_logits, y_val), projection
 
     run = fit(params, cfg, step, validate)
-    h_k, logits = student_forward(run.params, inputs)
+    h_k, logits = _forward_from_projection(run.params, run.kept)
     meta = StudentTrainMeta(
         epochs=run.epochs,
         best_epoch=run.best_epoch,

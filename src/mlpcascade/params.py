@@ -87,9 +87,10 @@ def _project(a: np.ndarray, w: np.ndarray, aggregate: ArrayMap | None) -> np.nda
 
 def forward_cache(
     p: LayerStack,
-    a: np.ndarray,
+    a: np.ndarray | None,
     draw_mask: ArrayMap | None = None,
     aggregates: Aggregates = None,
+    projection: np.ndarray | None = None,
 ):
     """Training forward of the layer chain ``z = aggregate(a @ w) + b``,
     ReLU between layers, keeping what ``backward`` needs.
@@ -103,15 +104,27 @@ def forward_cache(
     last layer) and the mask the one applied to it. Each layer adds its bias
     and applies ReLU in place on the fresh projection; ``r > 0`` is
     ``z > 0``, NaN included, so the pre-activation need not be kept.
+
+    ``projection``, when the caller holds it, is the first layer's
+    ``aggregate(a @ w)``; it is read, not written, and gives the same bits.
+    ``a`` then feeds only ``backward``'s first-layer product, and may be
+    None for a pass whose gradient stops at ``backward_to_first``.
     """
-    if a.shape[1] != p.input_dim:
+    if projection is None and a.shape[1] != p.input_dim:
         raise ValueError(f"input width {a.shape[1]} != first-layer fan-in {p.input_dim}")
+    if projection is not None and projection.shape[1] != p.hidden_dim:
+        raise ValueError(
+            f"projection width {projection.shape[1]} != first-layer width {p.hidden_dim}"
+        )
     *hidden_aggs, agg_out = _per_layer(p, aggregates)
     caches = []
     *hidden, (w_out, b_out) = p.layers
-    for (w, b), aggregate in zip(hidden, hidden_aggs):
-        r = _project(a, w, aggregate)
-        r += b
+    for li, ((w, b), aggregate) in enumerate(zip(hidden, hidden_aggs)):
+        if li == 0 and projection is not None:
+            r = projection + b
+        else:
+            r = _project(a, w, aggregate)
+            r += b
         np.maximum(r, 0, out=r)
         mask = None if draw_mask is None else draw_mask(r)
         caches.append((a, r, mask))

@@ -622,6 +622,39 @@ class TestFullLossGradients:
         assert mix == cas.mixup_loss(p, mixed_inputs, mixed_labels, labeled.size).value
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers, dropout", [(2, 0.0), (2, 0.5), (3, 0.5)])
+    def test_shared_projection_gives_the_same_bits(self, n_layers, dropout, dtype):
+        """The training pass given the first layer's projection, as
+        ``train_student`` passes the one its validation made, equals the
+        pass that computes it, and leaves the projection as it was."""
+        rng = np.random.default_rng(8)
+        n, d, hidden, c = 30, 9, 5, 3
+        inputs = rng.standard_normal((n, d + hidden)).astype(dtype)
+        targets = soft_targets(make_soft_labels(rng, n, c).astype(dtype))
+        y = np.eye(c, dtype=dtype)[rng.integers(0, c, n)]
+        labeled = np.arange(0, n, 3)
+        pairs = cas.sample_mixup_pairs(labeled, seed=2)
+        p = random_student(rng, d, hidden, c, n_layers, dtype)
+        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        projection = inputs @ p.layers[0][0]
+        before = projection.copy()
+        own = cas.total_loss_gradpair(
+            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, dropout,
+            np.random.default_rng(4),
+        )
+        shared = cas.total_loss_gradpair(
+            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, dropout,
+            np.random.default_rng(4), projection,
+        )
+        assert own[:2] == shared[:2]
+        assert own[2].keys() == shared[2].keys()
+        for name, grad in own[2].items():
+            assert grad.dtype == shared[2][name].dtype
+            assert np.array_equal(grad, shared[2][name]), name
+        assert np.array_equal(projection, before)
+
+
 class TestTrainCascade:
     def make_teacher_artifact(self, g, seed=0):
         cfg = t.TeacherConfig(hidden_dim=8, dropout=0.3, max_epochs=30, patience=29, seed=seed)
