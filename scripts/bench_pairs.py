@@ -14,11 +14,12 @@ apart than the parent's interquartile range. For each end-to-end metric it
 also prints whether the change regresses: its median worse than the
 parent's by more than the metric's ``bound``, a share of the parent's
 median. Then it prints each seed's ``correct`` and failed checks on both
-sides, and each side's summed failed and attempted checks with the failed
-share. Last, it compares the two checkouts' ``.perfbench/digests.json`` on
-the keys (workload, size, seed) both have seen: equal entries mean both
-wrote the same artifacts, as they must unless the change declares a number
-change.
+sides, each followed by the ``failed check:`` lines (side, seed and
+message) of that seed's runs whose result is incorrect, and each side's
+summed failed and attempted checks with the failed share. Last, it
+compares the two checkouts' ``.perfbench/digests.json`` on the keys
+(workload, size, seed) both have seen: equal entries mean both wrote the
+same artifacts, as they must unless the change declares a number change.
 
 Exit code 1 when a run fails or prints an incorrect result, when an
 end-to-end metric regresses, when the change's failed share is above the
@@ -35,8 +36,12 @@ import sys
 from pathlib import Path
 
 
+FAILED_CHECK = "failed check: "
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line of one benchmark run, or a failure record."""
+    """The result line of one benchmark run, with the messages of its
+    ``failed check:`` lines under ``failed_checks``, or a failure record."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -45,7 +50,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "error": proc.stderr.strip()[-500:], "metrics": {}}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["failed_checks"] = [
+        line[len(FAILED_CHECK):] for line in lines if line.startswith(FAILED_CHECK)
+    ]
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -152,6 +161,10 @@ def main(argv=None) -> int:
         print(f"seed {p['seed']}: " + ", ".join(
             f"{name} correct={r.get('correct', False)} failed={r.get('failed', '-')}"
             for name, r in (("parent", p), ("change", c))))
+        for name, r in (("parent", p), ("change", c)):
+            if not r.get("correct"):
+                for message in r.get("failed_checks", []):
+                    print(f"seed {r['seed']}: {name} {FAILED_CHECK}{message}")
     shares = {name: failed_share(runs) for name, runs in results.items()}
     for name, (failed, attempted, share) in shares.items():
         print(f"{name}: {failed} of {attempted} checks failed ({100 * share:.3f}%)")

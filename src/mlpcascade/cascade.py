@@ -41,7 +41,7 @@ from .numkit import (
 from .optim import TrainingDivergedError, check_training_config, fit
 from .params import (
     LayerStack,
-    backward,
+    backward_to_first,
     dataclass_from_json,
     eval_hidden,
     forward_cache,
@@ -268,33 +268,38 @@ def distill_loss(
 
 def sample_mixup_pairs(labeled, seed) -> np.ndarray:
     """Pair every labeled node with its image under a seeded uniform
-    permutation of the labeled set. Returns an (n, 2) index array."""
+    permutation of the labeled set. Returns an (n, 2) index array; each
+    column names distinct nodes."""
     labeled = np.asarray(labeled, dtype=np.int64).ravel()
     if labeled.size < 2:
         raise ValueError(f"mixup needs >= 2 labeled nodes, got {labeled.size}")
+    if np.unique(labeled).size != labeled.size:
+        raise ValueError("mixup needs distinct labeled nodes, got a repeated one")
     rng = np.random.default_rng(seed)
     return np.column_stack([labeled, rng.permutation(labeled)])
 
 
 def mixup_examples(
-    inputs: np.ndarray,
+    rows: np.ndarray,
     y: np.ndarray,
     pairs: np.ndarray,
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolate assembled input rows [x | h_prev] and labels along each
-    (i, j) pair:
+    """Interpolate rows and labels along each (i, j) pair:
 
-        row    = lam * inputs_i + (1 - lam) * inputs_j
+        row    = lam * rows_i + (1 - lam) * rows_j
         label  = lam * y_i + (1 - lam) * y_j
 
-    lam=0 reproduces sample j exactly; lam=0.5 is the hardest blend.
+    lam=0 reproduces sample j exactly; lam=0.5 is the hardest blend. The
+    training objective blends the rows' first-layer projections
+    ``[x | h_prev] @ w1``: the layer is affine and the weights sum to 1, so
+    that is the projection of the blended inputs, which are never built.
     """
     if not 0.0 <= lam <= 0.5:
         raise ValueError(f"lambda {lam} outside [0, 0.5]")
     i = pairs[:, 0]
     j = pairs[:, 1]
-    return _blend(inputs, i, j, lam), _blend(y, i, j, lam)
+    return _blend(rows, i, j, lam), _blend(y, i, j, lam)
 
 
 def _blend(a: np.ndarray, i: np.ndarray, j: np.ndarray, lam: float) -> np.ndarray:
@@ -309,22 +314,28 @@ def _blend(a: np.ndarray, i: np.ndarray, j: np.ndarray, lam: float) -> np.ndarra
 
 def mixup_loss(
     p: LayerStack,
-    mixed_inputs: np.ndarray,
+    mixed: np.ndarray,
     mixed_labels: np.ndarray,
     labeled_count: int,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> GradPair:
     """Soft-label cross entropy of the student on mixed examples, averaged
-    with the labeled-set size as denominator; gradients w.r.t. all student
-    parameters (dropout masks drawn from ``rng`` when ``dropout > 0``)."""
+    with the labeled-set size as denominator. The examples enter as their
+    first-layer projections ``mixed`` (``x @ w1``, before the bias), from
+    ``mixup_examples``. Gradients w.r.t. the parameters of layers 2..L and,
+    as ``"mixed"``, w.r.t. ``mixed``, which ``total_loss_gradpair`` carries
+    back to ``w1`` and ``b1``; dropout masks are drawn from ``rng`` when
+    ``dropout > 0``."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    logits, caches = forward_cache(p, mixed_inputs, _mask_drawer(dropout, rng))
+    logits, caches = forward_cache(p, None, _mask_drawer(dropout, rng), projection=mixed)
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
-    return GradPair(value, backward(p, caches, dlogits))
+    grads, d_mixed = backward_to_first(p, caches, dlogits)
+    grads["mixed"] = d_mixed
+    return GradPair(value, grads)
 
 
 def total_loss_gradpair(
@@ -347,9 +358,15 @@ def total_loss_gradpair(
     ``targets`` are as for ``distill_loss``; ``train_cascade`` derives them
     once per cascade.
 
-    ``projection`` is the first layer's ``inputs @ w1`` when the caller
-    holds it (``train_student`` passes the one its last validation made);
-    without it, it is computed here, to the same bits.
+    Both losses start from the first layer's projection ``inputs @ w1``:
+    ``projection`` when the caller holds it (``train_student`` passes the
+    one its last validation made), else computed here, to the same bits.
+    The mixed examples are blends of its rows (``mixup_examples``), which
+    equal the projections of blended inputs. Their gradient is scattered
+    back onto rows i and j of the training pass's first-layer gradient, so
+    one product ``inputs.T @ d_z1`` gives ``w1``'s gradient for both losses.
+    Each column of ``pairs`` must name distinct rows, as those of
+    ``sample_mixup_pairs`` do.
 
     With ``dropout > 0`` the training forward draws its masks from ``rng``
     first, then the mixup forward. A pure function of the parameters once
@@ -357,12 +374,19 @@ def total_loss_gradpair(
     finite-difference checker needs.
     """
     labeled = np.asarray(labeled)
+    if projection is None:
+        projection = inputs @ p.layers[0][0]
     logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng), projection=projection)
     distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
-    grads = backward(p, caches, distill.grads["logits"])
-    mixed_inputs, mixed_labels = mixup_examples(inputs, y, pairs, lam)
-    mix = mixup_loss(p, mixed_inputs, mixed_labels, labeled.size, dropout, rng)
+    grads, d_first = backward_to_first(p, caches, distill.grads["logits"])
+    mixed, mixed_labels = mixup_examples(projection, y, pairs, lam)
+    mix = mixup_loss(p, mixed, mixed_labels, labeled.size, dropout, rng)
+    d_mixed = mix.grads.pop("mixed")
+    d_first[pairs[:, 0]] += lam * d_mixed  # each column names distinct rows
+    d_first[pairs[:, 1]] += (1.0 - lam) * d_mixed
     total = {name: grads[name] + mix.grads[name] for name in grads}
+    total["w1"] = inputs.T @ d_first
+    total["b1"] = d_first.sum(axis=0)
     return distill.value, mix.value, total
 
 
@@ -571,7 +595,9 @@ def load_cascade(path) -> Cascade:
             raise ValueError(f"{where}: weights do not match their stored fingerprint")
         _check_student_shapes(student, students[0] if students else None, where)
         students.append(student)
-        metas.append(StudentTrainMeta(**json_object(entry["meta"], _META_KEYS, f"{where} meta")))
+        metas.append(
+            dataclass_from_json(StudentTrainMeta, entry["meta"], f"{where} meta", _META_KEYS)
+        )
     return Cascade(
         students=students,
         metas=metas,

@@ -145,20 +145,37 @@ def backward(
     caches of ``forward_cache`` with the same ``aggregates``: a symmetric
     aggregation is its own transpose. Each hidden layer's gradient is
     masked in place on the fresh product ``d_agg @ w.T``."""
+    grads, d_z = backward_to_first(p, caches, dlogits, aggregates)
+    aggregate = _per_layer(p, aggregates)[0]
+    d_agg = d_z if aggregate is None else aggregate(d_z)
+    grads["w1"] = caches[0][0].T @ d_agg
+    grads["b1"] = d_z.sum(axis=0)
+    return grads
+
+
+def backward_to_first(
+    p: LayerStack,
+    caches,
+    dlogits: np.ndarray,
+    aggregates: Aggregates = None,
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """``backward`` short of the first layer's parameters: the gradients of
+    layers 2..L, and the gradient of the first layer's pre-activation ``z1``
+    (a fresh array when there are two layers or more), from which
+    ``backward`` forms those of ``w1`` and ``b1``."""
     aggs = _per_layer(p, aggregates)
     grads: dict[str, np.ndarray] = {}
     d_z = dlogits
-    for li in reversed(range(p.n_layers)):
+    for li in reversed(range(1, p.n_layers)):
         d_agg = d_z if aggs[li] is None else aggs[li](d_z)
         grads[f"w{li + 1}"] = caches[li][0].T @ d_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
-        if li > 0:
-            _, r_prev, mask = caches[li - 1]
-            d_z = d_agg @ p.layers[li][0].T
-            if mask is not None:
-                d_z *= mask
-            np.multiply(d_z, r_prev > 0, out=d_z)
-    return grads
+        _, r_prev, mask = caches[li - 1]
+        d_z = d_agg @ p.layers[li][0].T
+        if mask is not None:
+            d_z *= mask
+        np.multiply(d_z, r_prev > 0, out=d_z)
+    return grads, d_z
 
 
 def eval_hidden(p: LayerStack, a: np.ndarray, aggregates: Aggregates = None) -> np.ndarray:
@@ -215,20 +232,28 @@ def json_value(value, kind: type, where: str):
     raise ValueError(f"{where} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
 
 
-def dataclass_from_json(cls, obj, where: str):
-    """``cls(**obj)`` for a JSON object holding exactly the fields of
-    ``cls``, each bool, int, float or str field holding a JSON value of its
-    type (``json_value``)."""
-    obj = json_object(obj, [f.name for f in fields(cls)], where)
+def dataclass_from_json(cls, obj, where: str, keys=None):
+    """``cls(**obj)`` for a JSON object holding exactly the fields ``keys``
+    of ``cls`` (all of them by default; the others keep their defaults),
+    each bool, int, float or str field holding a JSON value of its type
+    (``json_value``) and each ``list[float]`` field a list of numbers."""
+    obj = json_object(obj, [f.name for f in fields(cls)] if keys is None else keys, where)
     kinds = get_type_hints(cls)
-    obj = {
-        name: json_value(v, kinds[name], f"{where} {name}") if kinds[name] in _JSON_KINDS else v
-        for name, v in obj.items()
-    }
+    obj = {name: _json_field(v, kinds[name], f"{where} {name}") for name, v in obj.items()}
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _json_field(value, kind, where: str):
+    if kind in _JSON_KINDS:
+        return json_value(value, kind, where)
+    if kind == list[float]:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list of numbers, got {json.dumps(value)}")
+        return [json_value(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 def array_to_json(a: np.ndarray) -> dict:

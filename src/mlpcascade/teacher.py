@@ -34,7 +34,6 @@ from .params import (
     eval_hidden,
     forward_cache,
     init_layers,
-    json_object,
     layers_from_json,
     layers_to_json,
     read_manifest,
@@ -163,21 +162,26 @@ def teacher_ce_gradpair(
     mask,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    x_in: np.ndarray | None = None,
 ):
     """Cross entropy of the forward plus gradients w.r.t. all teacher
     parameters: the training objective, and the gradient-check entry point.
     With ``dropout > 0`` masks are drawn from ``rng`` for the raw features
     first, then for every hidden activation in layer order. A first layer
-    that aggregates first takes ``Â (mask * x)``."""
+    that aggregates first takes ``Â (mask * x)``. Without dropout it takes
+    ``x_in``, the first layer's input of ``x`` (``_first_input``), when the
+    caller holds it, so a run aggregates its fixed features once."""
     draw_mask = (
         (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
     )
     if draw_mask is not None:
         masked = draw_mask(x)  # no gradient flows to x: mask it in place
         masked *= x
-        x = masked
+        x_in = _first_input(norm_adj, masked, p)
+    elif x_in is None:
+        x_in = _first_input(norm_adj, x, p)
     aggregates = _aggregates(norm_adj, p)
-    logits, caches = forward_cache(p, _first_input(norm_adj, x, p), draw_mask, aggregates)
+    logits, caches = forward_cache(p, x_in, draw_mask, aggregates)
     ce = masked_cross_entropy(logits, labels, mask)
     ce.grads = backward(p, caches, ce.grads["logits"], aggregates)
     return ce
@@ -190,9 +194,10 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     accuracy and hands back the best epoch's parameters; soft labels are
     computed from them in eval mode.
 
-    The adjacency is normalized once, and so is the eval features'
-    aggregation ``Â X`` when the first layer aggregates first
-    (``_aggregates_first``). Each epoch's eval forward runs the hidden layers
+    The adjacency is normalized once, and so is the features' aggregation
+    ``Â X`` when the first layer aggregates first (``_aggregates_first``);
+    the eval forwards and, without dropout, the training forwards start
+    from it. Each epoch's eval forward runs the hidden layers
     on every row but aggregates the last layer over the validation rows
     only. The best epoch's unaggregated last layer is kept,
     so the soft labels cost one aggregation, not a fresh forward; they and
@@ -212,7 +217,7 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
 
     def step(epoch: int):
         ce = teacher_ce_gradpair(
-            norm_adj, g.features, params, g.labels, g.splits.labeled, cfg.dropout, rng
+            norm_adj, g.features, params, g.labels, g.splits.labeled, cfg.dropout, rng, x_in
         )
         if not np.isfinite(ce.value):
             raise TrainingDivergedError(epoch, "cross-entropy", ce.value)
@@ -282,7 +287,9 @@ def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig
         "train-teacher",
     )
     cfg = dataclass_from_json(TeacherConfig, doc["config"], f"{path} config")
-    meta = TrainMeta(**json_object(doc["train_meta"], _TRAIN_META_KEYS, f"{path} train_meta"))
+    meta = dataclass_from_json(
+        TrainMeta, doc["train_meta"], f"{path} train_meta", _TRAIN_META_KEYS
+    )
     params = layers_from_json(doc["layers"], dtype, str(path))
     if params.fingerprint() != doc["fingerprint"]:
         raise ValueError(f"{path}: teacher weights do not match their stored fingerprint")

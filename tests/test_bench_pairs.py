@@ -61,7 +61,8 @@ def run_main(monkeypatch, capsys, tmp_path, values, failed):
     def run_once(checkout, workload, seed, seconds, trace):
         side = checkout.name
         return {"correct": failed[side] == 0, "attempted": 10, "failed": failed[side],
-                "metrics": {m: {"value": v} for m, v in values[side].items()}}
+                "metrics": {m: {"value": v} for m, v in values[side].items()},
+                "failed_checks": [f"check {n} of seed {seed}" for n in range(failed[side])]}
 
     monkeypatch.setattr(bp, "run_once", run_once)
     code = bp.main([str(parent), str(change), "--workload", "w", "--pairs", "2", "--seed0", "1"])
@@ -91,6 +92,30 @@ def test_main_fails_when_the_change_fails_more_checks(monkeypatch, capsys, tmp_p
     assert code == 1
     assert "change: 2 of 20 checks failed (10.000%)" in out
     assert "failed share: the change's is above the parent's" in out
+    failed_lines = [line for line in out.splitlines() if "failed check:" in line]
+    assert failed_lines == [
+        "seed 1: change failed check: check 0 of seed 1",
+        "seed 2: change failed check: check 0 of seed 2",
+    ]
     code, out = run_main(monkeypatch, capsys, tmp_path / "same", values, {"parent": 0, "change": 0})
     assert code == 0
     assert "failed share" not in out
+
+
+def test_run_once_keeps_the_failed_check_lines(tmp_path):
+    """The messages of a run's ``failed check:`` lines ride along with its
+    result line."""
+    (tmp_path / "perfbench").mkdir()
+    result = {"correct": False, "attempted": 3, "failed": 2, "metrics": {}}
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('env {}')\n"
+        "print('failed check: query batch 3 differs from the full-graph run')\n"
+        "print('metric x = 1 s')\n"
+        "print('failed check: tradeoff.csv has 2 rows, want 3')\n"
+        f"print(json.dumps({result!r}))\n"
+    )
+    got = bp.run_once(tmp_path, "w", 1, 0.1, 0)
+    assert got == {**result, "failed_checks": [
+        "query batch 3 differs from the full-graph run", "tradeoff.csv has 2 rows, want 3",
+    ]}

@@ -10,6 +10,7 @@ through ``monkeypatch`` during one small training run of each model.
 import pytest
 
 import mlpcascade.cascade as cas
+import mlpcascade.graphio as gio
 import mlpcascade.teacher as t
 
 
@@ -39,6 +40,23 @@ def test_teacher_call_sites(tiny_graph, monkeypatch, depth):
     # hidden layers over every row, the last layer over the validation
     # rows; then one for the soft labels. One mask per layer input.
     assert counts == {"spmm": epochs * 3 * depth + 1, "dropout_mask": epochs * depth}
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_aggregate_first_teacher_without_dropout_call_sites(monkeypatch, depth):
+    # 8 features against hidden width 8: the first layer aggregates first
+    g = gio.synth_sbm(150, 3, 8, 0.15, 0.05, 3.0, seed=2)
+    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask"))
+    cfg = t.TeacherConfig(
+        hidden_dim=8, dropout=0.0, max_epochs=6, patience=5, depth=depth, seed=3
+    )
+    epochs = t.train_teacher(g, cfg).train_meta.epochs
+    assert epochs == 6
+    # A_hat X once per run, which every training and validation forward
+    # starts from; per epoch one aggregation per later layer forward and
+    # backward, the eval hidden layers after the first, and the last layer
+    # over the validation rows; then one for the soft labels. No masks.
+    assert counts == {"spmm": 1 + epochs * (3 * depth - 3) + 1, "dropout_mask": 0}
 
 
 @pytest.mark.parametrize("n_layers", [2, 3])

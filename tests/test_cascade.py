@@ -9,13 +9,15 @@ import mlpcascade.teacher as t
 from mlpcascade.inference import InferencePolicy
 from mlpcascade.numkit import (
     GradPair,
+    dropout_mask,
     finite_diff_check,
+    log_softmax_rows,
     masked_cross_entropy,
     soft_targets,
     softmax_rows,
 )
 from mlpcascade.optim import TrainingDivergedError
-from mlpcascade.params import LayerStack
+from mlpcascade.params import LayerStack, backward, forward_cache
 
 POW_4_08 = 3.0314331330207962  # 4**0.8, frozen from 40-digit evaluation
 
@@ -194,6 +196,12 @@ class TestMixupPairs:
         assert np.array_equal(pairs[:, 0], labeled)
         assert np.array_equal(np.sort(pairs[:, 1]), labeled)
 
+    def test_repeated_labeled_node_rejected(self):
+        # the training objective scatters the mixed rows' gradient back by
+        # row index, which needs each pair column to name distinct rows
+        with pytest.raises(ValueError, match="distinct"):
+            cas.sample_mixup_pairs(np.array([3, 5, 3]), seed=0)
+
     def test_too_few_labeled_rejected(self):
         with pytest.raises(ValueError, match=">= 2 labeled"):
             cas.sample_mixup_pairs([3], seed=0)
@@ -248,17 +256,17 @@ class TestPmaLoss:
         p = LayerStack(
             [(np.eye(2) * 50.0, np.zeros(2)), (np.eye(2) * 50.0, np.zeros(2))]
         )
-        mixed_inputs = np.array([[1.0, 0.0]])
+        mixed = np.array([[1.0, 0.0]])  # first-layer projection of the mixed row
         mixed_labels = np.array([[1.0, 0.0]])
-        assert cas.mixup_loss(p, mixed_inputs, mixed_labels, 1).value < 1e-9
+        assert cas.mixup_loss(p, mixed, mixed_labels, 1).value < 1e-9
 
     def test_uniform_student_onehot_labels(self):
         p = LayerStack(
             [(np.zeros((4, 3)), np.zeros(3)), (np.zeros((3, 3)), np.zeros(3))]
         )
-        mixed_inputs = np.ones((2, 4))
+        mixed = np.ones((2, 3))  # first-layer projections, 3 wide
         mixed_labels = np.eye(3)[:2].astype(float)
-        got = cas.mixup_loss(p, mixed_inputs, mixed_labels, 2).value
+        got = cas.mixup_loss(p, mixed, mixed_labels, 2).value
         assert abs(got - np.log(3.0)) < 1e-12
 
     def test_soft_labels_against_uniform_student(self):
@@ -593,7 +601,60 @@ def student_fd_error(seed, n_layers=2, dropout=0.0):
     return finite_diff_check(loss, params)
 
 
+def blended_input_objective(p, inputs, targets, y, labeled, k, cfg, pairs, lam, dropout, seed):
+    """The training objective with the mixed examples built as blended input
+    rows ``lam * [x | h]_i + (1 - lam) * [x | h]_j`` and run through the
+    whole student: the form that ``total_loss_gradpair`` computes through
+    the first layer's linearity. Masks are drawn in the same order."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout else None
+    logits, caches = forward_cache(p, inputs, draw)
+    distill = cas.distill_loss(logits, targets, y, labeled, k, cfg)
+    grads = backward(p, caches, distill.grads["logits"])
+    i, j = pairs[:, 0], pairs[:, 1]
+    mixed = lam * inputs[i] + (1.0 - lam) * inputs[j]
+    mixed_y = lam * y[i] + (1.0 - lam) * y[j]
+    mix_logits, mix_caches = forward_cache(p, mixed, draw)
+    mix = float(-(mixed_y * log_softmax_rows(mix_logits)).sum() / labeled.size)
+    mix_grads = backward(p, mix_caches, (softmax_rows(mix_logits) - mixed_y) / labeled.size)
+    return distill.value, mix, {name: grads[name] + mix_grads[name] for name in grads}
+
+
 class TestFullLossGradients:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_mixup_by_linearity_matches_blended_inputs(self, n_layers, dropout, lam):
+        """Blending the first layer's projections is blending the inputs:
+        values and every gradient agree with the blended-input form to
+        1e-12 relative, in float64."""
+        rng = np.random.default_rng(11)
+        n, d, hidden, c = 40, 9, 6, 3
+        inputs = rng.standard_normal((n, d + hidden))
+        targets = soft_targets(make_soft_labels(rng, n, c))
+        y = np.eye(c)[rng.integers(0, c, n)]
+        labeled = np.sort(rng.choice(n, size=12, replace=False))
+        pairs = cas.sample_mixup_pairs(labeled, seed=5)
+        p = random_student(rng, d, hidden, c, n_layers)
+        for _, b in p.layers:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        distill, mix, grads = cas.total_loss_gradpair(
+            p, inputs, targets, y, labeled, 2, cfg, pairs, lam, dropout,
+            np.random.default_rng(6),
+        )
+        ref_distill, ref_mix, ref_grads = blended_input_objective(
+            p, inputs, targets, y, labeled, 2, cfg, pairs, lam, dropout, 6
+        )
+        assert abs(distill - ref_distill) <= 1e-12 * abs(ref_distill)
+        assert abs(mix - ref_mix) <= 1e-12 * abs(ref_mix)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            scale = np.max(np.abs(ref))
+            assert scale > 0.0, name
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * scale, name
+
+
     @pytest.mark.parametrize("seed", range(5))
     def test_total_loss_passes_fd_check(self, seed):
         assert student_fd_error(seed) < 1e-4
@@ -618,8 +679,9 @@ class TestFullLossGradients:
         )
         _, logits = cas.student_forward(p, inputs)
         assert distill == cas.distill_loss(logits, targets, y, labeled, 2, cfg).value
-        mixed_inputs, mixed_labels = cas.mixup_examples(inputs, y, pairs, 0.3)
-        assert mix == cas.mixup_loss(p, mixed_inputs, mixed_labels, labeled.size).value
+        # the mixed examples enter as blends of the first layer's projections
+        mixed, mixed_labels = cas.mixup_examples(inputs @ p.layers[0][0], y, pairs, 0.3)
+        assert mix == cas.mixup_loss(p, mixed, mixed_labels, labeled.size).value
 
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -229,6 +229,61 @@ def test_teacher_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
     assert str(err.value) == f"{path} config {key} must be {kind}, got {json.dumps(value)}"
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("epochs", "six", "an integer"), ("best_val_acc", "high", "a number"),
+     ("best_epoch", True, "an integer"), ("seed", 0.0, "an integer")],
+)
+def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
+    params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), t.TrainMeta(2, 1, 0.5, 0))
+    path = _save_teacher(art, t.TeacherConfig(hidden_dim=2), ckpt_dir, "typed-meta.json")
+    doc = json.loads(path.read_text())
+    doc["train_meta"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        _load_teacher(ckpt_dir, "typed-meta.json")
+    assert str(err.value) == f"{path} train_meta {key} must be {kind}, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize(
+    "key, value, where, kind",
+    [
+        ("best_val_acc", "high", "best_val_acc", "a number"),
+        ("epochs", True, "epochs", "an integer"),
+        ("init_fingerprint", 7, "init_fingerprint", "a string"),
+        ("lambda_history", [0.1, "x"], "lambda_history[1]", "a number"),
+        ("lambda_history", [0.1, False], "lambda_history[1]", "a number"),
+        ("lambda_history", 0.1, "lambda_history", "a list of numbers"),
+    ],
+)
+def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, kind):
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1, 0.2])
+    path = ckpt_dir / "typed-meta.json"
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t"), path)
+    doc = json.loads(path.read_text())
+    doc["students"][0]["meta"][key] = value
+    path.write_text(json.dumps(doc))
+    got = json.dumps(value[1] if where.endswith("]") else value)
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == f"{path} student 1 meta {where} must be {kind}, got {got}"
+
+
+def test_stored_metas_load_with_their_types(ckpt_dir):
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(3, 2, 0.5, 0.1, "init", [0.1, 0.2])
+    path = ckpt_dir / "typed-meta.json"
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t"), path)
+    doc = json.loads(path.read_text())
+    doc["students"][0]["meta"]["lambda_history"] = [0, 0.25]  # an integer is a number
+    path.write_text(json.dumps(doc))
+    (loaded,) = cas.load_cascade(path).metas
+    assert loaded == cas.StudentTrainMeta(3, 2, 0.5, 0.1, "init", [0.0, 0.25])
+    assert type(loaded.lambda_history[0]) is float
+
+
 def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])

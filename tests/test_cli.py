@@ -423,6 +423,32 @@ def test_diverging_distill_exits_1_naming_student_and_loss(separable_run, tmp_pa
     assert not out.exists()
 
 
+def test_mistyped_checkpoint_metas_exit_2_naming_file_and_key(separable_run, tmp_path, capsys):
+    data, run = separable_run
+    teacher = run / "teacher.json"
+    doc = json.loads(teacher.read_text())
+    doc["train_meta"]["epochs"] = "six"
+    teacher.write_text(json.dumps(doc))
+    assert run_cli(
+        "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "r",
+        "--students", 1, "--hidden", 8, "--epochs", 5, "--patience", 3,
+    ) == 2
+    assert capsys.readouterr().err == (
+        f'error: {teacher} train_meta epochs must be an integer, got "six"\n'
+    )
+    casc = run / "cascade.json"
+    doc = json.loads(casc.read_text())
+    doc["students"][1]["meta"]["lambda_history"][2] = "x"
+    casc.write_text(json.dumps(doc))
+    out = tmp_path / "preds"
+    assert run_cli(
+        "infer", "--cascade", casc, "--features", data / "features.csv", "--out", out
+    ) == 2
+    assert capsys.readouterr().err == (
+        f'error: {casc} student 2 meta lambda_history[2] must be a number, got "x"\n'
+    )
+
+
 class TestDatasetMirrors:
     """Every command reads a synthesized dataset's features from the binary
     mirror, and none writes into the dataset directory."""

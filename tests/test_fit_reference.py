@@ -4,10 +4,13 @@ both ran ``optim.fit`` over the gradient-checked objectives.
 Each reference below writes its own epoch loop, forward and backward pass,
 as the two trainers did separately, with out-of-place numpy operations
 throughout. The kernels they call (dropout masks, softmaxes, the losses, the
-mixup-rate rule and AdamW) are frozen copies too, so a rewrite of the package's kernels is never
-checked against itself. The package's trainers must reproduce them bit for
-bit: parameters, soft labels, hidden states, eval logits, losses, lambda
-histories, best epochs and fingerprints.
+mixup-rate rule and AdamW) are frozen copies too, so a rewrite of the
+package's kernels is never checked against itself. The student reference
+forms its mixed examples from the first layer's projections, which equal
+the projections of the blended inputs, and scatters their gradient back
+onto the rows of each pair. The package's trainers must reproduce them bit
+for bit: parameters, soft labels, hidden states, eval logits, losses,
+lambda histories, best epochs and fingerprints.
 """
 
 import numpy as np
@@ -347,14 +350,15 @@ def test_aggregate_first_teacher_early_stop_matches_reference(hidden, dtype):
 # ---------------------------------------------------------------------------
 
 
-def ref_student_forward(p, inputs, training, dropout, rng):
+def ref_student_forward(p, inputs, training, dropout, rng, projection=None):
+    """``projection``, when given, stands for the first layer's ``inputs @ w1``."""
     a = inputs
     caches = []
     h = None
     n_hidden = p.n_layers - 1
     for li in range(n_hidden):
         w, b = p.layers[li]
-        z = a @ w + b
+        z = (projection if li == 0 and projection is not None else a @ w) + b
         r = relu(z)
         if li == n_hidden - 1:
             h = r
@@ -373,6 +377,7 @@ def ref_student_forward(p, inputs, training, dropout, rng):
 
 
 def ref_student_backward(p, caches, dlogits):
+    """Gradients of layers 2..n, and of the first layer's pre-activation."""
     grads = {}
     n = p.n_layers
     a_last = caches[-1][0]
@@ -384,27 +389,29 @@ def ref_student_backward(p, caches, dlogits):
         if mask is not None:
             da = da * mask
         dz = da * (z > 0)
+        if li == 0:
+            return grads, dz
         grads[f"w{li + 1}"] = a_prev.T @ dz
         grads[f"b{li + 1}"] = dz.sum(axis=0)
-        if li > 0:
-            da = dz @ p.layers[li][0].T
-    return grads
+        da = dz @ p.layers[li][0].T
 
 
-def ref_mixup_examples(x, h_prev, y, pairs, lam):
+def ref_mixup_examples(projection, y, pairs, lam):
+    """Blends of the first layer's projections: the first layer is affine
+    and the blend's weights sum to 1, so these are the projections of the
+    blended inputs."""
     i = pairs[:, 0]
     j = pairs[:, 1]
-    cat_i = np.concatenate([x[i], h_prev[i]], axis=1)
-    cat_j = np.concatenate([x[j], h_prev[j]], axis=1)
-    return lam * cat_i + (1.0 - lam) * cat_j, lam * y[i] + (1.0 - lam) * y[j]
+    return (lam * projection[i] + (1.0 - lam) * projection[j],
+            lam * y[i] + (1.0 - lam) * y[j])
 
 
-def ref_mixup_loss(p, mixed_inputs, mixed_labels, labeled_count, dropout, rng):
-    _, logits, caches = ref_student_forward(p, mixed_inputs, True, dropout, rng)
+def ref_mixup_loss(p, mixed, mixed_labels, labeled_count, dropout, rng):
+    _, logits, caches = ref_student_forward(p, None, True, dropout, rng, projection=mixed)
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
-    return value, ref_student_backward(p, caches, dlogits)
+    return (value, *ref_student_backward(p, caches, dlogits))
 
 
 def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
@@ -432,17 +439,25 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
         distill_value, distill_grad = distill_loss(
             logits, teacher_probs, g.labels, labeled, all_nodes, k, cfg.distill
         )
-        grads = ref_student_backward(params, caches, distill_grad)
+        grads, dz1 = ref_student_backward(params, caches, distill_grad)
 
         pairs = cas.sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
-        mixed_inputs, mixed_labels = ref_mixup_examples(
-            g.features, h_prev, g.labels, pairs, lam
+        mixed, mixed_labels = ref_mixup_examples(
+            inputs @ params.layers[0][0], g.labels, pairs, lam
         )
-        mix_value, mix_grads = ref_mixup_loss(
-            params, mixed_inputs, mixed_labels, labeled.size, cfg.dropout, rng
+        mix_value, mix_grads, dz_mixed = ref_mixup_loss(
+            params, mixed, mixed_labels, labeled.size, cfg.dropout, rng
         )
-
-        opt.step({name: grads[name] + mix_grads[name] for name in grads})
+        # the mixed rows' gradient flows back to their pairs' rows i and j
+        # (each a permutation of the labeled set), and one product over
+        # every row gives the first layer's gradient of both losses
+        i, j = pairs[:, 0], pairs[:, 1]
+        dz1[i] = dz1[i] + lam * dz_mixed
+        dz1[j] = dz1[j] + (1.0 - lam) * dz_mixed
+        step = {name: grads[name] + mix_grads[name] for name in grads}
+        step["w1"] = inputs.T @ dz1
+        step["b1"] = dz1.sum(axis=0)
+        opt.step(step)
         lam, ema = update_mixup(cfg.mixup, lam, ema, mix_value)
         losses.append(distill_value + mix_value)
         lambda_history.append(lam)
