@@ -13,6 +13,14 @@ drives it up or down (clamped to [0, 0.5]), so the synthetic examples get
 harder as training settles. lambda and the average are two floats threaded
 from epoch to epoch and from student to student.
 
+An epoch runs the rows through the wide (d + h) x h first layer twice.
+First, validation projects every row, ``[x | h_prev] @ w1``, and the next
+epoch's training forward starts from that projection. Second, the
+backward forms one product ``[x | h_prev].T @ dZ1``. The first layer is
+affine and a blend's weights sum to 1, so the mixed examples' projections
+are blends of the projection's rows. Their gradient is scattered back onto
+the distillation's ``dZ1``, and the blended inputs are never built.
+
 The configs are frozen dataclasses, checked once when built;
 ``dataclasses.replace`` derives a variant and checks it again.
 """
