@@ -16,7 +16,10 @@ parent's by more than the metric's ``bound``, a share of the parent's
 median. Then it prints each seed's ``correct`` and failed checks on both
 sides, each followed by the ``failed check:`` lines (side, seed and
 message) of that seed's runs whose result is incorrect, and each side's
-summed failed and attempted checks with the failed share. Last, it
+summed failed and attempted checks with the failed share. Under the
+metrics it prints the same columns, without a regression verdict, for the
+raw wall times that each run's ``detail`` line holds (``WALL_TIMES``): the
+host-adjusted query and loop metrics can move against them. Last, it
 compares the two checkouts' ``.perfbench/digests.json`` on the keys
 (workload, size, seed) both have seen: equal entries mean both wrote the
 same artifacts, as they must unless the change declares a number change.
@@ -37,11 +40,22 @@ from pathlib import Path
 
 
 FAILED_CHECK = "failed check: "
+DETAIL = "detail "
+
+# Unadjusted wall times of a run's ``detail`` line, as dotted key paths; all
+# are better lower.
+WALL_TIMES = (
+    "queries.wall_mean_ms",
+    "queries.wall_tail_ms",
+    "loop.wall_anytime_full_mean_ms",
+    "loop.wall_teacher_mean_ms",
+)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The result line of one benchmark run, with the messages of its
-    ``failed check:`` lines under ``failed_checks``, or a failure record."""
+    ``failed check:`` lines under ``failed_checks`` and its ``detail`` line
+    under ``detail``, or a failure record."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -54,7 +68,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     result["failed_checks"] = [
         line[len(FAILED_CHECK):] for line in lines if line.startswith(FAILED_CHECK)
     ]
+    details = [json.loads(line[len(DETAIL):]) for line in lines if line.startswith(DETAIL)]
+    if details:
+        result["detail"] = details[-1]
     return result
+
+
+def wall_time(result: dict, path: str) -> float | None:
+    """The value at dotted key ``path`` of a run's ``detail``, or None."""
+    value = result.get("detail")
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            return None
+        value = value[key]
+    return value
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,6 +100,20 @@ def metric_specs(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
               for group in ("end_to_end", "per_layer") for m in bench.get(group, [])}
     bounds = {m["name"]: m["bound"] for m in bench.get("end_to_end", [])}
     return better, bounds
+
+
+def table_row(name: str, a: list[float], b: list[float], lower: bool,
+              pairs: int) -> tuple[str, float, float]:
+    """(table line up to the regression verdict, parent median, change
+    median) of one metric's parent values ``a`` and change values ``b``."""
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+    (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
+    delta = (b2 - a2) / a2 if a2 else float("nan")
+    gained = (b2 < a2) if lower else (b2 > a2)
+    claim = wins >= 0.9 * pairs and gained and abs(b2 - a2) > a3 - a1
+    line = (f"{name:32} {a2:12.5g} [{a1:.5g}, {a3:.5g}] {b2:12.5g} [{b1:.5g}, {b3:.5g}] "
+            f"{100 * delta:+7.1f}% {wins:3d}/{pairs}  {'yes' if claim else 'no':5}  ")
+    return line, a2, b2
 
 
 def regresses(parent_median: float, change_median: float, bound: float, lower: bool) -> bool:
@@ -143,19 +184,16 @@ def main(argv=None) -> int:
         a = [r["metrics"][m]["value"] for r in results["parent"]]
         b = [r["metrics"][m]["value"] for r in results["change"]]
         lower = better.get(m, "lower") == "lower"
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
-        (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
-        delta = (b2 - a2) / a2 if a2 else float("nan")
-        gained = (b2 < a2) if lower else (b2 > a2)
-        claim = wins >= 0.9 * args.pairs and gained and abs(b2 - a2) > a3 - a1
-        regress = ""
+        line, a2, b2 = table_row(m, a, b, lower, args.pairs)
         if m in bounds:
             worse = regresses(a2, b2, bounds[m], lower)
             ok = ok and not worse
-            regress = f"{'YES' if worse else 'no'} (bound {bounds[m]:g})"
-        print(f"{m:32} {a2:12.5g} [{a1:.5g}, {a3:.5g}] {b2:12.5g} [{b1:.5g}, {b3:.5g}] "
-              f"{100 * delta:+7.1f}% {wins:3d}/{args.pairs}  {'yes' if claim else 'no':5}  "
-              f"{regress}")
+            line += f"{'YES' if worse else 'no'} (bound {bounds[m]:g})"
+        print(line)
+    for path in WALL_TIMES:
+        a, b = ([wall_time(r, path) for r in results[side]] for side in ("parent", "change"))
+        if None not in a + b:
+            print(table_row(path, a, b, True, args.pairs)[0])
 
     for p, c in zip(results["parent"], results["change"]):
         print(f"seed {p['seed']}: " + ", ".join(

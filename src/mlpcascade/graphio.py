@@ -363,9 +363,9 @@ _SPLIT_KEYS = ("labeled", "validation", "test")
 
 def _read_splits(path: Path, n_nodes: int) -> Splits:
     """Read ``splits.json``: an object with exactly the keys labeled,
-    validation and test, each a list of integer node ids in [0, n_nodes)
-    (no floats, no booleans), the three sets pairwise disjoint. Any other
-    content raises ``ValueError`` naming the file."""
+    validation and test, each a list of distinct integer node ids in
+    [0, n_nodes) (no floats, no booleans), the three sets pairwise disjoint.
+    Any other content raises ``ValueError`` naming the file."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -388,7 +388,11 @@ def _read_splits(path: Path, n_nodes: int) -> Splits:
                 raise ValueError(
                     f"{path}: {name!r} holds {v!r}, not an integer node id in [0, {n_nodes})"
                 )
-        sets[name] = np.sort(np.asarray(ids, dtype=np.int64))
+        ids = np.sort(np.asarray(ids, dtype=np.int64))
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"{path}: {name!r} repeats node id {int(repeated[0])}")
+        sets[name] = ids
     lab, val, tst = (set(raw[name]) for name in _SPLIT_KEYS)
     if lab & val or lab & tst or val & tst:
         raise ValueError(f"{path}: split index sets are not pairwise disjoint")

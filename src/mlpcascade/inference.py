@@ -72,12 +72,20 @@ class InferencePolicy:
 
 @dataclass
 class InferenceResult:
+    """One ``run_anytime`` call.
+
+    ``elapsed[j]`` is student j's forward pass and batch confidence: the
+    loop's per-student work, which the budget rule sums. The one softmax
+    over the executed students' logits and the ensemble run once per call,
+    after the loop, and are in no student's ``elapsed``.
+    """
+
     prediction: np.ndarray  # M x C probabilities (float64)
     executed: int
     confidences: list[float]
     weights: list[float]
-    elapsed: list[float]  # per-student seconds
-    probs: list[np.ndarray]  # per-student N x C probabilities, execution order
+    elapsed: list[float]  # per-student seconds: forward pass and confidence
+    probs: np.ndarray  # executed x N x C probabilities in the logits' dtype
     stopped_by: str  # "threshold", "cap", "budget", or "exhausted" if none fired
 
 
@@ -98,36 +106,46 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
 
 def _confidence(logits: np.ndarray, idx: np.ndarray) -> float:
     """``confidence`` over an index array already checked against the rows
-    of ``logits``; ``run_anytime`` checks its index set once per call."""
-    z = logits[idx].astype(np.float64)
-    z -= row_max(z)
+    of ``logits``; ``run_anytime`` checks its index set once per call.
+
+    The row maximum is taken on the gathered rows in their own dtype (max
+    is exact) and the shift writes the one float64 copy, so the bits are
+    those of casting first."""
+    rows = logits[idx]
+    z = np.subtract(rows, row_max(rows), dtype=np.float64)
     np.exp(z, out=z)
-    return float(np.mean(1.0 / row_sum(z)[:, 0]))
+    r = row_sum(z)[:, 0]
+    np.divide(1.0, r, out=r)
+    return float(np.add.reduce(r) / r.size)
 
 
-def _score(logits: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-    """One student's per-row probabilities and its batch confidence over the
-    checked index array ``idx``: the scoring of ``run_anytime``."""
-    return softmax_rows(logits), _confidence(logits, idx)
+def _stacked_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of a k x N x C stack of logits as one (k * N) x C call:
+    per row the same operations as a call per student, so the same bits."""
+    k, n, c = logits.shape
+    return softmax_rows(logits.reshape(k * n, c)).reshape(k, n, c)
 
 
 def score_logits(
     logits: list[np.ndarray], eval_idx
-) -> tuple[list[np.ndarray], list[float]]:
-    """Per-student probabilities and batch confidences of students whose
-    logits over every row are already known, by the scoring of
-    ``run_anytime``: from the logits a run computes they are the same bits
-    as its ``probs`` and ``confidences``. The index set is checked once."""
+) -> tuple[np.ndarray, list[float]]:
+    """Per-student probabilities (a k x N x C stack) and batch confidences
+    of students whose logits over every row are already known, by the
+    scoring of ``run_anytime``: from the logits a run computes they are the
+    same bits as its ``probs`` and ``confidences``. The index set is checked
+    once."""
     if not logits:
         raise ValueError("score_logits: no students")
     idx = check_index(eval_idx, logits[0].shape[0], "score_logits", "evaluation")
-    scored = [_score(z, idx) for z in logits]
-    return [p for p, _ in scored], [c for _, c in scored]
+    stack = np.stack(logits)
+    return _stacked_softmax(stack), [_confidence(z, idx) for z in stack]
 
 
-def ensemble(preds: list[np.ndarray], confs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def ensemble(preds: np.ndarray, confs: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Confidence-weighted combination P = sum_j w_j * preds_j with
-    w = softmax(confidences). Every preds entry must be row-normalized."""
+    w = softmax(confidences), accumulated in float64 in student order.
+    ``preds`` is a k x M x C stack (or a sequence of k M x C arrays) of
+    row-normalized predictions."""
     if len(preds) == 0:
         raise ValueError("ensemble: no predictions")
     if len(preds) != len(confs):
@@ -140,19 +158,18 @@ def ensemble(preds: list[np.ndarray], confs: list[float]) -> tuple[np.ndarray, n
     for w, p in zip(weights, preds):
         # cast into the one float64 work array, then scale in place: no
         # temporaries, and for float32 predictions faster than a multiply
-        # that casts through numpy's ufunc buffers
+        # that casts through numpy's ufunc buffers or a float64 copy of the
+        # whole stack
         term[...] = p
         term *= w
         combined += term
     return combined, weights
 
 
-def prefix_ensembles(
-    preds: list[np.ndarray], confs: list[float]
-) -> Iterator[np.ndarray]:
+def prefix_ensembles(preds: np.ndarray, confs: list[float]) -> Iterator[np.ndarray]:
     """Yield ``ensemble(preds[:k], confs[:k])[0]`` for k = 1..len(preds),
-    one prefix at a time. Each prefix is recombined from scratch, so it is
-    bit-identical to a run capped at k students."""
+    one prefix of the stack at a time. Each prefix is recombined from
+    scratch, so it is bit-identical to a run capped at k students."""
     for k in range(1, len(preds) + 1):
         yield ensemble(preds[:k], confs[:k])[0]
 
@@ -170,6 +187,12 @@ def run_anytime(
     buffer allocated per call: x is written once, and each student's hidden
     output goes into the right-hand columns for the next. Its dtype is that
     of x combined with the weights. The cascade itself is never mutated.
+
+    Per student the loop runs the forward pass and the float64 batch
+    confidence, which is all the stopping rules read, and keeps the logits
+    in one K x N x C stack. After the loop, one softmax over the executed
+    students' stacked logits gives every ``probs`` row and the ensemble
+    combines them; neither is in any student's ``elapsed``.
     """
     if not c.students:
         raise ValueError("run_anytime: empty cascade")
@@ -183,29 +206,31 @@ def run_anytime(
     inputs = np.zeros((x.shape[0], first.input_dim), dtype=dtype)
     inputs[:, :d] = x
     h = None
-    preds: list[np.ndarray] = []
+    stack = None
     confs: list[float] = []
     elapsed: list[float] = []
-    for params in c.students:
+    for k, params in enumerate(c.students):
         t0 = time.perf_counter()
         if h is not None:
             inputs[:, d:] = h
         h, logits = student_forward(params, inputs)
-        probs, conf = _score(logits, idx)
-        preds.append(probs)
-        confs.append(conf)
+        if stack is None:
+            stack = np.empty((c.n_students, *logits.shape), dtype=logits.dtype)
+        stack[k] = logits
+        confs.append(_confidence(logits, idx))
         elapsed.append(time.perf_counter() - t0)
-        stopped_by = policy.fired(confs[-1], len(preds), sum(elapsed))
+        stopped_by = policy.fired(confs[-1], len(confs), sum(elapsed))
         if stopped_by is not None:
             break
-    prediction, weights = ensemble(preds, confs)
+    probs = _stacked_softmax(stack[: len(confs)])
+    prediction, weights = ensemble(probs, confs)
     return InferenceResult(
         prediction=prediction,
-        executed=len(preds),
+        executed=len(confs),
         confidences=confs,
         weights=[float(w) for w in weights],
         elapsed=elapsed,
-        probs=preds,
+        probs=probs,
         stopped_by=stopped_by or "exhausted",
     )
 

@@ -160,9 +160,12 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     columns and at least ``ROW_SUM_ROWS_PER_COLUMN`` rows per column, the
     sum is taken one column at a time: ``((+0 + c0) + c1) + ...``, the order
     in which numpy sums a row of fewer than 8 values. Starting from +0
-    matters: a row of -0 values sums to +0, as in numpy. Every result,
-    signed zeros, infinities, NaNs and subnormals included, is the same bits
-    as numpy's (checked for every width at float32 and float64).
+    matters: a row of -0 values sums to +0, as in numpy. When two NaNs meet,
+    which one's sign and payload survive depends on how the loop orders its
+    operands, and numpy's vector and scalar loops differ there; so the rows
+    whose fold is NaN are summed again by numpy. Every result, signed
+    zeros, infinities, NaNs and subnormals included, is the same bits as
+    numpy's (checked for every width at float32 and float64).
     """
     n_rows, n_cols = a.shape
     if (
@@ -176,6 +179,9 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     out = cols[0] + 0.0
     for col in cols[1:]:
         np.add(out, col, out=out)
+    nan = np.isnan(out)
+    if nan.any():
+        out[nan] = a[nan].sum(axis=1)
     return out[:, None]
 
 
@@ -239,7 +245,8 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
 
     The gradient w.r.t. the logits is (softmax - onehot)/|mask| on masked
     rows and zero elsewhere. Soft label rows (summing to 1) are supported;
-    the mixup loss relies on that.
+    the mixup loss relies on that. A row named m times counts m times, in
+    the value and in the gradient alike.
     """
     if logits.shape != onehot.shape:
         raise ValueError(
@@ -251,7 +258,9 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
     sub_onehot = onehot[idx]
     value = float(-(sub_onehot * logp).sum() / idx.size)
     grad = np.zeros_like(logits)
-    grad[idx] = (softmax_rows(sub_logits) - sub_onehot) / idx.size
+    # accumulate, not assign, so a repeated row's terms add up. With one-hot
+    # labels no term is -0, so on distinct rows 0 + term keeps its bits
+    np.add.at(grad, idx, (softmax_rows(sub_logits) - sub_onehot) / idx.size)
     return GradPair(value, {"logits": grad})
 
 

@@ -53,16 +53,20 @@ def fake_checkouts(tmp_path):
     return dirs
 
 
-def run_main(monkeypatch, capsys, tmp_path, values, failed):
+def run_main(monkeypatch, capsys, tmp_path, values, failed, detail=None):
     """main() over two pairs whose runs report ``values[side]`` and
-    ``failed[side]`` checks failed of 10."""
+    ``failed[side]`` checks failed of 10, and ``detail(side, seed)`` as
+    their detail line when given."""
     parent, change = fake_checkouts(tmp_path)
 
     def run_once(checkout, workload, seed, seconds, trace):
         side = checkout.name
-        return {"correct": failed[side] == 0, "attempted": 10, "failed": failed[side],
-                "metrics": {m: {"value": v} for m, v in values[side].items()},
-                "failed_checks": [f"check {n} of seed {seed}" for n in range(failed[side])]}
+        result = {"correct": failed[side] == 0, "attempted": 10, "failed": failed[side],
+                  "metrics": {m: {"value": v} for m, v in values[side].items()},
+                  "failed_checks": [f"check {n} of seed {seed}" for n in range(failed[side])]}
+        if detail is not None:
+            result["detail"] = detail(side, seed)
+        return result
 
     monkeypatch.setattr(bp, "run_once", run_once)
     code = bp.main([str(parent), str(change), "--workload", "w", "--pairs", "2", "--seed0", "1"])
@@ -119,3 +123,43 @@ def test_run_once_keeps_the_failed_check_lines(tmp_path):
     assert got == {**result, "failed_checks": [
         "query batch 3 differs from the full-graph run", "tradeoff.csv has 2 rows, want 3",
     ]}
+
+
+def test_main_prints_the_raw_wall_times_of_the_detail_lines(monkeypatch, capsys, tmp_path):
+    """Each side's median and quartiles of every wall time in ``WALL_TIMES``
+    print under the metrics, without a regression verdict; a wall time that
+    some run lacks is left out."""
+    values = {side: {"train_s": 1.0, "acc": 0.8, "mask_ms": 5.0} for side in ("parent", "change")}
+
+    def detail(side, seed):
+        scale = 1.0 if side == "parent" else 0.5
+        return {"queries": {"wall_mean_ms": scale * seed, "wall_tail_ms": 3.0 * seed},
+                "loop": {"wall_anytime_full_mean_ms": scale * 10.0 * seed}}
+
+    code, out = run_main(monkeypatch, capsys, tmp_path, values, {"parent": 0, "change": 0},
+                         detail)
+    assert code == 0
+    assert line_of(out, "queries.wall_mean_ms").split() == [
+        "queries.wall_mean_ms", "1.5", "[1.25,", "1.75]", "0.75", "[0.625,", "0.875]",
+        "-50.0%", "2/2", "yes",
+    ]
+    assert line_of(out, "queries.wall_tail_ms").split()[-3:] == ["+0.0%", "0/2", "no"]
+    assert line_of(out, "loop.wall_anytime_full_mean_ms").split()[1] == "15"
+    assert "loop.wall_teacher_mean_ms" not in out
+
+
+def test_run_once_keeps_the_detail_line(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    detail = {"queries": {"wall_mean_ms": 0.8}, "loop": {"reps": 3}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('env {}')\n"
+        f"print('detail ' + json.dumps({detail!r}))\n"
+        f"print(json.dumps({result!r}))\n"
+    )
+    got = bp.run_once(tmp_path, "w", 1, 0.1, 0)
+    assert got["detail"] == detail
+    assert bp.wall_time(got, "queries.wall_mean_ms") == 0.8
+    assert bp.wall_time(got, "queries.wall_tail_ms") is None
+    assert bp.wall_time({"correct": False, "metrics": {}}, "loop.reps") is None

@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -150,6 +151,7 @@ class TestTrainTeacher:
             ('{"labeled": [1.5], "validation": [], "test": [2]}', "not an integer node id"),
             ('{"labeled": [true], "validation": [], "test": [2]}', "not an integer node id"),
             ('{"labeled": [-1], "validation": [], "test": [2]}', "not an integer node id"),
+            ('{"labeled": [0, 3, 0], "validation": [], "test": [2]}', "'labeled' repeats node id 0"),
         ],
     )
     def test_malformed_splits_exit_2_naming_file(self, tmp_path, capsys, text, message):
@@ -159,6 +161,25 @@ class TestTrainTeacher:
         assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
         err = capsys.readouterr().err
         assert "splits.json" in err and message in err
+
+    def test_repeated_split_id_stops_every_command_at_load(self, separable_run, tmp_path, capsys):
+        data, run = separable_run
+        edited = tmp_path / "edited"
+        shutil.copytree(data, edited)
+        splits = json.loads((edited / "splits.json").read_text())
+        splits["validation"].append(splits["validation"][0])
+        (edited / "splits.json").write_text(json.dumps(splits))
+        message = f"'validation' repeats node id {splits['validation'][0]}"
+        commands = [
+            ("train-teacher",),
+            ("distill", "--teacher-dir", run),
+            ("sweep", "--cascade", run / "cascade.json"),
+        ]
+        for command in commands:
+            capsys.readouterr()
+            assert run_cli(*command, "--data", edited, "--out", tmp_path / "out") == 2
+            err = capsys.readouterr().err
+            assert "splits.json" in err and message in err, command
 
 
 class TestDistill:

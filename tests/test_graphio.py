@@ -140,6 +140,7 @@ class TestLoadDataset:
             ({**TOY_SPLITS, "validation": [2]}, r"holds 2, not an integer node id in \[0, 2\)"),
             ({**TOY_SPLITS, "test": [2**70]}, "'test' holds 1180591620717411303424"),
             ({**TOY_SPLITS, "test": [0]}, "not pairwise disjoint"),
+            ({**TOY_SPLITS, "test": [1, 1]}, "'test' repeats node id 1"),
         ],
     )
     def test_malformed_splits_named(self, tmp_path, splits, message):

@@ -5,6 +5,7 @@ import pytest
 
 import mlpcascade.cascade as cas
 import mlpcascade.inference as inf
+import mlpcascade.numkit as nk
 from mlpcascade.numkit import softmax_rows
 from mlpcascade.params import LayerStack
 
@@ -232,7 +233,8 @@ class TestPrefixEnsembles:
         x = rng.standard_normal((15, 4)).astype(dtype)
         idx = rng.choice(15, size=9, replace=False)
         full = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=n_students), idx)
-        assert len(full.probs) == full.executed == n_students
+        assert full.executed == n_students
+        assert full.probs.shape == (n_students, 15, 3) and full.probs.dtype == dtype
         prefixes = list(inf.prefix_ensembles(full.probs, full.confidences))
         assert len(prefixes) == n_students
         for k in range(1, n_students + 1):
@@ -430,6 +432,100 @@ class TestBitIdenticalToReference:
         for w, p in zip(weights, preds):
             ref += w * p.astype(np.float64)
         assert np.array_equal(combined, ref)
+
+
+class TestStackedScoring:
+    """A call scores its students once: a confidence per executed student in
+    the loop, then one softmax over the stacked logits of all of them."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Record the input shape of every softmax_rows call and the count
+        of _confidence calls that inference makes."""
+        calls = {"softmax": [], "confidence": 0}
+        softmax, conf = inf.softmax_rows, inf._confidence
+
+        def counting_softmax(logits):
+            calls["softmax"].append(logits.shape)
+            return softmax(logits)
+
+        def counting_confidence(logits, idx):
+            calls["confidence"] += 1
+            return conf(logits, idx)
+
+        monkeypatch.setattr(inf, "softmax_rows", counting_softmax)
+        monkeypatch.setattr(inf, "_confidence", counting_confidence)
+        return calls
+
+    @pytest.mark.parametrize("cap", [1, 3, 5])
+    def test_one_softmax_per_run_whatever_the_executed_count(self, monkeypatch, cap):
+        rng = np.random.default_rng(cap)
+        casc = build_cascade(rng, 5)
+        x = rng.standard_normal((12, 4))
+        for policy in (inf.InferencePolicy(max_students=cap),
+                       inf.InferencePolicy(conf_threshold=0.0, max_students=cap)):
+            calls = self.count_calls(monkeypatch)
+            r = inf.run_anytime(casc, x, policy, np.arange(0, 12, 2))
+            k = r.executed
+            # the probabilities, then the ensemble's weights over k confidences
+            assert calls == {"softmax": [(k * 12, 3), (1, k)], "confidence": k}
+            assert r.probs.shape == (k, 12, 3)
+
+    def test_one_softmax_per_score_logits_call(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        logits = [rng.standard_normal((9, 3)) for _ in range(4)]
+        calls = self.count_calls(monkeypatch)
+        probs, confs = inf.score_logits(logits, [0, 4, 8])
+        assert calls == {"softmax": [(36, 3)], "confidence": 4}
+        assert probs.shape == (4, 9, 3) and len(confs) == 4
+
+    @pytest.mark.parametrize(
+        "x_dtype, casc_dtype",
+        [
+            (np.float32, np.float32),
+            (np.float64, np.float64),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+    )
+    @pytest.mark.parametrize("n", [40, 128])
+    @pytest.mark.parametrize("k_total", [1, 10])
+    def test_stack_crossing_the_fold_thresholds_keeps_the_bits(
+        self, x_dtype, casc_dtype, n, k_total
+    ):
+        """128 rows of 4 classes are below row_sum's fold height, and 40
+        below row_max's, while the stack of 10 students is above both: the
+        one stacked softmax runs numkit's column folds where a softmax per
+        student ran numpy's row reductions."""
+        c = 4
+        assert n < nk.ROW_SUM_ROWS_PER_COLUMN * c <= 10 * n
+        assert 40 < nk.ROW_MAX_ROWS_PER_COLUMN * c <= 10 * 40
+        rng = np.random.default_rng(n + k_total)
+        casc = build_cascade(rng, k_total, d=6, hidden=8, c=c, dtype=casc_dtype)
+        for s in casc.students:
+            s.layers[-1][0][...] *= 6
+        x = rng.standard_normal((n, 6)).astype(x_dtype)
+        idx = np.arange(n)
+        confs = reference_run_anytime(
+            casc, x, inf.InferencePolicy(max_students=k_total), idx
+        )[2]
+        policies = {
+            "cap-K": inf.InferencePolicy(max_students=k_total),
+            "cap-1": inf.InferencePolicy(max_students=1),
+            "threshold": inf.InferencePolicy(conf_threshold=float(np.median(confs))),
+        }
+        for label, policy in policies.items():
+            want_pred, want_probs, want_confs, want_w = reference_run_anytime(
+                casc, x, policy, idx
+            )
+            got = inf.run_anytime(casc, x, policy, idx)
+            assert got.confidences == want_confs, label
+            assert np.array_equal(got.weights, want_w), label
+            assert np.array_equal(got.prediction, want_pred), label
+            assert got.probs.shape == (len(want_probs), n, c), label
+            assert got.probs.dtype == want_probs[0].dtype, label
+            for mine, theirs in zip(got.probs, want_probs, strict=True):
+                assert np.array_equal(mine, theirs), label
 
 
 class TestEvaluationIndexRange:
