@@ -9,7 +9,10 @@ teacher, and one ``distill`` and ``infer`` per cascade setting in ``GRID``.
 That teacher's hidden layer is at least as wide as the features, so its
 first layer aggregates before it projects; a second teacher per precision,
 ``teacher-narrow``, has a hidden layer narrower than the features and keeps
-the project-first order. No cascade is distilled from it.
+the project-first order, and a third, ``teacher-nodrop``, trains the first
+teacher's setting with ``--dropout 0``, so its training forwards start
+from the ``Â X`` that the run computes once. No cascade is distilled from
+either.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path. Timing files (``infer_meta.json``, ``tradeoff.csv``)
@@ -83,6 +86,8 @@ def run_grid(out: Path, size: str) -> None:
             "--out", teacher)
         cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags,
             "--hidden", narrow_hidden, *run, "--out", base / "teacher-narrow")
+        cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags,
+            "--dropout", "0", *run, "--out", base / "teacher-nodrop")
         for name, flags in GRID.items():
             dest = base / name
             cli("distill", "--data", data, "--teacher-dir", teacher, *cascade_flags,

@@ -28,6 +28,7 @@ from .graphio import (
     Splits,
     load_dataset,
     normalize_adjacency,
+    normalized_adjacency,
     save_dataset,
     synth_sbm,
 )

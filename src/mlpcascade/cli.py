@@ -414,10 +414,9 @@ def cmd_infer(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     inference.write_prediction_csv(out / PREDICTIONS_CSV, result)
     inference.write_result_json(out / INFER_META, result)
-    total_ms = 1000.0 * sum(result.elapsed)
     print(
         f"infer: executed {result.executed} of {casc.n_students} students "
-        f"in {total_ms:.2f} ms -> {out}"
+        f"in {result.timings_ms()['total_ms']:.2f} ms -> {out}"
     )
     return 0
 

@@ -12,7 +12,10 @@ Dataset directory format (plain text, no headers):
   test, seed 0) are generated.
 
 Edges are undirected: input pairs are symmetrized and deduplicated, and
-self-loops are stripped on load (normalization re-adds them).
+self-loops are stripped on load (normalization re-adds them). A ``Graph``
+stores the result as its one form of the graph: the canonical edge list,
+the sorted ``i < j`` pairs. Its ``adjacency`` is derived from that list on
+access, and the teacher's normalized adjacency is built from it directly.
 
 Blank and whitespace-only lines are skipped; ``#`` is data, not a comment.
 Features must be finite at the working dtype. A malformed file raises
@@ -38,7 +41,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -84,14 +87,35 @@ class Splits:
     unlabeled: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """An undirected attributed graph with one-hot node labels and splits."""
+    """An undirected attributed graph with one-hot node labels and splits.
+
+    ``edges`` is the graph's one stored form: its canonical undirected edge
+    list, the int64 pairs ``(i, j)`` with ``i < j``, sorted by ``(i, j)``,
+    without repeats. Construction canonicalizes any ``(M, 2)`` integer list
+    of node ids in ``[0, N)`` as ``load_dataset`` does: reversed pairs and
+    repeats collapse and self-loops are dropped. The fields cannot be
+    reassigned, so the list stays canonical; ``dataclasses.replace``
+    builds a new graph. ``adjacency`` is derived from the list on each
+    access and never kept.
+    """
 
     features: np.ndarray  # N x d
-    adjacency: SparseMatrix  # N x N, symmetric, zero diagonal
+    edges: np.ndarray  # M x 2 int64, canonical
     labels: np.ndarray  # N x C one-hot
     splits: Splits
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise ValueError(
+                f"edges must be an (M, 2) array of node ids, got shape {edges.shape} "
+                f"of dtype {edges.dtype}"
+            )
+        if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
+            raise ValueError(f"edge node id out of range [0, {self.n_nodes})")
+        object.__setattr__(self, "edges", _undirected_pairs(edges, self.n_nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -107,8 +131,14 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        """Number of undirected edges (stored pairs / 2)."""
-        return self.adjacency.nnz // 2
+        """Number of undirected edges."""
+        return self.edges.shape[0]
+
+    @property
+    def adjacency(self) -> SparseMatrix:
+        """The symmetric 0/1 adjacency with zero diagonal, at the features'
+        dtype, built from ``edges`` on each access."""
+        return _adjacency_from_pairs(self.edges, self.n_nodes, self.features.dtype)
 
 
 def _parse_csv(path: Path, dtype) -> np.ndarray | None:
@@ -442,8 +472,8 @@ def _splits_from_labels(
 def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> Graph:
     """Load a dataset directory into a Graph.
 
-    The adjacency is symmetrized and deduplicated with self-loops stripped.
-    When ``splits.json`` is absent, default Planetoid-style splits are
+    The edge list is symmetrized and deduplicated with self-loops stripped
+    (``Graph`` keeps it canonical). When ``splits.json`` is absent, default Planetoid-style splits are
     generated (documented module constants). With ``normalize_features`` the
     feature rows are L1-normalized; default is raw features.
     """
@@ -462,8 +492,7 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
             f"{path / 'labels.csv'}: class ids must be 0..C-1 with every class "
             f"present; class {missing} has no node"
         )
-    pairs = _undirected_pairs(_read_edges(path / "edges.csv", n_nodes), n_nodes)
-    adjacency = _adjacency_from_pairs(pairs, n_nodes, dtype)
+    edges = _read_edges(path / "edges.csv", n_nodes)
     if normalize_features:
         norms = np.abs(features).sum(axis=1, keepdims=True)
         features = features / np.where(norms > 0, norms, 1)
@@ -480,7 +509,7 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
             DEFAULT_N_TEST,
             DEFAULT_SPLIT_SEED,
         )
-    return Graph(features=features, adjacency=adjacency, labels=labels, splits=splits)
+    return Graph(features=features, edges=edges, labels=labels, splits=splits)
 
 
 def _write_csv(path: Path, table, fmt, header: str = "") -> str:
@@ -571,22 +600,11 @@ def save_dataset(g: Graph, path) -> None:
         _save_table(path / "features.csv", g.features, f"%.{digits}g")
     else:
         _write_csv(path / "features.csv", g.features, f"%.{digits}g")
-    coo = sparse.coo_array(sparse.triu(g.adjacency, k=1))
-    # (row, col) order by one scalar key, as _undirected_pairs sorts
-    key = np.sort(coo.row.astype(np.int64) * g.n_nodes + coo.col)
-    _save_table(path / "edges.csv", np.column_stack([key // g.n_nodes, key % g.n_nodes]), "%d")
+    _save_table(path / "edges.csv", g.edges, "%d")
     _save_table(path / "labels.csv", np.argmax(g.labels, axis=1).astype(np.int64)[:, None], "%d")
-    with open(path / "splits.json", "w") as f:
-        json.dump(
-            {
-                "labeled": g.splits.labeled.tolist(),
-                "validation": g.splits.validation.tolist(),
-                "test": g.splits.test.tolist(),
-            },
-            f,
-            sort_keys=True,
-        )
-        f.write("\n")
+    splits = {name: getattr(g.splits, name).tolist() for name in _SPLIT_KEYS}
+    # one C-encoded string: the bytes json.dump streams through Python
+    (path / "splits.json").write_text(json.dumps(splits, sort_keys=True) + "\n")
 
 
 def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
@@ -628,11 +646,56 @@ def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
     a_tilde = sparse.csr_array(a + sparse.eye_array(n, dtype=a.dtype, format="csr"))
     # degrees in a~'s own entry order, before sorting, as row sums always were
     degrees = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = (1.0 / np.sqrt(degrees)).astype(a.dtype)
     a_tilde.sort_indices()
+    return _scale_by_degrees(a_tilde, degrees)
+
+
+def _scale_by_degrees(a_tilde: SparseMatrix, degrees: np.ndarray) -> SparseMatrix:
+    """``D^{-1/2} A~ D^{-1/2}`` in place on the sorted ``A~ = A + I``, whose
+    row degrees ``degrees`` are in its dtype: each entry is rounded twice,
+    ``(a~_ij * d_i^-1/2) * d_j^-1/2``."""
+    inv_sqrt = (1.0 / np.sqrt(degrees)).astype(a_tilde.dtype)
     a_tilde.data *= np.repeat(inv_sqrt, np.diff(a_tilde.indptr))
     a_tilde.data *= inv_sqrt[a_tilde.indices]
     return a_tilde
+
+
+def normalized_adjacency(g: Graph) -> SparseMatrix:
+    """``normalize_adjacency(g.adjacency)``, the same bits, built from the
+    canonical edge list in one pass. It skips only the symmetry check, which
+    an edge list cannot fail, and never builds the raw adjacency.
+
+    Row r of ``A + I`` holds its lower entries (the pairs ``(i, r)``, taken
+    from one counting transpose of the upper part), its self-loop, then its
+    upper entries (the pairs ``(r, j)``, in the list's order). The degrees
+    are exact integer counts; a 0/1 row sum in either float dtype is the
+    same integer, so the scaling rounds as ``normalize_adjacency`` does.
+    """
+    n, m = g.n_nodes, g.n_edges
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    upper_ptr = np.searchsorted(i, np.arange(n + 1))  # the list is sorted by i
+    upper = sparse.csr_array((np.ones(m, dtype=np.int8), j, upper_ptr), shape=(n, n))
+    lower = sparse.csr_array(upper.T)  # each row's columns come out sorted
+    n_lower, n_upper = np.diff(lower.indptr), np.diff(upper_ptr)
+    degrees = n_lower + 1 + n_upper
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    rows = np.arange(n)
+    # lower entry k of row r lands after r self-loops and the upper entries
+    # of rows < r; upper entry k of row r after r + 1 self-loops and the
+    # lower entries of rows <= r
+    at = np.repeat(rows + upper_ptr[:-1], n_lower)
+    at += np.arange(m)
+    indices[at] = lower.indices
+    indices[indptr[:-1] + n_lower] = rows
+    at = np.repeat(rows + 1 + lower.indptr[1:], n_upper)
+    at += np.arange(m)
+    indices[at] = j
+    dtype = g.features.dtype
+    a_tilde = sparse.csr_array(
+        (np.ones(indptr[-1], dtype=dtype), indices, indptr), shape=(n, n)
+    )
+    return _scale_by_degrees(a_tilde, degrees.astype(dtype))
 
 
 def _bernoulli_indices(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
@@ -728,10 +791,9 @@ def synth_sbm(
                     np.column_stack([base + t // block, b * block + t % block])
                 )
     if edge_chunks:
-        pairs = _undirected_pairs(np.concatenate(edge_chunks), n_nodes)
+        edges = np.concatenate(edge_chunks)
     else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    adjacency = _adjacency_from_pairs(pairs, n_nodes, dtype)
+        edges = np.empty((0, 2), dtype=np.int64)
 
     basis, _ = np.linalg.qr(rng.standard_normal((feat_dim, n_classes)))
     means = MEAN_SEPARATION * basis.T  # one orthogonal mean per class
@@ -752,4 +814,4 @@ def synth_sbm(
     n_val = n_nodes // 5
     n_test = n_nodes - n_per_class * n_classes - n_val
     splits = _splits_from_labels(class_ids, n_per_class, n_val, n_test, rng)
-    return Graph(features=features, adjacency=adjacency, labels=labels, splits=splits)
+    return Graph(features=features, edges=edges, labels=labels, splits=splits)

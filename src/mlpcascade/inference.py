@@ -77,7 +77,7 @@ class InferenceResult:
     ``elapsed[j]`` is student j's forward pass and batch confidence: the
     loop's per-student work, which the budget rule sums. The one softmax
     over the executed students' logits and the ensemble run once per call,
-    after the loop, and are in no student's ``elapsed``.
+    after the loop; ``scoring`` is their time, in no student's ``elapsed``.
     """
 
     prediction: np.ndarray  # M x C probabilities (float64)
@@ -85,8 +85,20 @@ class InferenceResult:
     confidences: list[float]
     weights: list[float]
     elapsed: list[float]  # per-student seconds: forward pass and confidence
+    scoring: float  # seconds of the softmax and ensemble after the loop
     probs: np.ndarray  # executed x N x C probabilities in the logits' dtype
     stopped_by: str  # "threshold", "cap", "budget", or "exhausted" if none fired
+
+    def timings_ms(self) -> dict[str, object]:
+        """The call's milliseconds: ``per_student_ms``, ``scoring_ms`` and
+        ``total_ms``, the sum of the other two."""
+        per_student = [1000.0 * t for t in self.elapsed]
+        scoring = 1000.0 * self.scoring
+        return {
+            "per_student_ms": per_student,
+            "scoring_ms": scoring,
+            "total_ms": sum(per_student) + scoring,
+        }
 
 
 def confidence(logits: np.ndarray, eval_idx) -> float:
@@ -192,7 +204,8 @@ def run_anytime(
     confidence, which is all the stopping rules read, and keeps the logits
     in one K x N x C stack. After the loop, one softmax over the executed
     students' stacked logits gives every ``probs`` row and the ensemble
-    combines them; neither is in any student's ``elapsed``.
+    combines them; neither is in any student's ``elapsed``, both are in
+    ``scoring``.
     """
     if not c.students:
         raise ValueError("run_anytime: empty cascade")
@@ -222,14 +235,17 @@ def run_anytime(
         stopped_by = policy.fired(confs[-1], len(confs), sum(elapsed))
         if stopped_by is not None:
             break
+    t0 = time.perf_counter()
     probs = _stacked_softmax(stack[: len(confs)])
     prediction, weights = ensemble(probs, confs)
+    scoring = time.perf_counter() - t0
     return InferenceResult(
         prediction=prediction,
         executed=len(confs),
         confidences=confs,
         weights=[float(w) for w in weights],
         elapsed=elapsed,
+        scoring=scoring,
         probs=probs,
         stopped_by=stopped_by or "exhausted",
     )
@@ -254,13 +270,14 @@ def write_prediction_csv(path, result: InferenceResult) -> None:
 
 def write_result_json(path, result: InferenceResult) -> None:
     """Run metadata: executed count, the stopping rule that fired,
-    confidences, weights, per-student ms."""
+    confidences, weights, and the call's ``timings_ms``: per-student ms,
+    the scoring ms after the loop and their total."""
     doc = {
         "executed": result.executed,
         "stopped_by": result.stopped_by,
         "confidences": result.confidences,
         "weights": result.weights,
-        "per_student_ms": [1000.0 * t for t in result.elapsed],
+        **result.timings_ms(),
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, indent=2)

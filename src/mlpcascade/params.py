@@ -3,8 +3,9 @@
 The teacher and every student are stacks of (weight, bias) layers, so they
 share one parameter type, one initializer, one forward/backward pair and one
 way to be stored. A graph-convolution layer is a dense layer whose
-projection is aggregated over the graph, so the teacher passes the shared
-passes one aggregation per layer and a student passes none. A
+projection is aggregated over the graph, so the teacher gives the shared
+passes one aggregation per layer, with its transpose for the backward, and
+a student gives none. A
 checkpoint is a JSON manifest; its weight arrays are base64 of their
 little-endian raw bytes, and the manifest names that encoding, so the
 decimal arrays of earlier versions are refused instead of being read by a
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -67,12 +68,24 @@ class LayerStack:
 
 
 ArrayMap = Callable[[np.ndarray], np.ndarray]
-# One map per layer, applied to that layer's projection; None in place of a
-# map is the identity, and None in place of the list the identity for all.
-Aggregates = Sequence[ArrayMap | None] | None
 
 
-def _per_layer(p: LayerStack, aggregates: Aggregates) -> Sequence[ArrayMap | None]:
+class Aggregation(NamedTuple):
+    """A layer's linear graph aggregation ``m -> S m``, which the forward
+    applies to the layer's projection, and its transpose ``d -> S^T d``,
+    which the backward applies to the gradient. ``S`` may select rows, so
+    the two maps need not have the same shape."""
+
+    apply: ArrayMap
+    transpose: ArrayMap
+
+
+# One aggregation per layer; None in place of one is the identity, and None
+# in place of the list the identity for all.
+Aggregates = Sequence[Aggregation | None] | None
+
+
+def _per_layer(p: LayerStack, aggregates: Aggregates) -> Sequence[Aggregation | None]:
     if aggregates is None:
         return [None] * p.n_layers
     if len(aggregates) != p.n_layers:
@@ -80,9 +93,13 @@ def _per_layer(p: LayerStack, aggregates: Aggregates) -> Sequence[ArrayMap | Non
     return aggregates
 
 
-def _project(a: np.ndarray, w: np.ndarray, aggregate: ArrayMap | None) -> np.ndarray:
+def _project(a: np.ndarray, w: np.ndarray, aggregate: Aggregation | None) -> np.ndarray:
     z = a @ w
-    return z if aggregate is None else aggregate(z)
+    return z if aggregate is None else aggregate.apply(z)
+
+
+def _transpose(d: np.ndarray, aggregate: Aggregation | None) -> np.ndarray:
+    return d if aggregate is None else aggregate.transpose(d)
 
 
 def forward_cache(
@@ -97,7 +114,9 @@ def forward_cache(
 
     ``aggregates`` holds each layer's graph aggregation (None for a student:
     the identity everywhere; a teacher whose first layer takes an input it
-    aggregated already passes None for that layer). ``draw_mask(r)`` draws
+    aggregated already passes None for that layer). An aggregation that
+    selects rows makes its layer's output, the logits when it is the last
+    layer's, one row per selected row. ``draw_mask(r)`` draws
     the dropout mask of each hidden activation ``r`` in layer order; None
     trains without dropout. Returns the logits and one ``(input, r, mask)``
     cache per layer, ``r`` being the layer's ReLU output (the logits for the
@@ -142,12 +161,11 @@ def backward(
     aggregates: Aggregates = None,
 ) -> dict[str, np.ndarray]:
     """Gradients of every parameter from the logits' gradient, through the
-    caches of ``forward_cache`` with the same ``aggregates``: a symmetric
-    aggregation is its own transpose. Each hidden layer's gradient is
-    masked in place on the fresh product ``d_agg @ w.T``."""
+    caches of ``forward_cache`` with the same ``aggregates``, each of which
+    the backward applies as its ``transpose``. Each hidden layer's gradient
+    is masked in place on the fresh product ``d_agg @ w.T``."""
     grads, d_z = backward_to_first(p, caches, dlogits, aggregates)
-    aggregate = _per_layer(p, aggregates)[0]
-    d_agg = d_z if aggregate is None else aggregate(d_z)
+    d_agg = _transpose(d_z, _per_layer(p, aggregates)[0])
     grads["w1"] = caches[0][0].T @ d_agg
     grads["b1"] = d_z.sum(axis=0)
     return grads
@@ -167,7 +185,7 @@ def backward_to_first(
     grads: dict[str, np.ndarray] = {}
     d_z = dlogits
     for li in reversed(range(1, p.n_layers)):
-        d_agg = d_z if aggs[li] is None else aggs[li](d_z)
+        d_agg = _transpose(d_z, aggs[li])
         grads[f"w{li + 1}"] = caches[li][0].T @ d_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
         _, r_prev, mask = caches[li - 1]

@@ -20,6 +20,7 @@ from .graphio import Graph
 from .numkit import (
     SparseMatrix,
     accuracy,
+    check_index,
     dropout_mask,
     fingerprint,
     masked_cross_entropy,
@@ -28,6 +29,7 @@ from .numkit import (
 )
 from .optim import TrainingDivergedError, check_training_config, fit
 from .params import (
+    Aggregation,
     LayerStack,
     backward,
     dataclass_from_json,
@@ -121,7 +123,14 @@ def _aggregates(norm_adj: SparseMatrix, p: LayerStack) -> list:
     def aggregate(m):
         return spmm(norm_adj, m)
 
-    return [None if _aggregates_first(p) else aggregate] + [aggregate] * (p.n_layers - 1)
+    full = Aggregation(aggregate, aggregate)
+    return [None if _aggregates_first(p) else full] + [full] * (p.n_layers - 1)
+
+
+def _rows_aggregation(adj_rows: SparseMatrix) -> Aggregation:
+    """Aggregation by the rows ``Â[R]`` of Â, and its transpose ``Â[R]^T``,
+    which scatters a gradient of the rows R back onto every row."""
+    return Aggregation(lambda m: spmm(adj_rows, m), lambda d: spmm(adj_rows.T, d))
 
 
 def _first_input(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
@@ -170,7 +179,20 @@ def teacher_ce_gradpair(
     first, then for every hidden activation in layer order. A first layer
     that aggregates first takes ``Â (mask * x)``. Without dropout it takes
     ``x_in``, the first layer's input of ``x`` (``_first_input``), when the
-    caller holds it, so a run aggregates its fixed features once."""
+    caller holds it, so a run aggregates its fixed features once.
+
+    The cross entropy reads only the rows in ``mask``, so the last layer
+    aggregates only those rows, ``Â[R]`` with R the distinct mask rows in
+    ascending order, and its backward applies ``Â[R]^T``. When Â's entries
+    are symmetric bit for bit, as those of a 0/1 graph are
+    (``d_i^-1/2 · d_j^-1/2``), value and gradients are the same bits as
+    aggregating every row with Â as its own transpose: each row of
+    ``Â[R]`` keeps its entry order, the gradient rows off R are +0 (which
+    leaves a sum unchanged), and ``Â[R]^T`` adds each row's terms in
+    ascending order as Â's rows do. A repeated mask row counts once per
+    mention in both."""
+    idx = check_index(mask, norm_adj.shape[0], "teacher_ce_gradpair", "mask")
+    rows, at = np.unique(idx, return_inverse=True)
     draw_mask = (
         (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
     )
@@ -180,9 +202,9 @@ def teacher_ce_gradpair(
         x_in = _first_input(norm_adj, masked, p)
     elif x_in is None:
         x_in = _first_input(norm_adj, x, p)
-    aggregates = _aggregates(norm_adj, p)
-    logits, caches = forward_cache(p, x_in, draw_mask, aggregates)
-    ce = masked_cross_entropy(logits, labels, mask)
+    aggregates = _aggregates(norm_adj, p)[:-1] + [_rows_aggregation(norm_adj[rows])]
+    logits, caches = forward_cache(p, x_in, draw_mask, aggregates)  # rows R only
+    ce = masked_cross_entropy(logits, labels[rows], at)
     ce.grads = backward(p, caches, ce.grads["logits"], aggregates)
     return ce
 
@@ -194,10 +216,13 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     accuracy and hands back the best epoch's parameters; soft labels are
     computed from them in eval mode.
 
-    The adjacency is normalized once, and so is the features' aggregation
-    ``Â X`` when the first layer aggregates first (``_aggregates_first``);
-    the eval forwards and, without dropout, the training forwards start
-    from it. Each epoch's eval forward runs the hidden layers
+    Â is built once, from the graph's edge list
+    (``graphio.normalized_adjacency``), and so is the features'
+    aggregation ``Â X`` when the first layer aggregates first
+    (``_aggregates_first``); the eval forwards and, without dropout, the
+    training forwards start from it. Each epoch's training forward
+    aggregates the last layer over the labeled rows only
+    (``teacher_ce_gradpair``), and its eval forward runs the hidden layers
     on every row but aggregates the last layer over the validation rows
     only. The best epoch's unaggregated last layer is kept,
     so the soft labels cost one aggregation, not a fresh forward; they and
@@ -210,7 +235,7 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     params = init_teacher(
         g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.depth, rng, g.features.dtype
     )
-    norm_adj = graphio.normalize_adjacency(g.adjacency)
+    norm_adj = graphio.normalized_adjacency(g)
     x_in = _first_input(norm_adj, g.features, params)
     adj_val = norm_adj[g.splits.validation]
     val_truth = np.argmax(g.labels[g.splits.validation], axis=1)

@@ -23,16 +23,16 @@ def test_tiny_grid_repeats_itself(tmp_path):
     assert paths == sorted(paths)
     per_run = ["cascade.json", "distill_report.json", "predictions.csv"]
     for precision in ("f32", "f64"):
-        for teacher in ("teacher", "teacher-narrow"):
+        for teacher in ("teacher", "teacher-narrow", "teacher-nodrop"):
             for artifact in ("teacher.json", "soft_labels.csv", "teacher_report.json"):
                 assert f"{precision}/{teacher}/{artifact}" in paths
         assert f"{precision}/data/features.csv.mirror" in paths
         for name in ("defaults", "layers3", "inverted", "alpha1", "alpha0"):
             for artifact in per_run:
                 assert f"{precision}/{name}/{artifact}" in paths
-    # 7 dataset files, 3 files of each of the two teachers and 3 per
+    # 7 dataset files, 3 files of each of the three teachers and 3 per
     # cascade setting
-    assert len(paths) == 2 * (7 + 2 * 3 + 5 * 3)
+    assert len(paths) == 2 * (7 + 3 * 3 + 5 * 3)
     assert not any(p.endswith("infer_meta.json") for p in paths)
 
 

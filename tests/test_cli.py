@@ -518,15 +518,19 @@ class TestDatasetMirrors:
 
 
 class TestTeacherGraphPasses:
-    """train-teacher normalizes the adjacency once and takes its report from
-    the logits training computed: no second normalization, no gcn_forward."""
+    """train-teacher builds Â once, from the edge list, and takes its report
+    from the logits training computed: no second build, no gcn_forward."""
 
     def test_one_normalization_and_no_forward(self, tmp_path, monkeypatch):
         import mlpcascade.graphio as gio
         import mlpcascade.teacher as teacher
 
-        calls = {"normalize_adjacency": 0, "gcn_forward": 0}
-        for module, name in ((gio, "normalize_adjacency"), (teacher, "gcn_forward")):
+        calls = {"normalized_adjacency": 0, "normalize_adjacency": 0, "gcn_forward": 0}
+        for module, name in (
+            (gio, "normalized_adjacency"),
+            (gio, "normalize_adjacency"),
+            (teacher, "gcn_forward"),
+        ):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -541,7 +545,7 @@ class TestTeacherGraphPasses:
             "train-teacher", "--data", data, "--out", run,
             "--hidden", 8, "--epochs", 8, "--patience", 4,
         ) == 0
-        assert calls == {"normalize_adjacency": 1, "gcn_forward": 0}
+        assert calls == {"normalized_adjacency": 1, "normalize_adjacency": 0, "gcn_forward": 0}
 
     def test_report_matches_fresh_forward(self, separable_run):
         import mlpcascade.graphio as gio
@@ -694,6 +698,18 @@ class TestInfer:
         meta = json.loads((run / "infer_meta.json").read_text())
         assert meta["executed"] == 1
         assert meta["stopped_by"] == "threshold"
+
+    def test_meta_and_printed_time_include_the_scoring(self, separable_run, capsys):
+        data, run = separable_run
+        capsys.readouterr()
+        assert run_cli(
+            "infer", "--cascade", run / "cascade.json",
+            "--features", data / "features.csv", "--out", run,
+        ) == 0
+        meta = json.loads((run / "infer_meta.json").read_text())
+        assert meta["scoring_ms"] > 0
+        assert meta["total_ms"] == sum(meta["per_student_ms"]) + meta["scoring_ms"]
+        assert f" students in {meta['total_ms']:.2f} ms -> " in capsys.readouterr().out
 
     def test_disabled_threshold_max_students_runs_all(self, separable_run):
         data, run = separable_run

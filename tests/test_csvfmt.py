@@ -216,15 +216,14 @@ def test_saved_dataset_bytes_match_reference_writer(tmp_path, monkeypatch, dtype
         assert hashlib.sha256(new).digest() == hashlib.sha256(ref).digest(), name
 
 
-def test_edges_keep_row_col_order_from_unsorted_adjacency(tmp_path):
+def test_edges_keep_row_col_order_from_unsorted_edge_list(tmp_path):
     g = gio.synth_sbm(300, 3, 8, 0.05, 0.005, 1.0, seed=2)
-    a = g.adjacency
-    # same entries, each row's column indices reversed
-    rows = [slice(a.indptr[i], a.indptr[i + 1]) for i in range(a.shape[0])]
-    indices = np.concatenate([a.indices[r][::-1] for r in rows])
-    shuffled = type(a)((a.data.copy(), indices, a.indptr.copy()), shape=a.shape)
-    assert not shuffled.has_sorted_indices
+    # same edges, in shuffled order, half of them reversed
+    rng = np.random.default_rng(0)
+    edges = g.edges[rng.permutation(g.n_edges)]
+    flip = rng.random(g.n_edges) < 0.5
+    edges[flip] = edges[flip, ::-1]
     gio.save_dataset(g, tmp_path / "sorted")
-    gio.save_dataset(gio.Graph(g.features, shuffled, g.labels, g.splits), tmp_path / "unsorted")
+    gio.save_dataset(gio.Graph(g.features, edges, g.labels, g.splits), tmp_path / "unsorted")
     for name in ("edges.csv", "edges.csv.mirror"):
         assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "unsorted" / name).read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -311,9 +312,7 @@ class TestMirror:
 
     def test_empty_edge_list_mirrored(self, saved, parsed_csvs):
         g, path = saved
-        empty = gio.Graph(
-            g.features, sparse.csr_array((60, 60), dtype=np.float32), g.labels, g.splits
-        )
+        empty = gio.Graph(g.features, np.empty((0, 2), dtype=np.int64), g.labels, g.splits)
         gio.save_dataset(empty, path)
         assert (path / "edges.csv").read_bytes() == b""
         assert gio._read_mirror(path / "edges.csv", np.int64).shape == (0, 2)
@@ -326,7 +325,7 @@ class TestMirror:
         none = np.empty(0, dtype=np.int64)
         g = gio.Graph(
             np.empty((0, 4), dtype=np.float32),
-            sparse.csr_array((0, 0), dtype=np.float32),
+            np.empty((0, 2), dtype=np.int64),
             np.empty((0, 2), dtype=np.float32),
             gio.Splits(none, none, none, none),
         )
@@ -342,6 +341,19 @@ class TestMirror:
         for name in MIRRORED:
             for file in (name, name + ".mirror"):
                 assert (path / file).read_bytes() == (again / file).read_bytes()
+
+
+def test_splits_json_bytes_match_json_dump(tmp_path):
+    g = gio.synth_sbm(300, 3, 8, 0.05, 0.005, 1.0, seed=2)
+    gio.save_dataset(g, tmp_path)
+    with open(tmp_path / "ref.json", "w") as f:
+        json.dump(
+            {name: getattr(g.splits, name).tolist() for name in ("labeled", "validation", "test")},
+            f,
+            sort_keys=True,
+        )
+        f.write("\n")
+    assert (tmp_path / "splits.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestUndirectedPairs:
@@ -442,6 +454,116 @@ class TestCanonicalPairs:
         ref = coo_adjacency(pairs, n_nodes, np.float32)
         assert got.nnz == 0 and np.array_equal(got.indptr, ref.indptr)
         assert got.indptr.dtype == ref.indptr.dtype
+
+
+def graph_of(edges, n_nodes, dtype=np.float32):
+    """A hand-built Graph on ``n_nodes`` nodes with the edge list ``edges``."""
+    none = np.empty(0, dtype=np.int64)
+    return gio.Graph(
+        np.zeros((n_nodes, 2), dtype=dtype),
+        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        np.ones((n_nodes, 1), dtype=dtype),
+        gio.Splits(none, none, none, none),
+    )
+
+
+class TestEdgeListGraph:
+    """A Graph stores its canonical edge list; the adjacency and Â are
+    derived from it. ``normalized_adjacency`` must give the bits of
+    ``normalize_adjacency`` of the derived adjacency."""
+
+    @staticmethod
+    def assert_same_a_hat(g):
+        got = gio.normalized_adjacency(g)
+        want = gio.normalize_adjacency(g.adjacency)
+        assert isinstance(got, sparse.csr_array) and got.shape == want.shape
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.data.dtype == want.data.dtype == g.features.dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape",
+        [(400, 4, 16, 0.05, 0.002), (350, 7, 48, 0.05, 0.002), (600, 10, 16, 0.2, 0.01)],
+    )
+    def test_synth_sbm_graphs(self, shape, dtype):
+        self.assert_same_a_hat(gio.synth_sbm(*shape, 1.5, seed=3, dtype=dtype))
+
+    @given(edge_lists(), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_edge_list(self, case, dtype):
+        edges, n = case
+        self.assert_same_a_hat(graph_of(edges, n, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_isolated_nodes(self, dtype):
+        g = graph_of([[1, 2], [2, 5], [1, 5], [5, 8]], 10, dtype)
+        a_hat = self.assert_same_a_hat(g).toarray()
+        for node in (0, 3, 4, 6, 7, 9):
+            assert a_hat[node, node] == 1.0 and np.count_nonzero(a_hat[node]) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_edges(self, n, dtype):
+        a_hat = self.assert_same_a_hat(graph_of([], n, dtype))
+        assert np.array_equal(a_hat.toarray(), np.eye(n, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dataset_loaded_through_its_mirrors(self, tmp_path, parsed_csvs, dtype):
+        g = gio.synth_sbm(300, 3, 8, 0.05, 0.005, 1.0, seed=2, dtype=dtype)
+        gio.save_dataset(g, tmp_path)
+        loaded = gio.load_dataset(tmp_path, dtype=dtype)
+        assert parsed_csvs == []
+        assert loaded.edges.dtype == np.int64 and np.array_equal(loaded.edges, g.edges)
+        self.assert_same_a_hat(loaded)
+
+    def test_adjacency_derived_from_the_edge_list(self):
+        g = graph_of([[0, 2], [1, 2]], 4, np.float64)
+        assert g.n_edges == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.edges = np.array([[2, 0]])
+        a = g.adjacency
+        assert a.dtype == np.float64 and a.has_sorted_indices
+        assert np.array_equal(
+            a.toarray(), [[0, 0, 1, 0], [0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]]
+        )
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[2, 5], [0, 3], [1, 4]],  # unsorted
+            [[0, 3], [0, 3], [2, 5], [0, 3]],  # duplicated
+            [[3, 0], [5, 2], [0, 3]],  # reversed
+            [[4, 4], [0, 3], [1, 1]],  # self-loops
+            [[5, 2], [4, 4], [3, 0], [2, 5], [1, 4], [0, 3], [0, 0]],  # all at once
+        ],
+    )
+    def test_hand_built_edges_canonicalized_as_load_dataset_does(self, tmp_path, edges):
+        write_toy_dataset(
+            tmp_path, [[float(i)] for i in range(6)], edges, [0, 1, 0, 1, 0, 1],
+            {"labeled": [0], "validation": [1], "test": [2]},
+        )
+        loaded = gio.load_dataset(tmp_path)
+        g = graph_of(edges, 6)
+        assert g.edges.dtype == loaded.edges.dtype == np.int64
+        assert np.array_equal(g.edges, loaded.edges)
+        assert np.array_equal(g.edges, TestUndirectedPairs.oracle(np.array(edges)))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (np.array([0, 1]), r"edges must be an \(M, 2\) array of node ids"),
+            (np.array([[0.0, 1.0]]), r"edges must be an \(M, 2\) array of node ids"),
+            (np.array([[0, 1, 2]]), r"edges must be an \(M, 2\) array of node ids"),
+            (np.array([[0, 4]]), r"edge node id out of range \[0, 4\)"),
+            (np.array([[-1, 2]]), r"edge node id out of range \[0, 4\)"),
+        ],
+    )
+    def test_bad_edge_lists_refused(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            gio.Graph(np.zeros((4, 2)), edges, np.ones((4, 1)), graph_of([], 4).splits)
 
 
 class TestWriteCsv:

@@ -332,6 +332,10 @@ class TestOutputFiles:
         assert len(doc["weights"]) == 2
         assert len(doc["per_student_ms"]) == 2
         assert abs(sum(doc["weights"]) - 1.0) < 1e-9
+        # the softmax and ensemble after the loop are timed on their own
+        assert doc["scoring_ms"] > 0
+        assert doc["total_ms"] == sum(doc["per_student_ms"]) + doc["scoring_ms"]
+        assert doc["scoring_ms"] == 1000.0 * result.scoring
 
 
 def reference_softmax(logits):

@@ -11,6 +11,9 @@ import mlpcascade.teacher as t
 from mlpcascade.numkit import finite_diff_check, masked_cross_entropy, softmax_rows
 from mlpcascade.optim import TrainingDivergedError
 from mlpcascade.params import LayerStack
+from test_fit_reference import masked_cross_entropy as ref_cross_entropy
+from test_fit_reference import ref_teacher_backward, ref_teacher_forward
+from test_graphio import graph_of
 
 
 def relu(x):
@@ -119,18 +122,28 @@ class TestGcnForward:
         assert np.array_equal(eval_logits, t.gcn_forward(adj, x, params))
 
 
-def teacher_fd_error(seed, depth=2, dropout=0.0, d=5, h=4):
+# An 8-node path 0-1-...-6 and the isolated node 7. With the labeled rows
+# 0, 3 and 7, no labeled row has a labeled neighbour, and row 7 has none.
+PATH_AND_ISOLATED = gio.normalized_adjacency(
+    graph_of([[i, i + 1] for i in range(6)], 8, np.float64)
+)
+
+
+def teacher_fd_error(seed, depth=2, dropout=0.0, d=5, h=4, adj=None, mask=None):
     """Worst relative error of the finite-difference check of the training
     objective. Biases get small random values: with zero biases, dead
     hidden rows sit exactly on a ReLU kink, where central differences are
     not the gradient. With dropout, each call draws the same masks from a
-    fresh rng. With ``d <= h`` the first layer aggregates first."""
+    fresh rng. With ``d <= h`` the first layer aggregates first. The graph
+    ``adj`` and the labeled rows ``mask`` are random unless given."""
     rng = np.random.default_rng(seed)
     n, c = 8, 3
-    adj = random_norm_adj(rng, n)
+    if adj is None:
+        adj = random_norm_adj(rng, n)
     x = rng.standard_normal((n, d))
     labels = np.eye(c)[rng.integers(0, c, n)]
-    mask = np.sort(rng.choice(n, size=4, replace=False))
+    if mask is None:
+        mask = np.sort(rng.choice(n, size=4, replace=False))
     base = random_teacher(rng, d, h, c, depth=depth)
     for _, b in base.layers:
         b[:] = 0.1 * rng.standard_normal(b.shape)
@@ -159,6 +172,84 @@ class TestGcnGradients:
     @pytest.mark.parametrize("d, h", [(3, 4), (4, 4)])
     def test_aggregate_first_objective_passes_fd_check(self, d, h, depth, dropout, seed):
         assert teacher_fd_error(seed, depth, dropout, d, h) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("depth, dropout", [(2, 0.0), (3, 0.5)])
+    @pytest.mark.parametrize("d, h", [(5, 4), (4, 4)])
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            [0, 3, 7],  # no labeled row has a labeled neighbour; row 7 is isolated
+            [7],  # only the isolated row
+            [3, 0, 3, 7, 3],  # a repeated row counts once per mention
+        ],
+    )
+    def test_rows_without_labeled_neighbours_pass_fd_check(self, mask, d, h, depth, dropout,
+                                                           seed):
+        error = teacher_fd_error(seed, depth, dropout, d, h, PATH_AND_ISOLATED, np.array(mask))
+        assert error < 1e-4
+
+
+def teacher_case(feat, depth, dtype):
+    """A 150-node graph, its Â and an initialized teacher of hidden width 8:
+    with 12 features the first layer projects first, with 8 it aggregates
+    first."""
+    g = gio.synth_sbm(150, 3, feat, 0.15, 0.05, 3.0, seed=2, dtype=dtype)
+    params = t.init_teacher(feat, 8, 3, depth, np.random.default_rng(5), dtype)
+    for _, b in params.layers:
+        b[:] = 0.1 * np.random.default_rng(6).standard_normal(b.shape)
+    return g, gio.normalized_adjacency(g), params
+
+
+class TestLabeledRowsOnly:
+    """The training forward aggregates the last layer over the labeled rows
+    only; the objective keeps the bits of aggregating every row."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("feat", [12, 8])
+    def test_one_call_matches_frozen_reference(self, feat, depth, dropout, dtype):
+        g, adj, params = teacher_case(feat, depth, dtype)
+        assert t._aggregates_first(params) == (feat == 8)
+        mask = np.random.default_rng(1).permutation(g.n_nodes)[:20]  # distinct, unsorted
+        got = t.teacher_ce_gradpair(
+            adj, g.features, params, g.labels, mask, dropout, np.random.default_rng(7)
+        )
+        logits, caches = ref_teacher_forward(
+            adj, g.features, params, True, dropout, np.random.default_rng(7)
+        )
+        value, dlogits = ref_cross_entropy(logits, g.labels, mask)
+        want = ref_teacher_backward(adj, params, caches, dlogits)
+        assert got.value == value
+        assert sorted(got.grads) == sorted(want)
+        for name, grad in want.items():
+            assert got.grads[name].dtype == grad.dtype, name
+            assert got.grads[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("feat", [12, 8])
+    def test_repeated_row_keeps_the_value(self, feat):
+        g, adj, params = teacher_case(feat, 2, np.float64)
+        mask = np.array([4, 90, 4, 17, 4])
+        got = t.teacher_ce_gradpair(adj, g.features, params, g.labels, mask)
+        logits, _ = ref_teacher_forward(adj, g.features, params, True, 0.0, None)
+        assert got.value == masked_cross_entropy(logits, g.labels, mask).value
+
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            (np.arange(150) % 2 == 0, "mask index set must hold integers, got dtype bool"),
+            (np.array([0.0, 3.0]), "mask index set must hold integers, got dtype float64"),
+            (np.array([3, -1]), "mask index -1 out of range for 150 rows"),
+            (np.array([3, 150]), "mask index 150 out of range for 150 rows"),
+            (np.array([], dtype=np.int64), "empty mask index set"),
+        ],
+    )
+    def test_mask_checked_before_it_indexes_a_hat(self, mask, message):
+        g, adj, params = teacher_case(12, 2, np.float32)
+        with pytest.raises(ValueError) as err:
+            t.teacher_ce_gradpair(adj, g.features, params, g.labels, mask)
+        assert str(err.value) == f"teacher_ce_gradpair: {message}"
 
 
 class TestTrainTeacher:
