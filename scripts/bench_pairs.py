@@ -18,8 +18,11 @@ sides, each followed by the ``failed check:`` lines (side, seed and
 message) of that seed's runs whose result is incorrect, and each side's
 summed failed and attempted checks with the failed share. Under the
 metrics it prints the same columns, without a regression verdict, for the
-raw wall times that each run's ``detail`` line holds (``WALL_TIMES``): the
-host-adjusted query and loop metrics can move against them. Last, it
+raw wall times that each run's ``detail`` line holds: the query and loop
+means (``WALL_TIMES``), then each command's median over the run's samples
+(``wall_times_s.<metric>``, from the ``wall_times_s`` lists). The
+host-adjusted metrics can move against them, so a claimed command gain is
+read next to its raw one. Last, it
 compares the two checkouts' ``.perfbench/digests.json`` on the keys
 (workload, size, seed) both have seen: equal entries mean both wrote the
 same artifacts, as they must unless the change declares a number change.
@@ -82,6 +85,13 @@ def wall_time(result: dict, path: str) -> float | None:
             return None
         value = value[key]
     return value
+
+
+def command_walls(result: dict) -> dict[str, float]:
+    """Each command's (and setup's) median raw wall time over one run's
+    samples, from its ``detail`` block's ``wall_times_s`` lists."""
+    times = result.get("detail", {}).get("wall_times_s", {})
+    return {name: statistics.median(values) for name, values in times.items() if values}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -194,6 +204,11 @@ def main(argv=None) -> int:
         a, b = ([wall_time(r, path) for r in results[side]] for side in ("parent", "change"))
         if None not in a + b:
             print(table_row(path, a, b, True, args.pairs)[0])
+    walls = {side: [command_walls(r) for r in runs] for side, runs in results.items()}
+    for name in walls["change"][0]:
+        if all(name in w for side in walls.values() for w in side):
+            a, b = ([w[name] for w in walls[side]] for side in ("parent", "change"))
+            print(table_row("wall_times_s." + name, a, b, True, args.pairs)[0])
 
     for p, c in zip(results["parent"], results["change"]):
         print(f"seed {p['seed']}: " + ", ".join(

@@ -25,8 +25,10 @@ from .cascade import (
 )
 from .graphio import (
     Graph,
+    NodeTables,
     Splits,
     load_dataset,
+    load_nodes,
     normalize_adjacency,
     normalized_adjacency,
     save_dataset,

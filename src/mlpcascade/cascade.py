@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphio import Graph
+from .graphio import NodeTables
 from .numkit import (
     GradPair,
     SoftTargets,
@@ -400,7 +400,7 @@ def total_loss_gradpair(
 
 def train_student(
     k: int,
-    g: Graph,
+    nodes: NodeTables,
     targets: SoftTargets | None,
     h_prev: np.ndarray,
     init: LayerStack,
@@ -427,14 +427,14 @@ def train_student(
     the next student and the logits kept in the meta are finished from it,
     the same bits as a fresh eval forward of the kept parameters.
     """
-    if g.splits.validation.size == 0:
+    if nodes.splits.validation.size == 0:
         raise ValueError("training needs a non-empty validation split")
-    labeled = g.splits.labeled
+    labeled = nodes.splits.labeled
     rng = np.random.default_rng([cfg.seed, k])
     params = init.copy()
     init_fp = init.fingerprint()
-    inputs = np.concatenate([g.features, h_prev], axis=1)
-    y_val = np.argmax(g.labels[g.splits.validation], axis=1)
+    inputs = np.concatenate([nodes.features, h_prev], axis=1)
+    y_val = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
     lambda_history = [lam]
     projection = None  # inputs @ w1 of the current parameters, from validate
 
@@ -442,7 +442,7 @@ def train_student(
         nonlocal lam, ema
         pairs = sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         distill, mix, grads = total_loss_gradpair(
-            params, inputs, targets, g.labels, labeled, k, cfg.distill,
+            params, inputs, targets, nodes.labels, labeled, k, cfg.distill,
             pairs, lam, cfg.dropout, rng, projection,
         )
         if not np.isfinite(distill):
@@ -456,7 +456,7 @@ def train_student(
     def validate():
         nonlocal projection
         projection = inputs @ params.layers[0][0]
-        _, val_logits = _forward_from_projection(params, projection[g.splits.validation])
+        _, val_logits = _forward_from_projection(params, projection[nodes.splits.validation])
         return accuracy(val_logits, y_val), projection
 
     run = fit(params, cfg, step, validate)
@@ -474,27 +474,30 @@ def train_student(
     return run.params, h_k, lam, ema, meta
 
 
-def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cascade:
+def train_cascade(
+    nodes: NodeTables, teacher: TeacherArtifact, cfg: CascadeConfig
+) -> Cascade:
     """Train the full cascade: student 1 from seeded random init, every later
     student warm-started from its predecessor, hidden states, the mixing
-    rate and its moving average threaded along the chain. The soft labels
-    are cast to the graph's dtype after their fingerprint is recorded, so
-    the cascade names the teacher it was distilled from at any precision. Unless alpha = 1 (no
-    KL), they are checked and their ``t ln t`` terms derived here, once for
-    every epoch of every student."""
+    rate and its moving average threaded along the chain. The students read
+    only the node tables, so ``nodes`` is a ``NodeTables`` or a ``Graph``.
+    The soft labels are cast to the features' dtype after their fingerprint
+    is recorded, so the cascade names the teacher it was distilled from at
+    any precision. Unless alpha = 1 (no KL), they are checked and their
+    ``t ln t`` terms derived here, once for every epoch of every student."""
     teacher_fp = teacher.soft_label_fingerprint()
-    teacher_probs = teacher.soft_labels.astype(g.features.dtype, copy=False)
-    if teacher_probs.shape != (g.n_nodes, g.n_classes):
+    teacher_probs = teacher.soft_labels.astype(nodes.features.dtype, copy=False)
+    if teacher_probs.shape != (nodes.n_nodes, nodes.n_classes):
         raise ValueError(
             f"teacher soft labels {teacher_probs.shape} do not match graph "
-            f"({g.n_nodes}, {g.n_classes})"
+            f"({nodes.n_nodes}, {nodes.n_classes})"
         )
     targets = soft_targets(teacher_probs) if cfg.distill.alpha < 1.0 else None
     rng = np.random.default_rng([cfg.seed, 0])
     init = init_student(
-        g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.n_layers, rng, g.features.dtype
+        nodes.feat_dim, cfg.hidden_dim, nodes.n_classes, cfg.n_layers, rng, nodes.features.dtype
     )
-    h_prev = np.zeros((g.n_nodes, cfg.hidden_dim), dtype=g.features.dtype)
+    h_prev = np.zeros((nodes.n_nodes, cfg.hidden_dim), dtype=nodes.features.dtype)
     lam, ema = cfg.mixup.lambda_init, None
 
     students: list[LayerStack] = []
@@ -502,7 +505,7 @@ def train_cascade(g: Graph, teacher: TeacherArtifact, cfg: CascadeConfig) -> Cas
     for k in range(1, cfg.n_students + 1):
         try:
             params, h_prev, lam, ema, meta = train_student(
-                k, g, targets, h_prev, init, cfg, lam, ema
+                k, nodes, targets, h_prev, init, cfg, lam, ema
             )
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(

@@ -298,24 +298,25 @@ def cmd_train_teacher(args, config) -> int:
 def cmd_distill(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     cfg = _cascade_config(args, config, seed)
-    g = graphio.load_dataset(
+    # the students are MLPs: they never read the graph, so edges.csv is not opened
+    nodes = graphio.load_nodes(
         _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
     )
     teacher_dir = Path(args.teacher_dir) if args.teacher_dir else out
     artifact, _teacher_cfg = _load_teacher_artifact(teacher_dir)
-    if artifact.soft_labels.shape != (g.n_nodes, g.n_classes):
+    if artifact.soft_labels.shape != (nodes.n_nodes, nodes.n_classes):
         raise _RuntimeFail(
             f"teacher/dataset mismatch: soft labels {artifact.soft_labels.shape} vs "
-            f"graph ({g.n_nodes}, {g.n_classes})"
+            f"graph ({nodes.n_nodes}, {nodes.n_classes})"
         )
-    casc = cascade_mod.train_cascade(g, artifact, cfg)
+    casc = cascade_mod.train_cascade(nodes, artifact, cfg)
     out.mkdir(parents=True, exist_ok=True)
     cascade_mod.save_cascade(casc, out / CASCADE_CKPT)
 
     # training already ran every student on every row: score those logits
     # as a cap-K run_anytime over the unlabeled rows would
     probs, confidences = inference.score_logits(
-        [meta.logits for meta in casc.metas], g.splits.unlabeled
+        [meta.logits for meta in casc.metas], nodes.splits.unlabeled
     )
     students = []
     lambda_trajectory: list[float] = []
@@ -327,10 +328,10 @@ def cmd_distill(args, config) -> int:
                 "epochs": meta.epochs,
                 "final_lambda": meta.final_lambda,
                 "val_accuracy": inference.accuracy(
-                    prediction, g.labels, g.splits.validation
+                    prediction, nodes.labels, nodes.splits.validation
                 ),
                 "test_accuracy": inference.accuracy(
-                    prediction, g.labels, g.splits.test
+                    prediction, nodes.labels, nodes.splits.test
                 ),
             }
         )
@@ -350,16 +351,16 @@ def cmd_distill(args, config) -> int:
     return 0
 
 
-def _sweep_one(casc, g, reps: int):
+def _sweep_one(casc, nodes, reps: int):
     """Rows (k, accuracy, cum_ms) for one cascade from ``reps`` full runs:
     cumulative cost from per-student time medians, accuracies from the
     prefix ensembles of the last run (each equals a run capped at k)."""
     k_total = casc.n_students
-    eval_idx = g.splits.unlabeled
+    eval_idx = nodes.splits.unlabeled
     per_student_ms = []
     for _ in range(reps):
         result = inference.run_anytime(
-            casc, g.features, inference.InferencePolicy(max_students=k_total), eval_idx
+            casc, nodes.features, inference.InferencePolicy(max_students=k_total), eval_idx
         )
         per_student_ms.append([1000.0 * t for t in result.elapsed])
     rows = []
@@ -367,7 +368,7 @@ def _sweep_one(casc, g, reps: int):
     prefixes = inference.prefix_ensembles(result.probs, result.confidences)
     for k, prediction in enumerate(prefixes, start=1):
         cum += statistics.median(rep[k - 1] for rep in per_student_ms)
-        rows.append((k, inference.accuracy(prediction, g.labels, g.splits.test), cum))
+        rows.append((k, inference.accuracy(prediction, nodes.labels, nodes.splits.test), cum))
     return rows
 
 
@@ -375,7 +376,7 @@ def cmd_sweep(args, config) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     seed, out, dtype = _run_values(args, config)
-    g = graphio.load_dataset(
+    nodes = graphio.load_nodes(
         _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
     )
     paths = [Path(p) for p in args.cascade] if args.cascade else [out / CASCADE_CKPT]
@@ -388,7 +389,7 @@ def cmd_sweep(args, config) -> int:
         f.write("k,accuracy,cum_ms\n")
         for p in paths:
             casc = cascade_mod.load_cascade(p)
-            for k, acc, cum_ms in _sweep_one(casc, g, args.reps):
+            for k, acc, cum_ms in _sweep_one(casc, nodes, args.reps):
                 f.write(f"{k},{acc:.6f},{cum_ms:.3f}\n")
     print(f"sweep: {len(paths)} cascade(s), reps={args.reps} -> {out / TRADEOFF_CSV}")
     return 0

@@ -11,6 +11,13 @@ Dataset directory format (plain text, no headers):
   Planetoid-style splits (20 labeled nodes per class, 500 validation, 1000
   test, seed 0) are generated.
 
+Two loaders read a directory. ``load_nodes`` reads the node tables only
+(features, labels, splits) into ``NodeTables``: the students are MLPs and
+never see the graph, so ``distill`` and ``sweep`` load this way and never
+open ``edges.csv``. ``load_dataset`` reads the same node tables through
+``load_nodes``, then the edge list, into a ``Graph``; only ``train-teacher``
+loads this way. ``infer`` reads one features-format file (``read_features``).
+
 Edges are undirected: input pairs are symmetrized and deduplicated, and
 self-loops are stripped on load (normalization re-adds them). A ``Graph``
 stores the result as its one form of the graph: the canonical edge list,
@@ -87,8 +94,36 @@ class Splits:
     unlabeled: np.ndarray
 
 
+class _NodeSizes:
+    """The sizes read off ``features`` and ``labels``, which ``NodeTables``
+    and ``Graph`` share."""
+
+    @property
+    def n_nodes(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def feat_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def n_classes(self) -> int:
+        return self.labels.shape[1]
+
+
 @dataclass(frozen=True)
-class Graph:
+class NodeTables(_NodeSizes):
+    """A dataset's node tables without its graph: what an MLP student trains
+    and is scored on. ``Graph`` has the same fields and sizes, so either
+    serves where node tables are read."""
+
+    features: np.ndarray  # N x d
+    labels: np.ndarray  # N x C one-hot
+    splits: Splits
+
+
+@dataclass(frozen=True)
+class Graph(_NodeSizes):
     """An undirected attributed graph with one-hot node labels and splits.
 
     ``edges`` is the graph's one stored form: its canonical undirected edge
@@ -116,18 +151,6 @@ class Graph:
         if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
             raise ValueError(f"edge node id out of range [0, {self.n_nodes})")
         object.__setattr__(self, "edges", _undirected_pairs(edges, self.n_nodes))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.labels.shape[1]
 
     @property
     def n_edges(self) -> int:
@@ -407,31 +430,45 @@ def _read_splits(path: Path, n_nodes: int) -> Splits:
             f"{path}: must be an object with exactly the keys labeled, "
             f"validation and test; got {got}"
         )
-    sets = {}
-    for name in _SPLIT_KEYS:
-        ids = raw[name]
-        if not isinstance(ids, list):
-            raise ValueError(f"{path}: {name!r} must be a list of node ids")
-        for v in ids:
-            # type() rather than isinstance: bool is a subclass of int
-            if type(v) is not int or not 0 <= v < n_nodes:
-                raise ValueError(
-                    f"{path}: {name!r} holds {v!r}, not an integer node id in [0, {n_nodes})"
-                )
-        ids = np.sort(np.asarray(ids, dtype=np.int64))
-        repeated = ids[1:][ids[1:] == ids[:-1]]
-        if repeated.size:
-            raise ValueError(f"{path}: {name!r} repeats node id {int(repeated[0])}")
-        sets[name] = ids
-    lab, val, tst = (set(raw[name]) for name in _SPLIT_KEYS)
-    if lab & val or lab & tst or val & tst:
+    sets = {name: _split_ids(path, name, raw[name], n_nodes) for name in _SPLIT_KEYS}
+    # each set is repeat-free, so a node counted twice lies in two sets
+    if np.bincount(np.concatenate(list(sets.values()))).max(initial=0) > 1:
         raise ValueError(f"{path}: split index sets are not pairwise disjoint")
+    unlabeled = np.ones(n_nodes, dtype=bool)
+    unlabeled[sets["labeled"]] = False
     return Splits(
         labeled=sets["labeled"],
         validation=sets["validation"],
         test=sets["test"],
-        unlabeled=np.setdiff1d(np.arange(n_nodes), sets["labeled"]),
+        unlabeled=np.flatnonzero(unlabeled),
     )
+
+
+def _split_ids(path: Path, name: str, ids, n_nodes: int) -> np.ndarray:
+    """The sorted int64 ids of one split's list, checked whole-array: every
+    value an ``int`` (not a float, not a bool) in [0, n_nodes), none
+    repeated. Only a refused list is walked element by element, to name its
+    first bad value."""
+    if not isinstance(ids, list):
+        raise ValueError(f"{path}: {name!r} must be a list of node ids")
+    arr = None
+    # type() rather than isinstance: bool is a subclass of int
+    if set(map(type, ids)) <= {int}:
+        try:
+            arr = np.array(ids, dtype=np.int64)
+        except OverflowError:  # beyond int64, so out of range
+            pass
+    if arr is None or (arr.size and (arr.min() < 0 or arr.max() >= n_nodes)):
+        for v in ids:
+            if type(v) is not int or not 0 <= v < n_nodes:
+                raise ValueError(
+                    f"{path}: {name!r} holds {v!r}, not an integer node id in [0, {n_nodes})"
+                )
+    arr.sort()
+    repeated = arr[1:][arr[1:] == arr[:-1]]
+    if repeated.size:
+        raise ValueError(f"{path}: {name!r} repeats node id {int(repeated[0])}")
+    return arr
 
 
 def _splits_from_labels(
@@ -469,18 +506,22 @@ def _splits_from_labels(
     return Splits(labeled=labeled, validation=validation, test=test, unlabeled=rest)
 
 
-def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> Graph:
-    """Load a dataset directory into a Graph.
+def _require_files(path: Path, names) -> None:
+    for name in names:
+        if not (path / name).is_file():
+            raise FileNotFoundError(f"dataset file missing: {path / name}")
 
-    The edge list is symmetrized and deduplicated with self-loops stripped
-    (``Graph`` keeps it canonical). When ``splits.json`` is absent, default Planetoid-style splits are
+
+def load_nodes(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> NodeTables:
+    """Load a dataset directory's node tables: features, labels and splits.
+    ``edges.csv`` is neither opened nor required.
+
+    When ``splits.json`` is absent, default Planetoid-style splits are
     generated (documented module constants). With ``normalize_features`` the
     feature rows are L1-normalized; default is raw features.
     """
     path = Path(path)
-    for name in ("features.csv", "edges.csv", "labels.csv"):
-        if not (path / name).is_file():
-            raise FileNotFoundError(f"dataset file missing: {path / name}")
+    _require_files(path, ("features.csv", "labels.csv"))
     features = read_features(path / "features.csv", dtype)
     n_nodes = features.shape[0]
     class_ids = _read_labels(path / "labels.csv", n_nodes)
@@ -492,7 +533,6 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
             f"{path / 'labels.csv'}: class ids must be 0..C-1 with every class "
             f"present; class {missing} has no node"
         )
-    edges = _read_edges(path / "edges.csv", n_nodes)
     if normalize_features:
         norms = np.abs(features).sum(axis=1, keepdims=True)
         features = features / np.where(norms > 0, norms, 1)
@@ -509,7 +549,23 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
             DEFAULT_N_TEST,
             DEFAULT_SPLIT_SEED,
         )
-    return Graph(features=features, edges=edges, labels=labels, splits=splits)
+    return NodeTables(features=features, labels=labels, splits=splits)
+
+
+def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> Graph:
+    """Load a dataset directory into a Graph: the node tables as
+    ``load_nodes`` reads them, then the edge list, symmetrized and
+    deduplicated with self-loops stripped (``Graph`` keeps it canonical).
+    Of two bad files, the one read first is named: features, labels,
+    splits, then edges.
+    """
+    path = Path(path)
+    _require_files(path, ("features.csv", "edges.csv", "labels.csv"))
+    nodes = load_nodes(path, dtype, normalize_features)
+    edges = _read_edges(path / "edges.csv", nodes.n_nodes)
+    return Graph(
+        features=nodes.features, edges=edges, labels=nodes.labels, splits=nodes.splits
+    )
 
 
 def _write_csv(path: Path, table, fmt, header: str = "") -> str:

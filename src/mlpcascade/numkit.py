@@ -358,11 +358,14 @@ def finite_diff_check(
 
 
 def fingerprint(*arrays: np.ndarray) -> str:
-    """SHA-256 hex digest over dtype, shape, and raw bytes of the arrays."""
+    """SHA-256 hex digest over dtype, shape, and raw bytes of the arrays.
+
+    A C-contiguous array is hashed from its own memory; only another layout
+    is copied, into C order, which is the byte order ``tobytes`` gives."""
     h = hashlib.sha256()
     for a in arrays:
         a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a)
     return h.hexdigest()

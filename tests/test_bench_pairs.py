@@ -163,3 +163,33 @@ def test_run_once_keeps_the_detail_line(tmp_path):
     assert bp.wall_time(got, "queries.wall_mean_ms") == 0.8
     assert bp.wall_time(got, "queries.wall_tail_ms") is None
     assert bp.wall_time({"correct": False, "metrics": {}}, "loop.reps") is None
+
+
+def test_main_prints_each_commands_raw_wall_median(monkeypatch, capsys, tmp_path):
+    """Under the metrics, each command of ``wall_times_s`` gets a line of
+    its per-run sample medians; a command some run lacks is left out."""
+    values = {side: {"train_s": 1.0, "acc": 0.8, "mask_ms": 5.0} for side in ("parent", "change")}
+
+    def detail(side, seed):
+        scale = 1.0 if side == "parent" else 0.5
+        times = {"sweep_s": [scale * seed, 9.0, scale * seed], "infer_s": [2.0, 2.0],
+                 "setup_s": []}
+        if side == "change" or seed == 1:
+            times["distill_s"] = [1.0]
+        return {"wall_times_s": times}
+
+    code, out = run_main(monkeypatch, capsys, tmp_path, values, {"parent": 0, "change": 0},
+                         detail)
+    assert code == 0
+    assert line_of(out, "wall_times_s.sweep_s").split() == [
+        "wall_times_s.sweep_s", "1.5", "[1.25,", "1.75]", "0.75", "[0.625,", "0.875]",
+        "-50.0%", "2/2", "yes",
+    ]
+    assert line_of(out, "wall_times_s.infer_s").split()[-3:] == ["+0.0%", "0/2", "no"]
+    assert "wall_times_s.distill_s" not in out and "wall_times_s.setup_s" not in out
+
+
+def test_command_walls_are_per_run_medians():
+    run = {"detail": {"wall_times_s": {"sweep_s": [0.3, 0.1, 0.2], "infer_s": [0.4, 0.6]}}}
+    assert bp.command_walls(run) == {"sweep_s": 0.2, "infer_s": 0.5}
+    assert bp.command_walls({"correct": False, "metrics": {}}) == {}

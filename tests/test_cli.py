@@ -517,6 +517,40 @@ class TestDatasetMirrors:
         assert directory_state(data) == before
 
 
+def test_student_commands_never_read_the_edge_list(tmp_path, capsys, monkeypatch):
+    """distill and sweep read only the node tables: with a malformed
+    edges.csv and no edge mirror they still succeed with the same artifacts,
+    while train-teacher still refuses the file naming its line."""
+    data, broken, teacher_dir = tmp_path / "data", tmp_path / "broken", tmp_path / "teacher"
+    assert run_cli(*dataset_args(data, nodes=60)) == 0
+    assert run_cli("train-teacher", "--data", data, "--out", teacher_dir, "--hidden", 8,
+                   "--epochs", 6, "--patience", 5) == 0
+    shutil.copytree(data, broken)
+    (broken / "edges.csv").write_text("0,1\nnot,an edge\n")
+    (broken / "edges.csv.mirror").unlink()
+    mirrors = []
+    read_mirror = gio._read_mirror
+    monkeypatch.setattr(gio, "_read_mirror", lambda path, dtype: (
+        mirrors.append(path.name), read_mirror(path, dtype))[1])
+    for ds in (data, broken):
+        out = tmp_path / ("out-" + ds.name)
+        assert run_cli("distill", "--data", ds, "--teacher-dir", teacher_dir, "--out", out,
+                       "--students", 2, "--hidden", 8, "--epochs", 4, "--patience", 3) == 0
+        assert run_cli("sweep", "--data", ds, "--out", out, "--reps", 1) == 0
+    assert "edges.csv" not in mirrors and "features.csv" in mirrors
+    a, b = tmp_path / "out-data", tmp_path / "out-broken"
+    for name in ("cascade.json", "distill_report.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def k_accuracy(path):
+        return [line.split(",")[:2] for line in path.read_text().splitlines()]
+
+    assert k_accuracy(a / "tradeoff.csv") == k_accuracy(b / "tradeoff.csv")
+    capsys.readouterr()
+    assert run_cli("train-teacher", "--data", broken, "--out", tmp_path / "t2") == 2
+    assert f"{broken / 'edges.csv'}: non-integer edge at line 2" in capsys.readouterr().err
+
+
 class TestTeacherGraphPasses:
     """train-teacher builds Â once, from the edge list, and takes its report
     from the logits training computed: no second build, no gcn_forward."""

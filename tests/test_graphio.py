@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,11 @@ class TestMirror:
         for name in ("features.csv", "labels.csv"):
             lines = (path / name).read_text().splitlines(keepends=True)
             (path / name).write_text("".join(lines[:-1]))
+        # the splits are read before the edges: drop the node there too
+        splits = json.loads((path / "splits.json").read_text())
+        (path / "splits.json").write_text(
+            json.dumps({name: [i for i in ids if i != 59] for name, ids in splits.items()})
+        )
         assert gio._read_mirror(path / "edges.csv", np.int64).max() == 59
         got = load_outcome(path)
         assert got[0] == "error" and "edges.csv: line" in got[1]
@@ -354,6 +360,154 @@ def test_splits_json_bytes_match_json_dump(tmp_path):
         )
         f.write("\n")
     assert (tmp_path / "splits.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def read_splits_reference(path, n_nodes):
+    """The element-by-element splits reader that ``_read_splits`` replaced,
+    frozen: every accepted file and every message must stay its own."""
+    with open(path) as f:
+        raw = json.load(f)
+    sets = {}
+    for name in ("labeled", "validation", "test"):
+        ids = raw[name]
+        if not isinstance(ids, list):
+            raise ValueError(f"{path}: {name!r} must be a list of node ids")
+        for v in ids:
+            if type(v) is not int or not 0 <= v < n_nodes:
+                raise ValueError(
+                    f"{path}: {name!r} holds {v!r}, not an integer node id in [0, {n_nodes})"
+                )
+        ids = np.sort(np.asarray(ids, dtype=np.int64))
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"{path}: {name!r} repeats node id {int(repeated[0])}")
+        sets[name] = ids
+    lab, val, tst = (set(raw[name]) for name in ("labeled", "validation", "test"))
+    if lab & val or lab & tst or val & tst:
+        raise ValueError(f"{path}: split index sets are not pairwise disjoint")
+    return gio.Splits(
+        labeled=sets["labeled"],
+        validation=sets["validation"],
+        test=sets["test"],
+        unlabeled=np.setdiff1d(np.arange(n_nodes), sets["labeled"]),
+    )
+
+
+def splits_outcome(read, path, n_nodes):
+    try:
+        s = read(path, n_nodes)
+    except ValueError as exc:
+        return ("error", str(exc))
+    arrays = (s.labeled, s.validation, s.test, s.unlabeled)
+    return ("ok", [(a.dtype.str, a.tobytes()) for a in arrays])
+
+
+class TestReadSplits:
+    """``_read_splits`` checks whole arrays and walks a list only to name its
+    first bad value: the outcome is the frozen element reader's."""
+
+    N = 40
+    GOOD = {"labeled": [3, 0, 7], "validation": list(range(10, 20)), "test": [39, 21, 22]}
+
+    def outcome_pair(self, tmp_path, splits):
+        path = tmp_path / "splits.json"
+        path.write_text(json.dumps(splits))
+        got = splits_outcome(gio._read_splits, path, self.N)
+        assert got == splits_outcome(read_splits_reference, path, self.N)
+        return got
+
+    def test_accepted_file(self, tmp_path):
+        got = self.outcome_pair(tmp_path, self.GOOD)
+        assert got[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "name, ids, shown",
+        [
+            ("labeled", [3, 0, True, 7], "'labeled' holds True"),
+            ("labeled", [3, False], "'labeled' holds False"),
+            ("validation", [10, 11, 12.0], "'validation' holds 12.0"),
+            ("validation", [10, 11.5, -1], "'validation' holds 11.5"),
+            ("test", [39, 40], "'test' holds 40"),
+            ("test", [21, -1, 99], "'test' holds -1"),
+            ("test", [21, 2**63], "'test' holds 9223372036854775808"),
+            ("test", [21, -(2**70)], "'test' holds -1180591620717411303424"),
+            ("labeled", [3, 0, "3"], "'labeled' holds '3'"),
+            ("labeled", [3, 0, None], "'labeled' holds None"),
+            ("labeled", [3, [0]], r"'labeled' holds \[0\]"),
+            ("test", [21, 22, 21], "'test' repeats node id 21"),
+            ("test", [21, 3], "split index sets are not pairwise disjoint"),
+            ("validation", [39], "split index sets are not pairwise disjoint"),
+        ],
+    )
+    def test_refusals_name_the_first_bad_value(self, tmp_path, name, ids, shown):
+        got = self.outcome_pair(tmp_path, {**self.GOOD, name: ids})
+        assert got[0] == "error"
+        assert got[1].startswith(f"{tmp_path / 'splits.json'}: ")
+        assert re.search(shown, got[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 43),
+                    st.integers(-(2**70), 2**70),
+                    st.booleans(),
+                    st.floats(-2.0, 42.0),
+                ),
+                max_size=12,
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_agrees_with_the_element_reader(self, tmp_path_factory, lists):
+        splits = dict(zip(("labeled", "validation", "test"), lists))
+        self.outcome_pair(tmp_path_factory.mktemp("splits"), splits)
+
+
+class TestLoadNodes:
+    """``load_nodes`` reads the node tables only; ``load_dataset`` reads
+    them through it and then the edge list."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_tables_as_load_dataset(self, tmp_path, dtype, normalize):
+        gio.save_dataset(gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11, dtype=dtype), tmp_path)
+        nodes = gio.load_nodes(tmp_path, dtype, normalize_features=normalize)
+        g = gio.load_dataset(tmp_path, dtype, normalize_features=normalize)
+        assert isinstance(nodes, gio.NodeTables) and not hasattr(nodes, "edges")
+        sizes = (g.n_nodes, g.feat_dim, g.n_classes)
+        assert (nodes.n_nodes, nodes.feat_dim, nodes.n_classes) == sizes
+        for a, b in [(nodes.features, g.features), (nodes.labels, g.labels)] + [
+            (getattr(nodes.splits, n), getattr(g.splits, n))
+            for n in ("labeled", "validation", "test", "unlabeled")
+        ]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_edge_list_neither_opened_nor_required(self, tmp_path, parsed_csvs):
+        gio.save_dataset(gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11), tmp_path)
+        (tmp_path / "edges.csv").write_text("not,an,edge\n")
+        (tmp_path / "edges.csv.mirror").unlink()
+        assert gio.load_nodes(tmp_path).n_nodes == 60
+        (tmp_path / "edges.csv").unlink()
+        assert gio.load_nodes(tmp_path).n_nodes == 60
+        assert parsed_csvs == []
+        with pytest.raises(FileNotFoundError, match="edges.csv"):
+            gio.load_dataset(tmp_path)
+
+    def test_missing_node_table_named(self, tmp_path):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1], TOY_SPLITS)
+        (tmp_path / "labels.csv").unlink()
+        with pytest.raises(FileNotFoundError, match="labels.csv"):
+            gio.load_nodes(tmp_path)
+
+    def test_load_dataset_names_bad_splits_before_bad_edges(self, tmp_path):
+        write_toy_dataset(
+            tmp_path, [[1.0], [2.0]], [(0, 5)], [0, 1], {**TOY_SPLITS, "test": [1, 1]}
+        )
+        with pytest.raises(ValueError, match=r"splits\.json: 'test' repeats node id 1"):
+            gio.load_dataset(tmp_path)
 
 
 class TestUndirectedPairs:

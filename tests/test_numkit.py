@@ -587,3 +587,48 @@ def test_softmax_of_integer_logits_is_float64():
     assert out.dtype == np.float64
     assert np.allclose(out, [SOFTMAX_123], atol=1e-14)
 
+
+
+class TestFingerprint:
+    """``fingerprint`` hashes dtype, shape and the C-order bytes. The digests
+    below were taken from the definition that hashed ``tobytes()`` copies;
+    hashing the array's own memory must give the same ones."""
+
+    A = np.arange(12, dtype=np.float32).reshape(3, 4) / 7
+
+    @pytest.mark.parametrize(
+        "arrays, digest",
+        [
+            ((A,), "142fca439dd41cc7c6dc3824f3c6b1951c7bdd861c113be6da5656e6d5461d7d"),
+            ((np.linspace(-1.0, 1.0, 10).reshape(2, 5),),
+             "066b3fce971b16569f3fd5a5634f7527ae1ccf28b255357cb7b9ea4835f85210"),
+            ((np.arange(-3, 5, dtype=np.int64),),
+             "a3b5d2d532eacd11466d1111f20227101b22ca8f13629026def4cddf64987066"),
+            ((np.arange(24, dtype=np.float64).reshape(4, 6)[::2, 1::2],),
+             "f4be09b67ec5969472efefe4b9dfcbe90333b0ec30c6cc0a1ae8e4d999e78dc2"),
+            ((np.empty((0, 3), dtype=np.float32),),
+             "24711c218fa8af86c06a20f43edd23452dd723dcad783598bba0b5960fa98d02"),
+            ((A, np.arange(4, dtype=np.int64)),
+             "850bc2784fcade529100e5016fabffe2cb7fb049379dc11833cb69c1837864d6"),
+        ],
+        ids=["f32", "f64", "int64", "non-contiguous view", "empty", "two arrays"],
+    )
+    def test_digests_pinned(self, arrays, digest):
+        assert nk.fingerprint(*arrays) == digest
+
+    def test_view_hashes_as_its_copy(self):
+        a = np.arange(30, dtype=np.float64).reshape(5, 6)
+        assert nk.fingerprint(a.T) == nk.fingerprint(np.ascontiguousarray(a.T))
+        assert nk.fingerprint(a.T) != nk.fingerprint(a)
+
+    def test_contiguous_array_is_not_copied(self):
+        import tracemalloc
+
+        a = np.ones((1 << 20, 2), dtype=np.float64)  # 16 MiB
+        tracemalloc.start()
+        try:
+            nk.fingerprint(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
