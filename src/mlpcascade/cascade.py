@@ -480,7 +480,8 @@ def train_cascade(
     """Train the full cascade: student 1 from seeded random init, every later
     student warm-started from its predecessor, hidden states, the mixing
     rate and its moving average threaded along the chain. The students read
-    only the node tables, so ``nodes`` is a ``NodeTables`` or a ``Graph``.
+    only the node tables, so ``nodes`` is a ``NodeTables`` or a ``Graph``
+    (a ``NodeTables`` plus its edge list).
     The soft labels are cast to the features' dtype after their fingerprint
     is recorded, so the cascade names the teacher it was distilled from at
     any precision. Unless alpha = 1 (no KL), they are checked and their

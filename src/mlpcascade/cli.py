@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cascade as cascade_mod
-from . import graphio, inference, teacher
+from . import graphio, inference, numkit, teacher
 from .optim import TrainingDivergedError
 from .params import json_value
 
@@ -318,6 +318,9 @@ def cmd_distill(args, config) -> int:
     probs, confidences = inference.score_logits(
         [meta.logits for meta in casc.metas], nodes.splits.unlabeled
     )
+    val, test = nodes.splits.validation, nodes.splits.test
+    # class ids once for every prefix; the floats inference.accuracy gives
+    val_truth, test_truth = (np.argmax(nodes.labels[s], axis=1) for s in (val, test))
     students = []
     lambda_trajectory: list[float] = []
     prefixes = inference.prefix_ensembles(probs, confidences)
@@ -327,12 +330,8 @@ def cmd_distill(args, config) -> int:
                 "k": k,
                 "epochs": meta.epochs,
                 "final_lambda": meta.final_lambda,
-                "val_accuracy": inference.accuracy(
-                    prediction, nodes.labels, nodes.splits.validation
-                ),
-                "test_accuracy": inference.accuracy(
-                    prediction, nodes.labels, nodes.splits.test
-                ),
+                "val_accuracy": numkit.accuracy(prediction[val], val_truth),
+                "test_accuracy": numkit.accuracy(prediction[test], test_truth),
             }
         )
         lambda_trajectory.extend(meta.lambda_history[1:])
@@ -365,10 +364,12 @@ def _sweep_one(casc, nodes, reps: int):
         per_student_ms.append([1000.0 * t for t in result.elapsed])
     rows = []
     cum = 0.0
+    test = nodes.splits.test
+    truth = np.argmax(nodes.labels[test], axis=1)  # once, not once per k
     prefixes = inference.prefix_ensembles(result.probs, result.confidences)
     for k, prediction in enumerate(prefixes, start=1):
         cum += statistics.median(rep[k - 1] for rep in per_student_ms)
-        rows.append((k, inference.accuracy(prediction, nodes.labels, nodes.splits.test), cum))
+        rows.append((k, numkit.accuracy(prediction[test], truth), cum))
     return rows
 
 

@@ -15,8 +15,10 @@ Two loaders read a directory. ``load_nodes`` reads the node tables only
 (features, labels, splits) into ``NodeTables``: the students are MLPs and
 never see the graph, so ``distill`` and ``sweep`` load this way and never
 open ``edges.csv``. ``load_dataset`` reads the same node tables through
-``load_nodes``, then the edge list, into a ``Graph``; only ``train-teacher``
-loads this way. ``infer`` reads one features-format file (``read_features``).
+``load_nodes``, then the edge list, into a ``Graph``, which is a
+``NodeTables`` plus its edge list (``edges``, passed by keyword); only
+``train-teacher`` loads this way. ``infer`` reads one features-format file
+(``read_features``).
 
 Edges are undirected: input pairs are symmetrized and deduplicated, and
 self-loops are stripped on load (normalization re-adds them). A ``Graph``
@@ -27,6 +29,10 @@ access, and the teacher's normalized adjacency is built from it directly.
 Blank and whitespace-only lines are skipped; ``#`` is data, not a comment.
 Features must be finite at the working dtype. A malformed file raises
 ``ValueError`` naming the file and line.
+
+Every table is read in one order (``_read_table``): its binary mirror,
+else the CSV parsed in C, else the line scanner, which is the reference
+parser and the only error reporter.
 
 Binary mirrors. ``save_dataset`` also writes ``features.csv.mirror``,
 ``edges.csv.mirror`` and ``labels.csv.mirror``: a one-line JSON header (the
@@ -94,9 +100,15 @@ class Splits:
     unlabeled: np.ndarray
 
 
-class _NodeSizes:
-    """The sizes read off ``features`` and ``labels``, which ``NodeTables``
-    and ``Graph`` share."""
+@dataclass(frozen=True)
+class NodeTables:
+    """A dataset's node tables without its graph: what an MLP student trains
+    and is scored on. A ``Graph`` is a ``NodeTables`` plus its edge list, so
+    either serves where node tables are read."""
+
+    features: np.ndarray  # N x d
+    labels: np.ndarray  # N x C one-hot
+    splits: Splits
 
     @property
     def n_nodes(self) -> int:
@@ -111,20 +123,11 @@ class _NodeSizes:
         return self.labels.shape[1]
 
 
-@dataclass(frozen=True)
-class NodeTables(_NodeSizes):
-    """A dataset's node tables without its graph: what an MLP student trains
-    and is scored on. ``Graph`` has the same fields and sizes, so either
-    serves where node tables are read."""
-
-    features: np.ndarray  # N x d
-    labels: np.ndarray  # N x C one-hot
-    splits: Splits
-
-
-@dataclass(frozen=True)
-class Graph(_NodeSizes):
-    """An undirected attributed graph with one-hot node labels and splits.
+@dataclass(frozen=True, kw_only=True)
+class Graph(NodeTables):
+    """An undirected attributed graph: the node tables (one-hot labels and
+    splits included) plus ``edges``, which is passed by keyword, so an edge
+    list can never land in another field by position.
 
     ``edges`` is the graph's one stored form: its canonical undirected edge
     list, the int64 pairs ``(i, j)`` with ``i < j``, sorted by ``(i, j)``,
@@ -136,10 +139,7 @@ class Graph(_NodeSizes):
     access and never kept.
     """
 
-    features: np.ndarray  # N x d
     edges: np.ndarray  # M x 2 int64, canonical
-    labels: np.ndarray  # N x C one-hot
-    splits: Splits
 
     def __post_init__(self):
         edges = np.asarray(self.edges)
@@ -235,55 +235,57 @@ def _read_mirror(csv_path: Path, dtype) -> np.ndarray | None:
     return table
 
 
+def _read_table(path: Path, dtype, parse_dtype, accept, scan) -> np.ndarray:
+    """One dataset table at ``dtype``, from the first source ``accept``
+    takes: the binary mirror (see the module docstring), then the CSV parsed
+    in C at ``parse_dtype`` and cast to ``dtype``; else ``scan()``, the line
+    scanner, which accepts the file by the same rules or names its bad line."""
+    mirrored = _read_mirror(path, dtype)
+    if mirrored is not None and accept(mirrored):
+        return mirrored
+    table = _parse_csv(path, parse_dtype)
+    if table is not None:
+        with np.errstate(over="ignore"):
+            table = table.astype(dtype, copy=False)
+        if accept(table):
+            return table
+    return scan()
+
+
 def read_features(path, dtype) -> np.ndarray:
     """Read a features-format CSV (one row of decimal values per node) at
     ``dtype``, every value finite there. Uses the file's binary mirror when
     it provably matches (see the module docstring); otherwise parses the
     CSV. A malformed file raises ``ValueError`` naming the file and line."""
     path = Path(path)
-    mirrored = _read_mirror(path, dtype)
-    # a 0-row table is no feature file: the CSV path names it
-    if mirrored is not None and mirrored.size and np.isfinite(mirrored).all():
-        return mirrored
-    table = _parse_csv(path, np.float64)
-    if table is not None:
-        with np.errstate(over="ignore"):
-            features = table.astype(dtype, copy=False)
-        if np.isfinite(features).all():
-            return features
-    return _scan_features(path, dtype)
-
-
-def _edges_ok(table: np.ndarray | None, n_nodes: int) -> bool:
-    return (
-        table is not None
-        and table.shape[1] == 2
-        and bool(np.all((table >= 0) & (table < n_nodes)))
+    return _read_table(
+        path,
+        dtype,
+        np.float64,
+        # a 0-row table is no feature file: the scanner names it
+        lambda t: t.size and np.isfinite(t).all(),
+        lambda: _scan_features(path, dtype),
     )
 
 
 def _read_edges(path: Path, n_nodes: int) -> np.ndarray:
-    table = _read_mirror(path, np.int64)
-    if _edges_ok(table, n_nodes):
-        return table
-    table = _parse_csv(path, np.int64)
-    if _edges_ok(table, n_nodes):
-        return table
-    return _scan_edges(path, n_nodes)
-
-
-def _labels_ok(table: np.ndarray | None, n_nodes: int) -> bool:
-    return table is not None and table.shape == (n_nodes, 1) and bool(np.all(table >= 0))
+    return _read_table(
+        path,
+        np.int64,
+        np.int64,
+        lambda t: t.shape[1] == 2 and np.all((t >= 0) & (t < n_nodes)),
+        lambda: _scan_edges(path, n_nodes),
+    )
 
 
 def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
-    table = _read_mirror(path, np.int64)
-    if _labels_ok(table, n_nodes):
-        return table.ravel()
-    table = _parse_csv(path, np.int64)
-    if _labels_ok(table, n_nodes):
-        return table.ravel()
-    return _scan_labels(path, n_nodes)
+    return _read_table(
+        path,
+        np.int64,
+        np.int64,
+        lambda t: t.shape == (n_nodes, 1) and np.all(t >= 0),
+        lambda: _scan_labels(path, n_nodes),
+    ).ravel()
 
 
 # Line scanners: the reference parsers and the only error reporters. The
@@ -292,29 +294,33 @@ def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
 # the same rules on either path.
 
 
+def _data_lines(path: Path):
+    """The 1-based number and stripped text of each non-blank line."""
+    with open(path) as f:
+        for line_no, line in enumerate(f, 1):
+            if line := line.strip():
+                yield line_no, line
+
+
 def _scan_features(path: Path, dtype) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad value at line {line_no}: {exc}") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(values)} fields, expected {width}"
-                )
-            # checked at the working dtype, so float32 overflow (1e39) counts
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.asarray(values, dtype=dtype)).all():
-                    raise ValueError(f"{path}: non-finite value at line {line_no}")
-            rows.append(values)
+    for line_no, line in _data_lines(path):
+        try:
+            values = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad value at line {line_no}: {exc}") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ValueError(
+                f"{path}: line {line_no} has {len(values)} fields, expected {width}"
+            )
+        # checked at the working dtype, so float32 overflow (1e39) counts
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.asarray(values, dtype=dtype)).all():
+                raise ValueError(f"{path}: non-finite value at line {line_no}")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no feature rows")
     return np.asarray(rows, dtype=dtype)
@@ -322,25 +328,17 @@ def _scan_features(path: Path, dtype) -> np.ndarray:
 
 def _scan_edges(path: Path, n_nodes: int) -> np.ndarray:
     pairs: list[tuple[int, int]] = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(fields)} fields, expected 2"
-                )
-            try:
-                src, dst = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ValueError(f"{path}: non-integer edge at line {line_no}") from None
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise ValueError(
-                    f"{path}: line {line_no}: node id out of range [0, {n_nodes})"
-                )
-            pairs.append((src, dst))
+    for line_no, line in _data_lines(path):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {line_no} has {len(fields)} fields, expected 2")
+        try:
+            src, dst = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{path}: non-integer edge at line {line_no}") from None
+        if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+            raise ValueError(f"{path}: line {line_no}: node id out of range [0, {n_nodes})")
+        pairs.append((src, dst))
     if not pairs:
         return np.empty((0, 2), dtype=np.int64)
     return np.asarray(pairs, dtype=np.int64)
@@ -348,17 +346,13 @@ def _scan_edges(path: Path, n_nodes: int) -> np.ndarray:
 
 def _scan_labels(path: Path, n_nodes: int) -> np.ndarray:
     ids: list[int] = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}: non-integer label at line {line_no}") from None
-            if not -(2**63) <= ids[-1] < 2**63:
-                raise ValueError(f"{path}: label at line {line_no} does not fit in int64")
+    for line_no, line in _data_lines(path):
+        try:
+            ids.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}: non-integer label at line {line_no}") from None
+        if not -(2**63) <= ids[-1] < 2**63:
+            raise ValueError(f"{path}: label at line {line_no} does not fit in int64")
     if len(ids) != n_nodes:
         raise ValueError(f"{path}: {len(ids)} labels for {n_nodes} nodes")
     arr = np.asarray(ids, dtype=np.int64)
@@ -563,9 +557,7 @@ def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) ->
     _require_files(path, ("features.csv", "edges.csv", "labels.csv"))
     nodes = load_nodes(path, dtype, normalize_features)
     edges = _read_edges(path / "edges.csv", nodes.n_nodes)
-    return Graph(
-        features=nodes.features, edges=edges, labels=nodes.labels, splits=nodes.splits
-    )
+    return Graph(nodes.features, nodes.labels, nodes.splits, edges=edges)
 
 
 def _write_csv(path: Path, table, fmt, header: str = "") -> str:

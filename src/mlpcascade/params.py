@@ -45,10 +45,6 @@ class LayerStack:
     def hidden_dim(self) -> int:
         return self.layers[0][0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
-
     def shape_vector(self) -> tuple:
         return tuple((w.shape, b.shape) for w, b in self.layers)
 

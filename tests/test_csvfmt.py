@@ -224,6 +224,7 @@ def test_edges_keep_row_col_order_from_unsorted_edge_list(tmp_path):
     flip = rng.random(g.n_edges) < 0.5
     edges[flip] = edges[flip, ::-1]
     gio.save_dataset(g, tmp_path / "sorted")
-    gio.save_dataset(gio.Graph(g.features, edges, g.labels, g.splits), tmp_path / "unsorted")
+    unsorted = gio.Graph(features=g.features, labels=g.labels, splits=g.splits, edges=edges)
+    gio.save_dataset(unsorted, tmp_path / "unsorted")
     for name in ("edges.csv", "edges.csv.mirror"):
         assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "unsorted" / name).read_bytes()

@@ -318,7 +318,12 @@ class TestMirror:
 
     def test_empty_edge_list_mirrored(self, saved, parsed_csvs):
         g, path = saved
-        empty = gio.Graph(g.features, np.empty((0, 2), dtype=np.int64), g.labels, g.splits)
+        empty = gio.Graph(
+            features=g.features,
+            labels=g.labels,
+            splits=g.splits,
+            edges=np.empty((0, 2), dtype=np.int64),
+        )
         gio.save_dataset(empty, path)
         assert (path / "edges.csv").read_bytes() == b""
         assert gio._read_mirror(path / "edges.csv", np.int64).shape == (0, 2)
@@ -330,10 +335,10 @@ class TestMirror:
     def test_empty_feature_table_still_refused(self, tmp_path):
         none = np.empty(0, dtype=np.int64)
         g = gio.Graph(
-            np.empty((0, 4), dtype=np.float32),
-            np.empty((0, 2), dtype=np.int64),
-            np.empty((0, 2), dtype=np.float32),
-            gio.Splits(none, none, none, none),
+            features=np.empty((0, 4), dtype=np.float32),
+            labels=np.empty((0, 2), dtype=np.float32),
+            splits=gio.Splits(none, none, none, none),
+            edges=np.empty((0, 2), dtype=np.int64),
         )
         gio.save_dataset(g, tmp_path)
         assert gio._read_mirror(tmp_path / "features.csv", np.float32).shape == (0, 4)
@@ -477,6 +482,7 @@ class TestLoadNodes:
         nodes = gio.load_nodes(tmp_path, dtype, normalize_features=normalize)
         g = gio.load_dataset(tmp_path, dtype, normalize_features=normalize)
         assert isinstance(nodes, gio.NodeTables) and not hasattr(nodes, "edges")
+        assert isinstance(g, gio.NodeTables)
         sizes = (g.n_nodes, g.feat_dim, g.n_classes)
         assert (nodes.n_nodes, nodes.feat_dim, nodes.n_classes) == sizes
         for a, b in [(nodes.features, g.features), (nodes.labels, g.labels)] + [
@@ -614,10 +620,10 @@ def graph_of(edges, n_nodes, dtype=np.float32):
     """A hand-built Graph on ``n_nodes`` nodes with the edge list ``edges``."""
     none = np.empty(0, dtype=np.int64)
     return gio.Graph(
-        np.zeros((n_nodes, 2), dtype=dtype),
-        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        np.ones((n_nodes, 1), dtype=dtype),
-        gio.Splits(none, none, none, none),
+        features=np.zeros((n_nodes, 2), dtype=dtype),
+        labels=np.ones((n_nodes, 1), dtype=dtype),
+        splits=gio.Splits(none, none, none, none),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
     )
 
 
@@ -717,7 +723,18 @@ class TestEdgeListGraph:
     )
     def test_bad_edge_lists_refused(self, edges, message):
         with pytest.raises(ValueError, match=message):
-            gio.Graph(np.zeros((4, 2)), edges, np.ones((4, 1)), graph_of([], 4).splits)
+            gio.Graph(
+                features=np.zeros((4, 2)),
+                labels=np.ones((4, 1)),
+                splits=graph_of([], 4).splits,
+                edges=edges,
+            )
+
+    def test_edge_list_only_by_keyword(self):
+        """A positional edge list raises instead of landing in ``labels``."""
+        g = graph_of([(0, 1)], 4)
+        with pytest.raises(TypeError):
+            gio.Graph(g.features, g.edges, g.labels, g.splits)
 
 
 class TestWriteCsv:
