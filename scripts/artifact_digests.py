@@ -12,7 +12,8 @@ first layer aggregates before it projects; a second teacher per precision,
 the project-first order, and a third, ``teacher-nodrop``, trains the first
 teacher's setting with ``--dropout 0``, so its training forwards start
 from the ``Â X`` that the run computes once. No cascade is distilled from
-either.
+either. The ``inverted`` cascade setting goes through a ``--config`` file,
+written to a temporary directory outside OUT; the others through flags.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path. Timing files (``infer_meta.json``, ``tradeoff.csv``)
@@ -30,8 +31,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,11 +42,12 @@ TIMING_FILES = {"infer_meta.json", "tradeoff.csv"}
 PRECISIONS = ("f32", "f64")
 
 # cascade settings: the defaults, deeper students, a lambda that moves
-# across [0, 0.5], and the two ends of the CE/KL blend
+# across [0, 0.5], and the two ends of the CE/KL blend; distill flags, or
+# the cascade section of a config file
 GRID = {
     "defaults": [],
     "layers3": ["--layers", "3"],
-    "inverted": ["--lambda-sign-inverted", "--gamma", "0.3", "--tau", "0.9"],
+    "inverted": {"lambda_sign_inverted": True, "gamma": 0.3, "tau": 0.9},
     "alpha1": ["--alpha", "1"],
     "alpha0": ["--alpha", "0", "--sigma", "0.7"],
 }
@@ -63,9 +67,9 @@ SIZES = {
 }
 
 
-def run_grid(out: Path, size: str) -> None:
-    """Write every artifact of the grid under ``out``; SystemExit(1) naming
-    the command when one fails."""
+def run_grid(out: Path, size: str, tmp: Path) -> None:
+    """Write every artifact of the grid under ``out`` and the config files
+    under ``tmp``; SystemExit(1) naming the command when one fails."""
     from mlpcascade.cli import main
 
     def cli(*args) -> None:
@@ -74,6 +78,14 @@ def run_grid(out: Path, size: str) -> None:
             code = main(argv)
         if code != 0:
             raise SystemExit(f"artifact_digests: exit {code} from: {' '.join(argv)}")
+
+    grid = {}
+    for name, settings in GRID.items():
+        if isinstance(settings, dict):
+            config = tmp / f"{name}.json"
+            config.write_text(json.dumps({"cascade": settings}))
+            settings = ["--config", config]
+        grid[name] = settings
 
     synth_flags, teacher_flags, cascade_flags, narrow_hidden = SIZES[size]
     for precision in PRECISIONS:
@@ -88,7 +100,7 @@ def run_grid(out: Path, size: str) -> None:
             "--hidden", narrow_hidden, *run, "--out", base / "teacher-narrow")
         cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags,
             "--dropout", "0", *run, "--out", base / "teacher-nodrop")
-        for name, flags in GRID.items():
+        for name, flags in grid.items():
             dest = base / name
             cli("distill", "--data", data, "--teacher-dir", teacher, *cascade_flags,
                 *flags, *run, "--out", dest)
@@ -120,7 +132,8 @@ def main(argv=None) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
-    run_grid(args.out, "tiny" if args.tiny else "full")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_grid(args.out, "tiny" if args.tiny else "full", Path(tmp))
     print("\n".join(digests(args.out)))
     return 0
 

@@ -55,6 +55,7 @@ from .params import (
     forward_cache,
     init_layers,
     json_object,
+    json_value,
     layers_from_json,
     layers_to_json,
     read_manifest,
@@ -495,7 +496,8 @@ def train_cascade(
         )
     targets = soft_targets(teacher_probs) if cfg.distill.alpha < 1.0 else None
     rng = np.random.default_rng([cfg.seed, 0])
-    init = init_student(
+    # student 1 starts from a seeded init, every later one from its predecessor
+    params = init_student(
         nodes.feat_dim, cfg.hidden_dim, nodes.n_classes, cfg.n_layers, rng, nodes.features.dtype
     )
     h_prev = np.zeros((nodes.n_nodes, cfg.hidden_dim), dtype=nodes.features.dtype)
@@ -506,7 +508,7 @@ def train_cascade(
     for k in range(1, cfg.n_students + 1):
         try:
             params, h_prev, lam, ema, meta = train_student(
-                k, nodes, targets, h_prev, init, cfg, lam, ema
+                k, nodes, targets, h_prev, params, cfg, lam, ema
             )
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
@@ -514,7 +516,6 @@ def train_cascade(
             ) from exc
         students.append(params)
         metas.append(meta)
-        init = params.copy()
     return Cascade(
         students=students,
         metas=metas,
@@ -579,22 +580,24 @@ def _check_student_shapes(s: LayerStack, first: LayerStack | None, where: str) -
 
 
 def load_cascade(path) -> Cascade:
-    """Load and check a cascade checkpoint: K must match the stored
-    students, every student the fingerprint stored with it and the layer
-    shapes of the others."""
+    """Load and check a cascade checkpoint: K must be an integer that
+    matches the stored students, the teacher fingerprint a string, every
+    student the fingerprint stored with it and the layer shapes of the
+    others."""
     doc, dtype = read_manifest(
         path,
         "cascade-checkpoint",
         ("n_students", "teacher_fingerprint", "config", "students"),
         "distill",
     )
+    n_students = json_value(doc["n_students"], int, f"{path} n_students")
+    teacher_fp = json_value(doc["teacher_fingerprint"], str, f"{path} teacher_fingerprint")
     entries = doc["students"]
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: students must be a non-empty list")
-    if doc["n_students"] != len(entries):
+    if n_students != len(entries):
         raise ValueError(
-            f"{path}: n_students is {doc['n_students']!r} but {len(entries)} "
-            "students are stored"
+            f"{path}: n_students is {n_students!r} but {len(entries)} students are stored"
         )
     cfg = None if doc["config"] is None else _config_from_json(doc["config"], f"{path} config")
     students: list[LayerStack] = []
@@ -613,6 +616,6 @@ def load_cascade(path) -> Cascade:
     return Cascade(
         students=students,
         metas=metas,
-        teacher_fingerprint=doc["teacher_fingerprint"],
+        teacher_fingerprint=teacher_fp,
         config=cfg,
     )

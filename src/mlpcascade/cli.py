@@ -56,7 +56,9 @@ _cap_thread_env()
 
 import json
 import statistics
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,39 +67,13 @@ from . import graphio, inference, numkit, teacher
 from .optim import TrainingDivergedError
 from .params import json_value
 
-# Defaults of the CLI-only settings. Model and training defaults (the
-# reference hyperparameters) are those of TeacherConfig and CascadeConfig.
+# Defaults of the run and policy settings. Model and training defaults (the
+# reference hyperparameters) are the field defaults of TeacherConfig,
+# CascadeConfig, DistillConfig and MixupConfig.
 DEFAULTS = {
     "policy": {"conf_threshold": 0.9, "max_students": None, "budget_ms": None},
     "run": {"seed": 0, "out": ".", "precision": "f32"},
 }
-
-# (dataclass field, config-file key, flag dest, type) of every model and
-# training value a config file or a flag may set
-_TRAINING_VALUES = (
-    ("hidden_dim", "hidden_dim", "hidden", int),
-    ("lr", "lr", "lr", float),
-    ("weight_decay", "weight_decay", "weight_decay", float),
-    ("dropout", "dropout", "dropout", float),
-    ("max_epochs", "max_epochs", "epochs", int),
-    ("patience", "patience", "patience", int),
-)
-_TEACHER_VALUES = _TRAINING_VALUES + (("depth", "depth", "depth", int),)
-_CASCADE_VALUES = _TRAINING_VALUES + (
-    ("n_students", "n_students", "students", int),
-    ("n_layers", "n_layers", "layers", int),
-)
-_DISTILL_VALUES = (
-    ("alpha", "alpha", "alpha", float),
-    ("beta", "beta", "beta", float),
-)
-_MIXUP_VALUES = (
-    ("gamma", "gamma", "gamma", float),
-    ("tau", "tau", "tau", float),
-    ("sigma", "sigma", "sigma", float),
-    ("lambda_init", "lambda_init", "lambda_init", float),
-    ("sign_inverted", "lambda_sign_inverted", "lambda_sign_inverted", bool),
-)
 
 TEACHER_CKPT = "teacher.json"
 SOFT_LABELS = "soft_labels.csv"
@@ -122,7 +98,73 @@ def _threshold_arg(tok: str):
     return _DISABLED if value < 0 else value
 
 
+class _Setting(NamedTuple):
+    """One setting: the config file's ``section.key`` and the flag that
+    overrides it (dest ``section.key``). ``kind`` is the JSON type of the
+    config value and the type of the flag's value, a bool being a switch.
+    ``field`` names the config dataclass field it sets where that is not
+    ``key``, ``parse`` parses the flag where ``kind`` does not, and
+    ``choices`` limits the values of both."""
+
+    section: str
+    key: str
+    flag: str
+    kind: type
+    help: str | None = None
+    field: str | None = None
+    parse: Callable | None = None
+    choices: tuple | None = None
+
+
+_DROPOUT_HELP = ("dropout rate in [0, 1 - 2^-17), taken as the nearest multiple "
+                 "of 1/65536 (default 0.5)")
+
+# every setting a config file or a flag may set, each declared once
+_SETTINGS = (
+    _Setting("dataset", "path", "--data", str, "dataset directory"),
+    _Setting("dataset", "normalize_features", "--normalize-features", bool,
+             "L1-normalize feature rows on load"),
+    _Setting("teacher", "hidden_dim", "--hidden", int, "teacher hidden width"),
+    _Setting("teacher", "lr", "--lr", float),
+    _Setting("teacher", "weight_decay", "--weight-decay", float),
+    _Setting("teacher", "dropout", "--dropout", float, _DROPOUT_HELP),
+    _Setting("teacher", "max_epochs", "--epochs", int, "max epochs"),
+    _Setting("teacher", "patience", "--patience", int, "early-stopping patience"),
+    _Setting("teacher", "depth", "--depth", int, "graph-conv layers (2 or 3)"),
+    _Setting("cascade", "n_students", "--students", int, "number of students K"),
+    _Setting("cascade", "hidden_dim", "--hidden", int, "student hidden width d'"),
+    _Setting("cascade", "n_layers", "--layers", int, "student layer count L"),
+    _Setting("cascade", "lr", "--lr", float),
+    _Setting("cascade", "weight_decay", "--weight-decay", float),
+    _Setting("cascade", "dropout", "--dropout", float, _DROPOUT_HELP),
+    _Setting("cascade", "max_epochs", "--epochs", int, "max epochs per student"),
+    _Setting("cascade", "patience", "--patience", int, "early-stopping patience"),
+    _Setting("cascade", "alpha", "--alpha", float, "CE weight in the distillation blend"),
+    _Setting("cascade", "beta", "--beta", float, "k^beta growth of the distillation term"),
+    _Setting("cascade", "gamma", "--gamma", float, "mixing-rate adjustment rate"),
+    _Setting("cascade", "tau", "--tau", float, "mixing-rate loss reference point"),
+    _Setting("cascade", "sigma", "--sigma", float, "mixup-loss EMA smoothing"),
+    _Setting("cascade", "lambda_init", "--lambda-init", float, "initial mixing rate"),
+    _Setting("cascade", "lambda_sign_inverted", "--lambda-sign-inverted", bool,
+             "grow the mixing rate when the loss drops", field="sign_inverted"),
+    _Setting("policy", "conf_threshold", "--conf-threshold", float,
+             "confidence gate in [0,1]; 'none' or negative disables", parse=_threshold_arg),
+    _Setting("policy", "max_students", "--max-students", int),
+    _Setting("policy", "budget_ms", "--budget-ms", float, "wall-clock budget in milliseconds"),
+    _Setting("run", "seed", "--seed", int, "RNG seed (default 0)"),
+    _Setting("run", "out", "--out", str, "output directory (default .)"),
+    _Setting("run", "precision", "--precision", str, "working precision (default f32)",
+             choices=("f32", "f64")),
+)
+_BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
+_SECTIONS = sorted({s.section for s in _SETTINGS})
+
+
 def _load_config(path: str | None) -> dict:
+    """The config file at ``path``, checked whole: every section and key a
+    declared setting, every value a JSON value of its type
+    (``params.json_value``) and one of its choices, ``null`` only in
+    ``policy``. A ValueError naming the file and the key otherwise."""
     if path is None:
         return {}
     p = Path(path)
@@ -135,99 +177,87 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {p} must hold a JSON object")
-    return cfg
+    checked = {}
+    for name, section in cfg.items():
+        if name not in _SECTIONS:
+            raise ValueError(
+                f"config file {p}: unknown section {name!r} (sections: {', '.join(_SECTIONS)})"
+            )
+        if not isinstance(section, dict):
+            raise ValueError(f"config file {p}: config section {name!r} must be an object")
+        checked[name] = {}
+        for key, value in section.items():
+            where = f"config file {p}: {name}.{key}"
+            setting = _BY_KEY.get((name, key))
+            if setting is None:
+                keys = ", ".join(s.key for s in _SETTINGS if s.section == name)
+                raise ValueError(f"{where} is not a setting ({name} keys: {keys})")
+            if not (value is None and name == "policy"):
+                value = json_value(value, setting.kind, where)
+            if setting.choices and value not in setting.choices:
+                raise ValueError(
+                    f"{where} must be {' or '.join(setting.choices)}, got {json.dumps(value)}"
+                )
+            checked[name][key] = value
+    return checked
 
 
-def _resolve(args, dest: str, config: dict, name: str, key: str, kind: type,
-             default=None, nullable: bool = False):
-    """The value of one setting: its flag ``dest`` when given (argparse typed
-    it), else the config file's ``name.key``, else ``default``. A config
-    value must be a JSON value of type ``kind`` (``params.json_value``), or
-    null where ``nullable``; anything else is a ValueError naming the key
-    and the file."""
-    flag = getattr(args, dest, None)
-    if flag is not None:
-        return flag
-    sec = _section(config, name)
-    if key not in sec:
-        return default
-    if nullable and sec[key] is None:
-        return None
-    return json_value(sec[key], kind, f"config file {args.config}: {name}.{key}")
-
-
-def _section(config: dict, name: str) -> dict:
-    sec = config.get(name, {})
-    if not isinstance(sec, dict):
-        raise ValueError(f"config section {name!r} must be an object")
-    return sec
+def _given(args, config: dict, section: str) -> dict:
+    """The values of ``section``'s settings that a flag or the config file
+    sets, by dataclass field: the flag's when given, else the config
+    file's. Unset values are left out, so the defaults fill them."""
+    values, file = {}, config.get(section, {})
+    for s in _SETTINGS:
+        if s.section == section:
+            flag = getattr(args, f"{section}.{s.key}", None)
+            if flag is not None or s.key in file:
+                values[s.field or s.key] = file[s.key] if flag is None else flag
+    return values
 
 
 def _run_values(args, config):
-    d = DEFAULTS["run"]
-    seed = _resolve(args, "seed", config, "run", "seed", int, d["seed"])
-    out = Path(_resolve(args, "out", config, "run", "out", str, d["out"]))
-    precision = _resolve(args, "precision", config, "run", "precision", str, d["precision"])
-    if precision not in ("f32", "f64"):
-        raise ValueError(f"precision must be f32 or f64, got {precision!r}")
-    dtype = np.float32 if precision == "f32" else np.float64
-    return seed, out, dtype
+    run = {**DEFAULTS["run"], **_given(args, config, "run")}
+    dtype = np.float32 if run["precision"] == "f32" else np.float64
+    return run["seed"], Path(run["out"]), dtype
 
 
-def _data_dir(args, config) -> Path:
-    path = _resolve(args, "data", config, "dataset", "path", str)
-    if path is None:
+def _read_dataset(args, config, dtype, read=graphio.load_nodes):
+    """The dataset of ``dataset.path``, read by ``read``."""
+    dataset = _given(args, config, "dataset")
+    if "path" not in dataset:
         raise ValueError("no dataset: pass --data or set dataset.path in the config")
-    return Path(path)
-
-
-def _norm_features(args, config) -> bool:
-    return _resolve(
-        args, "normalize_features", config, "dataset", "normalize_features", bool, False
+    return read(
+        Path(dataset["path"]),
+        dtype=dtype,
+        normalize_features=dataset.get("normalize_features", False),
     )
-
-
-def _set_values(args, config, name: str, table) -> dict:
-    """The values of ``table`` that a flag or the config section ``name``
-    sets; flags win. Unset values are left out, so the dataclass defaults
-    fill them."""
-    out = {}
-    for field, key, dest, kind in table:
-        value = _resolve(args, dest, config, name, key, kind)
-        if value is not None:
-            out[field] = value
-    return out
 
 
 def _teacher_config(args, config, seed) -> teacher.TeacherConfig:
-    return teacher.TeacherConfig(
-        **_set_values(args, config, "teacher", _TEACHER_VALUES), seed=seed
-    )
+    return teacher.TeacherConfig(**_given(args, config, "teacher"), seed=seed)
 
 
 def _cascade_config(args, config, seed) -> cascade_mod.CascadeConfig:
-    def values(table):
-        return _set_values(args, config, "cascade", table)
+    values = _given(args, config, "cascade")
+
+    def of(cls):
+        names = {f.name for f in fields(cls)}
+        return {k: v for k, v in values.items() if k in names}
 
     return cascade_mod.CascadeConfig(
-        **values(_CASCADE_VALUES),
-        distill=cascade_mod.DistillConfig(**values(_DISTILL_VALUES)),
-        mixup=cascade_mod.MixupConfig(**values(_MIXUP_VALUES)),
+        **of(cascade_mod.CascadeConfig),
+        distill=cascade_mod.DistillConfig(**of(cascade_mod.DistillConfig)),
+        mixup=cascade_mod.MixupConfig(**of(cascade_mod.MixupConfig)),
         seed=seed,
     )
 
 
 def _policy(args, config) -> inference.InferencePolicy:
-    d = DEFAULTS["policy"]
-
-    def value(dest, key, kind):
-        return _resolve(args, dest, config, "policy", key, kind, d[key], nullable=True)
-
-    thr = value("conf_threshold", "conf_threshold", float)
-    budget_ms = value("budget_ms", "budget_ms", float)
+    policy = {**DEFAULTS["policy"], **_given(args, config, "policy")}
+    thr, budget_ms = policy["conf_threshold"], policy["budget_ms"]
     return inference.InferencePolicy(
         conf_threshold=None if thr is _DISABLED else thr,
-        max_students=value("max_students", "max_students", int),
+        max_students=policy["max_students"],
         wall_clock_budget=None if budget_ms is None else budget_ms / 1000.0,
     )
 
@@ -268,9 +298,7 @@ def cmd_synth(args, config) -> int:
 def cmd_train_teacher(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     cfg = _teacher_config(args, config, seed)
-    g = graphio.load_dataset(
-        _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
-    )
+    g = _read_dataset(args, config, dtype, graphio.load_dataset)
     artifact = teacher.train_teacher(g, cfg)
     out.mkdir(parents=True, exist_ok=True)
     teacher.save_teacher(artifact, cfg, out / TEACHER_CKPT)
@@ -299,9 +327,7 @@ def cmd_distill(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     cfg = _cascade_config(args, config, seed)
     # the students are MLPs: they never read the graph, so edges.csv is not opened
-    nodes = graphio.load_nodes(
-        _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
-    )
+    nodes = _read_dataset(args, config, dtype)
     teacher_dir = Path(args.teacher_dir) if args.teacher_dir else out
     artifact, _teacher_cfg = _load_teacher_artifact(teacher_dir)
     if artifact.soft_labels.shape != (nodes.n_nodes, nodes.n_classes):
@@ -377,9 +403,7 @@ def cmd_sweep(args, config) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     seed, out, dtype = _run_values(args, config)
-    nodes = graphio.load_nodes(
-        _data_dir(args, config), dtype=dtype, normalize_features=_norm_features(args, config)
-    )
+    nodes = _read_dataset(args, config, dtype)
     paths = [Path(p) for p in args.cascade] if args.cascade else [out / CASCADE_CKPT]
     for p in paths:
         if not p.is_file():
@@ -423,58 +447,6 @@ def cmd_infer(args, config) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (sections: dataset, teacher, cascade, policy, run)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--threads", type=_thread_count, default=None,
-                   help="BLAS thread cap, set when the process starts; overrides "
-                        "OMP/OPENBLAS/MKL_NUM_THREADS (default: those, else 1; "
-                        ">1 trades bit-reproducibility for speed)")
-    p.add_argument("--precision", choices=("f32", "f64"),
-                   help="working precision (default f32)")
-
-
-_DROPOUT_HELP = ("dropout rate in [0, 1 - 2^-17), taken as the nearest multiple "
-                 "of 1/65536 (default 0.5)")
-
-
-def _add_teacher_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, help="teacher hidden width")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--dropout", type=float, help=_DROPOUT_HELP)
-    p.add_argument("--epochs", type=int, help="max epochs")
-    p.add_argument("--patience", type=int, help="early-stopping patience")
-    p.add_argument("--depth", type=int, help="graph-conv layers (2 or 3)")
-
-
-def _add_cascade_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--students", type=int, help="number of students K")
-    p.add_argument("--hidden", type=int, help="student hidden width d'")
-    p.add_argument("--layers", type=int, help="student layer count L")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--dropout", type=float, help=_DROPOUT_HELP)
-    p.add_argument("--epochs", type=int, help="max epochs per student")
-    p.add_argument("--patience", type=int, help="early-stopping patience")
-    p.add_argument("--alpha", type=float, help="CE weight in the distillation blend")
-    p.add_argument("--beta", type=float, help="k^beta growth of the distillation term")
-    p.add_argument("--gamma", type=float, help="mixing-rate adjustment rate")
-    p.add_argument("--tau", type=float, help="mixing-rate loss reference point")
-    p.add_argument("--sigma", type=float, help="mixup-loss EMA smoothing")
-    p.add_argument("--lambda-init", type=float, help="initial mixing rate")
-    p.add_argument("--lambda-sign-inverted", action="store_const", const=True,
-                   default=None, help="grow the mixing rate when the loss drops")
-
-
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--conf-threshold", type=_threshold_arg,
-                   help="confidence gate in [0,1]; 'none' or negative disables")
-    p.add_argument("--max-students", type=int)
-    p.add_argument("--budget-ms", type=float, help="wall-clock budget in milliseconds")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlpcascade",
@@ -482,50 +454,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a stochastic-block-model dataset")
+    def command(name, func, sections, help_text):
+        """A subcommand with the flags of the settings of ``sections`` and run."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for s in _SETTINGS:
+            if s.section not in (*sections, "run"):
+                continue
+            if s.kind is bool:
+                kw = {"action": "store_const", "const": True}
+            else:
+                kw = {"type": s.parse or s.kind, "choices": s.choices,
+                      "metavar": None if s.choices else s.flag[2:].replace("-", "_").upper()}
+            p.add_argument(s.flag, dest=f"{s.section}.{s.key}", help=s.help, **kw)
+        p.add_argument("--config", help="JSON config file (sections: dataset, teacher, cascade, policy, run)")
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="BLAS thread cap, set when the process starts; overrides "
+                            "OMP/OPENBLAS/MKL_NUM_THREADS (default: those, else 1; "
+                            ">1 trades bit-reproducibility for speed)")
+        return p
+
+    p = command("synth", cmd_synth, (), "generate a stochastic-block-model dataset")
     p.add_argument("--nodes", type=int, default=600)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--feat-dim", type=int, default=32)
     p.add_argument("--p-in", type=float, default=0.1)
     p.add_argument("--p-out", type=float, default=0.01)
     p.add_argument("--noise", type=float, default=1.0)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train-teacher", help="train the graph-conv teacher and export soft labels")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--normalize-features", action="store_const", const=True, default=None,
-                   help="L1-normalize feature rows on load")
-    _add_teacher_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_train_teacher)
+    command("train-teacher", cmd_train_teacher, ("dataset", "teacher"),
+            "train the graph-conv teacher and export soft labels")
 
-    p = sub.add_parser("distill", help="train the student cascade from teacher soft labels")
-    p.add_argument("--data", help="dataset directory")
+    p = command("distill", cmd_distill, ("dataset", "cascade"),
+                "train the student cascade from teacher soft labels")
     p.add_argument("--teacher-dir", help="directory with teacher.json + soft_labels.csv (default: --out)")
-    p.add_argument("--normalize-features", action="store_const", const=True, default=None,
-                   help="L1-normalize feature rows on load")
-    _add_cascade_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("sweep", help="accuracy vs cumulative inference cost for k=1..K")
-    p.add_argument("--data", help="dataset directory")
+    p = command("sweep", cmd_sweep, ("dataset",), "accuracy vs cumulative inference cost for k=1..K")
     p.add_argument("--cascade", action="append",
                    help="cascade checkpoint; repeat for one block of rows per "
                         "(per-seed) cascade (default: <out>/cascade.json)")
-    p.add_argument("--normalize-features", action="store_const", const=True, default=None,
-                   help="L1-normalize feature rows on load")
     p.add_argument("--reps", type=int, default=5, help="timing repetitions per row")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("infer", help="anytime inference over a feature file")
+    p = command("infer", cmd_infer, ("policy",), "anytime inference over a feature file")
     p.add_argument("--cascade", required=True, help="cascade checkpoint")
     p.add_argument("--features", required=True, help="features.csv-format file")
-    _add_policy_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_infer)
     return parser
 
 

@@ -631,23 +631,29 @@ def _save_table(path: Path, table: np.ndarray, fmt: str) -> None:
     _write_mirror(path, _write_csv(path, table, fmt), table)
 
 
+def round_trip_format(dtype) -> str:
+    """The CSV format of floats whose parse gives back the same bits at
+    ``dtype``: 17 significant digits for float64; 9 for float32, whose
+    parse to float64 and cast back gives the same bits, since a 9-digit
+    decimal never rounds onto a float32 midpoint."""
+    return "%.9g" if dtype == np.float32 else "%.17g"
+
+
 def save_dataset(g: Graph, path) -> None:
     """Write a Graph back out in the dataset directory format, with the
     binary mirror of each CSV.
 
-    Feature formatting uses enough significant digits for the round trip
-    load -> save -> load to be bit-exact at the graph's dtype: 17 for
-    float64; 9 for float32, whose parse to float64 and cast back gives the
-    same bits, since a 9-digit decimal never rounds onto a float32 midpoint.
-    Features of any other dtype get no mirror.
+    Features are written in ``round_trip_format``, so load -> save -> load
+    is bit-exact at the graph's dtype. Features of a dtype other than
+    float32 and float64 get no mirror.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    digits = 9 if g.features.dtype == np.float32 else 17
+    fmt = round_trip_format(g.features.dtype)
     if g.features.dtype in (np.float32, np.float64):
-        _save_table(path / "features.csv", g.features, f"%.{digits}g")
+        _save_table(path / "features.csv", g.features, fmt)
     else:
-        _write_csv(path / "features.csv", g.features, f"%.{digits}g")
+        _write_csv(path / "features.csv", g.features, fmt)
     _save_table(path / "edges.csv", g.edges, "%d")
     _save_table(path / "labels.csv", np.argmax(g.labels, axis=1).astype(np.int64)[:, None], "%d")
     splits = {name: getattr(g.splits, name).tolist() for name in _SPLIT_KEYS}

@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-# Type aliases for the two matrix representations used throughout.
-DenseMatrix = np.ndarray
+# Type alias for the sparse matrix representation used throughout.
 SparseMatrix = sparse.csr_array
 
 DEFAULT_DTYPE = np.float32

@@ -267,10 +267,9 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
 
 
 def export_soft_labels(t: TeacherArtifact, path) -> None:
-    """Write the soft-label matrix as CSV with 9 significant digits at
-    float32 and 17 at float64, so the round trip is bit-exact."""
-    digits = 9 if t.soft_labels.dtype == np.float32 else 17
-    graphio._write_csv(path, t.soft_labels, f"%.{digits}g")
+    """Write the soft-label matrix as CSV in ``graphio.round_trip_format``,
+    so the round trip is bit-exact."""
+    graphio._write_csv(path, t.soft_labels, graphio.round_trip_format(t.soft_labels.dtype))
 
 
 def import_soft_labels(path, dtype=np.float32) -> np.ndarray:

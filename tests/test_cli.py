@@ -1,3 +1,4 @@
+import argparse
 import base64
 import csv
 import json
@@ -10,7 +11,7 @@ import pytest
 import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
-from mlpcascade.cli import main
+from mlpcascade.cli import _SETTINGS, build_parser, main
 from mlpcascade.teacher import TeacherConfig
 
 
@@ -914,6 +915,14 @@ CASCADE_CASES = {
         _edit_doc(lambda d: d["config"].update(n_students=True)),
         "config n_students must be an integer, got true",
     ),
+    "manifest n_students a bool": (
+        _edit_doc(lambda d: d.update(n_students=True)),
+        "cascade.json n_students must be an integer, got true",
+    ),
+    "teacher_fingerprint a number": (
+        _edit_doc(lambda d: d.update(teacher_fingerprint=7)),
+        "cascade.json teacher_fingerprint must be a string, got 7",
+    ),
 }
 
 TEACHER_CASES = {
@@ -1158,6 +1167,172 @@ class TestConfigTypes:
         ) == 0
         doc = json.loads((tmp_path / "out" / "cascade.json").read_text())
         assert doc["config"]["mixup"]["sign_inverted"] is False
+
+
+class TestWholeConfigCheck:
+    """The config file is checked whole when it is loaded: a section or key
+    that is not a setting, a section that is not an object and a value that
+    is not of its setting's type exit 2 naming the file and the key, also
+    where the command does not read the value or a flag overrides it."""
+
+    CASES = {
+        "unknown key": (
+            "train-teacher", {"teacher": {"hiden_dim": 8}}, [],
+            "teacher.hiden_dim is not a setting (teacher keys: hidden_dim, lr,",
+        ),
+        "unknown section": (
+            "distill", {"cascade": {"alpha": 0.5}, "teachr": {"hidden_dim": 8}}, [],
+            "unknown section 'teachr' (sections: cascade, dataset, policy, run, teacher)",
+        ),
+        "section not an object": (
+            "train-teacher", {"teacher": [8]}, [], "config section 'teacher' must be an object",
+        ),
+        "section the command does not read": (
+            "infer", {"teacher": {"lr": "x"}}, [], 'teacher.lr must be a number, got "x"',
+        ),
+        "value a flag overrides": (
+            "train-teacher", {"teacher": {"lr": "x"}}, ["--lr", 0.1],
+            'teacher.lr must be a number, got "x"',
+        ),
+        "value outside its choices": (
+            "synth", {"run": {"precision": "f16"}}, [], 'run.precision must be f32 or f64, got "f16"',
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_naming_file_and_key(self, tmp_path, capsys, case):
+        command, doc, flags, message = self.CASES[case]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        missing = tmp_path / "missing"
+        inputs = {
+            "synth": [],
+            "train-teacher": ["--data", missing],
+            "distill": ["--data", missing, "--teacher-dir", missing],
+            "infer": ["--cascade", missing / "cascade.json", "--features", missing],
+        }[command]
+        out = tmp_path / "out"
+        code = run_cli(command, *inputs, *flags, "--out", out, "--config", cfg_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config file {cfg_path}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    def test_null_is_none_in_policy(self, separable_run, tmp_path):
+        data, run = separable_run
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"policy": {"conf_threshold": None, "max_students": 1}}))
+        assert run_cli(
+            "infer", "--cascade", run / "cascade.json", "--features", data / "features.csv",
+            "--out", tmp_path / "out", "--config", cfg_path,
+        ) == 0
+        meta = json.loads((tmp_path / "out" / "infer_meta.json").read_text())
+        assert (meta["executed"], meta["stopped_by"]) == (1, "cap")
+
+
+class TestSettingsTable:
+    """Each flag and config key is declared once: the commands keep their
+    option strings, and every model and training setting reaches the stored
+    config, by flag and by config file."""
+
+    OPTIONS = {
+        "synth": [
+            "--classes", "--config", "--feat-dim", "--nodes", "--noise", "--out", "--p-in",
+            "--p-out", "--precision", "--seed", "--threads",
+        ],
+        "train-teacher": [
+            "--config", "--data", "--depth", "--dropout", "--epochs", "--hidden", "--lr",
+            "--normalize-features", "--out", "--patience", "--precision", "--seed",
+            "--threads", "--weight-decay",
+        ],
+        "distill": [
+            "--alpha", "--beta", "--config", "--data", "--dropout", "--epochs", "--gamma",
+            "--hidden", "--lambda-init", "--lambda-sign-inverted", "--layers", "--lr",
+            "--normalize-features", "--out", "--patience", "--precision", "--seed", "--sigma",
+            "--students", "--tau", "--teacher-dir", "--threads", "--weight-decay",
+        ],
+        "sweep": [
+            "--cascade", "--config", "--data", "--normalize-features", "--out", "--precision",
+            "--reps", "--seed", "--threads",
+        ],
+        "infer": [
+            "--budget-ms", "--cascade", "--conf-threshold", "--config", "--features",
+            "--max-students", "--out", "--precision", "--seed", "--threads",
+        ],
+    }
+
+    # (section, key): (flag, a value unlike the default, path in the stored config)
+    SETTINGS = {
+        ("teacher", "hidden_dim"): ("--hidden", 5, ("hidden_dim",)),
+        ("teacher", "lr"): ("--lr", 0.02, ("lr",)),
+        ("teacher", "weight_decay"): ("--weight-decay", 0.001, ("weight_decay",)),
+        ("teacher", "dropout"): ("--dropout", 0.25, ("dropout",)),
+        ("teacher", "max_epochs"): ("--epochs", 4, ("max_epochs",)),
+        ("teacher", "patience"): ("--patience", 1, ("patience",)),
+        ("teacher", "depth"): ("--depth", 3, ("depth",)),
+        ("cascade", "n_students"): ("--students", 2, ("n_students",)),
+        ("cascade", "hidden_dim"): ("--hidden", 6, ("hidden_dim",)),
+        ("cascade", "n_layers"): ("--layers", 3, ("n_layers",)),
+        ("cascade", "lr"): ("--lr", 0.003, ("lr",)),
+        ("cascade", "weight_decay"): ("--weight-decay", 0.002, ("weight_decay",)),
+        ("cascade", "dropout"): ("--dropout", 0.125, ("dropout",)),
+        ("cascade", "max_epochs"): ("--epochs", 7, ("max_epochs",)),
+        ("cascade", "patience"): ("--patience", 5, ("patience",)),
+        ("cascade", "alpha"): ("--alpha", 0.3, ("distill", "alpha")),
+        ("cascade", "beta"): ("--beta", 0.6, ("distill", "beta")),
+        ("cascade", "gamma"): ("--gamma", 0.4, ("mixup", "gamma")),
+        ("cascade", "tau"): ("--tau", 0.7, ("mixup", "tau")),
+        ("cascade", "sigma"): ("--sigma", 0.35, ("mixup", "sigma")),
+        ("cascade", "lambda_init"): ("--lambda-init", 0.2, ("mixup", "lambda_init")),
+        ("cascade", "lambda_sign_inverted"): (
+            "--lambda-sign-inverted", True, ("mixup", "sign_inverted"),
+        ),
+    }
+
+    def test_commands_keep_their_option_strings(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert options == self.OPTIONS
+
+    def test_every_model_setting_is_covered(self):
+        declared = {(s.section, s.key) for s in _SETTINGS if s.section in ("teacher", "cascade")}
+        assert declared == set(self.SETTINGS)
+        for section in ("teacher", "cascade"):
+            # distinct values, so a value stored in the wrong field shows
+            values = [json.dumps(v) for (sec, _), (_, v, _) in self.SETTINGS.items() if sec == section]
+            assert len(set(values)) == len(values)
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_every_model_setting_reaches_the_stored_config(self, tmp_path, via):
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        expect = {"teacher": asdict(TeacherConfig()), "cascade": asdict(cas.CascadeConfig())}
+        doc = {"teacher": {}, "cascade": {}}
+        flags = {"teacher": [], "cascade": []}
+        for (section, key), (flag, value, path) in self.SETTINGS.items():
+            *parents, field = path
+            stored = expect[section]
+            for name in parents:
+                stored = stored[name]
+            assert stored[field] != value  # a value the default cannot pass for
+            stored[field] = value
+            doc[section][key] = value
+            flags[section] += [flag] if value is True else [flag, value]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        if via == "config":
+            flags = {"teacher": ["--config", cfg_path], "cascade": ["--config", cfg_path]}
+        run = tmp_path / "run"
+        assert run_cli("train-teacher", "--data", data, "--out", run, *flags["teacher"]) == 0
+        assert run_cli("distill", "--data", data, "--out", run, *flags["cascade"]) == 0
+        for section, name in (("teacher", "teacher.json"), ("cascade", "cascade.json")):
+            stored = json.loads((run / name).read_text())["config"]
+            assert json.dumps(stored, sort_keys=True) == json.dumps(expect[section], sort_keys=True)
 
 
 def test_module_entry_point(tmp_path):
