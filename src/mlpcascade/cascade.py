@@ -46,10 +46,11 @@ from .numkit import (
     soft_targets,
     softmax_rows,
 )
-from .optim import TrainingDivergedError, check_training_config, fit
+from .optim import TrainingDivergedError, TrainRecord, check_training_config, fit
 from .params import (
     LayerStack,
     backward_to_first,
+    check_copy,
     dataclass_from_json,
     eval_hidden,
     forward_cache,
@@ -145,19 +146,30 @@ class CascadeConfig:
         check_training_config(self)
 
 
-@dataclass
-class StudentTrainMeta:
-    epochs: int
-    best_epoch: int
-    best_val_acc: float
-    final_lambda: float
+@dataclass(kw_only=True)
+class StudentTrainMeta(TrainRecord):
+    """A student's ``fit`` record, the fingerprint of the weights it started
+    from, and the mixing rate before its first epoch and after each.
+    ``STORED`` adds ``final_lambda``, the history's last entry, which a
+    checkpoint keeps as a copy that loading checks."""
+
+    STORED = (*TrainRecord.STORED, "init_fingerprint", "lambda_history", "final_lambda")
+
     init_fingerprint: str
-    lambda_history: list[float] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
+    lambda_history: list[float]
     # eval-mode logits of the kept parameters on every row, from the same
     # forward that gives the next student's hidden input; like ``losses``,
     # not checkpointed
     logits: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.lambda_history:
+            raise ValueError("lambda_history must not be empty")
+
+    @property
+    def final_lambda(self) -> float:
+        """The mixing rate after the last epoch, handed to the next student."""
+        return self.lambda_history[-1]
 
 
 @dataclass
@@ -408,13 +420,14 @@ def train_student(
     cfg: CascadeConfig,
     lam: float,
     ema: float | None,
-) -> tuple[LayerStack, np.ndarray, float, float, StudentTrainMeta]:
+) -> tuple[LayerStack, np.ndarray, float, StudentTrainMeta]:
     """Train one student per the inner loop of the cascade algorithm.
 
     ``lam`` and ``ema`` are the mixing rate and the moving average of the
     mixup loss as the previous student left them (``cfg.mixup.lambda_init``
-    and None for the first); their final values are returned after the
-    hidden state. Each epoch: freshly resampled mixup pairs ->
+    and None for the first). The kept parameters, the hidden state, the
+    final moving average and the meta are returned; the final rate is the
+    meta's ``final_lambda``. Each epoch: freshly resampled mixup pairs ->
     ``total_loss_gradpair`` (training-mode forward, distillation loss,
     mixup loss) -> one AdamW step -> ``MixupConfig.update``. ``optim.fit``
     tracks validation accuracy with patience and hands back the best
@@ -433,7 +446,6 @@ def train_student(
     labeled = nodes.splits.labeled
     rng = np.random.default_rng([cfg.seed, k])
     params = init.copy()
-    init_fp = init.fingerprint()
     inputs = np.concatenate([nodes.features, h_prev], axis=1)
     y_val = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
     lambda_history = [lam]
@@ -460,19 +472,13 @@ def train_student(
         _, val_logits = _forward_from_projection(params, projection[nodes.splits.validation])
         return accuracy(val_logits, y_val), projection
 
-    run = fit(params, cfg, step, validate)
-    h_k, logits = _forward_from_projection(run.params, run.kept)
+    params, projection, record = fit(params, cfg, step, validate)
+    h_k, logits = _forward_from_projection(params, projection)
     meta = StudentTrainMeta(
-        epochs=run.epochs,
-        best_epoch=run.best_epoch,
-        best_val_acc=run.best_val_acc,
-        final_lambda=lam,
-        init_fingerprint=init_fp,
-        lambda_history=lambda_history,
-        losses=run.losses,
+        **vars(record), init_fingerprint=init.fingerprint(), lambda_history=lambda_history,
         logits=logits,
     )
-    return run.params, h_k, lam, ema, meta
+    return params, h_k, ema, meta
 
 
 def train_cascade(
@@ -507,7 +513,7 @@ def train_cascade(
     metas: list[StudentTrainMeta] = []
     for k in range(1, cfg.n_students + 1):
         try:
-            params, h_prev, lam, ema, meta = train_student(
+            params, h_prev, ema, meta = train_student(
                 k, nodes, targets, h_prev, params, cfg, lam, ema
             )
         except TrainingDivergedError as exc:
@@ -516,22 +522,8 @@ def train_cascade(
             ) from exc
         students.append(params)
         metas.append(meta)
-    return Cascade(
-        students=students,
-        metas=metas,
-        teacher_fingerprint=teacher_fp,
-        config=cfg,
-    )
-
-
-_META_KEYS = (
-    "epochs",
-    "best_epoch",
-    "best_val_acc",
-    "final_lambda",
-    "init_fingerprint",
-    "lambda_history",
-)
+        lam = meta.final_lambda
+    return Cascade(students, metas, teacher_fp, cfg)
 
 
 def _config_from_json(doc, where: str) -> CascadeConfig:
@@ -554,7 +546,7 @@ def save_cascade(c: Cascade, path) -> None:
         "config": asdict(c.config) if c.config is not None else None,
         "students": [
             {
-                "meta": {k: getattr(m, k) for k in _META_KEYS},
+                "meta": {k: getattr(m, k) for k in StudentTrainMeta.STORED},
                 "fingerprint": s.fingerprint(),
                 "layers": layers_to_json(s),
             }
@@ -583,7 +575,9 @@ def load_cascade(path) -> Cascade:
     """Load and check a cascade checkpoint: K must be an integer that
     matches the stored students, the teacher fingerprint a string, every
     student the fingerprint stored with it and the layer shapes of the
-    others."""
+    others, and every meta its ``final_lambda``. Each student after the
+    first must start where the one before ended: from its stored
+    fingerprint and its ``final_lambda``."""
     doc, dtype = read_manifest(
         path,
         "cascade-checkpoint",
@@ -609,13 +603,15 @@ def load_cascade(path) -> Cascade:
         if student.fingerprint() != entry["fingerprint"]:
             raise ValueError(f"{where}: weights do not match their stored fingerprint")
         _check_student_shapes(student, students[0] if students else None, where)
-        students.append(student)
-        metas.append(
-            dataclass_from_json(StudentTrainMeta, entry["meta"], f"{where} meta", _META_KEYS)
+        meta = dataclass_from_json(
+            StudentTrainMeta, entry["meta"], f"{where} meta", StudentTrainMeta.STORED
         )
-    return Cascade(
-        students=students,
-        metas=metas,
-        teacher_fingerprint=teacher_fp,
-        config=cfg,
-    )
+        if metas:
+            prev = f"student {k - 1}'s"
+            check_copy(f"{where} meta init_fingerprint", meta.init_fingerprint,
+                       entries[k - 2]["fingerprint"], f"{prev} stored fingerprint")
+            check_copy(f"{where} meta lambda_history[0]", meta.lambda_history[0],
+                       metas[-1].final_lambda, f"{prev} final_lambda")
+        students.append(student)
+        metas.append(meta)
+    return Cascade(students, metas, teacher_fp, cfg)

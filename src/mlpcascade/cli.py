@@ -65,7 +65,7 @@ import numpy as np
 from . import cascade as cascade_mod
 from . import graphio, inference, numkit, teacher
 from .optim import TrainingDivergedError
-from .params import json_value
+from .params import json_value, write_json
 
 # Defaults of the run and policy settings. Model and training defaults (the
 # reference hyperparameters) are the field defaults of TeacherConfig,
@@ -92,10 +92,7 @@ class _RuntimeFail(Exception):
 
 
 def _threshold_arg(tok: str):
-    if tok.lower() in ("none", "off", "disabled"):
-        return _DISABLED
-    value = float(tok)
-    return _DISABLED if value < 0 else value
+    return _DISABLED if tok.lower() in ("none", "off", "disabled") else float(tok)
 
 
 class _Setting(NamedTuple):
@@ -148,7 +145,8 @@ _SETTINGS = (
     _Setting("cascade", "lambda_sign_inverted", "--lambda-sign-inverted", bool,
              "grow the mixing rate when the loss drops", field="sign_inverted"),
     _Setting("policy", "conf_threshold", "--conf-threshold", float,
-             "confidence gate in [0,1]; 'none' or negative disables", parse=_threshold_arg),
+             "confidence gate in [0, 1]; 'none', 'off' or 'disabled' disables it",
+             parse=_threshold_arg),
     _Setting("policy", "max_students", "--max-students", int),
     _Setting("policy", "budget_ms", "--budget-ms", float, "wall-clock budget in milliseconds"),
     _Setting("run", "seed", "--seed", int, "RNG seed (default 0)"),
@@ -271,12 +269,6 @@ def _load_teacher_artifact(teacher_dir: Path):
     return teacher.load_teacher(ckpt, soft)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
 def cmd_synth(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     g = graphio.synth_sbm(
@@ -315,7 +307,7 @@ def cmd_train_teacher(args, config) -> int:
             "test": inference.accuracy(logits, g.labels, g.splits.test),
         },
     }
-    _write_json(out / TEACHER_REPORT, report)
+    write_json(out / TEACHER_REPORT, report)
     print(
         f"train-teacher: test_accuracy={report['accuracy']['test']:.4f} "
         f"epochs={report['epochs']} -> {out}"
@@ -368,7 +360,7 @@ def cmd_distill(args, config) -> int:
         "students": students,
         "lambda_trajectory": lambda_trajectory,
     }
-    _write_json(out / DISTILL_REPORT, report)
+    write_json(out / DISTILL_REPORT, report)
     print(
         f"distill: K={casc.n_students} "
         f"full_cascade_test_accuracy={students[-1]['test_accuracy']:.4f} -> {out}"

@@ -10,7 +10,6 @@ tight tolerance regardless of the cascade's working precision.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
 from .numkit import check_index, row_max, row_sum, softmax_rows
+from .params import write_json
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,4 @@ def write_result_json(path, result: InferenceResult) -> None:
         "weights": result.weights,
         **result.timings_ms(),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, doc)

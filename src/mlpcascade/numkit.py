@@ -243,9 +243,10 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
     value = (1/|mask|) * sum_i -log softmax(logits[i])[class(i)]
 
     The gradient w.r.t. the logits is (softmax - onehot)/|mask| on masked
-    rows and zero elsewhere. Soft label rows (summing to 1) are supported;
-    the mixup loss relies on that. A row named m times counts m times, in
-    the value and in the gradient alike.
+    rows and zero elsewhere. Soft label rows (summing to 1) work by the same
+    formula, but the package passes only one-hot rows: ``cascade.mixup_loss``
+    computes its own soft-label cross entropy. A row named m times counts m
+    times, in the value and in the gradient alike.
     """
     if logits.shape != onehot.shape:
         raise ValueError(

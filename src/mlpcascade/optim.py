@@ -4,7 +4,7 @@ trainers."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -111,15 +111,17 @@ class AdamW:
 
 
 @dataclass
-class FitResult:
-    """The best epoch's parameters and kept value, and the run's record."""
+class TrainRecord:
+    """What a ``fit`` run records: the epochs it ran, the best epoch and its
+    validation accuracy, and every epoch's training loss. ``STORED`` names
+    what a checkpoint keeps of it."""
 
-    params: LayerStack
-    kept: Any
+    STORED = ("epochs", "best_epoch", "best_val_acc")
+
+    epochs: int
     best_epoch: int
     best_val_acc: float
-    epochs: int
-    losses: list[float]
+    losses: list[float] = field(default_factory=list)
 
 
 def fit(
@@ -127,15 +129,16 @@ def fit(
     cfg,
     step: Callable[[int], tuple[float, dict[str, np.ndarray]]],
     validate: Callable[[], tuple[float, Any]],
-) -> FitResult:
+) -> tuple[LayerStack, Any, TrainRecord]:
     """Train ``params`` in place with AdamW and early stopping.
 
     Each epoch ``step(epoch)`` returns the loss and the gradients of every
     parameter, AdamW takes one step, and ``validate()`` returns the
     validation accuracy of the updated parameters plus one value the caller
     wants kept with them. Training halts after ``cfg.patience`` epochs
-    without a new best accuracy (ties keep the earlier epoch); the copy of
-    the parameters and the value from the best epoch are returned.
+    without a new best accuracy (ties keep the earlier epoch). Returns a
+    copy of the best epoch's parameters, the value kept with them and the
+    run's ``TrainRecord``.
     """
     opt = AdamW(params.param_dict(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     # max_epochs >= 1 (checked when the config was built) and accuracies
@@ -161,4 +164,4 @@ def fit(
             since_best += 1
             if since_best >= cfg.patience:
                 break
-    return FitResult(best_params, best_kept, best_epoch, best_acc, epoch, losses)
+    return best_params, best_kept, TrainRecord(epoch, best_epoch, best_acc, losses)

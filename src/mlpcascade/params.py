@@ -246,18 +246,33 @@ def json_value(value, kind: type, where: str):
     raise ValueError(f"{where} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
 
 
+def check_copy(where: str, value, source, source_name: str) -> None:
+    """Refuse ``value``, a stored copy of ``source``, unless it is a JSON
+    value of ``source``'s type (``json_value``) equal to it: a ValueError
+    naming ``where``, both values and ``source_name``."""
+    if json_value(value, type(source), where) != source:
+        raise ValueError(
+            f"{where} {json.dumps(value)} does not match {json.dumps(source)}, {source_name}"
+        )
+
+
 def dataclass_from_json(cls, obj, where: str, keys=None):
     """``cls(**obj)`` for a JSON object holding exactly the fields ``keys``
     of ``cls`` (all of them by default; the others keep their defaults),
     each bool, int, float or str field holding a JSON value of its type
-    (``json_value``) and each ``list[float]`` field a list of numbers."""
+    (``json_value``) and each ``list[float]`` field a list of numbers. A key
+    that names a property of ``cls``, not a field, holds a copy of the
+    property, which must equal the built object's (``check_copy``)."""
     obj = json_object(obj, [f.name for f in fields(cls)] if keys is None else keys, where)
     kinds = get_type_hints(cls)
-    obj = {name: _json_field(v, kinds[name], f"{where} {name}") for name, v in obj.items()}
+    values = {k: _json_field(v, kinds[k], f"{where} {k}") for k, v in obj.items() if k in kinds}
     try:
-        return cls(**obj)
+        built = cls(**values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+    for name in obj.keys() - values.keys():
+        check_copy(f"{where} {name}", obj[name], getattr(built, name), "the value its fields give")
+    return built
 
 
 def _json_field(value, kind, where: str):
@@ -332,6 +347,12 @@ def write_manifest(path, doc: dict) -> None:
     checkpoints are equal bytes."""
     doc = {**doc, "array_encoding": ARRAY_ENCODING}
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def write_json(path, doc: dict) -> None:
+    """Write a report as JSON with sorted keys, a two-space indent and a
+    final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def read_manifest(path, kind: str, keys, command: str) -> tuple[dict, np.dtype]:

@@ -27,31 +27,22 @@ from .numkit import (
     softmax_rows,
     spmm,
 )
-from .optim import TrainingDivergedError, check_training_config, fit
+from .optim import TrainingDivergedError, TrainRecord, check_training_config, fit
 from .params import (
     Aggregation,
     LayerStack,
     backward,
+    check_copy,
     dataclass_from_json,
     eval_hidden,
     forward_cache,
     init_layers,
+    json_object,
     layers_from_json,
     layers_to_json,
     read_manifest,
     write_manifest,
 )
-
-
-@dataclass
-class TrainMeta:
-    """Bookkeeping recorded during a training run."""
-
-    epochs: int
-    best_epoch: int
-    best_val_acc: float
-    seed: int
-    losses: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -67,7 +58,7 @@ class TeacherArtifact:
 
     params: LayerStack
     soft_labels: np.ndarray  # N x C probabilities
-    train_meta: TrainMeta
+    train_meta: TrainRecord
     logits: np.ndarray | None = field(default=None, repr=False)  # N x C
 
     def soft_label_fingerprint(self) -> str:
@@ -252,18 +243,9 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
         hw = _eval_projection(norm_adj, x_in, params)
         return accuracy(spmm(adj_val, hw) + params.layers[-1][1], val_truth), hw
 
-    run = fit(params, cfg, step, validate)
-    logits = spmm(norm_adj, run.kept) + run.params.layers[-1][1]
-    meta = TrainMeta(
-        epochs=run.epochs,
-        best_epoch=run.best_epoch,
-        best_val_acc=run.best_val_acc,
-        seed=cfg.seed,
-        losses=run.losses,
-    )
-    return TeacherArtifact(
-        params=run.params, soft_labels=softmax_rows(logits), train_meta=meta, logits=logits
-    )
+    params, hw, record = fit(params, cfg, step, validate)
+    logits = spmm(norm_adj, hw) + params.layers[-1][1]
+    return TeacherArtifact(params, softmax_rows(logits), record, logits)
 
 
 def export_soft_labels(t: TeacherArtifact, path) -> None:
@@ -281,19 +263,18 @@ def import_soft_labels(path, dtype=np.float32) -> np.ndarray:
     return probs
 
 
-_TRAIN_META_KEYS = ("epochs", "best_epoch", "best_val_acc", "seed")
-
-
 def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
-    """Checkpoint: JSON manifest (hyperparameters, training record, dtype)
-    with base64 little-endian weight arrays, the fingerprint of the weights
-    and the soft-label fingerprint that ``load_teacher`` checks the
-    soft-label file against."""
+    """Checkpoint: JSON manifest (hyperparameters, training record with a
+    copy of the config's seed, dtype) with base64 little-endian weight
+    arrays, the fingerprint of the weights and the soft-label fingerprint
+    that ``load_teacher`` checks the soft-label file against."""
     write_manifest(path, {
         "kind": "teacher-checkpoint",
         "dtype": str(t.params.layers[0][0].dtype),
         "config": asdict(cfg),
-        "train_meta": {k: getattr(t.train_meta, k) for k in _TRAIN_META_KEYS},
+        "train_meta": {
+            **{k: getattr(t.train_meta, k) for k in TrainRecord.STORED}, "seed": cfg.seed
+        },
         "soft_label_fingerprint": t.soft_label_fingerprint(),
         "fingerprint": t.params.fingerprint(),
         "layers": layers_to_json(t.params),
@@ -301,9 +282,10 @@ def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
 
 
 def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig]:
-    """Load and check a teacher checkpoint and its soft labels: the weights
-    must match their fingerprint and the configured depth and width, the
-    soft labels theirs."""
+    """Load and check a teacher checkpoint and its soft labels: the training
+    record's seed must equal the config's, the weights must match their
+    fingerprint and the configured depth and width, the soft labels
+    theirs."""
     doc, dtype = read_manifest(
         path,
         "teacher-checkpoint",
@@ -311,9 +293,10 @@ def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig
         "train-teacher",
     )
     cfg = dataclass_from_json(TeacherConfig, doc["config"], f"{path} config")
-    meta = dataclass_from_json(
-        TrainMeta, doc["train_meta"], f"{path} train_meta", _TRAIN_META_KEYS
-    )
+    where = f"{path} train_meta"
+    meta = json_object(doc["train_meta"], (*TrainRecord.STORED, "seed"), where)
+    check_copy(f"{where} seed", meta.pop("seed"), cfg.seed, "the config seed")
+    record = dataclass_from_json(TrainRecord, meta, where, TrainRecord.STORED)
     params = layers_from_json(doc["layers"], dtype, str(path))
     if params.fingerprint() != doc["fingerprint"]:
         raise ValueError(f"{path}: teacher weights do not match their stored fingerprint")
@@ -329,4 +312,4 @@ def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig
             f"{soft_labels_path}: soft labels do not match the "
             f"soft_label_fingerprint in {path}"
         )
-    return TeacherArtifact(params, soft, meta), cfg
+    return TeacherArtifact(params, soft, record), cfg

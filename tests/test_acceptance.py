@@ -186,9 +186,8 @@ def test_criterion_2_small_instance_oracles():
     for seed in range(5):
         r = np.random.default_rng(seed)
         students = [cas.init_student(4, 3, 3, 2, r, np.float64) for _ in range(5)]
-        casc = cas.Cascade(
-            students, [cas.StudentTrainMeta(1, 1, 0.0, 0.1, "x")] * 5, "fp"
-        )
+        meta = cas.StudentTrainMeta(1, 1, 0.0, init_fingerprint="x", lambda_history=[0.1])
+        casc = cas.Cascade(students, [meta] * 5, "fp")
         x = r.standard_normal((9, 4))
         idx = np.arange(9)
         h = np.zeros((9, 3))
@@ -374,7 +373,8 @@ def test_criterion_7_inference_speedup():
     rng = np.random.default_rng(0)
     teacher_params = t.init_teacher(64, 64, 4, 2, rng, np.float32)
     student = cas.init_student(64, 64, 4, 2, rng, np.float32)
-    casc = cas.Cascade([student], [cas.StudentTrainMeta(1, 1, 0.0, 0.1, "x")], "fp")
+    meta = cas.StudentTrainMeta(1, 1, 0.0, init_fingerprint="x", lambda_history=[0.1])
+    casc = cas.Cascade([student], [meta], "fp")
     policy = mc.InferencePolicy(max_students=1)
     eval_idx = np.arange(g.n_nodes)
 

@@ -419,7 +419,7 @@ class TestTrainStudent:
         )
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(0), np.float64)
         h0 = np.zeros((g.n_nodes, 4))
-        params, h_k, lam, ema, meta = cas.train_student(
+        params, h_k, ema, meta = cas.train_student(
             1, g, targets, h0, init, cfg, cfg.mixup.lambda_init, None
         )
         assert meta.epochs == 1
@@ -462,9 +462,10 @@ class TestTrainStudent:
         h0 = np.zeros((g.n_nodes, 4))
         lam, ema = cfg.mixup.lambda_init, None
         for k in (1, 2):
-            params, h0, lam, ema, meta = cas.train_student(
+            params, h0, ema, meta = cas.train_student(
                 k, g, targets, h0, init, cfg, lam, ema
             )
+            lam = meta.final_lambda
             assert all(0.0 <= lam <= 0.5 for lam in meta.lambda_history)
             init = params.copy()
 
@@ -487,7 +488,7 @@ class TestTrainStudent:
         rng = np.random.default_rng(9)
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, rng, np.float64)
         h0 = np.zeros((g.n_nodes, 4), dtype=np.float64)
-        params, _, _, _, meta = cas.train_student(
+        params, _, _, meta = cas.train_student(
             1, g, targets, h0, init, cfg, cfg.mixup.lambda_init, None
         )
         # disable early stopping interference: patience epochs-1 never fires
@@ -560,7 +561,7 @@ class TestTrainStudent:
             tiny_graph.feat_dim, 16, tiny_graph.n_classes, 2, np.random.default_rng(2), np.float32
         )
         h0 = np.zeros((tiny_graph.n_nodes, 16), dtype=np.float32)
-        _, _, _, _, meta = cas.train_student(
+        _, _, _, meta = cas.train_student(
             1, tiny_graph, targets, h0, init, cfg, cfg.mixup.lambda_init, None
         )
         assert meta.best_val_acc == 1.0
@@ -735,7 +736,7 @@ class TestTrainCascade:
             np.random.default_rng([4, 0]), np.float32,
         )
         h0 = np.zeros((tiny_graph.n_nodes, 8), dtype=np.float32)
-        params, _, _, _, _ = cas.train_student(
+        params, _, _, _ = cas.train_student(
             1, tiny_graph, soft_targets(art.soft_labels), h0, init, cfg,
             cfg.mixup.lambda_init, None,
         )

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import mlpcascade.cascade as cas
 import mlpcascade.teacher as t
+from mlpcascade.optim import TrainRecord
 from mlpcascade.params import LayerStack
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -46,17 +47,22 @@ def cascades(draw, dtype):
     dims = [feat + hidden] + [hidden] * (n_layers - 1) + [classes]
     lam = st.floats(0.0, 0.5)
     students = [LayerStack(_layer_stack(draw, dims, dtype)) for _ in range(k_total)]
-    metas = [
-        cas.StudentTrainMeta(
-            epochs=draw(st.integers(1, 9)),
-            best_epoch=1,
-            best_val_acc=draw(st.floats(0.0, 1.0)),
-            final_lambda=draw(lam),
-            init_fingerprint="init",
-            lambda_history=draw(st.lists(lam, min_size=1, max_size=3)),
+    # a consistent chain: each student after the first starts from the
+    # weights and the last lambda of the one before
+    metas = []
+    init_fp, history = "init", [draw(lam)]
+    for student in students:
+        history = [history[-1], *draw(st.lists(lam, max_size=2))]
+        metas.append(
+            cas.StudentTrainMeta(
+                epochs=draw(st.integers(1, 9)),
+                best_epoch=1,
+                best_val_acc=draw(st.floats(0.0, 1.0)),
+                init_fingerprint=init_fp,
+                lambda_history=history,
+            )
         )
-        for _ in range(k_total)
-    ]
+        init_fp = student.fingerprint()
     cfg = cas.CascadeConfig(
         n_students=k_total, hidden_dim=hidden, n_layers=n_layers, max_epochs=3, patience=1
     )
@@ -70,7 +76,7 @@ def teachers(draw, dtype):
     dims = [feat] + [hidden] * (depth - 1) + [classes]
     params = LayerStack(_layer_stack(draw, dims, dtype))
     soft = np.full((3, classes), 1.0 / classes, dtype=dtype)
-    meta = t.TrainMeta(epochs=2, best_epoch=1, best_val_acc=0.5, seed=0)
+    meta = TrainRecord(epochs=2, best_epoch=1, best_val_acc=0.5)
     cfg = t.TeacherConfig(hidden_dim=hidden, depth=depth, max_epochs=3, patience=1)
     return t.TeacherArtifact(params, soft, meta), cfg
 
@@ -170,7 +176,7 @@ def test_non_canonical_base64_is_refused(ckpt_dir):
     # another character there decodes to the same bytes.
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     student = LayerStack([(w, b), (w[:1], b)])
-    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
     path = ckpt_dir / "cascade.json"
     cas.save_cascade(cas.Cascade([student], [meta], "teacher"), path)
     doc = json.loads(path.read_text())
@@ -199,7 +205,7 @@ CONFIG_EDITS = [
 @pytest.mark.parametrize("section, key, value, kind", CONFIG_EDITS)
 def test_cascade_config_of_another_type_is_refused(ckpt_dir, section, key, value, kind):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
     path = ckpt_dir / "typed.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)
@@ -219,7 +225,7 @@ def test_cascade_config_of_another_type_is_refused(ckpt_dir, section, key, value
 )
 def test_teacher_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
     params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
-    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), t.TrainMeta(2, 1, 0.5, 0))
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), TrainRecord(2, 1, 0.5))
     path = _save_teacher(art, t.TeacherConfig(hidden_dim=2), ckpt_dir, "typed.json")
     doc = json.loads(path.read_text())
     doc["config"][key] = value
@@ -236,7 +242,7 @@ def test_teacher_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
 )
 def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
     params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
-    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), t.TrainMeta(2, 1, 0.5, 0))
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), TrainRecord(2, 1, 0.5))
     path = _save_teacher(art, t.TeacherConfig(hidden_dim=2), ckpt_dir, "typed-meta.json")
     doc = json.loads(path.read_text())
     doc["train_meta"][key] = value
@@ -255,11 +261,13 @@ def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
         ("lambda_history", [0.1, "x"], "lambda_history[1]", "a number"),
         ("lambda_history", [0.1, False], "lambda_history[1]", "a number"),
         ("lambda_history", 0.1, "lambda_history", "a list of numbers"),
+        ("final_lambda", "0.2", "final_lambda", "a number"),
+        ("final_lambda", None, "final_lambda", "a number"),
     ],
 )
 def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, kind):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1, 0.2])
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2])
     path = ckpt_dir / "typed-meta.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t"), path)
     doc = json.loads(path.read_text())
@@ -271,22 +279,104 @@ def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, ki
     assert str(err.value) == f"{path} student 1 meta {where} must be {kind}, got {got}"
 
 
+def test_teacher_seed_unlike_its_config_is_refused(ckpt_dir):
+    params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), TrainRecord(2, 1, 0.5))
+    path = _save_teacher(art, t.TeacherConfig(hidden_dim=2, seed=4), ckpt_dir, "seed.json")
+    doc = json.loads(path.read_text())
+    assert doc["train_meta"]["seed"] == 4
+    doc["train_meta"]["seed"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        _load_teacher(ckpt_dir, "seed.json")
+    assert str(err.value) == f"{path} train_meta seed 3 does not match 4, the config seed"
+
+
+def _chain_of_two(path):
+    """Save a consistent two-student cascade at ``path``; its manifest."""
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    first = LayerStack([(w, b), (w[:1], b)])
+    second = LayerStack([(w * 2, b), (w[:1], b)])
+    metas = [
+        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2]),
+        cas.StudentTrainMeta(
+            1, 1, 0.5, init_fingerprint=first.fingerprint(), lambda_history=[0.2, 0.3]
+        ),
+    ]
+    cas.save_cascade(cas.Cascade([first, second], metas, "t"), path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda metas: metas[0].update(final_lambda=0.25),
+            "student 1 meta final_lambda 0.25 does not match 0.2, the value its fields give",
+        ),
+        (
+            lambda metas: metas[1].update(final_lambda=0.2),
+            "student 2 meta final_lambda 0.2 does not match 0.3, the value its fields give",
+        ),
+        (
+            lambda metas: metas[1].update(init_fingerprint="init"),
+            """student 2 meta init_fingerprint "init" does not match "{fp}", student 1's """
+            "stored fingerprint",
+        ),
+        (
+            lambda metas: metas[1]["lambda_history"].__setitem__(0, 0.1),
+            "student 2 meta lambda_history[0] 0.1 does not match 0.2, student 1's final_lambda",
+        ),
+        (
+            # the chain is checked against the first student's own history,
+            # edited consistently
+            lambda metas: metas[0].update(lambda_history=[0.1, 0.4], final_lambda=0.4),
+            "student 2 meta lambda_history[0] 0.2 does not match 0.4, student 1's final_lambda",
+        ),
+    ],
+)
+def test_stored_copies_unlike_their_sources_are_refused(ckpt_dir, edit, message):
+    path = ckpt_dir / "chain.json"
+    doc = _chain_of_two(path)
+    assert cas.load_cascade(path).metas[1].final_lambda == 0.3
+    edit([s["meta"] for s in doc["students"]])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    fp = doc["students"][0]["fingerprint"]
+    assert str(err.value) == f"{path} " + message.format(fp=fp)
+
+
+def test_empty_lambda_history_is_refused(ckpt_dir):
+    with pytest.raises(ValueError, match="^lambda_history must not be empty$"):
+        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[])
+    path = ckpt_dir / "chain.json"
+    doc = _chain_of_two(path)
+    doc["students"][0]["meta"]["lambda_history"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == f"{path} student 1 meta: lambda_history must not be empty"
+
+
 def test_stored_metas_load_with_their_types(ckpt_dir):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(3, 2, 0.5, 0.1, "init", [0.1, 0.2])
+    meta = cas.StudentTrainMeta(3, 2, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2])
     path = ckpt_dir / "typed-meta.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t"), path)
     doc = json.loads(path.read_text())
-    doc["students"][0]["meta"]["lambda_history"] = [0, 0.25]  # an integer is a number
+    doc["students"][0]["meta"]["lambda_history"] = [0, 0.2]  # an integer is a number
     path.write_text(json.dumps(doc))
     (loaded,) = cas.load_cascade(path).metas
-    assert loaded == cas.StudentTrainMeta(3, 2, 0.5, 0.1, "init", [0.0, 0.25])
+    assert loaded == cas.StudentTrainMeta(
+        3, 2, 0.5, init_fingerprint="init", lambda_history=[0.0, 0.2]
+    )
     assert type(loaded.lambda_history[0]) is float
 
 
 def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(1, 1, 0.5, 0.1, "init", [0.1])
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
     path = ckpt_dir / "typed.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)

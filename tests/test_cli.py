@@ -822,6 +822,55 @@ class TestInfer:
         ) == 1
 
 
+class TestConfThreshold:
+    """``policy.conf_threshold`` follows one rule as a flag and in the
+    config file: a value in [0, 1] gates, any other number exits 2 with the
+    same message from both, and only ``none``/``off``/``disabled`` on the
+    flag or ``null`` in the file disables the gate."""
+
+    @staticmethod
+    def infer(run_dir, tmp_path, name, value, *flags):
+        data, run = run_dir
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"policy": {"conf_threshold": value}}))
+        source = ["--config", cfg_path] if name == "file" else ["--conf-threshold", value]
+        out = tmp_path / name
+        code = run_cli(
+            "infer", "--cascade", run / "cascade.json", "--features", data / "features.csv",
+            "--out", out, *source, *flags,
+        )
+        return code, out
+
+    @pytest.mark.parametrize("value", [-1, -0.5, 1.5])
+    def test_outside_unit_interval_exits_2_from_flag_and_file(
+        self, separable_run, tmp_path, capsys, value
+    ):
+        for name in ("flag", "file"):
+            code, out = self.infer(separable_run, tmp_path, name, value)
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: conf_threshold {float(value)} outside [0, 1]\n"
+            ), name
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("flag", "none"), ("flag", "off"), ("flag", "Disabled"), ("file", None)],
+    )
+    def test_disabling_values_leave_the_cap(self, separable_run, tmp_path, name, value):
+        code, out = self.infer(separable_run, tmp_path, name, value, "--max-students", 2)
+        assert code == 0
+        meta = json.loads((out / "infer_meta.json").read_text())
+        assert (meta["executed"], meta["stopped_by"]) == (2, "cap")
+
+    def test_zero_gates_from_flag_and_file(self, separable_run, tmp_path):
+        for name in ("flag", "file"):
+            code, out = self.infer(separable_run, tmp_path, name, 0, "--max-students", 2)
+            assert code == 0
+            meta = json.loads((out / "infer_meta.json").read_text())
+            assert (meta["executed"], meta["stopped_by"]) == (1, "threshold"), name
+
+
 def _edit_doc(edit):
     """Case helper: edit the checkpoint manifest as JSON."""
     def apply(path):
@@ -923,6 +972,22 @@ CASCADE_CASES = {
         _edit_doc(lambda d: d.update(teacher_fingerprint=7)),
         "cascade.json teacher_fingerprint must be a string, got 7",
     ),
+    "final_lambda a string": (
+        _edit_doc(lambda d: d["students"][0]["meta"].update(final_lambda="0.1")),
+        'student 1 meta final_lambda must be a number, got "0.1"',
+    ),
+    "final_lambda unlike its history": (
+        _edit_doc(lambda d: d["students"][0]["meta"].update(final_lambda=0.75)),
+        "student 1 meta final_lambda 0.75 does not match",
+    ),
+    "init_fingerprint off the chain": (
+        _edit_doc(lambda d: d["students"][1]["meta"].update(init_fingerprint="x")),
+        'student 2 meta init_fingerprint "x" does not match',
+    ),
+    "first lambda off the chain": (
+        _edit_doc(lambda d: d["students"][1]["meta"]["lambda_history"].__setitem__(0, 0.75)),
+        "student 2 meta lambda_history[0] 0.75 does not match",
+    ),
 }
 
 TEACHER_CASES = {
@@ -946,6 +1011,14 @@ TEACHER_CASES = {
         _edit_doc(lambda d: d["train_meta"].pop("best_epoch")),
         "train_meta: missing keys ['best_epoch']",
     ),
+    "train_meta seed a string": (
+        _edit_doc(lambda d: d["train_meta"].update(seed="0")),
+        'train_meta seed must be an integer, got "0"',
+    ),
+    "train_meta seed unlike the config": (
+        _edit_doc(lambda d: d["train_meta"].update(seed=5)),
+        "train_meta seed 5 does not match 0, the config seed",
+    ),
     "edited weights": (
         _edit_doc(lambda d: _flip_char(d["layers"][0]["w"])),
         "teacher weights do not match their stored fingerprint",
@@ -967,6 +1040,7 @@ class TestMalformedCheckpoints:
         err = capsys.readouterr().err
         assert code == 2
         assert str(run / "cascade.json") in err and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("case", TEACHER_CASES)
     def test_teacher_exits_2_naming_file(self, separable_run, tmp_path, capsys, case):
@@ -980,6 +1054,7 @@ class TestMalformedCheckpoints:
         err = capsys.readouterr().err
         assert code == 2
         assert str(run / "teacher.json") in err and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfigPrecedence:

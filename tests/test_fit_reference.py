@@ -269,7 +269,7 @@ def ref_train_teacher(g, cfg):
                 break
 
     logits = spmm(norm_adj, best_hw) + best_params.layers[-1][1]
-    meta = t.TrainMeta(epochs_run, best_epoch, best_acc, cfg.seed, losses)
+    meta = optim.TrainRecord(epochs_run, best_epoch, best_acc, losses)
     return t.TeacherArtifact(best_params, softmax_rows(logits), meta, logits)
 
 
@@ -479,19 +479,18 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
         epochs=epochs_run,
         best_epoch=best_epoch,
         best_val_acc=best_acc,
-        final_lambda=lam,
+        losses=losses,
         init_fingerprint=init_fp,
         lambda_history=lambda_history,
-        losses=losses,
         logits=logits,
     )
-    return best_params, h_k, lam, ema, meta
+    return best_params, h_k, ema, meta
 
 
 def run_chain(train, g, teacher_probs, cfg):
     """Students 1..K as ``train_cascade`` chains them, with ``train`` as the
     per-student trainer: (params, hidden state, lambda, its moving average,
-    meta) of each."""
+    meta) of each, lambda being the meta's ``final_lambda``."""
     dims = [g.feat_dim + cfg.hidden_dim] + [cfg.hidden_dim] * (cfg.n_layers - 1)
     init = ref_init(dims + [g.n_classes], np.random.default_rng([cfg.seed, 0]),
                     g.features.dtype)
@@ -499,7 +498,8 @@ def run_chain(train, g, teacher_probs, cfg):
     lam, ema = cfg.mixup.lambda_init, None
     out = []
     for k in range(1, cfg.n_students + 1):
-        params, h, lam, ema, meta = train(k, g, teacher_probs, h, init, cfg, lam, ema)
+        params, h, ema, meta = train(k, g, teacher_probs, h, init, cfg, lam, ema)
+        lam = meta.final_lambda
         out.append((params, h, lam, ema, meta))
         init = params.copy()
     return out
@@ -509,7 +509,7 @@ def cascade_setup(dtype):
     g = gio.synth_sbm(150, 3, 10, 0.15, 0.04, 2.5, seed=6, dtype=dtype)
     rng = np.random.default_rng(7)
     teacher_probs = softmax_rows(rng.standard_normal((g.n_nodes, g.n_classes))).astype(dtype)
-    art = t.TeacherArtifact(LayerStack([]), teacher_probs, t.TrainMeta(1, 1, 0.0, 0))
+    art = t.TeacherArtifact(LayerStack([]), teacher_probs, optim.TrainRecord(1, 1, 0.0))
     return g, art
 
 

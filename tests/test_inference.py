@@ -19,7 +19,9 @@ def build_cascade(rng, n_students, d=4, hidden=3, c=3, dtype=np.float64):
         cas.init_student(d, hidden, c, 2, rng, dtype) for _ in range(n_students)
     ]
     metas = [
-        cas.StudentTrainMeta(1, 1, 0.0, 0.1, s.fingerprint()) for s in students
+        cas.StudentTrainMeta(
+            1, 1, 0.0, init_fingerprint=s.fingerprint(), lambda_history=[0.1]
+        ) for s in students
     ]
     return cas.Cascade(students=students, metas=metas, teacher_fingerprint="none")
 
@@ -126,7 +128,9 @@ class TestRunAnytime:
         )
         casc = cas.Cascade(
             students=[s1, s2],
-            metas=[cas.StudentTrainMeta(1, 1, 0.0, 0.1, "a")] * 2,
+            metas=[
+                cas.StudentTrainMeta(1, 1, 0.0, init_fingerprint="a", lambda_history=[0.1])
+            ] * 2,
             teacher_fingerprint="none",
         )
         x = np.ones((5, d))

@@ -9,7 +9,7 @@ import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 import mlpcascade.teacher as t
 from mlpcascade.numkit import finite_diff_check, masked_cross_entropy, softmax_rows
-from mlpcascade.optim import TrainingDivergedError
+from mlpcascade.optim import TrainingDivergedError, TrainRecord
 from mlpcascade.params import LayerStack
 from test_fit_reference import masked_cross_entropy as ref_cross_entropy
 from test_fit_reference import ref_teacher_backward, ref_teacher_forward
@@ -451,7 +451,7 @@ class TestSoftLabelIO:
         art = t.TeacherArtifact(
             params=LayerStack([(np.zeros((1, 2)), np.zeros(2))]),
             soft_labels=np.array([[0.25, 0.75], [0.5, 0.5]]),
-            train_meta=t.TrainMeta(1, 1, 0.0, 0),
+            train_meta=TrainRecord(1, 1, 0.0),
         )
         path = tmp_path / "soft.csv"
         t.export_soft_labels(art, path)
