@@ -14,6 +14,9 @@ teacher's setting with ``--dropout 0``, so its training forwards start
 from the ``Â X`` that the run computes once. No cascade is distilled from
 either. The ``inverted`` cascade setting goes through a ``--config`` file,
 written to a temporary directory outside OUT; the others through flags.
+A second dataset per precision, ``classes10``, has 10 classes, where
+inference scores row by row rather than class by class (from 8 classes);
+it gets one teacher, the ``defaults`` cascade and its ``infer``.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path. Timing files (``infer_meta.json``, ``tradeoff.csv``)
@@ -53,16 +56,17 @@ GRID = {
 }
 
 # (synth flags, train-teacher flags, distill flags, teacher-narrow hidden
-# width) of each size; the full grid keeps every training default of the
-# CLI (32 features, hidden width 64)
+# width, synth flags added for classes10) of each size; the full grid keeps
+# every training default of the CLI (32 features, hidden width 64)
 SIZES = {
-    "full": (["--nodes", "600", "--noise", "1.5"], [], [], "16"),
+    "full": (["--nodes", "600", "--noise", "1.5"], [], [], "16", ["--classes", "10"]),
     "tiny": (
         ["--nodes", "60", "--classes", "3", "--feat-dim", "8", "--p-in", "0.3",
          "--p-out", "0.02", "--noise", "1.5"],
         ["--hidden", "8", "--epochs", "6", "--patience", "5"],
         ["--students", "2", "--hidden", "8", "--epochs", "6", "--patience", "5"],
         "4",
+        ["--classes", "10", "--feat-dim", "10"],
     ),
 }
 
@@ -87,12 +91,20 @@ def run_grid(out: Path, size: str, tmp: Path) -> None:
             settings = ["--config", config]
         grid[name] = settings
 
-    synth_flags, teacher_flags, cascade_flags, narrow_hidden = SIZES[size]
+    synth_flags, teacher_flags, cascade_flags, narrow_hidden, wide_flags = SIZES[size]
     for precision in PRECISIONS:
         base = out / precision
         data = base / "data"
         teacher = base / "teacher"
         run = ["--precision", precision, "--seed", "0"]
+        wide = base / "classes10"
+        cli("synth", *synth_flags, *wide_flags, *run, "--out", wide / "data")
+        cli("train-teacher", "--data", wide / "data", "--depth", "3", *teacher_flags,
+            *run, "--out", wide / "teacher")
+        cli("distill", "--data", wide / "data", "--teacher-dir", wide / "teacher",
+            *cascade_flags, *run, "--out", wide / "defaults")
+        cli("infer", "--cascade", wide / "defaults" / "cascade.json", "--features",
+            wide / "data" / "features.csv", *run, "--out", wide / "defaults")
         cli("synth", *synth_flags, *run, "--out", data)
         cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags, *run,
             "--out", teacher)

@@ -577,7 +577,8 @@ def load_cascade(path) -> Cascade:
     student the fingerprint stored with it and the layer shapes of the
     others, and every meta its ``final_lambda``. Each student after the
     first must start where the one before ended: from its stored
-    fingerprint and its ``final_lambda``."""
+    fingerprint and its ``final_lambda``. A stored config must give the
+    students' count, hidden width and layer count."""
     doc, dtype = read_manifest(
         path,
         "cascade-checkpoint",
@@ -614,4 +615,12 @@ def load_cascade(path) -> Cascade:
                        metas[-1].final_lambda, f"{prev} final_lambda")
         students.append(student)
         metas.append(meta)
+    if cfg is not None:
+        first = students[0]
+        for name, value, source in (
+            ("n_students", len(students), "the count of stored students"),
+            ("hidden_dim", first.hidden_dim, "student 1's hidden width"),
+            ("n_layers", first.n_layers, "student 1's layer count"),
+        ):
+            check_copy(f"{path} config {name}", getattr(cfg, name), value, source)
     return Cascade(students, metas, teacher_fp, cfg)

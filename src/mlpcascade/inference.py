@@ -6,6 +6,22 @@ rows) is checked against the stopping rules; the final prediction is a
 confidence-weighted ensemble of exactly the executed students. Ensembling
 accumulates in float64 so the output rows are probability distributions to
 tight tolerance regardless of the cascade's working precision.
+
+Scoring is class-major up to ``numkit.ROW_SUM_COLUMNS`` (7) classes of
+float32 or float64 logits: each student's logits are copied once,
+transposed, into a C x K x N stack, and every class max and class sum of
+the confidence and of the one softmax after the loop is a single numpy
+reduction over the leading axis, across all rows at once, where a
+row-major array costs a reduction per row or a call per class. The bits
+are those of the row-major kernels: max is exact, and a sum of fewer than
+8 values in class order from +0 is numpy's row sum. From 8 classes numpy
+sums a row in unrolled blocks, in another order, and float16 rows in
+float32, so such logits keep a K x N x C stack and the row-major kernels.
+
+``ensemble`` keeps its loop over students. One vectorized float64 pass
+over the whole stack gives the same bits, and it is faster on a query of
+ten 128 x 4 float32 students (10.3 against 17.2 us) but slower on ten
+20000 x 4 ones (0.74 against 0.46 ms), on a 2-vCPU AVX-512 Xeon.
 """
 
 from __future__ import annotations
@@ -113,12 +129,12 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
     An empty index set, one not of integers (a boolean mask, say) or an
     index outside [0, rows) raises ValueError."""
     idx = check_index(eval_idx, logits.shape[0], "confidence", "evaluation")
-    return _confidence(logits, idx)
+    return _LogitStack(1, logits.shape, logits.dtype, idx).push(logits)
 
 
-def _confidence(logits: np.ndarray, idx: np.ndarray) -> float:
-    """``confidence`` over an index array already checked against the rows
-    of ``logits``; ``run_anytime`` checks its index set once per call.
+def _confidence_row_major(logits: np.ndarray, idx: np.ndarray) -> float:
+    """``confidence`` of N x C logits over an index array already checked
+    against their rows, reduced row by row.
 
     The row maximum is taken on the gathered rows in their own dtype (max
     is exact) and the shift writes the one float64 copy, so the bits are
@@ -131,11 +147,84 @@ def _confidence(logits: np.ndarray, idx: np.ndarray) -> float:
     return float(np.add.reduce(r) / r.size)
 
 
-def _stacked_softmax(logits: np.ndarray) -> np.ndarray:
+def _confidence_class_major(logits_t: np.ndarray, idx: Optional[np.ndarray]) -> float:
+    """``_confidence_row_major`` of the C x N class-major logits
+    ``logits_t``, C <= ``numkit.ROW_SUM_COLUMNS``, over the checked index
+    array ``idx`` (None for every row in order): each step one numpy call
+    across the rows, with the same bits."""
+    cols = logits_t if idx is None else logits_t.take(idx, axis=1)
+    z = np.subtract(cols, cols.max(axis=0), dtype=np.float64)
+    np.exp(z, out=z)
+    r = np.add.reduce(z, axis=0)
+    np.divide(1.0, r, out=r)
+    return float(np.add.reduce(r) / r.size)
+
+
+def _softmax_row_major(logits: np.ndarray) -> np.ndarray:
     """Row softmax of a k x N x C stack of logits as one (k * N) x C call:
     per row the same operations as a call per student, so the same bits."""
     k, n, c = logits.shape
     return softmax_rows(logits.reshape(k * n, c)).reshape(k, n, c)
+
+
+def _softmax_class_major(logits_t: np.ndarray) -> np.ndarray:
+    """``_softmax_row_major`` of the C x k x N class-major stack
+    ``logits_t``, C <= ``numkit.ROW_SUM_COLUMNS``, returned as a k x N x C
+    stack with the same bits: the class max, shift, exp, class sum and
+    division are each one numpy call across every row of every student,
+    and the division writes the row-major result through a transposed view.
+
+    A stack with a NaN row sum, from a NaN or infinite logit, is taken
+    again row by row: the two layouts can leave different NaNs in such a
+    row (seen at float64)."""
+    c, k, n = logits_t.shape
+    cols = logits_t.reshape(c, k * n)
+    e = cols - cols.max(axis=0)
+    np.exp(e, out=e)
+    s = np.add.reduce(e, axis=0)
+    if math.isnan(np.add.reduce(s)):
+        return _softmax_row_major(np.ascontiguousarray(logits_t.transpose(1, 2, 0)))
+    probs = np.empty((k, n, c), dtype=e.dtype)
+    np.divide(e.reshape(c, k, n), s.reshape(k, n), out=probs.transpose(2, 0, 1))
+    return probs
+
+
+class _LogitStack:
+    """The logits of up to ``k_total`` students over the same N rows, and
+    their scoring: each student's batch confidence over the checked index
+    array ``idx`` as it is pushed, then one softmax over every student
+    pushed.
+
+    With at most ``numkit.ROW_SUM_COLUMNS`` classes, at float32 or float64,
+    the stack is class-major, C x K x N: each student's logits are copied in
+    transposed, once, and scored by ``_confidence_class_major`` and
+    ``_softmax_class_major``. Otherwise it is K x N x C and scored row by
+    row by ``_confidence_row_major`` and ``_softmax_row_major``."""
+
+    def __init__(self, k_total: int, shape: tuple[int, int], dtype, idx: np.ndarray):
+        n, c = shape
+        self.class_major = c <= numkit.ROW_SUM_COLUMNS and dtype in (np.float32, np.float64)
+        self.stack = np.empty((c, k_total, n) if self.class_major else (k_total, n, c), dtype)
+        self.size = 0
+        self.idx = idx
+        if self.class_major and idx.size == n and (idx == np.arange(n)).all():
+            self.idx = None  # every row in order: no gather
+
+    def push(self, logits: np.ndarray) -> float:
+        """Store the next student's N x C logits; their batch confidence."""
+        k = self.size
+        self.size += 1
+        if not self.class_major:
+            self.stack[k] = logits
+            return _confidence_row_major(logits, self.idx)
+        self.stack[:, k] = logits.T
+        return _confidence_class_major(self.stack[:, k], self.idx)
+
+    def softmax(self) -> np.ndarray:
+        """The k x N x C probabilities of the k students pushed."""
+        if not self.class_major:
+            return _softmax_row_major(self.stack[: self.size])
+        return _softmax_class_major(self.stack[:, : self.size])
 
 
 def score_logits(
@@ -148,9 +237,13 @@ def score_logits(
     once."""
     if not logits:
         raise ValueError("score_logits: no students")
-    idx = check_index(eval_idx, logits[0].shape[0], "score_logits", "evaluation")
-    stack = np.stack(logits)
-    return _stacked_softmax(stack), [_confidence(z, idx) for z in stack]
+    shape = logits[0].shape
+    if any(z.shape != shape for z in logits):
+        raise ValueError(f"score_logits: logits of shapes {[z.shape for z in logits]}")
+    idx = check_index(eval_idx, shape[0], "score_logits", "evaluation")
+    scores = _LogitStack(len(logits), shape, np.result_type(*logits), idx)
+    confidences = [scores.push(z) for z in logits]
+    return scores.softmax(), confidences
 
 
 def ensemble(preds: np.ndarray, confs: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -202,10 +295,10 @@ def run_anytime(
 
     Per student the loop runs the forward pass and the float64 batch
     confidence, which is all the stopping rules read, and keeps the logits
-    in one K x N x C stack. After the loop, one softmax over the executed
-    students' stacked logits gives every ``probs`` row and the ensemble
-    combines them; neither is in any student's ``elapsed``, both are in
-    ``scoring``.
+    in one stack, class-major up to 7 classes (see the module docstring).
+    After the loop, one softmax over the executed students' stacked logits
+    gives every ``probs`` row and the ensemble combines them; neither is in
+    any student's ``elapsed``, both are in ``scoring``.
     """
     if not c.students:
         raise ValueError("run_anytime: empty cascade")
@@ -219,24 +312,23 @@ def run_anytime(
     inputs = np.zeros((x.shape[0], first.input_dim), dtype=dtype)
     inputs[:, :d] = x
     h = None
-    stack = None
+    scores = None
     confs: list[float] = []
     elapsed: list[float] = []
-    for k, params in enumerate(c.students):
+    for params in c.students:
         t0 = time.perf_counter()
         if h is not None:
             inputs[:, d:] = h
         h, logits = student_forward(params, inputs)
-        if stack is None:
-            stack = np.empty((c.n_students, *logits.shape), dtype=logits.dtype)
-        stack[k] = logits
-        confs.append(_confidence(logits, idx))
+        if scores is None:
+            scores = _LogitStack(c.n_students, logits.shape, logits.dtype, idx)
+        confs.append(scores.push(logits))
         elapsed.append(time.perf_counter() - t0)
         stopped_by = policy.fired(confs[-1], len(confs), sum(elapsed))
         if stopped_by is not None:
             break
     t0 = time.perf_counter()
-    probs = _stacked_softmax(stack[: len(confs)])
+    probs = scores.softmax()
     prediction, weights = ensemble(probs, confs)
     scoring = time.perf_counter() - t0
     return InferenceResult(

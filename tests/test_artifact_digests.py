@@ -1,9 +1,15 @@
 """scripts/artifact_digests.py: the byte-identity grid runs, lists every
 deterministic artifact and gives the same digests when run again."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from mlpcascade.cli import main
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
 
@@ -16,24 +22,59 @@ def digests(out):
     return proc.stdout.splitlines()
 
 
-def test_tiny_grid_repeats_itself(tmp_path):
-    first = digests(tmp_path / "a")
+@pytest.fixture(scope="module")
+def tiny_grid(tmp_path_factory):
+    """The tiny grid's output directory and its digest lines."""
+    out = tmp_path_factory.mktemp("grid") / "a"
+    return out, digests(out)
+
+
+def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
+    _, first = tiny_grid
     assert first == digests(tmp_path / "b")
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
     per_run = ["cascade.json", "distill_report.json", "predictions.csv"]
+    teacher_files = ["teacher.json", "soft_labels.csv", "teacher_report.json"]
     for precision in ("f32", "f64"):
         for teacher in ("teacher", "teacher-narrow", "teacher-nodrop"):
-            for artifact in ("teacher.json", "soft_labels.csv", "teacher_report.json"):
+            for artifact in teacher_files:
                 assert f"{precision}/{teacher}/{artifact}" in paths
-        assert f"{precision}/data/features.csv.mirror" in paths
-        for name in ("defaults", "layers3", "inverted", "alpha1", "alpha0"):
+        for data in ("data", "classes10/data"):
+            assert f"{precision}/{data}/features.csv.mirror" in paths
+        for name in ("defaults", "layers3", "inverted", "alpha1", "alpha0",
+                     "classes10/defaults"):
             for artifact in per_run:
                 assert f"{precision}/{name}/{artifact}" in paths
-    # 7 dataset files, 3 files of each of the three teachers and 3 per
-    # cascade setting
-    assert len(paths) == 2 * (7 + 3 * 3 + 5 * 3)
+        for artifact in teacher_files:
+            assert f"{precision}/classes10/teacher/{artifact}" in paths
+    # per precision: 7 files of each dataset, 3 of each of the four teachers
+    # and 3 per cascade setting, classes10's defaults among them
+    assert len(paths) == 2 * (2 * 7 + 4 * 3 + 6 * 3)
     assert not any(p.endswith("infer_meta.json") for p in paths)
+
+
+@pytest.mark.parametrize(
+    "field, value, stored",
+    [("n_students", 7, 2), ("hidden_dim", 3, 8), ("n_layers", 5, 2)],
+)
+def test_cascade_config_unlike_its_students_exits_2(
+    tiny_grid, tmp_path, capsys, field, value, stored
+):
+    out, _ = tiny_grid
+    path = tmp_path / "cascade.json"
+    shutil.copy(out / "f32" / "defaults" / "cascade.json", path)
+    doc = json.loads(path.read_text())
+    doc["config"][field] = value
+    path.write_text(json.dumps(doc))
+    code = main([
+        "infer", "--cascade", str(path), "--features",
+        str(out / "f32" / "data" / "features.csv"), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path} config {field} {value} does not match {stored}, ")
+    assert err.count("\n") == 1
 
 
 def test_non_empty_out_exits_2(tmp_path):

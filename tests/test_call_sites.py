@@ -1,16 +1,20 @@
 """Call counts of the module-level names that perfbench wraps.
 
 perfbench times ``teacher.spmm``, ``teacher.dropout_mask``,
-``cascade.dropout_mask`` and ``cascade.student_forward`` by replacing those
+``cascade.dropout_mask``, ``cascade.student_forward``,
+``inference.student_forward`` and ``inference.ensemble`` by replacing those
 module attributes, so its per-layer metrics mean something only while the
-trainers look the names up there, once per use. These tests count the calls
-through ``monkeypatch`` during one small training run of each model.
+trainers and ``run_anytime`` look the names up there, once per use. These
+tests count the calls through ``monkeypatch`` during one small training run
+of each model and a few anytime calls.
 """
 
+import numpy as np
 import pytest
 
 import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
+import mlpcascade.inference as inf
 import mlpcascade.teacher as t
 
 
@@ -78,3 +82,25 @@ def test_cascade_call_sites(tiny_graph, monkeypatch, n_layers):
         "dropout_mask": sum(epochs) * 2 * (n_layers - 1),
         "student_forward": 0,
     }
+
+
+@pytest.mark.parametrize("n_classes", [3, 9])
+def test_run_anytime_call_sites(monkeypatch, n_classes):
+    # a class-major and a row-major cascade
+    rng = np.random.default_rng(n_classes)
+    students = [cas.init_student(4, 5, n_classes, 2, rng, np.float32) for _ in range(4)]
+    metas = [
+        cas.StudentTrainMeta(1, 1, 0.0, init_fingerprint=s.fingerprint(), lambda_history=[0.1])
+        for s in students
+    ]
+    casc = cas.Cascade(students=students, metas=metas, teacher_fingerprint="none")
+    x = rng.standard_normal((20, 4)).astype(np.float32)
+    for policy in (
+        inf.InferencePolicy(max_students=4),
+        inf.InferencePolicy(max_students=2),
+        inf.InferencePolicy(conf_threshold=0.0),
+    ):
+        counts = count_calls(monkeypatch, inf, ("student_forward", "ensemble"))
+        result = inf.run_anytime(casc, x, policy, np.arange(20))
+        # one forward per executed student, one ensemble per call
+        assert counts == {"student_forward": result.executed, "ensemble": 1}

@@ -984,6 +984,18 @@ CASCADE_CASES = {
         _edit_doc(lambda d: d["students"][1]["meta"].update(init_fingerprint="x")),
         'student 2 meta init_fingerprint "x" does not match',
     ),
+    "config n_students unlike the students": (
+        _edit_doc(lambda d: d["config"].update(n_students=7)),
+        "config n_students 7 does not match 2, the count of stored students",
+    ),
+    "config hidden_dim unlike the students": (
+        _edit_doc(lambda d: d["config"].update(hidden_dim=3)),
+        "config hidden_dim 3 does not match 8, student 1's hidden width",
+    ),
+    "config n_layers unlike the students": (
+        _edit_doc(lambda d: d["config"].update(n_layers=5)),
+        "config n_layers 5 does not match 2, student 1's layer count",
+    ),
     "first lambda off the chain": (
         _edit_doc(lambda d: d["students"][1]["meta"]["lambda_history"].__setitem__(0, 0.75)),
         "student 2 meta lambda_history[0] 0.75 does not match",

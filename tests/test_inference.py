@@ -282,6 +282,13 @@ class TestScoreLogits:
         with pytest.raises(ValueError, match="no students"):
             inf.score_logits([], [0])
 
+    def test_shapes_checked(self):
+        # a 1 x 2 array would broadcast into the stack of 3 x 2 ones
+        with pytest.raises(
+            ValueError, match=r"^score_logits: logits of shapes \[\(3, 2\), \(1, 2\)\]"
+        ):
+            inf.score_logits([np.zeros((3, 2)), np.zeros((1, 2))], [0])
+
 
 class TestAccuracy:
     def test_perfect(self):
@@ -444,25 +451,26 @@ class TestBitIdenticalToReference:
 
 class TestStackedScoring:
     """A call scores its students once: a confidence per executed student in
-    the loop, then one softmax over the stacked logits of all of them."""
+    the loop, then one softmax over the stacked logits of all of them. Up to
+    ROW_SUM_COLUMNS classes both run class-major, on C x N and C x k x N
+    arrays; from 8 classes on, row by row."""
 
-    @staticmethod
-    def count_calls(monkeypatch):
-        """Record the input shape of every softmax_rows call and the count
-        of _confidence calls that inference makes."""
-        calls = {"softmax": [], "confidence": 0}
-        softmax, conf = inf.softmax_rows, inf._confidence
+    KERNELS = ("softmax_rows", "_softmax_class_major", "_softmax_row_major",
+               "_confidence_class_major", "_confidence_row_major")
 
-        def counting_softmax(logits):
-            calls["softmax"].append(logits.shape)
-            return softmax(logits)
+    @classmethod
+    def count_calls(cls, monkeypatch):
+        """Record the shape of the first argument of every call that
+        inference makes to each scoring kernel."""
+        calls = {name: [] for name in cls.KERNELS}
+        for name in cls.KERNELS:
+            original = getattr(inf, name)
 
-        def counting_confidence(logits, idx):
-            calls["confidence"] += 1
-            return conf(logits, idx)
+            def counted(logits, *args, _name=name, _original=original):
+                calls[_name].append(logits.shape)
+                return _original(logits, *args)
 
-        monkeypatch.setattr(inf, "softmax_rows", counting_softmax)
-        monkeypatch.setattr(inf, "_confidence", counting_confidence)
+            monkeypatch.setattr(inf, name, counted)
         return calls
 
     @pytest.mark.parametrize("cap", [1, 3, 5])
@@ -475,8 +483,15 @@ class TestStackedScoring:
             calls = self.count_calls(monkeypatch)
             r = inf.run_anytime(casc, x, policy, np.arange(0, 12, 2))
             k = r.executed
-            # the probabilities, then the ensemble's weights over k confidences
-            assert calls == {"softmax": [(k * 12, 3), (1, k)], "confidence": k}
+            # a class-major confidence per student, the probabilities of all
+            # of them, then the ensemble's weights over k confidences
+            assert calls == {
+                "softmax_rows": [(1, k)],
+                "_softmax_class_major": [(3, k, 12)],
+                "_softmax_row_major": [],
+                "_confidence_class_major": [(3, 12)] * k,
+                "_confidence_row_major": [],
+            }
             assert r.probs.shape == (k, 12, 3)
 
     def test_one_softmax_per_score_logits_call(self, monkeypatch):
@@ -484,8 +499,32 @@ class TestStackedScoring:
         logits = [rng.standard_normal((9, 3)) for _ in range(4)]
         calls = self.count_calls(monkeypatch)
         probs, confs = inf.score_logits(logits, [0, 4, 8])
-        assert calls == {"softmax": [(36, 3)], "confidence": 4}
+        assert calls == {
+            "softmax_rows": [],
+            "_softmax_class_major": [(3, 4, 9)],
+            "_softmax_row_major": [],
+            "_confidence_class_major": [(3, 9)] * 4,
+            "_confidence_row_major": [],
+        }
         assert probs.shape == (4, 9, 3) and len(confs) == 4
+
+    @pytest.mark.parametrize("c", [nk.ROW_SUM_COLUMNS + 1, 12])
+    def test_eight_classes_and_more_score_row_by_row(self, monkeypatch, c):
+        rng = np.random.default_rng(c)
+        casc = build_cascade(rng, 4, c=c)
+        x = rng.standard_normal((12, 4))
+        calls = self.count_calls(monkeypatch)
+        r = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=3), np.arange(12))
+        # numpy sums 8 or more values in unrolled blocks, not class by class:
+        # one softmax_rows over the stacked rows, then the ensemble's
+        assert calls == {
+            "softmax_rows": [(36, c), (1, 3)],
+            "_softmax_class_major": [],
+            "_softmax_row_major": [(3, 12, c)],
+            "_confidence_class_major": [],
+            "_confidence_row_major": [(12, c)] * 3,
+        }
+        assert r.probs.shape == (3, 12, c)
 
     @pytest.mark.parametrize(
         "x_dtype, casc_dtype",
@@ -503,8 +542,8 @@ class TestStackedScoring:
     ):
         """128 rows of 4 classes are below row_sum's fold height, and 40
         below row_max's, while the stack of 10 students is above both: the
-        one stacked softmax runs numkit's column folds where a softmax per
-        student ran numpy's row reductions."""
+        one stacked softmax must keep the bits of a softmax per student,
+        which ran numpy's row reductions, whichever kernel scores it."""
         c = 4
         assert n < nk.ROW_SUM_ROWS_PER_COLUMN * c <= 10 * n
         assert 40 < nk.ROW_MAX_ROWS_PER_COLUMN * c <= 10 * 40
