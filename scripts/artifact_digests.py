@@ -26,6 +26,13 @@ Run it in two checkouts and ``diff`` the two outputs: no difference means
 every artifact of the grid is byte-identical. ``--tiny`` runs the same grid
 on a 60-node graph with a few epochs, in seconds.
 
+``--datasets`` runs ``synth`` alone, once per benchmark workload, with the
+generator settings (nodes, classes, features, p_in, p_out, noise) that
+``perfbench/workloads.py`` declares for it and the seed and precision of
+the grid, into ``OUT/<workload>``; with ``--tiny`` it takes the workloads'
+toy settings. So the dataset bytes at benchmark scale can be diffed across
+checkouts in seconds.
+
 Exit code 2 when OUT is not empty, 1 when a command of the grid fails.
 """
 
@@ -71,18 +78,21 @@ SIZES = {
 }
 
 
+def cli(*args) -> None:
+    """Run one command of ``mlpcascade.cli``, its output sent to standard
+    error; SystemExit(1) naming the command when it fails."""
+    from mlpcascade.cli import main
+
+    argv = [str(a) for a in args]
+    with contextlib.redirect_stdout(sys.stderr):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"artifact_digests: exit {code} from: {' '.join(argv)}")
+
+
 def run_grid(out: Path, size: str, tmp: Path) -> None:
     """Write every artifact of the grid under ``out`` and the config files
     under ``tmp``; SystemExit(1) naming the command when one fails."""
-    from mlpcascade.cli import main
-
-    def cli(*args) -> None:
-        argv = [str(a) for a in args]
-        with contextlib.redirect_stdout(sys.stderr):
-            code = main(argv)
-        if code != 0:
-            raise SystemExit(f"artifact_digests: exit {code} from: {' '.join(argv)}")
-
     grid = {}
     for name, settings in GRID.items():
         if isinstance(settings, dict):
@@ -120,6 +130,19 @@ def run_grid(out: Path, size: str, tmp: Path) -> None:
                 data / "features.csv", *run, "--out", dest)
 
 
+def run_datasets(out: Path, tiny: bool) -> None:
+    """Write the dataset of every benchmark workload under ``out``, by
+    ``synth`` at the generator settings ``perfbench/workloads.py`` declares;
+    SystemExit(1) naming the command when one fails."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    for name, s in (workloads.TINY if tiny else workloads.WORKLOADS).items():
+        cli("synth", "--nodes", s.nodes, "--classes", s.classes, "--feat-dim", s.feat_dim,
+            "--p-in", s.p_in, "--p-out", s.p_out, "--noise", s.noise, "--seed", "0",
+            "--out", out / name)
+
+
 def digests(out: Path) -> list[str]:
     """``<sha256>  <path>`` of every file under ``out`` but the timing files,
     sorted by the printed path."""
@@ -136,6 +159,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="output directory, empty or absent")
     parser.add_argument("--tiny", action="store_true", help="a 60-node grid, in seconds")
+    parser.add_argument("--datasets", action="store_true",
+                        help="only the benchmark workloads' datasets, by synth")
     args = parser.parse_args(argv)
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         print(f"error: {args.out} is not an empty directory", file=sys.stderr)
@@ -144,8 +169,11 @@ def main(argv=None) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        run_grid(args.out, "tiny" if args.tiny else "full", Path(tmp))
+    if args.datasets:
+        run_datasets(args.out, args.tiny)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_grid(args.out, "tiny" if args.tiny else "full", Path(tmp))
     print("\n".join(digests(args.out)))
     return 0
 

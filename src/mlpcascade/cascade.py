@@ -7,6 +7,12 @@ features concatenated with the previous student's hidden representations
     total_k = k^beta * (alpha * CE_labeled + (1-alpha) * KL_all_nodes)
               + mixup cross entropy over interpolated labeled pairs
 
+Each student has its own AdamW, and an AdamW step is unchanged by a
+constant scale of the whole gradient, up to its eps. So k^beta does not
+give later students a larger weight: what it does is weight the mixup
+term against the distillation term by 1/k^beta, shrinking its share of
+student k's gradient.
+
 The mixup interpolation coefficient lambda adapts over time by one rule,
 ``MixupConfig.update``: an exponential moving average of the mixup loss
 drives it up or down (clamped to [0, 0.5]), so the synthetic examples get
@@ -67,8 +73,11 @@ from .teacher import TeacherArtifact
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Distillation loss weights: alpha blends CE against KL, beta grows the
-    whole term as k^beta for later students."""
+    """Distillation loss weights: alpha blends CE against KL, and student
+    k's distillation term is multiplied by k^beta. The mixup term is not,
+    and each student's AdamW step is unchanged by a constant scale of its
+    gradient (up to eps), so beta's effect is to shrink the mixup term's
+    share of student k's gradient, not to weight later students more."""
 
     alpha: float = 0.5
     beta: float = 0.8
@@ -578,7 +587,13 @@ def load_cascade(path) -> Cascade:
     others, and every meta its ``final_lambda``. Each student after the
     first must start where the one before ended: from its stored
     fingerprint and its ``final_lambda``. A stored config must give the
-    students' count, hidden width and layer count."""
+    students' count, hidden width and layer count, and student 1 must start
+    from the init that config draws: its stored ``init_fingerprint`` must be
+    the fingerprint of ``init_student`` drawn from ``default_rng([seed,
+    0])`` at the stored shapes and dtype, as ``train_cascade`` draws it.
+    Without a config the seed is unknown, so student 1's ``init_fingerprint``
+    is kept as stored, unchecked; the later students' are checked as
+    above."""
     doc, dtype = read_manifest(
         path,
         "cascade-checkpoint",
@@ -623,4 +638,10 @@ def load_cascade(path) -> Cascade:
             ("n_layers", first.n_layers, "student 1's layer count"),
         ):
             check_copy(f"{path} config {name}", getattr(cfg, name), value, source)
+        init = init_student(
+            first.input_dim - first.hidden_dim, cfg.hidden_dim, first.layers[-1][0].shape[1],
+            cfg.n_layers, np.random.default_rng([cfg.seed, 0]), dtype,
+        )
+        check_copy(f"{path} student 1 meta init_fingerprint", metas[0].init_fingerprint,
+                   init.fingerprint(), "the fingerprint of the config seed's init")
     return Cascade(students, metas, teacher_fp, cfg)

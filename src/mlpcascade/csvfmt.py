@@ -4,7 +4,9 @@
 there is none (``%.17g``, ``%d`` on floats, any other format). A kernel maps
 a 2-D block of values to one token per value, separator included, and flags
 the values whose bytes it cannot prove; the writer formats those with
-Python's ``%``, which stays the reference for every byte.
+Python's ``%``, which stays the reference for every byte. The writer takes
+its kernels from ``group_kernel``: for an integer group with fewer possible
+values than values, a token table of its span that ``format_d`` fills.
 
 Tokens. Each token is built in a record of two little-endian uint64 words
 (16 bytes), left-aligned and padded with NUL bytes, which the writer drops.
@@ -252,3 +254,43 @@ def kernel(fmt: str, dtype):
     if fmt == "%d" and dtype.kind in "iu":
         return format_d
     return None
+
+
+def group_kernel(fmt: str, group: np.ndarray, line_end: np.ndarray, block_rows: int):
+    """The kernel for blocks of the 2-D column group ``group``, whose
+    columns end in the separators ``line_end`` flags: ``kernel(fmt,
+    group.dtype)``, or, for ``format_d`` on a group whose value span
+    ``max - min + 1`` is smaller than its value count, a token table of the
+    span. ``format_d`` formats the span once per column, with that column's
+    separator, ``block_rows`` values at a time, and each block gathers its
+    records from the table with one ``np.take`` per column. A span holding
+    a value that ``format_d`` leaves to the fallback keeps the direct
+    kernel."""
+    kern = kernel(fmt, group.dtype)
+    if kern is not format_d or group.size == 0:
+        return kern
+    lo, hi = group.min(), group.max()
+    span = int(hi) - int(lo) + 1
+    # format_d falls back on |x| >= 1e9, so if neither end does, no value does
+    if span >= group.size or format_d(np.array([[lo], [hi]]), line_end[-1:])[1].any():
+        return kern
+    cols = group.shape[1]
+    # a 16-byte record as one complex128, so each gather is a 1-D take
+    table = np.empty((cols, span), np.complex128)
+    for start in range(0, span, block_rows):
+        # lo + k, k < span, wraps to its true value in the group's dtype
+        values = np.arange(start, min(start + block_rows, span)).astype(group.dtype) + lo
+        records, _ = format_d(np.broadcast_to(values[:, None], (values.size, cols)), line_end)
+        table[:, start : start + values.size] = records.view(np.complex128)[..., 0].T
+    offset = int(lo)
+
+    def gather(block: np.ndarray, line_end: np.ndarray):
+        rows = block.shape[0]
+        out = np.empty((rows, cols), np.complex128)
+        for j in range(cols):
+            # every value lies in the span, |x| < 1e9, so any cast is exact
+            at = np.subtract(block[:, j], offset, dtype=np.intp, casting="unsafe")
+            out[:, j] = np.take(table[j], at)
+        return out.view(np.uint64).reshape(rows, cols, 2), np.zeros(block.shape, bool)
+
+    return gather

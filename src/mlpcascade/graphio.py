@@ -371,8 +371,9 @@ def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Canonical (i < j) deduplicated pairs with self-loops stripped, sorted
     by (i, j), as int64.
 
-    Input that is already canonical, as ``save_dataset`` writes it, is
-    returned after one pass over the scalar keys ``i * n_nodes + j``. Other
+    Input that is already canonical, as ``save_dataset`` writes it and
+    ``synth_sbm`` draws it, is returned after one pass over the scalar keys
+    ``i * n_nodes + j``. Other
     input sorts those keys and drops adjacent repeats, which is far faster
     than ``np.unique`` on the pair rows.
     """
@@ -571,8 +572,10 @@ def _write_csv(path: Path, table, fmt, header: str = "") -> str:
     ``_WRITE_BLOCK_VALUES`` values. When every column has a kernel in
     ``csvfmt`` (``%.9g`` on floats, ``%d`` on integers), the kernels format
     the block into NUL-padded records, the NULs are dropped, and each value
-    a kernel cannot prove is formatted by Python's ``%`` in its place.
-    Otherwise one ``%`` over the block's flat tuple formats it.
+    a kernel cannot prove is formatted by Python's ``%`` in its place; an
+    integer group with fewer possible values than values gathers its
+    records from a token table (``csvfmt.group_kernel``). Otherwise one
+    ``%`` over the block's flat tuple formats it.
     """
     if isinstance(table, np.ndarray):
         groups = [table]  # one kernel call per block when one format serves all
@@ -582,13 +585,15 @@ def _write_csv(path: Path, table, fmt, header: str = "") -> str:
     fmts = [fmt] * n_cols if isinstance(fmt, str) else list(fmt)
     if len(groups) == 1 and len(set(fmts)) > 1:
         groups = [table[:, j : j + 1] for j in range(n_cols)]
-    kernels = [csvfmt.kernel(f, g.dtype) for f, g in zip(fmts, groups)]
     cells = [(g, j) for g in groups for j in range(g.shape[1])]
     seps = [","] * (n_cols - 1) + ["\n"]
     widths = [g.shape[1] for g in groups]
     ends_line = np.split(np.arange(n_cols) == n_cols - 1, np.cumsum(widths)[:-1])
     row = ",".join(fmts) + "\n"
     block_rows = max(1, _WRITE_BLOCK_VALUES // n_cols)
+    kernels = [
+        csvfmt.group_kernel(f, g, e, block_rows) for f, g, e in zip(fmts, groups, ends_line)
+    ]
     digest = hashlib.sha256()
     with open(path, "wb") as f:
 
@@ -789,6 +794,39 @@ def _triangle_unrank(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _sbm_edge_keys(rng, n_nodes: int, n_classes: int, p_in: float, p_out: float) -> np.ndarray:
+    """The sorted keys ``u * n_nodes + v`` (``u < v``) of ``synth_sbm``'s
+    edges, drawn from ``rng`` block pair by block pair: within block a,
+    then a with each later block. The keys are built in place on the
+    arrays the unranking returns; the drawn pairs are distinct, so the
+    sorted keys need no deduplication."""
+    block = n_nodes // n_classes
+    chunks = [np.empty(0, dtype=np.int64)]  # the only one of an edge-free graph
+    for a in range(n_classes):
+        base = a * block
+        t = _bernoulli_indices(rng, block * (block - 1) // 2, p_in)
+        if t.size:
+            v, u = _triangle_unrank(t)  # u < v within the block
+            u += base
+            u *= n_nodes
+            u += v
+            u += base
+            chunks.append(u)
+        for b in range(a + 1, n_classes):
+            t = _bernoulli_indices(rng, block * block, p_out)
+            if t.size:
+                u, v = np.divmod(t, block)
+                u += base
+                u *= n_nodes
+                u += v
+                u += b * block
+                chunks.append(u)
+    keys = np.concatenate(chunks)
+    del chunks  # freed before the in-place sort
+    keys.sort()
+    return keys
+
+
 def synth_sbm(
     n_nodes: int,
     n_classes: int,
@@ -811,6 +849,10 @@ def synth_sbm(
     (at least one), 20% of the graph for validation, and the rest for
     testing.
 
+    The edges come out canonical, as ``Graph`` stores them (sorted ``i <
+    j`` pairs without repeats, from the sorted keys of
+    ``_sbm_edge_keys``), so ``Graph`` takes them after its one-pass check.
+
     Fully reproducible given ``seed``.
     """
     if n_classes < 1:
@@ -831,23 +873,10 @@ def synth_sbm(
     block = n_nodes // n_classes
     class_ids = np.repeat(np.arange(n_classes), block)
 
-    edge_chunks: list[np.ndarray] = []
-    for a in range(n_classes):
-        base = a * block
-        t = _bernoulli_indices(rng, block * (block - 1) // 2, p_in)
-        if t.size:
-            i, j = _triangle_unrank(t)
-            edge_chunks.append(np.column_stack([base + j, base + i]))
-        for b in range(a + 1, n_classes):
-            t = _bernoulli_indices(rng, block * block, p_out)
-            if t.size:
-                edge_chunks.append(
-                    np.column_stack([base + t // block, b * block + t % block])
-                )
-    if edge_chunks:
-        edges = np.concatenate(edge_chunks)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    keys = _sbm_edge_keys(rng, n_nodes, n_classes, p_in, p_out)
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n_nodes, out=(edges[:, 0], edges[:, 1]))
+    del keys  # freed before the features are drawn
 
     basis, _ = np.linalg.qr(rng.standard_normal((feat_dim, n_classes)))
     means = MEAN_SEPARATION * basis.T  # one orthogonal mean per class

@@ -155,22 +155,25 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1, keepdims=True)`` with the same bits, faster on tall,
     narrow arrays.
 
-    For a C-contiguous floating-point array with 2 to ``ROW_SUM_COLUMNS``
-    columns and at least ``ROW_SUM_ROWS_PER_COLUMN`` rows per column, the
-    sum is taken one column at a time: ``((+0 + c0) + c1) + ...``, the order
-    in which numpy sums a row of fewer than 8 values. Starting from +0
+    For a C-contiguous float32 or float64 array with 2 to
+    ``ROW_SUM_COLUMNS`` columns and at least ``ROW_SUM_ROWS_PER_COLUMN``
+    rows per column, the sum is taken one column at a time:
+    ``((+0 + c0) + c1) + ...``, the order in which numpy sums a row of
+    fewer than 8 values. Starting from +0
     matters: a row of -0 values sums to +0, as in numpy. When two NaNs meet,
     which one's sign and payload survive depends on how the loop orders its
     operands, and numpy's vector and scalar loops differ there; so the rows
     whose fold is NaN are summed again by numpy. Every result, signed
     zeros, infinities, NaNs and subnormals included, is the same bits as
-    numpy's (checked for every width at float32 and float64).
+    numpy's (checked for every width at float32 and float64). Other dtypes
+    go to numpy: it sums a float16 row in float32 and rounds once, which a
+    float16 fold would not repeat.
     """
     n_rows, n_cols = a.shape
     if (
         not 2 <= n_cols <= ROW_SUM_COLUMNS
         or n_rows < ROW_SUM_ROWS_PER_COLUMN * n_cols
-        or a.dtype.kind != "f"
+        or a.dtype not in (np.float32, np.float64)
         or not a.flags.c_contiguous
     ):
         return a.sum(axis=1, keepdims=True)

@@ -77,6 +77,39 @@ def test_cascade_config_unlike_its_students_exits_2(
     assert err.count("\n") == 1
 
 
+def test_student_1_init_fingerprint_unlike_the_config_seed_exits_2(tiny_grid, tmp_path, capsys):
+    out, _ = tiny_grid
+    path = tmp_path / "cascade.json"
+    doc = json.loads((out / "f32" / "defaults" / "cascade.json").read_text())
+    stored = doc["students"][0]["meta"]["init_fingerprint"]
+    doc["students"][0]["meta"]["init_fingerprint"] = "x"
+    path.write_text(json.dumps(doc))
+    code = main([
+        "infer", "--cascade", str(path), "--features",
+        str(out / "f32" / "data" / "features.csv"), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f'error: {path} student 1 meta init_fingerprint "x" does not match "{stored}", '
+        "the fingerprint of the config seed's init\n"
+    )
+
+
+def test_datasets_mode_writes_each_workload_dataset(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "a"), "--datasets", "--tiny"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    paths = [line.split("  ", 1)[1] for line in proc.stdout.splitlines()]
+    files = ["edges.csv", "edges.csv.mirror", "features.csv", "features.csv.mirror",
+             "labels.csv", "labels.csv.mirror", "splits.json"]
+    assert paths == [f"{w}/{f}" for w in ("cora-shape", "sbm-20k") for f in files]
+    # the toy settings of perfbench/workloads.py: 350 and 400 nodes
+    assert "N=350 C=7 d=48" in proc.stderr and "N=400 C=4 d=16" in proc.stderr
+
+
 def test_non_empty_out_exits_2(tmp_path):
     (tmp_path / "stale.txt").write_text("x")
     proc = subprocess.run(

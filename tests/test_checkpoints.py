@@ -39,6 +39,13 @@ def _layer_stack(draw, dims, dtype):
     ]
 
 
+def seeded_init_fingerprint(feat, hidden, classes, n_layers, dtype, seed=0):
+    """Student 1's ``init_fingerprint`` under a config of ``seed``, the one
+    ``load_cascade`` re-derives."""
+    rng = np.random.default_rng([seed, 0])
+    return cas.init_student(feat, hidden, classes, n_layers, rng, dtype).fingerprint()
+
+
 @st.composite
 def cascades(draw, dtype):
     feat, hidden, classes = (draw(st.integers(1, 4)) for _ in range(3))
@@ -50,7 +57,8 @@ def cascades(draw, dtype):
     # a consistent chain: each student after the first starts from the
     # weights and the last lambda of the one before
     metas = []
-    init_fp, history = "init", [draw(lam)]
+    init_fp = seeded_init_fingerprint(feat, hidden, classes, n_layers, dtype)
+    history = [draw(lam)]
     for student in students:
         history = [history[-1], *draw(st.lists(lam, max_size=2))]
         metas.append(
@@ -376,7 +384,8 @@ def test_stored_metas_load_with_their_types(ckpt_dir):
 
 def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
+    init_fp = seeded_init_fingerprint(1, 1, 1, 2, np.float32)
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint=init_fp, lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
     path = ckpt_dir / "typed.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)
@@ -385,3 +394,24 @@ def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     path.write_text(json.dumps(doc))
     alpha = cas.load_cascade(path).config.distill.alpha
     assert type(alpha) is float and alpha == 1.0
+
+
+@pytest.mark.parametrize("with_config", [True, False])
+def test_student_1_init_fingerprint_is_checked_only_against_a_stored_seed(ckpt_dir, with_config):
+    # without a config the seed is unknown, so the stored value is kept
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="x", lambda_history=[0.1])
+    cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1, seed=5)
+    path = ckpt_dir / "init.json"
+    student = LayerStack([(w, b), (w[:1], b)])
+    cas.save_cascade(cas.Cascade([student], [meta], "t", cfg if with_config else None), path)
+    if not with_config:
+        assert cas.load_cascade(path).metas[0].init_fingerprint == "x"
+        return
+    fp = seeded_init_fingerprint(1, 1, 1, 2, np.float32, seed=5)
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == (
+        f'{path} student 1 meta init_fingerprint "x" does not match "{fp}", '
+        "the fingerprint of the config seed's init"
+    )

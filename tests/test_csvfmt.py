@@ -228,3 +228,88 @@ def test_edges_keep_row_col_order_from_unsorted_edge_list(tmp_path):
     gio.save_dataset(unsorted, tmp_path / "unsorted")
     for name in ("edges.csv", "edges.csv.mirror"):
         assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "unsorted" / name).read_bytes()
+
+
+def _direct_kernel(fmt, group, line_end, block_rows):
+    return csvfmt.kernel(fmt, group.dtype)
+
+
+def _table_cases():
+    rng = np.random.default_rng(5)
+    n = 1000
+    shuffled = rng.permutation(n)
+    int8 = rng.integers(-128, 128, size=(20000, 1)).astype(np.int8)
+    int8[:2, 0] = [-128, 127]
+    near_2_64 = np.uint64(2**64 - 1) - rng.integers(0, 5, size=(50, 1)).astype(np.uint64)
+    return {
+        # table on: span below the value count
+        "negative ids": (rng.integers(-500, 500, size=(20000, 2)), "%d", True),
+        "zeros": (np.zeros((100, 1), np.int64), "%d", True),
+        "span count - 1": (np.append(shuffled[shuffled != 999], 5)[:, None], "%d", True),
+        "int32": (rng.integers(-7, 3000, size=(17000, 1)).astype(np.int32), "%d", True),
+        "uint8": (rng.integers(0, 256, size=(3000, 3)).astype(np.uint8), "%d", True),
+        "int8 across its range": (int8, "%d", True),
+        "int64 nine digits": (rng.integers(999999000, 10**9, size=(4000, 1)), "%d", True),
+        "negative nine digits": (-rng.integers(999999000, 10**9, size=(4000, 1)), "%d", True),
+        "edge group": (gio.synth_sbm(2000, 4, 4, 0.05, 0.001, 1.0, seed=3).edges, "%d", True),
+        "labels column": (rng.integers(0, 7, size=(30000, 1)), "%d", True),
+        # table off: span not below the value count, or a value of ten digits
+        "span count": (shuffled[:, None], "%d", False),
+        "span count + 1": (np.delete(np.arange(n + 1), 500)[:, None], "%d", False),
+        "reaches 1e9": (rng.integers(10**9 - 3, 10**9 + 3, size=(500, 2)), "%d", False),
+        "reaches -1e9": (rng.integers(-(10**9) - 3, -(10**9) + 3, size=(500, 1)), "%d", False),
+        "uint64 near 2**64": (near_2_64, "%d", False),
+        "int64 extremes": (np.array([[-(2**63)], [2**63 - 1]] * 3), "%d", False),
+        "one value": (np.array([[4]]), "%d", False),
+        "empty": (np.empty((0, 2), np.int64), "%d", False),
+    }
+
+
+TABLE_CASES = _table_cases()
+
+
+class TestTokenTable:
+    """``group_kernel``'s token table against the direct ``%d`` kernel and
+    ``np.savetxt``: the same bytes, and the table on exactly when the span
+    is below the value count and holds no ten-digit value."""
+
+    @pytest.mark.parametrize("name", TABLE_CASES)
+    def test_bytes_match_direct_kernel_and_savetxt(self, tmp_path, monkeypatch, name):
+        table, fmt, tabled = TABLE_CASES[name]
+        line_end = np.arange(table.shape[1]) == table.shape[1] - 1
+        kern = csvfmt.group_kernel(fmt, table, line_end, 7)
+        assert (kern is not csvfmt.format_d) == tabled
+        digest = gio._write_csv(tmp_path / "table.csv", table, fmt)
+        np.savetxt(tmp_path / "savetxt.csv", table, fmt=fmt, delimiter=",")
+        monkeypatch.setattr(csvfmt, "group_kernel", _direct_kernel)
+        gio._write_csv(tmp_path / "direct.csv", table, fmt)
+        got = (tmp_path / "table.csv").read_bytes()
+        assert got == (tmp_path / "direct.csv").read_bytes()
+        assert got == (tmp_path / "savetxt.csv").read_bytes()
+        assert digest == hashlib.sha256(got).hexdigest()
+
+    def test_tokens_carry_each_columns_separator(self):
+        block = np.array([[3, 3, 3], [1, 2, 3]] * 4)
+        line_end = np.array([False, False, True])
+        records, fallback = csvfmt.group_kernel("%d", block, line_end, 2)(block, line_end)
+        direct, direct_fallback = csvfmt.format_d(block, line_end)
+        assert records.shape == direct.shape and records.dtype == direct.dtype
+        assert records.tobytes() == direct.tobytes()
+        assert not fallback.any() and not direct_fallback.any()
+
+    @pytest.mark.parametrize("n", [3, 40000])
+    def test_predictions_columns_match_direct_kernel_and_savetxt(self, tmp_path, monkeypatch, n):
+        # the mixed-column writer of predictions.csv: node ids (a span as
+        # long as the column, so no table), class ids (a table) and %.9g
+        rng = np.random.default_rng(n)
+        columns = [np.arange(n), rng.integers(0, 7, n), rng.random(n).astype(np.float32)]
+        fmt = ("%d", "%d", "%.9g")
+        header = "node,pred_class,confidence_weighted_max"
+        gio._write_csv(tmp_path / "table.csv", columns, fmt, header=header)
+        np.savetxt(tmp_path / "savetxt.csv", np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=header, comments="")
+        monkeypatch.setattr(csvfmt, "group_kernel", _direct_kernel)
+        gio._write_csv(tmp_path / "direct.csv", columns, fmt, header=header)
+        got = (tmp_path / "table.csv").read_bytes()
+        assert got == (tmp_path / "direct.csv").read_bytes()
+        assert got == (tmp_path / "savetxt.csv").read_bytes()

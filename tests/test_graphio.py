@@ -985,7 +985,57 @@ class TestMakeSplits:
         assert loaded.splits.test.size == gio.DEFAULT_N_TEST
 
 
+def reference_sbm_edges(n_nodes, n_classes, p_in, p_out, seed):
+    """``synth_sbm``'s edges as it drew them before it emitted canonical
+    keys: each block pair's ``(src, dst)`` chunk in draw order, stacked,
+    then canonicalized by ``_undirected_pairs``. Returns the edges and the
+    generator after the draw."""
+    rng = np.random.default_rng(seed)
+    block = n_nodes // n_classes
+    chunks = []
+    for a in range(n_classes):
+        base = a * block
+        t = gio._bernoulli_indices(rng, block * (block - 1) // 2, p_in)
+        if t.size:
+            i, j = gio._triangle_unrank(t)
+            chunks.append(np.column_stack([base + j, base + i]))
+        for b in range(a + 1, n_classes):
+            t = gio._bernoulli_indices(rng, block * block, p_out)
+            if t.size:
+                chunks.append(np.column_stack([base + t // block, b * block + t % block]))
+    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    return gio._undirected_pairs(edges, n_nodes), rng
+
+
 class TestSynthSBM:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "n_nodes, n_classes, p_in, p_out",
+        [
+            (3, 3, 0.5, 0.0),  # blocks of one node and no cross edges: no edge
+            (30, 1, 0.3, 0.0),  # one class
+            (12, 3, 1.0, 0.0),  # p_in = 1: cliques
+            (400, 2, 1.0, 0.3),
+            (90, 3, 0.3, 0.05),
+            (600, 5, 0.05, 0.0),  # p_out = 0
+            (200, 4, 0.1, 0.01),
+            (2000, 4, 0.02, 0.001),
+        ],
+    )
+    def test_edges_equal_the_chunked_draw_made_canonical(
+        self, n_nodes, n_classes, p_in, p_out, seed
+    ):
+        g = gio.synth_sbm(n_nodes, n_classes, 6, p_in, p_out, 0.0, seed=seed)
+        edges, rng = reference_sbm_edges(n_nodes, n_classes, p_in, p_out, seed)
+        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+        assert g.edges.shape == edges.shape
+        assert np.array_equal(g.edges, edges)
+        # the generator was left where the chunked draw left it: without
+        # noise the features are the class means it draws next
+        basis, _ = np.linalg.qr(rng.standard_normal((6, n_classes)))
+        means = (gio.MEAN_SEPARATION * basis.T).astype(g.features.dtype)
+        assert np.array_equal(g.features, means[np.argmax(g.labels, axis=1)])
+
     def test_pure_homophily_gives_cliques(self):
         g = gio.synth_sbm(12, 3, 4, 1.0, 0.0, 0.5, seed=2)
         dense = g.adjacency.toarray()

@@ -588,6 +588,23 @@ def test_softmax_of_integer_logits_is_float64():
     assert np.allclose(out, [SOFTMAX_123], atol=1e-14)
 
 
+@pytest.mark.parametrize("rows_per_column", [nk.ROW_SUM_ROWS_PER_COLUMN, 0])
+@pytest.mark.parametrize("c", range(2, nk.ROW_SUM_COLUMNS + 1))
+def test_float16_rows_sum_as_numpy_does(monkeypatch, c, rows_per_column):
+    # numpy sums a float16 row in float32 and rounds once; a float16 fold
+    # would round after every addition (a 1000 x 5 array differed)
+    monkeypatch.setattr(nk, "ROW_SUM_ROWS_PER_COLUMN", rows_per_column)
+    logits = (np.random.default_rng(c).standard_normal((1000, c)) * 2).astype(np.float16)
+    assert_same_row_sum(logits)
+    assert_same_row_sum(np.exp(logits))
+    for got, want in (
+        (softmax_rows(logits), reference_softmax(logits)),
+        (log_softmax_rows(logits), reference_log_softmax(logits)),
+    ):
+        assert got.dtype == want.dtype == np.float16
+        assert got.tobytes() == want.tobytes()
+
+
 
 class TestFingerprint:
     """``fingerprint`` hashes dtype, shape and the C-order bytes. The digests

@@ -1,11 +1,14 @@
 """``optim.fit`` driven by scripted ``step`` and ``validate`` callables:
-early stopping, ties, the kept copy and value, and the training record."""
+early stopping, ties, the kept copy and value, and the training record;
+and ``AdamW.step``'s invariance to a power-of-two scale of the gradients."""
 
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlpcascade.optim import TrainRecord, fit
+from mlpcascade.optim import AdamW, TrainRecord, fit
 from mlpcascade.params import LayerStack
 
 
@@ -97,3 +100,63 @@ def test_record_losses_are_the_steps_losses_in_order():
     assert type(record) is TrainRecord
     assert record.losses == [10.0 * e for e in stepped] == [10.0, 20.0, 30.0]
     assert record.epochs == 3
+
+
+def adamw_steps(params, grads, scale, steps, **opt):
+    """The parameters after ``steps`` AdamW steps from a fresh optimizer,
+    each step's gradients ``grads`` times ``scale``."""
+    params = {name: a.copy() for name, a in params.items()}
+    opt = AdamW(params, **opt)
+    for _ in range(steps):
+        opt.step({name: g * scale for name, g in grads.items()})
+    return params
+
+
+@st.composite
+def adamw_cases(draw):
+    """Parameters, gradients of magnitude 1e-3..1e3 (never 0, so that
+    eps = 0 divides by no zero) and a power of two 2**-20..2**20; the
+    scaled squares stay normal at float32 and float64."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = {"w1": (draw(st.integers(1, 5)), draw(st.integers(1, 5))), "b1": (3,)}
+    params = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+    grads = {
+        n: (rng.choice([-1.0, 1.0], s) * 10.0 ** rng.uniform(-3, 3, s)).astype(dtype)
+        for n, s in shapes.items()
+    }
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    opt = {"lr": draw(st.sampled_from([1e-3, 1e-2])),
+           "weight_decay": draw(st.sampled_from([0.0, 5e-4]))}
+    return params, grads, scale, opt
+
+
+@given(case=adamw_cases(), steps=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_adamw_without_eps_ignores_a_power_of_two_gradient_scale(case, steps):
+    # m and v = (1 - b2) g^2 scale by c and c^2 exactly, sqrt(v) by c
+    # exactly, so m / sqrt(v) is the same bits: the scale never reaches
+    # the parameters
+    params, grads, scale, opt = case
+    unscaled = adamw_steps(params, grads, 1.0, steps, eps=0.0, **opt)
+    scaled = adamw_steps(params, grads, scale, steps, eps=0.0, **opt)
+    for name in params:
+        assert scaled[name].tobytes() == unscaled[name].tobytes()
+
+
+@given(case=adamw_cases())
+@settings(max_examples=200, deadline=None)
+def test_adamw_default_eps_moves_a_scaled_step_by_a_bounded_amount(case):
+    # with eps, a step on c * g is the unscaled step with eps / c, so the
+    # first step's m / (sqrt(v) + eps), m ~ g and sqrt(v) ~ |g|, moves by
+    # at most |eps - eps / c| / |g|; rounding adds a few ulps of p and lr
+    params, grads, scale, opt = case
+    unscaled = adamw_steps(params, grads, 1.0, 1, **opt)
+    scaled = adamw_steps(params, grads, scale, 1, **opt)
+    eps = AdamW(params, lr=opt["lr"]).eps
+    for name, p in params.items():
+        g = np.abs(grads[name]).astype(np.float64)
+        ulps = 4 * np.spacing(np.maximum(np.abs(p), opt["lr"])).astype(np.float64)
+        bound = opt["lr"] * eps * abs(1.0 - 1.0 / scale) / g * 1.01 + ulps
+        moved = np.abs(scaled[name].astype(np.float64) - unscaled[name])
+        assert np.all(moved <= bound)
