@@ -19,8 +19,11 @@ inference scores row by row rather than class by class (from 8 classes);
 it gets one teacher, the ``defaults`` cascade and its ``infer``.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
-OUT, sorted by path. Timing files (``infer_meta.json``, ``tradeoff.csv``)
-are skipped; the commands' own output goes to standard error.
+OUT, sorted by path; each checkpoint is two artifacts, its JSON manifest
+and the raw weights file beside it (``teacher.json`` and
+``teacher.weights``, ``cascade.json`` and ``cascade.weights``). Timing
+files (``infer_meta.json``, ``tradeoff.csv``) are skipped; the commands'
+own output goes to standard error.
 
 Run it in two checkouts and ``diff`` the two outputs: no difference means
 every artifact of the grid is byte-identical. ``--tiny`` runs the same grid

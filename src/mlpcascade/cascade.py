@@ -63,10 +63,10 @@ from .params import (
     init_layers,
     json_object,
     json_value,
-    layers_from_json,
     layers_to_json,
+    read_layer_stacks,
     read_manifest,
-    write_manifest,
+    write_checkpoint,
 )
 from .teacher import TeacherArtifact
 
@@ -545,9 +545,10 @@ def _config_from_json(doc, where: str) -> CascadeConfig:
 
 
 def save_cascade(c: Cascade, path) -> None:
-    """Checkpoint: JSON manifest (K, dtype, config, per-student meta) with
-    each student's base64 little-endian weight arrays and fingerprint."""
-    write_manifest(path, {
+    """Checkpoint: JSON manifest (K, dtype, config, per-student meta, weight
+    shapes and fingerprint); the students' weights go, in order, to the raw
+    little-endian file beside it (``params.weights_path``)."""
+    write_checkpoint(path, {
         "kind": "cascade-checkpoint",
         "n_students": c.n_students,
         "dtype": str(c.students[0].layers[0][0].dtype),
@@ -561,7 +562,7 @@ def save_cascade(c: Cascade, path) -> None:
             }
             for s, m in zip(c.students, c.metas)
         ],
-    })
+    }, c.students)
 
 
 def _check_student_shapes(s: LayerStack, first: LayerStack | None, where: str) -> None:
@@ -581,11 +582,11 @@ def _check_student_shapes(s: LayerStack, first: LayerStack | None, where: str) -
 
 
 def load_cascade(path) -> Cascade:
-    """Load and check a cascade checkpoint: K must be an integer that
-    matches the stored students, the teacher fingerprint a string, every
-    student the fingerprint stored with it and the layer shapes of the
-    others, and every meta its ``final_lambda``. Each student after the
-    first must start where the one before ended: from its stored
+    """Load and check a cascade checkpoint and its weights file: K must be
+    an integer that matches the stored students, the teacher fingerprint a
+    string, every student the fingerprint stored with it and the layer
+    shapes of the others, and every meta its ``final_lambda``. Each student
+    after the first must start where the one before ended: from its stored
     fingerprint and its ``final_lambda``. A stored config must give the
     students' count, hidden width and layer count, and student 1 must start
     from the init that config draws: its stored ``init_fingerprint`` must be
@@ -610,12 +611,12 @@ def load_cascade(path) -> Cascade:
             f"{path}: n_students is {n_students!r} but {len(entries)} students are stored"
         )
     cfg = None if doc["config"] is None else _config_from_json(doc["config"], f"{path} config")
+    wheres = [f"{path} student {k}" for k in range(1, len(entries) + 1)]
+    entries = [json_object(e, ("fingerprint", "layers", "meta"), w) for e, w in zip(entries, wheres)]
+    stored = read_layer_stacks(path, dtype, [(e["layers"], w) for e, w in zip(entries, wheres)])
     students: list[LayerStack] = []
     metas: list[StudentTrainMeta] = []
-    for k, entry in enumerate(entries, start=1):
-        where = f"{path} student {k}"
-        entry = json_object(entry, ("fingerprint", "layers", "meta"), where)
-        student = layers_from_json(entry["layers"], dtype, where)
+    for k, (entry, where, student) in enumerate(zip(entries, wheres, stored), start=1):
         if student.fingerprint() != entry["fingerprint"]:
             raise ValueError(f"{where}: weights do not match their stored fingerprint")
         _check_student_shapes(student, students[0] if students else None, where)

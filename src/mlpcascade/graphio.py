@@ -367,20 +367,39 @@ def _onehot(class_ids: np.ndarray, n_classes: int, dtype) -> np.ndarray:
     return out
 
 
+_CANONICAL_BLOCK = 1 << 16
+
+
+def _is_canonical(i: np.ndarray, j: np.ndarray, n_nodes: int) -> bool:
+    """Whether every pair has ``i < j`` and the keys ``i * n_nodes + j``
+    strictly increase, checked block by block with the last key of each
+    block carried to the next."""
+    last = -1  # keys are >= 0
+    for start in range(0, i.size, _CANONICAL_BLOCK):
+        bi, bj = i[start:start + _CANONICAL_BLOCK], j[start:start + _CANONICAL_BLOCK]
+        if not np.all(bi < bj):
+            return False
+        key = bi * n_nodes + bj
+        if key[0] <= last or not np.all(key[1:] > key[:-1]):
+            return False
+        last = key[-1]
+    return True
+
+
 def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Canonical (i < j) deduplicated pairs with self-loops stripped, sorted
     by (i, j), as int64.
 
     Input that is already canonical, as ``save_dataset`` writes it and
     ``synth_sbm`` draws it, is returned after one pass over the scalar keys
-    ``i * n_nodes + j``. Other
+    ``i * n_nodes + j``, taken ``_CANONICAL_BLOCK`` rows at a time so that
+    no whole-list key array is built. Other
     input sorts those keys and drops adjacent repeats, which is far faster
     than ``np.unique`` on the pair rows.
     """
     edges = edges.astype(np.int64, copy=False)
     i, j = edges[:, 0], edges[:, 1]
-    key = i * n_nodes + j
-    if np.all(i < j) and np.all(key[1:] > key[:-1]):
+    if _is_canonical(i, j, n_nodes):
         return edges
     lo = np.minimum(i, j)
     hi = np.maximum(i, j)

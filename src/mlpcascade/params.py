@@ -6,17 +6,19 @@ way to be stored. A graph-convolution layer is a dense layer whose
 projection is aggregated over the graph, so the teacher gives the shared
 passes one aggregation per layer, with its transpose for the backward, and
 a student gives none. A
-checkpoint is a JSON manifest; its weight arrays are base64 of their
-little-endian raw bytes, and the manifest names that encoding, so the
-decimal arrays of earlier versions are refused instead of being read by a
+checkpoint is a JSON manifest and a weights file beside it, which holds
+every weight array's little-endian raw bytes in the order the manifest
+lists their shapes. The manifest names that encoding, so the decimal and
+base64 arrays of earlier versions are refused instead of being read by a
 second parser.
 """
 
 from __future__ import annotations
 
-import base64
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_type_hints
@@ -212,7 +214,7 @@ def init_layers(dims, rng: np.random.Generator, dtype) -> LayerStack:
     ])
 
 
-ARRAY_ENCODING = "base64-le"
+ARRAY_ENCODING = "raw-le"
 CHECKPOINT_DTYPES = ("float32", "float64")
 
 
@@ -264,7 +266,7 @@ def dataclass_from_json(cls, obj, where: str, keys=None):
     that names a property of ``cls``, not a field, holds a copy of the
     property, which must equal the built object's (``check_copy``)."""
     obj = json_object(obj, [f.name for f in fields(cls)] if keys is None else keys, where)
-    kinds = get_type_hints(cls)
+    kinds = _type_hints(cls)
     values = {k: _json_field(v, kinds[k], f"{where} {k}") for k, v in obj.items() if k in kinds}
     try:
         built = cls(**values)
@@ -273,6 +275,13 @@ def dataclass_from_json(cls, obj, where: str, keys=None):
     for name in obj.keys() - values.keys():
         check_copy(f"{where} {name}", obj[name], getattr(built, name), "the value its fields give")
     return built
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``get_type_hints(cls)``, resolved once per class: each call compiles
+    every string annotation. Callers must not change the dict."""
+    return get_type_hints(cls)
 
 
 def _json_field(value, kind, where: str):
@@ -285,68 +294,88 @@ def _json_field(value, kind, where: str):
     return value
 
 
-def array_to_json(a: np.ndarray) -> dict:
-    raw = a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
-    return {"shape": list(a.shape), "data": base64.b64encode(raw).decode("ascii")}
-
-
-def array_from_json(obj, dtype: np.dtype, where: str) -> np.ndarray:
-    """Decode one stored array. The byte count must fit the shape and the
-    text must be the canonical encoding of the bytes, so an edited character
-    is refused even where it would decode to the same bytes."""
-    obj = json_object(obj, ("data", "shape"), where)
-    shape, text = obj["shape"], obj["data"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"{where}: shape {shape!r} is not a list of sizes")
-    if not isinstance(text, str):
-        raise ValueError(f"{where}: data is not a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{where}: data is not base64 ({exc})") from None
-    need = math.prod(shape) * dtype.itemsize
-    if len(raw) != need:
-        raise ValueError(
-            f"{where}: data holds {len(raw)} bytes, shape {shape} of {dtype} needs {need}"
-        )
-    if base64.b64encode(raw).decode("ascii") != text:
-        raise ValueError(f"{where}: data is not canonical base64")
-    return np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+def weights_path(path) -> Path:
+    """The weights file of the checkpoint manifest at ``path``: the same
+    path with the suffix ``.weights`` (``teacher.json`` keeps its weights
+    in ``teacher.weights``)."""
+    return Path(path).with_suffix(".weights")
 
 
 def layers_to_json(stack: LayerStack) -> list:
-    return [{"w": array_to_json(w), "b": array_to_json(b)} for w, b in stack.layers]
+    """A stack's manifest entry: the shape of each array, in the order
+    ``write_checkpoint`` writes the arrays to the weights file."""
+    return [{"w": {"shape": list(w.shape)}, "b": {"shape": list(b.shape)}} for w, b in stack.layers]
 
 
-def layers_from_json(obj, dtype: np.dtype, where: str) -> LayerStack:
-    """Decode a stored layer stack; each layer's weight must chain onto the
-    previous layer's output and carry a bias of its own output width."""
+def write_checkpoint(path, doc: dict, stacks: Sequence[LayerStack]) -> None:
+    """Write a checkpoint: the arrays of ``stacks`` as little-endian raw
+    bytes to the weights file (``weights_path``), layer by layer, ``w``
+    then ``b``, in the order ``doc`` lists the stacks, then the manifest
+    ``doc`` with sorted keys and no timestamps, so equal checkpoints are
+    equal bytes."""
+    with open(weights_path(path), "wb") as f:
+        for stack in stacks:
+            for pair in stack.layers:
+                for a in pair:
+                    f.write(np.ascontiguousarray(a, a.dtype.newbyteorder("<")))
+    doc = {**doc, "array_encoding": ARRAY_ENCODING}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _shape(obj, where: str) -> list[int]:
+    shape = json_object(obj, ("shape",), where)["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{where}: shape {shape!r} is not a list of sizes")
+    return shape
+
+
+def _layer_shapes(obj, where: str) -> list[tuple[list[int], list[int]]]:
+    """The (weight, bias) shapes of a stack's manifest entry; each layer's
+    weight must chain onto the previous layer's output and carry a bias of
+    its own output width."""
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: layers must be a non-empty list")
-    layers: list[tuple[np.ndarray, np.ndarray]] = []
+    shapes: list[tuple[list[int], list[int]]] = []
     for i, layer in enumerate(obj, start=1):
         at = f"{where} layer {i}"
         layer = json_object(layer, ("b", "w"), at)
-        w = array_from_json(layer["w"], dtype, f"{at} w")
-        b = array_from_json(layer["b"], dtype, f"{at} b")
-        if (
-            w.ndim != 2
-            or b.shape != (w.shape[1],)
-            or (layers and w.shape[0] != layers[-1][0].shape[1])
-        ):
+        w, b = _shape(layer["w"], f"{at} w"), _shape(layer["b"], f"{at} b")
+        if len(w) != 2 or b != w[1:] or (shapes and w[0] != shapes[-1][0][1]):
             raise ValueError(
-                f"{at}: weight {w.shape} and bias {b.shape} do not chain onto "
-                f"{'the layer before' if layers else 'an input'}"
+                f"{at}: weight {tuple(w)} and bias {tuple(b)} do not chain onto "
+                f"{'the layer before' if shapes else 'an input'}"
             )
-        layers.append((w, b))
-    return LayerStack(layers)
+        shapes.append((w, b))
+    return shapes
 
 
-def write_manifest(path, doc: dict) -> None:
-    """Write a checkpoint manifest: sorted keys and no timestamps, so equal
-    checkpoints are equal bytes."""
-    doc = {**doc, "array_encoding": ARRAY_ENCODING}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+def read_layer_stacks(path, dtype: np.dtype, entries) -> list[LayerStack]:
+    """Decode the layer stacks that the manifest at ``path`` lists, each
+    given as ``(entry, where)``: its ``layers_to_json`` entry, in manifest
+    order, and the place in the file that messages name. Every shape is
+    checked first. Then the weights file must hold exactly the bytes of the
+    listed arrays, or it is refused naming both counts, and it is read once,
+    each array into an array of its own. A missing weights file is a
+    FileNotFoundError naming it."""
+    shapes = [_layer_shapes(entry, where) for entry, where in entries]
+    need = sum(math.prod(s) for stack in shapes for pair in stack for s in pair) * dtype.itemsize
+    weights = weights_path(path)
+    try:
+        f = open(weights, "rb")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path}: weights file {weights} is missing") from None
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        if size != need:
+            raise ValueError(f"{weights}: holds {size} bytes, the arrays of {path} take {need}")
+
+        def read(shape) -> np.ndarray:
+            a = np.empty(shape, dtype.newbyteorder("<"))
+            if f.readinto(a) != a.nbytes:
+                raise ValueError(f"{weights}: shorter than {need} bytes when read")
+            return a.astype(dtype, copy=False)
+
+        return [LayerStack([(read(w), read(b)) for w, b in stack]) for stack in shapes]
 
 
 def write_json(path, doc: dict) -> None:
@@ -356,9 +385,10 @@ def write_json(path, doc: dict) -> None:
 
 
 def read_manifest(path, kind: str, keys, command: str) -> tuple[dict, np.dtype]:
-    """Read a manifest written by ``write_manifest`` and check its kind,
-    array encoding, keys and dtype before any field is used. ``command`` is
-    the CLI command that writes this kind of checkpoint."""
+    """Read a manifest written by ``write_checkpoint`` and check its kind,
+    array encoding, keys and dtype before any field is used; its arrays
+    come from ``read_layer_stacks``. ``command`` is the CLI command that
+    writes this kind of checkpoint."""
     try:
         doc = json.loads(Path(path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -367,8 +397,9 @@ def read_manifest(path, kind: str, keys, command: str) -> tuple[dict, np.dtype]:
         raise ValueError(f"{path}: not a {kind.replace('-', ' ')}")
     if doc.get("array_encoding") != ARRAY_ENCODING:
         raise ValueError(
-            f"{path}: weights are not stored as {ARRAY_ENCODING}; checkpoints "
-            f"in the decimal format of earlier versions are not read, run "
+            f"{path}: weights are not stored as {ARRAY_ENCODING} in "
+            f"{weights_path(path).name}; checkpoints of earlier versions, with "
+            f"decimal or base64 arrays in the manifest, are not read, run "
             f"`mlpcascade {command}` again to rewrite it"
         )
     json_object(doc, ("kind", "array_encoding", "dtype", *keys), str(path))

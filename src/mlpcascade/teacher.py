@@ -38,10 +38,10 @@ from .params import (
     forward_cache,
     init_layers,
     json_object,
-    layers_from_json,
     layers_to_json,
+    read_layer_stacks,
     read_manifest,
-    write_manifest,
+    write_checkpoint,
 )
 
 
@@ -191,6 +191,7 @@ def teacher_ce_gradpair(
         masked = draw_mask(x)  # no gradient flows to x: mask it in place
         masked *= x
         x_in = _first_input(norm_adj, masked, p)
+        del masked  # freed here when the first layer aggregated it into x_in
     elif x_in is None:
         x_in = _first_input(norm_adj, x, p)
     aggregates = _aggregates(norm_adj, p)[:-1] + [_rows_aggregation(norm_adj[rows])]
@@ -265,10 +266,11 @@ def import_soft_labels(path, dtype=np.float32) -> np.ndarray:
 
 def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
     """Checkpoint: JSON manifest (hyperparameters, training record with a
-    copy of the config's seed, dtype) with base64 little-endian weight
-    arrays, the fingerprint of the weights and the soft-label fingerprint
-    that ``load_teacher`` checks the soft-label file against."""
-    write_manifest(path, {
+    copy of the config's seed, dtype, the weight shapes), the fingerprint of
+    the weights and the soft-label fingerprint that ``load_teacher`` checks
+    the soft-label file against; the weights go to the raw little-endian
+    file beside it (``params.weights_path``)."""
+    write_checkpoint(path, {
         "kind": "teacher-checkpoint",
         "dtype": str(t.params.layers[0][0].dtype),
         "config": asdict(cfg),
@@ -278,14 +280,14 @@ def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
         "soft_label_fingerprint": t.soft_label_fingerprint(),
         "fingerprint": t.params.fingerprint(),
         "layers": layers_to_json(t.params),
-    })
+    }, [t.params])
 
 
 def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig]:
-    """Load and check a teacher checkpoint and its soft labels: the training
-    record's seed must equal the config's, the weights must match their
-    fingerprint and the configured depth and width, the soft labels
-    theirs."""
+    """Load and check a teacher checkpoint, its weights file and its soft
+    labels: the training record's seed must equal the config's, the weights
+    must match their fingerprint and the configured depth and width, the
+    soft labels theirs."""
     doc, dtype = read_manifest(
         path,
         "teacher-checkpoint",
@@ -297,7 +299,7 @@ def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig
     meta = json_object(doc["train_meta"], (*TrainRecord.STORED, "seed"), where)
     check_copy(f"{where} seed", meta.pop("seed"), cfg.seed, "the config seed")
     record = dataclass_from_json(TrainRecord, meta, where, TrainRecord.STORED)
-    params = layers_from_json(doc["layers"], dtype, str(path))
+    (params,) = read_layer_stacks(path, dtype, [(doc["layers"], str(path))])
     if params.fingerprint() != doc["fingerprint"]:
         raise ValueError(f"{path}: teacher weights do not match their stored fingerprint")
     widths = [w.shape[1] for w, _ in params.layers[:-1]]

@@ -34,8 +34,8 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
     assert first == digests(tmp_path / "b")
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
-    per_run = ["cascade.json", "distill_report.json", "predictions.csv"]
-    teacher_files = ["teacher.json", "soft_labels.csv", "teacher_report.json"]
+    per_run = ["cascade.json", "cascade.weights", "distill_report.json", "predictions.csv"]
+    teacher_files = ["teacher.json", "teacher.weights", "soft_labels.csv", "teacher_report.json"]
     for precision in ("f32", "f64"):
         for teacher in ("teacher", "teacher-narrow", "teacher-nodrop"):
             for artifact in teacher_files:
@@ -48,9 +48,9 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
                 assert f"{precision}/{name}/{artifact}" in paths
         for artifact in teacher_files:
             assert f"{precision}/classes10/teacher/{artifact}" in paths
-    # per precision: 7 files of each dataset, 3 of each of the four teachers
-    # and 3 per cascade setting, classes10's defaults among them
-    assert len(paths) == 2 * (2 * 7 + 4 * 3 + 6 * 3)
+    # per precision: 7 files of each dataset, 4 of each of the four teachers
+    # and 4 per cascade setting, classes10's defaults among them
+    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 4)
     assert not any(p.endswith("infer_meta.json") for p in paths)
 
 
@@ -63,7 +63,8 @@ def test_cascade_config_unlike_its_students_exits_2(
 ):
     out, _ = tiny_grid
     path = tmp_path / "cascade.json"
-    shutil.copy(out / "f32" / "defaults" / "cascade.json", path)
+    for name in ("cascade.json", "cascade.weights"):
+        shutil.copy(out / "f32" / "defaults" / name, tmp_path / name)
     doc = json.loads(path.read_text())
     doc["config"][field] = value
     path.write_text(json.dumps(doc))
@@ -80,6 +81,7 @@ def test_cascade_config_unlike_its_students_exits_2(
 def test_student_1_init_fingerprint_unlike_the_config_seed_exits_2(tiny_grid, tmp_path, capsys):
     out, _ = tiny_grid
     path = tmp_path / "cascade.json"
+    shutil.copy(out / "f32" / "defaults" / "cascade.weights", tmp_path / "cascade.weights")
     doc = json.loads((out / "f32" / "defaults" / "cascade.json").read_text())
     stored = doc["students"][0]["meta"]["init_fingerprint"]
     doc["students"][0]["meta"]["init_fingerprint"] = "x"

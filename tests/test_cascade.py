@@ -859,13 +859,17 @@ class TestTrainCascade:
         assert loaded.teacher_fingerprint == c2.teacher_fingerprint
         assert loaded.config == cfg
         assert [m.final_lambda for m in loaded.metas] == [m.final_lambda for m in c2.metas]
-        # weights are stored as base64 raw bytes, each student with its fingerprint
+        # the manifest holds each student's shapes and fingerprint, the
+        # weights file every array's raw little-endian bytes in that order
         doc = json.loads(path.read_text())
-        assert doc["array_encoding"] == "base64-le"
+        assert doc["array_encoding"] == "raw-le"
         assert [e["fingerprint"] for e in doc["students"]] == [
             s.fingerprint() for s in c2.students
         ]
-        assert all(
-            isinstance(a["data"], str)
-            for e in doc["students"] for layer in e["layers"] for a in layer.values()
+        assert [e["layers"] for e in doc["students"]] == [
+            [{"w": {"shape": list(w.shape)}, "b": {"shape": list(b.shape)}} for w, b in s.layers]
+            for s in c2.students
+        ]
+        assert (tmp_path / "cascade.weights").read_bytes() == b"".join(
+            a.astype("<f4").tobytes() for s in c2.students for pair in s.layers for a in pair
         )

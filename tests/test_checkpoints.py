@@ -1,13 +1,17 @@
 """Checkpoint round trips and tampering, for teacher and cascade checkpoints.
 
-Weights of any bit pattern (-0.0, subnormals, extremes, non-finite values)
-must load back with the fingerprint they were saved with, equal objects
-must save to equal bytes, and an edited or truncated weight array must be
-refused with a ValueError, never loaded as other weights.
+Weights of any bit pattern (-0.0, subnormals, extremes, NaN payloads) must
+load back with the fingerprint they were saved with, equal objects must
+save to equal bytes, and an edited, truncated, extended, missing or
+swapped weights file must be refused, never loaded as other weights.
+Checkpoints of earlier versions, with the arrays in the manifest, are
+refused with the command that rewrites them.
 """
 
-import base64
+import functools
 import json
+import shutil
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -16,27 +20,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mlpcascade.cascade as cas
+import mlpcascade.params as params
 import mlpcascade.teacher as t
 from mlpcascade.optim import TrainRecord
-from mlpcascade.params import LayerStack
+from mlpcascade.params import LayerStack, weights_path
 
 PROPERTY = settings(max_examples=60, deadline=None)
 DTYPES = [np.float32, np.float64]
-BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-# Base64 alphabet, padding, and characters outside it.
-REPLACEMENTS = BASE64 + "=-_!. \né"
+BITS = {np.float32: np.uint32, np.float64: np.uint64}
 
 
 def _layer_stack(draw, dims, dtype):
-    width = 32 if dtype == np.float32 else 64
-    values = st.floats(width=width)
-    return [
-        (
-            draw(arrays(dtype, (fan_in, fan_out), elements=values)),
-            draw(arrays(dtype, (fan_out,), elements=values)),
-        )
-        for fan_in, fan_out in zip(dims[:-1], dims[1:])
-    ]
+    """Layers whose values are any bit pattern of ``dtype``."""
+    def values(shape):
+        return draw(arrays(BITS[dtype], shape)).view(dtype)
+
+    return [(values((fan_in, fan_out)), values((fan_out,)))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])]
 
 
 def seeded_init_fingerprint(feat, hidden, classes, n_layers, dtype, seed=0):
@@ -104,22 +104,20 @@ def _load_teacher(directory, name="teacher.json"):
     return t.load_teacher(directory / name, directory / "soft.csv")
 
 
-def _tamper(path, layers_of, draw):
-    """Edit or truncate the data of one drawn array in the manifest at
-    ``path``; ``layers_of(doc)`` lists the layer stacks of the checkpoint."""
-    doc = json.loads(path.read_text())
-    stacks = layers_of(doc)
-    layers = stacks[draw(st.integers(0, len(stacks) - 1))]
-    layer = layers[draw(st.integers(0, len(layers) - 1))]
-    array = layer[draw(st.sampled_from(["w", "b"]))]
-    data = array["data"]
+def _tamper(path, draw) -> str:
+    """Flip bits of one drawn byte of the weights file of the manifest at
+    ``path``, or truncate or extend the file to a drawn length; what a
+    refusal must say."""
+    weights = weights_path(path)
+    raw = bytearray(weights.read_bytes())
     if draw(st.booleans()):
-        array["data"] = data[: draw(st.integers(0, len(data) - 1))]
-    else:
-        i = draw(st.integers(0, len(data) - 1))
-        new = draw(st.sampled_from(REPLACEMENTS).filter(lambda ch: ch != data[i]))
-        array["data"] = data[:i] + new + data[i + 1:]
-    path.write_text(json.dumps(doc, sort_keys=True))
+        i = draw(st.integers(0, len(raw) - 1))
+        raw[i] ^= draw(st.integers(1, 255))
+        weights.write_bytes(raw)
+        return "weights do not match their stored fingerprint"
+    size = draw(st.integers(0, len(raw) + 16).filter(lambda n: n != len(raw)))
+    weights.write_bytes(bytes(raw[:size]) + b"\x01" * (size - len(raw)))
+    return f"{weights}: holds {size} bytes, the arrays of {path} take {len(raw)}"
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -131,12 +129,14 @@ def test_cascade_round_trip_and_stable_bytes(ckpt_dir, dtype, data):
     cas.save_cascade(casc, a)
     cas.save_cascade(casc, b)
     assert a.read_bytes() == b.read_bytes()
+    assert weights_path(a).read_bytes() == weights_path(b).read_bytes()
     loaded = cas.load_cascade(a)
     assert loaded.fingerprint() == casc.fingerprint()
-    assert [s.fingerprint() for s in loaded.students] == [
-        s.fingerprint() for s in casc.students
-    ]
-    assert all(s.layers[0][0].dtype == dtype for s in loaded.students)
+    for got, saved in zip(loaded.students, casc.students):
+        assert got.fingerprint() == saved.fingerprint()
+        for x, y in zip(got.layers, saved.layers):
+            for u, v in zip(x, y):
+                assert u.dtype == dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
     assert loaded.metas == casc.metas
     assert loaded.config == casc.config
     assert loaded.teacher_fingerprint == casc.teacher_fingerprint
@@ -150,9 +150,12 @@ def test_teacher_round_trip_and_stable_bytes(ckpt_dir, dtype, data):
     a = _save_teacher(art, cfg, ckpt_dir, "a.json")
     b = _save_teacher(art, cfg, ckpt_dir, "b.json")
     assert a.read_bytes() == b.read_bytes()
+    assert weights_path(a).read_bytes() == weights_path(b).read_bytes()
     loaded, loaded_cfg = _load_teacher(ckpt_dir, "a.json")
     assert loaded.params.fingerprint() == art.params.fingerprint()
-    assert loaded.params.layers[0][0].dtype == dtype
+    for x, y in zip(loaded.params.layers, art.params.layers):
+        for u, v in zip(x, y):
+            assert u.dtype == dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
     assert loaded_cfg == cfg
     assert loaded.train_meta == art.train_meta
 
@@ -163,9 +166,10 @@ def test_teacher_round_trip_and_stable_bytes(ckpt_dir, dtype, data):
 def test_cascade_with_an_edited_array_is_refused(ckpt_dir, dtype, data):
     path = ckpt_dir / "cascade.json"
     cas.save_cascade(data.draw(cascades(dtype)), path)
-    _tamper(path, lambda doc: [s["layers"] for s in doc["students"]], data.draw)
-    with pytest.raises(ValueError, match="cascade.json student"):
+    message = _tamper(path, data.draw)
+    with pytest.raises(ValueError, match="cascade") as err:
         cas.load_cascade(path)
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -174,28 +178,179 @@ def test_cascade_with_an_edited_array_is_refused(ckpt_dir, dtype, data):
 def test_teacher_with_an_edited_array_is_refused(ckpt_dir, dtype, data):
     art, cfg = data.draw(teachers(dtype))
     path = _save_teacher(art, cfg, ckpt_dir)
-    _tamper(path, lambda doc: [doc["layers"]], data.draw)
-    with pytest.raises(ValueError, match="teacher.json"):
+    message = _tamper(path, data.draw)
+    with pytest.raises(ValueError, match="teacher") as err:
         _load_teacher(ckpt_dir)
+    assert message in str(err.value)
 
 
-def test_non_canonical_base64_is_refused(ckpt_dir):
-    # Four bytes leave four unused bits in the last base64 character, so
-    # another character there decodes to the same bytes.
-    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    student = LayerStack([(w, b), (w[:1], b)])
-    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
-    path = ckpt_dir / "cascade.json"
-    cas.save_cascade(cas.Cascade([student], [meta], "teacher"), path)
-    doc = json.loads(path.read_text())
-    bias = doc["students"][0]["layers"][0]["b"]
-    data = bias["data"]
-    edited = data[:5] + BASE64[BASE64.index(data[5]) ^ 1] + data[6:]
-    assert base64.b64decode(edited) == base64.b64decode(data)
-    bias["data"] = edited
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="student 1 layer 1 b: data is not canonical"):
+def _two_students(dtype, scale=1.0):
+    """A consistent two-student cascade with a config, its weights drawn
+    from a fixed seed and multiplied by ``scale``."""
+    rng = np.random.default_rng(7)
+    dims = [5, 3, 3, 2]
+    students = [
+        LayerStack([(scale * rng.standard_normal((i, o)).astype(dtype),
+                     scale * rng.standard_normal(o).astype(dtype))
+                    for i, o in zip(dims[:-1], dims[1:])])
+        for _ in range(2)
+    ]
+    init_fp = seeded_init_fingerprint(2, 3, 2, 3, dtype)
+    metas = [
+        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint=init_fp, lambda_history=[0.1, 0.2]),
+        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint=students[0].fingerprint(),
+                             lambda_history=[0.2, 0.3]),
+    ]
+    cfg = cas.CascadeConfig(n_students=2, hidden_dim=3, n_layers=3, max_epochs=3, patience=1)
+    return cas.Cascade(students, metas, "teacher", cfg)
+
+
+def _small_teacher(dtype, scale=1.0):
+    rng = np.random.default_rng(8)
+    params = LayerStack([
+        (scale * rng.standard_normal((3, 4)).astype(dtype),
+         scale * rng.standard_normal(4).astype(dtype)),
+        (scale * rng.standard_normal((4, 2)).astype(dtype),
+         scale * rng.standard_normal(2).astype(dtype)),
+    ])
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5, dtype), TrainRecord(2, 1, 0.5))
+    return art, t.TeacherConfig(hidden_dim=4, max_epochs=3, patience=1)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", ["cascade", "teacher"])
+def test_every_single_byte_flip_is_refused(tmp_path, dtype, kind):
+    if kind == "cascade":
+        path = tmp_path / "cascade.json"
+        cas.save_cascade(_two_students(dtype), path)
+        load = functools.partial(cas.load_cascade, path)
+    else:
+        path = _save_teacher(*_small_teacher(dtype), tmp_path)
+        load = functools.partial(_load_teacher, tmp_path)
+    weights = weights_path(path)
+    raw = weights.read_bytes()
+    for i in range(len(raw)):
+        edited = bytearray(raw)
+        edited[i] ^= i % 255 + 1
+        weights.write_bytes(edited)
+        with pytest.raises(ValueError) as err:
+            load()
+        # the two students take half the file each
+        k = 2 * i // len(raw) + 1
+        where = f"{path} student {k}: " if kind == "cascade" else f"{path}: teacher "
+        assert str(err.value) == where + "weights do not match their stored fingerprint"
+
+
+def test_missing_weights_file_is_named(tmp_path):
+    path = tmp_path / "cascade.json"
+    cas.save_cascade(_two_students(np.float32), path)
+    teacher_path = _save_teacher(*_small_teacher(np.float32), tmp_path)
+    for ckpt in (path, teacher_path):
+        weights_path(ckpt).unlink()
+    with pytest.raises(FileNotFoundError) as err:
         cas.load_cascade(path)
+    assert str(err.value) == f"{path}: weights file {tmp_path / 'cascade.weights'} is missing"
+    with pytest.raises(FileNotFoundError) as err:
+        _load_teacher(tmp_path)
+    assert str(err.value) == (
+        f"{teacher_path}: weights file {tmp_path / 'teacher.weights'} is missing"
+    )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_another_checkpoints_weights_are_refused(tmp_path, dtype):
+    """The weights file of another checkpoint of the same shapes is refused
+    by the fingerprints of the manifest it sits beside."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    cas.save_cascade(_two_students(dtype), a / "cascade.json")
+    cas.save_cascade(_two_students(dtype, scale=2.0), b / "cascade.json")
+    _save_teacher(*_small_teacher(dtype), a)
+    _save_teacher(*_small_teacher(dtype, scale=2.0), b)
+    for name in ("cascade.weights", "teacher.weights"):
+        assert (a / name).stat().st_size == (b / name).stat().st_size
+        shutil.copy(b / name, a / name)
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(a / "cascade.json")
+    assert str(err.value) == (
+        f"{a / 'cascade.json'} student 1: weights do not match their stored fingerprint"
+    )
+    with pytest.raises(ValueError) as err:
+        _load_teacher(a)
+    assert str(err.value) == (
+        f"{a / 'teacher.json'}: teacher weights do not match their stored fingerprint"
+    )
+
+
+def test_type_hints_are_resolved_once_per_class(tmp_path, monkeypatch):
+    path = tmp_path / "cascade.json"
+    cas.save_cascade(_two_students(np.float32), path)
+    resolved = []
+
+    def counted(cls):
+        resolved.append(cls.__name__)
+        return get_type_hints(cls)
+
+    monkeypatch.setattr(params, "get_type_hints", counted)
+    params._type_hints.cache_clear()
+    for _ in range(3):
+        cas.load_cascade(path)
+    assert sorted(resolved) == [
+        "CascadeConfig", "DistillConfig", "MixupConfig", "StudentTrainMeta"
+    ]
+
+
+# A one-student cascade and a 2-2-2 teacher as earlier versions wrote them,
+# their arrays in the manifest: base64 of the little-endian bytes, and before
+# that decimal lists without an encoding key.
+FROZEN_CASCADE = (
+    '{"array_encoding": "base64-le", "config": null, "dtype": "float32", '
+    '"kind": "cascade-checkpoint", "n_students": 1, "students": [{"fingerprint": '
+    '"5a0f129f0025bc149943b6a08e09e75c04aaeb0b40912b9b8912c30cb66cc1bc", "layers": '
+    '[{"b": {"data": "AACAPw==", "shape": [1]}, "w": {"data": "AACAPwAAgD8=", '
+    '"shape": [2, 1]}}, {"b": {"data": "AACAPw==", "shape": [1]}, "w": {"data": '
+    '"AACAPw==", "shape": [1, 1]}}], "meta": {"best_epoch": 1, "best_val_acc": 0.5, '
+    '"epochs": 1, "final_lambda": 0.1, "init_fingerprint": "init", "lambda_history": '
+    '[0.1]}}], "teacher_fingerprint": "teacher"}\n'
+)
+FROZEN_TEACHER = (
+    '{"array_encoding": "base64-le", "config": {"depth": 2, "dropout": 0.5, '
+    '"hidden_dim": 2, "lr": 0.01, "max_epochs": 200, "patience": 50, "seed": 0, '
+    '"weight_decay": 0.0005}, "dtype": "float32", "fingerprint": '
+    '"76560b67cda656232c00f80a95b41da0ff3405874749469358421b588edde6a2", "kind": '
+    '"teacher-checkpoint", "layers": [{"b": {"data": "AACAPwAAgD8=", "shape": [2]}, '
+    '"w": {"data": "AACAPwAAgD8AAIA/AACAPw==", "shape": [2, 2]}}, {"b": {"data": '
+    '"AACAPwAAgD8=", "shape": [2]}, "w": {"data": "AACAPwAAgD8AAIA/AACAPw==", '
+    '"shape": [2, 2]}}], "soft_label_fingerprint": '
+    '"0f7eb975204e6ef651410aaaf72c66f41cdbce6ae6b57f3d4ae7716454fe4362", '
+    '"train_meta": {"best_epoch": 1, "best_val_acc": 0.5, "epochs": 2, "seed": 0}}\n'
+)
+
+
+def _decimal(text):
+    """The decimal format: every array's ``data`` a list of numbers, and no
+    ``array_encoding`` key."""
+    return text.replace('"array_encoding": "base64-le", ', "").replace(
+        '"AACAPw=="', "[1.0]").replace('"AACAPwAAgD8="', "[1.0, 1.0]").replace(
+        '"AACAPwAAgD8AAIA/AACAPw=="', "[1.0, 1.0, 1.0, 1.0]")
+
+
+@pytest.mark.parametrize("form", ["base64", "decimal"])
+def test_checkpoints_of_earlier_versions_are_refused(tmp_path, form):
+    for text, load, command in (
+        (FROZEN_CASCADE, cas.load_cascade, "distill"),
+        (FROZEN_TEACHER, lambda p: t.load_teacher(p, tmp_path / "soft.csv"), "train-teacher"),
+    ):
+        path = tmp_path / "old.json"
+        path.write_text(text if form == "base64" else _decimal(text))
+        assert ('"data": "' in path.read_text()) == (form == "base64")
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == (
+            f"{path}: weights are not stored as raw-le in old.weights; checkpoints of "
+            "earlier versions, with decimal or base64 arrays in the manifest, are not "
+            f"read, run `mlpcascade {command}` again to rewrite it"
+        )
 
 
 CONFIG_EDITS = [

@@ -890,21 +890,49 @@ def _edit_cascade(edit):
     return apply
 
 
-def _flip_char(array):
-    data = array["data"]
-    i = len(data) // 2
-    array["data"] = data[:i] + ("B" if data[i] == "A" else "A") + data[i + 1:]
+def _edit_weights(edit):
+    """Case helper: edit the bytes of the checkpoint's weights file."""
+    def apply(path):
+        weights = path.with_suffix(".weights")
+        raw = bytearray(weights.read_bytes())
+        edit(raw)
+        weights.write_bytes(raw)
+    return apply
 
 
-def _to_decimal(doc):
-    """The weight format of earlier versions: decimal lists, no encoding key."""
-    doc.pop("array_encoding")
-    stacks = [s["layers"] for s in doc["students"]] if "students" in doc else [doc["layers"]]
-    for layers in stacks:
-        for layer in layers:
-            for array in layer.values():
-                raw = base64.b64decode(array["data"])
-                array["data"] = np.frombuffer(raw, "<f4").astype(float).tolist()
+def _flip_last_byte(raw):
+    raw[-1] ^= 0x40
+
+
+def _to_earlier_format(encoding):
+    """Case helper: the weight formats of earlier versions, each array's
+    values in the manifest: base64 of the little-endian bytes, or decimal
+    lists with no encoding key. The weights file is removed."""
+    def apply(path):
+        doc = json.loads(path.read_text())
+        weights = path.with_suffix(".weights")
+        flat = np.fromfile(weights, np.dtype(doc["dtype"]).newbyteorder("<"))
+        weights.unlink()
+        stacks = [s["layers"] for s in doc["students"]] if "students" in doc else [doc["layers"]]
+        at = 0
+        for layers in stacks:
+            for layer in layers:
+                for name in ("w", "b"):
+                    n = int(np.prod(layer[name]["shape"]))
+                    values, at = flat[at:at + n], at + n
+                    layer[name]["data"] = (
+                        base64.b64encode(values.tobytes()).decode("ascii") if encoding
+                        else values.astype(float).tolist()
+                    )
+        if encoding:
+            doc["array_encoding"] = "base64-le"
+        else:
+            doc.pop("array_encoding")
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+EARLIER_FORMAT = "checkpoints of earlier versions, with decimal or base64 arrays"
 
 
 def _widen_last_layer(casc):
@@ -939,15 +967,24 @@ CASCADE_CASES = {
         _edit_doc(lambda d: d.update(dtype="float16")),
         "dtype 'float16'",
     ),
-    "byte count disagrees with shape": (
+    "bias unlike its weight": (
         _edit_doc(lambda d: d["students"][0]["layers"][0]["b"].update(shape=[9])),
-        "student 1 layer 1 b: data holds 32 bytes",
+        "student 1 layer 1: weight (16, 8) and bias (9,) do not chain onto an input",
+    ),
+    "truncated weights file": (
+        _edit_weights(lambda raw: raw.__delitem__(slice(-4, None))),
+        "cascade.weights: holds 1300 bytes, the arrays of",
+    ),
+    "extended weights file": (
+        _edit_weights(lambda raw: raw.extend(b"\0" * 4)),
+        "cascade.weights: holds 1308 bytes, the arrays of",
     ),
     "edited weights": (
-        _edit_doc(lambda d: _flip_char(d["students"][1]["layers"][0]["w"])),
+        _edit_weights(_flip_last_byte),
         "student 2: weights do not match their stored fingerprint",
     ),
-    "decimal format": (_edit_doc(_to_decimal), "decimal format"),
+    "decimal format": (_to_earlier_format(False), EARLIER_FORMAT),
+    "base64 format": (_to_earlier_format(True), EARLIER_FORMAT),
     "mis-shaped last layer": (
         _edit_cascade(_widen_last_layer),
         "student 2: layer shapes [(16, 8), (8, 4)] differ",
@@ -1032,10 +1069,15 @@ TEACHER_CASES = {
         "train_meta seed 5 does not match 0, the config seed",
     ),
     "edited weights": (
-        _edit_doc(lambda d: _flip_char(d["layers"][0]["w"])),
+        _edit_weights(_flip_last_byte),
         "teacher weights do not match their stored fingerprint",
     ),
-    "decimal format": (_edit_doc(_to_decimal), "decimal format"),
+    "truncated weights file": (
+        _edit_weights(lambda raw: raw.__delitem__(slice(-4, None))),
+        "teacher.weights: holds",
+    ),
+    "decimal format": (_to_earlier_format(False), EARLIER_FORMAT),
+    "base64 format": (_to_earlier_format(True), EARLIER_FORMAT),
 }
 
 
@@ -1067,6 +1109,22 @@ class TestMalformedCheckpoints:
         assert code == 2
         assert str(run / "teacher.json") in err and message in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["cascade", "teacher"])
+    def test_missing_weights_file_exits_1_naming_it(self, separable_run, tmp_path, capsys, name):
+        data, run = separable_run
+        (run / f"{name}.weights").unlink()
+        if name == "cascade":
+            argv = ("infer", "--cascade", run / "cascade.json",
+                    "--features", data / "features.csv", "--out", tmp_path / "out")
+        else:
+            argv = ("distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
+                    "--students", 1, "--hidden", 8, "--epochs", 5, "--patience", 3)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {run / (name + '.json')}: weights file {run / (name + '.weights')} "
+            "is missing\n"
+        )
 
 
 class TestConfigPrecedence:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -586,6 +587,25 @@ class TestCanonicalPairs:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @given(edge_lists(), st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_check_matches_the_whole_list_check(self, case, block, data):
+        """The canonical check taken ``block`` rows at a time, the last key
+        carried across blocks, accepts what the whole key array does."""
+        edges, n = case
+        pairs = TestUndirectedPairs.oracle(edges)
+        inputs = [edges, pairs]
+        if pairs.shape[0] > 1:
+            at = data.draw(st.integers(0, pairs.shape[0] - 2))
+            inputs.append(np.insert(pairs, at, pairs[at], axis=0))  # a repeat
+            inputs.append(pairs[np.r_[:at, at + 1, at, at + 2:pairs.shape[0]]])  # a swap
+        with unittest.mock.patch.object(gio, "_CANONICAL_BLOCK", block):
+            for e in inputs:
+                i, j = e[:, 0], e[:, 1]
+                key = i * n + j
+                whole = bool(np.all(i < j) and np.all(key[1:] > key[:-1]))
+                assert gio._is_canonical(i, j, n) == whole
 
     def test_canonical_input_skips_the_sort(self):
         pairs = np.array([[0, 2], [0, 3], [1, 2], [2, 5]], dtype=np.int64)

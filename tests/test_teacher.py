@@ -490,10 +490,18 @@ class TestCheckpointIO:
             assert np.array_equal(w1, w2)
             assert np.array_equal(b1, b2)
         assert loaded.train_meta.best_epoch == art.train_meta.best_epoch
+        # the manifest holds the shapes and the fingerprint, the weights
+        # file every array's raw little-endian bytes in that order
         doc = json.loads(ckpt.read_text())
-        assert doc["array_encoding"] == "base64-le"
+        assert doc["array_encoding"] == "raw-le"
         assert doc["fingerprint"] == art.params.fingerprint()
-        assert all(isinstance(a["data"], str) for layer in doc["layers"] for a in layer.values())
+        assert doc["layers"] == [
+            {"w": {"shape": list(w.shape)}, "b": {"shape": list(b.shape)}}
+            for w, b in art.params.layers
+        ]
+        assert (tmp_path / "teacher.weights").read_bytes() == b"".join(
+            a.astype("<f4").tobytes() for pair in art.params.layers for a in pair
+        )
 
     @pytest.mark.parametrize(
         "field, value",
