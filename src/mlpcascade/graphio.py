@@ -160,7 +160,8 @@ class Graph(NodeTables):
     @property
     def adjacency(self) -> SparseMatrix:
         """The symmetric 0/1 adjacency with zero diagonal, at the features'
-        dtype, built from ``edges`` on each access."""
+        dtype and with int32 index arrays (``index_dtype``), built from
+        ``edges`` on each access."""
         return _adjacency_from_pairs(self.edges, self.n_nodes, self.features.dtype)
 
 
@@ -409,18 +410,34 @@ def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.column_stack([key // n_nodes, key % n_nodes])
 
 
+def index_dtype(n_nodes: int, n_entries: int) -> np.dtype:
+    """The index width of a sparse matrix over ``n_nodes`` nodes holding
+    ``n_entries`` entries, the adjacency and Â alike: int32, which holds
+    every column index and every row-pointer value of a matrix with at most
+    2^31 - 1 nodes and entries. A ValueError naming both counts refuses a
+    larger one before any of it is built."""
+    limit = np.iinfo(np.int32).max
+    if n_nodes > limit or n_entries > limit:
+        raise ValueError(
+            f"a graph of {n_nodes} nodes and {n_entries} adjacency entries does not "
+            f"fit int32 index arrays (at most {limit} of each)"
+        )
+    return np.dtype(np.int32)
+
+
 def _adjacency_from_pairs(pairs: np.ndarray, n_nodes: int, dtype) -> SparseMatrix:
     """The symmetric 0/1 adjacency of canonical pairs (``_undirected_pairs``):
     the upper triangle is already in CSR order, so its row pointer is a
     cumulative count of the rows, and the lower triangle is its transpose.
-    Indices come out sorted, and int64 as a COO construction from the
-    int64 pairs gives them; without an edge, scipy's default int32."""
+    Indices come out sorted, with int32 index arrays (``index_dtype``)."""
+    idx = index_dtype(n_nodes, 2 * pairs.shape[0])
     if pairs.shape[0] == 0:
-        return sparse.csr_array((n_nodes, n_nodes), dtype=dtype)
+        return sparse.csr_array((n_nodes, n_nodes), dtype=dtype)  # int32 indices
     rows = np.bincount(pairs[:, 0], minlength=n_nodes)
-    indptr = np.concatenate([[0], np.cumsum(rows)])
+    indptr = np.concatenate([[0], np.cumsum(rows)]).astype(idx)
     upper = sparse.csr_array(
-        (np.ones(pairs.shape[0], dtype=dtype), pairs[:, 1], indptr), shape=(n_nodes, n_nodes)
+        (np.ones(pairs.shape[0], dtype=dtype), pairs[:, 1].astype(idx), indptr),
+        shape=(n_nodes, n_nodes),
     )
     return upper + sparse.csr_array(upper.T)
 
@@ -692,8 +709,9 @@ def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
 
     Requires a symmetric input with zero diagonal and finite, non-negative
     weights. An isolated node ends up with the single entry 1.0 (its
-    self-loop divided by degree 1). The result has sorted indices, and each
-    entry is rounded twice, ``(a~_ij * d_i^-1/2) * d_j^-1/2``.
+    self-loop divided by degree 1). The result has sorted indices and int32
+    index arrays (``index_dtype``) whatever the input's, and each entry is
+    rounded twice, ``(a~_ij * d_i^-1/2) * d_j^-1/2``.
 
     A canonical (sorted, duplicate-free) input is symmetric exactly when its
     transpose converted to CSR has the same three arrays; only an input that
@@ -722,6 +740,12 @@ def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
         if diff.nnz and np.any(diff.data != 0):
             raise ValueError("adjacency must be symmetric")
     a_tilde = sparse.csr_array(a + sparse.eye_array(n, dtype=a.dtype, format="csr"))
+    idx = index_dtype(n, a_tilde.nnz)
+    a_tilde = sparse.csr_array(
+        (a_tilde.data, a_tilde.indices.astype(idx, copy=False),
+         a_tilde.indptr.astype(idx, copy=False)),
+        shape=(n, n),
+    )
     # degrees in a~'s own entry order, before sorting, as row sums always were
     degrees = np.asarray(a_tilde.sum(axis=1)).ravel()
     a_tilde.sort_indices()
@@ -748,16 +772,18 @@ def normalized_adjacency(g: Graph) -> SparseMatrix:
     upper entries (the pairs ``(r, j)``, in the list's order). The degrees
     are exact integer counts; a 0/1 row sum in either float dtype is the
     same integer, so the scaling rounds as ``normalize_adjacency`` does.
+    Its index arrays are int32 (``index_dtype``), which is checked first.
     """
     n, m = g.n_nodes, g.n_edges
+    idx = index_dtype(n, n + 2 * m)
     i, j = g.edges[:, 0], g.edges[:, 1]
     upper_ptr = np.searchsorted(i, np.arange(n + 1))  # the list is sorted by i
     upper = sparse.csr_array((np.ones(m, dtype=np.int8), j, upper_ptr), shape=(n, n))
     lower = sparse.csr_array(upper.T)  # each row's columns come out sorted
     n_lower, n_upper = np.diff(lower.indptr), np.diff(upper_ptr)
     degrees = n_lower + 1 + n_upper
-    indptr = np.concatenate([[0], np.cumsum(degrees)])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(idx)
+    indices = np.empty(indptr[-1], dtype=idx)
     rows = np.arange(n)
     # lower entry k of row r lands after r self-loops and the upper entries
     # of rows < r; upper entry k of row r after r + 1 self-loops and the

@@ -103,20 +103,39 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndar
     in order, so the mask and the generator state after it do not depend on
     the block size, and no full-size array of draws is built.
     """
+    return _draw_dropout(rng, np.empty(shape, dtype=dtype), rate, None)
+
+
+def apply_dropout(rng: np.random.Generator, x: np.ndarray, rate: float) -> np.ndarray:
+    """``dropout_mask(rng, x.shape, rate, x.dtype) * x``, the same bits and
+    the same generator state after it, as a fresh array: each block of the
+    mask is multiplied by ``x`` as it is drawn, so no full-size mask is
+    built."""
+    return _draw_dropout(rng, np.empty_like(x, order="C"), rate, x)
+
+
+def _draw_dropout(rng: np.random.Generator, out: np.ndarray, rate: float, x) -> np.ndarray:
+    """The draw loop of ``dropout_mask`` and ``apply_dropout``: fill the
+    C-contiguous ``out`` with the mask, one ``DROPOUT_BLOCK`` of words at a
+    time, each block multiplied by the same block of ``x`` unless ``x`` is
+    None."""
     threshold = dropout_threshold(rate)
     scale = DROPOUT_LEVELS / (DROPOUT_LEVELS - threshold)
-    mask = np.empty(shape, dtype=dtype)
-    flat = mask.reshape(-1)
+    flat = out.reshape(-1)
+    x_flat = None if x is None else np.ravel(x)
     words = -(-flat.size // 4)
     keep = np.empty(min(4 * DROPOUT_BLOCK, flat.size), dtype=bool)
     for start in range(0, words, DROPOUT_BLOCK):
         count = min(DROPOUT_BLOCK, words - start)
-        out = flat[4 * start : 4 * (start + count)]
+        block = slice(4 * start, 4 * (start + count))
+        o = flat[block]
         draws = rng.bit_generator.random_raw(count).astype("<u8", copy=False).view("<u2")
-        k = keep[: out.size]
-        np.greater_equal(draws[: out.size], threshold, out=k)
-        np.multiply(k, scale, dtype=dtype, out=out)
-    return mask
+        k = keep[: o.size]
+        np.greater_equal(draws[: o.size], threshold, out=k)
+        np.multiply(k, scale, dtype=out.dtype, out=o)
+        if x_flat is not None:
+            np.multiply(o, x_flat[block], out=o)
+    return out
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:

@@ -116,9 +116,10 @@ def forward_cache(
     selects rows makes its layer's output, the logits when it is the last
     layer's, one row per selected row. ``draw_mask(r)`` draws
     the dropout mask of each hidden activation ``r`` in layer order; None
-    trains without dropout. Returns the logits and one ``(input, r, mask)``
-    cache per layer, ``r`` being the layer's ReLU output (the logits for the
-    last layer) and the mask the one applied to it. Each layer adds its bias
+    trains without dropout. Returns the logits and a list of one
+    ``(input, r, mask)`` cache per layer, ``r`` being the layer's ReLU
+    output (the logits for the last layer) and the mask the one applied to
+    it; ``backward`` consumes the list. Each layer adds its bias
     and applies ReLU in place on the fresh projection; ``r > 0`` is
     ``z > 0``, NaN included, so the pre-activation need not be kept.
 
@@ -161,10 +162,13 @@ def backward(
     """Gradients of every parameter from the logits' gradient, through the
     caches of ``forward_cache`` with the same ``aggregates``, each of which
     the backward applies as its ``transpose``. Each hidden layer's gradient
-    is masked in place on the fresh product ``d_agg @ w.T``."""
+    is masked in place on the fresh product ``d_agg @ w.T``. The caches are
+    consumed, as ``backward_to_first`` consumes them: ``caches`` is empty
+    afterwards."""
     grads, d_z = backward_to_first(p, caches, dlogits, aggregates)
+    a = caches.pop()[0]  # frees the first layer's r and mask
     d_agg = _transpose(d_z, _per_layer(p, aggregates)[0])
-    grads["w1"] = caches[0][0].T @ d_agg
+    grads["w1"] = a.T @ d_agg
     grads["b1"] = d_z.sum(axis=0)
     return grads
 
@@ -178,15 +182,26 @@ def backward_to_first(
     """``backward`` short of the first layer's parameters: the gradients of
     layers 2..L, and the gradient of the first layer's pre-activation ``z1``
     (a fresh array when there are two layers or more), from which
-    ``backward`` forms those of ``w1`` and ``b1``."""
+    ``backward`` forms those of ``w1`` and ``b1``.
+
+    Each layer's cache is popped off ``caches`` once its weight gradient is
+    taken, so only the first layer's is left afterwards. A layer's input
+    under dropout, ``r * mask`` of the layer below, is then freed before the
+    gradient below it is allocated; without dropout it is that layer's
+    ``r``, which the ReLU gate still reads."""
+    if len(caches) != p.n_layers:
+        raise ValueError(
+            f"{len(caches)} caches for {p.n_layers} layers: a backward pass consumes "
+            f"the caches of one forward_cache"
+        )
     aggs = _per_layer(p, aggregates)
     grads: dict[str, np.ndarray] = {}
     d_z = dlogits
     for li in reversed(range(1, p.n_layers)):
         d_agg = _transpose(d_z, aggs[li])
-        grads[f"w{li + 1}"] = caches[li][0].T @ d_agg
+        grads[f"w{li + 1}"] = caches.pop()[0].T @ d_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
-        _, r_prev, mask = caches[li - 1]
+        _, r_prev, mask = caches[-1]
         d_z = d_agg @ p.layers[li][0].T
         if mask is not None:
             d_z *= mask

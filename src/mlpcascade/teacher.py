@@ -20,6 +20,7 @@ from .graphio import Graph
 from .numkit import (
     SparseMatrix,
     accuracy,
+    apply_dropout,
     check_index,
     dropout_mask,
     fingerprint,
@@ -188,10 +189,8 @@ def teacher_ce_gradpair(
         (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
     )
     if draw_mask is not None:
-        masked = draw_mask(x)  # no gradient flows to x: mask it in place
-        masked *= x
-        x_in = _first_input(norm_adj, masked, p)
-        del masked  # freed here when the first layer aggregated it into x_in
+        # no gradient flows to x: its mask is applied as it is drawn
+        x_in = _first_input(norm_adj, apply_dropout(rng, x, dropout), p)
     elif x_in is None:
         x_in = _first_input(norm_adj, x, p)
     aggregates = _aggregates(norm_adj, p)[:-1] + [_rows_aggregation(norm_adj[rows])]

@@ -4,7 +4,10 @@ perfbench times ``teacher.spmm``, ``teacher.dropout_mask``,
 ``cascade.dropout_mask``, ``cascade.student_forward``,
 ``inference.student_forward`` and ``inference.ensemble`` by replacing those
 module attributes, so its per-layer metrics mean something only while the
-trainers and ``run_anytime`` look the names up there, once per use. These
+trainers and ``run_anytime`` look the names up there, once per use. The
+teacher's input features are dropped by ``teacher.apply_dropout``, which
+perfbench does not time, so ``teacher.dropout_mask`` counts only the masks
+of hidden activations. These
 tests count the calls through ``monkeypatch`` during one small training run
 of each model and a few anytime calls.
 """
@@ -34,7 +37,7 @@ def count_calls(monkeypatch, module, names):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_teacher_call_sites(tiny_graph, monkeypatch, depth):
-    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask"))
+    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask", "apply_dropout"))
     cfg = t.TeacherConfig(
         hidden_dim=8, dropout=0.5, max_epochs=5, patience=4, depth=depth, seed=3
     )
@@ -42,15 +45,20 @@ def test_teacher_call_sites(tiny_graph, monkeypatch, depth):
     assert epochs == 5
     # per epoch: one aggregation per layer forward and backward, the eval
     # hidden layers over every row, the last layer over the validation
-    # rows; then one for the soft labels. One mask per layer input.
-    assert counts == {"spmm": epochs * 3 * depth + 1, "dropout_mask": epochs * depth}
+    # rows; then one for the soft labels. One dropout per layer input: the
+    # features' applied as drawn, a mask for each hidden activation.
+    assert counts == {
+        "spmm": epochs * 3 * depth + 1,
+        "dropout_mask": epochs * (depth - 1),
+        "apply_dropout": epochs,
+    }
 
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_aggregate_first_teacher_without_dropout_call_sites(monkeypatch, depth):
     # 8 features against hidden width 8: the first layer aggregates first
     g = gio.synth_sbm(150, 3, 8, 0.15, 0.05, 3.0, seed=2)
-    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask"))
+    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask", "apply_dropout"))
     cfg = t.TeacherConfig(
         hidden_dim=8, dropout=0.0, max_epochs=6, patience=5, depth=depth, seed=3
     )
@@ -60,7 +68,9 @@ def test_aggregate_first_teacher_without_dropout_call_sites(monkeypatch, depth):
     # starts from; per epoch one aggregation per later layer forward and
     # backward, the eval hidden layers after the first, and the last layer
     # over the validation rows; then one for the soft labels. No masks.
-    assert counts == {"spmm": 1 + epochs * (3 * depth - 3) + 1, "dropout_mask": 0}
+    assert counts == {
+        "spmm": 1 + epochs * (3 * depth - 3) + 1, "dropout_mask": 0, "apply_dropout": 0
+    }
 
 
 @pytest.mark.parametrize("n_layers", [2, 3])

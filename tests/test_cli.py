@@ -132,6 +132,18 @@ class TestTrainTeacher:
         assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
         assert "features.csv: non-finite value at line 5" in capsys.readouterr().err
 
+    def test_graph_beyond_int32_indices_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A graph whose Â would not fit int32 index arrays is refused with
+        both counts; the refusal is faked by adding 2^31 entries to the
+        count, as no test can hold such a graph."""
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        width = gio.index_dtype
+        monkeypatch.setattr(gio, "index_dtype", lambda n, m: width(n, m + 2**31))
+        assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert "a graph of 30 nodes and" in err and "does not fit int32 index arrays" in err
+
 
     def test_class_id_gap_exits_2_naming_labels_file(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 import mlpcascade.graphio as gio
+from mlpcascade.numkit import spmm
 
 
 def write_toy_dataset(path, features, edges, labels, splits=None):
@@ -584,9 +585,12 @@ class TestCanonicalPairs:
         got = gio._adjacency_from_pairs(pairs, n, dtype)
         ref = coo_adjacency(pairs, n, dtype)
         assert got.shape == ref.shape and got.has_sorted_indices
+        # the same values; the index arrays are int32 where the COO
+        # construction from int64 pairs keeps int64
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        assert got.data.dtype == ref.data.dtype
         for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
     @given(edge_lists(), st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
@@ -655,8 +659,11 @@ class TestEdgeListGraph:
     @staticmethod
     def assert_same_a_hat(g):
         got = gio.normalized_adjacency(g)
-        want = gio.normalize_adjacency(g.adjacency)
+        adjacency = g.adjacency
+        want = gio.normalize_adjacency(adjacency)
         assert isinstance(got, sparse.csr_array) and got.shape == want.shape
+        for m in (got, adjacency, want):
+            assert m.indptr.dtype == m.indices.dtype == np.int32
         for name in ("indptr", "indices"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.data.dtype == want.data.dtype == g.features.dtype
@@ -757,6 +764,73 @@ class TestEdgeListGraph:
             gio.Graph(g.features, g.edges, g.labels, g.splits)
 
 
+class TestIndexWidth:
+    """Every adjacency and Â holds int32 index arrays; a graph whose arrays
+    would not fit is refused by its counts, before anything is built."""
+
+    LIMIT = 2**31 - 1
+
+    def test_largest_counts_fit(self):
+        assert gio.index_dtype(self.LIMIT, self.LIMIT) == np.int32
+        assert gio.index_dtype(0, 0) == np.int32
+
+    @pytest.mark.parametrize("n_nodes, n_entries", [(LIMIT + 1, 5), (5, LIMIT + 1), (2**40, 2**41)])
+    def test_larger_counts_refused_by_their_sizes(self, n_nodes, n_entries):
+        with pytest.raises(ValueError) as err:
+            gio.index_dtype(n_nodes, n_entries)
+        assert str(err.value) == (
+            f"a graph of {n_nodes} nodes and {n_entries} adjacency entries does not "
+            f"fit int32 index arrays (at most {self.LIMIT} of each)"
+        )
+
+    @pytest.mark.parametrize("build", ["normalized_adjacency", "adjacency", "normalize_adjacency"])
+    def test_each_builder_asks_for_the_width_before_building(self, monkeypatch, build):
+        """Each builder names its node count and entry count: ``n + 2m``
+        for Â, ``2m`` for the adjacency."""
+        g = graph_of([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]], 6)
+        a = g.adjacency
+        asked = []
+
+        def refuse(n_nodes, n_entries):
+            asked.append((n_nodes, n_entries))
+            raise ValueError("refused")
+
+        monkeypatch.setattr(gio, "index_dtype", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            if build == "normalized_adjacency":
+                gio.normalized_adjacency(g)
+            elif build == "adjacency":
+                g.adjacency
+            else:
+                gio.normalize_adjacency(a)
+        assert asked == [(6, 10 if build == "adjacency" else 16)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cols", [1, 4, 64])
+    def test_int32_products_match_an_int64_copy(self, dtype, cols):
+        """scipy runs one kernel per index width; the int32 Â gives the same
+        bytes as an int64 copy for the full product, a row slice ``Â[R]``,
+        its product and its transpose's product."""
+        g = gio.synth_sbm(600, 5, 8, 0.1, 0.01, 1.0, seed=4, dtype=dtype)
+        a32 = gio.normalized_adjacency(g)
+        a64 = sparse.csr_array(
+            (a32.data, a32.indices.astype(np.int64), a32.indptr.astype(np.int64)), shape=a32.shape
+        )
+        assert a32.indices.dtype == np.int32 and a64.indices.dtype == np.int64
+        rng = np.random.default_rng(cols)
+        d = rng.standard_normal((600, cols)).astype(dtype)
+        assert spmm(a32, d).tobytes() == spmm(a64, d).tobytes()
+        rows = np.unique(rng.integers(0, 600, 120))
+        r32, r64 = a32[rows], a64[rows]
+        assert r32.indices.dtype == np.int32
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(r32, name), getattr(r64, name)), name
+        assert r32.data.tobytes() == r64.data.tobytes()
+        assert spmm(r32, d).tobytes() == spmm(r64, d).tobytes()
+        grad = rng.standard_normal((rows.size, cols)).astype(dtype)
+        assert spmm(r32.T, grad).tobytes() == spmm(r64.T, grad).tobytes()
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize(
         "table, fmt",
@@ -825,17 +899,20 @@ def unsorted_with_duplicates(dense, rng):
 
 
 class TestNormalizeAdjacencyBits:
-    """Same indptr, indices and data bytes and dtypes as the reference."""
+    """Same data bytes and dtype as the reference, and the same index
+    values, held in int32 whatever the width of the input's and so of the
+    reference's index arrays."""
 
     @staticmethod
     def assert_same(a):
         got = gio.normalize_adjacency(a)
         want = reference_normalize_adjacency(a)
         assert isinstance(got, sparse.csr_array)
-        for name in ("indptr", "indices", "data"):
+        for name in ("indptr", "indices"):
             g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype, name
-            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+            assert g.dtype == np.int32 and np.array_equal(g, w), name
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes()
         assert got.has_sorted_indices
         return got
 

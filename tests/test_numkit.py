@@ -317,6 +317,53 @@ class TestDropoutMask:
         assert set(mask.tolist()) <= {0.0, 65536.0}
 
 
+class TestApplyDropout:
+    """``apply_dropout`` multiplies each block of the mask into the input
+    as it is drawn: the bytes of ``dropout_mask(...) * x`` and the generator
+    state after it, on sizes that are not a multiple of four values or of a
+    block, and on signed zeros and non-finite inputs."""
+
+    @staticmethod
+    def features(shape, dtype):
+        x = np.random.default_rng(9).standard_normal(shape).astype(dtype)
+        flat = x.reshape(-1)
+        flat[::7] = -0.0
+        flat[3::11] = np.inf
+        flat[5::13] = np.nan
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [1e-6, 0.1, 0.5, 0.99])
+    @pytest.mark.parametrize(
+        "shape, block",
+        [((1, 1), 1 << 14), ((7, 3), 1), ((5, 9), 2), ((130, 509), 1 << 14)],
+    )
+    def test_same_bytes_and_state_as_mask_times_x(self, monkeypatch, dtype, rate, shape, block):
+        monkeypatch.setattr(nk, "DROPOUT_BLOCK", block)
+        x = self.features(shape, dtype)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN in both
+            got = nk.apply_dropout(rng, x, rate)
+            want = nk.dropout_mask(ref_rng, shape, rate, dtype) * x
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_fortran_ordered_input(self):
+        x = np.asfortranarray(self.features((33, 17), np.float32))
+        with np.errstate(invalid="ignore"):
+            got = nk.apply_dropout(np.random.default_rng(6), x, 0.5)
+            want = nk.dropout_mask(np.random.default_rng(6), x.shape, 0.5, x.dtype) * x
+        assert got.tobytes() == want.tobytes()
+
+    def test_input_left_unchanged(self):
+        x = self.features((6, 5), np.float64)
+        before = x.tobytes()
+        with np.errstate(invalid="ignore"):
+            nk.apply_dropout(np.random.default_rng(0), x, 0.5)
+        assert x.tobytes() == before
+
+
 class TestLossIndexChecks:
     """The cross entropy takes the rows it scores as an index set; numpy
     would wrap a negative index onto another row and turn a past-the-end one

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from scipy import sparse
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 import mlpcascade.teacher as t
-from mlpcascade.numkit import finite_diff_check, masked_cross_entropy, softmax_rows
+from mlpcascade.numkit import dropout_mask, finite_diff_check, masked_cross_entropy, softmax_rows
 from mlpcascade.optim import TrainingDivergedError, TrainRecord
-from mlpcascade.params import LayerStack
+from mlpcascade.params import LayerStack, backward, forward_cache
 from test_fit_reference import masked_cross_entropy as ref_cross_entropy
 from test_fit_reference import ref_teacher_backward, ref_teacher_forward
 from test_graphio import graph_of
@@ -250,6 +252,56 @@ class TestLabeledRowsOnly:
         with pytest.raises(ValueError) as err:
             t.teacher_ce_gradpair(adj, g.features, params, g.labels, mask)
         assert str(err.value) == f"teacher_ce_gradpair: {message}"
+
+
+class TestStepMemory:
+    """A training step frees each layer's cache once its weight gradient is
+    taken, so the backward never holds a layer's dropped-out input while it
+    allocates the gradient below it."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("graph", [True, False])  # a teacher, or a student's plain stack
+    def test_backward_frees_the_inputs_of_later_layers(self, graph, depth, dropout):
+        g, adj, params = teacher_case(8, depth, np.float64)
+        rng = np.random.default_rng(3)
+        draw = (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout else None
+        aggregates = t._aggregates(adj, params) if graph else None
+        x_in = t._first_input(adj, g.features, params) if graph else g.features
+        logits, caches = forward_cache(params, x_in, draw, aggregates)
+        inputs = [weakref.ref(cache[0]) for cache in caches[1:]]
+        assert all(ref() is not None for ref in inputs)
+        backward(params, caches, np.ones_like(logits) / logits.size, aggregates)
+        assert caches == []
+        assert [ref() for ref in inputs] == [None] * (depth - 1)
+        with pytest.raises(ValueError, match=f"^0 caches for {depth} layers"):
+            backward(params, caches, np.ones_like(logits), aggregates)
+
+    def test_step_peak_holds_only_the_arrays_it_needs(self):
+        """The traced peak of one step with dropout, on an Â built outside
+        the trace. Its largest moment is the backward's ReLU gate: the first
+        layer's input ``Â (mask0 * x)`` (N x d), its ReLU output, its mask
+        and the fresh gradient below the last layer (N x h each), that
+        gradient's gate (N x h bools) and the last layer's scattered
+        gradient ``Â[R]^T d`` (N x C). The margin, 256 KiB, covers the arrays
+        of the R labeled rows, the row slice ``Â[R]`` and the dropout draw
+        buffers (192 KiB). Holding the second layer's input ``mask1 * r1``
+        through the backward would add N x h values, 1 MB here."""
+        n, c, d, h = 4000, 4, 64, 64
+        g = gio.synth_sbm(n, c, d, 0.01, 0.001, 1.0, seed=0)
+        adj = gio.normalized_adjacency(g)
+        params = t.init_teacher(d, h, c, 2, np.random.default_rng(0), np.float32)
+        assert t._aggregates_first(params)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            t.teacher_ce_gradpair(adj, g.features, params, g.labels, g.splits.labeled, 0.5, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = g.features.itemsize
+        held = itemsize * (n * d + 3 * n * h + n * c) + n * h
+        assert held <= peak <= held + 256 * 1024, (peak, held)
 
 
 class TestTrainTeacher:
