@@ -14,9 +14,9 @@ teacher's setting with ``--dropout 0``, so its training forwards start
 from the ``Â X`` that the run computes once. No cascade is distilled from
 either. The ``inverted`` cascade setting goes through a ``--config`` file,
 written to a temporary directory outside OUT; the others through flags.
-A second dataset per precision, ``classes10``, has 10 classes, where
-inference scores row by row rather than class by class (from 8 classes);
-it gets one teacher, the ``defaults`` cascade and its ``infer``.
+A second dataset per precision, ``classes10``, has 10 classes, where a
+class-order sum is not the order in which numpy sums a row (from 8
+classes); it gets one teacher, the ``defaults`` cascade and its ``infer``.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path; each checkpoint is two artifacts, its JSON manifest

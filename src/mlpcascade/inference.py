@@ -7,16 +7,13 @@ confidence-weighted ensemble of exactly the executed students. Ensembling
 accumulates in float64 so the output rows are probability distributions to
 tight tolerance regardless of the cascade's working precision.
 
-Scoring is class-major up to ``numkit.ROW_SUM_COLUMNS`` (7) classes of
-float32 or float64 logits: each student's logits are copied once,
-transposed, into a C x K x N stack, and every class max and class sum of
-the confidence and of the one softmax after the loop is a single numpy
-reduction over the leading axis, across all rows at once, where a
-row-major array costs a reduction per row or a call per class. The bits
-are those of the row-major kernels: max is exact, and a sum of fewer than
-8 values in class order from +0 is numpy's row sum. From 8 classes numpy
-sums a row in unrolled blocks, in another order, and float16 rows in
-float32, so such logits keep a K x N x C stack and the row-major kernels.
+Scoring is class-major, for any class count of float32 or float64 logits:
+each student's logits are copied once, transposed, into a C x K x N stack,
+and every class max and class sum of the confidence and of the one softmax
+after the loop is a single numpy reduction over the leading axis, across
+all rows at once, where a row-major array costs a reduction per row or a
+call per class. A class sum adds in class order from the first class.
+Logits of any other dtype or rank are refused.
 
 ``ensemble`` keeps its loop over students. One vectorized float64 pass
 over the whole stack gives the same bits, and it is faster on a query of
@@ -36,7 +33,7 @@ import numpy as np
 from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
-from .numkit import check_index, row_max, row_sum, softmax_rows
+from .numkit import check_index, row_max, softmax_rows
 from .params import write_json
 
 
@@ -117,6 +114,16 @@ class InferenceResult:
         }
 
 
+def _check_logits(fn: str, logits: np.ndarray) -> None:
+    """Refuse logits that the class-major scoring does not take: anything
+    but a 2-D float32 or float64 array."""
+    if logits.ndim != 2 or logits.dtype not in (np.float32, np.float64):
+        raise ValueError(
+            f"{fn}: logits must be a 2-D float32 or float64 array, "
+            f"got {logits.dtype} of shape {logits.shape}"
+        )
+
+
 def confidence(logits: np.ndarray, eval_idx) -> float:
     """Batch confidence: mean over the evaluation rows of the row's maximum
     softmax probability. Lies in [1/C, 1], with 1/C only for exactly uniform
@@ -126,67 +133,51 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
     entry of a max-shifted softmax row is exp(0) / s = 1 / s exactly, so no
     second softmax is needed.
 
-    An empty index set, one not of integers (a boolean mask, say) or an
-    index outside [0, rows) raises ValueError."""
+    Logits other than a 2-D float32 or float64 array, an empty index set,
+    one not of integers (a boolean mask, say) or an index outside [0, rows)
+    raise ValueError."""
+    _check_logits("confidence", logits)
     idx = check_index(eval_idx, logits.shape[0], "confidence", "evaluation")
     return _LogitStack(1, logits.shape, logits.dtype, idx).push(logits)
 
 
-def _confidence_row_major(logits: np.ndarray, idx: np.ndarray) -> float:
-    """``confidence`` of N x C logits over an index array already checked
-    against their rows, reduced row by row.
-
-    The row maximum is taken on the gathered rows in their own dtype (max
-    is exact) and the shift writes the one float64 copy, so the bits are
-    those of casting first."""
-    rows = logits[idx]
-    z = np.subtract(rows, row_max(rows), dtype=np.float64)
-    np.exp(z, out=z)
-    r = row_sum(z)[:, 0]
-    np.divide(1.0, r, out=r)
-    return float(np.add.reduce(r) / r.size)
+def _class_sum(z: np.ndarray) -> np.ndarray:
+    """Sums over the leading axis of the C x M array ``z``, in class order.
+    numpy reduces a single column as one contiguous run, which it sums in
+    unrolled blocks from 8 values, so that case accumulates instead."""
+    if z.shape[1] == 1:
+        return np.add.accumulate(z, axis=0)[-1]
+    return np.add.reduce(z, axis=0)
 
 
 def _confidence_class_major(logits_t: np.ndarray, idx: Optional[np.ndarray]) -> float:
-    """``_confidence_row_major`` of the C x N class-major logits
-    ``logits_t``, C <= ``numkit.ROW_SUM_COLUMNS``, over the checked index
-    array ``idx`` (None for every row in order): each step one numpy call
-    across the rows, with the same bits."""
+    """``confidence`` of the C x N class-major logits ``logits_t`` over the
+    checked index array ``idx`` (None for every row in order), each step one
+    numpy call across the rows.
+
+    The class max is taken on the gathered columns in their own dtype (max
+    is exact) and the shift writes the one float64 copy, so the bits are
+    those of casting first."""
     cols = logits_t if idx is None else logits_t.take(idx, axis=1)
     z = np.subtract(cols, cols.max(axis=0), dtype=np.float64)
     np.exp(z, out=z)
-    r = np.add.reduce(z, axis=0)
+    r = _class_sum(z)
     np.divide(1.0, r, out=r)
     return float(np.add.reduce(r) / r.size)
 
 
-def _softmax_row_major(logits: np.ndarray) -> np.ndarray:
-    """Row softmax of a k x N x C stack of logits as one (k * N) x C call:
-    per row the same operations as a call per student, so the same bits."""
-    k, n, c = logits.shape
-    return softmax_rows(logits.reshape(k * n, c)).reshape(k, n, c)
-
-
 def _softmax_class_major(logits_t: np.ndarray) -> np.ndarray:
-    """``_softmax_row_major`` of the C x k x N class-major stack
-    ``logits_t``, C <= ``numkit.ROW_SUM_COLUMNS``, returned as a k x N x C
-    stack with the same bits: the class max, shift, exp, class sum and
-    division are each one numpy call across every row of every student,
-    and the division writes the row-major result through a transposed view.
-
-    A stack with a NaN row sum, from a NaN or infinite logit, is taken
-    again row by row: the two layouts can leave different NaNs in such a
-    row (seen at float64)."""
+    """Softmax over the classes of the C x k x N class-major stack
+    ``logits_t``, returned as a k x N x C stack: the class max, shift, exp,
+    class sum and division are each one numpy call across every row of
+    every student, on the C x (k * N) block, and one transposed copy writes
+    the result."""
     c, k, n = logits_t.shape
     cols = logits_t.reshape(c, k * n)
     e = cols - cols.max(axis=0)
     np.exp(e, out=e)
-    s = np.add.reduce(e, axis=0)
-    if math.isnan(np.add.reduce(s)):
-        return _softmax_row_major(np.ascontiguousarray(logits_t.transpose(1, 2, 0)))
-    probs = np.empty((k, n, c), dtype=e.dtype)
-    np.divide(e.reshape(c, k, n), s.reshape(k, n), out=probs.transpose(2, 0, 1))
-    return probs
+    e /= _class_sum(e)
+    return np.ascontiguousarray(e.reshape(c, k, n).transpose(1, 2, 0))
 
 
 class _LogitStack:
@@ -195,35 +186,27 @@ class _LogitStack:
     array ``idx`` as it is pushed, then one softmax over every student
     pushed.
 
-    With at most ``numkit.ROW_SUM_COLUMNS`` classes, at float32 or float64,
-    the stack is class-major, C x K x N: each student's logits are copied in
-    transposed, once, and scored by ``_confidence_class_major`` and
-    ``_softmax_class_major``. Otherwise it is K x N x C and scored row by
-    row by ``_confidence_row_major`` and ``_softmax_row_major``."""
+    The stack is class-major, C x K x N: each student's logits are copied
+    in transposed, once, and scored by ``_confidence_class_major`` and
+    ``_softmax_class_major``."""
 
     def __init__(self, k_total: int, shape: tuple[int, int], dtype, idx: np.ndarray):
         n, c = shape
-        self.class_major = c <= numkit.ROW_SUM_COLUMNS and dtype in (np.float32, np.float64)
-        self.stack = np.empty((c, k_total, n) if self.class_major else (k_total, n, c), dtype)
+        self.stack = np.empty((c, k_total, n), dtype)
         self.size = 0
         self.idx = idx
-        if self.class_major and idx.size == n and (idx == np.arange(n)).all():
+        if idx.size == n and (idx == np.arange(n)).all():
             self.idx = None  # every row in order: no gather
 
     def push(self, logits: np.ndarray) -> float:
         """Store the next student's N x C logits; their batch confidence."""
         k = self.size
         self.size += 1
-        if not self.class_major:
-            self.stack[k] = logits
-            return _confidence_row_major(logits, self.idx)
         self.stack[:, k] = logits.T
         return _confidence_class_major(self.stack[:, k], self.idx)
 
     def softmax(self) -> np.ndarray:
         """The k x N x C probabilities of the k students pushed."""
-        if not self.class_major:
-            return _softmax_row_major(self.stack[: self.size])
         return _softmax_class_major(self.stack[:, : self.size])
 
 
@@ -234,9 +217,12 @@ def score_logits(
     of students whose logits over every row are already known, by the
     scoring of ``run_anytime``: from the logits a run computes they are the
     same bits as its ``probs`` and ``confidences``. The index set is checked
-    once."""
+    once. Each student's logits must be a 2-D float32 or float64 array of
+    one shape."""
     if not logits:
         raise ValueError("score_logits: no students")
+    for z in logits:
+        _check_logits("score_logits", z)
     shape = logits[0].shape
     if any(z.shape != shape for z in logits):
         raise ValueError(f"score_logits: logits of shapes {[z.shape for z in logits]}")
@@ -295,7 +281,9 @@ def run_anytime(
 
     Per student the loop runs the forward pass and the float64 batch
     confidence, which is all the stopping rules read, and keeps the logits
-    in one stack, class-major up to 7 classes (see the module docstring).
+    in one class-major stack (see the module docstring). Logits other than
+    float32 or float64, from a cascade built by hand at another precision,
+    raise ValueError.
     After the loop, one softmax over the executed students' stacked logits
     gives every ``probs`` row and the ensemble combines them; neither is in
     any student's ``elapsed``, both are in ``scoring``.
@@ -321,6 +309,7 @@ def run_anytime(
             inputs[:, d:] = h
         h, logits = student_forward(params, inputs)
         if scores is None:
+            _check_logits("run_anytime", logits)
             scores = _LogitStack(c.n_students, logits.shape, logits.dtype, idx)
         confs.append(scores.push(logits))
         elapsed.append(time.perf_counter() - t0)

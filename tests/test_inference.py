@@ -26,6 +26,15 @@ def build_cascade(rng, n_students, d=4, hidden=3, c=3, dtype=np.float64):
     return cas.Cascade(students=students, metas=metas, teacher_fingerprint="none")
 
 
+# logits that class-major scoring refuses, and how the message names them
+REFUSED_LOGITS = [
+    (np.zeros((3, 4), np.float16), r"float16 of shape \(3, 4\)"),
+    (np.zeros((3, 4), np.int64), r"int64 of shape \(3, 4\)"),
+    (np.zeros(4), r"float64 of shape \(4,\)"),
+    (np.zeros((2, 3, 4), np.float32), r"float32 of shape \(2, 3, 4\)"),
+]
+
+
 class TestConfidence:
     def test_uniform_logits_hit_lower_bound(self):
         assert inf.confidence(np.zeros((5, 4)), np.arange(5)) == pytest.approx(0.25, abs=1e-12)
@@ -51,6 +60,11 @@ class TestConfidence:
     def test_index_past_the_end_rejected(self):
         with pytest.raises(ValueError, match="index 2 out of range for 2 rows"):
             inf.confidence(np.zeros((2, 2)), [0, 2])
+
+    @pytest.mark.parametrize("logits, what", REFUSED_LOGITS)
+    def test_logits_other_than_2d_float32_or_float64_rejected(self, logits, what):
+        with pytest.raises(ValueError, match=f"^confidence: logits must be .*got {what}"):
+            inf.confidence(logits, [0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_range_property(self, seed):
@@ -101,6 +115,14 @@ class TestEnsemble:
 
 
 class TestRunAnytime:
+    def test_float16_cascade_rejected(self):
+        c = build_cascade(np.random.default_rng(0), 2, dtype=np.float16)
+        x = np.zeros((8, 4), np.float16)
+        with pytest.raises(
+            ValueError, match=r"^run_anytime: logits must be .*got float16 of shape \(8, 3\)"
+        ):
+            inf.run_anytime(c, x, inf.InferencePolicy(max_students=2), np.arange(8))
+
     def test_zero_threshold_executes_one(self):
         c = build_cascade(np.random.default_rng(0), 3)
         x = np.random.default_rng(1).standard_normal((8, 4))
@@ -289,6 +311,14 @@ class TestScoreLogits:
         ):
             inf.score_logits([np.zeros((3, 2)), np.zeros((1, 2))], [0])
 
+    @pytest.mark.parametrize("logits, what", REFUSED_LOGITS)
+    def test_logits_other_than_2d_float32_or_float64_rejected(self, logits, what):
+        # whether the refused array comes first or after an accepted one
+        match = f"^score_logits: logits must be .*got {what}"
+        for stack in ([logits], [np.zeros((3, 4), np.float32), logits]):
+            with pytest.raises(ValueError, match=match):
+                inf.score_logits(stack, [0])
+
 
 class TestAccuracy:
     def test_perfect(self):
@@ -350,9 +380,14 @@ class TestOutputFiles:
 
 
 def reference_softmax(logits):
+    """Row softmax whose row sum adds the classes left to right from +0,
+    in the logits' dtype."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    s = np.zeros((e.shape[0], 1), e.dtype)
+    for j in range(e.shape[1]):
+        s = s + e[:, j : j + 1]
+    return e / s
 
 
 def reference_run_anytime(c, x, policy, idx):
@@ -377,7 +412,10 @@ def reference_run_anytime(c, x, policy, idx):
             break
         if policy.max_students is not None and k >= policy.max_students:
             break
-    weights = reference_softmax(np.asarray(confs, dtype=np.float64)[None, :]).ravel()
+    # the weights are a softmax over the students, summed as numpy sums
+    z = np.asarray(confs, dtype=np.float64)
+    weights = np.exp(z - z.max())
+    weights = weights / weights.sum()
     combined = np.zeros(preds[0].shape, dtype=np.float64)
     for w, p in zip(weights, preds):
         combined += w * p.astype(np.float64)
@@ -396,7 +434,7 @@ class TestBitIdenticalToReference:
             (np.float64, np.float32),
         ],
     )
-    @pytest.mark.parametrize("c", [2, 4, 7, 40])
+    @pytest.mark.parametrize("c", [2, 4, 7, 40, 47])
     def test_policies_and_eval_sets(self, x_dtype, casc_dtype, c):
         rng = np.random.default_rng(c)
         k_total = 5
@@ -450,13 +488,11 @@ class TestBitIdenticalToReference:
 
 
 class TestStackedScoring:
-    """A call scores its students once: a confidence per executed student in
-    the loop, then one softmax over the stacked logits of all of them. Up to
-    ROW_SUM_COLUMNS classes both run class-major, on C x N and C x k x N
-    arrays; from 8 classes on, row by row."""
+    """A call scores its students once, class-major at every class count: a
+    confidence per executed student in the loop, on a C x N array, then one
+    softmax over the stacked logits of all of them, on a C x k x N one."""
 
-    KERNELS = ("softmax_rows", "_softmax_class_major", "_softmax_row_major",
-               "_confidence_class_major", "_confidence_row_major")
+    KERNELS = ("softmax_rows", "_softmax_class_major", "_confidence_class_major")
 
     @classmethod
     def count_calls(cls, monkeypatch):
@@ -473,10 +509,11 @@ class TestStackedScoring:
             monkeypatch.setattr(inf, name, counted)
         return calls
 
+    @pytest.mark.parametrize("c", [2, 7, 8, 12, 47])
     @pytest.mark.parametrize("cap", [1, 3, 5])
-    def test_one_softmax_per_run_whatever_the_executed_count(self, monkeypatch, cap):
-        rng = np.random.default_rng(cap)
-        casc = build_cascade(rng, 5)
+    def test_one_softmax_per_run_whatever_the_executed_count(self, monkeypatch, cap, c):
+        rng = np.random.default_rng(cap + c)
+        casc = build_cascade(rng, 5, c=c)
         x = rng.standard_normal((12, 4))
         for policy in (inf.InferencePolicy(max_students=cap),
                        inf.InferencePolicy(conf_threshold=0.0, max_students=cap)):
@@ -487,44 +524,23 @@ class TestStackedScoring:
             # of them, then the ensemble's weights over k confidences
             assert calls == {
                 "softmax_rows": [(1, k)],
-                "_softmax_class_major": [(3, k, 12)],
-                "_softmax_row_major": [],
-                "_confidence_class_major": [(3, 12)] * k,
-                "_confidence_row_major": [],
+                "_softmax_class_major": [(c, k, 12)],
+                "_confidence_class_major": [(c, 12)] * k,
             }
-            assert r.probs.shape == (k, 12, 3)
+            assert r.probs.shape == (k, 12, c)
 
-    def test_one_softmax_per_score_logits_call(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        logits = [rng.standard_normal((9, 3)) for _ in range(4)]
+    @pytest.mark.parametrize("c", [2, 7, 8, 12, 47])
+    def test_one_softmax_per_score_logits_call(self, monkeypatch, c):
+        rng = np.random.default_rng(c)
+        logits = [rng.standard_normal((9, c)) for _ in range(4)]
         calls = self.count_calls(monkeypatch)
         probs, confs = inf.score_logits(logits, [0, 4, 8])
         assert calls == {
             "softmax_rows": [],
-            "_softmax_class_major": [(3, 4, 9)],
-            "_softmax_row_major": [],
-            "_confidence_class_major": [(3, 9)] * 4,
-            "_confidence_row_major": [],
+            "_softmax_class_major": [(c, 4, 9)],
+            "_confidence_class_major": [(c, 9)] * 4,
         }
-        assert probs.shape == (4, 9, 3) and len(confs) == 4
-
-    @pytest.mark.parametrize("c", [nk.ROW_SUM_COLUMNS + 1, 12])
-    def test_eight_classes_and_more_score_row_by_row(self, monkeypatch, c):
-        rng = np.random.default_rng(c)
-        casc = build_cascade(rng, 4, c=c)
-        x = rng.standard_normal((12, 4))
-        calls = self.count_calls(monkeypatch)
-        r = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=3), np.arange(12))
-        # numpy sums 8 or more values in unrolled blocks, not class by class:
-        # one softmax_rows over the stacked rows, then the ensemble's
-        assert calls == {
-            "softmax_rows": [(36, c), (1, 3)],
-            "_softmax_class_major": [],
-            "_softmax_row_major": [(3, 12, c)],
-            "_confidence_class_major": [],
-            "_confidence_row_major": [(12, c)] * 3,
-        }
-        assert r.probs.shape == (3, 12, c)
+        assert probs.shape == (4, 9, c) and len(confs) == 4
 
     @pytest.mark.parametrize(
         "x_dtype, casc_dtype",
