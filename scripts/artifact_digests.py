@@ -21,9 +21,12 @@ Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path; each checkpoint is two artifacts, its JSON manifest
 and the raw weights file beside it (``teacher.json`` and
-``teacher.weights``, ``cascade.json`` and ``cascade.weights``). Timing
-files (``infer_meta.json``, ``tradeoff.csv``) are skipped; the commands'
-own output goes to standard error.
+``teacher.weights``, ``cascade.json`` and ``cascade.weights``). The timing
+file ``tradeoff.csv`` is skipped. ``infer_meta.json`` holds timings beside
+its deterministic fields, so only those (``INFER_META_FIELDS``) are
+digested, as compact JSON, on a line whose path names them:
+``<run>/infer_meta.json#executed,stopped_by,confidences,weights``. The
+commands' own output goes to standard error.
 
 Run it in two checkouts and ``diff`` the two outputs: no difference means
 every artifact of the grid is byte-identical. ``--tiny`` runs the same grid
@@ -51,7 +54,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMING_FILES = {"infer_meta.json", "tradeoff.csv"}
+TIMING_FILES = {"tradeoff.csv"}
+# the fields of infer_meta.json that do not depend on the clock
+INFER_META = "infer_meta.json"
+INFER_META_FIELDS = ("executed", "stopped_by", "confidences", "weights")
 PRECISIONS = ("f32", "f64")
 
 # cascade settings: the defaults, deeper students, a lambda that moves
@@ -148,13 +154,20 @@ def run_datasets(out: Path, tiny: bool) -> None:
 
 def digests(out: Path) -> list[str]:
     """``<sha256>  <path>`` of every file under ``out`` but the timing files,
-    sorted by the printed path."""
+    and of the deterministic fields of each ``infer_meta.json``, sorted by
+    the printed path."""
     lines = []
     for name in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
         path = out / name
-        if path.name not in TIMING_FILES:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {name}")
+        if path.name == INFER_META:
+            doc = json.loads(path.read_text())
+            data = json.dumps([doc[f] for f in INFER_META_FIELDS]).encode()
+            name += "#" + ",".join(INFER_META_FIELDS)
+        elif path.name in TIMING_FILES:
+            continue
+        else:
+            data = path.read_bytes()
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
     return lines
 
 

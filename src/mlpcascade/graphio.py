@@ -772,29 +772,32 @@ def normalized_adjacency(g: Graph) -> SparseMatrix:
     upper entries (the pairs ``(r, j)``, in the list's order). The degrees
     are exact integer counts; a 0/1 row sum in either float dtype is the
     same integer, so the scaling rounds as ``normalize_adjacency`` does.
-    Its index arrays are int32 (``index_dtype``), which is checked first.
+    Its index arrays are int32 (``index_dtype``), which is checked first,
+    and so is every index temporary built on the way.
     """
     n, m = g.n_nodes, g.n_edges
     idx = index_dtype(n, n + 2 * m)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    upper_ptr = np.searchsorted(i, np.arange(n + 1))  # the list is sorted by i
+    i, j = g.edges[:, 0], g.edges[:, 1].astype(idx)
+    # the list is sorted by i
+    upper_ptr = np.searchsorted(i, np.arange(n + 1)).astype(idx)
     upper = sparse.csr_array((np.ones(m, dtype=np.int8), j, upper_ptr), shape=(n, n))
     lower = sparse.csr_array(upper.T)  # each row's columns come out sorted
     n_lower, n_upper = np.diff(lower.indptr), np.diff(upper_ptr)
     degrees = n_lower + 1 + n_upper
     indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(idx)
     indices = np.empty(indptr[-1], dtype=idx)
-    rows = np.arange(n)
+    rows = np.arange(n, dtype=idx)
     # lower entry k of row r lands after r self-loops and the upper entries
     # of rows < r; upper entry k of row r after r + 1 self-loops and the
     # lower entries of rows <= r
     at = np.repeat(rows + upper_ptr[:-1], n_lower)
-    at += np.arange(m)
+    at += np.arange(m, dtype=idx)
     indices[at] = lower.indices
     indices[indptr[:-1] + n_lower] = rows
     at = np.repeat(rows + 1 + lower.indptr[1:], n_upper)
-    at += np.arange(m)
+    at += np.arange(m, dtype=idx)
     indices[at] = j
+    del upper, lower, at, j  # freed before Â's values and their scaling
     dtype = g.features.dtype
     a_tilde = sparse.csr_array(
         (np.ones(indptr[-1], dtype=dtype), indices, indptr), shape=(n, n)

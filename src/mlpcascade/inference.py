@@ -12,8 +12,10 @@ each student's logits are copied once, transposed, into a C x K x N stack,
 and every class max and class sum of the confidence and of the one softmax
 after the loop is a single numpy reduction over the leading axis, across
 all rows at once, where a row-major array costs a reduction per row or a
-call per class. A class sum adds in class order from the first class.
-Logits of any other dtype or rank are refused.
+call per class. The softmax and the class sum are numkit's
+(``softmax_classes``, ``class_sum``), the ones the training losses and the
+teacher's soft labels run on. Logits of any other dtype or rank are
+refused.
 
 ``ensemble`` keeps its loop over students. One vectorized float64 pass
 over the whole stack gives the same bits, and it is faster on a query of
@@ -33,7 +35,7 @@ import numpy as np
 from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
-from .numkit import check_index, row_max, softmax_rows
+from .numkit import check_index, check_logits, class_sum, softmax_classes
 from .params import write_json
 
 
@@ -114,16 +116,6 @@ class InferenceResult:
         }
 
 
-def _check_logits(fn: str, logits: np.ndarray) -> None:
-    """Refuse logits that the class-major scoring does not take: anything
-    but a 2-D float32 or float64 array."""
-    if logits.ndim != 2 or logits.dtype not in (np.float32, np.float64):
-        raise ValueError(
-            f"{fn}: logits must be a 2-D float32 or float64 array, "
-            f"got {logits.dtype} of shape {logits.shape}"
-        )
-
-
 def confidence(logits: np.ndarray, eval_idx) -> float:
     """Batch confidence: mean over the evaluation rows of the row's maximum
     softmax probability. Lies in [1/C, 1], with 1/C only for exactly uniform
@@ -136,18 +128,9 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
     Logits other than a 2-D float32 or float64 array, an empty index set,
     one not of integers (a boolean mask, say) or an index outside [0, rows)
     raise ValueError."""
-    _check_logits("confidence", logits)
+    check_logits("confidence", logits)
     idx = check_index(eval_idx, logits.shape[0], "confidence", "evaluation")
     return _LogitStack(1, logits.shape, logits.dtype, idx).push(logits)
-
-
-def _class_sum(z: np.ndarray) -> np.ndarray:
-    """Sums over the leading axis of the C x M array ``z``, in class order.
-    numpy reduces a single column as one contiguous run, which it sums in
-    unrolled blocks from 8 values, so that case accumulates instead."""
-    if z.shape[1] == 1:
-        return np.add.accumulate(z, axis=0)[-1]
-    return np.add.reduce(z, axis=0)
 
 
 def _confidence_class_major(logits_t: np.ndarray, idx: Optional[np.ndarray]) -> float:
@@ -161,23 +144,9 @@ def _confidence_class_major(logits_t: np.ndarray, idx: Optional[np.ndarray]) -> 
     cols = logits_t if idx is None else logits_t.take(idx, axis=1)
     z = np.subtract(cols, cols.max(axis=0), dtype=np.float64)
     np.exp(z, out=z)
-    r = _class_sum(z)
+    r = class_sum(z)
     np.divide(1.0, r, out=r)
     return float(np.add.reduce(r) / r.size)
-
-
-def _softmax_class_major(logits_t: np.ndarray) -> np.ndarray:
-    """Softmax over the classes of the C x k x N class-major stack
-    ``logits_t``, returned as a k x N x C stack: the class max, shift, exp,
-    class sum and division are each one numpy call across every row of
-    every student, on the C x (k * N) block, and one transposed copy writes
-    the result."""
-    c, k, n = logits_t.shape
-    cols = logits_t.reshape(c, k * n)
-    e = cols - cols.max(axis=0)
-    np.exp(e, out=e)
-    e /= _class_sum(e)
-    return np.ascontiguousarray(e.reshape(c, k, n).transpose(1, 2, 0))
 
 
 class _LogitStack:
@@ -188,7 +157,7 @@ class _LogitStack:
 
     The stack is class-major, C x K x N: each student's logits are copied
     in transposed, once, and scored by ``_confidence_class_major`` and
-    ``_softmax_class_major``."""
+    ``numkit.softmax_classes``."""
 
     def __init__(self, k_total: int, shape: tuple[int, int], dtype, idx: np.ndarray):
         n, c = shape
@@ -206,8 +175,14 @@ class _LogitStack:
         return _confidence_class_major(self.stack[:, k], self.idx)
 
     def softmax(self) -> np.ndarray:
-        """The k x N x C probabilities of the k students pushed."""
-        return _softmax_class_major(self.stack[:, : self.size])
+        """The k x N x C probabilities of the k students pushed: one
+        ``softmax_classes`` over the C x (k * N) block of every row of
+        every student, then one transposed copy. The softmax runs in place,
+        so it is the stack's last use."""
+        c, _, n = self.stack.shape
+        k = self.size
+        e = softmax_classes(self.stack[:, :k].reshape(c, k * n))
+        return np.ascontiguousarray(e.reshape(c, k, n).transpose(1, 2, 0))
 
 
 def score_logits(
@@ -222,7 +197,7 @@ def score_logits(
     if not logits:
         raise ValueError("score_logits: no students")
     for z in logits:
-        _check_logits("score_logits", z)
+        check_logits("score_logits", z)
     shape = logits[0].shape
     if any(z.shape != shape for z in logits):
         raise ValueError(f"score_logits: logits of shapes {[z.shape for z in logits]}")
@@ -243,7 +218,11 @@ def ensemble(preds: np.ndarray, confs: list[float]) -> tuple[np.ndarray, np.ndar
         raise ValueError(
             f"ensemble: {len(preds)} predictions vs {len(confs)} confidences"
         )
-    weights = softmax_rows(np.asarray(confs, dtype=np.float64)[None, :]).ravel()
+    # numpy's 1-D max and sum over the K confidences: the bits of a row
+    # softmax of the 1 x K array
+    c = np.asarray(confs, dtype=np.float64)
+    weights = np.exp(c - c.max())
+    weights /= weights.sum()
     combined = np.zeros(preds[0].shape, dtype=np.float64)
     term = np.empty_like(combined)
     for w, p in zip(weights, preds):
@@ -309,7 +288,7 @@ def run_anytime(
             inputs[:, d:] = h
         h, logits = student_forward(params, inputs)
         if scores is None:
-            _check_logits("run_anytime", logits)
+            check_logits("run_anytime", logits)
             scores = _LogitStack(c.n_students, logits.shape, logits.dtype, idx)
         confs.append(scores.push(logits))
         elapsed.append(time.perf_counter() - t0)
@@ -343,7 +322,9 @@ def write_prediction_csv(path, result: InferenceResult) -> None:
     """Per-node predictions: `node,pred_class,confidence_weighted_max`, the
     last with 9 significant digits."""
     pred = result.prediction
-    columns = [np.arange(pred.shape[0]), np.argmax(pred, axis=1), row_max(pred)[:, 0]]
+    rows = np.arange(pred.shape[0])
+    cls = np.argmax(pred, axis=1)
+    columns = [rows, cls, pred[rows, cls]]
     _write_csv(
         path, columns, ("%d", "%d", "%.9g"), header="node,pred_class,confidence_weighted_max"
     )

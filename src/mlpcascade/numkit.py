@@ -8,6 +8,18 @@ parameter name, and every gradient formula is validated against
 
 float32 is the working precision for training; `finite_diff_check` insists on
 float64 arrays because central differences drown in float32 rounding noise.
+
+The package has one softmax kernel, ``softmax_classes``, and the losses,
+the teacher's soft labels and anytime scoring all run on it. It works on
+class-major C x M logits, so the class max, the exp and the class sum are
+each one numpy call across all rows, where a row-major array costs numpy a
+reduction per row. ``softmax_rows`` and ``log_softmax_rows`` copy their
+N x C logits once into that layout and return N x C. A class sum
+(``class_sum``) adds the classes in order from the first: up to 7 classes
+that is the order in which numpy sums a row, so the bits are numpy's; from
+8 classes numpy sums a row in unrolled blocks and the last bits differ.
+Logits other than a 2-D float32 or float64 array are refused
+(``check_logits``).
 """
 
 from __future__ import annotations
@@ -26,21 +38,6 @@ DEFAULT_DTYPE = np.float32
 
 # Denominator floor for relative-error comparisons (avoids 0/0).
 REL_ERR_FLOOR = 1e-8
-
-# row_max folds column by column when the array has at most this many
-# columns and at least this many rows per column. Below that height numpy's
-# per-row reduction is cheaper than one ufunc call per column; above that
-# width the column loop loses to numpy's vectorized row reduction.
-ROW_MAX_COLUMNS = 8
-ROW_MAX_ROWS_PER_COLUMN = 16
-
-# row_sum folds column by column when the array has 2 to ROW_SUM_COLUMNS
-# columns and at least ROW_SUM_ROWS_PER_COLUMN rows per column. numpy sums a
-# row of fewer than 8 values one at a time from +0, which the fold repeats;
-# from 8 values on it sums in unrolled blocks, in another order. Below that
-# height numpy's per-row reduction is the cheaper one.
-ROW_SUM_COLUMNS = 7
-ROW_SUM_ROWS_PER_COLUMN = 64
 
 # dropout_mask compares 16-bit draws with round(rate * DROPOUT_LEVELS), so
 # a dropout rate takes effect as a multiple of 1/65536.
@@ -144,93 +141,60 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
 
 
-def row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=1, keepdims=True)`` with the same result, faster on tall,
-    narrow arrays.
-
-    numpy reduces each row on its own, which costs about 0.1 us per row
-    whatever the width. With at most ``ROW_MAX_COLUMNS`` columns and at least
-    ``ROW_MAX_ROWS_PER_COLUMN`` rows per column, the maximum is taken one
-    column at a time instead, folding left to right as numpy's reduction
-    does over a row no wider than its vector registers. Max is exact, so
-    every non-NaN result, signed zeros and infinities included, is the same
-    bits (checked against numpy with AVX-512 loops); a row holding a NaN
-    gives NaN either way, though numpy does not fix that NaN's sign bit.
-    Where numpy's vectors hold fewer than C - 1 values it may resolve a
-    +0/-0 tie to the other zero; softmax_rows and confidence cannot see
-    that sign, since exp(+0) = exp(-0) = 1.
-    """
-    n_rows, n_cols = a.shape
-    if not 2 <= n_cols <= ROW_MAX_COLUMNS or n_rows < ROW_MAX_ROWS_PER_COLUMN * n_cols:
-        return a.max(axis=1, keepdims=True)
-    cols = a.T
-    out = np.maximum(cols[0], cols[1])
-    for col in cols[2:]:
-        np.maximum(out, col, out=out)
-    return out[:, None]
+def check_logits(fn: str, logits: np.ndarray) -> None:
+    """Refuse logits that the class-major softmax does not take: anything
+    but a 2-D float32 or float64 array. The ValueError names the function
+    ``fn``, the dtype and the shape."""
+    if logits.ndim != 2 or logits.dtype not in (np.float32, np.float64):
+        raise ValueError(
+            f"{fn}: logits must be a 2-D float32 or float64 array, "
+            f"got {logits.dtype} of shape {logits.shape}"
+        )
 
 
-def row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1, keepdims=True)`` with the same bits, faster on tall,
-    narrow arrays.
-
-    For a C-contiguous float32 or float64 array with 2 to
-    ``ROW_SUM_COLUMNS`` columns and at least ``ROW_SUM_ROWS_PER_COLUMN``
-    rows per column, the sum is taken one column at a time:
-    ``((+0 + c0) + c1) + ...``, the order in which numpy sums a row of
-    fewer than 8 values. Starting from +0
-    matters: a row of -0 values sums to +0, as in numpy. When two NaNs meet,
-    which one's sign and payload survive depends on how the loop orders its
-    operands, and numpy's vector and scalar loops differ there; so the rows
-    whose fold is NaN are summed again by numpy. Every result, signed
-    zeros, infinities, NaNs and subnormals included, is the same bits as
-    numpy's (checked for every width at float32 and float64). Other dtypes
-    go to numpy: it sums a float16 row in float32 and rounds once, which a
-    float16 fold would not repeat.
-    """
-    n_rows, n_cols = a.shape
-    if (
-        not 2 <= n_cols <= ROW_SUM_COLUMNS
-        or n_rows < ROW_SUM_ROWS_PER_COLUMN * n_cols
-        or a.dtype not in (np.float32, np.float64)
-        or not a.flags.c_contiguous
-    ):
-        return a.sum(axis=1, keepdims=True)
-    cols = a.T
-    out = cols[0] + 0.0
-    for col in cols[1:]:
-        np.add(out, col, out=out)
-    nan = np.isnan(out)
-    if nan.any():
-        out[nan] = a[nan].sum(axis=1)
-    return out[:, None]
+def class_sum(z: np.ndarray) -> np.ndarray:
+    """Sums over the leading axis of the C x M array ``z``, in class order.
+    numpy reduces a single column as one contiguous run, which it sums in
+    unrolled blocks from 8 values, so that case accumulates instead."""
+    if z.shape[1] == 1:
+        return np.add.accumulate(z, axis=0)[-1]
+    return np.add.reduce(z, axis=0)
 
 
-def _shifted(logits: np.ndarray) -> np.ndarray:
-    """``logits - row_max(logits)`` as a fresh floating-point array."""
-    if logits.dtype.kind != "f":
-        logits = logits.astype(np.float64)
-    return logits - row_max(logits)
-
-
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, stabilized by max subtraction (never -inf)."""
-    z = _shifted(logits)
-    z -= np.log(row_sum(np.exp(z)))
+def softmax_classes(z: np.ndarray) -> np.ndarray:
+    """Softmax over the leading axis of the C x M class-major block ``z``,
+    in place, returning ``z``: the class max, shift, exp, class sum and
+    division are each one numpy call across all M rows."""
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= class_sum(z)
     return z
 
 
+def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of the N x C ``logits``, stabilized by max
+    subtraction (never -inf), on one class-major copy as ``softmax_rows``.
+    Logits other than a 2-D float32 or float64 array raise ValueError."""
+    check_logits("log_softmax_rows", logits)
+    z = logits.T.copy()
+    z -= z.max(axis=0)
+    z -= np.log(class_sum(np.exp(z)))
+    return np.ascontiguousarray(z.T)
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction.
+    """Row-wise softmax of the N x C ``logits``, stabilized by max
+    subtraction.
 
     Rows sum to 1 within rounding for any finite input, and the result is
-    invariant under adding a per-row constant to the logits. The exp and
-    the division run in place on the one shifted copy.
+    invariant under adding a per-row constant to the logits. The logits are
+    copied once into a C x N block, ``softmax_classes`` runs in place on
+    it, and one transposed copy returns the N x C rows: the same bits as
+    ``inference.score_logits`` gives for them. Logits other than a 2-D
+    float32 or float64 array raise ValueError.
     """
-    e = _shifted(logits)
-    np.exp(e, out=e)
-    e /= row_sum(e)
-    return e
+    check_logits("softmax_rows", logits)
+    return np.ascontiguousarray(softmax_classes(logits.T.copy()).T)
 
 
 def accuracy(logits: np.ndarray, truth_ids: np.ndarray) -> float:
@@ -300,12 +264,12 @@ def soft_targets(teacher_probs: np.ndarray) -> SoftTargets:
     """Check that every row of ``teacher_probs`` sums to 1 within 1e-5 and
     has no negative entry, and derive ``t * ln t`` with the 0 * ln 0 = 0
     limit."""
-    row_sums = teacher_probs.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > 1e-5
+    sums = teacher_probs.sum(axis=1)
+    bad = np.abs(sums - 1.0) > 1e-5
     if np.any(bad):
         row = int(np.argmax(bad))
         raise ValueError(
-            f"kl_divergence: teacher row {row} sums to {float(row_sums[row]):.8g}, not 1"
+            f"kl_divergence: teacher row {row} sums to {float(sums[row]):.8g}, not 1"
         )
     if np.any(teacher_probs < 0):
         row = int(np.argmax((teacher_probs < 0).any(axis=1)))

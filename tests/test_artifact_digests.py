@@ -1,6 +1,7 @@
 """scripts/artifact_digests.py: the byte-identity grid runs, lists every
 deterministic artifact and gives the same digests when run again."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -34,7 +35,8 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
     assert first == digests(tmp_path / "b")
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
-    per_run = ["cascade.json", "cascade.weights", "distill_report.json", "predictions.csv"]
+    per_run = ["cascade.json", "cascade.weights", "distill_report.json", "predictions.csv",
+               "infer_meta.json#executed,stopped_by,confidences,weights"]
     teacher_files = ["teacher.json", "teacher.weights", "soft_labels.csv", "teacher_report.json"]
     for precision in ("f32", "f64"):
         for teacher in ("teacher", "teacher-narrow", "teacher-nodrop"):
@@ -49,9 +51,35 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
         for artifact in teacher_files:
             assert f"{precision}/classes10/teacher/{artifact}" in paths
     # per precision: 7 files of each dataset, 4 of each of the four teachers
-    # and 4 per cascade setting, classes10's defaults among them
-    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 4)
-    assert not any(p.endswith("infer_meta.json") for p in paths)
+    # and 5 per cascade setting, classes10's defaults among them
+    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 5)
+    assert not any(p.endswith(("infer_meta.json", "tradeoff.csv")) for p in paths)
+
+
+def test_infer_meta_digest_covers_its_deterministic_fields_only(tmp_path):
+    """An infer_meta.json line digests executed, stopped_by, confidences and
+    weights: a change to any of them shows, a change to a timing does not."""
+    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    doc = {"executed": 2, "stopped_by": "cap", "confidences": [0.5, 0.75],
+           "weights": [0.4378234991142019, 0.5621765008857981],
+           "per_student_ms": [1.0, 2.0], "scoring_ms": 0.5, "total_ms": 3.5}
+    path = tmp_path / "run" / "infer_meta.json"
+    path.parent.mkdir()
+
+    def digest(**changes):
+        path.write_text(json.dumps({**doc, **changes}))
+        [line] = script.digests(tmp_path)
+        return line
+
+    first = digest()
+    assert first.endswith("  run/infer_meta.json#executed,stopped_by,confidences,weights")
+    assert digest(per_student_ms=[9.0, 9.0], scoring_ms=7.0, total_ms=25.0) == first
+    for field, value in [("executed", 1), ("stopped_by", "threshold"),
+                         ("confidences", [0.5, 0.7500000000000001]),
+                         ("weights", [0.4378234991142019, 0.562176500885798])]:
+        assert digest(**{field: value}) != first, field
 
 
 @pytest.mark.parametrize(

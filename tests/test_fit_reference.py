@@ -20,7 +20,7 @@ import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
 import mlpcascade.optim as optim
 import mlpcascade.teacher as t
-from mlpcascade.numkit import glorot_uniform, row_max, soft_targets, spmm
+from mlpcascade.numkit import glorot_uniform, soft_targets, spmm
 from mlpcascade.params import LayerStack
 
 DTYPES = [np.float32, np.float64]
@@ -47,7 +47,7 @@ def dropout_mask(rng, shape, rate, dtype):
 def _shifted(logits):
     if logits.dtype.kind != "f":
         logits = logits.astype(np.float64)
-    return logits - row_max(logits)
+    return logits - logits.max(axis=1, keepdims=True)
 
 
 def log_softmax_rows(logits):

@@ -105,6 +105,21 @@ class TestEnsemble:
         assert np.max(np.abs(combined.sum(axis=1) - 1.0)) < 1e-9
         assert np.all(combined >= 0)
 
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_weights_are_numpys_row_softmax_of_the_confidences(self, k):
+        """The weights keep the bits of a numpy row softmax of the 1 x K
+        confidences, frozen here, whatever K: ties and spread alike."""
+        rng = np.random.default_rng(k)
+        preds = np.full((k, 1, 2), 0.5)
+        for _ in range(50):
+            confs = rng.uniform(0.25, 1.0, k)
+            confs[rng.random(k) < 0.2] = confs[0]
+            row = confs[None, :]
+            e = np.exp(row - row.max(axis=1, keepdims=True))
+            want = (e / e.sum(axis=1, keepdims=True))[0]
+            _, weights = inf.ensemble(preds, list(confs))
+            assert weights.tobytes() == want.tobytes()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="2 predictions vs 1"):
             inf.ensemble([np.ones((1, 2)) / 2] * 2, [0.5])
@@ -359,6 +374,11 @@ class TestOutputFiles:
         assert len(lines) == 6
         node, cls, prob = lines[1].split(",")
         assert int(node) == 0 and 0 <= int(cls) < 3 and 0 < float(prob) <= 1
+        # the confidence column is each row's maximum
+        pred = result.prediction
+        assert [line.split(",")[2] for line in lines[1:]] == [
+            "%.9g" % v for v in pred.max(axis=1)
+        ]
 
     def test_metadata_json_fields(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -492,21 +512,26 @@ class TestStackedScoring:
     confidence per executed student in the loop, on a C x N array, then one
     softmax over the stacked logits of all of them, on a C x k x N one."""
 
-    KERNELS = ("softmax_rows", "_softmax_class_major", "_confidence_class_major")
+    # each scoring kernel and the module it is looked up in
+    KERNELS = {
+        "softmax_rows": nk,
+        "softmax_classes": inf,
+        "_confidence_class_major": inf,
+    }
 
     @classmethod
     def count_calls(cls, monkeypatch):
-        """Record the shape of the first argument of every call that
-        inference makes to each scoring kernel."""
+        """Record the shape of the first argument of every call made to each
+        scoring kernel."""
         calls = {name: [] for name in cls.KERNELS}
-        for name in cls.KERNELS:
-            original = getattr(inf, name)
+        for name, module in cls.KERNELS.items():
+            original = getattr(module, name)
 
             def counted(logits, *args, _name=name, _original=original):
                 calls[_name].append(logits.shape)
                 return _original(logits, *args)
 
-            monkeypatch.setattr(inf, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("c", [2, 7, 8, 12, 47])
@@ -520,11 +545,11 @@ class TestStackedScoring:
             calls = self.count_calls(monkeypatch)
             r = inf.run_anytime(casc, x, policy, np.arange(0, 12, 2))
             k = r.executed
-            # a class-major confidence per student, the probabilities of all
-            # of them, then the ensemble's weights over k confidences
+            # a class-major confidence per student and the probabilities of
+            # all of them; the ensemble's weights need no row softmax
             assert calls == {
-                "softmax_rows": [(1, k)],
-                "_softmax_class_major": [(c, k, 12)],
+                "softmax_rows": [],
+                "softmax_classes": [(c, k * 12)],
                 "_confidence_class_major": [(c, 12)] * k,
             }
             assert r.probs.shape == (k, 12, c)
@@ -537,7 +562,7 @@ class TestStackedScoring:
         probs, confs = inf.score_logits(logits, [0, 4, 8])
         assert calls == {
             "softmax_rows": [],
-            "_softmax_class_major": [(c, 4, 9)],
+            "softmax_classes": [(c, 4 * 9)],
             "_confidence_class_major": [(c, 9)] * 4,
         }
         assert probs.shape == (4, 9, c) and len(confs) == 4
@@ -556,13 +581,10 @@ class TestStackedScoring:
     def test_stack_crossing_the_fold_thresholds_keeps_the_bits(
         self, x_dtype, casc_dtype, n, k_total
     ):
-        """128 rows of 4 classes are below row_sum's fold height, and 40
-        below row_max's, while the stack of 10 students is above both: the
-        one stacked softmax must keep the bits of a softmax per student,
-        which ran numpy's row reductions, whichever kernel scores it."""
+        """A query of 40 or 128 rows of 4 classes, one student or a stack of
+        10: the one stacked softmax must keep the bits of a softmax per
+        student, which ran numpy's row reductions."""
         c = 4
-        assert n < nk.ROW_SUM_ROWS_PER_COLUMN * c <= 10 * n
-        assert 40 < nk.ROW_MAX_ROWS_PER_COLUMN * c <= 10 * 40
         rng = np.random.default_rng(n + k_total)
         casc = build_cascade(rng, k_total, d=6, hidden=8, c=c, dtype=casc_dtype)
         for s in casc.students:

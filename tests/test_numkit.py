@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
@@ -12,10 +12,15 @@ from mlpcascade.numkit import (
     kl_divergence,
     log_softmax_rows,
     masked_cross_entropy,
-    row_max,
-    row_sum,
     softmax_rows,
     spmm,
+)
+from test_scoring_kernels import (
+    ROW_ORDER_CLASSES,
+    assert_within_oracle,
+    class_order_log_softmax,
+    class_order_softmax,
+    oracle_softmax,
 )
 
 # Frozen expected values, computed once with 40-digit mpmath.
@@ -451,161 +456,9 @@ def test_log_softmax_never_minus_inf():
     assert np.all(np.isfinite(log_softmax_rows(logits)))
 
 
-def assert_same_row_max(a):
-    """row_max(a) equals a.max(axis=1, keepdims=True): same shape and dtype,
-    NaN in the same rows, every other entry the same bits (signed zeros and
-    infinities included)."""
-    got, want = row_max(a), a.max(axis=1, keepdims=True)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].tobytes(), want[~nan].tobytes())
-
-
-SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0]
-
-
-class TestRowMax:
-    """row_max against numpy's row reduction, on the column fold and on the
-    fallback. A short array only reaches the fold with the row threshold
-    lifted, so each property runs once with the shipped dispatch and once
-    with every array of at most ROW_MAX_COLUMNS columns forced onto the
-    fold."""
-
-    @staticmethod
-    def check_both_paths(a):
-        assert_same_row_max(a)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nk, "ROW_MAX_ROWS_PER_COLUMN", 0)
-            assert_same_row_max(a)
-
-    @given(
-        st.sampled_from([np.float32, np.float64]).flatmap(
-            lambda dt: arrays(
-                dt,
-                st.tuples(st.integers(1, 40), st.integers(1, 50)),
-                elements=st.floats(width=np.dtype(dt).itemsize * 8)
-                | st.sampled_from(SPECIAL),
-            )
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_any_values(self, a):
-        self.check_both_paths(a)
-
-    @given(
-        st.sampled_from([np.float32, np.float64]),
-        st.integers(1, 50),
-        st.integers(0, 300),
-        st.floats(0.0, 1.0),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_tall_arrays_with_ties_and_specials(self, dtype, c, extra_rows, special, seed):
-        # tall enough for the shipped dispatch to take the fold at c <= 8;
-        # few distinct values so that ties, signed zeros and NaN rows are common
-        rng = np.random.default_rng(seed)
-        shape = (16 * c + extra_rows, c)
-        a = rng.integers(-2, 3, size=shape).astype(dtype)
-        mask = rng.random(shape) < special
-        a[mask] = rng.choice(np.array(SPECIAL, dtype=dtype), size=int(mask.sum()))
-        self.check_both_paths(a)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "n, c",
-        [(3, 2), (3, 7), (20000, 1)]
-        + [(n, c) for n in (128, 20000) for c in (2, 4, 7, 8, 9, 47)]
-        + [(128, 1000), (2000, 1000)],
-    )
-    def test_dispatch_shapes(self, dtype, n, c):
-        a = np.random.default_rng(c).standard_normal((n, c)).astype(dtype)
-        assert_same_row_max(a)
-
-    def test_strided_input(self):
-        a = np.random.default_rng(0).standard_normal((400, 12))[:, ::3]
-        assert_same_row_max(a)
-
-
-def assert_same_row_sum(a):
-    """row_sum(a) is a.sum(axis=1, keepdims=True) bit for bit: same shape and
-    dtype and the same bytes, signed zeros, infinities and NaNs included."""
-    got, want = row_sum(a), a.sum(axis=1, keepdims=True)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-def sum_specials(dtype):
-    info = np.finfo(dtype)
-    tiny = info.smallest_subnormal
-    return np.array(
-        SPECIAL + [tiny, -tiny, 3 * tiny, info.tiny, info.max, -info.max, info.eps], dtype=dtype
-    )
-
-
-class TestRowSum:
-    """row_sum against numpy's row reduction. Each check runs with the
-    shipped dispatch and with the row threshold lifted, so every array of
-    2 to ROW_SUM_COLUMNS columns takes the column fold."""
-
-    @staticmethod
-    def check_both_paths(a):
-        assert_same_row_sum(a)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nk, "ROW_SUM_ROWS_PER_COLUMN", 0)
-            assert_same_row_sum(a)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c", range(1, 10))
-    def test_every_width_with_specials(self, dtype, c):
-        # tall enough for the shipped dispatch to fold; rows of specials,
-        # of wide-range values (overflow to inf, inf - inf, subnormal sums)
-        # and of -0 only (numpy sums those to +0)
-        rng = np.random.default_rng(c)
-        n = 64 * c + 37
-        specials = rng.choice(sum_specials(dtype), size=(n, c))
-        scale = 10.0 ** rng.integers(-320, 308, size=(n, c))
-        with np.errstate(all="ignore"):
-            spread = (rng.standard_normal((n, c)) * scale).astype(dtype)
-            a = np.concatenate([specials, spread, np.full((3, c), -0.0, dtype)])
-            self.check_both_paths(a)
-            assert not np.signbit(row_sum(a)[-3:, 0]).any()
-
-    @given(
-        st.sampled_from([np.float32, np.float64]).flatmap(
-            lambda dt: arrays(
-                dt,
-                st.tuples(st.integers(1, 40), st.integers(1, 9)),
-                elements=st.floats(width=np.dtype(dt).itemsize * 8)
-                | st.sampled_from(SPECIAL),
-            )
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    # -inf + inf makes the negative default NaN, which then meets a positive
-    # NaN: a one-row fold kept the positive one where numpy keeps the other
-    @example(np.array([[-np.inf, np.inf, np.nan]], dtype=np.float32))
-    def test_any_values(self, a):
-        with np.errstate(all="ignore"):
-            self.check_both_paths(a)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "n, c", [(3, 2), (20000, 1)] + [(n, c) for n in (128, 20000) for c in (2, 4, 7, 8, 47)]
-    )
-    def test_dispatch_shapes(self, dtype, n, c):
-        a = np.random.default_rng(c).standard_normal((n, c)).astype(dtype)
-        assert_same_row_sum(a)
-
-    def test_strided_and_integer_inputs_use_numpy(self):
-        rng = np.random.default_rng(0)
-        assert_same_row_sum(rng.standard_normal((2000, 12))[:, ::3])
-        assert_same_row_sum(np.asfortranarray(rng.standard_normal((2000, 4))))
-        assert_same_row_sum(rng.integers(-5, 5, size=(2000, 4)))
-
-
 def reference_softmax(logits):
-    """softmax_rows with numpy's row max and out-of-place exp and divide."""
+    """softmax_rows with numpy's row max and row sum and out-of-place exp
+    and divide."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -620,37 +473,42 @@ def reference_log_softmax(logits):
 @pytest.mark.parametrize("c", [1, 2, 4, 7, 8, 9, 47])
 @pytest.mark.parametrize("n", [5, 300])
 def test_softmax_kernels_bit_identical_to_reference(dtype, c, n):
+    """Up to 7 classes numpy sums a row in class order, as the class-major
+    kernel does, so numpy's row softmax is the reference; from 8 it sums in
+    unrolled blocks, so the class-order reference is, and the float64
+    oracle bounds the error."""
     logits = (np.random.default_rng(n + c).standard_normal((n, c)) * 8).astype(dtype)
-    for got, want in (
-        (softmax_rows(logits), reference_softmax(logits)),
-        (log_softmax_rows(logits), reference_log_softmax(logits)),
-    ):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    if c <= ROW_ORDER_CLASSES:
+        want = reference_softmax(logits), reference_log_softmax(logits)
+    else:
+        want = class_order_softmax(logits), class_order_log_softmax(logits)
+    got = softmax_rows(logits), log_softmax_rows(logits)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype and mine.flags.c_contiguous
+        assert np.array_equal(mine, theirs)
+    assert_within_oracle(got[0][None], oracle_softmax(logits[None]))
 
 
-def test_softmax_of_integer_logits_is_float64():
-    out = softmax_rows(np.array([[1, 2, 3]]))
-    assert out.dtype == np.float64
-    assert np.allclose(out, [SOFTMAX_123], atol=1e-14)
-
-
-@pytest.mark.parametrize("rows_per_column", [nk.ROW_SUM_ROWS_PER_COLUMN, 0])
-@pytest.mark.parametrize("c", range(2, nk.ROW_SUM_COLUMNS + 1))
-def test_float16_rows_sum_as_numpy_does(monkeypatch, c, rows_per_column):
-    # numpy sums a float16 row in float32 and rounds once; a float16 fold
-    # would round after every addition (a 1000 x 5 array differed)
-    monkeypatch.setattr(nk, "ROW_SUM_ROWS_PER_COLUMN", rows_per_column)
-    logits = (np.random.default_rng(c).standard_normal((1000, c)) * 2).astype(np.float16)
-    assert_same_row_sum(logits)
-    assert_same_row_sum(np.exp(logits))
-    for got, want in (
-        (softmax_rows(logits), reference_softmax(logits)),
-        (log_softmax_rows(logits), reference_log_softmax(logits)),
-    ):
-        assert got.dtype == want.dtype == np.float16
-        assert got.tobytes() == want.tobytes()
-
+@pytest.mark.parametrize("fn", [softmax_rows, log_softmax_rows])
+@pytest.mark.parametrize(
+    "logits",
+    [
+        np.array([[1, 2, 3]]),
+        np.array([[1.0, 2.0, 3.0]], dtype=np.float16),
+        np.array([[True, False]]),
+        np.array([[1.0 + 0j, 2.0]]),
+        np.array([1.0, 2.0, 3.0]),
+        np.zeros((2, 3, 4)),
+    ],
+    ids=["int64", "float16", "bool", "complex", "1-D", "3-D"],
+)
+def test_softmax_refuses_all_but_2d_float32_or_float64(fn, logits):
+    with pytest.raises(ValueError) as err:
+        fn(logits)
+    assert str(err.value) == (
+        f"{fn.__name__}: logits must be a 2-D float32 or float64 array, "
+        f"got {logits.dtype} of shape {logits.shape}"
+    )
 
 
 class TestFingerprint:

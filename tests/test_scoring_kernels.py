@@ -1,5 +1,5 @@
-"""The class-major scoring kernels of ``inference`` against frozen
-references.
+"""The class-major scoring kernels of ``inference`` and numkit's row
+softmaxes against frozen references.
 
 Every stack is scored through ``score_logits`` and ``confidence`` and
 compared with ``frozen_class_order_softmax`` and
@@ -8,16 +8,21 @@ class by class, left to right from +0, in the kernels' dtypes: every
 non-NaN value bit for bit, and NaN in the same positions. Which NaN
 survives depends on each kernel's order of operands, and numpy reduces a
 single row in another order than a block of rows. Up to 7 classes a sum
-in class order is the order in which numpy sums a row, so the row-major kernels that scoring had before
-it went class-major, frozen here as ``frozen_confidence`` and
+in class order is the order in which numpy sums a row, so the row-major
+kernels that scoring had before it went class-major, frozen here with
+numpy's own row max and row sum as ``frozen_confidence`` and
 ``frozen_stacked_softmax``, give the same bits too: every confidence and
 every non-NaN probability, with NaN in the same positions. Their NaN
 payloads can differ from the class-major ones. From 8 classes numpy sums a
 row in unrolled blocks, so only the class-order references apply, and a
 float64 oracle bounds the error. The grid covers 1 to 10, 16 and 47
-classes; float32 and float64; row counts on both sides of numkit's row_max
-and row_sum fold heights; identity, unsorted and repeated index sets; and
-tied, signed-zero, infinite and NaN rows.
+classes; float32 and float64; one row (which ``class_sum`` accumulates) to
+hundreds of rows; identity, unsorted and repeated index sets; and tied,
+signed-zero, infinite and NaN rows.
+
+``softmax_rows`` and ``log_softmax_rows`` run the same kernel on one
+student's rows: they are checked against the class-order references, and
+``softmax_rows`` against ``score_logits`` bit for bit, at 1 to 64 classes.
 """
 
 import numpy as np
@@ -26,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlpcascade.inference as inf
-from mlpcascade.numkit import ROW_SUM_COLUMNS, row_max, row_sum, softmax_rows
+from mlpcascade.numkit import log_softmax_rows, softmax_rows
 
 PROPERTY = settings(max_examples=150, deadline=None)
 # NaNs of both signs and with payloads, since which NaN survives depends on
@@ -37,6 +42,8 @@ NANS = tuple(
     for payload in (0, 0x8DD08 << 29)
 )
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, *NANS)
+# numpy sums a row of up to this many values in class order, from +0
+ROW_ORDER_CLASSES = 7
 
 
 def oracle_bound(c):
@@ -52,16 +59,20 @@ def oracle_bound(c):
 
 def frozen_confidence(logits, idx):
     rows = logits[idx]
-    z = np.subtract(rows, row_max(rows), dtype=np.float64)
+    z = np.subtract(rows, rows.max(axis=1, keepdims=True), dtype=np.float64)
     np.exp(z, out=z)
-    r = row_sum(z)[:, 0]
+    r = z.sum(axis=1)
     np.divide(1.0, r, out=r)
     return float(np.add.reduce(r) / r.size)
 
 
 def frozen_stacked_softmax(logits):
     k, n, c = logits.shape
-    return softmax_rows(logits.reshape(k * n, c)).reshape(k, n, c)
+    rows = logits.reshape(k * n, c)
+    e = rows - rows.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e.reshape(k, n, c)
 
 
 def class_order_max(rows):
@@ -86,11 +97,19 @@ def frozen_class_order_confidence(logits, idx):
     return float(np.add.reduce(r) / r.size)
 
 
+def class_order_softmax(rows):
+    e = np.exp(rows - class_order_max(rows)[:, None])
+    return e / class_order_sum(e)[:, None]
+
+
+def class_order_log_softmax(rows):
+    z = rows - class_order_max(rows)[:, None]
+    return z - np.log(class_order_sum(np.exp(z)))[:, None]
+
+
 def frozen_class_order_softmax(logits):
     k, n, c = logits.shape
-    rows = logits.reshape(k * n, c)
-    e = np.exp(rows - class_order_max(rows)[:, None])
-    return (e / class_order_sum(e)[:, None]).reshape(k, n, c)
+    return class_order_softmax(logits.reshape(k * n, c)).reshape(k, n, c)
 
 
 def oracle_softmax(logits):
@@ -124,9 +143,9 @@ def assert_within_oracle(probs, oracle):
     assert (err <= bound + float(info.tiny)).all()
 
 
-def make_stack(rng, k, n, c, dtype, special_share):
+def make_stack(rng, k, n, c, dtype, special_share, specials=SPECIALS):
     """A k x n x c stack of logits with whole tied rows, tied maxima and a
-    ``special_share`` of its entries from ``SPECIALS``."""
+    ``special_share`` of its entries from ``specials``."""
     stack = rng.standard_normal((k, n, c)) * rng.choice([0.1, 3.0, 40.0])
     rows = stack.reshape(k * n, c)
     tied = rng.random(k * n) < 0.1
@@ -135,7 +154,7 @@ def make_stack(rng, k, n, c, dtype, special_share):
         top = rng.random(k * n) < 0.1
         rows[top, -1] = rows[top].max(axis=1)
     special = rng.random(stack.shape) < special_share
-    stack[special] = rng.choice(SPECIALS, size=int(special.sum()))
+    stack[special] = rng.choice(specials, size=int(special.sum()))
     return stack.astype(dtype)
 
 
@@ -155,7 +174,7 @@ def check_scoring(stack, idx):
         probs, confs = inf.score_logits(logits, idx)
         single = inf.confidence(stack[0], idx)
         oracle = oracle_softmax(stack)
-        if stack.shape[-1] <= ROW_SUM_COLUMNS:
+        if stack.shape[-1] <= ROW_ORDER_CLASSES:
             old_probs = frozen_stacked_softmax(stack)
             old_confs = [frozen_confidence(z, idx) for z in stack]
     assert probs.shape == stack.shape and probs.dtype == stack.dtype
@@ -163,13 +182,13 @@ def check_scoring(stack, idx):
     assert_same_bits_but_nan_payloads(np.array(confs), np.array(want_confs))
     assert_same_bits_but_nan_payloads(np.array([single]), np.array(confs[:1]))
     assert_within_oracle(probs, oracle)
-    if stack.shape[-1] <= ROW_SUM_COLUMNS:
+    if stack.shape[-1] <= ROW_ORDER_CLASSES:
         assert_same_bits_but_nan_payloads(probs, old_probs)
         assert np.array_equal(bits(np.array(confs)), bits(np.array(old_confs)))
 
 
-# both sides of row_max's (16 C) and row_sum's (64 C) fold heights, for one
-# student and for the stack
+# one row, which class_sum accumulates, to hundreds, for one student and
+# for the stack
 ROW_COUNTS = (1, 5, 16, 63, 64, 130, 300, 700)
 
 
@@ -215,10 +234,60 @@ def test_special_rows_keep_the_bits(c, dtype):
     rows.append(np.zeros(c))
     rows.append(-np.zeros(c))
     block = np.array(rows)
-    # tall enough for every fold, in one student and as a stack
+    # many rows, in one student and as a stack, beside the one-row blocks below
     n = 64 * c + len(rows)
     stack = np.resize(block, (2, n, c)).astype(dtype)
     for idx in (np.arange(n), np.arange(len(rows)), np.arange(n)[::-1]):
         check_scoring(stack, idx)
     for i in range(len(rows)):
         check_scoring(stack[:, i : i + 1], np.array([0]))
+
+
+# the specials of a row softmax's callers: no NaN logits
+ROW_SPECIALS = (0.0, -0.0, np.inf, -np.inf)
+
+
+def check_row_softmax(logits):
+    """softmax_rows and log_softmax_rows against the class-order references,
+    every non-NaN bit, and softmax_rows against the scoring softmax of the
+    same rows, every bit."""
+    n, c = logits.shape
+    with np.errstate(all="ignore"):
+        probs, logp = softmax_rows(logits), log_softmax_rows(logits)
+        scored = inf.score_logits([logits], np.arange(n))[0][0]
+        want, want_log = class_order_softmax(logits), class_order_log_softmax(logits)
+    for got in (probs, logp):
+        assert got.shape == logits.shape and got.dtype == logits.dtype
+        assert got.flags.c_contiguous
+    assert np.array_equal(bits(probs), bits(scored))
+    assert_same_bits_but_nan_payloads(probs, want)
+    assert_same_bits_but_nan_payloads(logp, want_log)
+
+
+@pytest.mark.parametrize("c", range(1, 65))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_softmax_is_the_scoring_softmax(c, dtype):
+    """Seeded rows with ties and specials, then rows of one special value
+    throughout and one special value among finite ones."""
+    rng = np.random.default_rng(c)
+    for n, share in ((1, 0.0), (7, 0.2), (300, 0.0), (300, 0.02)):
+        check_row_softmax(make_stack(rng, 1, n, c, dtype, share, ROW_SPECIALS)[0])
+    rows = [np.full(c, v) for v in ROW_SPECIALS]
+    for v in ROW_SPECIALS:
+        row = np.linspace(-1.0, 1.0, c)
+        row[rng.integers(c)] = v
+        rows.append(row)
+    check_row_softmax(np.array(rows, dtype=dtype))
+
+
+@PROPERTY
+@given(
+    c=st.integers(1, 64),
+    n=st.integers(1, 400),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    special_share=st.sampled_from([0.0, 0.001, 0.05, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_rows_keep_the_scoring_bits(c, n, dtype, special_share, seed):
+    rng = np.random.default_rng(seed)
+    check_row_softmax(make_stack(rng, 1, n, c, dtype, special_share, ROW_SPECIALS)[0])
