@@ -2,10 +2,11 @@
 
     python3 scripts/artifact_digests.py OUT [--tiny]
 
-Runs ``synth -> train-teacher --depth 3 -> distill -> infer`` through the
-in-process ``mlpcascade.cli.main`` of this checkout's own ``src/``, with one
-BLAS thread, at f32 and at f64. Each precision has one dataset and one
-teacher, and one ``distill`` and ``infer`` per cascade setting in ``GRID``.
+Runs ``synth -> train-teacher --depth 3 -> distill -> infer -> sweep``
+through the in-process ``mlpcascade.cli.main`` of this checkout's own
+``src/``, with one BLAS thread, at f32 and at f64. Each precision has one
+dataset and one teacher, and one ``distill``, ``infer`` and ``sweep
+--reps 1`` per cascade setting in ``GRID``.
 That teacher's hidden layer is at least as wide as the features, so its
 first layer aggregates before it projects; a second teacher per precision,
 ``teacher-narrow``, has a hidden layer narrower than the features and keeps
@@ -16,17 +17,20 @@ either. The ``inverted`` cascade setting goes through a ``--config`` file,
 written to a temporary directory outside OUT; the others through flags.
 A second dataset per precision, ``classes10``, has 10 classes, where a
 class-order sum is not the order in which numpy sums a row (from 8
-classes); it gets one teacher, the ``defaults`` cascade and its ``infer``.
+classes); it gets one teacher, the ``defaults`` cascade, its ``infer`` and
+its ``sweep``.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path; each checkpoint is two artifacts, its JSON manifest
 and the raw weights file beside it (``teacher.json`` and
-``teacher.weights``, ``cascade.json`` and ``cascade.weights``). The timing
-file ``tradeoff.csv`` is skipped. ``infer_meta.json`` holds timings beside
-its deterministic fields, so only those (``INFER_META_FIELDS``) are
-digested, as compact JSON, on a line whose path names them:
-``<run>/infer_meta.json#executed,stopped_by,confidences,weights``. The
-commands' own output goes to standard error.
+``teacher.weights``, ``cascade.json`` and ``cascade.weights``). Two files
+hold timings beside deterministic fields, so only those are digested, on a
+line whose path names them. Of ``infer_meta.json``, the fields
+``INFER_META_FIELDS``, as compact JSON:
+``<run>/infer_meta.json#executed,stopped_by,confidences,weights``. Of
+``tradeoff.csv``, the columns ``TRADEOFF_COLUMNS`` (its header and every
+row, ``cum_ms`` left out): ``<run>/tradeoff.csv#k,accuracy``. The commands'
+own output goes to standard error.
 
 Run it in two checkouts and ``diff`` the two outputs: no difference means
 every artifact of the grid is byte-identical. ``--tiny`` runs the same grid
@@ -54,10 +58,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMING_FILES = {"tradeoff.csv"}
-# the fields of infer_meta.json that do not depend on the clock
+# the fields of infer_meta.json and the columns of tradeoff.csv that do not
+# depend on the clock
 INFER_META = "infer_meta.json"
 INFER_META_FIELDS = ("executed", "stopped_by", "confidences", "weights")
+TRADEOFF = "tradeoff.csv"
+TRADEOFF_COLUMNS = ("k", "accuracy")
 PRECISIONS = ("f32", "f64")
 
 # cascade settings: the defaults, deeper students, a lambda that moves
@@ -124,6 +130,8 @@ def run_grid(out: Path, size: str, tmp: Path) -> None:
             *cascade_flags, *run, "--out", wide / "defaults")
         cli("infer", "--cascade", wide / "defaults" / "cascade.json", "--features",
             wide / "data" / "features.csv", *run, "--out", wide / "defaults")
+        cli("sweep", "--data", wide / "data", "--cascade", wide / "defaults" / "cascade.json",
+            "--reps", "1", *run, "--out", wide / "defaults")
         cli("synth", *synth_flags, *run, "--out", data)
         cli("train-teacher", "--data", data, "--depth", "3", *teacher_flags, *run,
             "--out", teacher)
@@ -137,6 +145,8 @@ def run_grid(out: Path, size: str, tmp: Path) -> None:
                 *flags, *run, "--out", dest)
             cli("infer", "--cascade", dest / "cascade.json", "--features",
                 data / "features.csv", *run, "--out", dest)
+            cli("sweep", "--data", data, "--cascade", dest / "cascade.json", "--reps", "1",
+                *run, "--out", dest)
 
 
 def run_datasets(out: Path, tiny: bool) -> None:
@@ -153,9 +163,9 @@ def run_datasets(out: Path, tiny: bool) -> None:
 
 
 def digests(out: Path) -> list[str]:
-    """``<sha256>  <path>`` of every file under ``out`` but the timing files,
-    and of the deterministic fields of each ``infer_meta.json``, sorted by
-    the printed path."""
+    """``<sha256>  <path>`` of every file under ``out``, of the deterministic
+    fields of each ``infer_meta.json`` and of the deterministic columns of
+    each ``tradeoff.csv``, sorted by the printed path."""
     lines = []
     for name in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
         path = out / name
@@ -163,8 +173,11 @@ def digests(out: Path) -> list[str]:
             doc = json.loads(path.read_text())
             data = json.dumps([doc[f] for f in INFER_META_FIELDS]).encode()
             name += "#" + ",".join(INFER_META_FIELDS)
-        elif path.name in TIMING_FILES:
-            continue
+        elif path.name == TRADEOFF:
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            columns = [rows[0].index(c) for c in TRADEOFF_COLUMNS]
+            data = "".join(",".join(row[i] for i in columns) + "\n" for row in rows).encode()
+            name += "#" + ",".join(TRADEOFF_COLUMNS)
         else:
             data = path.read_bytes()
         lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")

@@ -33,7 +33,9 @@ The configs are frozen dataclasses, checked once when built;
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -44,7 +46,8 @@ from .numkit import (
     GradPair,
     SoftTargets,
     accuracy,
-    dropout_mask,
+    dropout_in_place,
+    dropout_mask,  # noqa: F401 (unused here: perfbench wraps cascade.dropout_mask)
     fingerprint,
     kl_divergence,
     log_softmax_rows,
@@ -172,8 +175,13 @@ class StudentTrainMeta(TrainRecord):
     logits: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        """Refuse an empty history, and a rate outside the clamp range
+        [0, 0.5] of ``MixupConfig.update`` or not finite."""
         if not self.lambda_history:
             raise ValueError("lambda_history must not be empty")
+        for i, lam in enumerate(self.lambda_history):
+            if not 0.0 <= lam <= 0.5:
+                raise ValueError(f"lambda_history[{i}] {lam} outside [0, 0.5]")
 
     @property
     def final_lambda(self) -> float:
@@ -223,11 +231,11 @@ def init_student(
     return init_layers(dims, rng, dtype)
 
 
-def _mask_drawer(dropout: float, rng: np.random.Generator | None):
-    """Draws the dropout mask of each hidden activation from ``rng``; None
-    without dropout."""
+def _dropper(dropout: float, rng: np.random.Generator | None):
+    """Drops each hidden activation in place, its mask drawn from ``rng``
+    (``dropout_in_place``); None without dropout."""
     if dropout > 0.0:
-        return lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)
+        return lambda a: dropout_in_place(rng, a, dropout)
     return None
 
 
@@ -359,7 +367,7 @@ def mixup_loss(
     ``dropout > 0``."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    logits, caches = forward_cache(p, None, _mask_drawer(dropout, rng), projection=mixed)
+    logits, caches = forward_cache(p, None, _dropper(dropout, rng), projection=mixed)
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
@@ -406,7 +414,7 @@ def total_loss_gradpair(
     labeled = np.asarray(labeled)
     if projection is None:
         projection = inputs @ p.layers[0][0]
-    logits, caches = forward_cache(p, inputs, _mask_drawer(dropout, rng), projection=projection)
+    logits, caches = forward_cache(p, inputs, _dropper(dropout, rng), projection=projection)
     distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
     grads, d_first = backward_to_first(p, caches, distill.grads["logits"])
     mixed, mixed_labels = mixup_examples(projection, y, pairs, lam)
@@ -424,13 +432,17 @@ def train_student(
     k: int,
     nodes: NodeTables,
     targets: SoftTargets | None,
-    h_prev: np.ndarray,
+    inputs: np.ndarray,
     init: LayerStack,
     cfg: CascadeConfig,
     lam: float,
     ema: float | None,
 ) -> tuple[LayerStack, np.ndarray, float, StudentTrainMeta]:
     """Train one student per the inner loop of the cascade algorithm.
+
+    ``inputs`` are the rows ``[x | h_prev]``: the node features, then the
+    previous student's hidden state (zeros for the first). They are read,
+    not written; ``train_cascade`` keeps one such array for the whole chain.
 
     ``lam`` and ``ema`` are the mixing rate and the moving average of the
     mixup loss as the previous student left them (``cfg.mixup.lambda_init``
@@ -452,10 +464,14 @@ def train_student(
     """
     if nodes.splits.validation.size == 0:
         raise ValueError("training needs a non-empty validation split")
+    if inputs.shape != (nodes.n_nodes, init.input_dim):
+        raise ValueError(
+            f"inputs {inputs.shape} are not the {nodes.n_nodes} rows of student "
+            f"input width {init.input_dim}"
+        )
     labeled = nodes.splits.labeled
     rng = np.random.default_rng([cfg.seed, k])
     params = init.copy()
-    inputs = np.concatenate([nodes.features, h_prev], axis=1)
     y_val = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
     lambda_history = [lam]
     projection = None  # inputs @ w1 of the current parameters, from validate
@@ -497,7 +513,10 @@ def train_cascade(
     student warm-started from its predecessor, hidden states, the mixing
     rate and its moving average threaded along the chain. The students read
     only the node tables, so ``nodes`` is a ``NodeTables`` or a ``Graph``
-    (a ``NodeTables`` plus its edge list).
+    (a ``NodeTables`` plus its edge list). Every student reads one
+    ``[x | h]`` array: the features are written into it once, and each
+    student's hidden state goes into its right-hand columns for the next, as
+    ``inference.run_anytime`` does.
     The soft labels are cast to the features' dtype after their fingerprint
     is recorded, so the cascade names the teacher it was distilled from at
     any precision. Unless alpha = 1 (no KL), they are checked and their
@@ -515,15 +534,17 @@ def train_cascade(
     params = init_student(
         nodes.feat_dim, cfg.hidden_dim, nodes.n_classes, cfg.n_layers, rng, nodes.features.dtype
     )
-    h_prev = np.zeros((nodes.n_nodes, cfg.hidden_dim), dtype=nodes.features.dtype)
+    inputs = np.zeros((nodes.n_nodes, params.input_dim), dtype=nodes.features.dtype)
+    inputs[:, : nodes.feat_dim] = nodes.features
     lam, ema = cfg.mixup.lambda_init, None
 
     students: list[LayerStack] = []
     metas: list[StudentTrainMeta] = []
     for k in range(1, cfg.n_students + 1):
         try:
-            params, h_prev, ema, meta = train_student(
-                k, nodes, targets, h_prev, params, cfg, lam, ema
+            # the hidden state goes straight into the columns it feeds
+            params, inputs[:, nodes.feat_dim :], ema, meta = train_student(
+                k, nodes, targets, inputs, params, cfg, lam, ema
             )
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(
@@ -584,8 +605,10 @@ def _check_student_shapes(s: LayerStack, first: LayerStack | None, where: str) -
 def load_cascade(path) -> Cascade:
     """Load and check a cascade checkpoint and its weights file: K must be
     an integer that matches the stored students, the teacher fingerprint a
-    string, every student the fingerprint stored with it and the layer
-    shapes of the others, and every meta its ``final_lambda``. Each student
+    sha256 digest (64 lowercase hex digits), every mixing rate in [0, 0.5]
+    (``StudentTrainMeta``), every student the fingerprint stored with it
+    and the layer shapes of the others, and every meta its
+    ``final_lambda``. Each student
     after the first must start where the one before ended: from its stored
     fingerprint and its ``final_lambda``. A stored config must give the
     students' count, hidden width and layer count, and student 1 must start
@@ -603,6 +626,11 @@ def load_cascade(path) -> Cascade:
     )
     n_students = json_value(doc["n_students"], int, f"{path} n_students")
     teacher_fp = json_value(doc["teacher_fingerprint"], str, f"{path} teacher_fingerprint")
+    if not re.fullmatch("[0-9a-f]{64}", teacher_fp):
+        raise ValueError(
+            f"{path} teacher_fingerprint {json.dumps(teacher_fp)} is not a sha256 "
+            f"digest of 64 lowercase hex digits"
+        )
     entries = doc["students"]
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: students must be a non-empty list")

@@ -291,7 +291,11 @@ def cmd_train_teacher(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     cfg = _teacher_config(args, config, seed)
     g = _read_dataset(args, config, dtype, graphio.load_dataset)
-    artifact = teacher.train_teacher(g, cfg)
+    # the teacher reads the graph only through Â: the edge list goes before training
+    norm_adj = graphio.normalized_adjacency(g)
+    nodes = graphio.NodeTables(g.features, g.labels, g.splits)
+    del g
+    artifact = teacher.train_teacher(nodes, norm_adj, cfg)
     out.mkdir(parents=True, exist_ok=True)
     teacher.save_teacher(artifact, cfg, out / TEACHER_CKPT)
     teacher.export_soft_labels(artifact, out / SOFT_LABELS)
@@ -302,9 +306,9 @@ def cmd_train_teacher(args, config) -> int:
         "epochs": artifact.train_meta.epochs,
         "best_epoch": artifact.train_meta.best_epoch,
         "accuracy": {
-            "labeled": inference.accuracy(logits, g.labels, g.splits.labeled),
-            "validation": inference.accuracy(logits, g.labels, g.splits.validation),
-            "test": inference.accuracy(logits, g.labels, g.splits.test),
+            "labeled": inference.accuracy(logits, nodes.labels, nodes.splits.labeled),
+            "validation": inference.accuracy(logits, nodes.labels, nodes.splits.validation),
+            "test": inference.accuracy(logits, nodes.labels, nodes.splits.test),
         },
     }
     write_json(out / TEACHER_REPORT, report)

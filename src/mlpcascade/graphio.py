@@ -280,6 +280,9 @@ def _read_edges(path: Path, n_nodes: int) -> np.ndarray:
 
 
 def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
+    """The class ids of ``labels.csv`` at ``path``, one for each of the
+    ``n_nodes`` rows of the ``features.csv`` beside it, which a count
+    mismatch names."""
     return _read_table(
         path,
         np.int64,
@@ -355,7 +358,10 @@ def _scan_labels(path: Path, n_nodes: int) -> np.ndarray:
         if not -(2**63) <= ids[-1] < 2**63:
             raise ValueError(f"{path}: label at line {line_no} does not fit in int64")
     if len(ids) != n_nodes:
-        raise ValueError(f"{path}: {len(ids)} labels for {n_nodes} nodes")
+        raise ValueError(
+            f"{path}: {len(ids)} labels for the {n_nodes} nodes of "
+            f"{path.with_name('features.csv')}"
+        )
     arr = np.asarray(ids, dtype=np.int64)
     if arr.min() < 0:
         raise ValueError(f"{path}: label {arr.min()} out of range (must be >= 0)")

@@ -100,7 +100,9 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndar
     in order, so the mask and the generator state after it do not depend on
     the block size, and no full-size array of draws is built.
     """
-    return _draw_dropout(rng, np.empty(shape, dtype=dtype), rate, None)
+    mask = np.empty(shape, dtype=dtype)
+    _draw_dropout(rng, mask, rate, None)
+    return mask
 
 
 def apply_dropout(rng: np.random.Generator, x: np.ndarray, rate: float) -> np.ndarray:
@@ -108,20 +110,42 @@ def apply_dropout(rng: np.random.Generator, x: np.ndarray, rate: float) -> np.nd
     the same generator state after it, as a fresh array: each block of the
     mask is multiplied by ``x`` as it is drawn, so no full-size mask is
     built."""
-    return _draw_dropout(rng, np.empty_like(x, order="C"), rate, x)
+    out = np.empty_like(x, order="C")
+    _draw_dropout(rng, out, rate, x)
+    return out
 
 
-def _draw_dropout(rng: np.random.Generator, out: np.ndarray, rate: float, x) -> np.ndarray:
-    """The draw loop of ``dropout_mask`` and ``apply_dropout``: fill the
-    C-contiguous ``out`` with the mask, one ``DROPOUT_BLOCK`` of words at a
-    time, each block multiplied by the same block of ``x`` unless ``x`` is
-    None."""
+def dropout_in_place(rng: np.random.Generator, x: np.ndarray, rate: float):
+    """``x *= dropout_mask(rng, x.shape, rate, x.dtype)``, the same bits (a
+    product of two values does not depend on their order) and the same
+    generator state after it, with no full-size mask: each block of the mask
+    is drawn into a buffer of one block and multiplied into ``x``.
+
+    Returns the mask's keep scale ``65536 / (65536 - t)`` as a scalar of
+    ``x``'s dtype, the value of every kept mask entry: a kept value of ``x``
+    is now its old value times the scale, a dropped one is ±0 (NaN for an
+    infinite or NaN value). ValueError unless ``x`` is a C-contiguous,
+    writeable array."""
+    if not (x.flags.c_contiguous and x.flags.writeable):
+        raise ValueError("dropout_in_place needs a C-contiguous, writeable array")
+    return x.dtype.type(_draw_dropout(rng, x, rate, x))
+
+
+def _draw_dropout(rng: np.random.Generator, out: np.ndarray, rate: float, x) -> float:
+    """The draw loop of ``dropout_mask``, ``apply_dropout`` and
+    ``dropout_in_place``: fill the C-contiguous ``out`` with the mask, one
+    ``DROPOUT_BLOCK`` of words at a time, each block multiplied by the same
+    block of ``x`` unless ``x`` is None. When ``x`` is ``out`` itself, each
+    block of the mask goes to a buffer of one block first. Returns the keep
+    scale."""
     threshold = dropout_threshold(rate)
     scale = DROPOUT_LEVELS / (DROPOUT_LEVELS - threshold)
     flat = out.reshape(-1)
     x_flat = None if x is None else np.ravel(x)
     words = -(-flat.size // 4)
-    keep = np.empty(min(4 * DROPOUT_BLOCK, flat.size), dtype=bool)
+    size = min(4 * DROPOUT_BLOCK, flat.size)
+    keep = np.empty(size, dtype=bool)
+    buffer = np.empty(size, dtype=out.dtype) if x is out else None
     for start in range(0, words, DROPOUT_BLOCK):
         count = min(DROPOUT_BLOCK, words - start)
         block = slice(4 * start, 4 * (start + count))
@@ -129,10 +153,11 @@ def _draw_dropout(rng: np.random.Generator, out: np.ndarray, rate: float, x) -> 
         draws = rng.bit_generator.random_raw(count).astype("<u8", copy=False).view("<u2")
         k = keep[: o.size]
         np.greater_equal(draws[: o.size], threshold, out=k)
-        np.multiply(k, scale, dtype=out.dtype, out=o)
+        m = o if buffer is None else buffer[: o.size]
+        np.multiply(k, scale, dtype=out.dtype, out=m)
         if x_flat is not None:
-            np.multiply(o, x_flat[block], out=o)
-    return out
+            np.multiply(m, x_flat[block], out=o)
+    return scale
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:

@@ -103,7 +103,7 @@ def _transpose(d: np.ndarray, aggregate: Aggregation | None) -> np.ndarray:
 def forward_cache(
     p: LayerStack,
     a: np.ndarray | None,
-    draw_mask: ArrayMap | None = None,
+    drop: Callable[[np.ndarray], np.floating] | None = None,
     aggregates: Aggregates = None,
     projection: np.ndarray | None = None,
 ):
@@ -114,14 +114,17 @@ def forward_cache(
     the identity everywhere; a teacher whose first layer takes an input it
     aggregated already passes None for that layer). An aggregation that
     selects rows makes its layer's output, the logits when it is the last
-    layer's, one row per selected row. ``draw_mask(r)`` draws
-    the dropout mask of each hidden activation ``r`` in layer order; None
-    trains without dropout. Returns the logits and a list of one
-    ``(input, r, mask)`` cache per layer, ``r`` being the layer's ReLU
-    output (the logits for the last layer) and the mask the one applied to
-    it; ``backward`` consumes the list. Each layer adds its bias
-    and applies ReLU in place on the fresh projection; ``r > 0`` is
-    ``z > 0``, NaN included, so the pre-activation need not be kept.
+    layer's, one row per selected row. ``drop(r)`` applies dropout to each
+    hidden activation ``r`` in place, in layer order, and returns the keep
+    scale of its mask (``numkit.dropout_in_place``); None trains without
+    dropout. Returns the logits and a list of one ``(input, r, scale)``
+    cache per layer, ``r`` being the layer's ReLU output after dropout (the
+    logits for the last layer), which is also the next layer's input, and
+    ``scale`` the keep scale, None without dropout; ``backward`` consumes
+    the list. No mask is kept: ``_relu_gate`` needs only ``r`` and the
+    scale. Each layer adds its bias and applies ReLU in place on the fresh
+    projection; ``r > 0`` is ``z > 0``, NaN included, so the pre-activation
+    need not be kept.
 
     ``projection``, when the caller holds it, is the first layer's
     ``aggregate(a @ w)``; it is read, not written, and gives the same bits.
@@ -144,9 +147,8 @@ def forward_cache(
             r = _project(a, w, aggregate)
             r += b
         np.maximum(r, 0, out=r)
-        mask = None if draw_mask is None else draw_mask(r)
-        caches.append((a, r, mask))
-        a = r if mask is None else r * mask
+        caches.append((a, r, None if drop is None else drop(r)))
+        a = r
     logits = _project(a, w_out, agg_out)
     logits += b_out
     caches.append((a, logits, None))
@@ -162,11 +164,11 @@ def backward(
     """Gradients of every parameter from the logits' gradient, through the
     caches of ``forward_cache`` with the same ``aggregates``, each of which
     the backward applies as its ``transpose``. Each hidden layer's gradient
-    is masked in place on the fresh product ``d_agg @ w.T``. The caches are
-    consumed, as ``backward_to_first`` consumes them: ``caches`` is empty
-    afterwards."""
+    is gated in place on the fresh product ``d_agg @ w.T``
+    (``_relu_gate``). The caches are consumed, as ``backward_to_first``
+    consumes them: ``caches`` is empty afterwards."""
     grads, d_z = backward_to_first(p, caches, dlogits, aggregates)
-    a = caches.pop()[0]  # frees the first layer's r and mask
+    a = caches.pop()[0]  # frees the first layer's r
     d_agg = _transpose(d_z, _per_layer(p, aggregates)[0])
     grads["w1"] = a.T @ d_agg
     grads["b1"] = d_z.sum(axis=0)
@@ -185,10 +187,10 @@ def backward_to_first(
     ``backward`` forms those of ``w1`` and ``b1``.
 
     Each layer's cache is popped off ``caches`` once its weight gradient is
-    taken, so only the first layer's is left afterwards. A layer's input
-    under dropout, ``r * mask`` of the layer below, is then freed before the
-    gradient below it is allocated; without dropout it is that layer's
-    ``r``, which the ReLU gate still reads."""
+    taken, so only the first layer's is left afterwards. A layer's input is
+    the ``r`` of the layer below, which that layer's gate still reads; the
+    layer's own ``r`` is freed with its cache, before the gradient below it
+    is allocated."""
     if len(caches) != p.n_layers:
         raise ValueError(
             f"{len(caches)} caches for {p.n_layers} layers: a backward pass consumes "
@@ -201,12 +203,30 @@ def backward_to_first(
         d_agg = _transpose(d_z, aggs[li])
         grads[f"w{li + 1}"] = caches.pop()[0].T @ d_agg
         grads[f"b{li + 1}"] = d_z.sum(axis=0)
-        _, r_prev, mask = caches[-1]
+        _, r_prev, scale = caches[-1]
         d_z = d_agg @ p.layers[li][0].T
-        if mask is not None:
-            d_z *= mask
-        np.multiply(d_z, r_prev > 0, out=d_z)
+        _relu_gate(d_z, r_prev, scale)
     return grads, d_z
+
+
+def _relu_gate(d: np.ndarray, r: np.ndarray, scale) -> None:
+    """In place, the gradient ``d`` of a hidden layer's output, ``r`` after
+    dropout, becomes that of its pre-activation: ``d *= scale`` (under
+    dropout), then ``d *= (r > 0)``.
+
+    These are the bits of the mask form ``d *= mask; d *= (r0 > 0)``, with
+    ``r0`` the ReLU output before dropout and ``mask`` entries 0 or
+    ``scale``, whenever ``|d| * scale`` is finite. Where the mask kept a
+    value, ``r = r0 * scale > 0`` iff ``r0 > 0``, and both forms take
+    ``d * scale`` times the same 0 or 1. Where it dropped one, ``r`` is 0,
+    and both give ±0 with the sign of ``d``. An ``|d| * scale`` that
+    overflows to inf at a dropped value gives NaN (``inf * 0``) where the
+    mask form gives ±0; at a kept value both give ±inf or NaN. Such a
+    gradient is at the edge of the dtype's range, where training has
+    diverged anyway."""
+    if scale is not None:
+        d *= scale
+    np.multiply(d, r > 0, out=d)
 
 
 def eval_hidden(p: LayerStack, a: np.ndarray, aggregates: Aggregates = None) -> np.ndarray:

@@ -16,13 +16,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import graphio
-from .graphio import Graph
+from .graphio import NodeTables
 from .numkit import (
     SparseMatrix,
     accuracy,
     apply_dropout,
     check_index,
-    dropout_mask,
+    dropout_in_place,
+    dropout_mask,  # noqa: F401 (unused here: perfbench wraps teacher.dropout_mask)
     fingerprint,
     masked_cross_entropy,
     softmax_rows,
@@ -168,10 +169,12 @@ def teacher_ce_gradpair(
     """Cross entropy of the forward plus gradients w.r.t. all teacher
     parameters: the training objective, and the gradient-check entry point.
     With ``dropout > 0`` masks are drawn from ``rng`` for the raw features
-    first, then for every hidden activation in layer order. A first layer
-    that aggregates first takes ``Â (mask * x)``. Without dropout it takes
-    ``x_in``, the first layer's input of ``x`` (``_first_input``), when the
-    caller holds it, so a run aggregates its fixed features once.
+    first (``apply_dropout``: ``x`` is left as it is), then for every hidden
+    activation in layer order (``dropout_in_place``: no mask is kept). A
+    first layer that aggregates first takes ``Â (mask * x)``. Without
+    dropout it takes ``x_in``, the first layer's input of ``x``
+    (``_first_input``), when the caller holds it, so a run aggregates its
+    fixed features once.
 
     The cross entropy reads only the rows in ``mask``, so the last layer
     aggregates only those rows, ``Â[R]`` with R the distinct mask rows in
@@ -185,34 +188,35 @@ def teacher_ce_gradpair(
     mention in both."""
     idx = check_index(mask, norm_adj.shape[0], "teacher_ce_gradpair", "mask")
     rows, at = np.unique(idx, return_inverse=True)
-    draw_mask = (
-        (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout > 0.0 else None
-    )
-    if draw_mask is not None:
+    drop = (lambda a: dropout_in_place(rng, a, dropout)) if dropout > 0.0 else None
+    if drop is not None:
         # no gradient flows to x: its mask is applied as it is drawn
         x_in = _first_input(norm_adj, apply_dropout(rng, x, dropout), p)
     elif x_in is None:
         x_in = _first_input(norm_adj, x, p)
     aggregates = _aggregates(norm_adj, p)[:-1] + [_rows_aggregation(norm_adj[rows])]
-    logits, caches = forward_cache(p, x_in, draw_mask, aggregates)  # rows R only
+    logits, caches = forward_cache(p, x_in, drop, aggregates)  # rows R only
     ce = masked_cross_entropy(logits, labels[rows], at)
     ce.grads = backward(p, caches, ce.grads["logits"], aggregates)
     return ce
 
 
-def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
+def train_teacher(
+    nodes: NodeTables, norm_adj: SparseMatrix, cfg: TeacherConfig
+) -> TeacherArtifact:
     """Train the teacher with cross entropy on the labeled split.
 
     ``optim.fit`` runs the epochs with early stopping on validation
     accuracy and hands back the best epoch's parameters; soft labels are
     computed from them in eval mode.
 
-    Â is built once, from the graph's edge list
-    (``graphio.normalized_adjacency``), and so is the features'
-    aggregation ``Â X`` when the first layer aggregates first
-    (``_aggregates_first``); the eval forwards and, without dropout, the
-    training forwards start from it. Each epoch's training forward
-    aggregates the last layer over the labeled rows only
+    The teacher reads the graph only through ``norm_adj``, its Â
+    (``graphio.normalized_adjacency`` of the graph whose node tables
+    ``nodes`` holds), so a caller can let the edge list go before training.
+    The features' aggregation ``Â X`` is built once when the first layer
+    aggregates first (``_aggregates_first``); the eval forwards and,
+    without dropout, the training forwards start from it. Each epoch's
+    training forward aggregates the last layer over the labeled rows only
     (``teacher_ce_gradpair``), and its eval forward runs the hidden layers
     on every row but aggregates the last layer over the validation rows
     only. The best epoch's unaggregated last layer is kept,
@@ -220,20 +224,24 @@ def train_teacher(g: Graph, cfg: TeacherConfig) -> TeacherArtifact:
     the returned ``logits`` are the same bits as ``gcn_forward`` of the best
     parameters.
     """
-    if g.splits.labeled.size == 0 or g.splits.validation.size == 0:
+    if nodes.splits.labeled.size == 0 or nodes.splits.validation.size == 0:
         raise ValueError("training needs non-empty labeled and validation splits")
+    if norm_adj.shape != (nodes.n_nodes, nodes.n_nodes):
+        raise ValueError(
+            f"adjacency {norm_adj.shape} does not match the {nodes.n_nodes} nodes"
+        )
     rng = np.random.default_rng(cfg.seed)
     params = init_teacher(
-        g.feat_dim, cfg.hidden_dim, g.n_classes, cfg.depth, rng, g.features.dtype
+        nodes.feat_dim, cfg.hidden_dim, nodes.n_classes, cfg.depth, rng, nodes.features.dtype
     )
-    norm_adj = graphio.normalized_adjacency(g)
-    x_in = _first_input(norm_adj, g.features, params)
-    adj_val = norm_adj[g.splits.validation]
-    val_truth = np.argmax(g.labels[g.splits.validation], axis=1)
+    x_in = _first_input(norm_adj, nodes.features, params)
+    adj_val = norm_adj[nodes.splits.validation]
+    val_truth = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
 
     def step(epoch: int):
         ce = teacher_ce_gradpair(
-            norm_adj, g.features, params, g.labels, g.splits.labeled, cfg.dropout, rng, x_in
+            norm_adj, nodes.features, params, nodes.labels, nodes.splits.labeled,
+            cfg.dropout, rng, x_in,
         )
         if not np.isfinite(ce.value):
             raise TrainingDivergedError(epoch, "cross-entropy", ce.value)

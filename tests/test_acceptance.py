@@ -241,7 +241,7 @@ def cora_runs():
             hidden_dim=64, lr=0.01, weight_decay=5e-4, dropout=0.5,
             max_epochs=200, patience=50, seed=seed,
         )
-        art = t.train_teacher(g, cfg)
+        art = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
         nadj = gio.normalize_adjacency(g.adjacency)
         logits = t.gcn_forward(nadj, g.features, art.params)
         acc = inf.accuracy(logits, g.labels, g.splits.test)
@@ -304,7 +304,7 @@ def tradeoff_runs():
             hidden_dim=32, lr=0.01, weight_decay=5e-4, dropout=0.5,
             max_epochs=200, patience=50, seed=seed,
         )
-        art = t.train_teacher(g, tcfg)
+        art = t.train_teacher(g, gio.normalized_adjacency(g), tcfg)
         ccfg = cas.CascadeConfig(
             n_students=4, hidden_dim=64, n_layers=2, lr=0.01, weight_decay=5e-4,
             dropout=0.5, max_epochs=150, patience=30,

@@ -36,7 +36,8 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
     per_run = ["cascade.json", "cascade.weights", "distill_report.json", "predictions.csv",
-               "infer_meta.json#executed,stopped_by,confidences,weights"]
+               "infer_meta.json#executed,stopped_by,confidences,weights",
+               "tradeoff.csv#k,accuracy"]
     teacher_files = ["teacher.json", "teacher.weights", "soft_labels.csv", "teacher_report.json"]
     for precision in ("f32", "f64"):
         for teacher in ("teacher", "teacher-narrow", "teacher-nodrop"):
@@ -51,8 +52,8 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
         for artifact in teacher_files:
             assert f"{precision}/classes10/teacher/{artifact}" in paths
     # per precision: 7 files of each dataset, 4 of each of the four teachers
-    # and 5 per cascade setting, classes10's defaults among them
-    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 5)
+    # and 6 per cascade setting, classes10's defaults among them
+    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 6)
     assert not any(p.endswith(("infer_meta.json", "tradeoff.csv")) for p in paths)
 
 
@@ -80,6 +81,28 @@ def test_infer_meta_digest_covers_its_deterministic_fields_only(tmp_path):
                          ("confidences", [0.5, 0.7500000000000001]),
                          ("weights", [0.4378234991142019, 0.562176500885798])]:
         assert digest(**{field: value}) != first, field
+
+
+def test_tradeoff_digest_covers_k_and_accuracy_only(tmp_path):
+    """A tradeoff.csv line digests the k and accuracy columns: a change to
+    either shows, a change to cum_ms does not."""
+    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    path = tmp_path / "run" / "tradeoff.csv"
+    path.parent.mkdir()
+
+    def digest(rows):
+        path.write_text("k,accuracy,cum_ms\n" + "".join(f"{r}\n" for r in rows))
+        [line] = script.digests(tmp_path)
+        return line
+
+    first = digest(["1,0.812500,0.210", "2,0.875000,0.433"])
+    assert first.endswith("  run/tradeoff.csv#k,accuracy")
+    assert digest(["1,0.812500,9.999", "2,0.875000,12.500"]) == first
+    assert digest(["1,0.812500,0.210", "2,0.875001,0.433"]) != first
+    assert digest(["1,0.812500,0.210", "3,0.875000,0.433"]) != first
+    assert digest(["1,0.812500,0.210"]) != first
 
 
 @pytest.mark.parametrize(

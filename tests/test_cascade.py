@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import mlpcascade.cascade as cas
+import mlpcascade.graphio as gio
 import mlpcascade.teacher as t
 from mlpcascade.inference import InferencePolicy
 from mlpcascade.numkit import (
     GradPair,
-    dropout_mask,
+    dropout_in_place,
     finite_diff_check,
     log_softmax_rows,
     masked_cross_entropy,
@@ -418,9 +419,9 @@ class TestTrainStudent:
             dropout=0.0, seed=0,
         )
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(0), np.float64)
-        h0 = np.zeros((g.n_nodes, 4))
+        inputs = np.hstack([g.features, np.zeros((g.n_nodes, 4))])  # [x | h0]
         params, h_k, ema, meta = cas.train_student(
-            1, g, targets, h0, init, cfg, cfg.mixup.lambda_init, None
+            1, g, targets, inputs, init, cfg, cfg.mixup.lambda_init, None
         )
         assert meta.epochs == 1
         assert len(meta.losses) == 1
@@ -459,11 +460,11 @@ class TestTrainStudent:
             dropout=0.2, seed=1,
         )
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(1), np.float64)
-        h0 = np.zeros((g.n_nodes, 4))
+        h = np.zeros((g.n_nodes, 4))
         lam, ema = cfg.mixup.lambda_init, None
         for k in (1, 2):
-            params, h0, ema, meta = cas.train_student(
-                k, g, targets, h0, init, cfg, lam, ema
+            params, h, ema, meta = cas.train_student(
+                k, g, targets, np.hstack([g.features, h]), init, cfg, lam, ema
             )
             lam = meta.final_lambda
             assert all(0.0 <= lam <= 0.5 for lam in meta.lambda_history)
@@ -487,9 +488,9 @@ class TestTrainStudent:
         )
         rng = np.random.default_rng(9)
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, rng, np.float64)
-        h0 = np.zeros((g.n_nodes, 4), dtype=np.float64)
+        inputs = np.hstack([g.features, np.zeros((g.n_nodes, 4))])  # [x | h0]
         params, _, _, meta = cas.train_student(
-            1, g, targets, h0, init, cfg, cfg.mixup.lambda_init, None
+            1, g, targets, inputs, init, cfg, cfg.mixup.lambda_init, None
         )
         # disable early stopping interference: patience epochs-1 never fires
         assert meta.epochs == epochs
@@ -503,7 +504,6 @@ class TestTrainStudent:
         scale = 1.0**beta + 1.0  # k=1 inside train_student
         mom = {n: 0.0 for n in ("w1", "b1", "w2", "b2")}
         vel = {n: 0.0 for n in ("w1", "b1", "w2", "b2")}
-        inputs = np.concatenate([g.features, h0], axis=1)
         ref_losses = []
         ref_snapshots = []
         for step in range(1, epochs + 1):
@@ -562,7 +562,8 @@ class TestTrainStudent:
         )
         h0 = np.zeros((tiny_graph.n_nodes, 16), dtype=np.float32)
         _, _, _, meta = cas.train_student(
-            1, tiny_graph, targets, h0, init, cfg, cfg.mixup.lambda_init, None
+            1, tiny_graph, targets, np.hstack([tiny_graph.features, h0]), init, cfg,
+            cfg.mixup.lambda_init, None,
         )
         assert meta.best_val_acc == 1.0
         assert meta.best_epoch < cfg.max_epochs
@@ -602,20 +603,54 @@ def student_fd_error(seed, n_layers=2, dropout=0.0):
     return finite_diff_check(loss, params)
 
 
+def test_student_step_peak_holds_only_the_arrays_it_needs():
+    """The traced peak of one training step with dropout, from the inputs
+    and their first-layer projection held outside the trace, as
+    ``train_student`` holds them. Its largest moment is the distillation
+    backward's ReLU gate: the hidden activation after dropout and the fresh
+    gradient below the last layer (N x h each), that gradient's gate (N x h
+    bools), the logits and their gradient (N x C each). The margin, 256
+    KiB, covers the arrays of the labeled and mixed rows. A float mask kept
+    for the backward and a masked copy of the activation beside it would
+    add 2 N x h values, 2 MB here."""
+    import tracemalloc
+
+    n, c, d, h = 4000, 4, 64, 64
+    g = gio.synth_sbm(n, c, d, 0.01, 0.001, 1.0, seed=0)
+    rng = np.random.default_rng(0)
+    p = cas.init_student(d, h, c, 2, rng, np.float32)
+    inputs = np.hstack([g.features, rng.standard_normal((n, h)).astype(np.float32)])
+    targets = soft_targets(make_soft_labels(rng, n, c).astype(np.float32))
+    pairs = cas.sample_mixup_pairs(g.splits.labeled, seed=1)
+    projection = inputs @ p.layers[0][0]
+    tracemalloc.start()
+    try:
+        cas.total_loss_gradpair(
+            p, inputs, targets, g.labels, g.splits.labeled, 2, cas.DistillConfig(), pairs,
+            0.3, 0.5, np.random.default_rng(2), projection,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = inputs.itemsize * (2 * n * h + 2 * n * c) + n * h
+    assert held <= peak <= held + 256 * 1024, (peak, held)
+
+
 def blended_input_objective(p, inputs, targets, y, labeled, k, cfg, pairs, lam, dropout, seed):
     """The training objective with the mixed examples built as blended input
     rows ``lam * [x | h]_i + (1 - lam) * [x | h]_j`` and run through the
     whole student: the form that ``total_loss_gradpair`` computes through
-    the first layer's linearity. Masks are drawn in the same order."""
+    the first layer's linearity. Masks are drawn in the same order, and
+    each hidden activation is dropped in place, as training drops it."""
     rng = np.random.default_rng(seed)
-    draw = (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout else None
-    logits, caches = forward_cache(p, inputs, draw)
+    drop = (lambda a: dropout_in_place(rng, a, dropout)) if dropout else None
+    logits, caches = forward_cache(p, inputs, drop)
     distill = cas.distill_loss(logits, targets, y, labeled, k, cfg)
     grads = backward(p, caches, distill.grads["logits"])
     i, j = pairs[:, 0], pairs[:, 1]
     mixed = lam * inputs[i] + (1.0 - lam) * inputs[j]
     mixed_y = lam * y[i] + (1.0 - lam) * y[j]
-    mix_logits, mix_caches = forward_cache(p, mixed, draw)
+    mix_logits, mix_caches = forward_cache(p, mixed, drop)
     mix = float(-(mixed_y * log_softmax_rows(mix_logits)).sum() / labeled.size)
     mix_grads = backward(p, mix_caches, (softmax_rows(mix_logits) - mixed_y) / labeled.size)
     return distill.value, mix, {name: grads[name] + mix_grads[name] for name in grads}
@@ -721,7 +756,7 @@ class TestFullLossGradients:
 class TestTrainCascade:
     def make_teacher_artifact(self, g, seed=0):
         cfg = t.TeacherConfig(hidden_dim=8, dropout=0.3, max_epochs=30, patience=29, seed=seed)
-        return t.train_teacher(g, cfg)
+        return t.train_teacher(g, gio.normalized_adjacency(g), cfg)
 
     def test_k1_matches_single_student(self, tiny_graph):
         art = self.make_teacher_artifact(tiny_graph)
@@ -737,10 +772,35 @@ class TestTrainCascade:
         )
         h0 = np.zeros((tiny_graph.n_nodes, 8), dtype=np.float32)
         params, _, _, _ = cas.train_student(
-            1, tiny_graph, soft_targets(art.soft_labels), h0, init, cfg,
-            cfg.mixup.lambda_init, None,
+            1, tiny_graph, soft_targets(art.soft_labels), np.hstack([tiny_graph.features, h0]),
+            init, cfg, cfg.mixup.lambda_init, None,
         )
         assert c1.students[0].fingerprint() == params.fingerprint()
+
+    def test_students_read_one_input_array(self, tiny_graph, monkeypatch):
+        """train_cascade hands every student the same [x | h] array: the
+        features, then the hidden state of the student before (zeros for
+        the first), which it writes into the right-hand columns."""
+        art = self.make_teacher_artifact(tiny_graph)
+        seen = []
+        train = cas.train_student
+
+        def recording(k, nodes, targets, inputs, *rest):
+            seen.append((inputs, inputs.copy()))
+            return train(k, nodes, targets, inputs, *rest)
+
+        monkeypatch.setattr(cas, "train_student", recording)
+        cfg = cas.CascadeConfig(
+            n_students=3, hidden_dim=8, n_layers=2, max_epochs=4, patience=3, seed=5
+        )
+        casc = cas.train_cascade(tiny_graph, art, cfg)
+        d = tiny_graph.feat_dim
+        assert all(inputs is seen[0][0] for inputs, _ in seen)
+        h = np.zeros((tiny_graph.n_nodes, 8), np.float32)
+        for (_, rows), student in zip(seen, casc.students):
+            assert np.array_equal(rows[:, :d], tiny_graph.features)
+            assert rows[:, d:].tobytes() == h.tobytes()
+            h, _ = cas.student_forward(student, rows)
 
     def test_same_seed_bit_identical(self, tiny_graph):
         art = self.make_teacher_artifact(tiny_graph)

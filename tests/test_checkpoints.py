@@ -9,6 +9,7 @@ refused with the command that rewrites them.
 """
 
 import functools
+import hashlib
 import json
 import shutil
 from typing import get_type_hints
@@ -28,6 +29,8 @@ from mlpcascade.params import LayerStack, weights_path
 PROPERTY = settings(max_examples=60, deadline=None)
 DTYPES = [np.float32, np.float64]
 BITS = {np.float32: np.uint32, np.float64: np.uint64}
+# the soft-label fingerprint a cascade names: any sha256 hex digest
+TEACHER_FP = hashlib.sha256(b"teacher").hexdigest()
 
 
 def _layer_stack(draw, dims, dtype):
@@ -74,7 +77,7 @@ def cascades(draw, dtype):
     cfg = cas.CascadeConfig(
         n_students=k_total, hidden_dim=hidden, n_layers=n_layers, max_epochs=3, patience=1
     )
-    return cas.Cascade(students, metas, teacher_fingerprint="teacher", config=cfg)
+    return cas.Cascade(students, metas, teacher_fingerprint=TEACHER_FP, config=cfg)
 
 
 @st.composite
@@ -202,7 +205,7 @@ def _two_students(dtype, scale=1.0):
                              lambda_history=[0.2, 0.3]),
     ]
     cfg = cas.CascadeConfig(n_students=2, hidden_dim=3, n_layers=3, max_epochs=3, patience=1)
-    return cas.Cascade(students, metas, "teacher", cfg)
+    return cas.Cascade(students, metas, TEACHER_FP, cfg)
 
 
 def _small_teacher(dtype, scale=1.0):
@@ -371,7 +374,7 @@ def test_cascade_config_of_another_type_is_refused(ckpt_dir, section, key, value
     meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
     path = ckpt_dir / "typed.json"
-    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP, cfg), path)
     doc = json.loads(path.read_text())
     (doc["config"] if section is None else doc["config"][section])[key] = value
     path.write_text(json.dumps(doc))
@@ -432,7 +435,7 @@ def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, ki
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2])
     path = ckpt_dir / "typed-meta.json"
-    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t"), path)
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP), path)
     doc = json.loads(path.read_text())
     doc["students"][0]["meta"][key] = value
     path.write_text(json.dumps(doc))
@@ -466,7 +469,7 @@ def _chain_of_two(path):
             1, 1, 0.5, init_fingerprint=first.fingerprint(), lambda_history=[0.2, 0.3]
         ),
     ]
-    cas.save_cascade(cas.Cascade([first, second], metas, "t"), path)
+    cas.save_cascade(cas.Cascade([first, second], metas, TEACHER_FP), path)
     return json.loads(path.read_text())
 
 
@@ -522,11 +525,45 @@ def test_empty_lambda_history_is_refused(ckpt_dir):
     assert str(err.value) == f"{path} student 1 meta: lambda_history must not be empty"
 
 
+@pytest.mark.parametrize("value", [-0.1, 0.5000000000000001, 1.5, float("nan"), float("inf")])
+def test_lambda_outside_the_clamp_range_is_refused(ckpt_dir, value):
+    """Every mixing rate ``MixupConfig.update`` gives is in [0, 0.5]; a
+    stored one outside it, or not finite, is refused by its place."""
+    with pytest.raises(ValueError, match=r"^lambda_history\[1\] .* outside \[0, 0.5\]$"):
+        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, value])
+    path = ckpt_dir / "chain.json"
+    doc = _chain_of_two(path)
+    doc["students"][1]["meta"]["lambda_history"][1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == (
+        f"{path} student 2 meta: lambda_history[1] {value} outside [0, 0.5]"
+    )
+
+
+@pytest.mark.parametrize(
+    "value", ["not-a-digest", TEACHER_FP.upper(), TEACHER_FP[:-1], TEACHER_FP + "0", ""]
+)
+def test_teacher_fingerprint_that_is_not_a_digest_is_refused(ckpt_dir, value):
+    path = ckpt_dir / "chain.json"
+    doc = _chain_of_two(path)
+    assert cas.load_cascade(path).teacher_fingerprint == TEACHER_FP
+    doc["teacher_fingerprint"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == (
+        f"{path} teacher_fingerprint {json.dumps(value)} is not a sha256 digest of "
+        "64 lowercase hex digits"
+    )
+
+
 def test_stored_metas_load_with_their_types(ckpt_dir):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     meta = cas.StudentTrainMeta(3, 2, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2])
     path = ckpt_dir / "typed-meta.json"
-    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t"), path)
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP), path)
     doc = json.loads(path.read_text())
     doc["students"][0]["meta"]["lambda_history"] = [0, 0.2]  # an integer is a number
     path.write_text(json.dumps(doc))
@@ -543,7 +580,7 @@ def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint=init_fp, lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
     path = ckpt_dir / "typed.json"
-    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], "t", cfg), path)
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP, cfg), path)
     doc = json.loads(path.read_text())
     doc["config"]["distill"]["alpha"] = 1
     path.write_text(json.dumps(doc))
@@ -559,7 +596,7 @@ def test_student_1_init_fingerprint_is_checked_only_against_a_stored_seed(ckpt_d
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1, seed=5)
     path = ckpt_dir / "init.json"
     student = LayerStack([(w, b), (w[:1], b)])
-    cas.save_cascade(cas.Cascade([student], [meta], "t", cfg if with_config else None), path)
+    cas.save_cascade(cas.Cascade([student], [meta], TEACHER_FP, cfg if with_config else None), path)
     if not with_config:
         assert cas.load_cascade(path).metas[0].init_fingerprint == "x"
         return

@@ -265,7 +265,8 @@ class TestDistill:
 
         g = gio.load_dataset(data, dtype=np.float64)
         art = tch.train_teacher(
-            g, tch.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=0)
+            g, gio.normalized_adjacency(g),
+            tch.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=0),
         )
         casc = cas.train_cascade(
             g, art,
@@ -593,6 +594,40 @@ class TestTeacherGraphPasses:
             "--hidden", 8, "--epochs", 8, "--patience", 4,
         ) == 0
         assert calls == {"normalized_adjacency": 1, "normalize_adjacency": 0, "gcn_forward": 0}
+
+    def test_no_edge_list_alive_during_the_epochs(self, tmp_path, monkeypatch):
+        """The teacher reads the graph only through Â, so the loaded edge
+        list is freed before the first epoch and none is alive after."""
+        import weakref
+
+        import mlpcascade.teacher as teacher
+
+        edges = []
+        load, fit = gio.load_dataset, teacher.fit
+
+        def loading(*args, **kwargs):
+            g = load(*args, **kwargs)
+            edges.append(weakref.ref(g.edges))
+            return g
+
+        alive = []
+
+        def fitting(params, cfg, step, validate):
+            def checked(epoch):
+                alive.append(edges[0]() is not None)
+                return step(epoch)
+
+            return fit(params, cfg, checked, validate)
+
+        monkeypatch.setattr(gio, "load_dataset", loading)
+        monkeypatch.setattr(teacher, "fit", fitting)
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=60)) == 0
+        assert run_cli(
+            "train-teacher", "--data", data, "--out", tmp_path / "run",
+            "--hidden", 8, "--epochs", 6, "--patience", 5,
+        ) == 0
+        assert len(edges) == 1 and alive == [False] * 6
 
     def test_report_matches_fresh_forward(self, separable_run):
         import mlpcascade.graphio as gio
@@ -1046,8 +1081,24 @@ CASCADE_CASES = {
         "config n_layers 5 does not match 2, student 1's layer count",
     ),
     "first lambda off the chain": (
-        _edit_doc(lambda d: d["students"][1]["meta"]["lambda_history"].__setitem__(0, 0.75)),
-        "student 2 meta lambda_history[0] 0.75 does not match",
+        _edit_doc(lambda d: d["students"][1]["meta"]["lambda_history"].__setitem__(0, 0.125)),
+        "student 2 meta lambda_history[0] 0.125 does not match",
+    ),
+    "lambda above the clamp range": (
+        _edit_doc(lambda d: d["students"][0]["meta"]["lambda_history"].__setitem__(1, 1.5)),
+        "student 1 meta: lambda_history[1] 1.5 outside [0, 0.5]",
+    ),
+    "lambda NaN": (
+        _edit_doc(lambda d: d["students"][1]["meta"]["lambda_history"].__setitem__(1, float("nan"))),
+        "student 2 meta: lambda_history[1] nan outside [0, 0.5]",
+    ),
+    "teacher_fingerprint not a digest": (
+        _edit_doc(lambda d: d.update(teacher_fingerprint="not-a-digest")),
+        'teacher_fingerprint "not-a-digest" is not a sha256 digest of 64 lowercase hex digits',
+    ),
+    "teacher_fingerprint in uppercase": (
+        _edit_doc(lambda d: d.update(teacher_fingerprint=d["teacher_fingerprint"].upper())),
+        "is not a sha256 digest of 64 lowercase hex digits",
     ),
 }
 

@@ -307,7 +307,7 @@ def test_teacher_matches_reference(depth, dropout, dtype):
     cfg = t.TeacherConfig(
         hidden_dim=8, dropout=dropout, depth=depth, max_epochs=15, patience=14, seed=5
     )
-    got = t.train_teacher(g, cfg)
+    got = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
     assert not ref_aggregates_first(got.params)
     assert_same_teacher(got, ref_train_teacher(g, cfg))
 
@@ -316,7 +316,7 @@ def test_teacher_matches_reference(depth, dropout, dtype):
 def test_teacher_early_stop_matches_reference(dtype):
     g = teacher_graph(dtype)
     cfg = t.TeacherConfig(hidden_dim=8, dropout=0.5, max_epochs=200, patience=5, seed=1)
-    got = t.train_teacher(g, cfg)
+    got = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
     assert got.train_meta.epochs < cfg.max_epochs
     assert_same_teacher(got, ref_train_teacher(g, cfg))
 
@@ -330,7 +330,7 @@ def test_aggregate_first_teacher_matches_reference(hidden, depth, dropout, dtype
     cfg = t.TeacherConfig(
         hidden_dim=hidden, dropout=dropout, depth=depth, max_epochs=15, patience=14, seed=5
     )
-    got = t.train_teacher(g, cfg)
+    got = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
     assert ref_aggregates_first(got.params)
     assert_same_teacher(got, ref_train_teacher(g, cfg))
 
@@ -340,7 +340,7 @@ def test_aggregate_first_teacher_matches_reference(hidden, depth, dropout, dtype
 def test_aggregate_first_teacher_early_stop_matches_reference(hidden, dtype):
     g = narrow_teacher_graph(dtype)
     cfg = t.TeacherConfig(hidden_dim=hidden, dropout=0.5, max_epochs=200, patience=5, seed=1)
-    got = t.train_teacher(g, cfg)
+    got = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
     assert got.train_meta.epochs < cfg.max_epochs
     assert_same_teacher(got, ref_train_teacher(g, cfg))
 
@@ -487,10 +487,19 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
     return best_params, h_k, ema, meta
 
 
+def package_student(k, g, targets, h_prev, init, cfg, lam, ema):
+    """``cas.train_student`` called as ``ref_train_student`` is: from the
+    previous hidden state, its input rows ``[x | h_prev]`` built here as
+    ``train_cascade``'s one array holds them."""
+    inputs = np.concatenate([g.features, h_prev], axis=1)
+    return cas.train_student(k, g, targets, inputs, init, cfg, lam, ema)
+
+
 def run_chain(train, g, teacher_probs, cfg):
     """Students 1..K as ``train_cascade`` chains them, with ``train`` as the
-    per-student trainer: (params, hidden state, lambda, its moving average,
-    meta) of each, lambda being the meta's ``final_lambda``."""
+    per-student trainer, called as ``ref_train_student`` is: (params, hidden
+    state, lambda, its moving average, meta) of each, lambda being the
+    meta's ``final_lambda``."""
     dims = [g.feat_dim + cfg.hidden_dim] + [cfg.hidden_dim] * (cfg.n_layers - 1)
     init = ref_init(dims + [g.n_classes], np.random.default_rng([cfg.seed, 0]),
                     g.features.dtype)
@@ -523,7 +532,7 @@ def assert_same_cascade(g, art, cfg):
     labels, as ``train_cascade`` passes them, and the whole
     ``train_cascade``, against the reference chain given the raw soft
     labels."""
-    got = run_chain(cas.train_student, g, soft_targets(art.soft_labels), cfg)
+    got = run_chain(package_student, g, soft_targets(art.soft_labels), cfg)
     ref = run_chain(ref_train_student, g, art.soft_labels, cfg)
     for (p1, h1, lam1, ema1, m1), (p2, h2, lam2, ema2, m2) in zip(got, ref, strict=True):
         assert_same_stack(p1, p2)

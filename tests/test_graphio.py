@@ -314,7 +314,11 @@ class TestMirror:
         lines = (path / "features.csv").read_text().splitlines(keepends=True)
         (path / "features.csv").write_text("".join(lines[:-1]))
         got = load_outcome(path)
-        assert got == ("error", f"{path / 'labels.csv'}: 60 labels for 59 nodes")
+        # the node count is features.csv's row count, so both files are named
+        assert got == (
+            "error",
+            f"{path / 'labels.csv'}: 60 labels for the 59 nodes of {path / 'features.csv'}",
+        )
         drop_mirrors(path)
         assert load_outcome(path) == got
 

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 import mlpcascade.numkit as nk
+import mlpcascade.params as params
 from mlpcascade.numkit import (
     GradPair,
     finite_diff_check,
@@ -367,6 +368,97 @@ class TestApplyDropout:
         with np.errstate(invalid="ignore"):
             nk.apply_dropout(np.random.default_rng(0), x, 0.5)
         assert x.tobytes() == before
+
+
+class TestDropoutInPlace:
+    """``dropout_in_place`` multiplies each block of the mask into ``x``
+    itself: the bytes of ``x * dropout_mask(...)`` and the generator state
+    after it, and the mask's keep scale as a scalar of ``x``'s dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [1e-6, 0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize(
+        "shape, block",
+        [((1, 1), 1 << 14), ((7, 3), 1), ((5, 9), 2), ((130, 509), 1 << 14)],
+    )
+    def test_same_bytes_and_state_as_x_times_mask(self, monkeypatch, dtype, rate, shape, block):
+        monkeypatch.setattr(nk, "DROPOUT_BLOCK", block)
+        x = TestApplyDropout.features(shape, dtype)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN in both
+            want = x * nk.dropout_mask(ref_rng, shape, rate, dtype)
+            scale = nk.dropout_in_place(rng, x, rate)
+        assert x.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        t = nk.dropout_threshold(rate)
+        assert type(scale) is dtype and scale == dtype(65536 / (65536 - t))
+
+    def test_non_contiguous_or_read_only_refused(self):
+        x = np.ones((6, 4), np.float32)
+        x.flags.writeable = False
+        for bad in (np.ones((6, 4), np.float32)[:, :2], np.asfortranarray(np.ones((6, 4))), x):
+            with pytest.raises(ValueError, match="C-contiguous, writeable"):
+                nk.dropout_in_place(np.random.default_rng(0), bad, 0.5)
+
+
+def finite_values(rng, shape, dtype, bound):
+    """Random finite values of ``dtype`` below ``bound`` in magnitude, both
+    signs, from random bit patterns (every exponent, subnormals included),
+    with signed zeros mixed in."""
+    bits = np.dtype(dtype).itemsize * 8
+    raw = rng.integers(0, 2**bits, size=shape, dtype=np.uint64).astype(f"u{bits // 8}")
+    x = raw.view(dtype)
+    x = np.where(np.isfinite(x) & (np.abs(x) < bound), x, dtype(1.5))
+    flat = x.reshape(-1)
+    flat[::17] = 0.0
+    flat[5::19] = -0.0
+    return x
+
+
+class TestReluDropoutGate:
+    """The backward's gate ``d *= scale; d *= (r > 0)`` on the activation
+    ``r`` dropped in place keeps the bits of the mask form ``d *= mask;
+    d *= (r0 > 0)`` on the activation before dropout, whenever ``|d| *
+    scale`` is finite (``params._relu_gate``)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_same_bits_as_the_mask_form(self, dtype, rate):
+        rng = np.random.default_rng(int(rate * 10))
+        shape = (257, 61)
+        scale = 65536 / (65536 - nk.dropout_threshold(rate))
+        big = np.finfo(dtype).max
+        d = finite_values(rng, shape, dtype, big / scale)
+        r0 = np.maximum(finite_values(rng, shape, dtype, big), 0)  # a ReLU output
+        mask = nk.dropout_mask(np.random.default_rng(3), shape, rate, dtype)
+        r = r0.copy()
+        with np.errstate(over="ignore"):  # r0 * scale may overflow, in both forms
+            kept = nk.dropout_in_place(np.random.default_rng(3), r, rate)
+            assert r.tobytes() == (r0 * mask).tobytes()
+            want = d * mask
+            np.multiply(want, r0 > 0, out=want)
+            got = d.copy()
+            params._relu_gate(got, r, kept)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[mask == 0]).tolist() == np.signbit(d[mask == 0]).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overflow_of_d_times_scale(self, dtype):
+        """Where ``|d| * scale`` overflows, a dropped value's gradient is NaN
+        (``inf * 0``) where the mask form gives ±0; a kept value's is ±inf
+        in both. A gradient that large has already diverged training."""
+        big = np.finfo(dtype).max
+        d = np.array([big, -big, big, -big, 1.0], dtype)
+        r0 = np.ones(5, dtype)
+        mask = np.array([0, 0, 2, 2, 0], dtype)  # rate 0.5: scale 2
+        got = d.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = d * mask
+            np.multiply(want, r0 > 0, out=want)
+            params._relu_gate(got, r0 * mask, dtype(2))
+        assert want.tolist() == [0.0, -0.0, np.inf, -np.inf, 0.0]
+        assert np.isnan(got[:2]).all()
+        assert got[2:].tolist() == [np.inf, -np.inf, 0.0]
 
 
 class TestLossIndexChecks:

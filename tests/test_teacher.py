@@ -10,7 +10,12 @@ from scipy import sparse
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 import mlpcascade.teacher as t
-from mlpcascade.numkit import dropout_mask, finite_diff_check, masked_cross_entropy, softmax_rows
+from mlpcascade.numkit import (
+    dropout_in_place,
+    finite_diff_check,
+    masked_cross_entropy,
+    softmax_rows,
+)
 from mlpcascade.optim import TrainingDivergedError, TrainRecord
 from mlpcascade.params import LayerStack, backward, forward_cache
 from test_fit_reference import masked_cross_entropy as ref_cross_entropy
@@ -255,9 +260,10 @@ class TestLabeledRowsOnly:
 
 
 class TestStepMemory:
-    """A training step frees each layer's cache once its weight gradient is
-    taken, so the backward never holds a layer's dropped-out input while it
-    allocates the gradient below it."""
+    """A training step keeps no dropout mask, only each hidden layer's keep
+    scale, and drops each hidden activation in place, so no masked copy sits
+    beside it. The backward frees each layer's cache once its weight
+    gradient is taken."""
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("depth", [2, 3])
@@ -265,10 +271,15 @@ class TestStepMemory:
     def test_backward_frees_the_inputs_of_later_layers(self, graph, depth, dropout):
         g, adj, params = teacher_case(8, depth, np.float64)
         rng = np.random.default_rng(3)
-        draw = (lambda a: dropout_mask(rng, a.shape, dropout, a.dtype)) if dropout else None
+        drop = (lambda a: dropout_in_place(rng, a, dropout)) if dropout else None
         aggregates = t._aggregates(adj, params) if graph else None
         x_in = t._first_input(adj, g.features, params) if graph else g.features
-        logits, caches = forward_cache(params, x_in, draw, aggregates)
+        logits, caches = forward_cache(params, x_in, drop, aggregates)
+        # each later layer's input is the activation below it, dropped in
+        # place; a cache holds the keep scale, not a mask
+        assert all(later[0] is below[1] for below, later in zip(caches, caches[1:]))
+        scales = [cache[2] for cache in caches]
+        assert scales == [np.float64(1 / (1 - dropout)) if dropout else None] * (depth - 1) + [None]
         inputs = [weakref.ref(cache[0]) for cache in caches[1:]]
         assert all(ref() is not None for ref in inputs)
         backward(params, caches, np.ones_like(logits) / logits.size, aggregates)
@@ -280,13 +291,13 @@ class TestStepMemory:
     def test_step_peak_holds_only_the_arrays_it_needs(self):
         """The traced peak of one step with dropout, on an Â built outside
         the trace. Its largest moment is the backward's ReLU gate: the first
-        layer's input ``Â (mask0 * x)`` (N x d), its ReLU output, its mask
-        and the fresh gradient below the last layer (N x h each), that
-        gradient's gate (N x h bools) and the last layer's scattered
+        layer's input ``Â (mask0 * x)`` (N x d), its ReLU output after
+        dropout and the fresh gradient below the last layer (N x h each),
+        that gradient's gate (N x h bools) and the last layer's scattered
         gradient ``Â[R]^T d`` (N x C). The margin, 256 KiB, covers the arrays
-        of the R labeled rows, the row slice ``Â[R]`` and the dropout draw
-        buffers (192 KiB). Holding the second layer's input ``mask1 * r1``
-        through the backward would add N x h values, 1 MB here."""
+        of the R labeled rows and the row slice ``Â[R]``. A float mask kept
+        for the backward, or a masked copy of ``r1`` beside it, would add
+        N x h values, 1 MB here."""
         n, c, d, h = 4000, 4, 64, 64
         g = gio.synth_sbm(n, c, d, 0.01, 0.001, 1.0, seed=0)
         adj = gio.normalized_adjacency(g)
@@ -300,7 +311,7 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         itemsize = g.features.itemsize
-        held = itemsize * (n * d + 3 * n * h + n * c) + n * h
+        held = itemsize * (n * d + 2 * n * h + n * c) + n * h
         assert held <= peak <= held + 256 * 1024, (peak, held)
 
 
@@ -310,7 +321,7 @@ class TestTrainTeacher:
             hidden_dim=16, lr=0.01, weight_decay=5e-4, dropout=0.0,
             max_epochs=50, patience=49, seed=0,
         )
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         nadj = gio.normalize_adjacency(tiny_graph.adjacency)
         logits = t.gcn_forward(nadj, tiny_graph.features, art.params)
         assert inf.accuracy(logits, tiny_graph.labels, tiny_graph.splits.test) == 1.0
@@ -318,14 +329,14 @@ class TestTrainTeacher:
 
     def test_same_seed_bit_exact_soft_labels(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, dropout=0.5, max_epochs=15, patience=10, seed=3)
-        a = t.train_teacher(tiny_graph, cfg)
-        b = t.train_teacher(tiny_graph, cfg)
+        a = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
+        b = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         assert np.array_equal(a.soft_labels, b.soft_labels)
         assert a.params.fingerprint() == b.params.fingerprint()
 
     def test_soft_label_rows_are_distributions(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=1)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         assert np.all(art.soft_labels >= 0)
         assert np.max(np.abs(art.soft_labels.sum(axis=1) - 1.0)) < 1e-5
 
@@ -336,7 +347,7 @@ class TestTrainTeacher:
             hidden_dim=32, lr=0.01, weight_decay=5e-4, dropout=0.5,
             max_epochs=200, patience=50, seed=0,
         )
-        art = t.train_teacher(g, cfg)
+        art = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
         nadj = gio.normalize_adjacency(g.adjacency)
         logits = t.gcn_forward(nadj, g.features, art.params)
         assert inf.accuracy(logits, g.labels, g.splits.test) >= 0.90
@@ -352,7 +363,7 @@ class TestTrainTeacher:
                 hidden_dim=16, lr=0.01, weight_decay=5e-4, dropout=0.0,
                 max_epochs=80, patience=79, seed=seed,
             )
-            art = t.train_teacher(g, cfg)
+            art = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
             losses = np.array(art.train_meta.losses)
             holds += bool(np.all(losses[20:] <= losses[:-20]))
         assert holds / runs >= 0.95
@@ -387,7 +398,7 @@ class TestTrainTeacher:
 
     def test_smallest_valid_config(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=1, lr=1e-6, weight_decay=0.0, max_epochs=1, patience=0)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         assert art.train_meta.epochs == 1 and art.train_meta.best_epoch == 1
 
     def test_empty_split_rejected(self, tiny_graph):
@@ -398,12 +409,12 @@ class TestTrainTeacher:
             splits=dataclasses.replace(tiny_graph.splits, validation=np.array([], dtype=np.int64)),
         )
         with pytest.raises(ValueError, match="validation"):
-            t.train_teacher(bad, t.TeacherConfig(max_epochs=5, patience=2))
+            t.train_teacher(bad, gio.normalized_adjacency(bad), t.TeacherConfig(max_epochs=5, patience=2))
 
     def test_divergence_reports_epoch(self, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, lr=1e12, dropout=0.0, max_epochs=30, patience=29, seed=0)
         with pytest.raises(TrainingDivergedError) as err:
-            t.train_teacher(tiny_graph, cfg)
+            t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         assert err.value.epoch >= 1
 
 
@@ -420,7 +431,7 @@ class TestSingleGraphPass:
         cfg = t.TeacherConfig(
             hidden_dim=8, dropout=dropout, depth=depth, max_epochs=12, patience=11, seed=5
         )
-        art = t.train_teacher(g, cfg)
+        art = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
         logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
         assert art.logits.dtype == dtype and art.soft_labels.dtype == dtype
         assert np.array_equal(art.logits, logits)
@@ -432,11 +443,11 @@ class TestSingleGraphPass:
     def test_best_epoch_before_the_last(self, dtype):
         g = gio.synth_sbm(150, 3, 12, 0.15, 0.05, 3.0, seed=2, dtype=dtype)
         cfg = t.TeacherConfig(hidden_dim=8, dropout=0.5, max_epochs=200, patience=5, seed=1)
-        art = t.train_teacher(g, cfg)
+        art = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
         meta = art.train_meta
         assert meta.best_epoch == meta.epochs - cfg.patience
         # the kept parameters are the best epoch's, not the last epoch's
-        again = t.train_teacher(g, dataclasses.replace(
+        again = t.train_teacher(g, gio.normalized_adjacency(g), dataclasses.replace(
             cfg, max_epochs=meta.best_epoch, patience=meta.best_epoch - 1))
         assert again.params.fingerprint() == art.params.fingerprint()
         logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
@@ -451,7 +462,7 @@ class TestSingleGraphPass:
         cfg = t.TeacherConfig(
             hidden_dim=hidden, dropout=dropout, max_epochs=12, patience=11, seed=5
         )
-        art = t.train_teacher(g, cfg)
+        art = t.train_teacher(g, gio.normalized_adjacency(g), cfg)
         assert t._aggregates_first(art.params) == (feat <= hidden)
         logits = t.gcn_forward(gio.normalize_adjacency(g.adjacency), g.features, art.params)
         assert np.array_equal(art.logits, logits)
@@ -475,13 +486,13 @@ class TestSingleGraphPass:
         monkeypatch.setattr(t, "spmm", counted)
         epochs = 6
         cfg = t.TeacherConfig(hidden_dim=hidden, max_epochs=epochs, patience=epochs - 1)
-        t.train_teacher(g, cfg)
+        t.train_teacher(g, gio.normalized_adjacency(g), cfg)
         wide = sum(w > g.n_classes for w in widths)
         assert wide == wide_per_epoch * epochs + wide_once
 
     def test_loaded_teacher_has_no_logits(self, tmp_path, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2, seed=0)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         t.save_teacher(art, cfg, tmp_path / "teacher.json")
         t.export_soft_labels(art, tmp_path / "soft.csv")
         loaded, _ = t.load_teacher(tmp_path / "teacher.json", tmp_path / "soft.csv")
@@ -492,7 +503,7 @@ class TestSingleGraphPass:
 class TestSoftLabelIO:
     def test_round_trip(self, tmp_path, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=2)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         path = tmp_path / "soft.csv"
         t.export_soft_labels(art, path)
         back = t.import_soft_labels(path, dtype=np.float32)
@@ -513,7 +524,7 @@ class TestSoftLabelIO:
 
     def test_reexport_is_identical(self, tmp_path, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=2)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         t.export_soft_labels(art, p1)
@@ -531,7 +542,7 @@ class TestSoftLabelIO:
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path, tiny_graph):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=10, patience=5, seed=4)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         ckpt = tmp_path / "teacher.json"
         soft = tmp_path / "soft.csv"
         t.save_teacher(art, cfg, ckpt)
@@ -562,7 +573,7 @@ class TestCheckpointIO:
     )
     def test_stored_degenerate_config_refused(self, tmp_path, tiny_graph, field, value):
         cfg = t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=2, seed=4)
-        art = t.train_teacher(tiny_graph, cfg)
+        art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), cfg)
         ckpt = tmp_path / "teacher.json"
         t.save_teacher(art, cfg, ckpt)
         t.export_soft_labels(art, tmp_path / "soft.csv")
