@@ -19,6 +19,11 @@ A second dataset per precision, ``classes10``, has 10 classes, where a
 class-order sum is not the order in which numpy sums a row (from 8
 classes); it gets one teacher, the ``defaults`` cascade, its ``infer`` and
 its ``sweep``.
+Every ``infer`` above runs at the default confidence threshold, so it
+scores each student in its loop. One more per precision, into
+``cap-only``, runs the ``defaults`` cascade with no threshold and a cap of
+all its students (``--conf-threshold none --max-students K``), the run that
+scores every confidence after its loop.
 Everything is written under OUT, which must be empty or absent. Then it
 prints one ``<sha256>  <path>`` line per artifact, the path relative to
 OUT, sorted by path; each checkpoint is two artifacts, its JSON manifest
@@ -147,6 +152,11 @@ def run_grid(out: Path, size: str, tmp: Path) -> None:
                 data / "features.csv", *run, "--out", dest)
             cli("sweep", "--data", data, "--cascade", dest / "cascade.json", "--reps", "1",
                 *run, "--out", dest)
+        cascade = base / "defaults" / "cascade.json"
+        k_total = json.loads(cascade.read_text())["config"]["n_students"]
+        cli("infer", "--cascade", cascade, "--features", data / "features.csv",
+            "--conf-threshold", "none", "--max-students", k_total, *run,
+            "--out", base / "cap-only")
 
 
 def run_datasets(out: Path, tiny: bool) -> None:

@@ -1,21 +1,24 @@
 """Confidence-gated anytime inference over a trained cascade.
 
 Students execute in order, threading hidden states. After each student the
-batch-mean confidence (average max softmax probability over the evaluation
-rows) is checked against the stopping rules; the final prediction is a
-confidence-weighted ensemble of exactly the executed students. Ensembling
-accumulates in float64 so the output rows are probability distributions to
-tight tolerance regardless of the cascade's working precision.
+stopping rules are checked; the final prediction is a confidence-weighted
+ensemble of exactly the executed students, each weighted by its batch-mean
+confidence (average max softmax probability over the evaluation rows).
+Only the threshold rule reads a confidence, so only a run with one scores
+each student in the loop; any other run scores all of its students after
+the loop, in a few batched calls. Ensembling accumulates in float64 so the
+output rows are probability distributions to tight tolerance regardless of
+the cascade's working precision.
 
 Scoring is class-major, for any class count of float32 or float64 logits:
 each student's logits are copied once, transposed, into a C x K x N stack,
-and every class max and class sum of the confidence and of the one softmax
-after the loop is a single numpy reduction over the leading axis, across
-all rows at once, where a row-major array costs a reduction per row or a
-call per class. The softmax and the class sum are numkit's
-(``softmax_classes``, ``class_sum``), the ones the training losses and the
-teacher's soft labels run on. Logits of any other dtype or rank are
-refused.
+and every class max and class sum of the confidences and of the one
+softmax after the loop is a single numpy reduction over the leading axis,
+across the rows of every student scored at once, where a row-major array
+costs a reduction per row or a call per class. The softmax and the class
+sum are numkit's (``softmax_classes``, ``class_sum``), the ones the
+training losses and the teacher's soft labels run on. Logits of any other
+dtype or rank are refused.
 
 ``ensemble`` keeps its loop over students. One vectorized float64 pass
 over the whole stack gives the same bits, and it is faster on a query of
@@ -37,6 +40,12 @@ from .cascade import Cascade, student_forward
 from .graphio import _write_csv
 from .numkit import check_index, check_logits, class_sum, softmax_classes
 from .params import write_json
+
+# float64 values of the evaluation rows' logits that one confidence call
+# after the loop scores: the students of a 128-row query in one call, each
+# full-graph student alone, since a larger block's float64 temporaries
+# leave the cache
+SCORE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,14 @@ class InferencePolicy:
                 f"wall_clock_budget {self.wall_clock_budget} must be finite and >= 0"
             )
 
-    def fired(self, conf: float, executed: int, spent: float) -> Optional[str]:
+    def fired(
+        self, conf: Optional[float], executed: int, spent: float
+    ) -> Optional[str]:
         """The first rule, in the order threshold, cap, budget, that stops a
         run after ``executed`` students, the last with batch confidence
-        ``conf``, have taken ``spent`` seconds; None if none does."""
+        ``conf``, have taken ``spent`` seconds; None if none does. Only the
+        threshold rule reads ``conf``: without one, ``run_anytime`` scores
+        no student in the loop and passes None."""
         if self.conf_threshold is not None and conf >= self.conf_threshold:
             return "threshold"
         if self.max_students is not None and executed >= self.max_students:
@@ -89,10 +102,15 @@ class InferencePolicy:
 class InferenceResult:
     """One ``run_anytime`` call.
 
-    ``elapsed[j]`` is student j's forward pass and batch confidence: the
-    loop's per-student work, which the budget rule sums. The one softmax
-    over the executed students' logits and the ensemble run once per call,
-    after the loop; ``scoring`` is their time, in no student's ``elapsed``.
+    ``elapsed[j]`` is student j's forward pass and batch confidence. With a
+    threshold rule the confidence is scored in the loop, right after the
+    forward pass, and timed with it. Otherwise the loop times the forward
+    passes alone, which is what a budget rule sums, and every confidence
+    is scored after the loop; each executed student's ``elapsed`` then gets
+    an equal share of that time. The one softmax over the executed
+    students' logits and the ensemble run once per call, after the loop
+    and the confidences; ``scoring`` is their time, in no student's
+    ``elapsed``.
     """
 
     prediction: np.ndarray  # M x C probabilities (float64)
@@ -130,49 +148,87 @@ def confidence(logits: np.ndarray, eval_idx) -> float:
     raise ValueError."""
     check_logits("confidence", logits)
     idx = check_index(eval_idx, logits.shape[0], "confidence", "evaluation")
-    return _LogitStack(1, logits.shape, logits.dtype, idx).push(logits)
+    scores = _LogitStack(1, logits.shape, logits.dtype, idx)
+    scores.push(logits)
+    return scores.confidences()[0]
 
 
-def _confidence_class_major(logits_t: np.ndarray, idx: Optional[np.ndarray]) -> float:
-    """``confidence`` of the C x N class-major logits ``logits_t`` over the
-    checked index array ``idx`` (None for every row in order), each step one
-    numpy call across the rows.
+def _confidences(cols: np.ndarray, m: int) -> list[float]:
+    """``confidence`` of each of m students whose class-major logits over
+    the evaluation rows are the C x (m * n) block ``cols``, one student's n
+    columns after another's. The class max, the float64 shift, the exp, the
+    class sum and the reciprocal are each one numpy call across the whole
+    block; then one reduction takes each student's mean over its own rows.
 
-    The class max is taken on the gathered columns in their own dtype (max
-    is exact) and the shift writes the one float64 copy, so the bits are
-    those of casting first."""
-    cols = logits_t if idx is None else logits_t.take(idx, axis=1)
+    The class max is taken in the logits' own dtype (max is exact) and the
+    shift writes the one float64 copy, so the bits are those of casting
+    first. Every step but the mean is elementwise or over the classes of
+    one row, and each student's mean sums its own contiguous run of
+    reciprocals, so a student's confidence has the same bits whatever block
+    it is scored in. One student's run is reduced as a 1-D array: the same
+    bits, and half a microsecond cheaper on a query, which a threshold rule
+    pays per student."""
     z = np.subtract(cols, cols.max(axis=0), dtype=np.float64)
     np.exp(z, out=z)
     r = class_sum(z)
     np.divide(1.0, r, out=r)
-    return float(np.add.reduce(r) / r.size)
+    n = r.size // m
+    if m == 1:
+        return [float(np.add.reduce(r) / n)]
+    return [s / n for s in np.add.reduce(r.reshape(m, n), 1).tolist()]
 
 
 class _LogitStack:
     """The logits of up to ``k_total`` students over the same N rows, and
-    their scoring: each student's batch confidence over the checked index
-    array ``idx`` as it is pushed, then one softmax over every student
-    pushed.
+    their scoring over the checked index array ``idx``: the batch confidence
+    of the student pushed last, or of every student pushed, then one softmax
+    over every student pushed.
 
     The stack is class-major, C x K x N: each student's logits are copied
-    in transposed, once, and scored by ``_confidence_class_major`` and
-    ``numkit.softmax_classes``."""
+    in transposed, once, and scored by ``_confidences`` and
+    ``numkit.softmax_classes`` on ``flat``, its C x (K * N) view, where the
+    rows of students j..k-1 are the columns j * N to k * N."""
 
     def __init__(self, k_total: int, shape: tuple[int, int], dtype, idx: np.ndarray):
         n, c = shape
         self.stack = np.empty((c, k_total, n), dtype)
+        self.flat = self.stack.reshape(c, k_total * n)
         self.size = 0
         self.idx = idx
         if idx.size == n and (idx == np.arange(n)).all():
             self.idx = None  # every row in order: no gather
 
-    def push(self, logits: np.ndarray) -> float:
-        """Store the next student's N x C logits; their batch confidence."""
-        k = self.size
+    def push(self, logits: np.ndarray) -> None:
+        """Store the next student's N x C logits."""
+        self.stack[:, self.size] = logits.T
         self.size += 1
-        self.stack[:, k] = logits.T
-        return _confidence_class_major(self.stack[:, k], self.idx)
+
+    def _scored(self, j: int, k: int) -> list[float]:
+        """The batch confidences of students j..k-1: one ``_confidences``
+        call on their columns of ``flat``, gathered with one ``take`` unless
+        the index set is every row in order."""
+        if self.idx is None:
+            n = self.stack.shape[2]
+            cols = self.flat[:, j * n : k * n]
+        else:
+            cols = self.stack[:, j:k].take(self.idx, axis=2).reshape(len(self.flat), -1)
+        return _confidences(cols, k - j)
+
+    def last_confidence(self) -> float:
+        """The batch confidence of the student pushed last."""
+        return self._scored(self.size - 1, self.size)[0]
+
+    def confidences(self) -> list[float]:
+        """The batch confidences of every student pushed, ``SCORE_BLOCK``
+        float64 values of the evaluation rows' logits at a time: the students
+        of a query in one call, each full-graph student alone."""
+        c, _, n = self.stack.shape
+        rows = n if self.idx is None else self.idx.size
+        step = max(1, SCORE_BLOCK // (c * rows))
+        confs: list[float] = []
+        for j in range(0, self.size, step):
+            confs += self._scored(j, min(j + step, self.size))
+        return confs
 
     def softmax(self) -> np.ndarray:
         """The k x N x C probabilities of the k students pushed: one
@@ -181,7 +237,7 @@ class _LogitStack:
         so it is the stack's last use."""
         c, _, n = self.stack.shape
         k = self.size
-        e = softmax_classes(self.stack[:, :k].reshape(c, k * n))
+        e = softmax_classes(self.flat[:, : k * n])
         return np.ascontiguousarray(e.reshape(c, k, n).transpose(1, 2, 0))
 
 
@@ -191,9 +247,10 @@ def score_logits(
     """Per-student probabilities (a k x N x C stack) and batch confidences
     of students whose logits over every row are already known, by the
     scoring of ``run_anytime``: from the logits a run computes they are the
-    same bits as its ``probs`` and ``confidences``. The index set is checked
-    once. Each student's logits must be a 2-D float32 or float64 array of
-    one shape."""
+    same bits as its ``probs`` and ``confidences``. The confidences are
+    scored in ``SCORE_BLOCK`` chunks, as a run without a threshold rule
+    scores them after its loop. The index set is checked once. Each
+    student's logits must be a 2-D float32 or float64 array of one shape."""
     if not logits:
         raise ValueError("score_logits: no students")
     for z in logits:
@@ -203,7 +260,9 @@ def score_logits(
         raise ValueError(f"score_logits: logits of shapes {[z.shape for z in logits]}")
     idx = check_index(eval_idx, shape[0], "score_logits", "evaluation")
     scores = _LogitStack(len(logits), shape, np.result_type(*logits), idx)
-    confidences = [scores.push(z) for z in logits]
+    for z in logits:
+        scores.push(z)
+    confidences = scores.confidences()
     return scores.softmax(), confidences
 
 
@@ -258,14 +317,16 @@ def run_anytime(
     output goes into the right-hand columns for the next. Its dtype is that
     of x combined with the weights. The cascade itself is never mutated.
 
-    Per student the loop runs the forward pass and the float64 batch
-    confidence, which is all the stopping rules read, and keeps the logits
-    in one class-major stack (see the module docstring). Logits other than
-    float32 or float64, from a cascade built by hand at another precision,
-    raise ValueError.
-    After the loop, one softmax over the executed students' stacked logits
-    gives every ``probs`` row and the ensemble combines them; neither is in
-    any student's ``elapsed``, both are in ``scoring``.
+    Per student the loop runs the forward pass and keeps the logits in one
+    class-major stack (see the module docstring); with a threshold rule it
+    also scores the student's float64 batch confidence, which that rule
+    reads. Logits other than float32 or float64, from a cascade built by
+    hand at another precision, raise ValueError.
+    Without a threshold rule every executed student is scored after the
+    loop, ``SCORE_BLOCK`` values at a time, and that time is shared equally
+    into their ``elapsed``. Then one softmax over the executed students'
+    stacked logits gives every ``probs`` row and the ensemble combines
+    them; neither is in any student's ``elapsed``, both are in ``scoring``.
     """
     if not c.students:
         raise ValueError("run_anytime: empty cascade")
@@ -278,8 +339,10 @@ def run_anytime(
     dtype = np.result_type(x.dtype, first.layers[0][0].dtype)
     inputs = np.zeros((x.shape[0], first.input_dim), dtype=dtype)
     inputs[:, :d] = x
+    gated = policy.conf_threshold is not None
     h = None
     scores = None
+    conf = None
     confs: list[float] = []
     elapsed: list[float] = []
     for params in c.students:
@@ -290,11 +353,19 @@ def run_anytime(
         if scores is None:
             check_logits("run_anytime", logits)
             scores = _LogitStack(c.n_students, logits.shape, logits.dtype, idx)
-        confs.append(scores.push(logits))
+        scores.push(logits)
+        if gated:
+            conf = scores.last_confidence()
+            confs.append(conf)
         elapsed.append(time.perf_counter() - t0)
-        stopped_by = policy.fired(confs[-1], len(confs), sum(elapsed))
+        stopped_by = policy.fired(conf, len(elapsed), sum(elapsed))
         if stopped_by is not None:
             break
+    if not gated:
+        t0 = time.perf_counter()
+        confs = scores.confidences()
+        share = (time.perf_counter() - t0) / len(elapsed)
+        elapsed = [t + share for t in elapsed]
     t0 = time.perf_counter()
     probs = scores.softmax()
     prediction, weights = ensemble(probs, confs)

@@ -51,9 +51,12 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
                 assert f"{precision}/{name}/{artifact}" in paths
         for artifact in teacher_files:
             assert f"{precision}/classes10/teacher/{artifact}" in paths
-    # per precision: 7 files of each dataset, 4 of each of the four teachers
-    # and 6 per cascade setting, classes10's defaults among them
-    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 6)
+        for artifact in ("predictions.csv", per_run[4]):
+            assert f"{precision}/cap-only/{artifact}" in paths
+    # per precision: 7 files of each dataset, 4 of each of the four teachers,
+    # 6 per cascade setting, classes10's defaults among them, and the
+    # cap-only infer's 2
+    assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 6 + 2)
     assert not any(p.endswith(("infer_meta.json", "tradeoff.csv")) for p in paths)
 
 

@@ -1,4 +1,6 @@
 import json
+import time
+import types
 
 import numpy as np
 import pytest
@@ -508,15 +510,17 @@ class TestBitIdenticalToReference:
 
 
 class TestStackedScoring:
-    """A call scores its students once, class-major at every class count: a
-    confidence per executed student in the loop, on a C x N array, then one
-    softmax over the stacked logits of all of them, on a C x k x N one."""
+    """A call scores its students once, class-major at every class count:
+    their confidences on C x (m * n) blocks of m students' n evaluation
+    rows, one student at a time in the loop when a threshold rule reads
+    them and in chunks after the loop otherwise, then one softmax over the
+    stacked logits of all of them, on a C x (k * N) block."""
 
     # each scoring kernel and the module it is looked up in
     KERNELS = {
         "softmax_rows": nk,
         "softmax_classes": inf,
-        "_confidence_class_major": inf,
+        "_confidences": inf,
     }
 
     @classmethod
@@ -540,19 +544,24 @@ class TestStackedScoring:
         rng = np.random.default_rng(cap + c)
         casc = build_cascade(rng, 5, c=c)
         x = rng.standard_normal((12, 4))
+        gated = inf.InferencePolicy(conf_threshold=1.0, max_students=cap)
         for policy in (inf.InferencePolicy(max_students=cap),
-                       inf.InferencePolicy(conf_threshold=0.0, max_students=cap)):
+                       inf.InferencePolicy(wall_clock_budget=3600.0, max_students=cap),
+                       gated):
             calls = self.count_calls(monkeypatch)
             r = inf.run_anytime(casc, x, policy, np.arange(0, 12, 2))
-            k = r.executed
-            # a class-major confidence per student and the probabilities of
-            # all of them; the ensemble's weights need no row softmax
+            assert r.executed == cap
+            # a threshold rule reads a confidence per student in the loop;
+            # otherwise the few students of a small batch are one chunk
+            # after it. Then the probabilities of all of them: the
+            # ensemble's weights need no row softmax.
+            confidences = [(c, 6)] * cap if policy is gated else [(c, cap * 6)]
             assert calls == {
                 "softmax_rows": [],
-                "softmax_classes": [(c, k * 12)],
-                "_confidence_class_major": [(c, 12)] * k,
+                "softmax_classes": [(c, cap * 12)],
+                "_confidences": confidences,
             }
-            assert r.probs.shape == (k, 12, c)
+            assert r.probs.shape == (cap, 12, c)
 
     @pytest.mark.parametrize("c", [2, 7, 8, 12, 47])
     def test_one_softmax_per_score_logits_call(self, monkeypatch, c):
@@ -563,9 +572,30 @@ class TestStackedScoring:
         assert calls == {
             "softmax_rows": [],
             "softmax_classes": [(c, 4 * 9)],
-            "_confidence_class_major": [(c, 9)] * 4,
+            "_confidences": [(c, 4 * 3)],
         }
         assert probs.shape == (4, 9, c) and len(confs) == 4
+
+    @pytest.mark.parametrize("rows, chunks", [(3, [5]), (6, [3, 2]), (13, [1] * 5)])
+    def test_confidences_after_the_loop_come_in_chunks(self, monkeypatch, rows, chunks):
+        """SCORE_BLOCK float64 values of the evaluation rows' logits per call,
+        at least one student: 108 values are 6, 3 and 1 students of 3, 6
+        and 13 rows of 6 classes. The chunks keep the bits of one student
+        per call."""
+        c = 6
+        rng = np.random.default_rng(rows)
+        casc = build_cascade(rng, 5, c=c)
+        x = rng.standard_normal((20, 4))
+        idx = rng.integers(0, 20, size=rows)
+        logits = [rng.standard_normal((20, c)) for _ in range(5)]
+        want = inf.run_anytime(casc, x, inf.InferencePolicy(conf_threshold=1.0), idx)
+        monkeypatch.setattr(inf, "SCORE_BLOCK", 108)
+        calls = self.count_calls(monkeypatch)
+        got = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=5), idx)
+        scored = inf.score_logits(logits, idx)[1]
+        assert calls["_confidences"] == [(c, m * rows) for m in chunks] * 2
+        assert got.confidences == want.confidences
+        assert scored == [inf.confidence(z, idx) for z in logits]
 
     @pytest.mark.parametrize(
         "x_dtype, casc_dtype",
@@ -611,6 +641,192 @@ class TestStackedScoring:
             assert got.probs.dtype == want_probs[0].dtype, label
             for mine, theirs in zip(got.probs, want_probs, strict=True):
                 assert np.array_equal(mine, theirs), label
+
+
+def frozen_confidence_per_student(logits_t, idx):
+    """The confidence kernel before the block kernel: one student's C x N
+    class-major logits over the index array ``idx`` (None for every row in
+    order)."""
+    cols = logits_t if idx is None else logits_t.take(idx, axis=1)
+    z = np.subtract(cols, cols.max(axis=0), dtype=np.float64)
+    np.exp(z, out=z)
+    r = nk.class_sum(z)
+    np.divide(1.0, r, out=r)
+    return float(np.add.reduce(r) / r.size)
+
+
+def frozen_run_anytime(c, x, policy, idx):
+    """run_anytime before the lazy scoring: every student's confidence by
+    the per-student kernel in the loop, whatever the policy. Returns the
+    prediction, weights, probs, confidences, executed count and rule."""
+    n, d = x.shape
+    dtype = np.result_type(x.dtype, c.students[0].layers[0][0].dtype)
+    inputs = np.zeros((n, c.students[0].input_dim), dtype=dtype)
+    inputs[:, :d] = x
+    gather = None if np.array_equal(idx, np.arange(n)) else idx
+    stack, h, confs, spent, stopped_by = None, None, [], 0.0, None
+    for k, params in enumerate(c.students):
+        t0 = time.perf_counter()
+        if h is not None:
+            inputs[:, d:] = h
+        h, logits = cas.student_forward(params, inputs)
+        if stack is None:
+            stack = np.empty((logits.shape[1], c.n_students, n), logits.dtype)
+        stack[:, k] = logits.T
+        confs.append(frozen_confidence_per_student(stack[:, k], gather))
+        spent += time.perf_counter() - t0
+        stopped_by = policy.fired(confs[-1], k + 1, spent)
+        if stopped_by is not None:
+            break
+    k = len(confs)
+    e = nk.softmax_classes(stack[:, :k].reshape(stack.shape[0], k * n))
+    probs = np.ascontiguousarray(e.reshape(-1, k, n).transpose(1, 2, 0))
+    prediction, weights = inf.ensemble(probs, confs)
+    return prediction, weights, probs, confs, k, stopped_by or "exhausted"
+
+
+class TestLazyScoringKeepsTheBits:
+    """Confidences scored in chunks after the loop, or one student at a time
+    in it, are the bits of the per-student kernel they replaced, and so is
+    everything computed from them."""
+
+    @staticmethod
+    def policies(confs):
+        """Cap, budget and threshold policies, the threshold ones at the
+        median confidence of a full run, so that they stop partway."""
+        thr = float(np.median(confs))
+        return {
+            "cap": inf.InferencePolicy(max_students=3),
+            "budget-all": inf.InferencePolicy(wall_clock_budget=3600.0),
+            "budget-one": inf.InferencePolicy(wall_clock_budget=0.0),
+            "threshold": inf.InferencePolicy(conf_threshold=thr),
+            "threshold-cap": inf.InferencePolicy(conf_threshold=thr, max_students=2),
+        }
+
+    def check(self, casc, x, idx):
+        full = inf.run_anytime(casc, x, inf.InferencePolicy(max_students=casc.n_students), idx)
+        for label, policy in self.policies(full.confidences).items():
+            pred, weights, probs, confs, executed, stopped_by = frozen_run_anytime(
+                casc, x, policy, idx
+            )
+            got = inf.run_anytime(casc, x, policy, idx)
+            assert got.confidences == confs, label
+            assert got.weights == [float(w) for w in weights], label
+            assert np.array_equal(got.probs, probs), label
+            assert np.array_equal(got.prediction, pred), label
+            assert (got.executed, got.stopped_by) == (executed, stopped_by), label
+
+    @pytest.mark.parametrize("c", [2, 7, 8, 47])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index", ["every", "strided", "repeated"])
+    def test_small_batches(self, c, dtype, index):
+        rng = np.random.default_rng(c)
+        casc = build_cascade(rng, 5, d=6, hidden=8, c=c, dtype=dtype)
+        for s in casc.students:
+            s.layers[-1][0][...] *= 4
+        n = 40
+        x = rng.standard_normal((n, 6)).astype(dtype)
+        idx = {
+            "every": np.arange(n),
+            "strided": np.arange(1, n, 3),
+            "repeated": rng.integers(0, n, size=n + 7),
+        }[index]
+        self.check(casc, x, idx)
+
+    @pytest.mark.parametrize("index", ["every", "repeated"])
+    def test_students_spanning_chunks(self, index):
+        """8 classes of 6000 rows: 2 students per call, so 5 students take
+        three calls after the loop."""
+        c, n = 8, 6000
+        assert inf.SCORE_BLOCK // (c * n) == 2
+        rng = np.random.default_rng(5)
+        casc = build_cascade(rng, 5, d=6, hidden=8, c=c, dtype=np.float32)
+        x = rng.standard_normal((n, 6)).astype(np.float32)
+        idx = np.arange(n) if index == "every" else rng.integers(0, n, size=n)
+        self.check(casc, x, idx)
+
+
+class TestConfidenceReaders:
+    """Only the threshold rule reads a confidence."""
+
+    def test_cap_and_budget_rules_take_none(self):
+        cap = inf.InferencePolicy(max_students=2)
+        budget = inf.InferencePolicy(wall_clock_budget=0.5)
+        assert cap.fired(None, 1, 9.0) is None
+        assert cap.fired(None, 2, 0.0) == "cap"
+        assert budget.fired(None, 3, 0.25) is None
+        assert budget.fired(None, 1, 0.5) == "budget"
+        assert inf.InferencePolicy(max_students=2, wall_clock_budget=0.5).fired(
+            None, 1, 0.5
+        ) == "budget"
+
+    def test_threshold_rules_are_handed_every_confidence(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        casc = build_cascade(rng, 4)
+        x = rng.standard_normal((10, 4))
+        handed = []
+        fired = inf.InferencePolicy.fired
+
+        def recorded(self, conf, executed, spent):
+            handed.append(conf)
+            return fired(self, conf, executed, spent)
+
+        monkeypatch.setattr(inf.InferencePolicy, "fired", recorded)
+        for policy in (
+            inf.InferencePolicy(conf_threshold=1.0),
+            inf.InferencePolicy(conf_threshold=1.0, max_students=3),
+            inf.InferencePolicy(conf_threshold=1.0, wall_clock_budget=3600.0),
+            inf.InferencePolicy(max_students=3),
+            inf.InferencePolicy(wall_clock_budget=3600.0),
+        ):
+            handed.clear()
+            r = inf.run_anytime(casc, x, policy, np.arange(10))
+            if policy.conf_threshold is None:
+                assert handed == [None] * r.executed
+            else:
+                assert handed == r.confidences
+                assert all(type(conf) is float for conf in handed)
+
+
+class TestElapsed:
+    """``elapsed[j]`` is student j's forward pass plus its confidence, on a
+    clock that advances 1 s per forward pass and 0.5 s per confidence call."""
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        now = [0.0]
+        forward, confidences = inf.student_forward, inf._confidences
+
+        def slow_forward(*args):
+            now[0] += 1.0
+            return forward(*args)
+
+        def slow_confidences(*args):
+            now[0] += 0.5
+            return confidences(*args)
+
+        monkeypatch.setattr(inf, "student_forward", slow_forward)
+        monkeypatch.setattr(inf, "_confidences", slow_confidences)
+        monkeypatch.setattr(inf, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def run(self, policy):
+        rng = np.random.default_rng(6)
+        casc = build_cascade(rng, 4)
+        return inf.run_anytime(casc, rng.standard_normal((8, 4)), policy, np.arange(8))
+
+    def test_a_threshold_run_times_each_confidence_in_the_loop(self, clock):
+        r = self.run(inf.InferencePolicy(conf_threshold=1.0))
+        assert r.elapsed == [1.5] * 4 and r.scoring == 0.0
+
+    def test_a_capped_run_shares_the_batched_confidences(self, clock):
+        r = self.run(inf.InferencePolicy(max_students=2))
+        assert r.elapsed == [1.25, 1.25] and r.scoring == 0.0
+
+    def test_a_budget_only_run_counts_forward_passes(self, clock):
+        # 1.5 s: two forward passes, but one forward pass and confidence
+        assert self.run(inf.InferencePolicy(wall_clock_budget=1.5)).elapsed == [1.25, 1.25]
+        gated = self.run(inf.InferencePolicy(conf_threshold=1.0, wall_clock_budget=1.5))
+        assert gated.elapsed == [1.5]
 
 
 class TestEvaluationIndexRange:
