@@ -231,10 +231,13 @@ def init_student(
     return init_layers(dims, rng, dtype)
 
 
-def _dropper(dropout: float, rng: np.random.Generator | None):
+def _dropper(dropout: float, rng: np.random.Generator | None, where: str):
     """Drops each hidden activation in place, its mask drawn from ``rng``
-    (``dropout_in_place``); None without dropout."""
+    (``dropout_in_place``); None without dropout. ValueError naming the
+    caller ``where`` when there is dropout but no ``rng``."""
     if dropout > 0.0:
+        if rng is None:
+            raise ValueError(f"{where}: dropout {dropout} needs an rng, got None")
         return lambda a: dropout_in_place(rng, a, dropout)
     return None
 
@@ -364,10 +367,11 @@ def mixup_loss(
     ``mixup_examples``. Gradients w.r.t. the parameters of layers 2..L and,
     as ``"mixed"``, w.r.t. ``mixed``, which ``total_loss_gradpair`` carries
     back to ``w1`` and ``b1``; dropout masks are drawn from ``rng`` when
-    ``dropout > 0``."""
+    ``dropout > 0``, which then needs one (ValueError naming the function
+    otherwise)."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    logits, caches = forward_cache(p, None, _dropper(dropout, rng), projection=mixed)
+    logits, caches = forward_cache(p, None, _dropper(dropout, rng, "mixup_loss"), projection=mixed)
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
@@ -407,14 +411,16 @@ def total_loss_gradpair(
     ``sample_mixup_pairs`` do.
 
     With ``dropout > 0`` the training forward draws its masks from ``rng``
-    first, then the mixup forward. A pure function of the parameters once
+    first, then the mixup forward; ValueError naming the function when
+    there is no ``rng``. A pure function of the parameters once
     pairs, lam and the rng's seed are fixed, which is exactly what the
     finite-difference checker needs.
     """
     labeled = np.asarray(labeled)
     if projection is None:
         projection = inputs @ p.layers[0][0]
-    logits, caches = forward_cache(p, inputs, _dropper(dropout, rng), projection=projection)
+    drop = _dropper(dropout, rng, "total_loss_gradpair")
+    logits, caches = forward_cache(p, inputs, drop, projection=projection)
     distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
     grads, d_first = backward_to_first(p, caches, distill.grads["logits"])
     mixed, mixed_labels = mixup_examples(projection, y, pairs, lam)

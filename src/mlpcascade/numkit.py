@@ -31,7 +31,11 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-# Type alias for the sparse matrix representation used throughout.
+# Type alias for the sparse matrix representation used throughout: Â is
+# held as CSR. The teacher's products over all N rows take its transpose
+# view ``Â.T``, a CSC matrix over the same three arrays, which ``spmm``
+# multiplies by scipy's column kernel; for an Â symmetric bit for bit with
+# sorted rows that is the row kernel's product, bit for bit (see ``teacher``).
 SparseMatrix = sparse.csr_array
 
 DEFAULT_DTYPE = np.float32

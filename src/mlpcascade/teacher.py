@@ -7,6 +7,19 @@ than the hidden layer, the first layer aggregates them before projecting,
 which is the same product in another order. Gradients are hand-derived;
 training runs the shared ``optim.fit`` loop (AdamW with early stopping on
 validation accuracy) and exports soft labels from the best epoch.
+
+Every product with Â over all N rows takes ``norm_adj.T``, the CSC view of
+Â's own three arrays (no copy), built once per call of ``gcn_forward``,
+``teacher_ce_gradpair`` and ``train_teacher``. On a graph of high degree
+scipy's column kernel runs these products faster than its row kernel on
+the same arrays (README, "Operation order"). It adds each output row's
+terms in ascending column order, where the row kernel adds them in stored
+order; so the view gives the bits of ``spmm(norm_adj, m)`` whenever Â's entries are
+symmetric bit for bit and each row's columns are sorted, as in every Â that
+``graphio.normalized_adjacency`` or ``graphio.normalize_adjacency`` builds
+from a 0/1 graph (entries ``d_i^-1/2 · d_j^-1/2``). For a hand-built Â whose
+entries are not symmetric to the bit, the products are those of Âᵀ. The
+row aggregations ``Â[R]`` keep the row kernel.
 """
 
 from __future__ import annotations
@@ -108,13 +121,21 @@ def _aggregates_first(p: LayerStack) -> bool:
     return p.input_dim <= p.hidden_dim
 
 
-def _aggregates(norm_adj: SparseMatrix, p: LayerStack) -> list:
-    """Each layer's aggregation after its projection: the symmetric Â, so
-    each is also its own transpose, and none for a first layer whose input
-    is aggregated already (``_aggregates_first``)."""
+def _check_square(norm_adj: SparseMatrix, where: str) -> None:
+    """ValueError naming ``where`` unless Â is square: through its view
+    ``norm_adj.T`` a non-square Â would give products of the wrong height."""
+    if norm_adj.shape[0] != norm_adj.shape[1]:
+        raise ValueError(f"{where}: adjacency must be square, got {norm_adj.shape}")
+
+
+def _aggregates(adj_t: SparseMatrix, p: LayerStack) -> list:
+    """Each layer's aggregation after its projection, by ``adj_t``, the
+    column view ``norm_adj.T`` of the symmetric Â (see the module
+    docstring), so each is also its own transpose, and none for a first
+    layer whose input is aggregated already (``_aggregates_first``)."""
 
     def aggregate(m):
-        return spmm(norm_adj, m)
+        return spmm(adj_t, m)
 
     full = Aggregation(aggregate, aggregate)
     return [None if _aggregates_first(p) else full] + [full] * (p.n_layers - 1)
@@ -126,24 +147,28 @@ def _rows_aggregation(adj_rows: SparseMatrix) -> Aggregation:
     return Aggregation(lambda m: spmm(adj_rows, m), lambda d: spmm(adj_rows.T, d))
 
 
-def _first_input(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
-    """The first layer's input: ``Â x`` when it aggregates first, else ``x``."""
-    return spmm(norm_adj, x) if _aggregates_first(p) else x
+def _first_input(adj_t: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
+    """The first layer's input: ``Â x`` when it aggregates first, else ``x``;
+    ``adj_t`` is the view ``norm_adj.T``."""
+    return spmm(adj_t, x) if _aggregates_first(p) else x
 
 
-def _eval_projection(norm_adj: SparseMatrix, x_in: np.ndarray, p: LayerStack) -> np.ndarray:
+def _eval_projection(adj_t: SparseMatrix, x_in: np.ndarray, p: LayerStack) -> np.ndarray:
     """Eval-mode hidden layers over every row from the first layer's input
     ``x_in`` (``_first_input``), then the last layer's projection
     ``H @ W_last``, left unaggregated: the logits of any set of rows R are
     ``spmm(norm_adj[R], hw) + b_last``, the same bits as the full-graph
-    logits' rows R, since a row slice keeps each row's entry order."""
-    return eval_hidden(p, x_in, _aggregates(norm_adj, p)) @ p.layers[-1][0]
+    logits' rows R, since a row slice keeps each row's entry order and the
+    view ``adj_t`` adds a row's terms in that order too."""
+    return eval_hidden(p, x_in, _aggregates(adj_t, p)) @ p.layers[-1][0]
 
 
 def gcn_forward(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndarray:
     """Eval-mode teacher logits: A_hat . relu(A_hat . x . w1 + b1) . w2 + b2,
     the same operations as the validation forward of ``train_teacher``; the
-    first product is taken as (A_hat . x) . w1 when ``_aggregates_first``."""
+    first product is taken as (A_hat . x) . w1 when ``_aggregates_first``.
+    Every product takes one view ``norm_adj.T`` (see the module docstring)."""
+    _check_square(norm_adj, "gcn_forward")
     if x.shape[0] != norm_adj.shape[0]:
         raise ValueError(
             f"features rows {x.shape[0]} != adjacency size {norm_adj.shape[0]}"
@@ -152,8 +177,9 @@ def gcn_forward(norm_adj: SparseMatrix, x: np.ndarray, p: LayerStack) -> np.ndar
         raise ValueError(
             f"feature width {x.shape[1]} != first-layer fan-in {p.layers[0][0].shape[0]}"
         )
-    hw = _eval_projection(norm_adj, _first_input(norm_adj, x, p), p)
-    return spmm(norm_adj, hw) + p.layers[-1][1]
+    adj_t = norm_adj.T
+    hw = _eval_projection(adj_t, _first_input(adj_t, x, p), p)
+    return spmm(adj_t, hw) + p.layers[-1][1]
 
 
 def teacher_ce_gradpair(
@@ -174,7 +200,9 @@ def teacher_ce_gradpair(
     first layer that aggregates first takes ``Â (mask * x)``. Without
     dropout it takes ``x_in``, the first layer's input of ``x``
     (``_first_input``), when the caller holds it, so a run aggregates its
-    fixed features once.
+    fixed features once. The products over every row take one view
+    ``norm_adj.T`` (see the module docstring). ValueError naming the
+    function when Â is not square, or when ``dropout > 0`` has no ``rng``.
 
     The cross entropy reads only the rows in ``mask``, so the last layer
     aggregates only those rows, ``Â[R]`` with R the distinct mask rows in
@@ -186,15 +214,19 @@ def teacher_ce_gradpair(
     leaves a sum unchanged), and ``Â[R]^T`` adds each row's terms in
     ascending order as Â's rows do. A repeated mask row counts once per
     mention in both."""
+    _check_square(norm_adj, "teacher_ce_gradpair")
+    if dropout > 0.0 and rng is None:
+        raise ValueError(f"teacher_ce_gradpair: dropout {dropout} needs an rng, got None")
     idx = check_index(mask, norm_adj.shape[0], "teacher_ce_gradpair", "mask")
     rows, at = np.unique(idx, return_inverse=True)
+    adj_t = norm_adj.T
     drop = (lambda a: dropout_in_place(rng, a, dropout)) if dropout > 0.0 else None
     if drop is not None:
         # no gradient flows to x: its mask is applied as it is drawn
-        x_in = _first_input(norm_adj, apply_dropout(rng, x, dropout), p)
+        x_in = _first_input(adj_t, apply_dropout(rng, x, dropout), p)
     elif x_in is None:
-        x_in = _first_input(norm_adj, x, p)
-    aggregates = _aggregates(norm_adj, p)[:-1] + [_rows_aggregation(norm_adj[rows])]
+        x_in = _first_input(adj_t, x, p)
+    aggregates = _aggregates(adj_t, p)[:-1] + [_rows_aggregation(norm_adj[rows])]
     logits, caches = forward_cache(p, x_in, drop, aggregates)  # rows R only
     ce = masked_cross_entropy(logits, labels[rows], at)
     ce.grads = backward(p, caches, ce.grads["logits"], aggregates)
@@ -222,7 +254,8 @@ def train_teacher(
     only. The best epoch's unaggregated last layer is kept,
     so the soft labels cost one aggregation, not a fresh forward; they and
     the returned ``logits`` are the same bits as ``gcn_forward`` of the best
-    parameters.
+    parameters. The products over every row outside the training steps
+    take one view ``norm_adj.T`` (see the module docstring).
     """
     if nodes.splits.labeled.size == 0 or nodes.splits.validation.size == 0:
         raise ValueError("training needs non-empty labeled and validation splits")
@@ -234,7 +267,8 @@ def train_teacher(
     params = init_teacher(
         nodes.feat_dim, cfg.hidden_dim, nodes.n_classes, cfg.depth, rng, nodes.features.dtype
     )
-    x_in = _first_input(norm_adj, nodes.features, params)
+    adj_t = norm_adj.T
+    x_in = _first_input(adj_t, nodes.features, params)
     adj_val = norm_adj[nodes.splits.validation]
     val_truth = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
 
@@ -248,11 +282,11 @@ def train_teacher(
         return ce.value, ce.grads
 
     def validate():
-        hw = _eval_projection(norm_adj, x_in, params)
+        hw = _eval_projection(adj_t, x_in, params)
         return accuracy(spmm(adj_val, hw) + params.layers[-1][1], val_truth), hw
 
     params, hw, record = fit(params, cfg, step, validate)
-    logits = spmm(norm_adj, hw) + params.layers[-1][1]
+    logits = spmm(adj_t, hw) + params.layers[-1][1]
     return TeacherArtifact(params, softmax_rows(logits), record, logits)
 
 

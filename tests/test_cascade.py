@@ -282,6 +282,11 @@ class TestPmaLoss:
         with pytest.raises(ValueError, match="labeled_count"):
             cas.mixup_loss(p, np.ones((1, 4)), np.array([[1.0, 0.0]]), 0)
 
+    def test_dropout_without_rng_rejected(self):
+        p = random_student(np.random.default_rng(0), 2, 2, 2)
+        with pytest.raises(ValueError, match=r"^mixup_loss: dropout 0\.5 needs an rng, got None$"):
+            cas.mixup_loss(p, np.ones((1, 2)), np.array([[1.0, 0.0]]), 1, 0.5, None)
+
 
 class TestMixupState:
     """``MixupConfig.update``: the moving average, then the clamped drift."""
@@ -718,6 +723,20 @@ class TestFullLossGradients:
         # the mixed examples enter as blends of the first layer's projections
         mixed, mixed_labels = cas.mixup_examples(inputs @ p.layers[0][0], y, pairs, 0.3)
         assert mix == cas.mixup_loss(p, mixed, mixed_labels, labeled.size).value
+
+    def test_dropout_without_rng_rejected(self):
+        rng = np.random.default_rng(3)
+        n, d, hidden, c = 12, 5, 4, 3
+        inputs = rng.standard_normal((n, d + hidden))
+        targets = soft_targets(make_soft_labels(rng, n, c))
+        y = np.eye(c)[rng.integers(0, c, n)].astype(float)
+        labeled = np.arange(0, n, 2)
+        pairs = cas.sample_mixup_pairs(labeled, seed=1)
+        p = random_student(rng, d, hidden, c)
+        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        message = r"^total_loss_gradpair: dropout 0\.5 needs an rng, got None$"
+        with pytest.raises(ValueError, match=message):
+            cas.total_loss_gradpair(p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, 0.5, None)
 
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

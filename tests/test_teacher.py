@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 import mlpcascade.graphio as gio
@@ -15,6 +18,7 @@ from mlpcascade.numkit import (
     finite_diff_check,
     masked_cross_entropy,
     softmax_rows,
+    spmm,
 )
 from mlpcascade.optim import TrainingDivergedError, TrainRecord
 from mlpcascade.params import LayerStack, backward, forward_cache
@@ -259,6 +263,162 @@ class TestLabeledRowsOnly:
         assert str(err.value) == f"teacher_ce_gradpair: {message}"
 
 
+def record_spmm(monkeypatch):
+    """Patch ``teacher.spmm`` to record its sparse operands; returns the
+    list they are appended to, in call order."""
+    operands = []
+    original = t.spmm
+
+    def recorded(s, d):
+        operands.append(s)
+        return original(s, d)
+
+    monkeypatch.setattr(t, "spmm", recorded)
+    return operands
+
+
+def links_graph(links: np.ndarray, dtype):
+    """The graph whose edges are the pairs i < j with ``links[i, j]``."""
+    return graph_of(np.argwhere(np.triu(links, 1)), links.shape[0], dtype)
+
+
+class TestColumnView:
+    """The teacher multiplies by Â through its CSC view ``Â.T``, scipy's
+    column kernel. For the Â of a 0/1 graph, symmetric bit for bit with
+    sorted rows, that must be the row kernel's product on Â, bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 4, 7, 64, 130])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        links=st.integers(1, 40).flatmap(lambda n: hnp.arrays(np.bool_, (n, n))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(links=np.zeros((1, 1), dtype=bool), seed=0)  # n = 1
+    @example(links=np.zeros((7, 7), dtype=bool), seed=1)  # edgeless
+    @example(links=np.eye(9, k=1, dtype=bool) | np.eye(9, k=3, dtype=bool), seed=2)
+    # a 6-clique and three isolated nodes
+    @example(links=np.triu(np.ones((9, 9), dtype=bool), 1) & (np.arange(9) < 6), seed=3)
+    def test_view_product_has_the_row_kernel_bits(self, links, seed, dtype, width):
+        g = links_graph(links, dtype)
+        m = np.random.default_rng(seed).standard_normal((g.n_nodes, width)).astype(dtype)
+        for adj in (gio.normalized_adjacency(g), gio.normalize_adjacency(g.adjacency)):
+            view = adj.T
+            assert view.format == "csc" and np.shares_memory(view.data, adj.data)
+            got, want = spmm(view, m), spmm(adj, m)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
+class TestFullGraphRoute:
+    """Every product with Â over all N rows goes through ``teacher.spmm``,
+    where perfbench times it, and takes the view ``norm_adj.T`` of the
+    current call: a CSC matrix over Â's own arrays, one per call. The row
+    aggregations take the row slices ``Â[R]`` and their transposes."""
+
+    @staticmethod
+    def check_views(operands, adj) -> int:
+        """Check the N x N operands; returns how many distinct ones there are."""
+        n = adj.shape[0]
+        full = [s for s in operands if s.shape == (n, n)]
+        for s in full:
+            assert s.format == "csc"
+            assert np.shares_memory(s.data, adj.data)
+            assert np.shares_memory(s.indices, adj.indices)
+            assert np.shares_memory(s.indptr, adj.indptr)
+        for s in operands:
+            if s.shape != (n, n):
+                assert not np.shares_memory(s.data, adj.data)
+        return len({id(s) for s in full})
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("feat", [12, 8])  # project first, aggregate first
+    def test_gcn_forward(self, monkeypatch, feat, depth):
+        g, adj, params = teacher_case(feat, depth, np.float32)
+        operands = record_spmm(monkeypatch)
+        t.gcn_forward(adj, g.features, params)
+        assert len(operands) == depth
+        assert all(s.shape == adj.shape for s in operands)
+        assert self.check_views(operands, adj) == 1
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("feat, dropout", [(16, 0.5), (8, 0.0)])
+    def test_train_teacher(self, monkeypatch, feat, dropout, depth):
+        # the two settings of tests/test_call_sites.py: project first with
+        # dropout, aggregate first without
+        g = gio.synth_sbm(150, 3, feat, 0.15, 0.05, 3.0, seed=2)
+        adj = gio.normalized_adjacency(g)
+        operands = record_spmm(monkeypatch)
+        # one list for train_teacher's own products, one per training step
+        groups = [operands]
+        step = t.teacher_ce_gradpair
+
+        def grouped(*args, **kwargs):
+            groups.append([])
+            start = len(operands)
+            try:
+                return step(*args, **kwargs)
+            finally:
+                groups[-1].extend(operands[start:])
+                del operands[start:]
+
+        monkeypatch.setattr(t, "teacher_ce_gradpair", grouped)
+        epochs = 5
+        cfg = t.TeacherConfig(
+            hidden_dim=8, dropout=dropout, max_epochs=epochs, patience=epochs - 1,
+            depth=depth, seed=3,
+        )
+        assert t.train_teacher(g, adj, cfg).train_meta.epochs == epochs
+        calls = sum(len(group) for group in groups)
+        if dropout:
+            assert calls == epochs * 3 * depth + 1
+        else:
+            assert calls == 1 + epochs * (3 * depth - 3) + 1
+        assert len(groups) == epochs + 1
+        assert all(self.check_views(group, adj) <= 1 for group in groups)
+
+
+class TestBoundaryChecks:
+    """Errors raised before any product, naming the function."""
+
+    @staticmethod
+    def non_square(g):
+        adj = gio.normalized_adjacency(g)
+        n = g.n_nodes
+        return sparse.csr_array((adj.data, adj.indices, adj.indptr), shape=(n, n + 1))
+
+    def test_gcn_forward_refuses_a_non_square_adjacency(self, monkeypatch, small_graph64):
+        params = random_teacher(np.random.default_rng(0), 8, 4, 3)
+        operands = record_spmm(monkeypatch)
+        message = r"^gcn_forward: adjacency must be square, got \(60, 61\)$"
+        with pytest.raises(ValueError, match=message):
+            t.gcn_forward(self.non_square(small_graph64), small_graph64.features, params)
+        assert operands == []
+
+    def test_gradpair_refuses_a_non_square_adjacency(self, monkeypatch, small_graph64):
+        g = small_graph64
+        params = random_teacher(np.random.default_rng(0), 8, 4, 3)
+        operands = record_spmm(monkeypatch)
+        message = r"^teacher_ce_gradpair: adjacency must be square, got \(60, 61\)$"
+        with pytest.raises(ValueError, match=message):
+            t.teacher_ce_gradpair(
+                self.non_square(g), g.features, params, g.labels, g.splits.labeled
+            )
+        assert operands == []
+
+    def test_gradpair_refuses_dropout_without_rng(self, monkeypatch, small_graph64):
+        g = small_graph64
+        params = random_teacher(np.random.default_rng(0), 8, 4, 3)
+        operands = record_spmm(monkeypatch)
+        message = r"^teacher_ce_gradpair: dropout 0\.5 needs an rng, got None$"
+        with pytest.raises(ValueError, match=message):
+            t.teacher_ce_gradpair(
+                gio.normalized_adjacency(g), g.features, params, g.labels,
+                g.splits.labeled, dropout=0.5, rng=None,
+            )
+        assert operands == []
+
+
 class TestStepMemory:
     """A training step keeps no dropout mask, only each hidden layer's keep
     scale, and drops each hidden activation in place, so no masked copy sits
@@ -272,8 +432,8 @@ class TestStepMemory:
         g, adj, params = teacher_case(8, depth, np.float64)
         rng = np.random.default_rng(3)
         drop = (lambda a: dropout_in_place(rng, a, dropout)) if dropout else None
-        aggregates = t._aggregates(adj, params) if graph else None
-        x_in = t._first_input(adj, g.features, params) if graph else g.features
+        aggregates = t._aggregates(adj.T, params) if graph else None
+        x_in = t._first_input(adj.T, g.features, params) if graph else g.features
         logits, caches = forward_cache(params, x_in, drop, aggregates)
         # each later layer's input is the activation below it, dropped in
         # place; a cache holds the keep scale, not a mask
