@@ -23,8 +23,9 @@ open ``edges.csv``. ``load_dataset`` reads the same node tables through
 Edges are undirected: input pairs are symmetrized and deduplicated, and
 self-loops are stripped on load (normalization re-adds them). A ``Graph``
 stores the result as its one form of the graph: the canonical edge list,
-the sorted ``i < j`` pairs. Its ``adjacency`` is derived from that list on
-access, and the teacher's normalized adjacency is built from it directly.
+the sorted ``i < j`` pairs, as int32 node ids (``index_dtype``). Its
+``adjacency`` is derived from that list on access, and the teacher's
+normalized adjacency is built from it directly.
 
 Blank and whitespace-only lines are skipped; ``#`` is data, not a comment.
 Features must be finite at the working dtype. A malformed file raises
@@ -130,16 +131,20 @@ class Graph(NodeTables):
     list can never land in another field by position.
 
     ``edges`` is the graph's one stored form: its canonical undirected edge
-    list, the int64 pairs ``(i, j)`` with ``i < j``, sorted by ``(i, j)``,
-    without repeats. Construction canonicalizes any ``(M, 2)`` integer list
+    list, the pairs ``(i, j)`` with ``i < j``, sorted by ``(i, j)``, without
+    repeats, as int32 node ids, the width ``index_dtype`` gives the
+    adjacency and Â. Construction canonicalizes any ``(M, 2)`` integer list
     of node ids in ``[0, N)`` as ``load_dataset`` does: reversed pairs and
-    repeats collapse and self-loops are dropped. The fields cannot be
-    reassigned, so the list stays canonical; ``dataclasses.replace``
+    repeats collapse and self-loops are dropped. The ids are range-checked
+    at the list's own dtype before they are narrowed, and a graph too large
+    for int32 (``index_dtype`` of its N nodes and the 2M adjacency entries
+    the list can give at most) is refused with a ValueError. The fields
+    cannot be reassigned, so the list stays canonical; ``dataclasses.replace``
     builds a new graph. ``adjacency`` is derived from the list on each
     access and never kept.
     """
 
-    edges: np.ndarray  # M x 2 int64, canonical
+    edges: np.ndarray  # M x 2 int32 (index_dtype), canonical
 
     def __post_init__(self):
         edges = np.asarray(self.edges)
@@ -150,7 +155,10 @@ class Graph(NodeTables):
             )
         if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
             raise ValueError(f"edge node id out of range [0, {self.n_nodes})")
-        object.__setattr__(self, "edges", _undirected_pairs(edges, self.n_nodes))
+        idx = index_dtype(self.n_nodes, 2 * edges.shape[0])
+        object.__setattr__(
+            self, "edges", _undirected_pairs(edges.astype(idx, copy=False), self.n_nodes)
+        )
 
     @property
     def n_edges(self) -> int:
@@ -240,17 +248,24 @@ def _read_table(path: Path, dtype, parse_dtype, accept, scan) -> np.ndarray:
     """One dataset table at ``dtype``, from the first source ``accept``
     takes: the binary mirror (see the module docstring), then the CSV parsed
     in C at ``parse_dtype`` and cast to ``dtype``; else ``scan()``, the line
-    scanner, which accepts the file by the same rules or names its bad line."""
+    scanner, which accepts the file by the same rules or names its bad line,
+    its table cast to ``dtype``.
+
+    A float beyond ``dtype``'s range turns inf in the cast, which ``accept``
+    sees, so floats are checked after it; an integer would wrap silently
+    into range, so integers are checked at ``parse_dtype`` and only then
+    narrowed."""
     mirrored = _read_mirror(path, dtype)
     if mirrored is not None and accept(mirrored):
         return mirrored
     table = _parse_csv(path, parse_dtype)
     if table is not None:
-        with np.errstate(over="ignore"):
-            table = table.astype(dtype, copy=False)
+        if table.dtype.kind == "f":
+            with np.errstate(over="ignore"):
+                table = table.astype(dtype, copy=False)
         if accept(table):
-            return table
-    return scan()
+            return table.astype(dtype, copy=False)
+    return scan().astype(dtype, copy=False)
 
 
 def read_features(path, dtype) -> np.ndarray:
@@ -270,9 +285,13 @@ def read_features(path, dtype) -> np.ndarray:
 
 
 def _read_edges(path: Path, n_nodes: int) -> np.ndarray:
+    """The pairs of ``edges.csv`` at ``path`` as int32 node ids in
+    ``[0, n_nodes)``, read as given (``Graph`` canonicalizes them). Parsed
+    ids are range-checked at int64 before they are narrowed; a node count
+    beyond int32 is refused first (``index_dtype``)."""
     return _read_table(
         path,
-        np.int64,
+        index_dtype(n_nodes, 0),
         np.int64,
         lambda t: t.shape[1] == 2 and np.all((t >= 0) & (t < n_nodes)),
         lambda: _scan_edges(path, n_nodes),
@@ -377,6 +396,16 @@ def _onehot(class_ids: np.ndarray, n_classes: int, dtype) -> np.ndarray:
 _CANONICAL_BLOCK = 1 << 16
 
 
+def _pair_keys(i: np.ndarray, j: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The int64 keys ``i * n_nodes + j`` of node ids ``i`` and ``j``, formed
+    at int64 whatever the ids' dtype: an int32 product would wrap from
+    46341 nodes."""
+    key = i.astype(np.int64)
+    key *= n_nodes
+    key += j
+    return key
+
+
 def _is_canonical(i: np.ndarray, j: np.ndarray, n_nodes: int) -> bool:
     """Whether every pair has ``i < j`` and the keys ``i * n_nodes + j``
     strictly increase, checked block by block with the last key of each
@@ -386,7 +415,7 @@ def _is_canonical(i: np.ndarray, j: np.ndarray, n_nodes: int) -> bool:
         bi, bj = i[start:start + _CANONICAL_BLOCK], j[start:start + _CANONICAL_BLOCK]
         if not np.all(bi < bj):
             return False
-        key = bi * n_nodes + bj
+        key = _pair_keys(bi, bj, n_nodes)
         if key[0] <= last or not np.all(key[1:] > key[:-1]):
             return False
         last = key[-1]
@@ -395,7 +424,8 @@ def _is_canonical(i: np.ndarray, j: np.ndarray, n_nodes: int) -> bool:
 
 def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Canonical (i < j) deduplicated pairs with self-loops stripped, sorted
-    by (i, j), as int64.
+    by (i, j), at the dtype of ``edges``, an integer list of ids in
+    ``[0, n_nodes)``.
 
     Input that is already canonical, as ``save_dataset`` writes it and
     ``synth_sbm`` draws it, is returned after one pass over the scalar keys
@@ -404,16 +434,17 @@ def _undirected_pairs(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     input sorts those keys and drops adjacent repeats, which is far faster
     than ``np.unique`` on the pair rows.
     """
-    edges = edges.astype(np.int64, copy=False)
     i, j = edges[:, 0], edges[:, 1]
     if _is_canonical(i, j, n_nodes):
         return edges
     lo = np.minimum(i, j)
     hi = np.maximum(i, j)
     keep = lo != hi
-    key = np.sort(lo[keep] * n_nodes + hi[keep])
+    key = np.sort(_pair_keys(lo[keep], hi[keep], n_nodes))
     key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
-    return np.column_stack([key // n_nodes, key % n_nodes])
+    pairs = np.empty((key.size, 2), dtype=edges.dtype)
+    np.divmod(key, n_nodes, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def index_dtype(n_nodes: int, n_entries: int) -> np.dtype:
@@ -433,14 +464,14 @@ def index_dtype(n_nodes: int, n_entries: int) -> np.dtype:
 
 def _adjacency_from_pairs(pairs: np.ndarray, n_nodes: int, dtype) -> SparseMatrix:
     """The symmetric 0/1 adjacency of canonical pairs (``_undirected_pairs``):
-    the upper triangle is already in CSR order, so its row pointer is a
-    cumulative count of the rows, and the lower triangle is its transpose.
+    the upper triangle is already in CSR order, so its row pointer is where
+    each row starts in the list, and the lower triangle is its transpose.
     Indices come out sorted, with int32 index arrays (``index_dtype``)."""
     idx = index_dtype(n_nodes, 2 * pairs.shape[0])
     if pairs.shape[0] == 0:
         return sparse.csr_array((n_nodes, n_nodes), dtype=dtype)  # int32 indices
-    rows = np.bincount(pairs[:, 0], minlength=n_nodes)
-    indptr = np.concatenate([[0], np.cumsum(rows)]).astype(idx)
+    i = pairs[:, 0]
+    indptr = np.searchsorted(i, np.arange(n_nodes + 1, dtype=i.dtype)).astype(idx)
     upper = sparse.csr_array(
         (np.ones(pairs.shape[0], dtype=dtype), pairs[:, 1].astype(idx), indptr),
         shape=(n_nodes, n_nodes),
@@ -785,7 +816,7 @@ def normalized_adjacency(g: Graph) -> SparseMatrix:
     idx = index_dtype(n, n + 2 * m)
     i, j = g.edges[:, 0], g.edges[:, 1].astype(idx)
     # the list is sorted by i
-    upper_ptr = np.searchsorted(i, np.arange(n + 1)).astype(idx)
+    upper_ptr = np.searchsorted(i, np.arange(n + 1, dtype=i.dtype)).astype(idx)
     upper = sparse.csr_array((np.ones(m, dtype=np.int8), j, upper_ptr), shape=(n, n))
     lower = sparse.csr_array(upper.T)  # each row's columns come out sorted
     n_lower, n_upper = np.diff(lower.indptr), np.diff(upper_ptr)
@@ -928,7 +959,7 @@ def synth_sbm(
     class_ids = np.repeat(np.arange(n_classes), block)
 
     keys = _sbm_edge_keys(rng, n_nodes, n_classes, p_in, p_out)
-    edges = np.empty((keys.size, 2), dtype=np.int64)
+    edges = np.empty((keys.size, 2), dtype=index_dtype(n_nodes, 2 * keys.size))
     np.divmod(keys, n_nodes, out=(edges[:, 0], edges[:, 1]))
     del keys  # freed before the features are drawn
 

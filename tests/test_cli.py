@@ -144,6 +144,17 @@ class TestTrainTeacher:
         err = capsys.readouterr().err
         assert "a graph of 30 nodes and" in err and "does not fit int32 index arrays" in err
 
+    def test_edge_id_that_wraps_at_int32_exits_2_naming_line(self, tmp_path, capsys):
+        """An id beyond int32 that would wrap into range (4294967301 is 5 at
+        int32) is refused by its line, not narrowed."""
+        data = tmp_path / "data"
+        assert run_cli(*dataset_args(data, nodes=30)) == 0
+        (data / "edges.csv.mirror").unlink()
+        lines = (data / "edges.csv").read_text().splitlines(keepends=True)
+        (data / "edges.csv").write_text("".join(lines) + "0,4294967301\n")
+        assert run_cli("train-teacher", "--data", data, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert f"edges.csv: line {len(lines) + 1}: node id out of range [0, 30)" in err
 
     def test_class_id_gap_exits_2_naming_labels_file(self, tmp_path, capsys):
         data = tmp_path / "data"

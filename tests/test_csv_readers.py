@@ -86,8 +86,9 @@ def test_features_reader_matches_scanner(csv_path, text, dtype):
 )
 def test_edges_reader_matches_scanner(csv_path, text, n_nodes):
     csv_path.write_text(text)
+    # the reader narrows the scanner's int64 ids to the int32 of edge lists
     assert _outcome(gio._read_edges, csv_path, n_nodes) == _outcome(
-        gio._scan_edges, csv_path, n_nodes
+        lambda *args: gio._scan_edges(*args).astype(np.int32), csv_path, n_nodes
     )
 
 

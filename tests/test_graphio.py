@@ -57,6 +57,17 @@ class TestLoadDataset:
         assert g.n_edges == 1  # self-loop stripped, duplicates merged
         assert g.adjacency.diagonal().sum() == 0
 
+    def test_edge_id_that_wraps_at_int32_refused_by_line(self, tmp_path):
+        """Parsed ids are range-checked at int64 before they are narrowed to
+        int32, where 4294967301 would wrap to node 5."""
+        write_toy_dataset(
+            tmp_path, [[float(i)] for i in range(6)], [(0, 1), (0, 4294967301)],
+            [0, 1, 0, 1, 0, 1], {"labeled": [0], "validation": [1], "test": [2]},
+        )
+        with pytest.raises(ValueError) as err:
+            gio.load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'edges.csv'}: line 2: node id out of range [0, 6)"
+
     def test_missing_file_named(self, tmp_path):
         write_toy_dataset(tmp_path, [[1.0]], [], [0], TOY_SPLITS)
         (tmp_path / "edges.csv").unlink()
@@ -277,7 +288,7 @@ class TestMirror:
         _, path = saved
         assert gio._read_mirror(path / "features.csv", np.float64) is None
         got = load_outcome(path, dtype=np.float64)
-        assert parsed_csvs == ["features.csv"]  # the int64 edge and label mirrors still match
+        assert parsed_csvs == ["features.csv"]  # the int32 edge and int64 label mirrors still match
         drop_mirrors(path)
         assert load_outcome(path, dtype=np.float64) == got
 
@@ -301,7 +312,7 @@ class TestMirror:
         (path / "splits.json").write_text(
             json.dumps({name: [i for i in ids if i != 59] for name, ids in splits.items()})
         )
-        assert gio._read_mirror(path / "edges.csv", np.int64).max() == 59
+        assert gio._read_mirror(path / "edges.csv", np.int32).max() == 59
         got = load_outcome(path)
         assert got[0] == "error" and "edges.csv: line" in got[1]
         assert got[1].endswith("node id out of range [0, 59)")
@@ -332,11 +343,27 @@ class TestMirror:
         )
         gio.save_dataset(empty, path)
         assert (path / "edges.csv").read_bytes() == b""
-        assert gio._read_mirror(path / "edges.csv", np.int64).shape == (0, 2)
+        assert gio._read_mirror(path / "edges.csv", np.int32).shape == (0, 2)
         got = load_outcome(path)
         assert parsed_csvs == [] and got[0] == "ok"
         drop_mirrors(path)
         assert load_outcome(path) == got
+
+    def test_int64_edge_mirror_of_an_older_save_parses_the_csv(self, saved, parsed_csvs):
+        """Edge mirrors are int32 now. An int64 one, as older saves wrote it,
+        misses on its dtype, and the CSV parses to the same int32 list."""
+        g, path = saved
+        csv = path / "edges.csv"
+
+        def mirror_dtype():
+            return json.loads((path / "edges.csv.mirror").read_bytes().split(b"\n", 1)[0])["dtype"]
+
+        assert mirror_dtype() == "int32"
+        gio._write_mirror(csv, hashlib.sha256(csv.read_bytes()).hexdigest(), g.edges.astype(np.int64))
+        assert mirror_dtype() == "int64"
+        loaded = gio.load_dataset(path)
+        assert parsed_csvs == ["edges.csv"]
+        assert loaded.edges.dtype == np.int32 and loaded.edges.tobytes() == g.edges.tobytes()
 
     def test_empty_feature_table_still_refused(self, tmp_path):
         none = np.empty(0, dtype=np.int64)
@@ -707,8 +734,28 @@ class TestEdgeListGraph:
         gio.save_dataset(g, tmp_path)
         loaded = gio.load_dataset(tmp_path, dtype=dtype)
         assert parsed_csvs == []
-        assert loaded.edges.dtype == np.int64 and np.array_equal(loaded.edges, g.edges)
+        assert loaded.edges.dtype == np.int32 and np.array_equal(loaded.edges, g.edges)
         self.assert_same_a_hat(loaded)
+
+    @pytest.mark.parametrize("form", ["canonical", "reversed", "repeated"])
+    def test_keys_of_large_ids_do_not_wrap(self, form):
+        """The keys ``i * n + j`` pass 2^31 from 46341 nodes, so they are
+        formed at int64 whatever the list's dtype: pairs among the top ids
+        of a 70 000-node graph, and among the ids whose keys cross 2^31,
+        canonicalize to the unique-rows oracle."""
+        n = 70_000
+        rng = np.random.default_rng(7)
+        ids = np.concatenate([np.arange(30_660, 30_700), np.arange(n - 40, n)])
+        edges = rng.choice(ids, size=(300, 2))
+        pairs = TestUndirectedPairs.oracle(edges)
+        given = {
+            "canonical": pairs,
+            "reversed": pairs[::-1, ::-1],
+            "repeated": np.concatenate([pairs, edges, pairs[::-1]]),
+        }[form]
+        g = graph_of(given, n)
+        assert g.edges.dtype == np.int32
+        assert np.array_equal(g.edges, pairs)
 
     def test_adjacency_derived_from_the_edge_list(self):
         g = graph_of([[0, 2], [1, 2]], 4, np.float64)
@@ -738,7 +785,7 @@ class TestEdgeListGraph:
         )
         loaded = gio.load_dataset(tmp_path)
         g = graph_of(edges, 6)
-        assert g.edges.dtype == loaded.edges.dtype == np.int64
+        assert g.edges.dtype == loaded.edges.dtype == np.int32
         assert np.array_equal(g.edges, loaded.edges)
         assert np.array_equal(g.edges, TestUndirectedPairs.oracle(np.array(edges)))
 
@@ -786,6 +833,23 @@ class TestIndexWidth:
             f"a graph of {n_nodes} nodes and {n_entries} adjacency entries does not "
             f"fit int32 index arrays (at most {self.LIMIT} of each)"
         )
+
+    def test_graph_beyond_int32_node_ids_refused(self, tmp_path):
+        """A Graph holds int32 node ids: a node count beyond int32 is refused
+        before a list is narrowed, where 4294967301 would wrap to node 5.
+        The node tables are zero-stride views, as no test can hold them."""
+        n = 2**32 + 6
+        none = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"a graph of {n} nodes and 2 adjacency entries"):
+            gio.Graph(
+                features=np.broadcast_to(np.float32(0), (n, 1)),
+                labels=np.broadcast_to(np.float32(1), (n, 1)),
+                splits=gio.Splits(none, none, none, none),
+                edges=np.array([[0, 4294967301]]),
+            )
+        (tmp_path / "edges.csv").write_text("0,4294967301\n")
+        with pytest.raises(ValueError, match=f"a graph of {n} nodes and 0 adjacency entries"):
+            gio._read_edges(tmp_path / "edges.csv", n)
 
     @pytest.mark.parametrize("build", ["normalized_adjacency", "adjacency", "normalize_adjacency"])
     def test_each_builder_asks_for_the_width_before_building(self, monkeypatch, build):
@@ -1128,7 +1192,7 @@ class TestSynthSBM:
     ):
         g = gio.synth_sbm(n_nodes, n_classes, 6, p_in, p_out, 0.0, seed=seed)
         edges, rng = reference_sbm_edges(n_nodes, n_classes, p_in, p_out, seed)
-        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+        assert g.edges.dtype == np.int32 and g.edges.flags.c_contiguous
         assert g.edges.shape == edges.shape
         assert np.array_equal(g.edges, edges)
         # the generator was left where the chunked draw left it: without
