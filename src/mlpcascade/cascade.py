@@ -574,13 +574,17 @@ def _config_from_json(doc, where: str) -> CascadeConfig:
 def save_cascade(c: Cascade, path) -> None:
     """Checkpoint: JSON manifest (K, dtype, config, per-student meta, weight
     shapes and fingerprint); the students' weights go, in order, to the raw
-    little-endian file beside it (``params.weights_path``)."""
+    little-endian file beside it (``params.weights_path``). A cascade
+    without a config is refused: ``load_cascade`` checks student 1's init
+    against the config's seed."""
+    if c.config is None:
+        raise ValueError("save_cascade: the cascade has no config to store")
     write_checkpoint(path, {
         "kind": "cascade-checkpoint",
         "n_students": c.n_students,
         "dtype": str(c.students[0].layers[0][0].dtype),
         "teacher_fingerprint": c.teacher_fingerprint,
-        "config": asdict(c.config) if c.config is not None else None,
+        "config": asdict(c.config),
         "students": [
             {
                 "meta": {k: getattr(m, k) for k in StudentTrainMeta.STORED},
@@ -616,14 +620,12 @@ def load_cascade(path) -> Cascade:
     and the layer shapes of the others, and every meta its
     ``final_lambda``. Each student
     after the first must start where the one before ended: from its stored
-    fingerprint and its ``final_lambda``. A stored config must give the
-    students' count, hidden width and layer count, and student 1 must start
-    from the init that config draws: its stored ``init_fingerprint`` must be
-    the fingerprint of ``init_student`` drawn from ``default_rng([seed,
-    0])`` at the stored shapes and dtype, as ``train_cascade`` draws it.
-    Without a config the seed is unknown, so student 1's ``init_fingerprint``
-    is kept as stored, unchecked; the later students' are checked as
-    above."""
+    fingerprint and its ``final_lambda``. The stored config, which a
+    checkpoint must hold (``null`` is refused), must give the students'
+    count, hidden width and layer count, and student 1 must start from the
+    init that config draws: its stored ``init_fingerprint`` must be the
+    fingerprint of ``init_student`` drawn from ``default_rng([seed, 0])``
+    at the stored shapes and dtype, as ``train_cascade`` draws it."""
     doc, dtype = read_manifest(
         path,
         "cascade-checkpoint",
@@ -644,7 +646,7 @@ def load_cascade(path) -> Cascade:
         raise ValueError(
             f"{path}: n_students is {n_students!r} but {len(entries)} students are stored"
         )
-    cfg = None if doc["config"] is None else _config_from_json(doc["config"], f"{path} config")
+    cfg = _config_from_json(doc["config"], f"{path} config")
     wheres = [f"{path} student {k}" for k in range(1, len(entries) + 1)]
     entries = [json_object(e, ("fingerprint", "layers", "meta"), w) for e, w in zip(entries, wheres)]
     stored = read_layer_stacks(path, dtype, [(e["layers"], w) for e, w in zip(entries, wheres)])
@@ -665,18 +667,17 @@ def load_cascade(path) -> Cascade:
                        metas[-1].final_lambda, f"{prev} final_lambda")
         students.append(student)
         metas.append(meta)
-    if cfg is not None:
-        first = students[0]
-        for name, value, source in (
-            ("n_students", len(students), "the count of stored students"),
-            ("hidden_dim", first.hidden_dim, "student 1's hidden width"),
-            ("n_layers", first.n_layers, "student 1's layer count"),
-        ):
-            check_copy(f"{path} config {name}", getattr(cfg, name), value, source)
-        init = init_student(
-            first.input_dim - first.hidden_dim, cfg.hidden_dim, first.layers[-1][0].shape[1],
-            cfg.n_layers, np.random.default_rng([cfg.seed, 0]), dtype,
-        )
-        check_copy(f"{path} student 1 meta init_fingerprint", metas[0].init_fingerprint,
-                   init.fingerprint(), "the fingerprint of the config seed's init")
+    first = students[0]
+    for name, value, source in (
+        ("n_students", len(students), "the count of stored students"),
+        ("hidden_dim", first.hidden_dim, "student 1's hidden width"),
+        ("n_layers", first.n_layers, "student 1's layer count"),
+    ):
+        check_copy(f"{path} config {name}", getattr(cfg, name), value, source)
+    init = init_student(
+        first.input_dim - first.hidden_dim, cfg.hidden_dim, first.layers[-1][0].shape[1],
+        cfg.n_layers, np.random.default_rng([cfg.seed, 0]), dtype,
+    )
+    check_copy(f"{path} student 1 meta init_fingerprint", metas[0].init_fingerprint,
+               init.fingerprint(), "the fingerprint of the config seed's init")
     return Cascade(students, metas, teacher_fp, cfg)

@@ -740,81 +740,70 @@ def save_dataset(g: Graph, path) -> None:
 
 
 def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
-    """Symmetric degree normalization with self-loops:
+    """``D^{-1/2} (A + I) D^{-1/2}`` of a 0/1 adjacency matrix: the checked
+    front door to the one Â builder, which ``normalized_adjacency`` runs on
+    a graph's edge list.
 
-        A_hat = D^{-1/2} (A + I) D^{-1/2},  D = degree matrix of A + I.
-
-    Requires a symmetric input with zero diagonal and finite, non-negative
-    weights. An isolated node ends up with the single entry 1.0 (its
-    self-loop divided by degree 1). The result has sorted indices and int32
-    index arrays (``index_dtype``) whatever the input's, and each entry is
-    rounded twice, ``(a~_ij * d_i^-1/2) * d_j^-1/2``.
-
-    A canonical (sorted, duplicate-free) input is symmetric exactly when its
-    transpose converted to CSR has the same three arrays; only an input that
-    fails that comparison pays for the subtraction ``a - a.T``, so a
-    non-canonical but symmetric input, explicit zeros included, is still
-    accepted.
+    ``a`` must be square, with every value 0 or 1, a zero diagonal and
+    symmetric; each is refused with a ValueError, a bad value named. Stored
+    duplicates are summed (on a copy: the caller's matrix is never changed)
+    and stored zeros are not edges. The upper pairs of the matrix then go
+    to the builder, so the result has the bits of ``normalized_adjacency``
+    of the same graph, at ``a``'s dtype, which must be float32 or float64.
     """
-    a = sparse.csr_array(a)
-    n = a.shape[0]
+    a = sparse.csr_array(a)  # shares a CSR input's arrays
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
-    valid = (a.data >= 0) & (a.data < np.inf)
-    if not valid.all():
-        raise ValueError(
-            f"adjacency weights must be non-negative and finite, found {a.data[~valid][0]}"
-        )
+    if not (a.has_canonical_format and a.data.all()):
+        a = a.copy()
+        a.sum_duplicates()
+        a.eliminate_zeros()
+    bad = a.data != 1
+    if bad.any():
+        raise ValueError(f"adjacency values must be 0 or 1, found {a.data[bad][0]}")
     if np.any(a.diagonal() != 0):
         raise ValueError("adjacency must have a zero diagonal before normalization")
+    # a canonical 0/1 pattern is symmetric exactly when its transpose has
+    # the same index arrays
     at = sparse.csr_array(a.T)
-    if not (
-        np.array_equal(at.indptr, a.indptr)
-        and np.array_equal(at.indices, a.indices)
-        and np.array_equal(at.data, a.data)
-    ):
-        diff = (a - a.T).tocoo()
-        if diff.nnz and np.any(diff.data != 0):
-            raise ValueError("adjacency must be symmetric")
-    a_tilde = sparse.csr_array(a + sparse.eye_array(n, dtype=a.dtype, format="csr"))
-    idx = index_dtype(n, a_tilde.nnz)
-    a_tilde = sparse.csr_array(
-        (a_tilde.data, a_tilde.indices.astype(idx, copy=False),
-         a_tilde.indptr.astype(idx, copy=False)),
-        shape=(n, n),
-    )
-    # degrees in a~'s own entry order, before sorting, as row sums always were
-    degrees = np.asarray(a_tilde.sum(axis=1)).ravel()
-    a_tilde.sort_indices()
-    return _scale_by_degrees(a_tilde, degrees)
-
-
-def _scale_by_degrees(a_tilde: SparseMatrix, degrees: np.ndarray) -> SparseMatrix:
-    """``D^{-1/2} A~ D^{-1/2}`` in place on the sorted ``A~ = A + I``, whose
-    row degrees ``degrees`` are in its dtype: each entry is rounded twice,
-    ``(a~_ij * d_i^-1/2) * d_j^-1/2``."""
-    inv_sqrt = (1.0 / np.sqrt(degrees)).astype(a_tilde.dtype)
-    a_tilde.data *= np.repeat(inv_sqrt, np.diff(a_tilde.indptr))
-    a_tilde.data *= inv_sqrt[a_tilde.indices]
-    return a_tilde
+    if not (np.array_equal(at.indptr, a.indptr) and np.array_equal(at.indices, a.indices)):
+        raise ValueError("adjacency must be symmetric")
+    del at
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    upper = a.indices > rows
+    # row by row with sorted columns: the canonical (i < j) pairs
+    pairs = np.column_stack([rows[upper], a.indices[upper]])
+    del rows, upper
+    return _a_hat_from_pairs(pairs, a.shape[0], a.dtype)
 
 
 def normalized_adjacency(g: Graph) -> SparseMatrix:
-    """``normalize_adjacency(g.adjacency)``, the same bits, built from the
-    canonical edge list in one pass. It skips only the symmetry check, which
-    an edge list cannot fail, and never builds the raw adjacency.
+    """``D^{-1/2} (A + I) D^{-1/2}`` of ``g`` at its features' dtype, built
+    from its canonical edge list without the raw adjacency
+    (``_a_hat_from_pairs``)."""
+    return _a_hat_from_pairs(g.edges, g.n_nodes, g.features.dtype)
+
+
+def _a_hat_from_pairs(pairs: np.ndarray, n: int, dtype) -> SparseMatrix:
+    """``Â = D^{-1/2} (A + I) D^{-1/2}`` of the 0/1 graph on ``n`` nodes
+    whose canonical pairs (``_undirected_pairs``) are ``pairs``, at
+    ``dtype``, float32 or float64, in one pass: the package's one Â builder.
 
     Row r of ``A + I`` holds its lower entries (the pairs ``(i, r)``, taken
     from one counting transpose of the upper part), its self-loop, then its
-    upper entries (the pairs ``(r, j)``, in the list's order). The degrees
-    are exact integer counts; a 0/1 row sum in either float dtype is the
-    same integer, so the scaling rounds as ``normalize_adjacency`` does.
-    Its index arrays are int32 (``index_dtype``), which is checked first,
-    and so is every index temporary built on the way.
+    upper entries (the pairs ``(r, j)``, in the list's order), so its
+    columns are sorted. The degrees are exact integer counts, and entry
+    ``(i, j)`` is ``d_i^-1/2 · d_j^-1/2``, rounded once, so Â is symmetric
+    bit for bit. Its index arrays are int32 (``index_dtype``), which is
+    checked before anything is built, and so is every index temporary
+    built on the way.
     """
-    n, m = g.n_nodes, g.n_edges
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"normalized adjacency dtype must be float32 or float64, got {dtype}")
+    m = pairs.shape[0]
     idx = index_dtype(n, n + 2 * m)
-    i, j = g.edges[:, 0], g.edges[:, 1].astype(idx)
+    i, j = pairs[:, 0], pairs[:, 1].astype(idx)
     # the list is sorted by i
     upper_ptr = np.searchsorted(i, np.arange(n + 1, dtype=i.dtype)).astype(idx)
     upper = sparse.csr_array((np.ones(m, dtype=np.int8), j, upper_ptr), shape=(n, n))
@@ -834,12 +823,11 @@ def normalized_adjacency(g: Graph) -> SparseMatrix:
     at = np.repeat(rows + 1 + lower.indptr[1:], n_upper)
     at += np.arange(m, dtype=idx)
     indices[at] = j
-    del upper, lower, at, j  # freed before Â's values and their scaling
-    dtype = g.features.dtype
-    a_tilde = sparse.csr_array(
-        (np.ones(indptr[-1], dtype=dtype), indices, indptr), shape=(n, n)
-    )
-    return _scale_by_degrees(a_tilde, degrees.astype(dtype))
+    del upper, lower, at, j  # freed before Â's values
+    inv_sqrt = (1.0 / np.sqrt(degrees.astype(dtype))).astype(dtype)
+    data = np.repeat(inv_sqrt, degrees)
+    data *= inv_sqrt[indices]
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def _bernoulli_indices(rng: np.random.Generator, m: int, p: float) -> np.ndarray:

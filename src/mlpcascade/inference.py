@@ -384,8 +384,13 @@ def run_anytime(
 
 def accuracy(pred: np.ndarray, y: np.ndarray, idx) -> float:
     """Fraction of `idx` rows where argmax(pred) == argmax(y); argmax ties
-    break to the lowest class index."""
-    idx = check_index(idx, min(pred.shape[0], y.shape[0]), "accuracy", "evaluation")
+    break to the lowest class index. `pred` and `y` must have one row per
+    node each; a row-count mismatch raises ValueError naming both counts."""
+    if pred.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"accuracy: {pred.shape[0]} prediction rows vs {y.shape[0]} label rows"
+        )
+    idx = check_index(idx, pred.shape[0], "accuracy", "evaluation")
     return numkit.accuracy(pred[idx], np.argmax(y[idx], axis=1))
 
 

@@ -34,8 +34,9 @@ from scipy import sparse
 # Type alias for the sparse matrix representation used throughout: Â is
 # held as CSR. The teacher's products over all N rows take its transpose
 # view ``Â.T``, a CSC matrix over the same three arrays, which ``spmm``
-# multiplies by scipy's column kernel; for an Â symmetric bit for bit with
-# sorted rows that is the row kernel's product, bit for bit (see ``teacher``).
+# multiplies by scipy's column kernel; since every Â ``graphio`` builds is
+# symmetric bit for bit with sorted rows, that is the row kernel's product,
+# bit for bit (see ``teacher``).
 SparseMatrix = sparse.csr_array
 
 DEFAULT_DTYPE = np.float32

@@ -14,12 +14,10 @@ Every product with Â over all N rows takes ``norm_adj.T``, the CSC view of
 scipy's column kernel runs these products faster than its row kernel on
 the same arrays (README, "Operation order"). It adds each output row's
 terms in ascending column order, where the row kernel adds them in stored
-order; so the view gives the bits of ``spmm(norm_adj, m)`` whenever Â's entries are
-symmetric bit for bit and each row's columns are sorted, as in every Â that
-``graphio.normalized_adjacency`` or ``graphio.normalize_adjacency`` builds
-from a 0/1 graph (entries ``d_i^-1/2 · d_j^-1/2``). For a hand-built Â whose
-entries are not symmetric to the bit, the products are those of Âᵀ. The
-row aggregations ``Â[R]`` keep the row kernel.
+order; so the view gives the bits of ``spmm(norm_adj, m)`` whenever Â's
+entries are symmetric bit for bit and each row's columns are sorted, as in
+every Â that ``graphio`` builds (entries ``d_i^-1/2 · d_j^-1/2``). The row
+aggregations ``Â[R]`` keep the row kernel.
 """
 
 from __future__ import annotations

@@ -432,10 +432,8 @@ def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
     ],
 )
 def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, kind):
-    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2])
     path = ckpt_dir / "typed-meta.json"
-    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP), path)
+    _save_one_student(path, lambda_history=[0.1, 0.2])
     doc = json.loads(path.read_text())
     doc["students"][0]["meta"][key] = value
     path.write_text(json.dumps(doc))
@@ -458,18 +456,33 @@ def test_teacher_seed_unlike_its_config_is_refused(ckpt_dir):
     assert str(err.value) == f"{path} train_meta seed 3 does not match 4, the config seed"
 
 
+def _save_one_student(path, epochs=1, best_epoch=1, lambda_history=(0.1,)):
+    """Save a consistent one-student cascade (feat_dim 1, hidden_dim 1,
+    2 layers, config seed 0) at ``path``."""
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(
+        epochs, best_epoch, 0.5, init_fingerprint=seeded_init_fingerprint(1, 1, 1, 2, np.float32),
+        lambda_history=list(lambda_history),
+    )
+    cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
+    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP, cfg), path)
+    return meta
+
+
 def _chain_of_two(path):
     """Save a consistent two-student cascade at ``path``; its manifest."""
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     first = LayerStack([(w, b), (w[:1], b)])
     second = LayerStack([(w * 2, b), (w[:1], b)])
+    init_fp = seeded_init_fingerprint(1, 1, 1, 2, np.float32)
     metas = [
-        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2]),
+        cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint=init_fp, lambda_history=[0.1, 0.2]),
         cas.StudentTrainMeta(
             1, 1, 0.5, init_fingerprint=first.fingerprint(), lambda_history=[0.2, 0.3]
         ),
     ]
-    cas.save_cascade(cas.Cascade([first, second], metas, TEACHER_FP), path)
+    cfg = cas.CascadeConfig(n_students=2, hidden_dim=1, max_epochs=3, patience=1)
+    cas.save_cascade(cas.Cascade([first, second], metas, TEACHER_FP, cfg), path)
     return json.loads(path.read_text())
 
 
@@ -560,16 +573,14 @@ def test_teacher_fingerprint_that_is_not_a_digest_is_refused(ckpt_dir, value):
 
 
 def test_stored_metas_load_with_their_types(ckpt_dir):
-    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
-    meta = cas.StudentTrainMeta(3, 2, 0.5, init_fingerprint="init", lambda_history=[0.1, 0.2])
     path = ckpt_dir / "typed-meta.json"
-    cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP), path)
+    meta = _save_one_student(path, epochs=3, best_epoch=2, lambda_history=[0.1, 0.2])
     doc = json.loads(path.read_text())
     doc["students"][0]["meta"]["lambda_history"] = [0, 0.2]  # an integer is a number
     path.write_text(json.dumps(doc))
     (loaded,) = cas.load_cascade(path).metas
     assert loaded == cas.StudentTrainMeta(
-        3, 2, 0.5, init_fingerprint="init", lambda_history=[0.0, 0.2]
+        3, 2, 0.5, init_fingerprint=meta.init_fingerprint, lambda_history=[0.0, 0.2]
     )
     assert type(loaded.lambda_history[0]) is float
 
@@ -588,18 +599,13 @@ def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     assert type(alpha) is float and alpha == 1.0
 
 
-@pytest.mark.parametrize("with_config", [True, False])
-def test_student_1_init_fingerprint_is_checked_only_against_a_stored_seed(ckpt_dir, with_config):
-    # without a config the seed is unknown, so the stored value is kept
+def test_student_1_init_fingerprint_is_checked_against_the_config_seed(ckpt_dir):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="x", lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1, seed=5)
     path = ckpt_dir / "init.json"
     student = LayerStack([(w, b), (w[:1], b)])
-    cas.save_cascade(cas.Cascade([student], [meta], TEACHER_FP, cfg if with_config else None), path)
-    if not with_config:
-        assert cas.load_cascade(path).metas[0].init_fingerprint == "x"
-        return
+    cas.save_cascade(cas.Cascade([student], [meta], TEACHER_FP, cfg), path)
     fp = seeded_init_fingerprint(1, 1, 1, 2, np.float32, seed=5)
     with pytest.raises(ValueError) as err:
         cas.load_cascade(path)
@@ -607,3 +613,25 @@ def test_student_1_init_fingerprint_is_checked_only_against_a_stored_seed(ckpt_d
         f'{path} student 1 meta init_fingerprint "x" does not match "{fp}", '
         "the fingerprint of the config seed's init"
     )
+
+
+def test_cascade_without_a_config_is_refused(ckpt_dir):
+    """Student 1's init is checked against the config's seed, so neither
+    side writes or reads a checkpoint without one: not even one whose
+    forged ``init_fingerprint`` would pass any other check."""
+    w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
+    meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="forged", lambda_history=[0.1])
+    casc = cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP)
+    path = ckpt_dir / "no-config.json"
+    with pytest.raises(ValueError) as err:
+        cas.save_cascade(casc, path)
+    assert str(err.value) == "save_cascade: the cascade has no config to store"
+    assert not path.exists()
+    _save_one_student(path)
+    doc = json.loads(path.read_text())
+    doc["config"] = None
+    doc["students"][0]["meta"]["init_fingerprint"] = "forged"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == f"{path} config: expected a JSON object, got NoneType"

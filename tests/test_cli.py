@@ -1079,6 +1079,11 @@ CASCADE_CASES = {
         _edit_doc(lambda d: d["students"][1]["meta"].update(init_fingerprint="x")),
         'student 2 meta init_fingerprint "x" does not match',
     ),
+    "config null, student 1's init forged": (
+        _edit_doc(lambda d: (d.update(config=None),
+                             d["students"][0]["meta"].update(init_fingerprint="x"))),
+        "cascade.json config: expected a JSON object, got NoneType",
+    ),
     "config n_students unlike the students": (
         _edit_doc(lambda d: d["config"].update(n_students=7)),
         "config n_students 7 does not match 2, the count of stored students",

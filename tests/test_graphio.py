@@ -6,7 +6,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
@@ -685,7 +685,9 @@ def graph_of(edges, n_nodes, dtype=np.float32):
 class TestEdgeListGraph:
     """A Graph stores its canonical edge list; the adjacency and Â are
     derived from it. ``normalized_adjacency`` must give the bits of
-    ``normalize_adjacency`` of the derived adjacency."""
+    ``normalize_adjacency`` of the derived adjacency and of the reference,
+    and, since entry (i, j) is ``d_i^-1/2 · d_j^-1/2`` rounded once, an Â
+    whose transpose has its index arrays and data bytes."""
 
     @staticmethod
     def assert_same_a_hat(g):
@@ -695,10 +697,11 @@ class TestEdgeListGraph:
         assert isinstance(got, sparse.csr_array) and got.shape == want.shape
         for m in (got, adjacency, want):
             assert m.indptr.dtype == m.indices.dtype == np.int32
-        for name in ("indptr", "indices"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.data.dtype == want.data.dtype == g.features.dtype
-        assert got.data.tobytes() == want.data.tobytes()
+        for other in (want, reference_normalize_adjacency(adjacency), sparse.csr_array(got.T)):
+            for name in ("indptr", "indices"):
+                assert np.array_equal(getattr(got, name), getattr(other, name)), name
+            assert got.data.dtype == other.data.dtype == g.features.dtype
+            assert got.data.tobytes() == other.data.tobytes()
         return got
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -710,6 +713,9 @@ class TestEdgeListGraph:
         self.assert_same_a_hat(gio.synth_sbm(*shape, 1.5, seed=3, dtype=dtype))
 
     @given(edge_lists(), st.sampled_from([np.float32, np.float64]))
+    @example((np.empty((0, 2), dtype=np.int64), 1), np.float32)
+    @example((np.empty((0, 2), dtype=np.int64), 6), np.float64)
+    @example((np.array([[2, 5], [5, 2], [0, 2]]), 9), np.float32)
     @settings(max_examples=150, deadline=None)
     def test_any_edge_list(self, case, dtype):
         edges, n = case
@@ -946,10 +952,10 @@ def reference_normalize_adjacency(a):
     return out
 
 
-def random_weighted_symmetric(rng, n, density, dtype):
-    w = rng.random((n, n)) < density
-    w = np.triu(w * rng.uniform(1e-3, 5.0, (n, n)), k=1)
-    return sparse.csr_array((w + w.T).astype(dtype))
+def random_symmetric(rng, n, density, dtype):
+    """A random symmetric 0/1 adjacency with zero diagonal."""
+    w = np.triu(rng.random((n, n)) < density, k=1)
+    return sparse.csr_array((w | w.T).astype(dtype))
 
 
 def unsorted_with_duplicates(dense, rng):
@@ -995,14 +1001,14 @@ class TestNormalizeAdjacencyBits:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_weighted_graphs(self, seed, dtype):
+    def test_random_graphs(self, seed, dtype):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 300))
-        self.assert_same(random_weighted_symmetric(rng, n, rng.uniform(0.01, 0.5), dtype))
+        self.assert_same(random_symmetric(rng, n, rng.uniform(0.01, 0.5), dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_isolated_nodes(self, dtype):
-        a = random_weighted_symmetric(np.random.default_rng(7), 50, 0.2, dtype).toarray()
+        a = random_symmetric(np.random.default_rng(7), 50, 0.2, dtype).toarray()
         a[[0, 17, 49], :] = 0
         a[:, [0, 17, 49]] = 0
         out = self.assert_same(sparse.csr_array(a)).toarray()
@@ -1017,26 +1023,34 @@ class TestNormalizeAdjacencyBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(3))
     def test_unsorted_indices_and_duplicates(self, seed, dtype):
+        """Each stored 1 is split into two stored halves, which sum to 1;
+        the caller's arrays are left as they were."""
         rng = np.random.default_rng(seed)
-        dense = random_weighted_symmetric(rng, 40, 0.3, dtype).toarray()
+        dense = random_symmetric(rng, 40, 0.3, dtype).toarray()
         a = unsorted_with_duplicates(dense, rng)
         assert not a.has_canonical_format
+        before = [x.copy() for x in (a.indptr, a.indices, a.data)]
         self.assert_same(a)
+        for was, now in zip(before, (a.indptr, a.indices, a.data)):
+            assert was.tobytes() == now.tobytes()
+        assert not a.has_canonical_format
 
     def test_one_sided_explicit_zero_accepted(self):
         # (0, 2) is stored as an explicit zero, (2, 0) is not stored at all
         a = sparse.csr_array(
-            (np.array([2.0, 0.0, 2.0]), np.array([1, 2, 0]), np.array([0, 2, 3, 3])),
+            (np.array([1.0, 0.0, 1.0]), np.array([1, 2, 0]), np.array([0, 2, 3, 3])),
             shape=(3, 3),
         )
-        self.assert_same(a)
+        out = self.assert_same(a)
+        assert out.nnz == 5 and a.nnz == 3  # the zero is no edge, and still stored
 
     @pytest.mark.parametrize(
         "dense, message",
         [
             ([[0.0, 1.0], [0.0, 0.0]], "adjacency must be symmetric"),
-            ([[0.0, 1.0], [2.0, 0.0]], "adjacency must be symmetric"),
+            ([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "adjacency must be symmetric"),
             ([[1.0, 0.0], [0.0, 0.0]], "adjacency must have a zero diagonal before normalization"),
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "adjacency must be square, got (2, 3)"),
         ],
     )
     def test_messages_unchanged(self, dense, message):
@@ -1047,14 +1061,40 @@ class TestNormalizeAdjacencyBits:
             assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "weight, shown",
-        [(-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")],
+        "value, shown",
+        [(-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (2.0, "2.0"),
+         (0.5, "0.5")],
     )
-    def test_negative_or_non_finite_weight_rejected(self, weight, shown):
-        a = sparse.csr_array(np.array([[0.0, weight], [weight, 0.0]]))
-        with pytest.raises(ValueError, match="non-negative and finite") as err:
+    def test_value_other_than_0_or_1_refused(self, value, shown):
+        a = sparse.csr_array(np.array([[0.0, value], [value, 0.0]]))
+        with pytest.raises(ValueError) as err:
             gio.normalize_adjacency(a)
-        assert str(err.value).endswith(f"found {shown}")
+        assert str(err.value) == f"adjacency values must be 0 or 1, found {shown}"
+
+    def test_duplicates_summing_past_1_refused(self):
+        """Two stored 1s at one place are the value 2."""
+        a = sparse.csr_array(
+            (np.ones(4), np.array([1, 1, 0, 0]), np.array([0, 2, 4])), shape=(2, 2)
+        )
+        with pytest.raises(ValueError) as err:
+            gio.normalize_adjacency(a)
+        assert str(err.value) == "adjacency values must be 0 or 1, found 2.0"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.longdouble])
+    def test_dtype_other_than_float32_or_float64_refused(self, dtype):
+        """An integer Â would round every entry to 0 or 1; neither entry
+        point builds one."""
+        message = (
+            f"normalized adjacency dtype must be float32 or float64, got {np.dtype(dtype)}"
+        )
+        a = sparse.csr_array(np.array([[0, 1], [1, 0]], dtype=dtype))
+        with pytest.raises(ValueError) as err:
+            gio.normalize_adjacency(a)
+        assert str(err.value) == message
+        g = graph_of([[0, 1]], 3, dtype)
+        with pytest.raises(ValueError) as err:
+            gio.normalized_adjacency(g)
+        assert str(err.value) == message
 
 
 class TestNormalizeAdjacency:

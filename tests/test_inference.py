@@ -362,6 +362,16 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="empty"):
             inf.accuracy(np.eye(2), np.eye(2), [])
 
+    @pytest.mark.parametrize("n_pred, n_labels", [(4, 3), (3, 4)])
+    def test_row_count_mismatch_rejected(self, n_pred, n_labels):
+        """Rows beyond the shorter array are never silently dropped: 4
+        predictions scored against 3 labels would read 1.0 on rows 0..2."""
+        with pytest.raises(ValueError) as err:
+            inf.accuracy(np.eye(4)[:n_pred], np.eye(4)[:n_labels], [0, 1, 2])
+        assert str(err.value) == (
+            f"accuracy: {n_pred} prediction rows vs {n_labels} label rows"
+        )
+
 
 class TestOutputFiles:
     def test_prediction_csv_format(self, tmp_path):
