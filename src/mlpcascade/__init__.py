@@ -6,7 +6,16 @@ one and fed its hidden representations, optimizing a growing blend of
 supervised cross entropy and teacher KL divergence plus an adaptive mixup
 loss. Inference runs students until a confidence, count, or time budget rule
 fires and returns a confidence-weighted ensemble of the executed students.
+
+BLAS runs single-threaded unless the environment says otherwise, so that
+same-seed runs write the same bytes: the thread caps are set here, before
+any submodule first loads numpy, and a variable already set is kept.
 """
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .cascade import (
     Cascade,

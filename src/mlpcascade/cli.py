@@ -13,49 +13,10 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 from __future__ import annotations
 
 import argparse
-import os
-import sys
-
-
-def _cap_thread_env() -> None:
-    """BLAS thread caps must be in the environment before numpy first loads,
-    so the --threads flag is scanned from the process command line at import
-    time. An explicit ``--threads N`` overrides the inherited variables;
-    without it, a variable already set is kept and an unset one gets 1
-    (single-threaded, for bit-reproducible runs). A value that is not an
-    integer >= 1 sets nothing: argument parsing refuses it with exit 2."""
-    n = None
-    argv = sys.argv
-    for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif tok.startswith("--threads="):
-            n = tok.split("=", 1)[1]
-    try:
-        n = str(_thread_count(n)) if n is not None else None
-    except argparse.ArgumentTypeError:
-        n = None
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        if n is None:
-            os.environ.setdefault(var, "1")
-        else:
-            os.environ[var] = n
-
-
-def _thread_count(tok: str) -> int:
-    try:
-        n = int(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{tok!r} is not an integer") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} must be >= 1")
-    return n
-
-
-_cap_thread_env()
-
 import json
+import math
 import statistics
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -219,16 +180,17 @@ def _run_values(args, config):
     return run["seed"], Path(run["out"]), dtype
 
 
+def _dataset_dir(args, config) -> Path:
+    path = _given(args, config, "dataset").get("path")
+    if path is None:
+        raise ValueError("no dataset: pass --data or set dataset.path in the config")
+    return Path(path)
+
+
 def _read_dataset(args, config, dtype, read=graphio.load_nodes):
     """The dataset of ``dataset.path``, read by ``read``."""
-    dataset = _given(args, config, "dataset")
-    if "path" not in dataset:
-        raise ValueError("no dataset: pass --data or set dataset.path in the config")
-    return read(
-        Path(dataset["path"]),
-        dtype=dtype,
-        normalize_features=dataset.get("normalize_features", False),
-    )
+    normalize = _given(args, config, "dataset").get("normalize_features", False)
+    return read(_dataset_dir(args, config), dtype=dtype, normalize_features=normalize)
 
 
 def _teacher_config(args, config, seed) -> teacher.TeacherConfig:
@@ -253,6 +215,10 @@ def _cascade_config(args, config, seed) -> cascade_mod.CascadeConfig:
 def _policy(args, config) -> inference.InferencePolicy:
     policy = {**DEFAULTS["policy"], **_given(args, config, "policy")}
     thr, budget_ms = policy["conf_threshold"], policy["budget_ms"]
+    if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
+        given = ("--budget-ms" if getattr(args, "policy.budget_ms") is not None
+                 else f"config file {args.config}: policy.budget_ms")
+        raise ValueError(f"{given} {budget_ms:g} must be finite and >= 0")
     return inference.InferencePolicy(
         conf_threshold=None if thr is _DISABLED else thr,
         max_students=policy["max_students"],
@@ -327,9 +293,10 @@ def cmd_distill(args, config) -> int:
     teacher_dir = Path(args.teacher_dir) if args.teacher_dir else out
     artifact, _teacher_cfg = _load_teacher_artifact(teacher_dir)
     if artifact.soft_labels.shape != (nodes.n_nodes, nodes.n_classes):
-        raise _RuntimeFail(
-            f"teacher/dataset mismatch: soft labels {artifact.soft_labels.shape} vs "
-            f"graph ({nodes.n_nodes}, {nodes.n_classes})"
+        (n, c), labels = artifact.soft_labels.shape, _dataset_dir(args, config) / "labels.csv"
+        raise ValueError(
+            f"teacher/dataset mismatch: {teacher_dir / SOFT_LABELS} holds {n} nodes of "
+            f"{c} classes, {labels} {nodes.n_nodes} nodes of {nodes.n_classes} classes"
         )
     casc = cascade_mod.train_cascade(nodes, artifact, cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -464,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "metavar": None if s.choices else s.flag[2:].replace("-", "_").upper()}
             p.add_argument(s.flag, dest=f"{s.section}.{s.key}", help=s.help, **kw)
         p.add_argument("--config", help="JSON config file (sections: dataset, teacher, cascade, policy, run)")
-        p.add_argument("--threads", type=_thread_count, default=None,
-                       help="BLAS thread cap, set when the process starts; overrides "
-                            "OMP/OPENBLAS/MKL_NUM_THREADS (default: those, else 1; "
-                            ">1 trades bit-reproducibility for speed)")
         return p
 
     p = command("synth", cmd_synth, (), "generate a stochastic-block-model dataset")

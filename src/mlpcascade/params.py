@@ -253,11 +253,16 @@ ARRAY_ENCODING = "raw-le"
 CHECKPOINT_DTYPES = ("float32", "float64")
 
 
+# the kind of each non-object value json.load gives, as a refusal names it
+_JSON_KIND_NAMES = {type(None): "null", bool: "a bool", int: "a number", float: "a number",
+                    str: "a string", list: "an array"}
+
+
 def json_object(obj, keys, where: str) -> dict:
     """``obj`` when it is a JSON object with exactly the keys ``keys``; a
     ValueError naming ``where`` (file and place in it) otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{where}: expected a JSON object, got {_JSON_KIND_NAMES[type(obj)]}")
     missing = sorted(set(keys) - set(obj))
     unknown = sorted(set(obj) - set(keys))
     if missing or unknown:

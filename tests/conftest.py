@@ -1,5 +1,5 @@
 # Cap BLAS threads before numpy loads anywhere, so determinism checks run
-# under the same single-threaded regime as the CLI default.
+# under the same single-threaded regime as the package default.
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

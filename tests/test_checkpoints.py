@@ -634,4 +634,14 @@ def test_cascade_without_a_config_is_refused(ckpt_dir):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         cas.load_cascade(path)
-    assert str(err.value) == f"{path} config: expected a JSON object, got NoneType"
+    assert str(err.value) == f"{path} config: expected a JSON object, got null"
+
+
+@pytest.mark.parametrize("value, kind", [
+    (None, "null"), (True, "a bool"), (3, "a number"), (2.5, "a number"),
+    ("x", "a string"), ([1], "an array"),
+])
+def test_a_non_object_is_refused_by_its_json_kind(value, kind):
+    with pytest.raises(ValueError) as err:
+        params.json_object(value, ("a",), "f.json config")
+    assert str(err.value) == f"f.json config: expected a JSON object, got {kind}"

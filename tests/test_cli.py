@@ -2,8 +2,13 @@ import argparse
 import base64
 import csv
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,22 +236,36 @@ class TestDistill:
         report = json.loads((run / "distill_report.json").read_text())
         assert len(report["students"]) == 1
 
-    def test_mismatched_teacher_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("differ", ["nodes", "classes"])
+    def test_mismatched_teacher_exits_2_naming_both_files(self, tmp_path, capsys, differ):
         data = tmp_path / "data"
         other = tmp_path / "other"
         run = tmp_path / "run"
-        assert run_cli(*dataset_args(data, nodes=30)) == 0
         assert run_cli(*dataset_args(other, nodes=60, seed=2)) == 0
+        if differ == "nodes":
+            assert run_cli(*dataset_args(data, nodes=30)) == 0
+            shape = "30 nodes of 3 classes"
+        else:  # a copy of the teacher's dataset with one label id changed to 3
+            shutil.copytree(other, data)
+            labels = (data / "labels.csv").read_text().splitlines()
+            labels[1] = "3"  # node 1, of class 0
+            (data / "labels.csv").write_text("\n".join(labels) + "\n")
+            shape = "60 nodes of 4 classes"
         assert run_cli(
             "train-teacher", "--data", other, "--out", run,
             "--hidden", 8, "--epochs", 8, "--patience", 4,
         ) == 0
+        capsys.readouterr()
         code = run_cli(
-            "distill", "--data", data, "--teacher-dir", run, "--out", run,
+            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
             "--students", 1, "--epochs", 5, "--patience", 3,
         )
-        assert code == 1
-        assert "mismatch" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: teacher/dataset mismatch: {run / 'soft_labels.csv'} holds 60 nodes of "
+            f"3 classes, {data / 'labels.csv'} {shape}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_teacher_exits_1(self, tmp_path):
         data = tmp_path / "data"
@@ -732,52 +751,90 @@ class TestDistillReportFromTraining:
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
-class TestThreads:
-    """--threads is read from the process command line before numpy loads."""
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-    @staticmethod
-    def thread_env(*flags):
-        """The BLAS thread variables a process started as ``mlpcascade
-        synth *flags`` sees, having inherited 2 for each."""
-        import os
-        import subprocess
-        import sys
 
-        code = (
-            "import sys; sys.argv = ['mlpcascade', 'synth', *sys.argv[1:]]\n"
-            "import os, mlpcascade.cli\n"
-            "print(*(os.environ[v] for v in "
-            "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))"
-        )
-        env = {**os.environ, "OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
-               "MKL_NUM_THREADS": "2"}
-        proc = subprocess.run([sys.executable, "-c", code, *flags], env=env,
-                              capture_output=True, text=True)
+# the directory the package under test was imported from, for child processes
+PACKAGE_ROOT = str(Path(cas.__file__).resolve().parents[1])
+
+
+def fresh_env(**env):
+    """This process's environment without the BLAS thread variables, with
+    the package under test first on PYTHONPATH, plus ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, base.get("PYTHONPATH"))))
+    return {**base, "PYTHONPATH": path, **env}
+
+
+def run_module(*args, cwd=None, **env):
+    """``python -m mlpcascade *args`` in a fresh interpreter, under ``fresh_env(**env)``."""
+    return subprocess.run([sys.executable, "-m", "mlpcascade", *map(str, args)],
+                          env=fresh_env(**env), cwd=cwd, capture_output=True, text=True)
+
+
+class TestBlasThreads:
+    """BLAS runs one thread unless the environment says otherwise: the caps
+    are set when the package is imported, before numpy loads, so a plain
+    command line writes the bytes of a single-threaded run."""
+
+    # the thread-count getter numpy's bundled OpenBLAS exports, by build
+    GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+               "openblas_get_num_threads64_", "openblas_get_num_threads")
+    PROBE = (
+        "import ctypes, glob, os, sys\n"
+        "import mlpcascade, numpy\n"
+        "libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs')\n"
+        "for path in glob.glob(os.path.join(libs, '*openblas*')):\n"
+        "    lib = ctypes.CDLL(path)\n"
+        "    for name in sys.argv[1:]:\n"
+        "        if hasattr(lib, name):\n"
+        "            print(getattr(lib, name)())\n"
+        "            sys.exit()\n"
+        "print('none')\n"
+    )
+
+    def blas_threads(self, **env):
+        """The thread count BLAS reads after ``import mlpcascade`` in a fresh
+        interpreter under ``fresh_env(**env)``."""
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *self.GETTERS],
+                              env=fresh_env(**env), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
+        if proc.stdout.strip() == "none":
+            pytest.skip("numpy's bundled OpenBLAS exports no thread-count getter")
+        return int(proc.stdout)
 
-    @pytest.mark.parametrize("flags", [("--threads", "1"), ("--threads=1",)])
-    def test_explicit_flag_overrides_the_environment(self, flags):
-        assert self.thread_env(*flags) == ["1", "1", "1"]
+    def test_import_caps_blas_at_one_thread(self):
+        assert self.blas_threads() == 1
 
-    def test_inherited_variables_kept_without_the_flag(self):
-        assert self.thread_env() == ["2", "2", "2"]
+    def test_a_set_variable_is_kept(self):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one core: OpenBLAS runs one thread whatever the variable says")
+        assert self.blas_threads(OPENBLAS_NUM_THREADS="2") == 2
 
-    @pytest.mark.parametrize("value", ["0", "-3", "two"])
-    def test_bad_count_exits_2(self, tmp_path, value):
-        import subprocess
-        import sys
-
-        out = tmp_path / "ds"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mlpcascade", "synth", "--nodes", "12", "--classes", "3",
-             "--feat-dim", "4", "--out", str(out), f"--threads={value}"],
-            capture_output=True, text=True,
+    def test_plain_run_writes_single_thread_bytes(self, tmp_path):
+        data = tmp_path / "data"
+        proc = run_module(
+            "synth", "--nodes", 600, "--classes", 3, "--feat-dim", 256, "--p-in", 0.05,
+            "--p-out", 0.005, "--noise", 1.5, "--seed", 0, "--out", data,
         )
+        assert proc.returncode == 0, proc.stderr
+        weights = []
+        for name, env in (("plain", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            proc = run_module(
+                "train-teacher", "--data", data, "--hidden", 64, "--epochs", 3,
+                "--patience", 2, "--seed", 0, "--out", tmp_path / name, **env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            weights.append((tmp_path / name / "teacher.weights").read_bytes())
+        assert weights[0] == weights[1]
+
+    def test_threads_flag_is_an_unknown_argument(self, tmp_path):
+        out = tmp_path / "ds"
+        proc = run_module("synth", "--nodes", 12, "--classes", 3, "--feat-dim", 4,
+                          "--threads", 1, "--out", out)
         assert proc.returncode == 2
-        assert "argument --threads" in proc.stderr
+        assert "unrecognized arguments: --threads 1" in proc.stderr
         assert not out.exists()
-        assert self.thread_env(f"--threads={value}") == ["2", "2", "2"]
 
 
 class TestInfer:
@@ -815,7 +872,7 @@ class TestInfer:
         assert meta["executed"] == 2
         assert meta["stopped_by"] == "cap"
 
-    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "-0.5"])
     def test_budget_not_finite_and_non_negative_exits_2(
         self, separable_run, tmp_path, capsys, budget
     ):
@@ -826,9 +883,24 @@ class TestInfer:
             "--features", data / "features.csv",
             "--conf-threshold", "none", "--budget-ms", budget, "--out", out,
         ) == 2
-        seconds = float(budget) / 1000.0
+        assert capsys.readouterr().err == f"error: --budget-ms {budget} must be finite and >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget, shown", [(-1, "-1"), (-0.5, "-0.5"),
+                                               (float("inf"), "inf"), (float("nan"), "nan")])
+    def test_config_budget_not_finite_and_non_negative_exits_2(
+        self, separable_run, tmp_path, capsys, budget, shown
+    ):
+        data, run = separable_run
+        out = tmp_path / "i"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"policy": {"budget_ms": budget}}))  # Infinity, NaN
+        assert run_cli(
+            "infer", "--cascade", run / "cascade.json", "--features", data / "features.csv",
+            "--conf-threshold", "none", "--config", cfg_path, "--out", out,
+        ) == 2
         assert capsys.readouterr().err == (
-            f"error: wall_clock_budget {seconds} must be finite and >= 0\n"
+            f"error: config file {cfg_path}: policy.budget_ms {shown} must be finite and >= 0\n"
         )
         assert not out.exists()
 
@@ -1082,7 +1154,7 @@ CASCADE_CASES = {
     "config null, student 1's init forged": (
         _edit_doc(lambda d: (d.update(config=None),
                              d["students"][0]["meta"].update(init_fingerprint="x"))),
-        "cascade.json config: expected a JSON object, got NoneType",
+        "cascade.json config: expected a JSON object, got null",
     ),
     "config n_students unlike the students": (
         _edit_doc(lambda d: d["config"].update(n_students=7)),
@@ -1463,26 +1535,26 @@ class TestSettingsTable:
     OPTIONS = {
         "synth": [
             "--classes", "--config", "--feat-dim", "--nodes", "--noise", "--out", "--p-in",
-            "--p-out", "--precision", "--seed", "--threads",
+            "--p-out", "--precision", "--seed",
         ],
         "train-teacher": [
             "--config", "--data", "--depth", "--dropout", "--epochs", "--hidden", "--lr",
             "--normalize-features", "--out", "--patience", "--precision", "--seed",
-            "--threads", "--weight-decay",
+            "--weight-decay",
         ],
         "distill": [
             "--alpha", "--beta", "--config", "--data", "--dropout", "--epochs", "--gamma",
             "--hidden", "--lambda-init", "--lambda-sign-inverted", "--layers", "--lr",
             "--normalize-features", "--out", "--patience", "--precision", "--seed", "--sigma",
-            "--students", "--tau", "--teacher-dir", "--threads", "--weight-decay",
+            "--students", "--tau", "--teacher-dir", "--weight-decay",
         ],
         "sweep": [
             "--cascade", "--config", "--data", "--normalize-features", "--out", "--precision",
-            "--reps", "--seed", "--threads",
+            "--reps", "--seed",
         ],
         "infer": [
             "--budget-ms", "--cascade", "--conf-threshold", "--config", "--features",
-            "--max-students", "--out", "--precision", "--seed", "--threads",
+            "--max-students", "--out", "--precision", "--seed",
         ],
     }
 
@@ -1560,9 +1632,6 @@ class TestSettingsTable:
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     out = tmp_path / "ds"
     proc = subprocess.run(
         [sys.executable, "-m", "mlpcascade", "synth", "--nodes", "12",
@@ -1573,3 +1642,42 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "N=12" in proc.stdout
     assert (out / "features.csv").is_file()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quickstart_steps():
+    """The commands of the README Quickstart, each with the files its
+    comment says it writes."""
+    block = README.read_text().split("## Quickstart (CLI)\n", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("\n```", 1)[0]
+    steps, comment = [], ""
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            comment += line
+        elif line.strip():
+            steps.append((line.split(), re.findall(r"[\w.]+\.(?:csv|json|weights)", comment)))
+            comment = ""
+    return steps
+
+
+def test_readme_quickstart_runs_as_written(tmp_path):
+    """Each Quickstart command, at shrunk sizes, exits 0 through the module
+    entry point and writes the files its comment names under its --out."""
+    shrink = {"--nodes": "90", "--hidden": "8"}
+    fewer_epochs = ["--epochs", "5", "--patience", "3"]
+    steps = quickstart_steps()
+    assert [argv[:2] for argv, _ in steps] == [
+        ["mlpcascade", name] for name in ("synth", "train-teacher", "distill", "sweep", "infer")
+    ]
+    for argv, files in steps:
+        args = [shrink.get(prev, tok) for prev, tok in zip(argv, argv[1:])]
+        if args[0] in ("train-teacher", "distill"):
+            args += fewer_epochs
+        proc = run_module(*args, cwd=tmp_path)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert files
+        out = tmp_path / args[args.index("--out") + 1]
+        for name in files:
+            assert (out / name).is_file(), (args[0], name)
