@@ -46,7 +46,6 @@ from .numkit import (
     GradPair,
     SoftTargets,
     accuracy,
-    dropout_in_place,
     dropout_mask,  # noqa: F401 (unused here: perfbench wraps cascade.dropout_mask)
     fingerprint,
     kl_divergence,
@@ -61,6 +60,7 @@ from .params import (
     backward_to_first,
     check_copy,
     dataclass_from_json,
+    dropper,
     eval_hidden,
     forward_cache,
     init_layers,
@@ -231,17 +231,6 @@ def init_student(
     return init_layers(dims, rng, dtype)
 
 
-def _dropper(dropout: float, rng: np.random.Generator | None, where: str):
-    """Drops each hidden activation in place, its mask drawn from ``rng``
-    (``dropout_in_place``); None without dropout. ValueError naming the
-    caller ``where`` when there is dropout but no ``rng``."""
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError(f"{where}: dropout {dropout} needs an rng, got None")
-        return lambda a: dropout_in_place(rng, a, dropout)
-    return None
-
-
 def student_forward(p: LayerStack, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One student's eval-mode forward pass on assembled rows [x | h_prev].
 
@@ -371,7 +360,7 @@ def mixup_loss(
     otherwise)."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    logits, caches = forward_cache(p, None, _dropper(dropout, rng, "mixup_loss"), projection=mixed)
+    logits, caches = forward_cache(p, None, dropper(dropout, rng, "mixup_loss"), projection=mixed)
     logp = log_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
@@ -419,7 +408,7 @@ def total_loss_gradpair(
     labeled = np.asarray(labeled)
     if projection is None:
         projection = inputs @ p.layers[0][0]
-    drop = _dropper(dropout, rng, "total_loss_gradpair")
+    drop = dropper(dropout, rng, "total_loss_gradpair")
     logits, caches = forward_cache(p, inputs, drop, projection=projection)
     distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
     grads, d_first = backward_to_first(p, caches, distill.grads["logits"])
@@ -478,7 +467,7 @@ def train_student(
     labeled = nodes.splits.labeled
     rng = np.random.default_rng([cfg.seed, k])
     params = init.copy()
-    y_val = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
+    y_val = nodes.labels[nodes.splits.validation]
     lambda_history = [lam]
     projection = None  # inputs @ w1 of the current parameters, from validate
 

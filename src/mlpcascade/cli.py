@@ -7,14 +7,14 @@ Artifacts land under ``--out`` with fixed filenames; reports hold only
 deterministic fields, while timing lives in ``tradeoff.csv`` and
 ``infer_meta.json``.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
+Exit codes: 0 success, 1 a missing input file or diverged training,
+2 usage/validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 from dataclasses import fields
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import cascade as cascade_mod
-from . import graphio, inference, numkit, teacher
+from . import graphio, inference, teacher
 from .optim import TrainingDivergedError
 from .params import json_value, write_json
 
@@ -46,10 +46,6 @@ PREDICTIONS_CSV = "predictions.csv"
 INFER_META = "infer_meta.json"
 
 _DISABLED = "disabled"
-
-
-class _RuntimeFail(Exception):
-    """Command failure that maps to exit code 1."""
 
 
 def _threshold_arg(tok: str):
@@ -213,12 +209,19 @@ def _cascade_config(args, config, seed) -> cascade_mod.CascadeConfig:
 
 
 def _policy(args, config) -> inference.InferencePolicy:
+    """The policy of the flags, the config file and the defaults. A value
+    outside its ``inference.POLICY_RANGES`` range is refused naming the
+    flag, or the config file and the key, that gave it; the budget's range
+    in milliseconds is that of the seconds it becomes."""
     policy = {**DEFAULTS["policy"], **_given(args, config, "policy")}
+    for key, value in policy.items():
+        ok, refusal = inference.POLICY_RANGES["wall_clock_budget" if key == "budget_ms" else key]
+        if value is not None and value is not _DISABLED and not ok(value):
+            given = (_BY_KEY["policy", key].flag if getattr(args, f"policy.{key}") is not None
+                     else f"config file {args.config}: policy.{key}")
+            shown = f"{value:g}" if isinstance(value, float) else value
+            raise ValueError(f"{given} {shown} {refusal}")
     thr, budget_ms = policy["conf_threshold"], policy["budget_ms"]
-    if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
-        given = ("--budget-ms" if getattr(args, "policy.budget_ms") is not None
-                 else f"config file {args.config}: policy.budget_ms")
-        raise ValueError(f"{given} {budget_ms:g} must be finite and >= 0")
     return inference.InferencePolicy(
         conf_threshold=None if thr is _DISABLED else thr,
         max_students=policy["max_students"],
@@ -231,7 +234,7 @@ def _load_teacher_artifact(teacher_dir: Path):
     soft = teacher_dir / SOFT_LABELS
     for p in (ckpt, soft):
         if not p.is_file():
-            raise _RuntimeFail(f"teacher artifact missing: {p}")
+            raise FileNotFoundError(f"teacher artifact missing: {p}")
     return teacher.load_teacher(ckpt, soft)
 
 
@@ -308,8 +311,6 @@ def cmd_distill(args, config) -> int:
         [meta.logits for meta in casc.metas], nodes.splits.unlabeled
     )
     val, test = nodes.splits.validation, nodes.splits.test
-    # class ids once for every prefix; the floats inference.accuracy gives
-    val_truth, test_truth = (np.argmax(nodes.labels[s], axis=1) for s in (val, test))
     students = []
     lambda_trajectory: list[float] = []
     prefixes = inference.prefix_ensembles(probs, confidences)
@@ -319,8 +320,8 @@ def cmd_distill(args, config) -> int:
                 "k": k,
                 "epochs": meta.epochs,
                 "final_lambda": meta.final_lambda,
-                "val_accuracy": numkit.accuracy(prediction[val], val_truth),
-                "test_accuracy": numkit.accuracy(prediction[test], test_truth),
+                "val_accuracy": inference.accuracy(prediction, nodes.labels, val),
+                "test_accuracy": inference.accuracy(prediction, nodes.labels, test),
             }
         )
         lambda_trajectory.extend(meta.lambda_history[1:])
@@ -353,13 +354,24 @@ def _sweep_one(casc, nodes, reps: int):
         per_student_ms.append([1000.0 * t for t in result.elapsed])
     rows = []
     cum = 0.0
-    test = nodes.splits.test
-    truth = np.argmax(nodes.labels[test], axis=1)  # once, not once per k
     prefixes = inference.prefix_ensembles(result.probs, result.confidences)
     for k, prediction in enumerate(prefixes, start=1):
         cum += statistics.median(rep[k - 1] for rep in per_student_ms)
-        rows.append((k, numkit.accuracy(prediction[test], truth), cum))
+        rows.append((k, inference.accuracy(prediction, nodes.labels, nodes.splits.test), cum))
     return rows
+
+
+def _load_cascade(path: Path, features: Path, width: int):
+    """The cascade checkpoint at ``path``, refused, naming both files,
+    unless it takes the ``width`` of the feature file ``features``."""
+    if not path.is_file():
+        raise FileNotFoundError(f"cascade checkpoint missing: {path}")
+    casc = cascade_mod.load_cascade(path)
+    if casc.feat_dim != width:
+        raise ValueError(
+            f"feature width mismatch: {path} expects d={casc.feat_dim}, {features} has d={width}"
+        )
+    return casc
 
 
 def cmd_sweep(args, config) -> int:
@@ -368,15 +380,13 @@ def cmd_sweep(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     nodes = _read_dataset(args, config, dtype)
     paths = [Path(p) for p in args.cascade] if args.cascade else [out / CASCADE_CKPT]
-    for p in paths:
-        if not p.is_file():
-            raise _RuntimeFail(f"cascade checkpoint missing: {p}")
+    features = _dataset_dir(args, config) / "features.csv"
+    cascades = [_load_cascade(p, features, nodes.feat_dim) for p in paths]
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / TRADEOFF_CSV, "w") as f:
         f.write("k,accuracy,cum_ms\n")
-        for p in paths:
-            casc = cascade_mod.load_cascade(p)
+        for casc in cascades:
             for k, acc, cum_ms in _sweep_one(casc, nodes, args.reps):
                 f.write(f"{k},{acc:.6f},{cum_ms:.3f}\n")
     print(f"sweep: {len(paths)} cascade(s), reps={args.reps} -> {out / TRADEOFF_CSV}")
@@ -386,19 +396,11 @@ def cmd_sweep(args, config) -> int:
 def cmd_infer(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     policy = _policy(args, config)
-    cascade_path = Path(args.cascade)
-    if not cascade_path.is_file():
-        raise _RuntimeFail(f"cascade checkpoint missing: {cascade_path}")
-    casc = cascade_mod.load_cascade(cascade_path)
     features_path = Path(args.features)
     if not features_path.is_file():
-        raise _RuntimeFail(f"feature file missing: {features_path}")
+        raise FileNotFoundError(f"feature file missing: {features_path}")
     x = graphio.read_features(features_path, dtype)
-    expected = casc.feat_dim
-    if x.shape[1] != expected:
-        raise _RuntimeFail(
-            f"feature width mismatch: cascade expects d={expected}, file has d={x.shape[1]}"
-        )
+    casc = _load_cascade(Path(args.cascade), features_path, x.shape[1])
     result = inference.run_anytime(casc, x, policy, np.arange(x.shape[0]))
     out.mkdir(parents=True, exist_ok=True)
     inference.write_prediction_csv(out / PREDICTIONS_CSV, result)
@@ -466,7 +468,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except (_RuntimeFail, FileNotFoundError, TrainingDivergedError) as exc:
+    except (FileNotFoundError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -64,6 +64,7 @@ from scipy import sparse
 
 from . import csvfmt
 from .numkit import DEFAULT_DTYPE, SparseMatrix, fingerprint
+from .params import JSON_KIND_NAMES
 
 # Defaults used when a dataset directory carries no splits.json.
 DEFAULT_N_PER_CLASS = 20
@@ -493,7 +494,7 @@ def _read_splits(path: Path, n_nodes: int) -> Splits:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or sorted(raw) != sorted(_SPLIT_KEYS):
-        got = sorted(raw) if isinstance(raw, dict) else f"a JSON {type(raw).__name__}"
+        got = sorted(raw) if isinstance(raw, dict) else JSON_KIND_NAMES[type(raw)]
         raise ValueError(
             f"{path}: must be an object with exactly the keys labeled, "
             f"validation and test; got {got}"

@@ -35,9 +35,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import numkit
 from .cascade import Cascade, student_forward
 from .graphio import _write_csv
+from .numkit import accuracy  # noqa: F401 (re-exported: the package's one accuracy)
 from .numkit import check_index, check_logits, class_sum, softmax_classes
 from .params import write_json
 
@@ -46,6 +46,14 @@ from .params import write_json
 # full-graph student alone, since a larger block's float64 temporaries
 # leave the cache
 SCORE_BLOCK = 1 << 17
+
+# the range of each stopping rule's value, as a test and the refusal's
+# wording (a NaN budget would never fire: every student would run)
+POLICY_RANGES = {
+    "conf_threshold": (lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
+    "max_students": (lambda v: v >= 1, "must be >= 1"),
+    "wall_clock_budget": (lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -63,23 +71,12 @@ class InferencePolicy:
     wall_clock_budget: Optional[float] = None
 
     def __post_init__(self):
-        if (
-            self.conf_threshold is None
-            and self.max_students is None
-            and self.wall_clock_budget is None
-        ):
+        if all(getattr(self, name) is None for name in POLICY_RANGES):
             raise ValueError("policy needs at least one active stopping rule")
-        if self.conf_threshold is not None and not 0.0 <= self.conf_threshold <= 1.0:
-            raise ValueError(f"conf_threshold {self.conf_threshold} outside [0, 1]")
-        if self.max_students is not None and self.max_students < 1:
-            raise ValueError(f"max_students {self.max_students} must be >= 1")
-        if self.wall_clock_budget is not None and not (
-            math.isfinite(self.wall_clock_budget) and self.wall_clock_budget >= 0
-        ):
-            # a NaN budget never fires: every student would run
-            raise ValueError(
-                f"wall_clock_budget {self.wall_clock_budget} must be finite and >= 0"
-            )
+        for name, (ok, refusal) in POLICY_RANGES.items():
+            value = getattr(self, name)
+            if value is not None and not ok(value):
+                raise ValueError(f"{name} {value} {refusal}")
 
     def fired(
         self, conf: Optional[float], executed: int, spent: float
@@ -380,18 +377,6 @@ def run_anytime(
         probs=probs,
         stopped_by=stopped_by or "exhausted",
     )
-
-
-def accuracy(pred: np.ndarray, y: np.ndarray, idx) -> float:
-    """Fraction of `idx` rows where argmax(pred) == argmax(y); argmax ties
-    break to the lowest class index. `pred` and `y` must have one row per
-    node each; a row-count mismatch raises ValueError naming both counts."""
-    if pred.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"accuracy: {pred.shape[0]} prediction rows vs {y.shape[0]} label rows"
-        )
-    idx = check_index(idx, pred.shape[0], "accuracy", "evaluation")
-    return numkit.accuracy(pred[idx], np.argmax(y[idx], axis=1))
 
 
 def write_prediction_csv(path, result: InferenceResult) -> None:

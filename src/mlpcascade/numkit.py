@@ -227,10 +227,19 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(softmax_classes(logits.T.copy()).T)
 
 
-def accuracy(logits: np.ndarray, truth_ids: np.ndarray) -> float:
-    """Fraction of rows whose argmax equals the row's class id in
-    ``truth_ids``; argmax ties break to the lowest class index."""
-    return float(np.mean(np.argmax(logits, axis=1) == truth_ids))
+def accuracy(pred: np.ndarray, y: np.ndarray, idx=None) -> float:
+    """Fraction of the rows ``idx`` (``check_index``), or of every row when
+    omitted, whose one-hot label in ``y`` has its 1 at the argmax of
+    ``pred`` (ties to the lowest class). ``pred`` and ``y`` hold the same
+    rows: unequal row counts raise ValueError naming both."""
+    if pred.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"accuracy: {pred.shape[0]} prediction rows vs {y.shape[0]} label rows"
+        )
+    if idx is not None:
+        idx = check_index(idx, pred.shape[0], "accuracy", "evaluation")
+        pred, y = pred[idx], y[idx]
+    return float(np.mean(y[np.arange(y.shape[0]), np.argmax(pred, axis=1)] == 1))
 
 
 def check_index(idx, n_rows: int, func: str, name: str) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .numkit import fingerprint, glorot_uniform
+from .numkit import dropout_in_place, fingerprint, glorot_uniform
 
 
 @dataclass
@@ -100,6 +100,18 @@ def _transpose(d: np.ndarray, aggregate: Aggregation | None) -> np.ndarray:
     return d if aggregate is None else aggregate.transpose(d)
 
 
+def dropper(dropout: float, rng: np.random.Generator | None, where: str):
+    """The ``drop`` of ``forward_cache``: drops each hidden activation in
+    place, its mask drawn from ``rng`` (``numkit.dropout_in_place``); None
+    without dropout. ValueError naming the caller ``where`` when there is
+    dropout but no ``rng``."""
+    if dropout > 0.0:
+        if rng is None:
+            raise ValueError(f"{where}: dropout {dropout} needs an rng, got None")
+        return lambda a: dropout_in_place(rng, a, dropout)
+    return None
+
+
 def forward_cache(
     p: LayerStack,
     a: np.ndarray | None,
@@ -116,7 +128,7 @@ def forward_cache(
     selects rows makes its layer's output, the logits when it is the last
     layer's, one row per selected row. ``drop(r)`` applies dropout to each
     hidden activation ``r`` in place, in layer order, and returns the keep
-    scale of its mask (``numkit.dropout_in_place``); None trains without
+    scale of its mask (``dropper`` builds it); None trains without
     dropout. Returns the logits and a list of one ``(input, r, scale)``
     cache per layer, ``r`` being the layer's ReLU output after dropout (the
     logits for the last layer), which is also the next layer's input, and
@@ -254,15 +266,15 @@ CHECKPOINT_DTYPES = ("float32", "float64")
 
 
 # the kind of each non-object value json.load gives, as a refusal names it
-_JSON_KIND_NAMES = {type(None): "null", bool: "a bool", int: "a number", float: "a number",
-                    str: "a string", list: "an array"}
+JSON_KIND_NAMES = {type(None): "null", bool: "a bool", int: "a number", float: "a number",
+                   str: "a string", list: "an array"}
 
 
 def json_object(obj, keys, where: str) -> dict:
     """``obj`` when it is a JSON object with exactly the keys ``keys``; a
     ValueError naming ``where`` (file and place in it) otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {_JSON_KIND_NAMES[type(obj)]}")
+        raise ValueError(f"{where}: expected a JSON object, got {JSON_KIND_NAMES[type(obj)]}")
     missing = sorted(set(keys) - set(obj))
     unknown = sorted(set(obj) - set(keys))
     if missing or unknown:

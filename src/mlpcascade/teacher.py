@@ -33,7 +33,6 @@ from .numkit import (
     accuracy,
     apply_dropout,
     check_index,
-    dropout_in_place,
     dropout_mask,  # noqa: F401 (unused here: perfbench wraps teacher.dropout_mask)
     fingerprint,
     masked_cross_entropy,
@@ -47,6 +46,7 @@ from .params import (
     backward,
     check_copy,
     dataclass_from_json,
+    dropper,
     eval_hidden,
     forward_cache,
     init_layers,
@@ -213,12 +213,10 @@ def teacher_ce_gradpair(
     ascending order as Â's rows do. A repeated mask row counts once per
     mention in both."""
     _check_square(norm_adj, "teacher_ce_gradpair")
-    if dropout > 0.0 and rng is None:
-        raise ValueError(f"teacher_ce_gradpair: dropout {dropout} needs an rng, got None")
+    drop = dropper(dropout, rng, "teacher_ce_gradpair")
     idx = check_index(mask, norm_adj.shape[0], "teacher_ce_gradpair", "mask")
     rows, at = np.unique(idx, return_inverse=True)
     adj_t = norm_adj.T
-    drop = (lambda a: dropout_in_place(rng, a, dropout)) if dropout > 0.0 else None
     if drop is not None:
         # no gradient flows to x: its mask is applied as it is drawn
         x_in = _first_input(adj_t, apply_dropout(rng, x, dropout), p)
@@ -268,7 +266,7 @@ def train_teacher(
     adj_t = norm_adj.T
     x_in = _first_input(adj_t, nodes.features, params)
     adj_val = norm_adj[nodes.splits.validation]
-    val_truth = np.argmax(nodes.labels[nodes.splits.validation], axis=1)
+    y_val = nodes.labels[nodes.splits.validation]
 
     def step(epoch: int):
         ce = teacher_ce_gradpair(
@@ -281,7 +279,7 @@ def train_teacher(
 
     def validate():
         hw = _eval_projection(adj_t, x_in, params)
-        return accuracy(spmm(adj_val, hw) + params.layers[-1][1], val_truth), hw
+        return accuracy(spmm(adj_val, hw) + params.layers[-1][1], y_val), hw
 
     params, hw, record = fit(params, cfg, step, validate)
     logits = spmm(adj_t, hw) + params.layers[-1][1]

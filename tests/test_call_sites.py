@@ -8,8 +8,8 @@ module attributes, so its per-layer metrics mean something only while the
 trainers and ``run_anytime`` look the names up there, once per use. The
 trainers draw no mask with ``dropout_mask``: the teacher's input features
 are dropped by ``teacher.apply_dropout`` and every hidden activation, of
-the teacher and the students, in place by ``dropout_in_place``, neither of
-which perfbench times. So both ``dropout_mask`` names count 0 calls. These
+the teacher and the students, in place by ``params.dropout_in_place``
+(through ``params.dropper``), neither of which perfbench times. So both ``dropout_mask`` names count 0 calls. These
 tests count the calls through ``monkeypatch`` during one small training run
 of each model and a few anytime calls.
 """
@@ -20,12 +20,15 @@ import pytest
 import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
+import mlpcascade.params as par
 import mlpcascade.teacher as t
 
 
-def count_calls(monkeypatch, module, names):
-    """Wrap ``module.<name>`` for each name; returns the live call counts."""
-    counts = dict.fromkeys(names, 0)
+def count_calls(monkeypatch, module, names, counts=None):
+    """Wrap ``module.<name>`` for each name; returns the live call counts,
+    added to ``counts`` when given."""
+    counts = {} if counts is None else counts
+    counts.update(dict.fromkeys(names, 0))
     for name in names:
         original = getattr(module, name)
 
@@ -39,9 +42,8 @@ def count_calls(monkeypatch, module, names):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_teacher_call_sites(tiny_graph, monkeypatch, depth):
-    counts = count_calls(
-        monkeypatch, t, ("spmm", "dropout_mask", "apply_dropout", "dropout_in_place")
-    )
+    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask", "apply_dropout"))
+    count_calls(monkeypatch, par, ("dropout_in_place",), counts)
     cfg = t.TeacherConfig(
         hidden_dim=8, dropout=0.5, max_epochs=5, patience=4, depth=depth, seed=3
     )
@@ -63,9 +65,8 @@ def test_teacher_call_sites(tiny_graph, monkeypatch, depth):
 def test_aggregate_first_teacher_without_dropout_call_sites(monkeypatch, depth):
     # 8 features against hidden width 8: the first layer aggregates first
     g = gio.synth_sbm(150, 3, 8, 0.15, 0.05, 3.0, seed=2)
-    counts = count_calls(
-        monkeypatch, t, ("spmm", "dropout_mask", "apply_dropout", "dropout_in_place")
-    )
+    counts = count_calls(monkeypatch, t, ("spmm", "dropout_mask", "apply_dropout"))
+    count_calls(monkeypatch, par, ("dropout_in_place",), counts)
     cfg = t.TeacherConfig(
         hidden_dim=8, dropout=0.0, max_epochs=6, patience=5, depth=depth, seed=3
     )
@@ -86,7 +87,8 @@ def test_aggregate_first_teacher_without_dropout_call_sites(monkeypatch, depth):
 @pytest.mark.parametrize("n_layers", [2, 3])
 def test_cascade_call_sites(tiny_graph, monkeypatch, n_layers):
     art = t.train_teacher(tiny_graph, gio.normalized_adjacency(tiny_graph), t.TeacherConfig(hidden_dim=8, max_epochs=5, patience=4))
-    counts = count_calls(monkeypatch, cas, ("dropout_mask", "dropout_in_place", "student_forward"))
+    counts = count_calls(monkeypatch, cas, ("dropout_mask", "student_forward"))
+    count_calls(monkeypatch, par, ("dropout_in_place",), counts)
     cfg = cas.CascadeConfig(
         n_students=2, hidden_dim=8, n_layers=n_layers, dropout=0.5,
         max_epochs=4, patience=3, seed=2,

@@ -372,6 +372,34 @@ class TestSweep:
         assert run_cli(*dataset_args(data, nodes=30)) == 0
         assert run_cli("sweep", "--data", data, "--out", tmp_path / "empty") == 1
 
+    def test_width_mismatch_exits_2_naming_both_files(self, separable_run, tmp_path, capsys):
+        # the second of two cascades is refused before any row is written
+        data, run = separable_run
+        wide = tmp_path / "wide"
+        args = dataset_args(wide)
+        args[args.index("--feat-dim") + 1] = 12
+        assert run_cli(*args) == 0
+        assert run_cli(
+            "train-teacher", "--data", wide, "--out", wide, "--hidden", 8,
+            "--epochs", 2, "--patience", 1,
+        ) == 0
+        assert run_cli(
+            "distill", "--data", wide, "--out", wide, "--students", 1, "--hidden", 8,
+            "--epochs", 2, "--patience", 1,
+        ) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep", "--data", data, "--out", out,
+            "--cascade", run / "cascade.json", "--cascade", wide / "cascade.json",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: feature width mismatch: {wide / 'cascade.json'} expects d=12, "
+            f"{data / 'features.csv'} has d=8\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_reps_below_one_exits_2_naming_flag(self, separable_run, reps, capsys):
         data, run = separable_run
@@ -917,17 +945,20 @@ class TestInfer:
             outs.append(out)
         assert (outs[0] / "predictions.csv").read_bytes() == (outs[1] / "predictions.csv").read_bytes()
 
-    def test_width_mismatch_exits_1_naming_dims(self, separable_run, tmp_path, capsys):
+    def test_width_mismatch_exits_2_naming_both_files(self, separable_run, tmp_path, capsys):
         _, run = separable_run
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0\n3.0,4.0\n")
+        out = tmp_path / "out"
         code = run_cli(
-            "infer", "--cascade", run / "cascade.json", "--features", bad,
-            "--out", tmp_path,
+            "infer", "--cascade", run / "cascade.json", "--features", bad, "--out", out,
         )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "d=8" in err and "d=2" in err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: feature width mismatch: {run / 'cascade.json'} expects d=8, "
+            f"{bad} has d=2\n"
+        )
+        assert not out.exists()
 
     def test_nonfinite_features_exit_2_naming_line(self, separable_run, tmp_path, capsys):
         data, run = separable_run
@@ -954,9 +985,9 @@ class TestInfer:
 
 class TestConfThreshold:
     """``policy.conf_threshold`` follows one rule as a flag and in the
-    config file: a value in [0, 1] gates, any other number exits 2 with the
-    same message from both, and only ``none``/``off``/``disabled`` on the
-    flag or ``null`` in the file disables the gate."""
+    config file: a value in [0, 1] gates, any other number exits 2 with a
+    message naming the flag or the file, and only ``none``/``off``/
+    ``disabled`` on the flag or ``null`` in the file disables the gate."""
 
     @staticmethod
     def infer(run_dir, tmp_path, name, value, *flags):
@@ -975,12 +1006,32 @@ class TestConfThreshold:
     def test_outside_unit_interval_exits_2_from_flag_and_file(
         self, separable_run, tmp_path, capsys, value
     ):
-        for name in ("flag", "file"):
+        for name, given in (
+            ("flag", "--conf-threshold"),
+            ("file", f"config file {tmp_path / 'file.json'}: policy.conf_threshold"),
+        ):
             code, out = self.infer(separable_run, tmp_path, name, value)
             assert code == 2
-            assert capsys.readouterr().err == (
-                f"error: conf_threshold {float(value)} outside [0, 1]\n"
-            ), name
+            assert capsys.readouterr().err == f"error: {given} {value} outside [0, 1]\n", name
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_max_students_below_one_exits_2_naming_flag_or_file(
+        self, separable_run, tmp_path, capsys, value
+    ):
+        data, run = separable_run
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"policy": {"max_students": value}}))
+        for source, given in (
+            (["--max-students", value], "--max-students"),
+            (["--config", cfg_path], f"config file {cfg_path}: policy.max_students"),
+        ):
+            out = tmp_path / "out"
+            assert run_cli(
+                "infer", "--cascade", run / "cascade.json", "--features", data / "features.csv",
+                "--out", out, *source,
+            ) == 2
+            assert capsys.readouterr().err == f"error: {given} {value} must be >= 1\n"
             assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -145,7 +145,7 @@ class TestLoadDataset:
         [
             ({"labeled": [0], "test": [1]}, "exactly the keys labeled, validation and test"),
             ({**TOY_SPLITS, "extra": []}, "exactly the keys"),
-            ([[0], [], [1]], "got a JSON list"),
+            ([[0], [], [1]], "got an array"),
             ({**TOY_SPLITS, "labeled": [1.5]}, "'labeled' holds 1.5"),
             ({**TOY_SPLITS, "labeled": [0.0]}, "'labeled' holds 0.0"),
             ({**TOY_SPLITS, "test": [True]}, "'test' holds True"),
@@ -163,6 +163,21 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=message) as info:
             gio.load_dataset(tmp_path)
         assert str(tmp_path / "splits.json") in str(info.value)
+
+    @pytest.mark.parametrize(
+        "splits, kind",
+        [(None, "null"), ([0, 1], "an array"), (2, "a number"), (0.5, "a number"),
+         ("labeled", "a string"), (True, "a bool")],
+    )
+    def test_non_object_splits_named_by_json_kind(self, tmp_path, splits, kind):
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1])
+        (tmp_path / "splits.json").write_text(json.dumps(splits))  # null too
+        with pytest.raises(ValueError) as info:
+            gio.load_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / 'splits.json'}: must be an object with exactly the keys "
+            f"labeled, validation and test; got {kind}"
+        )
 
     @pytest.mark.parametrize("text", ['{"labeled": [0], "validation": [], "te', "", "\xff\xfe"])
     def test_unparsable_splits_named(self, tmp_path, text):

@@ -362,15 +362,32 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="empty"):
             inf.accuracy(np.eye(2), np.eye(2), [])
 
+    @pytest.mark.parametrize("idx", [[0, 1, 2], None])
     @pytest.mark.parametrize("n_pred, n_labels", [(4, 3), (3, 4)])
-    def test_row_count_mismatch_rejected(self, n_pred, n_labels):
+    def test_row_count_mismatch_rejected(self, n_pred, n_labels, idx):
         """Rows beyond the shorter array are never silently dropped: 4
-        predictions scored against 3 labels would read 1.0 on rows 0..2."""
+        predictions scored against 3 labels would read 1.0 on rows 0..2,
+        with a row set or without one."""
         with pytest.raises(ValueError) as err:
-            inf.accuracy(np.eye(4)[:n_pred], np.eye(4)[:n_labels], [0, 1, 2])
+            inf.accuracy(np.eye(4)[:n_pred], np.eye(4)[:n_labels], idx)
         assert str(err.value) == (
             f"accuracy: {n_pred} prediction rows vs {n_labels} label rows"
         )
+
+    def test_is_the_one_numkit_accuracy(self):
+        assert inf.accuracy is nk.accuracy
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_omitted_row_set_scores_every_row_as_the_indexed_form(self, dtype):
+        # random predictions against one-hot labels, ties included
+        rng = np.random.default_rng(4)
+        pred = rng.integers(0, 3, (50, 5)).astype(dtype)
+        y = np.eye(5, dtype=dtype)[rng.integers(0, 5, 50)]
+        idx = np.sort(rng.choice(50, 20, replace=False))
+        whole = inf.accuracy(pred, y, np.arange(50))
+        assert inf.accuracy(pred, y) == whole
+        assert whole == np.mean(np.argmax(pred, axis=1) == np.argmax(y, axis=1))
+        assert inf.accuracy(pred[idx], y[idx]) == inf.accuracy(pred, y, idx)
 
 
 class TestOutputFiles:

@@ -417,6 +417,12 @@ class TestBoundaryChecks:
                 g.splits.labeled, dropout=0.5, rng=None,
             )
         assert operands == []
+        # before the mask, which here holds no rows
+        with pytest.raises(ValueError, match=message):
+            t.teacher_ce_gradpair(
+                gio.normalized_adjacency(g), g.features, params, g.labels,
+                [], dropout=0.5, rng=None,
+            )
 
 
 class TestStepMemory:
