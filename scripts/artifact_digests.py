@@ -25,17 +25,12 @@ scores each student in its loop. One more per precision, into
 all its students (``--conf-threshold none --max-students K``), the run that
 scores every confidence after its loop.
 Everything is written under OUT, which must be empty or absent. Then it
-prints one ``<sha256>  <path>`` line per artifact, the path relative to
-OUT, sorted by path; each checkpoint is two artifacts, its JSON manifest
-and the raw weights file beside it (``teacher.json`` and
-``teacher.weights``, ``cascade.json`` and ``cascade.weights``). Two files
-hold timings beside deterministic fields, so only those are digested, on a
-line whose path names them. Of ``infer_meta.json``, the fields
-``INFER_META_FIELDS``, as compact JSON:
-``<run>/infer_meta.json#executed,stopped_by,confidences,weights``. Of
-``tradeoff.csv``, the columns ``TRADEOFF_COLUMNS`` (its header and every
-row, ``cum_ms`` left out): ``<run>/tradeoff.csv#k,accuracy``. The commands'
-own output goes to standard error.
+prints one ``<sha256>  <path>`` line per file under OUT but the timing
+files (``*_timing.json``, which hold every clock value a command
+measures), the path relative to OUT, sorted by path; each checkpoint is
+two files, its JSON manifest and the raw weights file beside it
+(``teacher.json`` and ``teacher.weights``, ``cascade.json`` and
+``cascade.weights``). The commands' own output goes to standard error.
 
 Run it in two checkouts and ``diff`` the two outputs: no difference means
 every artifact of the grid is byte-identical. ``--tiny`` runs the same grid
@@ -63,12 +58,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the fields of infer_meta.json and the columns of tradeoff.csv that do not
-# depend on the clock
-INFER_META = "infer_meta.json"
-INFER_META_FIELDS = ("executed", "stopped_by", "confidences", "weights")
-TRADEOFF = "tradeoff.csv"
-TRADEOFF_COLUMNS = ("k", "accuracy")
 PRECISIONS = ("f32", "f64")
 
 # cascade settings: the defaults, deeper students, a lambda that moves
@@ -173,25 +162,11 @@ def run_datasets(out: Path, tiny: bool) -> None:
 
 
 def digests(out: Path) -> list[str]:
-    """``<sha256>  <path>`` of every file under ``out``, of the deterministic
-    fields of each ``infer_meta.json`` and of the deterministic columns of
-    each ``tradeoff.csv``, sorted by the printed path."""
-    lines = []
-    for name in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
-        path = out / name
-        if path.name == INFER_META:
-            doc = json.loads(path.read_text())
-            data = json.dumps([doc[f] for f in INFER_META_FIELDS]).encode()
-            name += "#" + ",".join(INFER_META_FIELDS)
-        elif path.name == TRADEOFF:
-            rows = [line.split(",") for line in path.read_text().splitlines()]
-            columns = [rows[0].index(c) for c in TRADEOFF_COLUMNS]
-            data = "".join(",".join(row[i] for i in columns) + "\n" for row in rows).encode()
-            name += "#" + ",".join(TRADEOFF_COLUMNS)
-        else:
-            data = path.read_bytes()
-        lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
-    return lines
+    """``<sha256>  <path>`` of every file under ``out`` but the
+    ``*_timing.json`` files, sorted by path."""
+    names = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                   if p.is_file() and not p.name.endswith("_timing.json"))
+    return [f"{hashlib.sha256((out / n).read_bytes()).hexdigest()}  {n}" for n in names]
 
 
 def main(argv=None) -> int:

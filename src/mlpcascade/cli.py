@@ -3,9 +3,10 @@
 Commands: ``synth``, ``train-teacher``, ``distill``, ``infer``, ``sweep``.
 Values resolve with documented precedence: built-in defaults (the reference
 hyperparameters) < ``--config`` JSON file < explicit command-line flags.
-Artifacts land under ``--out`` with fixed filenames; reports hold only
-deterministic fields, while timing lives in ``tradeoff.csv`` and
-``infer_meta.json``.
+Artifacts land under ``--out`` with fixed filenames. Every clock value a
+command measures goes to its ``<command>_timing.json`` (``sweep_timing.json``,
+``infer_timing.json``) and to no other file, so at one BLAS thread every
+other file is byte-identical for a seed.
 
 Exit codes: 0 success, 1 a missing input file or diverged training,
 2 usage/validation error.
@@ -44,6 +45,8 @@ DISTILL_REPORT = "distill_report.json"
 TRADEOFF_CSV = "tradeoff.csv"
 PREDICTIONS_CSV = "predictions.csv"
 INFER_META = "infer_meta.json"
+SWEEP_TIMING = "sweep_timing.json"
+INFER_TIMING = "infer_timing.json"
 
 _DISABLED = "disabled"
 
@@ -171,9 +174,19 @@ def _given(args, config: dict, section: str) -> dict:
 
 
 def _run_values(args, config):
+    """The seed, the output directory and the dtype. An output path that
+    is an existing non-directory, or lies under one, is refused here,
+    before a command reads its inputs."""
     run = {**DEFAULTS["run"], **_given(args, config, "run")}
     dtype = np.float32 if run["precision"] == "f32" else np.float64
-    return run["seed"], Path(run["out"]), dtype
+    out = Path(run["out"])
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                under = "" if p == out else f" is under {p}, which"
+                raise ValueError(f"output path {out}{under} is not a directory")
+            break
+    return run["seed"], out, dtype
 
 
 def _dataset_dir(args, config) -> Path:
@@ -341,24 +354,19 @@ def cmd_distill(args, config) -> int:
 
 
 def _sweep_one(casc, nodes, reps: int):
-    """Rows (k, accuracy, cum_ms) for one cascade from ``reps`` full runs:
-    cumulative cost from per-student time medians, accuracies from the
-    prefix ensembles of the last run (each equals a run capped at k)."""
-    k_total = casc.n_students
-    eval_idx = nodes.splits.unlabeled
-    per_student_ms = []
+    """The test accuracies and the cumulative milliseconds of k = 1..K for
+    one cascade from ``reps`` full runs: the cost sums per-student time
+    medians, the accuracies come from the prefix ensembles of the last run
+    (each equals a run capped at k)."""
+    policy = inference.InferencePolicy(max_students=casc.n_students)
+    runs_ms = []
     for _ in range(reps):
-        result = inference.run_anytime(
-            casc, nodes.features, inference.InferencePolicy(max_students=k_total), eval_idx
-        )
-        per_student_ms.append([1000.0 * t for t in result.elapsed])
-    rows = []
-    cum = 0.0
+        result = inference.run_anytime(casc, nodes.features, policy, nodes.splits.unlabeled)
+        runs_ms.append([1000.0 * t for t in result.elapsed])
     prefixes = inference.prefix_ensembles(result.probs, result.confidences)
-    for k, prediction in enumerate(prefixes, start=1):
-        cum += statistics.median(rep[k - 1] for rep in per_student_ms)
-        rows.append((k, inference.accuracy(prediction, nodes.labels, nodes.splits.test), cum))
-    return rows
+    accuracies = [inference.accuracy(p, nodes.labels, nodes.splits.test) for p in prefixes]
+    cumulative = np.cumsum([statistics.median(student) for student in zip(*runs_ms)])
+    return accuracies, cumulative.tolist()
 
 
 def _load_cascade(path: Path, features: Path, width: int):
@@ -379,16 +387,19 @@ def cmd_sweep(args, config) -> int:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     seed, out, dtype = _run_values(args, config)
     nodes = _read_dataset(args, config, dtype)
-    paths = [Path(p) for p in args.cascade] if args.cascade else [out / CASCADE_CKPT]
+    paths = args.cascade or [str(out / CASCADE_CKPT)]
     features = _dataset_dir(args, config) / "features.csv"
-    cascades = [_load_cascade(p, features, nodes.feat_dim) for p in paths]
+    cascades = [_load_cascade(Path(p), features, nodes.feat_dim) for p in paths]
 
     out.mkdir(parents=True, exist_ok=True)
+    timings = []
     with open(out / TRADEOFF_CSV, "w") as f:
-        f.write("k,accuracy,cum_ms\n")
-        for casc in cascades:
-            for k, acc, cum_ms in _sweep_one(casc, nodes, args.reps):
-                f.write(f"{k},{acc:.6f},{cum_ms:.3f}\n")
+        f.write("cascade,k,accuracy\n")
+        for i, (path, casc) in enumerate(zip(paths, cascades), start=1):
+            accuracies, cumulative = _sweep_one(casc, nodes, args.reps)
+            f.writelines(f"{i},{k},{acc:.6f}\n" for k, acc in enumerate(accuracies, start=1))
+            timings.append({"path": path, "cum_ms": cumulative})
+    write_json(out / SWEEP_TIMING, {"reps": args.reps, "cascades": timings})
     print(f"sweep: {len(paths)} cascade(s), reps={args.reps} -> {out / TRADEOFF_CSV}")
     return 0
 
@@ -405,9 +416,11 @@ def cmd_infer(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     inference.write_prediction_csv(out / PREDICTIONS_CSV, result)
     inference.write_result_json(out / INFER_META, result)
+    timings = result.timings_ms()
+    write_json(out / INFER_TIMING, timings)
     print(
         f"infer: executed {result.executed} of {casc.n_students} students "
-        f"in {result.timings_ms()['total_ms']:.2f} ms -> {out}"
+        f"in {timings['total_ms']:.2f} ms -> {out}"
     )
     return 0
 

@@ -393,13 +393,12 @@ def write_prediction_csv(path, result: InferenceResult) -> None:
 
 def write_result_json(path, result: InferenceResult) -> None:
     """Run metadata: executed count, the stopping rule that fired,
-    confidences, weights, and the call's ``timings_ms``: per-student ms,
-    the scoring ms after the loop and their total."""
+    confidences and weights. It holds no clock value: the call's times are
+    ``result.timings_ms()``, which ``infer`` writes to a file of its own."""
     doc = {
         "executed": result.executed,
         "stopped_by": result.stopped_by,
         "confidences": result.confidences,
         "weights": result.weights,
-        **result.timings_ms(),
     }
     write_json(path, doc)

@@ -9,6 +9,7 @@ at full fidelity once `scripts/prepare_cora.py` has produced `data/cora`.
 import os
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,28 @@ def test_criterion_4_cora_distillation(cora_runs):
 # ---------------------------------------------------------------------------
 
 
+def prefix_accuracies(casc, g):
+    """Test accuracy of each cap-k run, k = 1..K, by k."""
+    accs = {}
+    for k in range(1, casc.n_students + 1):
+        r = inf.run_anytime(
+            casc, g.features, mc.InferencePolicy(max_students=k), g.splits.unlabeled
+        )
+        accs[k] = inf.accuracy(r.prediction, g.labels, g.splits.test)
+    return accs
+
+
+def tradeoff_holds(runs):
+    """Criterion 5's rule on the runs' accuracies: the median ensemble
+    accuracies of k = 1..4 never drop and end no lower than they start,
+    each within half a point. The rule and the medians k = 1..4."""
+    medians = [statistics.median(accs[k] for accs in runs) for k in range(1, 5)]
+    band = 0.005  # half a point
+    end_gain_ok = medians[3] >= medians[0] - band
+    monotone_ok = all(b >= a - band for a, b in zip(medians, medians[1:]))
+    return end_gain_ok and monotone_ok, medians
+
+
 @pytest.fixture(scope="module")
 def tradeoff_runs():
     """Five seeded teacher+cascade runs on the pinned synthetic config."""
@@ -312,28 +335,30 @@ def tradeoff_runs():
             mixup=cas.MixupConfig(gamma=0.9), seed=seed,
         )
         casc = cas.train_cascade(g, art, ccfg)
-        accs = {}
-        for k in range(1, 5):
-            r = inf.run_anytime(
-                casc, g.features, mc.InferencePolicy(max_students=k), g.splits.unlabeled
-            )
-            accs[k] = inf.accuracy(r.prediction, g.labels, g.splits.test)
-        runs.append({"graph": g, "cascade": casc, "accs": accs})
+        runs.append({"graph": g, "teacher": art, "config": ccfg, "cascade": casc,
+                     "accs": prefix_accuracies(casc, g)})
     return runs
 
 
 def test_criterion_5_tradeoff_sweep(tradeoff_runs):
-    medians = [
-        statistics.median(run["accs"][k] for run in tradeoff_runs) for k in range(1, 5)
-    ]
-    band = 0.005  # half a point
-    end_gain_ok = medians[3] >= medians[0] - band
-    monotone_ok = all(b >= a - band for a, b in zip(medians, medians[1:]))
+    ok, medians = tradeoff_holds([run["accs"] for run in tradeoff_runs])
     report(
         "criterion 5 (accuracy vs cost trade-off)",
-        end_gain_ok and monotone_ok,
+        ok,
         "medians k=1..4: " + ", ".join(f"{m:.4f}" for m in medians),
     )
+
+
+def test_criterion_5_rule_fails_on_uniform_soft_labels(tradeoff_runs):
+    """Criterion 5's rule can fail: cascades distilled from soft labels
+    that are all 1/C, on the same graphs and teachers, break it."""
+    runs = []
+    for run in tradeoff_runs:
+        art, g = run["teacher"], run["graph"]
+        uniform = replace(art, soft_labels=np.full_like(art.soft_labels, 1.0 / g.n_classes))
+        runs.append(prefix_accuracies(cas.train_cascade(g, uniform, run["config"]), g))
+    ok, medians = tradeoff_holds(runs)
+    assert not ok, medians
 
 
 def test_criterion_6_early_exit(tradeoff_runs):

@@ -31,13 +31,12 @@ def tiny_grid(tmp_path_factory):
 
 
 def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
-    _, first = tiny_grid
+    out, first = tiny_grid
     assert first == digests(tmp_path / "b")
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
     per_run = ["cascade.json", "cascade.weights", "distill_report.json", "predictions.csv",
-               "infer_meta.json#executed,stopped_by,confidences,weights",
-               "tradeoff.csv#k,accuracy"]
+               "infer_meta.json", "tradeoff.csv"]
     teacher_files = ["teacher.json", "teacher.weights", "soft_labels.csv", "teacher_report.json"]
     for precision in ("f32", "f64"):
         for teacher in ("teacher", "teacher-narrow", "teacher-nodrop"):
@@ -57,55 +56,40 @@ def test_tiny_grid_repeats_itself(tiny_grid, tmp_path):
     # 6 per cascade setting, classes10's defaults among them, and the
     # cap-only infer's 2
     assert len(paths) == 2 * (2 * 7 + 4 * 4 + 6 * 6 + 2)
-    assert not any(p.endswith(("infer_meta.json", "tradeoff.csv")) for p in paths)
+    assert not any(p.endswith("_timing.json") for p in paths)
+    for precision in ("f32", "f64"):
+        for name in ("defaults", "layers3", "inverted", "alpha1", "alpha0",
+                     "classes10/defaults"):
+            for timing in ("infer_timing.json", "sweep_timing.json"):
+                assert (out / precision / name / timing).is_file()
+        assert (out / precision / "cap-only" / "infer_timing.json").is_file()
 
 
-def test_infer_meta_digest_covers_its_deterministic_fields_only(tmp_path):
-    """An infer_meta.json line digests executed, stopped_by, confidences and
-    weights: a change to any of them shows, a change to a timing does not."""
+def test_digests_skip_timing_files_only(tmp_path):
+    """A digest line per file but the *_timing.json ones: an edit to a
+    timing file does not show, an edit to any other file does."""
     spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    doc = {"executed": 2, "stopped_by": "cap", "confidences": [0.5, 0.75],
-           "weights": [0.4378234991142019, 0.5621765008857981],
-           "per_student_ms": [1.0, 2.0], "scoring_ms": 0.5, "total_ms": 3.5}
-    path = tmp_path / "run" / "infer_meta.json"
-    path.parent.mkdir()
-
-    def digest(**changes):
-        path.write_text(json.dumps({**doc, **changes}))
-        [line] = script.digests(tmp_path)
-        return line
-
-    first = digest()
-    assert first.endswith("  run/infer_meta.json#executed,stopped_by,confidences,weights")
-    assert digest(per_student_ms=[9.0, 9.0], scoring_ms=7.0, total_ms=25.0) == first
-    for field, value in [("executed", 1), ("stopped_by", "threshold"),
-                         ("confidences", [0.5, 0.7500000000000001]),
-                         ("weights", [0.4378234991142019, 0.562176500885798])]:
-        assert digest(**{field: value}) != first, field
-
-
-def test_tradeoff_digest_covers_k_and_accuracy_only(tmp_path):
-    """A tradeoff.csv line digests the k and accuracy columns: a change to
-    either shows, a change to cum_ms does not."""
-    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    path = tmp_path / "run" / "tradeoff.csv"
-    path.parent.mkdir()
-
-    def digest(rows):
-        path.write_text("k,accuracy,cum_ms\n" + "".join(f"{r}\n" for r in rows))
-        [line] = script.digests(tmp_path)
-        return line
-
-    first = digest(["1,0.812500,0.210", "2,0.875000,0.433"])
-    assert first.endswith("  run/tradeoff.csv#k,accuracy")
-    assert digest(["1,0.812500,9.999", "2,0.875000,12.500"]) == first
-    assert digest(["1,0.812500,0.210", "2,0.875001,0.433"]) != first
-    assert digest(["1,0.812500,0.210", "3,0.875000,0.433"]) != first
-    assert digest(["1,0.812500,0.210"]) != first
+    files = {"run/infer_meta.json": '{"executed": 2}\n',
+             "run/infer_timing.json": '{"total_ms": 3.5}\n',
+             "run/sweep_timing.json": '{"reps": 1}\n',
+             "run/tradeoff.csv": "cascade,k,accuracy\n1,1,0.812500\n",
+             "data/features.csv": "0.5,1\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    first = script.digests(tmp_path)
+    assert [line.split("  ", 1)[1] for line in first] == [
+        "data/features.csv", "run/infer_meta.json", "run/tradeoff.csv"]
+    for name in ("run/infer_timing.json", "run/sweep_timing.json"):
+        (tmp_path / name).write_text('{"total_ms": 25.0}\n')
+    assert script.digests(tmp_path) == first
+    for name, text in files.items():
+        if not name.endswith("_timing.json"):
+            (tmp_path / name).write_text(text + " ")
+            assert script.digests(tmp_path) != first, name
+            (tmp_path / name).write_text(text)
 
 
 @pytest.mark.parametrize(

@@ -342,13 +342,18 @@ class TestDistill:
 
 class TestSweep:
     def test_rows_and_monotone_cost(self, separable_run, tmp_path):
+        # the accuracies go to tradeoff.csv, the clock values to sweep_timing.json
         data, run = separable_run
         assert run_cli("sweep", "--data", data, "--out", run, "--reps", 3) == 0
-        with open(run / "tradeoff.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert [int(r["k"]) for r in rows] == [1, 2]
-        cum = [float(r["cum_ms"]) for r in rows]
-        assert cum[1] > cum[0] > 0
+        lines = (run / "tradeoff.csv").read_text().splitlines()
+        assert lines[0] == "cascade,k,accuracy"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "1"], ["1", "2"]]
+        timing = json.loads((run / "sweep_timing.json").read_text())
+        [cascade] = timing.pop("cascades")
+        assert timing == {"reps": 3}
+        assert cascade["path"] == str(run / "cascade.json")
+        cum = cascade["cum_ms"]
+        assert len(cum) == 2 and cum[1] > cum[0] > 0
 
     def test_accuracy_matches_run_anytime(self, separable_run):
         data, run = separable_run
@@ -420,7 +425,11 @@ class TestSweep:
         ) == 0
         with open(tmp_path / "sweep2" / "tradeoff.csv") as f:
             rows = list(csv.DictReader(f))
-        assert [int(r["k"]) for r in rows] == [1, 2, 1, 2]
+        assert [(int(r["cascade"]), int(r["k"])) for r in rows] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        timing = json.loads((tmp_path / "sweep2" / "sweep_timing.json").read_text())
+        assert [c["path"] for c in timing["cascades"]] == [
+            str(run / "cascade.json"), str(second / "cascade.json")]
+        assert [len(c["cum_ms"]) for c in timing["cascades"]] == [2, 2]
 
 
 class TestDegenerateTrainingConfig:
@@ -611,13 +620,8 @@ def test_student_commands_never_read_the_edge_list(tmp_path, capsys, monkeypatch
         assert run_cli("sweep", "--data", ds, "--out", out, "--reps", 1) == 0
     assert "edges.csv" not in mirrors and "features.csv" in mirrors
     a, b = tmp_path / "out-data", tmp_path / "out-broken"
-    for name in ("cascade.json", "distill_report.json"):
+    for name in ("cascade.json", "distill_report.json", "tradeoff.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def k_accuracy(path):
-        return [line.split(",")[:2] for line in path.read_text().splitlines()]
-
-    assert k_accuracy(a / "tradeoff.csv") == k_accuracy(b / "tradeoff.csv")
     capsys.readouterr()
     assert run_cli("train-teacher", "--data", broken, "--out", tmp_path / "t2") == 2
     assert f"{broken / 'edges.csv'}: non-integer edge at line 2" in capsys.readouterr().err
@@ -885,9 +889,13 @@ class TestInfer:
             "--features", data / "features.csv", "--out", run,
         ) == 0
         meta = json.loads((run / "infer_meta.json").read_text())
-        assert meta["scoring_ms"] > 0
-        assert meta["total_ms"] == sum(meta["per_student_ms"]) + meta["scoring_ms"]
-        assert f" students in {meta['total_ms']:.2f} ms -> " in capsys.readouterr().out
+        assert sorted(meta) == ["confidences", "executed", "stopped_by", "weights"]
+        timing = json.loads((run / "infer_timing.json").read_text())
+        assert sorted(timing) == ["per_student_ms", "scoring_ms", "total_ms"]
+        assert len(timing["per_student_ms"]) == meta["executed"]
+        assert timing["scoring_ms"] > 0
+        assert timing["total_ms"] == sum(timing["per_student_ms"]) + timing["scoring_ms"]
+        assert f" students in {timing['total_ms']:.2f} ms -> " in capsys.readouterr().out
 
     def test_disabled_threshold_max_students_runs_all(self, separable_run):
         data, run = separable_run
@@ -932,7 +940,7 @@ class TestInfer:
         )
         assert not out.exists()
 
-    def test_rerun_identical_prediction_csv(self, separable_run, tmp_path):
+    def test_rerun_identical_outputs(self, separable_run, tmp_path):
         data, run = separable_run
         outs = []
         for name in ("i1", "i2"):
@@ -943,7 +951,8 @@ class TestInfer:
                 "--max-students", 2, "--conf-threshold", "none", "--out", out,
             ) == 0
             outs.append(out)
-        assert (outs[0] / "predictions.csv").read_bytes() == (outs[1] / "predictions.csv").read_bytes()
+        for name in ("predictions.csv", "infer_meta.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_width_mismatch_exits_2_naming_both_files(self, separable_run, tmp_path, capsys):
         _, run = separable_run
@@ -981,6 +990,31 @@ class TestInfer:
             "infer", "--cascade", tmp_path / "none.json", "--features", feat,
             "--out", tmp_path,
         ) == 1
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["synth", "train-teacher", "distill", "sweep", "infer"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command, under):
+    """An --out that is a file, or lies under one, is refused before the
+    command reads an input: its inputs are missing, which would exit 1, yet
+    it exits 2 with one error line naming the --out and writes nothing."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "sub" if under else blocker
+    missing = tmp_path / "missing"
+    inputs = {
+        "synth": [],
+        "train-teacher": ["--data", missing],
+        "distill": ["--data", missing, "--teacher-dir", missing],
+        "sweep": ["--data", missing, "--cascade", missing / "cascade.json"],
+        "infer": ["--cascade", missing / "cascade.json", "--features", missing / "f.csv"],
+    }[command]
+    before = directory_state(tmp_path)
+    assert run_cli(command, *inputs, "--out", out) == 2
+    which = f" is under {blocker}, which" if under else ""
+    assert capsys.readouterr().err == f"error: output path {out}{which} is not a directory\n"
+    assert directory_state(tmp_path) == before
+    assert blocker.read_text() == "x"
 
 
 class TestConfThreshold:
