@@ -49,10 +49,9 @@ from .numkit import (
     dropout_mask,  # noqa: F401 (unused here: perfbench wraps cascade.dropout_mask)
     fingerprint,
     kl_divergence,
-    log_softmax_rows,
+    log_and_softmax_rows,
     masked_cross_entropy,
     soft_targets,
-    softmax_rows,
 )
 from .optim import TrainingDivergedError, TrainRecord, check_training_config, fit
 from .params import (
@@ -213,6 +212,11 @@ class Cascade:
         """Width d of the raw-feature part of each student's input."""
         return self.students[0].input_dim - self.students[0].hidden_dim
 
+    @property
+    def n_classes(self) -> int:
+        """Class count C: the width of each student's output layer."""
+        return self.students[0].layers[-1][0].shape[1]
+
     def fingerprint(self) -> str:
         return fingerprint(
             *(a for s in self.students for pair in s.layers for a in pair)
@@ -361,9 +365,9 @@ def mixup_loss(
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
     logits, caches = forward_cache(p, None, dropper(dropout, rng, "mixup_loss"), projection=mixed)
-    logp = log_softmax_rows(logits)
+    logp, probs = log_and_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
-    dlogits = (softmax_rows(logits) - mixed_labels) / labeled_count
+    dlogits = (probs - mixed_labels) / labeled_count
     grads, d_mixed = backward_to_first(p, caches, dlogits)
     grads["mixed"] = d_mixed
     return GradPair(value, grads)

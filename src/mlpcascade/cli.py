@@ -369,15 +369,22 @@ def _sweep_one(casc, nodes, reps: int):
     return accuracies, cumulative.tolist()
 
 
-def _load_cascade(path: Path, features: Path, width: int):
+def _load_cascade(
+    path: Path, features: Path, width: int, labels: Path | None = None, classes: int | None = None
+):
     """The cascade checkpoint at ``path``, refused, naming both files,
-    unless it takes the ``width`` of the feature file ``features``."""
+    unless it takes the ``width`` of the feature file ``features`` and,
+    when ``labels`` is given, predicts the ``classes`` of that label file."""
     if not path.is_file():
         raise FileNotFoundError(f"cascade checkpoint missing: {path}")
     casc = cascade_mod.load_cascade(path)
     if casc.feat_dim != width:
         raise ValueError(
             f"feature width mismatch: {path} expects d={casc.feat_dim}, {features} has d={width}"
+        )
+    if labels is not None and casc.n_classes != classes:
+        raise ValueError(
+            f"class count mismatch: {path} predicts C={casc.n_classes}, {labels} has C={classes}"
         )
     return casc
 
@@ -388,8 +395,11 @@ def cmd_sweep(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     nodes = _read_dataset(args, config, dtype)
     paths = args.cascade or [str(out / CASCADE_CKPT)]
-    features = _dataset_dir(args, config) / "features.csv"
-    cascades = [_load_cascade(Path(p), features, nodes.feat_dim) for p in paths]
+    data = _dataset_dir(args, config)
+    features, labels = data / "features.csv", data / "labels.csv"
+    cascades = [
+        _load_cascade(Path(p), features, nodes.feat_dim, labels, nodes.n_classes) for p in paths
+    ]
 
     out.mkdir(parents=True, exist_ok=True)
     timings = []

@@ -9,17 +9,18 @@ parameter name, and every gradient formula is validated against
 float32 is the working precision for training; `finite_diff_check` insists on
 float64 arrays because central differences drown in float32 rounding noise.
 
-The package has one softmax kernel, ``softmax_classes``, and the losses,
-the teacher's soft labels and anytime scoring all run on it. It works on
-class-major C x M logits, so the class max, the exp and the class sum are
-each one numpy call across all rows, where a row-major array costs numpy a
-reduction per row. ``softmax_rows`` and ``log_softmax_rows`` copy their
-N x C logits once into that layout and return N x C. A class sum
-(``class_sum``) adds the classes in order from the first: up to 7 classes
-that is the order in which numpy sums a row, so the bits are numpy's; from
-8 classes numpy sums a row in unrolled blocks and the last bits differ.
-Logits other than a 2-D float32 or float64 array are refused
-(``check_logits``).
+The package scores logits class-major: on C x M logits the class max, the
+exp and the class sum are each one numpy call across all rows, where a
+row-major array costs numpy a reduction per row. ``softmax_classes`` is the
+softmax that the teacher's soft labels (``softmax_rows``) and anytime
+scoring run on; ``log_and_softmax_rows`` gives each loss its
+log-probabilities and probabilities from one pass, with the same steps and
+bits. Both row functions copy their N x C logits once into that layout and
+return N x C. A class sum (``class_sum``) adds the classes in order from
+the first: up to 7 classes that is the order in which numpy sums a row, so
+the bits are numpy's; from 8 classes numpy sums a row in unrolled blocks
+and the last bits differ. Logits other than a 2-D float32 or float64 array
+are refused (``check_logits``).
 """
 
 from __future__ import annotations
@@ -201,15 +202,20 @@ def softmax_classes(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of the N x C ``logits``, stabilized by max
-    subtraction (never -inf), on one class-major copy as ``softmax_rows``.
+def log_and_softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-softmax and softmax of the N x C ``logits``, as N x C
+    arrays, from one class-major pass: one copy in, one class max and shift,
+    one exp and one class sum ``s``, then ``z - log s`` (never -inf) and
+    ``e / s``. The probabilities are ``softmax_rows(logits)`` bit for bit.
     Logits other than a 2-D float32 or float64 array raise ValueError."""
-    check_logits("log_softmax_rows", logits)
+    check_logits("log_and_softmax_rows", logits)
     z = logits.T.copy()
     z -= z.max(axis=0)
-    z -= np.log(class_sum(np.exp(z)))
-    return np.ascontiguousarray(z.T)
+    e = np.exp(z)
+    s = class_sum(e)
+    z -= np.log(s)
+    e /= s
+    return np.ascontiguousarray(z.T), np.ascontiguousarray(e.T)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -231,10 +237,15 @@ def accuracy(pred: np.ndarray, y: np.ndarray, idx=None) -> float:
     """Fraction of the rows ``idx`` (``check_index``), or of every row when
     omitted, whose one-hot label in ``y`` has its 1 at the argmax of
     ``pred`` (ties to the lowest class). ``pred`` and ``y`` hold the same
-    rows: unequal row counts raise ValueError naming both."""
+    rows and classes: unequal row or column counts raise ValueError naming
+    both."""
     if pred.shape[0] != y.shape[0]:
         raise ValueError(
             f"accuracy: {pred.shape[0]} prediction rows vs {y.shape[0]} label rows"
+        )
+    if pred.shape[1] != y.shape[1]:
+        raise ValueError(
+            f"accuracy: {pred.shape[1]} prediction columns vs {y.shape[1]} label columns"
         )
     if idx is not None:
         idx = check_index(idx, pred.shape[0], "accuracy", "evaluation")
@@ -278,14 +289,13 @@ def masked_cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask) -> GradPa
             f"logits shape {logits.shape} != labels shape {onehot.shape}"
         )
     idx = check_index(mask, logits.shape[0], "masked_cross_entropy", "mask")
-    sub_logits = logits[idx]
-    logp = log_softmax_rows(sub_logits)
+    logp, probs = log_and_softmax_rows(logits[idx])
     sub_onehot = onehot[idx]
     value = float(-(sub_onehot * logp).sum() / idx.size)
     grad = np.zeros_like(logits)
     # accumulate, not assign, so a repeated row's terms add up. With one-hot
     # labels no term is -0, so on distinct rows 0 + term keeps its bits
-    np.add.at(grad, idx, (softmax_rows(sub_logits) - sub_onehot) / idx.size)
+    np.add.at(grad, idx, (probs - sub_onehot) / idx.size)
     return GradPair(value, {"logits": grad})
 
 
@@ -333,10 +343,11 @@ def kl_divergence(targets: SoftTargets, logits: np.ndarray) -> GradPair:
     if t.shape != logits.shape:
         raise ValueError(f"teacher shape {t.shape} != student shape {logits.shape}")
     count = logits.shape[0]
-    terms = t * log_softmax_rows(logits)
+    logp, probs = log_and_softmax_rows(logits)
+    terms = t * logp
     np.subtract(targets.t_log_t, terms, out=terms)
     value = float(terms.sum() / count)
-    diff = softmax_rows(logits) - t
+    diff = probs - t
     diff /= count
     return GradPair(value, {"logits": diff.astype(logits.dtype, copy=False)})
 

@@ -12,6 +12,10 @@ the teacher and the students, in place by ``params.dropout_in_place``
 (through ``params.dropper``), neither of which perfbench times. So both ``dropout_mask`` names count 0 calls. These
 tests count the calls through ``monkeypatch`` during one small training run
 of each model and a few anytime calls.
+
+Each loss scores its logits with one ``log_and_softmax_rows`` pass, which
+gives the log-probabilities of its value and the probabilities of its
+gradient; none runs ``softmax_rows`` on the same logits again.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 import mlpcascade.cascade as cas
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
+import mlpcascade.numkit as nk
 import mlpcascade.params as par
 import mlpcascade.teacher as t
 
@@ -127,3 +132,23 @@ def test_run_anytime_call_sites(monkeypatch, n_classes):
         result = inf.run_anytime(casc, x, policy, np.arange(20))
         # one forward per executed student, one ensemble per call
         assert counts == {"student_forward": result.executed, "ensemble": 1}
+
+
+@pytest.mark.parametrize("loss", ["masked_cross_entropy", "kl_divergence", "mixup_loss"])
+def test_each_loss_scores_its_logits_in_one_pass(monkeypatch, loss):
+    rng = np.random.default_rng(0)
+    logits = rng.standard_normal((6, 3)).astype(np.float32)
+    y = np.eye(3, dtype=np.float32)[rng.integers(0, 3, 6)]
+    targets = nk.soft_targets(nk.softmax_rows(rng.standard_normal((6, 3))).astype(np.float32))
+    student = cas.init_student(4, 5, 3, 2, rng, np.float32)
+    mixed = rng.standard_normal((6, 5)).astype(np.float32)
+    calls = {
+        "masked_cross_entropy": lambda: nk.masked_cross_entropy(logits, y, np.arange(4)),
+        "kl_divergence": lambda: nk.kl_divergence(targets, logits),
+        "mixup_loss": lambda: cas.mixup_loss(student, mixed, y, 4),
+    }
+    counts = count_calls(monkeypatch, nk, ("log_and_softmax_rows", "softmax_rows"))
+    cascade_counts = count_calls(monkeypatch, cas, ("log_and_softmax_rows",))
+    calls[loss]()
+    assert counts["log_and_softmax_rows"] + cascade_counts["log_and_softmax_rows"] == 1
+    assert counts["softmax_rows"] == 0

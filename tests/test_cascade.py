@@ -12,7 +12,7 @@ from mlpcascade.numkit import (
     GradPair,
     dropout_in_place,
     finite_diff_check,
-    log_softmax_rows,
+    log_and_softmax_rows,
     masked_cross_entropy,
     soft_targets,
     softmax_rows,
@@ -656,8 +656,9 @@ def blended_input_objective(p, inputs, targets, y, labeled, k, cfg, pairs, lam, 
     mixed = lam * inputs[i] + (1.0 - lam) * inputs[j]
     mixed_y = lam * y[i] + (1.0 - lam) * y[j]
     mix_logits, mix_caches = forward_cache(p, mixed, drop)
-    mix = float(-(mixed_y * log_softmax_rows(mix_logits)).sum() / labeled.size)
-    mix_grads = backward(p, mix_caches, (softmax_rows(mix_logits) - mixed_y) / labeled.size)
+    mix_logp, mix_probs = log_and_softmax_rows(mix_logits)
+    mix = float(-(mixed_y * mix_logp).sum() / labeled.size)
+    mix_grads = backward(p, mix_caches, (mix_probs - mixed_y) / labeled.size)
     return distill.value, mix, {name: grads[name] + mix_grads[name] for name in grads}
 
 

@@ -405,6 +405,36 @@ class TestSweep:
         )
         assert not out.exists()
 
+    def test_class_count_mismatch_exits_2_naming_both_files(self, separable_run, tmp_path, capsys):
+        # a 3-class cascade on 5-class labels, and a 5-class one on 3-class
+        # labels, are refused before tradeoff.csv is opened
+        data, run = separable_run
+        five = tmp_path / "five"
+        assert run_cli(*dataset_args(five, classes=5)) == 0
+        assert run_cli(
+            "train-teacher", "--data", five, "--out", five, "--hidden", 8,
+            "--epochs", 2, "--patience", 1,
+        ) == 0
+        assert run_cli(
+            "distill", "--data", five, "--out", five, "--students", 1, "--hidden", 8,
+            "--epochs", 2, "--patience", 1,
+        ) == 0
+        for labels, cascade, c_cascade, c_labels in (
+            (five, run, 3, 5),
+            (data, five, 5, 3),
+        ):
+            capsys.readouterr()
+            out = tmp_path / f"out{c_cascade}"
+            code = run_cli(
+                "sweep", "--data", labels, "--out", out, "--cascade", cascade / "cascade.json",
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: class count mismatch: {cascade / 'cascade.json'} predicts "
+                f"C={c_cascade}, {labels / 'labels.csv'} has C={c_labels}\n"
+            )
+            assert not out.exists()
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_reps_below_one_exits_2_naming_flag(self, separable_run, reps, capsys):
         data, run = separable_run

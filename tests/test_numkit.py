@@ -11,7 +11,7 @@ from mlpcascade.numkit import (
     GradPair,
     finite_diff_check,
     kl_divergence,
-    log_softmax_rows,
+    log_and_softmax_rows,
     masked_cross_entropy,
     softmax_rows,
     spmm,
@@ -21,6 +21,7 @@ from test_scoring_kernels import (
     assert_within_oracle,
     class_order_log_softmax,
     class_order_softmax,
+    frozen_log_softmax_rows,
     oracle_softmax,
 )
 
@@ -209,7 +210,7 @@ def kl_reference(t, logits, idx):
     ``idx``, as ``kl_divergence`` once computed it: the bits its one form,
     over every row, must keep."""
     sub_t = t[idx]
-    logp = log_softmax_rows(logits[idx])
+    logp = frozen_log_softmax_rows(logits[idx])
     t_log_t = np.where(sub_t > 0, sub_t * np.log(np.where(sub_t > 0, sub_t, 1.0)), 0.0)
     value = float((t_log_t - sub_t * logp).sum() / idx.size)
     grad = np.zeros_like(logits)
@@ -545,7 +546,18 @@ class TestFiniteDiffCheck:
 
 def test_log_softmax_never_minus_inf():
     logits = np.array([[0.0, -1e4, 1e4]])
-    assert np.all(np.isfinite(log_softmax_rows(logits)))
+    assert np.all(np.isfinite(log_and_softmax_rows(logits)[0]))
+
+
+@pytest.mark.parametrize("n_pred, n_labels", [(4, 3), (3, 4)])
+def test_accuracy_refuses_a_column_count_mismatch(n_pred, n_labels):
+    """Predictions over more classes than the labels would index past a
+    label row; over fewer they would score only the first classes."""
+    with pytest.raises(ValueError) as err:
+        nk.accuracy(np.eye(5)[:, :n_pred], np.eye(5)[:, :n_labels])
+    assert str(err.value) == (
+        f"accuracy: {n_pred} prediction columns vs {n_labels} label columns"
+    )
 
 
 def reference_softmax(logits):
@@ -563,7 +575,7 @@ def reference_log_softmax(logits):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("c", [1, 2, 4, 7, 8, 9, 47])
-@pytest.mark.parametrize("n", [5, 300])
+@pytest.mark.parametrize("n", [1, 5, 300])
 def test_softmax_kernels_bit_identical_to_reference(dtype, c, n):
     """Up to 7 classes numpy sums a row in class order, as the class-major
     kernel does, so numpy's row softmax is the reference; from 8 it sums in
@@ -574,14 +586,14 @@ def test_softmax_kernels_bit_identical_to_reference(dtype, c, n):
         want = reference_softmax(logits), reference_log_softmax(logits)
     else:
         want = class_order_softmax(logits), class_order_log_softmax(logits)
-    got = softmax_rows(logits), log_softmax_rows(logits)
-    for mine, theirs in zip(got, want):
+    logp, probs = log_and_softmax_rows(logits)
+    for mine, theirs in ((softmax_rows(logits), want[0]), (probs, want[0]), (logp, want[1])):
         assert mine.dtype == theirs.dtype and mine.flags.c_contiguous
         assert np.array_equal(mine, theirs)
-    assert_within_oracle(got[0][None], oracle_softmax(logits[None]))
+    assert_within_oracle(probs[None], oracle_softmax(logits[None]))
 
 
-@pytest.mark.parametrize("fn", [softmax_rows, log_softmax_rows])
+@pytest.mark.parametrize("fn", [softmax_rows, log_and_softmax_rows])
 @pytest.mark.parametrize(
     "logits",
     [

@@ -11,27 +11,29 @@ single row in another order than a block of rows. Up to 7 classes a sum
 in class order is the order in which numpy sums a row, so the row-major
 kernels that scoring had before it went class-major, frozen here with
 numpy's own row max and row sum as ``frozen_confidence`` and
-``frozen_stacked_softmax``, give the same bits too: every confidence and
-every non-NaN probability, with NaN in the same positions. Their NaN
-payloads can differ from the class-major ones. From 8 classes numpy sums a
+``frozen_stacked_softmax``, give the same bits too: every non-NaN
+confidence and probability, with NaN in the same positions. Their NaN
+payloads and signs can differ from the class-major ones. From 8 classes numpy sums a
 row in unrolled blocks, so only the class-order references apply, and a
 float64 oracle bounds the error. The grid covers 1 to 10, 16 and 47
 classes; float32 and float64; one row (which ``class_sum`` accumulates) to
 hundreds of rows; identity, unsorted and repeated index sets; and tied,
 signed-zero, infinite and NaN rows.
 
-``softmax_rows`` and ``log_softmax_rows`` run the same kernel on one
-student's rows: they are checked against the class-order references, and
-``softmax_rows`` against ``score_logits`` bit for bit, at 1 to 64 classes.
+``softmax_rows`` and the losses' one pass ``log_and_softmax_rows`` run the
+same steps on one student's rows: they are checked against the class-order
+references, ``softmax_rows`` against ``score_logits`` and the one pass
+against ``softmax_rows`` and ``frozen_log_softmax_rows`` (the log-softmax
+the losses ran before the pass) bit for bit, at 1 to 64 classes.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlpcascade.inference as inf
-from mlpcascade.numkit import log_softmax_rows, softmax_rows
+from mlpcascade.numkit import class_sum, log_and_softmax_rows, softmax_rows
 
 PROPERTY = settings(max_examples=150, deadline=None)
 # NaNs of both signs and with payloads, since which NaN survives depends on
@@ -105,6 +107,15 @@ def class_order_softmax(rows):
 def class_order_log_softmax(rows):
     z = rows - class_order_max(rows)[:, None]
     return z - np.log(class_order_sum(np.exp(z)))[:, None]
+
+
+def frozen_log_softmax_rows(logits):
+    """The row log-softmax the losses ran before ``log_and_softmax_rows``,
+    frozen: its own class-major copy, shift, exp and class sum."""
+    z = logits.T.copy()
+    z -= z.max(axis=0)
+    z -= np.log(class_sum(np.exp(z)))
+    return np.ascontiguousarray(z.T)
 
 
 def frozen_class_order_softmax(logits):
@@ -184,7 +195,7 @@ def check_scoring(stack, idx):
     assert_within_oracle(probs, oracle)
     if stack.shape[-1] <= ROW_ORDER_CLASSES:
         assert_same_bits_but_nan_payloads(probs, old_probs)
-        assert np.array_equal(bits(np.array(confs)), bits(np.array(old_confs)))
+        assert_same_bits_but_nan_payloads(np.array(confs), np.array(old_confs))
 
 
 # one row, which class_sum accumulates, to hundreds, for one student and
@@ -213,6 +224,8 @@ def test_seeded_stacks_keep_the_bits(c, dtype, index):
     special_share=st.sampled_from([0.0, 0.001, 0.05, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
+# a NaN confidence whose sign differs from the row-major kernel's
+@example(c=4, n=3, k=5, dtype=np.float32, index="identity", special_share=0.5, seed=79695)
 def test_random_stacks_keep_the_bits(c, n, k, dtype, index, special_share, seed):
     rng = np.random.default_rng(seed)
     stack = make_stack(rng, k, n, c, dtype, special_share)
@@ -248,27 +261,33 @@ ROW_SPECIALS = (0.0, -0.0, np.inf, -np.inf)
 
 
 def check_row_softmax(logits):
-    """softmax_rows and log_softmax_rows against the class-order references,
-    every non-NaN bit, and softmax_rows against the scoring softmax of the
-    same rows, every bit."""
+    """softmax_rows and log_and_softmax_rows against the class-order
+    references, every non-NaN bit; softmax_rows against the scoring softmax
+    of the same rows, and the one pass against softmax_rows and
+    frozen_log_softmax_rows, every bit."""
     n, c = logits.shape
     with np.errstate(all="ignore"):
-        probs, logp = softmax_rows(logits), log_softmax_rows(logits)
+        probs = softmax_rows(logits)
+        pass_logp, pass_probs = log_and_softmax_rows(logits)
+        old_logp = frozen_log_softmax_rows(logits)
         scored = inf.score_logits([logits], np.arange(n))[0][0]
         want, want_log = class_order_softmax(logits), class_order_log_softmax(logits)
-    for got in (probs, logp):
+    for got in (probs, pass_logp, pass_probs):
         assert got.shape == logits.shape and got.dtype == logits.dtype
         assert got.flags.c_contiguous
     assert np.array_equal(bits(probs), bits(scored))
+    assert np.array_equal(bits(pass_probs), bits(probs))
+    assert np.array_equal(bits(pass_logp), bits(old_logp))
     assert_same_bits_but_nan_payloads(probs, want)
-    assert_same_bits_but_nan_payloads(logp, want_log)
+    assert_same_bits_but_nan_payloads(pass_logp, want_log)
 
 
 @pytest.mark.parametrize("c", range(1, 65))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_softmax_is_the_scoring_softmax(c, dtype):
     """Seeded rows with ties and specials, then rows of one special value
-    throughout and one special value among finite ones."""
+    throughout and one special value among finite ones, as one block and
+    each alone (a one-row block, which class_sum accumulates)."""
     rng = np.random.default_rng(c)
     for n, share in ((1, 0.0), (7, 0.2), (300, 0.0), (300, 0.02)):
         check_row_softmax(make_stack(rng, 1, n, c, dtype, share, ROW_SPECIALS)[0])
@@ -277,7 +296,10 @@ def test_row_softmax_is_the_scoring_softmax(c, dtype):
         row = np.linspace(-1.0, 1.0, c)
         row[rng.integers(c)] = v
         rows.append(row)
-    check_row_softmax(np.array(rows, dtype=dtype))
+    block = np.array(rows, dtype=dtype)
+    check_row_softmax(block)
+    for i in range(len(block)):
+        check_row_softmax(block[i : i + 1])
 
 
 @PROPERTY
