@@ -13,8 +13,9 @@ first layer aggregates before it projects; a second teacher per precision,
 the project-first order, and a third, ``teacher-nodrop``, trains the first
 teacher's setting with ``--dropout 0``, so its training forwards start
 from the ``Â X`` that the run computes once. No cascade is distilled from
-either. The ``inverted`` cascade setting goes through a ``--config`` file,
-written to a temporary directory outside OUT; the others through flags.
+either. The ``inverted`` cascade setting, a negative ``gamma`` that
+reverses lambda's drift, goes through a ``--config`` file, written to a
+temporary directory outside OUT; the others through flags.
 A second dataset per precision, ``classes10``, has 10 classes, where a
 class-order sum is not the order in which numpy sums a row (from 8
 classes); it gets one teacher, the ``defaults`` cascade, its ``infer`` and
@@ -60,13 +61,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRECISIONS = ("f32", "f64")
 
-# cascade settings: the defaults, deeper students, a lambda that moves
-# across [0, 0.5], and the two ends of the CE/KL blend; distill flags, or
-# the cascade section of a config file
+# cascade settings: the defaults, deeper students, a lambda that a negative
+# gamma moves across [0, 0.5], and the two ends of the CE/KL blend; distill
+# flags, or the cascade section of a config file
 GRID = {
     "defaults": [],
     "layers3": ["--layers", "3"],
-    "inverted": {"lambda_sign_inverted": True, "gamma": 0.3, "tau": 0.9},
+    "inverted": {"gamma": -0.3, "tau": 0.9},
     "alpha1": ["--alpha", "1"],
     "alpha0": ["--alpha", "0", "--sigma", "0.7"],
 }

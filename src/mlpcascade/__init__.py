@@ -25,8 +25,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 from .cascade import (
     Cascade,
     CascadeConfig,
-    MixupConfig,
-    DistillConfig,
     load_cascade,
     mixup_examples,
     distill_loss,

@@ -14,9 +14,10 @@ term against the distillation term by 1/k^beta, shrinking its share of
 student k's gradient.
 
 The mixup interpolation coefficient lambda moves by one rule,
-``MixupConfig.update``: an exponential moving average of the mixup loss
-drives it up or down, clamped to [0, 0.5]. lambda and the average are two
-floats threaded from epoch to epoch and from student to student. With the
+``CascadeConfig.update_lambda``: an exponential moving average of the
+mixup loss drives it up or down, clamped to [0, 0.5]. lambda and the
+average are two floats threaded from epoch to epoch and from student to
+student. With the
 defaults the average stays above ``tau`` = 0.1, since a pair of two
 classes scores a soft-label CE of at least its blended label's entropy
 (ln 2 at lambda = 0.5). So lambda goes from ``lambda_init`` = 0.1 to 0.5
@@ -31,8 +32,9 @@ affine and a blend's weights sum to 1, so the mixed examples' projections
 are blends of the projection's rows. Their gradient is scattered back onto
 the distillation's ``dZ1``, and the blended inputs are never built.
 
-The configs are frozen dataclasses, checked once when built;
-``dataclasses.replace`` derives a variant and checks it again.
+The config is one frozen dataclass, checked once when built;
+``dataclasses.replace(cfg, field=value)`` derives a variant and checks it
+again.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,75 +74,30 @@ from .params import (
     layers_to_json,
     read_layer_stacks,
     read_manifest,
+    rewritten_by,
     write_checkpoint,
 )
 from .teacher import TeacherArtifact
 
 
 @dataclass(frozen=True)
-class DistillConfig:
-    """Distillation loss weights: alpha blends CE against KL, and student
-    k's distillation term is multiplied by k^beta. The mixup term is not,
-    and each student's AdamW step is unchanged by a constant scale of its
-    gradient (up to eps), so beta's effect is to shrink the mixup term's
-    share of student k's gradient, not to weight later students more."""
-
-    alpha: float = 0.5
-    beta: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta {self.beta} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class MixupConfig:
-    """The mixup rule: the mixing rate lambda starts at ``lambda_init`` and
-    follows a moving average of the mixup loss (see ``update``). With these
-    defaults lambda sits at its 0.5 clamp from student 1's second epoch on
-    (see the module docstring). gamma = 0 freezes the rate, a useful
-    ablation switch."""
-
-    gamma: float = 0.9
-    tau: float = 0.1
-    sigma: float = 0.1
-    lambda_init: float = 0.1
-    sign_inverted: bool = False
-
-    def __post_init__(self):
-        # a non-finite rate or reference point would drive lambda to a bound
-        # or to NaN only once training runs
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma {self.gamma} must be finite and >= 0")
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau {self.tau} must be finite")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma {self.sigma} outside [0, 1]")
-        if not 0.0 <= self.lambda_init <= 0.5:
-            raise ValueError(f"lambda_init {self.lambda_init} outside [0, 0.5]")
-
-    def update(self, lam: float, ema: float | None, loss: float) -> tuple[float, float]:
-        """One epoch of the rule: the new (lam, ema) after a mixup loss.
-
-        The loss folds into the moving average, ``ema = sigma * ema +
-        (1 - sigma) * loss``; the first loss (``ema`` None) sets it outright.
-        Then ``lam = clamp(lam + drift, 0, 0.5)`` with ``drift = gamma *
-        (ema - tau)``, negated when ``sign_inverted`` is set.
-        """
-        if not math.isfinite(loss) or loss < 0.0:
-            raise ValueError(f"mixup loss must be finite and >= 0, got {loss}")
-        loss = float(loss)
-        ema = loss if ema is None else self.sigma * ema + (1.0 - self.sigma) * loss
-        drift = self.gamma * (ema - self.tau)
-        if self.sign_inverted:
-            drift = -drift
-        return min(max(lam + drift, 0.0), 0.5), ema
-
-
-@dataclass(frozen=True)
 class CascadeConfig:
+    """A cascade's settings: the students' shape and training, PKD's loss
+    weights and PMA's mixing-rate rule.
+
+    ``alpha`` blends CE against KL, and student k's distillation term is
+    multiplied by k^``beta``. The mixup term is not, and each student's
+    AdamW step is unchanged by a constant scale of its gradient (up to
+    eps), so beta's effect is to shrink the mixup term's share of student
+    k's gradient, not to weight later students more.
+
+    The mixing rate lambda starts at ``lambda_init`` and follows a moving
+    average of the mixup loss (``update_lambda``). With the defaults lambda
+    sits at its 0.5 clamp from student 1's second epoch on (see the module
+    docstring). ``gamma`` = 0 freezes the rate, a useful ablation switch,
+    and a negative ``gamma`` reverses the drift.
+    """
+
     n_students: int = 10
     hidden_dim: int = 128
     n_layers: int = 2
@@ -149,28 +106,59 @@ class CascadeConfig:
     dropout: float = 0.5
     max_epochs: int = 200
     patience: int = 50
-    distill: DistillConfig = field(default_factory=DistillConfig)
-    mixup: MixupConfig = field(default_factory=MixupConfig)
+    alpha: float = 0.5
+    beta: float = 0.8
+    gamma: float = 0.9
+    tau: float = 0.1
+    sigma: float = 0.1
+    lambda_init: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         """Raise ValueError naming the first field under which no cascade
-        trains; the nested configs checked themselves when built."""
+        trains."""
         if self.n_students < 1:
             raise ValueError(f"n_students {self.n_students} must be >= 1")
         if self.n_layers < 2:
             raise ValueError(f"n_layers {self.n_layers} must be >= 2")
         check_training_config(self)
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha {self.alpha} outside [0, 1]")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta {self.beta} must be finite and >= 0")
+        # a non-finite rate or reference point would drive lambda to a bound
+        # or to NaN only once training runs
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma {self.gamma} must be finite")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau {self.tau} must be finite")
+        if not 0.0 <= self.sigma <= 1.0:
+            raise ValueError(f"sigma {self.sigma} outside [0, 1]")
+        if not 0.0 <= self.lambda_init <= 0.5:
+            raise ValueError(f"lambda_init {self.lambda_init} outside [0, 0.5]")
+
+    def update_lambda(self, lam: float, ema: float | None, loss: float) -> tuple[float, float]:
+        """One epoch of the mixup rule: the new (lam, ema) after a mixup loss.
+
+        The loss folds into the moving average, ``ema = sigma * ema +
+        (1 - sigma) * loss``; the first loss (``ema`` None) sets it outright.
+        Then ``lam = clamp(lam + drift, 0, 0.5)`` with ``drift = gamma *
+        (ema - tau)``.
+        """
+        if not math.isfinite(loss) or loss < 0.0:
+            raise ValueError(f"mixup loss must be finite and >= 0, got {loss}")
+        loss = float(loss)
+        ema = loss if ema is None else self.sigma * ema + (1.0 - self.sigma) * loss
+        drift = self.gamma * (ema - self.tau)
+        return min(max(lam + drift, 0.0), 0.5), ema
 
 
 @dataclass(kw_only=True)
 class StudentTrainMeta(TrainRecord):
     """A student's ``fit`` record, the fingerprint of the weights it started
-    from, and the mixing rate before its first epoch and after each.
-    ``STORED`` adds ``final_lambda``, the history's last entry, which a
-    checkpoint keeps as a copy that loading checks."""
+    from, and the mixing rate before its first epoch and after each."""
 
-    STORED = (*TrainRecord.STORED, "init_fingerprint", "lambda_history", "final_lambda")
+    STORED = (*TrainRecord.STORED, "init_fingerprint", "lambda_history")
 
     init_fingerprint: str
     lambda_history: list[float]
@@ -181,7 +169,7 @@ class StudentTrainMeta(TrainRecord):
 
     def __post_init__(self):
         """Refuse an empty history, and a rate outside the clamp range
-        [0, 0.5] of ``MixupConfig.update`` or not finite."""
+        [0, 0.5] of ``CascadeConfig.update_lambda`` or not finite."""
         if not self.lambda_history:
             raise ValueError("lambda_history must not be empty")
         for i, lam in enumerate(self.lambda_history):
@@ -274,7 +262,7 @@ def distill_loss(
     y: np.ndarray,
     labeled,
     k: int,
-    cfg: DistillConfig,
+    cfg: CascadeConfig,
 ) -> GradPair:
     """Distillation loss for student k, with gradients w.r.t. the logits:
 
@@ -386,7 +374,7 @@ def total_loss_gradpair(
     y: np.ndarray,
     labeled,
     k: int,
-    distill_cfg: DistillConfig,
+    cfg: CascadeConfig,
     pairs: np.ndarray,
     lam: float,
     dropout: float = 0.0,
@@ -396,8 +384,8 @@ def total_loss_gradpair(
     """Full per-epoch objective of student k on assembled rows [x | h_prev]:
     the distillation loss over all rows, the mixup loss over the mixed
     ``pairs``, and the gradients of their sum w.r.t. all student parameters.
-    ``targets`` are as for ``distill_loss``; ``train_cascade`` derives them
-    once per cascade.
+    ``targets`` and ``cfg``'s loss weights are as for ``distill_loss``;
+    ``train_cascade`` derives the targets once per cascade.
 
     Both losses start from the first layer's projection ``inputs @ w1``:
     ``projection`` when the caller holds it (``train_student`` passes the
@@ -420,7 +408,7 @@ def total_loss_gradpair(
         projection = inputs @ p.layers[0][0]
     drop = dropper(dropout, rng, "total_loss_gradpair")
     logits, caches = forward_cache(p, inputs, drop, projection=projection)
-    distill = distill_loss(logits, targets, y, labeled, k, distill_cfg)
+    distill = distill_loss(logits, targets, y, labeled, k, cfg)
     grads, d_first = backward_to_first(p, caches, distill.grads["logits"])
     mixed, mixed_labels = mixup_examples(projection, y, pairs, lam)
     mix = mixup_loss(p, mixed, mixed_labels, labeled.size, dropout, rng)
@@ -450,14 +438,14 @@ def train_student(
     not written; ``train_cascade`` keeps one such array for the whole chain.
 
     ``lam`` and ``ema`` are the mixing rate and the moving average of the
-    mixup loss as the previous student left them (``cfg.mixup.lambda_init``
+    mixup loss as the previous student left them (``cfg.lambda_init``
     and None for the first). The kept parameters, the hidden state, the
     final moving average and the meta are returned; the final rate is the
     meta's ``final_lambda``. Each epoch: freshly resampled mixup pairs ->
     ``total_loss_gradpair`` (training-mode forward, distillation loss,
-    mixup loss) -> one AdamW step -> ``MixupConfig.update``. ``optim.fit``
-    tracks validation accuracy with patience and hands back the best
-    epoch's parameters.
+    mixup loss) -> one AdamW step -> ``CascadeConfig.update_lambda``.
+    ``optim.fit`` tracks validation accuracy with patience and hands back
+    the best epoch's parameters.
 
     Validation projects every row through the first layer, ``inputs @ w1``,
     and finishes only the validation rows in eval mode. The parameters do
@@ -485,14 +473,14 @@ def train_student(
         nonlocal lam, ema
         pairs = sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         distill, mix, grads = total_loss_gradpair(
-            params, inputs, targets, nodes.labels, labeled, k, cfg.distill,
-            pairs, lam, cfg.dropout, rng, projection,
+            params, inputs, targets, nodes.labels, labeled, k, cfg, pairs, lam,
+            cfg.dropout, rng, projection,
         )
         if not np.isfinite(distill):
             raise TrainingDivergedError(epoch, "distillation", distill)
         if not np.isfinite(mix):
             raise TrainingDivergedError(epoch, "mixup", mix)
-        lam, ema = cfg.mixup.update(lam, ema, mix)
+        lam, ema = cfg.update_lambda(lam, ema, mix)
         lambda_history.append(lam)
         return distill + mix, grads
 
@@ -533,7 +521,7 @@ def train_cascade(
             f"teacher soft labels {teacher_probs.shape} do not match graph "
             f"({nodes.n_nodes}, {nodes.n_classes})"
         )
-    targets = soft_targets(teacher_probs) if cfg.distill.alpha < 1.0 else None
+    targets = soft_targets(teacher_probs) if cfg.alpha < 1.0 else None
     rng = np.random.default_rng([cfg.seed, 0])
     # student 1 starts from a seeded init, every later one from its predecessor
     params = init_student(
@@ -541,7 +529,7 @@ def train_cascade(
     )
     inputs = np.zeros((nodes.n_nodes, params.input_dim), dtype=nodes.features.dtype)
     inputs[:, : nodes.feat_dim] = nodes.features
-    lam, ema = cfg.mixup.lambda_init, None
+    lam, ema = cfg.lambda_init, None
 
     students: list[LayerStack] = []
     metas: list[StudentTrainMeta] = []
@@ -561,26 +549,18 @@ def train_cascade(
     return Cascade(students, metas, teacher_fp, cfg)
 
 
-def _config_from_json(doc, where: str) -> CascadeConfig:
-    doc = json_object(doc, [f.name for f in fields(CascadeConfig)], where)
-    distill = dataclass_from_json(DistillConfig, doc["distill"], f"{where} distill")
-    mixup = dataclass_from_json(MixupConfig, doc["mixup"], f"{where} mixup")
-    return dataclass_from_json(
-        CascadeConfig, {**doc, "distill": distill, "mixup": mixup}, where
-    )
-
-
 def save_cascade(c: Cascade, path) -> None:
-    """Checkpoint: JSON manifest (K, dtype, config, per-student meta, weight
-    shapes and fingerprint); the students' weights go, in order, to the raw
-    little-endian file beside it (``params.weights_path``). A cascade
-    without a config is refused: ``load_cascade`` checks student 1's init
-    against the config's seed."""
+    """Checkpoint: JSON manifest (dtype, config, per-student meta, weight
+    shapes and fingerprint), each value stored once: K is the config's
+    ``n_students`` and the length of the student list, and each student's
+    final mixing rate the last entry of its ``lambda_history``. The
+    students' weights go, in order, to the raw little-endian file beside it
+    (``params.weights_path``). A cascade without a config is refused:
+    ``load_cascade`` checks student 1's init against the config's seed."""
     if c.config is None:
         raise ValueError("save_cascade: the cascade has no config to store")
     write_checkpoint(path, {
         "kind": "cascade-checkpoint",
-        "n_students": c.n_students,
         "dtype": str(c.students[0].layers[0][0].dtype),
         "teacher_fingerprint": c.teacher_fingerprint,
         "config": asdict(c.config),
@@ -611,27 +591,24 @@ def _check_student_shapes(s: LayerStack, first: LayerStack | None, where: str) -
         )
 
 
+@rewritten_by("distill")
 def load_cascade(path) -> Cascade:
-    """Load and check a cascade checkpoint and its weights file: K must be
-    an integer that matches the stored students, the teacher fingerprint a
-    sha256 digest (64 lowercase hex digits), every mixing rate in [0, 0.5]
-    (``StudentTrainMeta``), every student the fingerprint stored with it
-    and the layer shapes of the others, and every meta its
-    ``final_lambda``. Each student
-    after the first must start where the one before ended: from its stored
-    fingerprint and its ``final_lambda``. The stored config, which a
-    checkpoint must hold (``null`` is refused), must give the students'
-    count, hidden width and layer count, and student 1 must start from the
-    init that config draws: its stored ``init_fingerprint`` must be the
-    fingerprint of ``init_student`` drawn from ``default_rng([seed, 0])``
-    at the stored shapes and dtype, as ``train_cascade`` draws it."""
+    """Load and check a cascade checkpoint and its weights file: the
+    teacher fingerprint a sha256 digest (64 lowercase hex digits), every
+    mixing rate in [0, 0.5] (``StudentTrainMeta``), every student the
+    fingerprint stored with it and the layer shapes of the others. Each
+    student after the first must start where the one before ended: from
+    its stored fingerprint and its ``final_lambda``. The stored config,
+    which a checkpoint must hold (``null`` is refused), must give the
+    students' count, hidden width and layer count, and student 1 must start
+    from the init that config draws: its stored ``init_fingerprint`` must
+    be the fingerprint of ``init_student`` drawn from ``default_rng([seed,
+    0])`` at the stored shapes and dtype, as ``train_cascade`` draws it. A
+    manifest laid out otherwise than this version writes it, such as one
+    of an earlier version, is refused (``params.rewritten_by``)."""
     doc, dtype = read_manifest(
-        path,
-        "cascade-checkpoint",
-        ("n_students", "teacher_fingerprint", "config", "students"),
-        "distill",
+        path, "cascade-checkpoint", ("teacher_fingerprint", "config", "students")
     )
-    n_students = json_value(doc["n_students"], int, f"{path} n_students")
     teacher_fp = json_value(doc["teacher_fingerprint"], str, f"{path} teacher_fingerprint")
     if not re.fullmatch("[0-9a-f]{64}", teacher_fp):
         raise ValueError(
@@ -641,11 +618,7 @@ def load_cascade(path) -> Cascade:
     entries = doc["students"]
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: students must be a non-empty list")
-    if n_students != len(entries):
-        raise ValueError(
-            f"{path}: n_students is {n_students!r} but {len(entries)} students are stored"
-        )
-    cfg = _config_from_json(doc["config"], f"{path} config")
+    cfg = dataclass_from_json(CascadeConfig, doc["config"], f"{path} config")
     wheres = [f"{path} student {k}" for k in range(1, len(entries) + 1)]
     entries = [json_object(e, ("fingerprint", "layers", "meta"), w) for e, w in zip(entries, wheres)]
     stored = read_layer_stacks(path, dtype, [(e["layers"], w) for e, w in zip(entries, wheres)])

@@ -18,7 +18,6 @@ import argparse
 import json
 import statistics
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,8 +29,8 @@ from .optim import TrainingDivergedError
 from .params import json_value, write_json
 
 # Defaults of the run and policy settings. Model and training defaults (the
-# reference hyperparameters) are the field defaults of TeacherConfig,
-# CascadeConfig, DistillConfig and MixupConfig.
+# reference hyperparameters) are the field defaults of TeacherConfig and
+# CascadeConfig.
 DEFAULTS = {
     "policy": {"conf_threshold": 0.9, "max_students": None, "budget_ms": None},
     "run": {"seed": 0, "out": ".", "precision": "f32"},
@@ -59,16 +58,15 @@ class _Setting(NamedTuple):
     """One setting: the config file's ``section.key`` and the flag that
     overrides it (dest ``section.key``). ``kind`` is the JSON type of the
     config value and the type of the flag's value, a bool being a switch.
-    ``field`` names the config dataclass field it sets where that is not
-    ``key``, ``parse`` parses the flag where ``kind`` does not, and
-    ``choices`` limits the values of both."""
+    The key is the name of the config dataclass field it sets; ``parse``
+    parses the flag where ``kind`` does not, and ``choices`` limits the
+    values of both."""
 
     section: str
     key: str
     flag: str
     kind: type
     help: str | None = None
-    field: str | None = None
     parse: Callable | None = None
     choices: tuple | None = None
 
@@ -97,13 +95,14 @@ _SETTINGS = (
     _Setting("cascade", "max_epochs", "--epochs", int, "max epochs per student"),
     _Setting("cascade", "patience", "--patience", int, "early-stopping patience"),
     _Setting("cascade", "alpha", "--alpha", float, "CE weight in the distillation blend"),
-    _Setting("cascade", "beta", "--beta", float, "k^beta growth of the distillation term"),
-    _Setting("cascade", "gamma", "--gamma", float, "mixing-rate adjustment rate"),
+    _Setting("cascade", "beta", "--beta", float,
+             "exponent of k^beta on student k's CE + KL; under AdamW its only effect "
+             "is to shrink the mixup term's share"),
+    _Setting("cascade", "gamma", "--gamma", float,
+             "mixing-rate adjustment rate; a negative rate reverses the drift"),
     _Setting("cascade", "tau", "--tau", float, "mixing-rate loss reference point"),
     _Setting("cascade", "sigma", "--sigma", float, "mixup-loss EMA smoothing"),
     _Setting("cascade", "lambda_init", "--lambda-init", float, "initial mixing rate"),
-    _Setting("cascade", "lambda_sign_inverted", "--lambda-sign-inverted", bool,
-             "grow the mixing rate when the loss drops", field="sign_inverted"),
     _Setting("policy", "conf_threshold", "--conf-threshold", float,
              "confidence gate in [0, 1]; 'none', 'off' or 'disabled' disables it",
              parse=_threshold_arg),
@@ -169,7 +168,7 @@ def _given(args, config: dict, section: str) -> dict:
         if s.section == section:
             flag = getattr(args, f"{section}.{s.key}", None)
             if flag is not None or s.key in file:
-                values[s.field or s.key] = file[s.key] if flag is None else flag
+                values[s.key] = file[s.key] if flag is None else flag
     return values
 
 
@@ -197,9 +196,21 @@ def _dataset_dir(args, config) -> Path:
 
 
 def _read_dataset(args, config, dtype, read=graphio.load_nodes):
-    """The dataset of ``dataset.path``, read by ``read``."""
+    """The dataset of ``dataset.path``, read by ``read``. ``train-teacher``
+    and ``distill`` fit on the labeled and validation nodes and score the
+    test nodes, and ``sweep`` scores the test nodes, so a ``splits.json``
+    with an empty list, which the library loader accepts, is refused here,
+    naming the file and the key, before any training or any write."""
+    path = _dataset_dir(args, config)
     normalize = _given(args, config, "dataset").get("normalize_features", False)
-    return read(_dataset_dir(args, config), dtype=dtype, normalize_features=normalize)
+    data = read(path, dtype=dtype, normalize_features=normalize)
+    for name in ("labeled", "validation", "test"):
+        if getattr(data.splits, name).size == 0:
+            raise ValueError(
+                f"{path / 'splits.json'}: {name!r} is an empty list; train-teacher, "
+                "distill and sweep need labeled, validation and test nodes"
+            )
+    return data
 
 
 def _teacher_config(args, config, seed) -> teacher.TeacherConfig:
@@ -207,18 +218,7 @@ def _teacher_config(args, config, seed) -> teacher.TeacherConfig:
 
 
 def _cascade_config(args, config, seed) -> cascade_mod.CascadeConfig:
-    values = _given(args, config, "cascade")
-
-    def of(cls):
-        names = {f.name for f in fields(cls)}
-        return {k: v for k, v in values.items() if k in names}
-
-    return cascade_mod.CascadeConfig(
-        **of(cascade_mod.CascadeConfig),
-        distill=cascade_mod.DistillConfig(**of(cascade_mod.DistillConfig)),
-        mixup=cascade_mod.MixupConfig(**of(cascade_mod.MixupConfig)),
-        seed=seed,
-    )
+    return cascade_mod.CascadeConfig(**_given(args, config, "cascade"), seed=seed)
 
 
 def _policy(args, config) -> inference.InferencePolicy:

@@ -10,11 +10,14 @@ checkpoint is a JSON manifest and a weights file beside it, which holds
 every weight array's little-endian raw bytes in the order the manifest
 lists their shapes. The manifest names that encoding, so the decimal and
 base64 arrays of earlier versions are refused instead of being read by a
-second parser.
+second parser, and a manifest whose keys are not those this version writes
+is refused the same way: each refusal tells the reader to run the command
+that writes the checkpoint again (``rewritten_by``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -270,15 +273,37 @@ JSON_KIND_NAMES = {type(None): "null", bool: "a bool", int: "a number", float: "
                    str: "a string", list: "an array"}
 
 
+class LayoutError(ValueError):
+    """A checkpoint laid out otherwise than this version writes it: an
+    object without exactly the keys it writes there (``json_object``), or
+    weights that are not in a raw weights file (``read_manifest``)."""
+
+
+@contextlib.contextmanager
+def rewritten_by(command: str):
+    """Context manager, or decorator of a checkpoint loader: a
+    ``LayoutError`` raised inside becomes a ValueError that ends with the
+    remedy, to run ``mlpcascade command``, which writes the checkpoint,
+    again. Checkpoints of other versions are not read."""
+    try:
+        yield
+    except LayoutError as exc:
+        raise ValueError(f"{exc}, run `mlpcascade {command}` again to rewrite it") from None
+
+
 def json_object(obj, keys, where: str) -> dict:
     """``obj`` when it is a JSON object with exactly the keys ``keys``; a
-    ValueError naming ``where`` (file and place in it) otherwise."""
+    ValueError naming ``where`` (file and place in it) otherwise, a
+    ``LayoutError`` when ``obj`` is an object with other keys."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object, got {JSON_KIND_NAMES[type(obj)]}")
     missing = sorted(set(keys) - set(obj))
     unknown = sorted(set(obj) - set(keys))
     if missing or unknown:
-        raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+        raise LayoutError(
+            f"{where}: missing keys {missing}, unknown keys {unknown}; this version "
+            "reads only the checkpoint layout it writes"
+        )
     return obj
 
 
@@ -314,19 +339,14 @@ def dataclass_from_json(cls, obj, where: str, keys=None):
     """``cls(**obj)`` for a JSON object holding exactly the fields ``keys``
     of ``cls`` (all of them by default; the others keep their defaults),
     each bool, int, float or str field holding a JSON value of its type
-    (``json_value``) and each ``list[float]`` field a list of numbers. A key
-    that names a property of ``cls``, not a field, holds a copy of the
-    property, which must equal the built object's (``check_copy``)."""
+    (``json_value``) and each ``list[float]`` field a list of numbers."""
     obj = json_object(obj, [f.name for f in fields(cls)] if keys is None else keys, where)
     kinds = _type_hints(cls)
-    values = {k: _json_field(v, kinds[k], f"{where} {k}") for k, v in obj.items() if k in kinds}
+    values = {k: _json_field(v, kinds[k], f"{where} {k}") for k, v in obj.items()}
     try:
-        built = cls(**values)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
-    for name in obj.keys() - values.keys():
-        check_copy(f"{where} {name}", obj[name], getattr(built, name), "the value its fields give")
-    return built
 
 
 @functools.cache
@@ -343,7 +363,7 @@ def _json_field(value, kind, where: str):
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list of numbers, got {json.dumps(value)}")
         return [json_value(v, float, f"{where}[{i}]") for i, v in enumerate(value)]
-    return value
+    raise TypeError(f"{where}: a field annotated {kind} has no JSON decoding")
 
 
 def weights_path(path) -> Path:
@@ -436,11 +456,11 @@ def write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def read_manifest(path, kind: str, keys, command: str) -> tuple[dict, np.dtype]:
+def read_manifest(path, kind: str, keys) -> tuple[dict, np.dtype]:
     """Read a manifest written by ``write_checkpoint`` and check its kind,
     array encoding, keys and dtype before any field is used; its arrays
-    come from ``read_layer_stacks``. ``command`` is the CLI command that
-    writes this kind of checkpoint."""
+    come from ``read_layer_stacks``. An encoding or a key set of another
+    version is a ``LayoutError``."""
     try:
         doc = json.loads(Path(path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -448,11 +468,10 @@ def read_manifest(path, kind: str, keys, command: str) -> tuple[dict, np.dtype]:
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind.replace('-', ' ')}")
     if doc.get("array_encoding") != ARRAY_ENCODING:
-        raise ValueError(
+        raise LayoutError(
             f"{path}: weights are not stored as {ARRAY_ENCODING} in "
             f"{weights_path(path).name}; checkpoints of earlier versions, with "
-            f"decimal or base64 arrays in the manifest, are not read, run "
-            f"`mlpcascade {command}` again to rewrite it"
+            f"decimal or base64 arrays in the manifest, are not read"
         )
     json_object(doc, ("kind", "array_encoding", "dtype", *keys), str(path))
     if doc["dtype"] not in CHECKPOINT_DTYPES:

@@ -47,16 +47,15 @@ from .params import (
     Aggregation,
     LayerStack,
     backward,
-    check_copy,
     dataclass_from_json,
     dropper,
     eval_hidden,
     forward_cache,
     init_layers,
-    json_object,
     layers_to_json,
     read_layer_stacks,
     read_manifest,
+    rewritten_by,
     write_checkpoint,
 )
 
@@ -307,40 +306,38 @@ def import_soft_labels(path, dtype=np.float32) -> np.ndarray:
 
 
 def save_teacher(t: TeacherArtifact, cfg: TeacherConfig, path) -> None:
-    """Checkpoint: JSON manifest (hyperparameters, training record with a
-    copy of the config's seed, dtype, the weight shapes), the fingerprint of
-    the weights and the soft-label fingerprint that ``load_teacher`` checks
-    the soft-label file against; the weights go to the raw little-endian
-    file beside it (``params.weights_path``)."""
+    """Checkpoint: JSON manifest (hyperparameters, the seed among them, the
+    training record, dtype, the weight shapes), the fingerprint of the
+    weights and the soft-label fingerprint that ``load_teacher`` checks the
+    soft-label file against; the weights go to the raw little-endian file
+    beside it (``params.weights_path``)."""
     write_checkpoint(path, {
         "kind": "teacher-checkpoint",
         "dtype": str(t.params.layers[0][0].dtype),
         "config": asdict(cfg),
-        "train_meta": {
-            **{k: getattr(t.train_meta, k) for k in TrainRecord.STORED}, "seed": cfg.seed
-        },
+        "train_meta": {k: getattr(t.train_meta, k) for k in TrainRecord.STORED},
         "soft_label_fingerprint": t.soft_label_fingerprint(),
         "fingerprint": t.params.fingerprint(),
         "layers": layers_to_json(t.params),
     }, [t.params])
 
 
+@rewritten_by("train-teacher")
 def load_teacher(path, soft_labels_path) -> tuple[TeacherArtifact, TeacherConfig]:
     """Load and check a teacher checkpoint, its weights file and its soft
-    labels: the training record's seed must equal the config's, the weights
-    must match their fingerprint and the configured depth and width, the
-    soft labels theirs."""
+    labels: the weights must match their fingerprint and the configured
+    depth and width, the soft labels theirs. A manifest laid out otherwise
+    than this version writes it, such as one of an earlier version, is
+    refused (``params.rewritten_by``)."""
     doc, dtype = read_manifest(
         path,
         "teacher-checkpoint",
         ("config", "train_meta", "soft_label_fingerprint", "fingerprint", "layers"),
-        "train-teacher",
     )
     cfg = dataclass_from_json(TeacherConfig, doc["config"], f"{path} config")
-    where = f"{path} train_meta"
-    meta = json_object(doc["train_meta"], (*TrainRecord.STORED, "seed"), where)
-    check_copy(f"{where} seed", meta.pop("seed"), cfg.seed, "the config seed")
-    record = dataclass_from_json(TrainRecord, meta, where, TrainRecord.STORED)
+    record = dataclass_from_json(
+        TrainRecord, doc["train_meta"], f"{path} train_meta", TrainRecord.STORED
+    )
     (params,) = read_layer_stacks(path, dtype, [(doc["layers"], str(path))])
     if params.fingerprint() != doc["fingerprint"]:
         raise ValueError(f"{path}: teacher weights do not match their stored fingerprint")

@@ -107,7 +107,7 @@ def test_criterion_1_gradient_suite():
             sp = LayerStack([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
             distill, mix, grads = cas.total_loss_gradpair(
                 sp, np.hstack([x[:, :d], h_prev]), targets, onehot, mask, k=3,
-                distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8), pairs=pairs, lam=0.35,
+                cfg=cas.CascadeConfig(alpha=0.5, beta=0.8), pairs=pairs, lam=0.35,
             )
             return GradPair(distill + mix, grads)
 
@@ -273,8 +273,7 @@ def test_criterion_4_cora_distillation(cora_runs):
         cfg = cas.CascadeConfig(
             n_students=4, hidden_dim=128, n_layers=2, lr=0.001, weight_decay=5e-4,
             dropout=0.5, max_epochs=200, patience=50,
-            distill=cas.DistillConfig(alpha=0.5, beta=0.8),
-            mixup=cas.MixupConfig(gamma=0.9), seed=seed,
+            alpha=0.5, beta=0.8, gamma=0.9, seed=seed,
         )
         casc = cas.train_cascade(g, art, cfg)
         result = inf.run_anytime(
@@ -331,8 +330,7 @@ def tradeoff_runs():
         ccfg = cas.CascadeConfig(
             n_students=4, hidden_dim=64, n_layers=2, lr=0.01, weight_decay=5e-4,
             dropout=0.5, max_epochs=150, patience=30,
-            distill=cas.DistillConfig(alpha=0.5, beta=0.8),
-            mixup=cas.MixupConfig(gamma=0.9), seed=seed,
+            alpha=0.5, beta=0.8, gamma=0.9, seed=seed,
         )
         casc = cas.train_cascade(g, art, ccfg)
         runs.append({"graph": g, "teacher": art, "config": ccfg, "cascade": casc,
@@ -434,11 +432,11 @@ def test_criterion_8a_lambda_clamping(tradeoff_runs):
             violations += sum(
                 1 for lam in meta.lambda_history if not 0.0 <= lam <= 0.5
             )
-    for mixup in (cas.MixupConfig(), cas.MixupConfig(sign_inverted=True)):
+    for cfg in (cas.CascadeConfig(), cas.CascadeConfig(gamma=-0.9)):
         rng = np.random.default_rng(0)
         lam, ema = 0.1, 0.2
         for _ in range(1000):
-            lam, ema = mixup.update(lam, ema, float(rng.uniform(0, 5)))
+            lam, ema = cfg.update_lambda(lam, ema, float(rng.uniform(0, 5)))
             violations += not 0.0 <= lam <= 0.5
     report("criterion 8a (lambda clamping)", violations == 0, f"{violations} violations")
 

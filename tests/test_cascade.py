@@ -119,14 +119,14 @@ class TestPkdLoss:
 
     def test_k1_multiplier_is_one(self):
         for beta in (0.0, 0.8, 2.0):
-            cfg = cas.DistillConfig(alpha=0.5, beta=beta)
+            cfg = cas.CascadeConfig(alpha=0.5, beta=beta)
             got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 1, cfg)
             base = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 1,
-                                cas.DistillConfig(alpha=0.5, beta=0.0))
+                                cas.CascadeConfig(alpha=0.5, beta=0.0))
             assert got.value == pytest.approx(base.value, rel=1e-15)
 
     def test_alpha_one_is_pure_cross_entropy(self):
-        cfg = cas.DistillConfig(alpha=1.0, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=1.0, beta=0.8)
         got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 2, cfg)
         ce = masked_cross_entropy(self.logits, self.y, self.labeled)
         mult = 2.0**0.8
@@ -136,27 +136,27 @@ class TestPkdLoss:
     def test_alpha_zero_is_pure_distillation(self):
         from mlpcascade.numkit import kl_divergence
 
-        cfg = cas.DistillConfig(alpha=0.0, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.0, beta=0.8)
         got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 3, cfg)
         kd = kl_divergence(self.targets, self.logits)
         mult = 3.0**0.8
         assert got.value == pytest.approx(mult * kd.value, rel=1e-15)
 
     def test_k4_beta08_multiplier(self):
-        cfg_base = cas.DistillConfig(alpha=0.5, beta=0.0)
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg_base = cas.CascadeConfig(alpha=0.5, beta=0.0)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         base = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 4, cfg_base)
         got = cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 4, cfg)
         assert got.value == pytest.approx(POW_4_08 * base.value, rel=1e-12)
 
     def test_multiplier_strictly_increasing_in_k(self):
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         values = [
             cas.distill_loss(self.logits, self.targets, self.y, self.labeled, k, cfg).value
             for k in range(1, 6)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
-        flat_cfg = cas.DistillConfig(alpha=0.5, beta=0.0)
+        flat_cfg = cas.CascadeConfig(alpha=0.5, beta=0.0)
         flat = [
             cas.distill_loss(self.logits, self.targets, self.y, self.labeled, k, flat_cfg).value
             for k in range(1, 6)
@@ -164,17 +164,17 @@ class TestPkdLoss:
         assert all(v == flat[0] for v in flat)
 
     def test_empty_labeled_with_positive_alpha_rejected(self):
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         with pytest.raises(ValueError, match="empty mask"):
             cas.distill_loss(self.logits, self.targets, self.y, [], 1, cfg)
         # alpha = 0 never touches the labeled set
         cas.distill_loss(self.logits, self.targets, self.y, [], 1,
-                     cas.DistillConfig(alpha=0.0, beta=0.8))
+                     cas.CascadeConfig(alpha=0.0, beta=0.8))
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             cas.distill_loss(self.logits, self.targets, self.y, self.labeled, 0,
-                         cas.DistillConfig())
+                         cas.CascadeConfig())
 
 
 class TestMixupPairs:
@@ -289,68 +289,69 @@ class TestPmaLoss:
 
 
 class TestMixupState:
-    """``MixupConfig.update``: the moving average, then the clamped drift."""
+    """``CascadeConfig.update_lambda``: the moving average, then the clamped
+    drift."""
 
     def test_first_observation_initializes(self):
-        lam, ema = cas.MixupConfig(gamma=0.9, tau=0.1).update(0.1, None, 0.4)
+        lam, ema = cas.CascadeConfig(gamma=0.9, tau=0.1).update_lambda(0.1, None, 0.4)
         assert ema == 0.4
         # the drift runs in the first epoch too: 0.1 + 0.9*(0.4 - 0.1)
         assert lam == pytest.approx(0.37, abs=1e-15)
 
     def test_constant_loss_is_fixed_point(self):
-        cfg = cas.MixupConfig()
-        lam, ema = cfg.update(0.1, None, 0.7)
+        cfg = cas.CascadeConfig()
+        lam, ema = cfg.update_lambda(0.1, None, 0.7)
         for _ in range(10):
-            lam, ema = cfg.update(lam, ema, 0.7)
+            lam, ema = cfg.update_lambda(lam, ema, 0.7)
         assert ema == pytest.approx(0.7, abs=1e-15)
 
     def test_ema_arithmetic(self):
-        _, ema = cas.MixupConfig(sigma=0.1).update(0.1, 0.4, 0.2)
+        _, ema = cas.CascadeConfig(sigma=0.1).update_lambda(0.1, 0.4, 0.2)
         assert ema == pytest.approx(0.22, abs=1e-15)
 
     def test_lambda_stable_at_reference_loss(self):
-        lam, _ = cas.MixupConfig(tau=0.1, gamma=0.9).update(0.3, 0.1, 0.1)
+        lam, _ = cas.CascadeConfig(tau=0.1, gamma=0.9).update_lambda(0.3, 0.1, 0.1)
         assert lam == pytest.approx(0.3, abs=1e-15)
 
     def test_lambda_upper_clamp(self):
         # 0.45 + 0.9*(0.3 - 0.1) = 0.63 -> clamped
-        lam, _ = cas.MixupConfig(tau=0.1, gamma=0.9).update(0.45, 0.3, 0.3)
+        lam, _ = cas.CascadeConfig(tau=0.1, gamma=0.9).update_lambda(0.45, 0.3, 0.3)
         assert lam == 0.5
 
     def test_lambda_lower_clamp(self):
-        lam, _ = cas.MixupConfig(tau=0.1, gamma=1.0).update(0.05, 0.0, 0.0)
+        lam, _ = cas.CascadeConfig(tau=0.1, gamma=1.0).update_lambda(0.05, 0.0, 0.0)
         assert lam == 0.0
 
-    def test_inverted_sign_flag(self):
-        cfg = cas.MixupConfig(tau=0.1, gamma=0.5, sign_inverted=True)
+    def test_negative_gamma_reverses_the_drift(self):
+        cfg = cas.CascadeConfig(tau=0.1, gamma=-0.5)
         # drift = -0.5*(0.3-0.1) = -0.1
-        lam, _ = cfg.update(0.2, 0.3, 0.3)
+        lam, _ = cfg.update_lambda(0.2, 0.3, 0.3)
         assert lam == pytest.approx(0.1, abs=1e-15)
 
     def test_invalid_loss_rejected(self):
-        cfg = cas.MixupConfig()
+        cfg = cas.CascadeConfig()
         with pytest.raises(ValueError, match="finite"):
-            cfg.update(0.1, None, float("nan"))
+            cfg.update_lambda(0.1, None, float("nan"))
         with pytest.raises(ValueError, match=">= 0"):
-            cfg.update(0.1, 0.2, -0.5)
+            cfg.update_lambda(0.1, 0.2, -0.5)
 
     def test_bounds_validated_on_construction(self):
         with pytest.raises(ValueError, match="lambda"):
-            cas.MixupConfig(lambda_init=0.6)
+            cas.CascadeConfig(lambda_init=0.6)
 
 
-class TestDistillAndMixupConfig:
+class TestLossAndMixupFields:
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])
     def test_beta_must_be_finite_and_non_negative(self, beta):
         with pytest.raises(ValueError, match=f"^beta {beta} must be finite and >= 0$"):
-            cas.DistillConfig(beta=beta)
+            cas.CascadeConfig(beta=beta)
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("gamma", float("inf"), "must be finite and >= 0"),
-            ("gamma", float("nan"), "must be finite and >= 0"),
-            ("gamma", -0.1, "must be finite and >= 0"),
+            ("gamma", float("inf"), "must be finite"),
+            ("gamma", float("-inf"), "must be finite"),
+            ("gamma", float("nan"), "must be finite"),
             ("tau", float("nan"), "must be finite"),
             ("tau", float("-inf"), "must be finite"),
             ("sigma", float("nan"), "outside [0, 1]"),
@@ -362,17 +363,17 @@ class TestDistillAndMixupConfig:
     )
     def test_mixup_field_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
-            cas.MixupConfig(**{field: value})
+            cas.CascadeConfig(**{field: value})
         assert str(err.value) == f"{field} {value} {message}"
 
     def test_boundary_values_accepted(self):
-        cas.MixupConfig(gamma=0.0, tau=-3.0, sigma=0.0, lambda_init=0.0)
-        cas.MixupConfig(sigma=1.0, lambda_init=0.5)
-        cas.DistillConfig(alpha=0.0, beta=0.0)
+        cas.CascadeConfig(gamma=0.0, tau=-3.0, sigma=0.0, lambda_init=0.0)
+        cas.CascadeConfig(gamma=-0.9, sigma=1.0, lambda_init=0.5)
+        cas.CascadeConfig(alpha=0.0, beta=0.0)
 
 
 FROZEN_CONFIGS = [
-    t.TeacherConfig(), cas.CascadeConfig(), cas.DistillConfig(), cas.MixupConfig(),
+    t.TeacherConfig(), cas.CascadeConfig(),
     InferencePolicy(max_students=1),
 ]
 
@@ -399,7 +400,7 @@ def test_assigning_a_config_field_raises(config, name):
         (t.TeacherConfig(), {"depth": 4}, "teacher depth must be 2 or 3, got 4"),
         (cas.CascadeConfig(), {"n_students": 0}, "n_students 0 must be >= 1"),
         (cas.CascadeConfig(), {"max_epochs": 0, "patience": -1}, "max_epochs 0 must be >= 1"),
-        (cas.MixupConfig(), {"tau": float("nan")}, "tau nan must be finite"),
+        (cas.CascadeConfig(), {"tau": float("nan")}, "tau nan must be finite"),
         (InferencePolicy(max_students=1), {"max_students": 0}, "max_students 0 must be >= 1"),
     ],
 )
@@ -426,7 +427,7 @@ class TestTrainStudent:
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(0), np.float64)
         inputs = np.hstack([g.features, np.zeros((g.n_nodes, 4))])  # [x | h0]
         params, h_k, ema, meta = cas.train_student(
-            1, g, targets, inputs, init, cfg, cfg.mixup.lambda_init, None
+            1, g, targets, inputs, init, cfg, cfg.lambda_init, None
         )
         assert meta.epochs == 1
         assert len(meta.losses) == 1
@@ -466,7 +467,7 @@ class TestTrainStudent:
         )
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, np.random.default_rng(1), np.float64)
         h = np.zeros((g.n_nodes, 4))
-        lam, ema = cfg.mixup.lambda_init, None
+        lam, ema = cfg.lambda_init, None
         for k in (1, 2):
             params, h, ema, meta = cas.train_student(
                 k, g, targets, np.hstack([g.features, h]), init, cfg, lam, ema
@@ -487,15 +488,14 @@ class TestTrainStudent:
         cfg = cas.CascadeConfig(
             n_students=1, hidden_dim=4, n_layers=2, lr=0.01, weight_decay=0.004,
             dropout=0.0, max_epochs=epochs, patience=epochs - 1,
-            distill=cas.DistillConfig(alpha=1.0, beta=beta),
-            mixup=cas.MixupConfig(gamma=0.0, lambda_init=0.0),
+            alpha=1.0, beta=beta, gamma=0.0, lambda_init=0.0,
             seed=9,
         )
         rng = np.random.default_rng(9)
         init = cas.init_student(g.feat_dim, 4, g.n_classes, 2, rng, np.float64)
         inputs = np.hstack([g.features, np.zeros((g.n_nodes, 4))])  # [x | h0]
         params, _, _, meta = cas.train_student(
-            1, g, targets, inputs, init, cfg, cfg.mixup.lambda_init, None
+            1, g, targets, inputs, init, cfg, cfg.lambda_init, None
         )
         # disable early stopping interference: patience epochs-1 never fires
         assert meta.epochs == epochs
@@ -560,7 +560,7 @@ class TestTrainStudent:
         )
         cfg = cas.CascadeConfig(
             n_students=1, hidden_dim=16, n_layers=2, lr=0.01, dropout=0.0,
-            max_epochs=60, patience=59, distill=cas.DistillConfig(alpha=1.0, beta=0.8), seed=2,
+            max_epochs=60, patience=59, alpha=1.0, beta=0.8, seed=2,
         )
         init = cas.init_student(
             tiny_graph.feat_dim, 16, tiny_graph.n_classes, 2, np.random.default_rng(2), np.float32
@@ -568,7 +568,7 @@ class TestTrainStudent:
         h0 = np.zeros((tiny_graph.n_nodes, 16), dtype=np.float32)
         _, _, _, meta = cas.train_student(
             1, tiny_graph, targets, np.hstack([tiny_graph.features, h0]), init, cfg,
-            cfg.mixup.lambda_init, None,
+            cfg.lambda_init, None,
         )
         assert meta.best_val_acc == 1.0
         assert meta.best_epoch < cfg.max_epochs
@@ -598,7 +598,7 @@ def student_fd_error(seed, n_layers=2, dropout=0.0):
         params = LayerStack([(p[f"w{i}"], p[f"b{i}"]) for i in range(1, n_layers + 1)])
         distill, mix, grads = cas.total_loss_gradpair(
             params, inputs, targets, y, labeled, k=2,
-            distill_cfg=cas.DistillConfig(alpha=0.5, beta=0.8),
+            cfg=cas.CascadeConfig(alpha=0.5, beta=0.8),
             pairs=pairs, lam=0.3, dropout=dropout, rng=np.random.default_rng(seed),
         )
         return GradPair(distill + mix, grads)
@@ -631,7 +631,7 @@ def test_student_step_peak_holds_only_the_arrays_it_needs():
     tracemalloc.start()
     try:
         cas.total_loss_gradpair(
-            p, inputs, targets, g.labels, g.splits.labeled, 2, cas.DistillConfig(), pairs,
+            p, inputs, targets, g.labels, g.splits.labeled, 2, cas.CascadeConfig(), pairs,
             0.3, 0.5, np.random.default_rng(2), projection,
         )
         peak = tracemalloc.get_traced_memory()[1]
@@ -680,7 +680,7 @@ class TestFullLossGradients:
         p = random_student(rng, d, hidden, c, n_layers)
         for _, b in p.layers:
             b[:] = 0.1 * rng.standard_normal(b.shape)
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         distill, mix, grads = cas.total_loss_gradpair(
             p, inputs, targets, y, labeled, 2, cfg, pairs, lam, dropout,
             np.random.default_rng(6),
@@ -715,7 +715,7 @@ class TestFullLossGradients:
         labeled = np.arange(0, n, 2)
         pairs = cas.sample_mixup_pairs(labeled, seed=1)
         p = random_student(rng, d, hidden, c)
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         distill, mix, _ = cas.total_loss_gradpair(
             p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3
         )
@@ -734,7 +734,7 @@ class TestFullLossGradients:
         labeled = np.arange(0, n, 2)
         pairs = cas.sample_mixup_pairs(labeled, seed=1)
         p = random_student(rng, d, hidden, c)
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         message = r"^total_loss_gradpair: dropout 0\.5 needs an rng, got None$"
         with pytest.raises(ValueError, match=message):
             cas.total_loss_gradpair(p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, 0.5, None)
@@ -754,7 +754,7 @@ class TestFullLossGradients:
         labeled = np.arange(0, n, 3)
         pairs = cas.sample_mixup_pairs(labeled, seed=2)
         p = random_student(rng, d, hidden, c, n_layers, dtype)
-        cfg = cas.DistillConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         projection = inputs @ p.layers[0][0]
         before = projection.copy()
         own = cas.total_loss_gradpair(
@@ -793,7 +793,7 @@ class TestTrainCascade:
         h0 = np.zeros((tiny_graph.n_nodes, 8), dtype=np.float32)
         params, _, _, _ = cas.train_student(
             1, tiny_graph, soft_targets(art.soft_labels), np.hstack([tiny_graph.features, h0]),
-            init, cfg, cfg.mixup.lambda_init, None,
+            init, cfg, cfg.lambda_init, None,
         )
         assert c1.students[0].fingerprint() == params.fingerprint()
 
@@ -912,7 +912,7 @@ class TestTrainCascade:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("gamma", -1.0), ("gamma", float("inf")), ("tau", float("nan")),
+        [("gamma", float("-inf")), ("gamma", float("inf")), ("tau", float("nan")),
          ("sigma", 1.5), ("lambda_init", 0.75)],
     )
     def test_stored_out_of_range_mixup_config_refused(self, tiny_graph, tmp_path, field, value):
@@ -921,9 +921,9 @@ class TestTrainCascade:
         path = tmp_path / "cascade.json"
         cas.save_cascade(cas.train_cascade(tiny_graph, art, cfg), path)
         doc = json.loads(path.read_text())
-        doc["config"]["mixup"][field] = value
+        doc["config"][field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"cascade.json config mixup: {field} "):
+        with pytest.raises(ValueError, match=f"cascade.json config: {field} "):
             cas.load_cascade(path)
 
     def test_checkpoint_round_trip(self, tiny_graph, tmp_path):

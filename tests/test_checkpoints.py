@@ -8,6 +8,7 @@ Checkpoints of earlier versions, with the arrays in the manifest, are
 refused with the command that rewrites them.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -298,9 +299,7 @@ def test_type_hints_are_resolved_once_per_class(tmp_path, monkeypatch):
     params._type_hints.cache_clear()
     for _ in range(3):
         cas.load_cascade(path)
-    assert sorted(resolved) == [
-        "CascadeConfig", "DistillConfig", "MixupConfig", "StudentTrainMeta"
-    ]
+    assert sorted(resolved) == ["CascadeConfig", "StudentTrainMeta"]
 
 
 # A one-student cascade and a 2-2-2 teacher as earlier versions wrote them,
@@ -356,30 +355,102 @@ def test_checkpoints_of_earlier_versions_are_refused(tmp_path, form):
         )
 
 
+# A one-student cascade and a 2-2-2 teacher, the ones that
+# ``_save_one_student`` and ``test_teacher_config_of_another_type_is_refused``
+# save, as the version before the flat cascade config wrote them: the loss
+# weights and the mixup rule, with its sign switch, nested under "distill"
+# and "mixup", K stored again beside the config, each meta's last mixing
+# rate again as "final_lambda", and the teacher's seed again in
+# "train_meta".
+NESTED_CASCADE = (
+    '{"array_encoding": "raw-le", "config": {"distill": {"alpha": 0.5, "beta": '
+    '0.8}, "dropout": 0.5, "hidden_dim": 1, "lr": 0.001, "max_epochs": 3, '
+    '"mixup": {"gamma": 0.9, "lambda_init": 0.1, "sigma": 0.1, "sign_inverted": '
+    'false, "tau": 0.1}, "n_layers": 2, "n_students": 1, "patience": 1, "seed": '
+    '0, "weight_decay": 0.0005}, "dtype": "float32", "kind": '
+    '"cascade-checkpoint", "n_students": 1, "students": [{"fingerprint": '
+    '"5a0f129f0025bc149943b6a08e09e75c04aaeb0b40912b9b8912c30cb66cc1bc", '
+    '"layers": [{"b": {"shape": [1]}, "w": {"shape": [2, 1]}}, {"b": {"shape": '
+    '[1]}, "w": {"shape": [1, 1]}}], "meta": {"best_epoch": 1, "best_val_acc": '
+    '0.5, "epochs": 1, "final_lambda": 0.1, "init_fingerprint": '
+    '"ac7cb8a3740d3390488886da4dc34adc7a26ce3ad40664d6b1713cd76c89da68", '
+    '"lambda_history": [0.1]}}], "teacher_fingerprint": '
+    '"1057a9604e04b274da5a4de0c8f4b4868d9b230989f8c8c6a28221143cc5a755"}\n'
+)
+NESTED_TEACHER = (
+    '{"array_encoding": "raw-le", "config": {"depth": 2, "dropout": 0.5, '
+    '"hidden_dim": 2, "lr": 0.01, "max_epochs": 200, "patience": 50, "seed": 0, '
+    '"weight_decay": 0.0005}, "dtype": "float64", "fingerprint": '
+    '"2ea5c39b83c46e3cf2315574932c8d7c28df09e3e24288f9f08dce6fcd896574", "kind": '
+    '"teacher-checkpoint", "layers": [{"b": {"shape": [2]}, "w": {"shape": [2, '
+    '2]}}, {"b": {"shape": [2]}, "w": {"shape": [2, 2]}}], '
+    '"soft_label_fingerprint": '
+    '"f012ce1397ba837674f4e47b1bf3e8bde3a5d2f4af5d03688ce4eec22b436cd9", '
+    '"train_meta": {"best_epoch": 1, "best_val_acc": 0.5, "epochs": 2, "seed": '
+    '0}}\n'
+)
+
+
+def test_checkpoints_of_the_nested_layout_are_refused(tmp_path):
+    layout = "this version reads only the checkpoint layout it writes"
+    path = tmp_path / "old.json"
+    path.write_text(NESTED_CASCADE)
+    with pytest.raises(ValueError) as err:
+        cas.load_cascade(path)
+    assert str(err.value) == (
+        f"{path}: missing keys [], unknown keys ['n_students']; {layout}, "
+        "run `mlpcascade distill` again to rewrite it"
+    )
+    path.write_text(NESTED_TEACHER)
+    with pytest.raises(ValueError) as err:
+        _load_teacher(tmp_path, "old.json")
+    assert str(err.value) == (
+        f"{path} train_meta: missing keys [], unknown keys ['seed']; {layout}, "
+        "run `mlpcascade train-teacher` again to rewrite it"
+    )
+
+
+def test_the_flat_layout_stores_each_value_once(tmp_path):
+    """Today's manifests of the same two checkpoints are the nested ones
+    with the config flattened and the three copies left out."""
+    old = json.loads(NESTED_CASCADE)
+    del old["n_students"]
+    config = old["config"]
+    config.update(config.pop("distill"))
+    assert config["mixup"].pop("sign_inverted") is False
+    config.update(config.pop("mixup"))
+    del old["students"][0]["meta"]["final_lambda"]
+    _save_one_student(tmp_path / "cascade.json")
+    assert json.loads((tmp_path / "cascade.json").read_text()) == old
+    old = json.loads(NESTED_TEACHER)
+    del old["train_meta"]["seed"]
+    params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
+    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), TrainRecord(2, 1, 0.5))
+    path = _save_teacher(art, t.TeacherConfig(hidden_dim=2), tmp_path)
+    assert json.loads(path.read_text()) == old
+
+
 CONFIG_EDITS = [
-    # (section of the stored config, key, value, expected type)
-    ("mixup", "sign_inverted", "no", "a JSON bool"),
-    ("mixup", "sign_inverted", 1, "a JSON bool"),
-    ("mixup", "gamma", "0.9", "a number"),
-    ("distill", "alpha", False, "a number"),
-    (None, "n_students", True, "an integer"),
-    (None, "hidden_dim", 8.0, "an integer"),
-    (None, "lr", None, "a number"),
+    # (key of the stored config, value, expected type)
+    ("gamma", "0.9", "a number"),
+    ("alpha", False, "a number"),
+    ("n_students", True, "an integer"),
+    ("hidden_dim", 8.0, "an integer"),
+    ("lr", None, "a number"),
 ]
 
 
-@pytest.mark.parametrize("section, key, value, kind", CONFIG_EDITS)
-def test_cascade_config_of_another_type_is_refused(ckpt_dir, section, key, value, kind):
+@pytest.mark.parametrize("key, value, kind", CONFIG_EDITS)
+def test_cascade_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
     w, b = np.ones((2, 1), np.float32), np.ones(1, np.float32)
     meta = cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1])
     cfg = cas.CascadeConfig(n_students=1, hidden_dim=1, max_epochs=3, patience=1)
     path = ckpt_dir / "typed.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP, cfg), path)
     doc = json.loads(path.read_text())
-    (doc["config"] if section is None else doc["config"][section])[key] = value
+    doc["config"][key] = value
     path.write_text(json.dumps(doc))
-    where = "config" if section is None else f"config {section}"
-    message = f"{path} {where} {key} must be {kind}, got {json.dumps(value)}"
+    message = f"{path} config {key} must be {kind}, got {json.dumps(value)}"
     with pytest.raises(ValueError) as err:
         cas.load_cascade(path)
     assert str(err.value) == message
@@ -404,7 +475,7 @@ def test_teacher_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
 @pytest.mark.parametrize(
     "key, value, kind",
     [("epochs", "six", "an integer"), ("best_val_acc", "high", "a number"),
-     ("best_epoch", True, "an integer"), ("seed", 0.0, "an integer")],
+     ("best_epoch", True, "an integer")],
 )
 def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
     params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
@@ -427,8 +498,6 @@ def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
         ("lambda_history", [0.1, "x"], "lambda_history[1]", "a number"),
         ("lambda_history", [0.1, False], "lambda_history[1]", "a number"),
         ("lambda_history", 0.1, "lambda_history", "a list of numbers"),
-        ("final_lambda", "0.2", "final_lambda", "a number"),
-        ("final_lambda", None, "final_lambda", "a number"),
     ],
 )
 def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, kind):
@@ -441,19 +510,6 @@ def test_student_meta_of_another_type_is_refused(ckpt_dir, key, value, where, ki
     with pytest.raises(ValueError) as err:
         cas.load_cascade(path)
     assert str(err.value) == f"{path} student 1 meta {where} must be {kind}, got {got}"
-
-
-def test_teacher_seed_unlike_its_config_is_refused(ckpt_dir):
-    params = LayerStack([(np.ones((2, 2)), np.ones(2)), (np.ones((2, 2)), np.ones(2))])
-    art = t.TeacherArtifact(params, np.full((3, 2), 0.5), TrainRecord(2, 1, 0.5))
-    path = _save_teacher(art, t.TeacherConfig(hidden_dim=2, seed=4), ckpt_dir, "seed.json")
-    doc = json.loads(path.read_text())
-    assert doc["train_meta"]["seed"] == 4
-    doc["train_meta"]["seed"] = 3
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as err:
-        _load_teacher(ckpt_dir, "seed.json")
-    assert str(err.value) == f"{path} train_meta seed 3 does not match 4, the config seed"
 
 
 def _save_one_student(path, epochs=1, best_epoch=1, lambda_history=(0.1,)):
@@ -490,14 +546,6 @@ def _chain_of_two(path):
     "edit, message",
     [
         (
-            lambda metas: metas[0].update(final_lambda=0.25),
-            "student 1 meta final_lambda 0.25 does not match 0.2, the value its fields give",
-        ),
-        (
-            lambda metas: metas[1].update(final_lambda=0.2),
-            "student 2 meta final_lambda 0.2 does not match 0.3, the value its fields give",
-        ),
-        (
             lambda metas: metas[1].update(init_fingerprint="init"),
             """student 2 meta init_fingerprint "init" does not match "{fp}", student 1's """
             "stored fingerprint",
@@ -509,7 +557,7 @@ def _chain_of_two(path):
         (
             # the chain is checked against the first student's own history,
             # edited consistently
-            lambda metas: metas[0].update(lambda_history=[0.1, 0.4], final_lambda=0.4),
+            lambda metas: metas[0].update(lambda_history=[0.1, 0.4]),
             "student 2 meta lambda_history[0] 0.2 does not match 0.4, student 1's final_lambda",
         ),
     ],
@@ -540,7 +588,7 @@ def test_empty_lambda_history_is_refused(ckpt_dir):
 
 @pytest.mark.parametrize("value", [-0.1, 0.5000000000000001, 1.5, float("nan"), float("inf")])
 def test_lambda_outside_the_clamp_range_is_refused(ckpt_dir, value):
-    """Every mixing rate ``MixupConfig.update`` gives is in [0, 0.5]; a
+    """Every mixing rate ``CascadeConfig.update_lambda`` gives is in [0, 0.5]; a
     stored one outside it, or not finite, is refused by its place."""
     with pytest.raises(ValueError, match=r"^lambda_history\[1\] .* outside \[0, 0.5\]$"):
         cas.StudentTrainMeta(1, 1, 0.5, init_fingerprint="init", lambda_history=[0.1, value])
@@ -593,9 +641,9 @@ def test_integer_for_a_float_loads_as_a_float(ckpt_dir):
     path = ckpt_dir / "typed.json"
     cas.save_cascade(cas.Cascade([LayerStack([(w, b), (w[:1], b)])], [meta], TEACHER_FP, cfg), path)
     doc = json.loads(path.read_text())
-    doc["config"]["distill"]["alpha"] = 1
+    doc["config"]["alpha"] = 1
     path.write_text(json.dumps(doc))
-    alpha = cas.load_cascade(path).config.distill.alpha
+    alpha = cas.load_cascade(path).config.alpha
     assert type(alpha) is float and alpha == 1.0
 
 
@@ -635,6 +683,18 @@ def test_cascade_without_a_config_is_refused(ckpt_dir):
     with pytest.raises(ValueError) as err:
         cas.load_cascade(path)
     assert str(err.value) == f"{path} config: expected a JSON object, got null"
+
+
+def test_a_field_without_a_json_decoding_raises():
+    @dataclasses.dataclass
+    class Holder:
+        value: dict
+
+    with pytest.raises(TypeError) as err:
+        params.dataclass_from_json(Holder, {"value": {}}, "f.json holder")
+    assert str(err.value) == (
+        "f.json holder value: a field annotated <class 'dict'> has no JSON decoding"
+    )
 
 
 @pytest.mark.parametrize("value, kind", [

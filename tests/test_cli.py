@@ -7,7 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +210,35 @@ class TestTrainTeacher:
             assert run_cli(*command, "--data", edited, "--out", tmp_path / "out") == 2
             err = capsys.readouterr().err
             assert "splits.json" in err and message in err, command
+
+    @pytest.mark.parametrize("command", ["train-teacher", "distill", "sweep"])
+    def test_empty_split_list_exits_2_before_any_write(
+        self, separable_run, tmp_path, capsys, command
+    ):
+        """The library loads an empty list; a command that reads the
+        dataset refuses it before it trains or writes anything."""
+        data, run = separable_run
+        inputs = {
+            "train-teacher": (),
+            "distill": ("--teacher-dir", run),
+            "sweep": ("--cascade", run / "cascade.json"),
+        }[command]
+        for key in ("labeled", "validation", "test"):
+            edited = tmp_path / f"empty-{key}"
+            shutil.copytree(data, edited)
+            splits = json.loads((edited / "splits.json").read_text())
+            splits[key] = []
+            (edited / "splits.json").write_text(json.dumps(splits))
+            assert getattr(gio.load_nodes(edited).splits, key).size == 0
+            out = tmp_path / f"out-{key}"
+            out.mkdir()
+            capsys.readouterr()
+            assert run_cli(command, *inputs, "--data", edited, "--out", out) == 2
+            assert capsys.readouterr().err == (
+                f"error: {edited / 'splits.json'}: {key!r} is an empty list; "
+                "train-teacher, distill and sweep need labeled, validation and test nodes\n"
+            )
+            assert list(out.iterdir()) == []
 
 
 class TestDistill:
@@ -524,7 +553,7 @@ class TestDegenerateTrainingConfig:
         [
             (("--beta", "nan"), "beta nan must be finite and >= 0"),
             (("--beta", "inf"), "beta inf must be finite and >= 0"),
-            (("--gamma", "inf"), "gamma inf must be finite and >= 0"),
+            (("--gamma", "inf"), "gamma inf must be finite"),
             (("--tau", "nan"), "tau nan must be finite"),
             (("--sigma", 2), "sigma 2.0 outside [0, 1]"),
             (("--lambda-init", 0.7), "lambda_init 0.7 outside [0, 0.5]"),
@@ -1181,6 +1210,39 @@ def _to_earlier_format(encoding):
 EARLIER_FORMAT = "checkpoints of earlier versions, with decimal or base64 arrays"
 
 
+def _nest_config(doc):
+    """Case helper: a cascade config as the version before the flat config
+    stored it, the loss weights and the mixup rule, with its sign switch,
+    nested."""
+    config = doc["config"]
+    config["distill"] = {k: config.pop(k) for k in ("alpha", "beta")}
+    config["mixup"] = {k: config.pop(k) for k in ("gamma", "tau", "sigma", "lambda_init")}
+    config["mixup"]["sign_inverted"] = False
+
+
+def _store_final_lambdas(doc):
+    """Case helper: each student's last mixing rate stored again."""
+    for student in doc["students"]:
+        student["meta"]["final_lambda"] = student["meta"]["lambda_history"][-1]
+
+
+def _to_nested_layout(doc):
+    """Case helper: a manifest as the version before the flat cascade config
+    wrote it. A cascade nests its config (``_nest_config``) and stores K and
+    each student's last mixing rate again; a teacher stores its seed again
+    in ``train_meta``."""
+    if doc["kind"] == "teacher-checkpoint":
+        doc["train_meta"]["seed"] = doc["config"]["seed"]
+        return
+    _nest_config(doc)
+    doc["n_students"] = len(doc["students"])
+    _store_final_lambdas(doc)
+
+
+# the refusal of a layout this version does not write, after its keys
+OTHER_LAYOUT = "; this version reads only the checkpoint layout it writes, run `mlpcascade"
+
+
 def _widen_last_layer(casc):
     w, b = casc.students[1].layers[-1]
     casc.students[1].layers[-1] = (np.hstack([w, w[:, :1]]), np.append(b, b[:1]))
@@ -1198,16 +1260,13 @@ def _uneven_hidden_width(casc):
 
 CASCADE_CASES = {
     "missing meta key": (
-        _edit_doc(lambda d: d["students"][0]["meta"].pop("final_lambda")),
-        "student 1 meta: missing keys ['final_lambda']",
+        _edit_doc(lambda d: d["students"][0]["meta"].pop("init_fingerprint")),
+        "student 1 meta: missing keys ['init_fingerprint'], unknown keys []" + OTHER_LAYOUT
+        + " distill`",
     ),
     "missing manifest key": (
         _edit_doc(lambda d: d.pop("teacher_fingerprint")),
         "missing keys ['teacher_fingerprint']",
-    ),
-    "n_students disagrees": (
-        _edit_doc(lambda d: d.update(n_students=7)),
-        "n_students is 7",
     ),
     "unsupported dtype": (
         _edit_doc(lambda d: d.update(dtype="float16")),
@@ -1231,6 +1290,25 @@ CASCADE_CASES = {
     ),
     "decimal format": (_to_earlier_format(False), EARLIER_FORMAT),
     "base64 format": (_to_earlier_format(True), EARLIER_FORMAT),
+    "nested layout": (
+        _edit_doc(_to_nested_layout),
+        "cascade.json: missing keys [], unknown keys ['n_students']" + OTHER_LAYOUT + " distill`",
+    ),
+    # each part of the nested layout alone
+    "nested config": (
+        _edit_doc(_nest_config),
+        "cascade.json config: missing keys ['alpha', 'beta', 'gamma', 'lambda_init', 'sigma', "
+        "'tau'], unknown keys ['distill', 'mixup']" + OTHER_LAYOUT + " distill`",
+    ),
+    "a stored K": (
+        _edit_doc(lambda d: d.update(n_students=2)),
+        "cascade.json: missing keys [], unknown keys ['n_students']" + OTHER_LAYOUT + " distill`",
+    ),
+    "stored final_lambdas": (
+        _edit_doc(_store_final_lambdas),
+        "cascade.json student 1 meta: missing keys [], unknown keys ['final_lambda']"
+        + OTHER_LAYOUT + " distill`",
+    ),
     "mis-shaped last layer": (
         _edit_cascade(_widen_last_layer),
         "student 2: layer shapes [(16, 8), (8, 4)] differ",
@@ -1239,29 +1317,13 @@ CASCADE_CASES = {
         _edit_cascade(_uneven_hidden_width),
         "student 1: layer shapes [(16, 8), (8, 9), (9, 3)] are not",
     ),
-    "sign_inverted a string": (
-        _edit_doc(lambda d: d["config"]["mixup"].update(sign_inverted="no")),
-        'config mixup sign_inverted must be a JSON bool, got "no"',
-    ),
     "n_students a bool": (
         _edit_doc(lambda d: d["config"].update(n_students=True)),
         "config n_students must be an integer, got true",
     ),
-    "manifest n_students a bool": (
-        _edit_doc(lambda d: d.update(n_students=True)),
-        "cascade.json n_students must be an integer, got true",
-    ),
     "teacher_fingerprint a number": (
         _edit_doc(lambda d: d.update(teacher_fingerprint=7)),
         "cascade.json teacher_fingerprint must be a string, got 7",
-    ),
-    "final_lambda a string": (
-        _edit_doc(lambda d: d["students"][0]["meta"].update(final_lambda="0.1")),
-        'student 1 meta final_lambda must be a number, got "0.1"',
-    ),
-    "final_lambda unlike its history": (
-        _edit_doc(lambda d: d["students"][0]["meta"].update(final_lambda=0.75)),
-        "student 1 meta final_lambda 0.75 does not match",
     ),
     "init_fingerprint off the chain": (
         _edit_doc(lambda d: d["students"][1]["meta"].update(init_fingerprint="x")),
@@ -1327,14 +1389,6 @@ TEACHER_CASES = {
         _edit_doc(lambda d: d["train_meta"].pop("best_epoch")),
         "train_meta: missing keys ['best_epoch']",
     ),
-    "train_meta seed a string": (
-        _edit_doc(lambda d: d["train_meta"].update(seed="0")),
-        'train_meta seed must be an integer, got "0"',
-    ),
-    "train_meta seed unlike the config": (
-        _edit_doc(lambda d: d["train_meta"].update(seed=5)),
-        "train_meta seed 5 does not match 0, the config seed",
-    ),
     "edited weights": (
         _edit_weights(_flip_last_byte),
         "teacher weights do not match their stored fingerprint",
@@ -1345,6 +1399,11 @@ TEACHER_CASES = {
     ),
     "decimal format": (_to_earlier_format(False), EARLIER_FORMAT),
     "base64 format": (_to_earlier_format(True), EARLIER_FORMAT),
+    "nested layout": (
+        _edit_doc(_to_nested_layout),
+        "teacher.json train_meta: missing keys [], unknown keys ['seed']" + OTHER_LAYOUT
+        + " train-teacher`",
+    ),
 }
 
 
@@ -1376,6 +1435,18 @@ class TestMalformedCheckpoints:
         assert code == 2
         assert str(run / "teacher.json") in err and message in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nested_cascade_layout_exits_2_through_sweep(self, separable_run, tmp_path, capsys):
+        data, run = separable_run
+        _edit_doc(_to_nested_layout)(run / "cascade.json")
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--data", data, "--cascade", run / "cascade.json", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {run / 'cascade.json'}: missing keys [], unknown keys ['n_students']"
+            f"{OTHER_LAYOUT} distill` again to rewrite it\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["cascade", "teacher"])
     def test_missing_weights_file_exits_1_naming_it(self, separable_run, tmp_path, capsys, name):
@@ -1443,7 +1514,7 @@ class TestConfigPrecedence:
                         "max_epochs": 9, "patience": 4, "depth": 3},
             "cascade": {"n_students": 2, "hidden_dim": 5, "weight_decay": 0,
                         "max_epochs": 6, "patience": 2, "alpha": 1, "beta": 1,
-                        "gamma": 0, "lambda_sign_inverted": True},
+                        "gamma": 0},
             "run": {"seed": 5},
         }))
 
@@ -1453,8 +1524,7 @@ class TestConfigPrecedence:
             return json.loads((out / name).read_text())["config"]
 
         def typed(doc):
-            return {k: (typed(v) if isinstance(v, dict) else (v, type(v)))
-                    for k, v in doc.items()}
+            return {k: (v, type(v)) for k, v in doc.items()}
 
         run = tmp_path / "from_config"
         teacher = stored(run, "train-teacher")
@@ -1464,8 +1534,7 @@ class TestConfigPrecedence:
         cascade = stored(run, "distill")
         expect = asdict(cas.CascadeConfig(
             n_students=2, hidden_dim=5, weight_decay=0.0, max_epochs=6, patience=2,
-            distill=cas.DistillConfig(alpha=1.0, beta=1.0),
-            mixup=cas.MixupConfig(gamma=0.0, sign_inverted=True), seed=5,
+            alpha=1.0, beta=1.0, gamma=0.0, seed=5,
         ))
         assert typed(cascade) == typed(expect)
 
@@ -1475,8 +1544,7 @@ class TestConfigPrecedence:
         assert teacher["max_epochs"] == 9
         cascade = stored(run, "distill", "--students", 1, "--beta", 0.5, "--layers", 3)
         assert (cascade["n_students"], cascade["n_layers"]) == (1, 3)
-        assert cascade["distill"] == {"alpha": 1.0, "beta": 0.5}
-        assert cascade["mixup"]["sign_inverted"] is True
+        assert (cascade["alpha"], cascade["beta"], cascade["gamma"]) == (1.0, 0.5, 0.0)
 
     def test_reports_parse_as_json(self, separable_run):
         _, run = separable_run
@@ -1492,7 +1560,7 @@ class TestConfigPrecedence:
     def test_missing_config_exits_2(self, tmp_path):
         assert run_cli("synth", "--config", tmp_path / "none.json", "--out", tmp_path) == 2
 
-    def test_lambda_sign_flag_reaches_checkpoint(self, tmp_path):
+    def test_negative_gamma_reaches_checkpoint(self, tmp_path):
         data = tmp_path / "data"
         run = tmp_path / "run"
         assert run_cli(*dataset_args(data, nodes=30)) == 0
@@ -1503,10 +1571,10 @@ class TestConfigPrecedence:
         assert run_cli(
             "distill", "--data", data, "--teacher-dir", run, "--out", run,
             "--students", 1, "--hidden", 8, "--epochs", 5, "--patience", 3,
-            "--lambda-sign-inverted",
+            "--gamma", -0.3,
         ) == 0
         doc = json.loads((run / "cascade.json").read_text())
-        assert doc["config"]["mixup"]["sign_inverted"] is True
+        assert doc["config"]["gamma"] == -0.3
 
 
 class TestConfigTypes:
@@ -1516,8 +1584,6 @@ class TestConfigTypes:
     string, and the command stops before it reads any file."""
 
     CASES = {
-        "sign-string": ("distill", "cascade", "lambda_sign_inverted", "false", "a JSON bool"),
-        "sign-int": ("distill", "cascade", "lambda_sign_inverted", 0, "a JSON bool"),
         "students-fraction": ("distill", "cascade", "n_students", 2.7, "an integer"),
         "students-bool": ("distill", "cascade", "n_students", True, "an integer"),
         "students-float": ("distill", "cascade", "n_students", 2.0, "an integer"),
@@ -1562,24 +1628,6 @@ class TestConfigTypes:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_false_string_no_longer_inverts_the_sign(self, separable_run, tmp_path, capsys):
-        data, run = separable_run
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"cascade": {"lambda_sign_inverted": "false"}}))
-        code = run_cli(
-            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
-            "--config", cfg_path, "--students", 1, "--epochs", 2, "--patience", 1,
-        )
-        assert code == 2
-        assert "cascade.lambda_sign_inverted must be a JSON bool" in capsys.readouterr().err
-        cfg_path.write_text(json.dumps({"cascade": {"lambda_sign_inverted": False}}))
-        assert run_cli(
-            "distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
-            "--config", cfg_path, "--students", 1, "--epochs", 2, "--patience", 1,
-        ) == 0
-        doc = json.loads((tmp_path / "out" / "cascade.json").read_text())
-        assert doc["config"]["mixup"]["sign_inverted"] is False
-
 
 class TestWholeConfigCheck:
     """The config file is checked whole when it is loaded: a section or key
@@ -1595,6 +1643,10 @@ class TestWholeConfigCheck:
         "unknown section": (
             "distill", {"cascade": {"alpha": 0.5}, "teachr": {"hidden_dim": 8}}, [],
             "unknown section 'teachr' (sections: cascade, dataset, policy, run, teacher)",
+        ),
+        "the removed sign switch": (
+            "distill", {"cascade": {"lambda_sign_inverted": True}}, [],
+            "cascade.lambda_sign_inverted is not a setting (cascade keys: n_students,",
         ),
         "section not an object": (
             "train-teacher", {"teacher": [8]}, [], "config section 'teacher' must be an object",
@@ -1660,7 +1712,7 @@ class TestSettingsTable:
         ],
         "distill": [
             "--alpha", "--beta", "--config", "--data", "--dropout", "--epochs", "--gamma",
-            "--hidden", "--lambda-init", "--lambda-sign-inverted", "--layers", "--lr",
+            "--hidden", "--lambda-init", "--layers", "--lr",
             "--normalize-features", "--out", "--patience", "--precision", "--seed", "--sigma",
             "--students", "--tau", "--teacher-dir", "--weight-decay",
         ],
@@ -1674,33 +1726,33 @@ class TestSettingsTable:
         ],
     }
 
-    # (section, key): (flag, a value unlike the default, path in the stored config)
+    # (section, key): (flag, a value unlike the default); the key is the
+    # stored config's field
     SETTINGS = {
-        ("teacher", "hidden_dim"): ("--hidden", 5, ("hidden_dim",)),
-        ("teacher", "lr"): ("--lr", 0.02, ("lr",)),
-        ("teacher", "weight_decay"): ("--weight-decay", 0.001, ("weight_decay",)),
-        ("teacher", "dropout"): ("--dropout", 0.25, ("dropout",)),
-        ("teacher", "max_epochs"): ("--epochs", 4, ("max_epochs",)),
-        ("teacher", "patience"): ("--patience", 1, ("patience",)),
-        ("teacher", "depth"): ("--depth", 3, ("depth",)),
-        ("cascade", "n_students"): ("--students", 2, ("n_students",)),
-        ("cascade", "hidden_dim"): ("--hidden", 6, ("hidden_dim",)),
-        ("cascade", "n_layers"): ("--layers", 3, ("n_layers",)),
-        ("cascade", "lr"): ("--lr", 0.003, ("lr",)),
-        ("cascade", "weight_decay"): ("--weight-decay", 0.002, ("weight_decay",)),
-        ("cascade", "dropout"): ("--dropout", 0.125, ("dropout",)),
-        ("cascade", "max_epochs"): ("--epochs", 7, ("max_epochs",)),
-        ("cascade", "patience"): ("--patience", 5, ("patience",)),
-        ("cascade", "alpha"): ("--alpha", 0.3, ("distill", "alpha")),
-        ("cascade", "beta"): ("--beta", 0.6, ("distill", "beta")),
-        ("cascade", "gamma"): ("--gamma", 0.4, ("mixup", "gamma")),
-        ("cascade", "tau"): ("--tau", 0.7, ("mixup", "tau")),
-        ("cascade", "sigma"): ("--sigma", 0.35, ("mixup", "sigma")),
-        ("cascade", "lambda_init"): ("--lambda-init", 0.2, ("mixup", "lambda_init")),
-        ("cascade", "lambda_sign_inverted"): (
-            "--lambda-sign-inverted", True, ("mixup", "sign_inverted"),
-        ),
+        ("teacher", "hidden_dim"): ("--hidden", 5),
+        ("teacher", "lr"): ("--lr", 0.02),
+        ("teacher", "weight_decay"): ("--weight-decay", 0.001),
+        ("teacher", "dropout"): ("--dropout", 0.25),
+        ("teacher", "max_epochs"): ("--epochs", 4),
+        ("teacher", "patience"): ("--patience", 1),
+        ("teacher", "depth"): ("--depth", 3),
+        ("cascade", "n_students"): ("--students", 2),
+        ("cascade", "hidden_dim"): ("--hidden", 6),
+        ("cascade", "n_layers"): ("--layers", 3),
+        ("cascade", "lr"): ("--lr", 0.003),
+        ("cascade", "weight_decay"): ("--weight-decay", 0.002),
+        ("cascade", "dropout"): ("--dropout", 0.125),
+        ("cascade", "max_epochs"): ("--epochs", 7),
+        ("cascade", "patience"): ("--patience", 5),
+        ("cascade", "alpha"): ("--alpha", 0.3),
+        ("cascade", "beta"): ("--beta", 0.6),
+        ("cascade", "gamma"): ("--gamma", -0.4),
+        ("cascade", "tau"): ("--tau", 0.7),
+        ("cascade", "sigma"): ("--sigma", 0.35),
+        ("cascade", "lambda_init"): ("--lambda-init", 0.2),
     }
+    # the settings whose flag is not named after the key
+    SHORT_FLAGS = {"hidden_dim", "max_epochs", "n_students", "n_layers"}
 
     def test_commands_keep_their_option_strings(self):
         sub = next(a for a in build_parser()._actions
@@ -1714,10 +1766,18 @@ class TestSettingsTable:
     def test_every_model_setting_is_covered(self):
         declared = {(s.section, s.key) for s in _SETTINGS if s.section in ("teacher", "cascade")}
         assert declared == set(self.SETTINGS)
-        for section in ("teacher", "cascade"):
+        for section, cls in (("teacher", TeacherConfig), ("cascade", cas.CascadeConfig)):
             # distinct values, so a value stored in the wrong field shows
-            values = [json.dumps(v) for (sec, _), (_, v, _) in self.SETTINGS.items() if sec == section]
+            values = [json.dumps(v) for (sec, _), (_, v) in self.SETTINGS.items() if sec == section]
             assert len(set(values)) == len(values)
+            # each key names a field of the config, and the flag is named
+            # after the key unless the key is a short flag's
+            names = {f.name for f in fields(cls)}
+            for setting in _SETTINGS:
+                if setting.section == section:
+                    key = setting.key
+                    assert key in names, (section, key)
+                    assert (setting.flag == "--" + key.replace("_", "-")) != (key in self.SHORT_FLAGS)
 
     @pytest.mark.parametrize("via", ["flags", "config"])
     def test_every_model_setting_reaches_the_stored_config(self, tmp_path, via):
@@ -1726,15 +1786,11 @@ class TestSettingsTable:
         expect = {"teacher": asdict(TeacherConfig()), "cascade": asdict(cas.CascadeConfig())}
         doc = {"teacher": {}, "cascade": {}}
         flags = {"teacher": [], "cascade": []}
-        for (section, key), (flag, value, path) in self.SETTINGS.items():
-            *parents, field = path
-            stored = expect[section]
-            for name in parents:
-                stored = stored[name]
-            assert stored[field] != value  # a value the default cannot pass for
-            stored[field] = value
+        for (section, key), (flag, value) in self.SETTINGS.items():
+            assert expect[section][key] != value  # a value the default cannot pass for
+            expect[section][key] = value
             doc[section][key] = value
-            flags[section] += [flag] if value is True else [flag, value]
+            flags[section] += [flag, value]
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         if via == "config":

@@ -13,6 +13,9 @@ for bit: parameters, soft labels, hidden states, eval logits, losses,
 lambda histories, best epochs and fingerprints.
 """
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,24 @@ def update_mixup(cfg, lam, ema, loss):
     if cfg.sign_inverted:
         drift = -drift
     return min(max(lam + drift, 0.0), 0.5), ema
+
+
+class MixupRule(NamedTuple):
+    """The five fields ``update_mixup`` reads, as the rule had them before
+    the sign switch was folded into gamma's sign: a rate ``gamma >= 0`` and
+    a switch that negates the drift."""
+
+    gamma: float
+    tau: float
+    sigma: float
+    lambda_init: float
+    sign_inverted: bool = False
+
+
+def rule_of(cfg) -> MixupRule:
+    """The ``MixupRule`` of a config whose rate is not negative."""
+    assert cfg.gamma >= 0.0
+    return MixupRule(cfg.gamma, cfg.tau, cfg.sigma, cfg.lambda_init)
 
 
 class AdamW:
@@ -414,7 +435,11 @@ def ref_mixup_loss(p, mixed, mixed_labels, labeled_count, dropout, rng):
     return (value, *ref_student_backward(p, caches, dlogits))
 
 
-def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
+def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema, rule=None):
+    """Student k trained as ``cas.train_student`` trains it, its mixing rate
+    following ``update_mixup`` under ``rule`` (``rule_of(cfg)`` by
+    default)."""
+    rule = rule_of(cfg) if rule is None else rule
     labeled = g.splits.labeled
     all_nodes = np.arange(g.n_nodes)
     rng = np.random.default_rng([cfg.seed, k])
@@ -437,7 +462,7 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
         epochs_run = epoch
         _, logits, caches = ref_student_forward(params, inputs, True, cfg.dropout, rng)
         distill_value, distill_grad = distill_loss(
-            logits, teacher_probs, g.labels, labeled, all_nodes, k, cfg.distill
+            logits, teacher_probs, g.labels, labeled, all_nodes, k, cfg
         )
         grads, dz1 = ref_student_backward(params, caches, distill_grad)
 
@@ -458,7 +483,7 @@ def ref_train_student(k, g, teacher_probs, h_prev, init, cfg, lam, ema):
         step["w1"] = inputs.T @ dz1
         step["b1"] = dz1.sum(axis=0)
         opt.step(step)
-        lam, ema = update_mixup(cfg.mixup, lam, ema, mix_value)
+        lam, ema = update_mixup(rule, lam, ema, mix_value)
         losses.append(distill_value + mix_value)
         lambda_history.append(lam)
 
@@ -504,7 +529,7 @@ def run_chain(train, g, teacher_probs, cfg):
     init = ref_init(dims + [g.n_classes], np.random.default_rng([cfg.seed, 0]),
                     g.features.dtype)
     h = np.zeros((g.n_nodes, cfg.hidden_dim), dtype=g.features.dtype)
-    lam, ema = cfg.mixup.lambda_init, None
+    lam, ema = cfg.lambda_init, None
     out = []
     for k in range(1, cfg.n_students + 1):
         params, h, ema, meta = train(k, g, teacher_probs, h, init, cfg, lam, ema)
@@ -527,13 +552,13 @@ def assert_same_meta(got, ref):
     assert got.logits.dtype == ref.logits.dtype and np.array_equal(got.logits, ref.logits)
 
 
-def assert_same_cascade(g, art, cfg):
+def assert_same_cascade(g, art, cfg, rule=None):
     """The package's student trainer given the ``SoftTargets`` of the soft
     labels, as ``train_cascade`` passes them, and the whole
     ``train_cascade``, against the reference chain given the raw soft
-    labels."""
+    labels and the mixup ``rule`` (``rule_of(cfg)`` by default)."""
     got = run_chain(package_student, g, soft_targets(art.soft_labels), cfg)
-    ref = run_chain(ref_train_student, g, art.soft_labels, cfg)
+    ref = run_chain(functools.partial(ref_train_student, rule=rule), g, art.soft_labels, cfg)
     for (p1, h1, lam1, ema1, m1), (p2, h2, lam2, ema2, m2) in zip(got, ref, strict=True):
         assert_same_stack(p1, p2)
         assert h1.dtype == h2.dtype and np.array_equal(h1, h2)
@@ -572,21 +597,38 @@ def test_cascade_early_stop_matches_reference(dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize(
-    "mixup",
+    "mixup, rule",
     [
-        cas.MixupConfig(gamma=0.05, tau=0.95),  # climbs from 0.1, short of 0.5
-        cas.MixupConfig(gamma=0.3, tau=0.9, sign_inverted=True),  # 0, then climbs
+        # climbs from 0.1, short of 0.5
+        ({"gamma": 0.05, "tau": 0.95}, MixupRule(0.05, 0.95, 0.1, 0.1)),
+        # 0, then climbs: a negative rate against the rule's sign switch
+        ({"gamma": -0.3, "tau": 0.9}, MixupRule(0.3, 0.9, 0.1, 0.1, sign_inverted=True)),
     ],
     ids=["rising", "inverted"],
 )
-def test_cascade_with_moving_lambda_matches_reference(mixup, dtype):
+def test_cascade_with_moving_lambda_matches_reference(mixup, rule, dtype):
     # lambda leaves its bounds here, so the rule's values are compared, not
     # only its clamps
     g, art = cascade_setup(dtype)
     cfg = cas.CascadeConfig(
         n_students=2, hidden_dim=8, dropout=0.5, lr=0.01, max_epochs=12, patience=11,
-        mixup=mixup, seed=4,
+        **mixup, seed=4,
     )
-    casc = assert_same_cascade(g, art, cfg)
+    casc = assert_same_cascade(g, art, cfg, rule)
     inside = [lam for m in casc.metas for lam in m.lambda_history[1:] if 0.0 < lam < 0.5]
     assert len(inside) >= 8
+
+
+def test_a_negative_gamma_is_the_sign_switch_bit_for_bit():
+    """``update_lambda`` at rate -g gives the bits, the sign of a zero
+    included, of the frozen rule at rate g with the sign switch set:
+    ``(-g) * x`` is ``-(g * x)`` exactly in IEEE arithmetic."""
+    rng = np.random.default_rng(12)
+    for _ in range(20_000):
+        g, tau, sigma, lam, ema, loss = (
+            float(v) for v in rng.uniform([0, -1, 0, 0, 0, 0], [2, 3, 1, 0.5, 5, 5])
+        )
+        ema = None if rng.random() < 0.1 else ema
+        cfg = cas.CascadeConfig(gamma=-g, tau=tau, sigma=sigma)
+        ref = update_mixup(MixupRule(g, tau, sigma, 0.1, sign_inverted=True), lam, ema, loss)
+        assert repr(cfg.update_lambda(lam, ema, loss)) == repr(ref)
