@@ -437,6 +437,12 @@ CONFIG_EDITS = [
     ("n_students", True, "an integer"),
     ("hidden_dim", 8.0, "an integer"),
     ("lr", None, "a number"),
+    # each loss and mixup field, flat in the config; gamma carries the sign
+    ("gamma", False, "a number"),
+    ("beta", "1", "a number"),
+    ("tau", True, "a number"),
+    ("sigma", None, "a number"),
+    ("lambda_init", [0.1], "a number"),
 ]
 
 
@@ -494,6 +500,7 @@ def test_teacher_meta_of_another_type_is_refused(ckpt_dir, key, value, kind):
     [
         ("best_val_acc", "high", "best_val_acc", "a number"),
         ("epochs", True, "epochs", "an integer"),
+        ("best_epoch", 1.5, "best_epoch", "an integer"),
         ("init_fingerprint", 7, "init_fingerprint", "a string"),
         ("lambda_history", [0.1, "x"], "lambda_history[1]", "a number"),
         ("lambda_history", [0.1, False], "lambda_history[1]", "a number"),

@@ -1309,6 +1309,19 @@ CASCADE_CASES = {
         "cascade.json student 1 meta: missing keys [], unknown keys ['final_lambda']"
         + OTHER_LAYOUT + " distill`",
     ),
+    "a stored sign switch": (
+        _edit_doc(lambda d: d["config"].update(sign_inverted=False)),
+        "cascade.json config: missing keys [], unknown keys ['sign_inverted']" + OTHER_LAYOUT
+        + " distill`",
+    ),
+    "gamma a string": (
+        _edit_doc(lambda d: d["config"].update(gamma="-0.3")),
+        'cascade.json config gamma must be a number, got "-0.3"',
+    ),
+    "lambda_history a string": (
+        _edit_doc(lambda d: d["students"][1]["meta"].update(lambda_history="0.2")),
+        'cascade.json student 2 meta lambda_history must be a list of numbers, got "0.2"',
+    ),
     "mis-shaped last layer": (
         _edit_cascade(_widen_last_layer),
         "student 2: layer shapes [(16, 8), (8, 4)] differ",
@@ -1388,6 +1401,14 @@ TEACHER_CASES = {
     "missing train_meta key": (
         _edit_doc(lambda d: d["train_meta"].pop("best_epoch")),
         "train_meta: missing keys ['best_epoch']",
+    ),
+    "train_meta epochs a string": (
+        _edit_doc(lambda d: d["train_meta"].update(epochs="6")),
+        'teacher.json train_meta epochs must be an integer, got "6"',
+    ),
+    "config seed a string": (
+        _edit_doc(lambda d: d["config"].update(seed="0")),
+        'teacher.json config seed must be an integer, got "0"',
     ),
     "edited weights": (
         _edit_weights(_flip_last_byte),
@@ -1589,6 +1610,9 @@ class TestConfigTypes:
         "students-float": ("distill", "cascade", "n_students", 2.0, "an integer"),
         "alpha-bool": ("distill", "cascade", "alpha", True, "a number"),
         "alpha-null": ("distill", "cascade", "alpha", None, "a number"),
+        # gamma carries the drift's sign; neither a string nor a bool gives one
+        "gamma-string": ("distill", "cascade", "gamma", "-0.3", "a number"),
+        "gamma-bool": ("distill", "cascade", "gamma", True, "a number"),
         "hidden-fraction": ("train-teacher", "teacher", "hidden_dim", 6.5, "an integer"),
         "lr-string": ("train-teacher", "teacher", "lr", "0.01", "a number"),
         "lr-beyond-float": ("train-teacher", "teacher", "lr", 10**400, "a number"),
