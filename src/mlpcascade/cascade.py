@@ -43,7 +43,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -345,20 +345,19 @@ def mixup_loss(
     mixed: np.ndarray,
     mixed_labels: np.ndarray,
     labeled_count: int,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
+    drop: Callable[[np.ndarray], np.floating] | None = None,
 ) -> GradPair:
     """Soft-label cross entropy of the student on mixed examples, averaged
     with the labeled-set size as denominator. The examples enter as their
     first-layer projections ``mixed`` (``x @ w1``, before the bias), from
     ``mixup_examples``. Gradients w.r.t. the parameters of layers 2..L and,
     as ``"mixed"``, w.r.t. ``mixed``, which ``total_loss_gradpair`` carries
-    back to ``w1`` and ``b1``; dropout masks are drawn from ``rng`` when
-    ``dropout > 0``, which then needs one (ValueError naming the function
-    otherwise)."""
+    back to ``w1`` and ``b1``. ``drop`` is the dropout of ``forward_cache``
+    (None for none); ``total_loss_gradpair`` passes its training pass's, so
+    the mixup masks are the next draws of the same rng."""
     if labeled_count == 0:
         raise ValueError("mixup_loss: labeled_count must be positive")
-    logits, caches = forward_cache(p, None, dropper(dropout, rng, "mixup_loss"), projection=mixed)
+    logits, caches = forward_cache(p, None, drop, projection=mixed)
     logp, probs = log_and_softmax_rows(logits)
     value = float(-(mixed_labels * logp).sum() / labeled_count)
     dlogits = (probs - mixed_labels) / labeled_count
@@ -377,7 +376,6 @@ def total_loss_gradpair(
     cfg: CascadeConfig,
     pairs: np.ndarray,
     lam: float,
-    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     projection: np.ndarray | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
@@ -397,21 +395,21 @@ def total_loss_gradpair(
     Each column of ``pairs`` must name distinct rows, as those of
     ``sample_mixup_pairs`` do.
 
-    With ``dropout > 0`` the training forward draws its masks from ``rng``
-    first, then the mixup forward; ValueError naming the function when
-    there is no ``rng``. A pure function of the parameters once
-    pairs, lam and the rng's seed are fixed, which is exactly what the
-    finite-difference checker needs.
+    With ``cfg.dropout > 0`` the training forward draws its masks from
+    ``rng`` first, then the mixup forward, through one ``params.dropper``;
+    ValueError naming the function when there is no ``rng``. A pure
+    function of the parameters once pairs, lam and the rng's seed are
+    fixed, which is exactly what the finite-difference checker needs.
     """
     labeled = np.asarray(labeled)
     if projection is None:
         projection = inputs @ p.layers[0][0]
-    drop = dropper(dropout, rng, "total_loss_gradpair")
+    drop = dropper(cfg.dropout, rng, "total_loss_gradpair")
     logits, caches = forward_cache(p, inputs, drop, projection=projection)
     distill = distill_loss(logits, targets, y, labeled, k, cfg)
     grads, d_first = backward_to_first(p, caches, distill.grads["logits"])
     mixed, mixed_labels = mixup_examples(projection, y, pairs, lam)
-    mix = mixup_loss(p, mixed, mixed_labels, labeled.size, dropout, rng)
+    mix = mixup_loss(p, mixed, mixed_labels, labeled.size, drop)
     d_mixed = mix.grads.pop("mixed")
     d_first[pairs[:, 0]] += lam * d_mixed  # each column names distinct rows
     d_first[pairs[:, 1]] += (1.0 - lam) * d_mixed
@@ -443,7 +441,8 @@ def train_student(
     final moving average and the meta are returned; the final rate is the
     meta's ``final_lambda``. Each epoch: freshly resampled mixup pairs ->
     ``total_loss_gradpair`` (training-mode forward, distillation loss,
-    mixup loss) -> one AdamW step -> ``CascadeConfig.update_lambda``.
+    mixup loss, both at ``cfg.dropout`` with masks from one rng seeded
+    ``[cfg.seed, k]``) -> one AdamW step -> ``CascadeConfig.update_lambda``.
     ``optim.fit`` tracks validation accuracy with patience and hands back
     the best epoch's parameters.
 
@@ -473,8 +472,7 @@ def train_student(
         nonlocal lam, ema
         pairs = sample_mixup_pairs(labeled, np.random.SeedSequence([cfg.seed, k, epoch]))
         distill, mix, grads = total_loss_gradpair(
-            params, inputs, targets, nodes.labels, labeled, k, cfg, pairs, lam,
-            cfg.dropout, rng, projection,
+            params, inputs, targets, nodes.labels, labeled, k, cfg, pairs, lam, rng, projection
         )
         if not np.isfinite(distill):
             raise TrainingDivergedError(epoch, "distillation", distill)

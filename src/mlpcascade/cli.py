@@ -57,10 +57,9 @@ def _threshold_arg(tok: str):
 class _Setting(NamedTuple):
     """One setting: the config file's ``section.key`` and the flag that
     overrides it (dest ``section.key``). ``kind`` is the JSON type of the
-    config value and the type of the flag's value, a bool being a switch.
-    The key is the name of the config dataclass field it sets; ``parse``
-    parses the flag where ``kind`` does not, and ``choices`` limits the
-    values of both."""
+    config value and the type of the flag's value. The key is the name of
+    the config dataclass field it sets; ``parse`` parses the flag where
+    ``kind`` does not, and ``choices`` limits the values of both."""
 
     section: str
     key: str
@@ -77,8 +76,6 @@ _DROPOUT_HELP = ("dropout rate in [0, 1 - 2^-17), taken as the nearest multiple 
 # every setting a config file or a flag may set, each declared once
 _SETTINGS = (
     _Setting("dataset", "path", "--data", str, "dataset directory"),
-    _Setting("dataset", "normalize_features", "--normalize-features", bool,
-             "L1-normalize feature rows on load"),
     _Setting("teacher", "hidden_dim", "--hidden", int, "teacher hidden width"),
     _Setting("teacher", "lr", "--lr", float),
     _Setting("teacher", "weight_decay", "--weight-decay", float),
@@ -117,6 +114,13 @@ _BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
 _SECTIONS = sorted({s.section for s in _SETTINGS})
 
 
+def _is_file(path: Path, kind: str) -> bool:
+    """Whether ``path`` is a file; ValueError for a directory, which exists."""
+    if path.is_dir():
+        raise ValueError(f"{path} is a directory, not a {kind} file")
+    return path.is_file()
+
+
 def _load_config(path: str | None) -> dict:
     """The config file at ``path``, checked whole: every section and key a
     declared setting, every value a JSON value of its type
@@ -125,7 +129,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.is_file():
+    if not _is_file(p, "config"):
         raise ValueError(f"config file not found: {p}")
     try:
         with open(p) as f:
@@ -202,8 +206,7 @@ def _read_dataset(args, config, dtype, read=graphio.load_nodes):
     with an empty list, which the library loader accepts, is refused here,
     naming the file and the key, before any training or any write."""
     path = _dataset_dir(args, config)
-    normalize = _given(args, config, "dataset").get("normalize_features", False)
-    data = read(path, dtype=dtype, normalize_features=normalize)
+    data = read(path, dtype=dtype)
     for name in ("labeled", "validation", "test"):
         if getattr(data.splits, name).size == 0:
             raise ValueError(
@@ -246,7 +249,7 @@ def _load_teacher_artifact(teacher_dir: Path):
     ckpt = teacher_dir / TEACHER_CKPT
     soft = teacher_dir / SOFT_LABELS
     for p in (ckpt, soft):
-        if not p.is_file():
+        if not _is_file(p, "teacher artifact"):
             raise FileNotFoundError(f"teacher artifact missing: {p}")
     return teacher.load_teacher(ckpt, soft)
 
@@ -375,7 +378,7 @@ def _load_cascade(
     """The cascade checkpoint at ``path``, refused, naming both files,
     unless it takes the ``width`` of the feature file ``features`` and,
     when ``labels`` is given, predicts the ``classes`` of that label file."""
-    if not path.is_file():
+    if not _is_file(path, "cascade checkpoint"):
         raise FileNotFoundError(f"cascade checkpoint missing: {path}")
     casc = cascade_mod.load_cascade(path)
     if casc.feat_dim != width:
@@ -418,7 +421,7 @@ def cmd_infer(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     policy = _policy(args, config)
     features_path = Path(args.features)
-    if not features_path.is_file():
+    if not _is_file(features_path, "feature"):
         raise FileNotFoundError(f"feature file missing: {features_path}")
     x = graphio.read_features(features_path, dtype)
     casc = _load_cascade(Path(args.cascade), features_path, x.shape[1])
@@ -449,12 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         for s in _SETTINGS:
             if s.section not in (*sections, "run"):
                 continue
-            if s.kind is bool:
-                kw = {"action": "store_const", "const": True}
-            else:
-                kw = {"type": s.parse or s.kind, "choices": s.choices,
-                      "metavar": None if s.choices else s.flag[2:].replace("-", "_").upper()}
-            p.add_argument(s.flag, dest=f"{s.section}.{s.key}", help=s.help, **kw)
+            p.add_argument(s.flag, dest=f"{s.section}.{s.key}", help=s.help,
+                           type=s.parse or s.kind, choices=s.choices,
+                           metavar=None if s.choices else s.flag[2:].replace("-", "_").upper())
         p.add_argument("--config", help="JSON config file (sections: dataset, teacher, cascade, policy, run)")
         return p
 

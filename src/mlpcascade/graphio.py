@@ -581,13 +581,13 @@ def _require_files(path: Path, names) -> None:
             raise FileNotFoundError(f"dataset file missing: {path / name}")
 
 
-def load_nodes(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> NodeTables:
+def load_nodes(path, dtype=DEFAULT_DTYPE) -> NodeTables:
     """Load a dataset directory's node tables: features, labels and splits.
     ``edges.csv`` is neither opened nor required.
 
-    When ``splits.json`` is absent, default Planetoid-style splits are
-    generated (documented module constants). With ``normalize_features`` the
-    feature rows are L1-normalized; default is raw features.
+    The features are those of ``features.csv`` as stored, which
+    ``read_features`` gives ``infer``. Without ``splits.json``, default
+    Planetoid-style splits are generated (documented module constants).
     """
     path = Path(path)
     _require_files(path, ("features.csv", "labels.csv"))
@@ -602,9 +602,6 @@ def load_nodes(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> N
             f"{path / 'labels.csv'}: class ids must be 0..C-1 with every class "
             f"present; class {missing} has no node"
         )
-    if normalize_features:
-        norms = np.abs(features).sum(axis=1, keepdims=True)
-        features = features / np.where(norms > 0, norms, 1)
     labels = _onehot(class_ids, n_classes, dtype)
 
     splits_file = path / "splits.json"
@@ -621,16 +618,17 @@ def load_nodes(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> N
     return NodeTables(features=features, labels=labels, splits=splits)
 
 
-def load_dataset(path, dtype=DEFAULT_DTYPE, normalize_features: bool = False) -> Graph:
+def load_dataset(path, dtype=DEFAULT_DTYPE) -> Graph:
     """Load a dataset directory into a Graph: the node tables as
-    ``load_nodes`` reads them, then the edge list, symmetrized and
-    deduplicated with self-loops stripped (``Graph`` keeps it canonical).
+    ``load_nodes`` reads them (features as stored), then the edge list,
+    symmetrized and deduplicated with self-loops stripped (``Graph`` keeps
+    it canonical).
     Of two bad files, the one read first is named: features, labels,
     splits, then edges.
     """
     path = Path(path)
     _require_files(path, ("features.csv", "edges.csv", "labels.csv"))
-    nodes = load_nodes(path, dtype, normalize_features)
+    nodes = load_nodes(path, dtype)
     edges = _read_edges(path / "edges.csv", nodes.n_nodes)
     return Graph(nodes.features, nodes.labels, nodes.splits, edges=edges)
 
@@ -935,12 +933,14 @@ def synth_sbm(
         raise ValueError(f"n_nodes {n_nodes} must be >= n_classes {n_classes}")
     if not math.isfinite(feat_noise):
         raise ValueError(f"feat_noise {feat_noise} must be finite")
+    if feat_noise < 0:
+        raise ValueError(f"feat_noise {feat_noise} must be >= 0")
     if n_nodes % n_classes != 0:
         raise ValueError(f"n_nodes {n_nodes} not divisible by n_classes {n_classes}")
+    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):  # NaN fails both
+        raise ValueError(f"probabilities outside [0, 1]: p_in={p_in} p_out={p_out}")
     if not p_in > p_out:
         raise ValueError(f"need homophily p_in > p_out, got p_in={p_in} p_out={p_out}")
-    if not (0 <= p_out and p_in <= 1):
-        raise ValueError(f"probabilities outside [0, 1]: p_in={p_in} p_out={p_out}")
     if feat_dim < n_classes:
         raise ValueError(f"feat_dim {feat_dim} must be >= n_classes {n_classes}")
     rng = np.random.default_rng(seed)

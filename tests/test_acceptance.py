@@ -90,9 +90,13 @@ def test_criterion_1_gradient_suite():
         adj = gio.normalize_adjacency(sparse.csr_array(dense + dense.T))
         x = rng.standard_normal((n, d))
 
+        # both objectives at the dropout training runs (0.5 by default),
+        # each call drawing the same masks from a fresh rng
         def gcn_loss(p):
             tp = LayerStack([(p["w1"], p["b1"]), (p["w2"], p["b2"])])
-            return t.teacher_ce_gradpair(adj, x, tp, onehot, mask)
+            return t.teacher_ce_gradpair(
+                adj, x, tp, onehot, mask, t.TeacherConfig().dropout, np.random.default_rng(seed)
+            )
 
         tp = t.init_teacher(d, hidden, c, 2, rng, np.float64)
         worst["gcn"] = max(worst["gcn"], finite_diff_check(gcn_loss, tp.param_dict()))
@@ -108,6 +112,7 @@ def test_criterion_1_gradient_suite():
             distill, mix, grads = cas.total_loss_gradpair(
                 sp, np.hstack([x[:, :d], h_prev]), targets, onehot, mask, k=3,
                 cfg=cas.CascadeConfig(alpha=0.5, beta=0.8), pairs=pairs, lam=0.35,
+                rng=np.random.default_rng(seed),
             )
             return GradPair(distill + mix, grads)
 

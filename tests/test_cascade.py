@@ -18,7 +18,7 @@ from mlpcascade.numkit import (
     softmax_rows,
 )
 from mlpcascade.optim import TrainingDivergedError
-from mlpcascade.params import LayerStack, backward, forward_cache
+from mlpcascade.params import LayerStack, backward, dropper, forward_cache
 
 POW_4_08 = 3.0314331330207962  # 4**0.8, frozen from 40-digit evaluation
 
@@ -282,10 +282,31 @@ class TestPmaLoss:
         with pytest.raises(ValueError, match="labeled_count"):
             cas.mixup_loss(p, np.ones((1, 4)), np.array([[1.0, 0.0]]), 0)
 
-    def test_dropout_without_rng_rejected(self):
-        p = random_student(np.random.default_rng(0), 2, 2, 2)
-        with pytest.raises(ValueError, match=r"^mixup_loss: dropout 0\.5 needs an rng, got None$"):
-            cas.mixup_loss(p, np.ones((1, 2)), np.array([[1.0, 0.0]]), 1, 0.5, None)
+    def test_drop_draws_after_the_training_pass(self):
+        """``total_loss_gradpair`` hands its training pass's ``drop`` on,
+        so the mixup pass's masks are the next draws of the one rng: the
+        training forward replayed on a fresh rng of the same seed, then
+        ``mixup_loss`` with that ``drop``, gives the objective's mixup
+        bits, and a ``drop`` that skipped the training draws does not."""
+        rng = np.random.default_rng(3)
+        n, d, hidden, c = 12, 5, 4, 3
+        inputs = rng.standard_normal((n, d + hidden))
+        targets = soft_targets(make_soft_labels(rng, n, c))
+        y = np.eye(c)[rng.integers(0, c, n)]
+        labeled = np.arange(0, n, 2)
+        pairs = cas.sample_mixup_pairs(labeled, seed=1)
+        p = random_student(rng, d, hidden, c)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
+        _, mix, _ = cas.total_loss_gradpair(
+            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, np.random.default_rng(7)
+        )
+        projection = inputs @ p.layers[0][0]
+        mixed, mixed_labels = cas.mixup_examples(projection, y, pairs, 0.3)
+        drop = dropper(cfg.dropout, np.random.default_rng(7), "replay")
+        forward_cache(p, inputs, drop, projection=projection)
+        assert cas.mixup_loss(p, mixed, mixed_labels, labeled.size, drop).value == mix
+        skipped = dropper(cfg.dropout, np.random.default_rng(7), "replay")
+        assert cas.mixup_loss(p, mixed, mixed_labels, labeled.size, skipped).value != mix
 
 
 class TestMixupState:
@@ -598,8 +619,8 @@ def student_fd_error(seed, n_layers=2, dropout=0.0):
         params = LayerStack([(p[f"w{i}"], p[f"b{i}"]) for i in range(1, n_layers + 1)])
         distill, mix, grads = cas.total_loss_gradpair(
             params, inputs, targets, y, labeled, k=2,
-            cfg=cas.CascadeConfig(alpha=0.5, beta=0.8),
-            pairs=pairs, lam=0.3, dropout=dropout, rng=np.random.default_rng(seed),
+            cfg=cas.CascadeConfig(alpha=0.5, beta=0.8, dropout=dropout),
+            pairs=pairs, lam=0.3, rng=np.random.default_rng(seed),
         )
         return GradPair(distill + mix, grads)
 
@@ -632,7 +653,7 @@ def test_student_step_peak_holds_only_the_arrays_it_needs():
     try:
         cas.total_loss_gradpair(
             p, inputs, targets, g.labels, g.splits.labeled, 2, cas.CascadeConfig(), pairs,
-            0.3, 0.5, np.random.default_rng(2), projection,
+            0.3, np.random.default_rng(2), projection,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -680,10 +701,9 @@ class TestFullLossGradients:
         p = random_student(rng, d, hidden, c, n_layers)
         for _, b in p.layers:
             b[:] = 0.1 * rng.standard_normal(b.shape)
-        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8, dropout=dropout)
         distill, mix, grads = cas.total_loss_gradpair(
-            p, inputs, targets, y, labeled, 2, cfg, pairs, lam, dropout,
-            np.random.default_rng(6),
+            p, inputs, targets, y, labeled, 2, cfg, pairs, lam, np.random.default_rng(6)
         )
         ref_distill, ref_mix, ref_grads = blended_input_objective(
             p, inputs, targets, y, labeled, 2, cfg, pairs, lam, dropout, 6
@@ -715,7 +735,7 @@ class TestFullLossGradients:
         labeled = np.arange(0, n, 2)
         pairs = cas.sample_mixup_pairs(labeled, seed=1)
         p = random_student(rng, d, hidden, c)
-        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8, dropout=0.0)
         distill, mix, _ = cas.total_loss_gradpair(
             p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3
         )
@@ -737,7 +757,7 @@ class TestFullLossGradients:
         cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
         message = r"^total_loss_gradpair: dropout 0\.5 needs an rng, got None$"
         with pytest.raises(ValueError, match=message):
-            cas.total_loss_gradpair(p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, 0.5, None)
+            cas.total_loss_gradpair(p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3)
 
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -754,16 +774,15 @@ class TestFullLossGradients:
         labeled = np.arange(0, n, 3)
         pairs = cas.sample_mixup_pairs(labeled, seed=2)
         p = random_student(rng, d, hidden, c, n_layers, dtype)
-        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8)
+        cfg = cas.CascadeConfig(alpha=0.5, beta=0.8, dropout=dropout)
         projection = inputs @ p.layers[0][0]
         before = projection.copy()
         own = cas.total_loss_gradpair(
-            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, dropout,
-            np.random.default_rng(4),
+            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, np.random.default_rng(4)
         )
         shared = cas.total_loss_gradpair(
-            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, dropout,
-            np.random.default_rng(4), projection,
+            p, inputs, targets, y, labeled, 2, cfg, pairs, 0.3, np.random.default_rng(4),
+            projection,
         )
         assert own[:2] == shared[:2]
         assert own[2].keys() == shared[2].keys()

@@ -95,6 +95,9 @@ class TestSynth:
             (("--nodes", -6), "n_nodes -6 must be >= n_classes 3"),
             (("--noise", "nan"), "feat_noise nan must be finite"),
             (("--noise", "inf"), "feat_noise inf must be finite"),
+            (("--noise", -1), "feat_noise -1.0 must be >= 0"),
+            (("--p-in", -0.1), "probabilities outside [0, 1]: p_in=-0.1 p_out=0.01"),
+            (("--p-in", "nan"), "probabilities outside [0, 1]: p_in=nan p_out=0.01"),
         ],
     )
     def test_degenerate_graph_exits_2_naming_the_field(self, tmp_path, capsys, flags, message):
@@ -1077,6 +1080,81 @@ def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command, under):
     assert blocker.read_text() == "x"
 
 
+class TestDirectoryIsNotAFile:
+    """An input path that names a directory is there, so it is not a
+    missing file (exit 1): it exits 2 with one error line naming it and
+    the file it should have been, and writes nothing."""
+
+    @pytest.mark.parametrize("flag", [
+        "infer --cascade", "infer --features", "sweep --cascade", "distill --teacher-dir",
+        "--config",
+    ])
+    def test_exits_2_naming_the_directory(self, separable_run, tmp_path, capsys, flag):
+        data, run = separable_run
+        directory = tmp_path / "directory"
+        directory.mkdir()
+        cascade, features = run / "cascade.json", data / "features.csv"
+        argv, path, kind = {
+            "infer --cascade": (
+                ["infer", "--cascade", directory, "--features", features],
+                directory, "cascade checkpoint",
+            ),
+            "infer --features": (
+                ["infer", "--cascade", cascade, "--features", directory], directory, "feature",
+            ),
+            "sweep --cascade": (
+                ["sweep", "--data", data, "--cascade", directory], directory, "cascade checkpoint",
+            ),
+            # the teacher directory is there, but its checkpoint is a directory
+            "distill --teacher-dir": (
+                ["distill", "--data", data, "--teacher-dir", tmp_path],
+                tmp_path / "teacher.json", "teacher artifact",
+            ),
+            "--config": (
+                ["train-teacher", "--data", data, "--config", directory], directory, "config",
+            ),
+        }[flag]
+        if flag == "distill --teacher-dir":
+            path.mkdir()
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {path} is a directory, not a {kind} file\n"
+        assert not out.exists()
+
+
+class TestNormalizationRemoved:
+    """Every command reads a dataset's features as stored, the values
+    ``infer`` reads: a run that asks for load-time normalization, by flag
+    or by config key, exits 2 naming it before it writes anything."""
+
+    @pytest.mark.parametrize("command", ["train-teacher", "distill", "sweep"])
+    def test_flag_exits_2(self, separable_run, tmp_path, capsys, command):
+        data, run = separable_run
+        out = tmp_path / "out"
+        out.mkdir()
+        extra = ["--teacher-dir", run] if command == "distill" else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--data", data, *extra, "--normalize-features", "--out", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --normalize-features" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train-teacher", "distill", "sweep"])
+    def test_config_key_exits_2(self, separable_run, tmp_path, capsys, command):
+        data, run = separable_run
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": {"normalize_features": True}}))
+        out = tmp_path / "out"
+        out.mkdir()
+        extra = ["--teacher-dir", run] if command == "distill" else []
+        assert run_cli(command, "--data", data, *extra, "--config", cfg_path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg_path}: dataset.normalize_features is not a setting "
+            "(dataset keys: path)\n"
+        )
+        assert list(out.iterdir()) == []
+
+
 class TestConfThreshold:
     """``policy.conf_threshold`` follows one rule as a flag and in the
     config file: a value in [0, 1] gates, any other number exits 2 with a
@@ -1600,8 +1678,8 @@ class TestConfigPrecedence:
 
 class TestConfigTypes:
     """A config-file value must be a JSON value of its setting's type: a
-    bool for a bool, a non-bool integer for an int, a non-bool number for a
-    float and a string for a path. Nothing is truncated or parsed from a
+    non-bool integer for an int, a non-bool number for a float and a
+    string for a path. Nothing is truncated or parsed from a
     string, and the command stops before it reads any file."""
 
     CASES = {
@@ -1618,8 +1696,6 @@ class TestConfigTypes:
         "lr-beyond-float": ("train-teacher", "teacher", "lr", 10**400, "a number"),
         "dropout-bool": ("train-teacher", "teacher", "dropout", False, "a number"),
         "depth-string": ("train-teacher", "teacher", "depth", "3", "an integer"),
-        "normalize-int": ("train-teacher", "dataset", "normalize_features", 1, "a JSON bool"),
-        "normalize-string": ("distill", "dataset", "normalize_features", "no", "a JSON bool"),
         "seed-fraction": ("train-teacher", "run", "seed", 2.5, "an integer"),
         "seed-string": ("distill", "run", "seed", "3", "an integer"),
         "seed-bool": ("infer", "run", "seed", True, "an integer"),
@@ -1731,18 +1807,16 @@ class TestSettingsTable:
         ],
         "train-teacher": [
             "--config", "--data", "--depth", "--dropout", "--epochs", "--hidden", "--lr",
-            "--normalize-features", "--out", "--patience", "--precision", "--seed",
-            "--weight-decay",
+            "--out", "--patience", "--precision", "--seed", "--weight-decay",
         ],
         "distill": [
             "--alpha", "--beta", "--config", "--data", "--dropout", "--epochs", "--gamma",
-            "--hidden", "--lambda-init", "--layers", "--lr",
-            "--normalize-features", "--out", "--patience", "--precision", "--seed", "--sigma",
-            "--students", "--tau", "--teacher-dir", "--weight-decay",
+            "--hidden", "--lambda-init", "--layers", "--lr", "--out", "--patience",
+            "--precision", "--seed", "--sigma", "--students", "--tau", "--teacher-dir",
+            "--weight-decay",
         ],
         "sweep": [
-            "--cascade", "--config", "--data", "--normalize-features", "--out", "--precision",
-            "--reps", "--seed",
+            "--cascade", "--config", "--data", "--out", "--precision", "--reps", "--seed",
         ],
         "infer": [
             "--budget-ms", "--cascade", "--conf-threshold", "--config", "--features",

@@ -523,12 +523,15 @@ class TestLoadNodes:
     """``load_nodes`` reads the node tables only; ``load_dataset`` reads
     them through it and then the edge list."""
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_same_tables_as_load_dataset(self, tmp_path, dtype, normalize):
+    def test_same_tables_as_load_dataset(self, tmp_path, dtype):
+        """Both give the features as stored: the values ``read_features``
+        gives ``infer`` from the same file."""
         gio.save_dataset(gio.synth_sbm(60, 3, 8, 0.3, 0.02, 1.0, seed=11, dtype=dtype), tmp_path)
-        nodes = gio.load_nodes(tmp_path, dtype, normalize_features=normalize)
-        g = gio.load_dataset(tmp_path, dtype, normalize_features=normalize)
+        nodes = gio.load_nodes(tmp_path, dtype)
+        g = gio.load_dataset(tmp_path, dtype)
+        stored = gio.read_features(tmp_path / "features.csv", dtype)
+        assert nodes.features.tobytes() == stored.tobytes()
         assert isinstance(nodes, gio.NodeTables) and not hasattr(nodes, "edges")
         assert isinstance(g, gio.NodeTables)
         sizes = (g.n_nodes, g.feat_dim, g.n_classes)
@@ -1291,6 +1294,17 @@ class TestSynthSBM:
             gio.synth_sbm(12, 3, 4, 0.01, 0.02, 0.5, seed=2)
 
     @pytest.mark.parametrize(
+        "p_in, p_out",
+        [(-0.1, -0.2), (float("nan"), 0.1), (1.5, 0.1), (0.5, float("nan")), (0.5, -0.1)],
+    )
+    def test_probabilities_outside_the_unit_interval_rejected(self, p_in, p_out):
+        """The range is checked before homophily, so a negative or NaN
+        probability is refused for what it is."""
+        message = rf"^probabilities outside \[0, 1\]: p_in={p_in} p_out={p_out}$"
+        with pytest.raises(ValueError, match=message):
+            gio.synth_sbm(12, 3, 4, p_in, p_out, 0.5, seed=2)
+
+    @pytest.mark.parametrize(
         "n_nodes, n_classes, feat_noise, message",
         [
             (12, 0, 0.5, "n_classes 0 must be >= 1"),
@@ -1301,6 +1315,7 @@ class TestSynthSBM:
             (12, 3, float("nan"), "feat_noise nan must be finite"),
             (12, 3, float("inf"), "feat_noise inf must be finite"),
             (12, 3, float("-inf"), "feat_noise -inf must be finite"),
+            (12, 3, -1.0, "feat_noise -1.0 must be >= 0"),
         ],
     )
     def test_degenerate_sizes_and_noise_rejected(self, n_nodes, n_classes, feat_noise, message):
