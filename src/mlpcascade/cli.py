@@ -8,8 +8,9 @@ command measures goes to its ``<command>_timing.json`` (``sweep_timing.json``,
 ``infer_timing.json``) and to no other file, so at one BLAS thread every
 other file is byte-identical for a seed.
 
-Exit codes: 0 success, 1 a missing input file or diverged training,
-2 usage/validation error.
+Exit codes: 0 success, 1 a missing input file (``params.require_file``,
+the config file included) or diverged training, 2 usage/validation error,
+a directory in place of an input file among them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import cascade as cascade_mod
 from . import graphio, inference, teacher
 from .optim import TrainingDivergedError
-from .params import json_value, write_json
+from .params import json_value, read_json, write_json
 
 # Defaults of the run and policy settings. Model and training defaults (the
 # reference hyperparameters) are the field defaults of TeacherConfig and
@@ -114,13 +115,6 @@ _BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
 _SECTIONS = sorted({s.section for s in _SETTINGS})
 
 
-def _is_file(path: Path, kind: str) -> bool:
-    """Whether ``path`` is a file; ValueError for a directory, which exists."""
-    if path.is_dir():
-        raise ValueError(f"{path} is a directory, not a {kind} file")
-    return path.is_file()
-
-
 def _load_config(path: str | None) -> dict:
     """The config file at ``path``, checked whole: every section and key a
     declared setting, every value a JSON value of its type
@@ -129,13 +123,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not _is_file(p, "config"):
-        raise ValueError(f"config file not found: {p}")
-    try:
-        with open(p) as f:
-            cfg = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {p} is not valid JSON: {exc}") from None
+    cfg = read_json(p)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {p} must hold a JSON object")
     checked = {}
@@ -245,15 +233,6 @@ def _policy(args, config) -> inference.InferencePolicy:
     )
 
 
-def _load_teacher_artifact(teacher_dir: Path):
-    ckpt = teacher_dir / TEACHER_CKPT
-    soft = teacher_dir / SOFT_LABELS
-    for p in (ckpt, soft):
-        if not _is_file(p, "teacher artifact"):
-            raise FileNotFoundError(f"teacher artifact missing: {p}")
-    return teacher.load_teacher(ckpt, soft)
-
-
 def cmd_synth(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     g = graphio.synth_sbm(
@@ -310,7 +289,9 @@ def cmd_distill(args, config) -> int:
     # the students are MLPs: they never read the graph, so edges.csv is not opened
     nodes = _read_dataset(args, config, dtype)
     teacher_dir = Path(args.teacher_dir) if args.teacher_dir else out
-    artifact, _teacher_cfg = _load_teacher_artifact(teacher_dir)
+    artifact, _teacher_cfg = teacher.load_teacher(
+        teacher_dir / TEACHER_CKPT, teacher_dir / SOFT_LABELS
+    )
     if artifact.soft_labels.shape != (nodes.n_nodes, nodes.n_classes):
         (n, c), labels = artifact.soft_labels.shape, _dataset_dir(args, config) / "labels.csv"
         raise ValueError(
@@ -378,8 +359,6 @@ def _load_cascade(
     """The cascade checkpoint at ``path``, refused, naming both files,
     unless it takes the ``width`` of the feature file ``features`` and,
     when ``labels`` is given, predicts the ``classes`` of that label file."""
-    if not _is_file(path, "cascade checkpoint"):
-        raise FileNotFoundError(f"cascade checkpoint missing: {path}")
     casc = cascade_mod.load_cascade(path)
     if casc.feat_dim != width:
         raise ValueError(
@@ -421,8 +400,6 @@ def cmd_infer(args, config) -> int:
     seed, out, dtype = _run_values(args, config)
     policy = _policy(args, config)
     features_path = Path(args.features)
-    if not _is_file(features_path, "feature"):
-        raise FileNotFoundError(f"feature file missing: {features_path}")
     x = graphio.read_features(features_path, dtype)
     casc = _load_cascade(Path(args.cascade), features_path, x.shape[1])
     result = inference.run_anytime(casc, x, policy, np.arange(x.shape[0]))

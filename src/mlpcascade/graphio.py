@@ -7,9 +7,9 @@ Dataset directory format (plain text, no headers):
 * ``edges.csv``     one ``src,dst`` pair per line, 0-based node ids
 * ``labels.csv``    one integer class id per line
 * ``splits.json``   object with exactly the integer arrays ``labeled``,
-  ``validation`` and ``test``, pairwise disjoint; optional -- when absent,
-  Planetoid-style splits (20 labeled nodes per class, 500 validation, 1000
-  test, seed 0) are generated.
+  ``validation`` and ``test``, pairwise disjoint; optional -- only when
+  nothing is at that path are Planetoid-style splits (20 labeled nodes per
+  class, 500 validation, 1000 test, seed 0) generated.
 
 Two loaders read a directory. ``load_nodes`` reads the node tables only
 (features, labels, splits) into ``NodeTables``: the students are MLPs and
@@ -27,9 +27,9 @@ the sorted ``i < j`` pairs, as int32 node ids (``index_dtype``). Its
 ``adjacency`` is derived from that list on access, and the teacher's
 normalized adjacency is built from it directly.
 
-Blank and whitespace-only lines are skipped; ``#`` is data, not a comment.
-Features must be finite at the working dtype. A malformed file raises
-``ValueError`` naming the file and line.
+Files are UTF-8 text. Blank and whitespace-only lines are skipped; ``#``
+is data, not a comment. Features must be finite at the working dtype. A
+malformed file raises ``ValueError`` naming the file and line.
 
 Every table is read in one order (``_read_table``): its binary mirror,
 else the CSV parsed in C, else the line scanner, which is the reference
@@ -64,7 +64,7 @@ from scipy import sparse
 
 from . import csvfmt
 from .numkit import DEFAULT_DTYPE, SparseMatrix, fingerprint
-from .params import JSON_KIND_NAMES
+from .params import JSON_KIND_NAMES, read_json, require_file
 
 # Defaults used when a dataset directory carries no splits.json.
 DEFAULT_N_PER_CLASS = 20
@@ -256,6 +256,7 @@ def _read_table(path: Path, dtype, parse_dtype, accept, scan) -> np.ndarray:
     sees, so floats are checked after it; an integer would wrap silently
     into range, so integers are checked at ``parse_dtype`` and only then
     narrowed."""
+    require_file(path)
     mirrored = _read_mirror(path, dtype)
     if mirrored is not None and accept(mirrored):
         return mirrored
@@ -319,10 +320,15 @@ def _read_labels(path: Path, n_nodes: int) -> np.ndarray:
 
 
 def _data_lines(path: Path):
-    """The 1-based number and stripped text of each non-blank line."""
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            if line := line.strip():
+    """The 1-based number and stripped text of each non-blank line, lines
+    ending as in text mode; a line that is not UTF-8 is refused by number."""
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(chain.from_iterable(c.splitlines() for c in f), 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: line {line_no} is not UTF-8 text") from None
+            if line:
                 yield line_no, line
 
 
@@ -488,11 +494,7 @@ def _read_splits(path: Path, n_nodes: int) -> Splits:
     validation and test, each a list of distinct integer node ids in
     [0, n_nodes) (no floats, no booleans), the three sets pairwise disjoint.
     Any other content raises ``ValueError`` naming the file."""
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    raw = read_json(path)
     if not isinstance(raw, dict) or sorted(raw) != sorted(_SPLIT_KEYS):
         got = sorted(raw) if isinstance(raw, dict) else JSON_KIND_NAMES[type(raw)]
         raise ValueError(
@@ -575,22 +577,15 @@ def _splits_from_labels(
     return Splits(labeled=labeled, validation=validation, test=test, unlabeled=rest)
 
 
-def _require_files(path: Path, names) -> None:
-    for name in names:
-        if not (path / name).is_file():
-            raise FileNotFoundError(f"dataset file missing: {path / name}")
-
-
 def load_nodes(path, dtype=DEFAULT_DTYPE) -> NodeTables:
     """Load a dataset directory's node tables: features, labels and splits.
     ``edges.csv`` is neither opened nor required.
 
     The features are those of ``features.csv`` as stored, which
-    ``read_features`` gives ``infer``. Without ``splits.json``, default
-    Planetoid-style splits are generated (documented module constants).
+    ``read_features`` gives ``infer``. Only an absent ``splits.json`` draws
+    default Planetoid-style splits (documented module constants).
     """
     path = Path(path)
-    _require_files(path, ("features.csv", "labels.csv"))
     features = read_features(path / "features.csv", dtype)
     n_nodes = features.shape[0]
     class_ids = _read_labels(path / "labels.csv", n_nodes)
@@ -605,7 +600,7 @@ def load_nodes(path, dtype=DEFAULT_DTYPE) -> NodeTables:
     labels = _onehot(class_ids, n_classes, dtype)
 
     splits_file = path / "splits.json"
-    if splits_file.is_file():
+    if os.path.lexists(splits_file):
         splits = _read_splits(splits_file, n_nodes)
     else:
         splits = _splits_from_labels(
@@ -623,11 +618,10 @@ def load_dataset(path, dtype=DEFAULT_DTYPE) -> Graph:
     ``load_nodes`` reads them (features as stored), then the edge list,
     symmetrized and deduplicated with self-loops stripped (``Graph`` keeps
     it canonical).
-    Of two bad files, the one read first is named: features, labels,
-    splits, then edges.
+    Of two bad or missing files, the one read first is named: features,
+    labels, splits, then edges.
     """
     path = Path(path)
-    _require_files(path, ("features.csv", "edges.csv", "labels.csv"))
     nodes = load_nodes(path, dtype)
     edges = _read_edges(path / "edges.csv", nodes.n_nodes)
     return Graph(nodes.features, nodes.labels, nodes.splits, edges=edges)
@@ -925,8 +919,10 @@ def synth_sbm(
     j`` pairs without repeats, from the sorted keys of
     ``_sbm_edge_keys``), so ``Graph`` takes them after its one-pass check.
 
-    Fully reproducible given ``seed``.
+    Fully reproducible given ``seed``; an int seed must be >= 0.
     """
+    if isinstance(seed, int) and seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
     if n_classes < 1:
         raise ValueError(f"n_classes {n_classes} must be >= 1")
     if n_nodes < n_classes:

@@ -28,8 +28,8 @@ def check_training_config(cfg) -> None:
     which no model trains: an epoch cap below 1, negative patience,
     patience that reaches the cap, an empty hidden layer, a learning rate
     that is not finite and positive, a weight decay that is not finite and
-    non-negative, and a dropout rate that ``dropout_mask`` cannot draw. The
-    ValueError names the field."""
+    non-negative, a dropout rate that ``dropout_mask`` cannot draw and a
+    negative seed. The ValueError names the field."""
     if cfg.max_epochs < 1:
         raise ValueError(f"max_epochs {cfg.max_epochs} must be >= 1")
     if cfg.patience < 0:
@@ -43,6 +43,8 @@ def check_training_config(cfg) -> None:
     if not (math.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
         raise ValueError(f"weight_decay {cfg.weight_decay} must be finite and >= 0")
     dropout_threshold(cfg.dropout)
+    if cfg.seed < 0:
+        raise ValueError(f"seed {cfg.seed} must be >= 0")
 
 
 class AdamW:

@@ -13,6 +13,9 @@ base64 arrays of earlier versions are refused instead of being read by a
 second parser, and a manifest whose keys are not those this version writes
 is refused the same way: each refusal tells the reader to run the command
 that writes the checkpoint again (``rewritten_by``).
+
+Every input file is opened through ``require_file``, which refuses a missing
+path or a directory, or ``read_json``, which then parses it as UTF-8 JSON.
 """
 
 from __future__ import annotations
@@ -291,6 +294,27 @@ def rewritten_by(command: str):
         raise ValueError(f"{exc}, run `mlpcascade {command}` again to rewrite it") from None
 
 
+def require_file(path) -> Path:
+    """``path`` as a ``Path`` when it is a regular file; a ValueError when it
+    is a directory, a FileNotFoundError naming it when it is anything else."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path} is a directory, not a file")
+    if not path.is_file():
+        raise FileNotFoundError(f"missing input file: {path}")
+    return path
+
+
+def read_json(path):
+    """The JSON value of the file at ``path`` (``require_file``) as UTF-8
+    text; a ValueError naming the file when it is not."""
+    raw = require_file(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def json_object(obj, keys, where: str) -> dict:
     """``obj`` when it is a JSON object with exactly the keys ``keys``; a
     ValueError naming ``where`` (file and place in it) otherwise, a
@@ -427,16 +451,12 @@ def read_layer_stacks(path, dtype: np.dtype, entries) -> list[LayerStack]:
     order, and the place in the file that messages name. Every shape is
     checked first. Then the weights file must hold exactly the bytes of the
     listed arrays, or it is refused naming both counts, and it is read once,
-    each array into an array of its own. A missing weights file is a
-    FileNotFoundError naming it."""
+    each array into an array of its own. The weights file is opened through
+    ``require_file``."""
     shapes = [_layer_shapes(entry, where) for entry, where in entries]
     need = sum(math.prod(s) for stack in shapes for pair in stack for s in pair) * dtype.itemsize
     weights = weights_path(path)
-    try:
-        f = open(weights, "rb")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"{path}: weights file {weights} is missing") from None
-    with f:
+    with open(require_file(weights), "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size != need:
             raise ValueError(f"{weights}: holds {size} bytes, the arrays of {path} take {need}")
@@ -461,10 +481,7 @@ def read_manifest(path, kind: str, keys) -> tuple[dict, np.dtype]:
     array encoding, keys and dtype before any field is used; its arrays
     come from ``read_layer_stacks``. An encoding or a key set of another
     version is a ``LayoutError``."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a JSON checkpoint ({exc})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind.replace('-', ' ')}")
     if doc.get("array_encoding") != ARRAY_ENCODING:

@@ -245,20 +245,76 @@ def test_every_single_byte_flip_is_refused(tmp_path, dtype, kind):
         assert str(err.value) == where + "weights do not match their stored fingerprint"
 
 
-def test_missing_weights_file_is_named(tmp_path):
+@pytest.mark.parametrize("replace_by_dir", [False, True], ids=["missing", "directory"])
+def test_weights_file_that_is_not_a_file_is_named(tmp_path, replace_by_dir):
     path = tmp_path / "cascade.json"
     cas.save_cascade(_two_students(np.float32), path)
     teacher_path = _save_teacher(*_small_teacher(np.float32), tmp_path)
     for ckpt in (path, teacher_path):
         weights_path(ckpt).unlink()
+        if replace_by_dir:
+            weights_path(ckpt).mkdir()
+    for load, weights in ((lambda: cas.load_cascade(path), tmp_path / "cascade.weights"),
+                          (lambda: _load_teacher(tmp_path), tmp_path / "teacher.weights")):
+        with pytest.raises(ValueError if replace_by_dir else FileNotFoundError) as err:
+            load()
+        assert str(err.value) == (f"{weights} is a directory, not a file" if replace_by_dir
+                                  else f"missing input file: {weights}")
+
+
+def test_require_file_takes_only_a_regular_file(tmp_path):
+    path = tmp_path / "f.csv"
     with pytest.raises(FileNotFoundError) as err:
+        params.require_file(path)
+    assert str(err.value) == f"missing input file: {path}"
+    path.mkdir()
+    with pytest.raises(ValueError) as err:
+        params.require_file(path)
+    assert str(err.value) == f"{path} is a directory, not a file"
+    path.rmdir()
+    path.write_text("1\n")
+    assert params.require_file(str(path)) == path
+    # a link to nothing is nothing there
+    (tmp_path / "link.csv").symlink_to(tmp_path / "absent.csv")
+    with pytest.raises(FileNotFoundError) as err:
+        params.require_file(tmp_path / "link.csv")
+    assert str(err.value) == f"missing input file: {tmp_path / 'link.csv'}"
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"a": 1', "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    # the UTF-8 byte order mark is not JSON, as json.load reads it
+    (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+])
+def test_read_json_names_the_file_it_cannot_parse(tmp_path, raw, reason):
+    path = tmp_path / "f.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        params.read_json(path)
+    assert str(err.value) == f"{path}: not valid JSON: {reason}"
+
+
+def test_read_json_reads_utf8_and_refuses_what_is_not_a_file(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes('{"name": "na\u00efve", "ids": [1, 2]}'.encode())
+    assert params.read_json(path) == {"name": "na\u00efve", "ids": [1, 2]}
+    path.unlink()
+    with pytest.raises(FileNotFoundError, match="^missing input file: "):
+        params.read_json(path)
+    path.mkdir()
+    with pytest.raises(ValueError, match=" is a directory, not a file$"):
+        params.read_json(path)
+
+
+def test_manifest_that_is_not_json_is_named(tmp_path):
+    path = tmp_path / "cascade.json"
+    cas.save_cascade(_two_students(np.float32), path)
+    path.write_text('{"kind": ')
+    with pytest.raises(ValueError) as err:
         cas.load_cascade(path)
-    assert str(err.value) == f"{path}: weights file {tmp_path / 'cascade.weights'} is missing"
-    with pytest.raises(FileNotFoundError) as err:
-        _load_teacher(tmp_path)
-    assert str(err.value) == (
-        f"{teacher_path}: weights file {tmp_path / 'teacher.weights'} is missing"
-    )
+    assert str(err.value) == f"{path}: not valid JSON: Expecting value: line 1 column 10 (char 9)"
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -476,6 +532,23 @@ def test_teacher_config_of_another_type_is_refused(ckpt_dir, key, value, kind):
     with pytest.raises(ValueError) as err:
         _load_teacher(ckpt_dir, "typed.json")
     assert str(err.value) == f"{path} config {key} must be {kind}, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("kind", ["cascade", "teacher"])
+def test_stored_negative_seed_is_refused_naming_it(ckpt_dir, kind):
+    if kind == "cascade":
+        path = ckpt_dir / "seeded.json"
+        cas.save_cascade(_two_students(np.float32), path)
+        load = functools.partial(cas.load_cascade, path)
+    else:
+        path = _save_teacher(*_small_teacher(np.float32), ckpt_dir, "seeded.json")
+        load = functools.partial(_load_teacher, ckpt_dir, "seeded.json")
+    doc = json.loads(path.read_text())
+    doc["config"]["seed"] = -1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load()
+    assert str(err.value) == f"{path} config: seed -1 must be >= 0"
 
 
 @pytest.mark.parametrize(

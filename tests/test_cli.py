@@ -65,6 +65,12 @@ def directory_state(path):
 
 
 class TestSynth:
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run_cli(*dataset_args(out, nodes=30, seed=-1)) == 2
+        assert capsys.readouterr().err == "error: seed -1 must be >= 0\n"
+        assert not out.exists()
+
     def test_writes_four_files_and_summary(self, tmp_path, capsys):
         out = tmp_path / "ds"
         assert run_cli(*dataset_args(out, nodes=30)) == 0
@@ -507,6 +513,7 @@ class TestDegenerateTrainingConfig:
         (("--lr", "nan"), "lr nan must be finite and > 0"),
         (("--weight-decay", -0.1), "weight_decay -0.1 must be finite and >= 0"),
         (("--weight-decay", "inf"), "weight_decay inf must be finite and >= 0"),
+        (("--seed", -3), "seed -3 must be >= 0"),
     ]
 
     @pytest.mark.parametrize("flags, message", CASES)
@@ -1046,6 +1053,17 @@ class TestInfer:
         assert "bad.csv: non-finite value at line 3" in capsys.readouterr().err
         assert not (out / "predictions.csv").exists()
 
+    def test_bytes_that_are_not_utf8_exit_2_naming_the_line(self, separable_run, tmp_path,
+                                                             capsys):
+        _, run = separable_run
+        bad = tmp_path / "f.csv"
+        bad.write_bytes(b"1,2\n\xff\xfe,3\n")
+        out = tmp_path / "out"
+        assert run_cli("infer", "--cascade", run / "cascade.json", "--features", bad,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 2 is not UTF-8 text\n"
+        assert not out.exists()
+
     def test_missing_cascade_exits_1(self, tmp_path):
         feat = tmp_path / "f.csv"
         feat.write_text("1.0\n")
@@ -1080,45 +1098,103 @@ def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command, under):
     assert blocker.read_text() == "x"
 
 
-class TestDirectoryIsNotAFile:
-    """An input path that names a directory is there, so it is not a
-    missing file (exit 1): it exits 2 with one error line naming it and
-    the file it should have been, and writes nothing."""
+@pytest.fixture(scope="module")
+def every_input(tmp_path_factory):
+    """A dataset large enough for the default splits, a teacher and a
+    cascade trained on it, a config file and a mirror-less query file: every
+    file a command reads."""
+    root = tmp_path_factory.mktemp("inputs")
+    data, run = root / "data", root / "run"
+    assert run_cli(*dataset_args(data, nodes=1800, p_in=0.02)) == 0
+    (root / "config.json").write_text('{"run": {"seed": 0}}')
+    assert run_cli(
+        "train-teacher", "--data", data, "--out", run, "--hidden", 8, "--epochs", 5,
+        "--patience", 2,
+    ) == 0
+    assert run_cli(
+        "distill", "--data", data, "--teacher-dir", run, "--out", run, "--students", 2,
+        "--hidden", 8, "--epochs", 3, "--patience", 1,
+    ) == 0
+    shutil.copy(data / "features.csv", run / "query.csv")
+    return root
 
-    @pytest.mark.parametrize("flag", [
-        "infer --cascade", "infer --features", "sweep --cascade", "distill --teacher-dir",
-        "--config",
-    ])
-    def test_exits_2_naming_the_directory(self, separable_run, tmp_path, capsys, flag):
-        data, run = separable_run
-        directory = tmp_path / "directory"
-        directory.mkdir()
-        cascade, features = run / "cascade.json", data / "features.csv"
-        argv, path, kind = {
-            "infer --cascade": (
-                ["infer", "--cascade", directory, "--features", features],
-                directory, "cascade checkpoint",
-            ),
-            "infer --features": (
-                ["infer", "--cascade", cascade, "--features", directory], directory, "feature",
-            ),
-            "sweep --cascade": (
-                ["sweep", "--data", data, "--cascade", directory], directory, "cascade checkpoint",
-            ),
-            # the teacher directory is there, but its checkpoint is a directory
-            "distill --teacher-dir": (
-                ["distill", "--data", data, "--teacher-dir", tmp_path],
-                tmp_path / "teacher.json", "teacher artifact",
-            ),
-            "--config": (
-                ["train-teacher", "--data", data, "--config", directory], directory, "config",
-            ),
-        }[flag]
-        if flag == "distill --teacher-dir":
+
+def _train_teacher(root):
+    return ["train-teacher", "--data", root / "data", "--config", root / "config.json",
+            "--hidden", 8, "--epochs", 5, "--patience", 2]
+
+
+def _distill(root):
+    return ["distill", "--data", root / "data", "--teacher-dir", root / "run",
+            "--students", 1, "--hidden", 8, "--epochs", 3, "--patience", 1]
+
+
+def _infer(root):
+    return ["infer", "--cascade", root / "run" / "cascade.json",
+            "--features", root / "run" / "query.csv"]
+
+
+def _sweep(root):
+    return ["sweep", "--data", root / "data", "--cascade", root / "run" / "cascade.json",
+            "--reps", 1]
+
+
+# each input path, under the fixture's root, and a command that reads it
+INPUT_PATHS = {
+    "features.csv": ("data/features.csv", _train_teacher),
+    "labels.csv": ("data/labels.csv", _train_teacher),
+    "edges.csv": ("data/edges.csv", _train_teacher),
+    "splits.json": ("data/splits.json", _train_teacher),
+    "--config": ("config.json", _train_teacher),
+    "teacher.json": ("run/teacher.json", _distill),
+    "teacher.weights": ("run/teacher.weights", _distill),
+    "soft_labels.csv": ("run/soft_labels.csv", _distill),
+    "cascade.json": ("run/cascade.json", _infer),
+    "cascade.weights": ("run/cascade.weights", _infer),
+    "infer --features": ("run/query.csv", _infer),
+    "sweep cascade.json": ("run/cascade.json", _sweep),
+    "sweep cascade.weights": ("run/cascade.weights", _sweep),
+}
+
+
+class TestEveryInputPath:
+    """Every input file a command reads is refused the same way: nothing
+    there exits 1 and a directory in its place exits 2, each with one
+    error line naming it, before anything is written. Only an absent
+    ``splits.json`` is not an error: it draws the default splits."""
+
+    def setup_input(self, every_input, tmp_path, case, replace_by_dir):
+        root = tmp_path / "root"
+        shutil.copytree(every_input, root)
+        rel, command = INPUT_PATHS[case]
+        path = root / rel
+        path.unlink()
+        if replace_by_dir:
             path.mkdir()
+        return root, path, command(root)
+
+    @pytest.mark.parametrize("case", INPUT_PATHS)
+    def test_a_deleted_file_exits_1_naming_it(self, every_input, tmp_path, capsys, case):
+        root, path, argv = self.setup_input(every_input, tmp_path, case, False)
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--out", out)
+        err = capsys.readouterr().err
+        if case == "splits.json":
+            assert (code, err) == (0, "")
+            splits = gio.load_nodes(root / "data").splits
+            assert splits.labeled.size == 3 * gio.DEFAULT_N_PER_CLASS
+            assert splits.test.size == gio.DEFAULT_N_TEST
+            return
+        assert code == 1
+        assert err == f"error: missing input file: {path}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", INPUT_PATHS)
+    def test_a_directory_exits_2_naming_it(self, every_input, tmp_path, capsys, case):
+        _, path, argv = self.setup_input(every_input, tmp_path, case, True)
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", out) == 2
-        assert capsys.readouterr().err == f"error: {path} is a directory, not a {kind} file\n"
+        assert capsys.readouterr().err == f"error: {path} is a directory, not a file\n"
         assert not out.exists()
 
 
@@ -1337,6 +1413,8 @@ def _uneven_hidden_width(casc):
 
 
 CASCADE_CASES = {
+    "negative seed": (_edit_doc(lambda d: d["config"].update(seed=-1)),
+                      "cascade.json config: seed -1 must be >= 0"),
     "missing meta key": (
         _edit_doc(lambda d: d["students"][0]["meta"].pop("init_fingerprint")),
         "student 1 meta: missing keys ['init_fingerprint'], unknown keys []" + OTHER_LAYOUT
@@ -1460,6 +1538,8 @@ CASCADE_CASES = {
 }
 
 TEACHER_CASES = {
+    "negative seed": (_edit_doc(lambda d: d["config"].update(seed=-1)),
+                      "teacher.json config: seed -1 must be >= 0"),
     "missing config key": (
         _edit_doc(lambda d: d["config"].pop("lr")),
         "config: missing keys ['lr']",
@@ -1546,22 +1626,6 @@ class TestMalformedCheckpoints:
             f"{OTHER_LAYOUT} distill` again to rewrite it\n"
         )
         assert not out.exists()
-
-    @pytest.mark.parametrize("name", ["cascade", "teacher"])
-    def test_missing_weights_file_exits_1_naming_it(self, separable_run, tmp_path, capsys, name):
-        data, run = separable_run
-        (run / f"{name}.weights").unlink()
-        if name == "cascade":
-            argv = ("infer", "--cascade", run / "cascade.json",
-                    "--features", data / "features.csv", "--out", tmp_path / "out")
-        else:
-            argv = ("distill", "--data", data, "--teacher-dir", run, "--out", tmp_path / "out",
-                    "--students", 1, "--hidden", 8, "--epochs", 5, "--patience", 3)
-        assert run_cli(*argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {run / (name + '.json')}: weights file {run / (name + '.weights')} "
-            "is missing\n"
-        )
 
 
 class TestConfigPrecedence:
@@ -1651,13 +1715,23 @@ class TestConfigPrecedence:
             doc = json.loads((run / name).read_text())
             assert isinstance(doc, dict)
 
-    def test_bad_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("raw, reason", [
+        (b"{not json",
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_bad_config_exits_2_naming_it(self, tmp_path, capsys, raw, reason):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(raw)
         assert run_cli("synth", "--config", bad, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"error: {bad}: not valid JSON: {reason}\n"
+        assert not (tmp_path / "x").exists()
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert run_cli("synth", "--config", tmp_path / "none.json", "--out", tmp_path) == 2
+    def test_missing_config_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        assert run_cli("synth", "--config", missing, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == f"error: missing input file: {missing}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_negative_gamma_reaches_checkpoint(self, tmp_path):
         data = tmp_path / "data"

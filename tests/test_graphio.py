@@ -69,10 +69,33 @@ class TestLoadDataset:
         assert str(err.value) == f"{tmp_path / 'edges.csv'}: line 2: node id out of range [0, 6)"
 
     def test_missing_file_named(self, tmp_path):
-        write_toy_dataset(tmp_path, [[1.0]], [], [0], TOY_SPLITS)
+        write_toy_dataset(tmp_path, [[1.0], [2.0]], [], [0, 1], TOY_SPLITS)
         (tmp_path / "edges.csv").unlink()
-        with pytest.raises(FileNotFoundError, match="edges.csv"):
+        with pytest.raises(FileNotFoundError) as err:
             gio.load_dataset(tmp_path)
+        assert str(err.value) == f"missing input file: {tmp_path / 'edges.csv'}"
+
+    @pytest.mark.parametrize("name, line", [
+        ("features.csv", "\xff\xfe,3"), ("labels.csv", "\xff\xfe"), ("edges.csv", "1,\xff"),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, name, line):
+        write_toy_dataset(tmp_path, [[1.0, 2.0], [3.0, 4.0]], [(0, 1)], [0, 1], TOY_SPLITS)
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        (tmp_path / name).write_bytes(lines[0] + line.encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as err:
+            gio.load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / name}: line 2 is not UTF-8 text"
+
+    @pytest.mark.parametrize("raw", [
+        b"1\n\n 2 \n", b"1\r\n2\r\n", b"1\r2\r", b"1\r\r\n2", b"\r\n\r3\n\n", b"",
+        b"\xc2\xa01\x0b2\n\x0c\n1\xe2\x80\xa82\n",
+    ])
+    def test_scanner_lines_are_the_text_mode_lines(self, tmp_path, raw):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with open(path) as f:
+            expected = [(n, line.strip()) for n, line in enumerate(f, 1) if line.strip()]
+        assert list(gio._data_lines(path)) == expected
 
     def test_ragged_features_report_line(self, tmp_path):
         write_toy_dataset(tmp_path, [[1.0, 2.0]], [], [0], TOY_SPLITS)
@@ -556,8 +579,27 @@ class TestLoadNodes:
     def test_missing_node_table_named(self, tmp_path):
         write_toy_dataset(tmp_path, [[1.0], [2.0]], [(0, 1)], [0, 1], TOY_SPLITS)
         (tmp_path / "labels.csv").unlink()
-        with pytest.raises(FileNotFoundError, match="labels.csv"):
+        with pytest.raises(FileNotFoundError) as err:
             gio.load_nodes(tmp_path)
+        assert str(err.value) == f"missing input file: {tmp_path / 'labels.csv'}"
+
+    def test_only_an_absent_splits_file_draws_the_default_splits(self, tmp_path):
+        """A directory or a dangling link at ``splits.json`` is there, so it
+        is read, and refused, rather than replaced by the default splits."""
+        gio.save_dataset(gio.synth_sbm(1800, 3, 8, 0.02, 0.0, 0.0, seed=1), tmp_path)
+        splits = tmp_path / "splits.json"
+        splits.unlink()
+        default = gio.load_nodes(tmp_path).splits
+        assert default.labeled.size == 3 * gio.DEFAULT_N_PER_CLASS
+        splits.mkdir()
+        with pytest.raises(ValueError) as err:
+            gio.load_nodes(tmp_path)
+        assert str(err.value) == f"{splits} is a directory, not a file"
+        splits.rmdir()
+        splits.symlink_to(tmp_path / "absent.json")
+        with pytest.raises(FileNotFoundError) as err:
+            gio.load_nodes(tmp_path)
+        assert str(err.value) == f"missing input file: {splits}"
 
     def test_load_dataset_names_bad_splits_before_bad_edges(self, tmp_path):
         write_toy_dataset(
@@ -1231,6 +1273,11 @@ def reference_sbm_edges(n_nodes, n_classes, p_in, p_out, seed):
 
 
 class TestSynthSBM:
+    def test_negative_seed_is_refused_naming_it(self):
+        with pytest.raises(ValueError) as err:
+            gio.synth_sbm(30, 3, 8, 0.3, 0.0, 1.0, seed=-1)
+        assert str(err.value) == "seed -1 must be >= 0"
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize(
         "n_nodes, n_classes, p_in, p_out",
